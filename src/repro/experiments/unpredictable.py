@@ -29,7 +29,7 @@ from ..metrics.latency import LatencyStats
 from ..simulator.rng import make_rng
 from ..workloads.arrivals import OpenLoopProcess
 from ..workloads.spec import TenantSpec
-from ..workloads.trace import TraceRecord, scramble_trace
+from ..workloads.trace import Trace, scramble_trace
 from .config import ExperimentConfig
 from .production import production_specs, production_trace
 from .runner import ComparisonResult, run_comparison
@@ -76,7 +76,7 @@ def _scrambled_trace(
     unpredictable_fraction: float,
     open_loop_utilization: float,
     speed: float,
-) -> List[TraceRecord]:
+) -> Trace:
     """Materialize the open-loop trace, then scramble the requested
     fraction of the random tenants into unpredictable variants."""
     trace = production_trace(

@@ -47,6 +47,7 @@ from .synthetic import (
     small_tenant,
 )
 from .trace import (
+    Trace,
     TraceRecord,
     chunk_trace,
     generate_trace,
@@ -86,6 +87,7 @@ __all__ = [
     "fixed_cost_tenants",
     "FIXED_COST_IDS",
     "FIXED_COSTS",
+    "Trace",
     "TraceRecord",
     "generate_trace",
     "merge_traces",

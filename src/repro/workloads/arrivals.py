@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -86,19 +87,11 @@ class PoissonArrivals(OpenLoopProcess):
         span = duration - self.start_time
         if span <= 0:
             return np.empty(0)
-        expected = self.rate * span
-        # Draw gaps in slabs until the horizon is covered.
-        times = []
-        t = self.start_time
-        batch = max(16, int(expected * 1.2))
-        while t < duration:
-            gaps = rng.exponential(1.0 / self.rate, size=batch)
-            for gap in gaps:
-                t += gap
-                if t >= duration:
-                    break
-                times.append(t)
-        return np.array(times)
+        # Draw gaps in slabs until the horizon is covered; consecutive
+        # slabs are consecutive draws, so the slab size changes nothing.
+        batch = max(16, int(self.rate * span * 1.2))
+        draws = _Exponentials(rng, batch)
+        return draws.ticks(self.start_time, duration, 1.0 / self.rate, batch)
 
 
 @dataclass
@@ -126,21 +119,25 @@ class DecayingBurstArrivals(OpenLoopProcess):
         # over one tau for planning purposes.
         return self.floor_rate + (self.peak_rate - self.floor_rate) * 0.63
 
-    def _rate_at(self, t: float) -> float:
-        decayed = self.peak_rate * math.exp(-(t - self.start_time) / self.tau)
-        return max(self.floor_rate, decayed)
-
     def arrival_times(
         self, rng: np.random.Generator, duration: float
     ) -> np.ndarray:
-        times = []
-        t = self.start_time
+        # Candidate gaps and acceptance draws interleave on one stream,
+        # so this stays a scalar loop (ziggurat exponentials take a
+        # variable number of raw words; bulk draws would reorder them).
+        exponential, random, exp = rng.exponential, rng.random, math.exp
+        start, tau, floor = self.start_time, self.tau, self.floor_rate
         lam_max = self.peak_rate
+        scale = 1.0 / lam_max
+        times: List[float] = []
+        t = start
         while t < duration:
-            t += rng.exponential(1.0 / lam_max)
+            t += exponential(scale)
             if t >= duration:
                 break
-            if rng.random() <= self._rate_at(t) / lam_max:
+            decayed = lam_max * exp(-(t - start) / tau)
+            # max(floor, decayed), spelled out.
+            if random() <= (decayed if decayed > floor else floor) / lam_max:
                 times.append(t)
         return np.array(times)
 
@@ -169,21 +166,70 @@ class OnOffArrivals(OpenLoopProcess):
     def arrival_times(
         self, rng: np.random.Generator, duration: float
     ) -> np.ndarray:
-        times = []
+        # Period lengths and in-burst gaps are all exponentials of one
+        # stream, taken in order from bulk draws.
         t = self.start_time
+        rate = self.burst_rate
+        expected = self.mean_rate() * max(duration - t, 0.0)
+        draws = _Exponentials(rng, int(expected * 1.2) + 16)
+        chunks = [np.empty(0)]
         # Start in a burst: short observation windows then always contain
         # ON activity (T10's Figure 4c window opens mid-burst).
         on = True
         while t < duration:
-            period = rng.exponential(self.mean_on if on else self.mean_off)
+            period = (self.mean_on if on else self.mean_off) * draws.take(1)[0]
             end = min(t + period, duration)
             if on:
-                tick = t
-                while True:
-                    tick += rng.exponential(1.0 / self.burst_rate)
-                    if tick >= end:
-                        break
-                    times.append(tick)
+                hint = int((end - t) * rate * 1.2) + 16
+                chunks.append(draws.ticks(t, end, 1.0 / rate, hint))
             t = end
             on = not on
-        return np.array(times)
+        return np.concatenate(chunks)
+
+
+class _Exponentials:
+    """One generator's exponential draws, drawn in bulk, handed out in order.
+
+    numpy's ``rng.exponential(scale)`` is ``scale * standard_exponential()``,
+    so scaling bulk standard draws reproduces any sequence of scalar
+    ``exponential`` calls, whatever their scales.  Draws left over at the
+    end are discarded: harmless on a stream used for nothing else.
+    """
+
+    def __init__(self, rng: np.random.Generator, batch: int) -> None:
+        self._rng = rng
+        self._batch = batch
+        self._buffer = np.empty(0)
+        self._pos = 0
+
+    def take(self, n: int) -> np.ndarray:
+        """The next ``n`` standard-exponential draws."""
+        pos = self._pos
+        left = len(self._buffer) - pos
+        if left < n:
+            fresh = self._rng.standard_exponential(max(n - left, self._batch))
+            if left:
+                fresh = np.concatenate((self._buffer[pos:], fresh))
+            self._buffer = fresh
+            pos = 0
+        self._pos = pos + n
+        return self._buffer[pos:pos + n]
+
+    def ticks(self, start: float, end: float, scale: float, hint: int) -> np.ndarray:
+        """``t = start; t += scale * draw`` until ``t >= end``: the values
+        of ``t`` below ``end``.  The draw that reaches ``end`` is used up.
+
+        ``np.cumsum`` over a 1-D array adds left to right, exactly like
+        the scalar ``t += gap``.  ``hint`` is the draws taken per step.
+        """
+        chunks = []
+        t = start
+        while True:
+            steps = np.cumsum(np.concatenate(([t], self.take(hint) * scale)))[1:]
+            reached = int(np.searchsorted(steps, end))  # first step >= end
+            if reached < hint:
+                chunks.append(steps[:reached])
+                self._pos -= hint - reached - 1  # hand back the unused draws
+                return np.concatenate(chunks)
+            chunks.append(steps)
+            t = steps[-1]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +40,15 @@ class CostDistribution(ABC):
         """Analytic mean, used for utilization planning in experiments."""
 
     def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Vectorized convenience used by workload statistics tools."""
+        """Draw ``n`` costs at once (workload statistics tools).
+
+        ``FixedCost``, ``NormalCost`` and ``LogNormalCost`` return exactly
+        what ``n`` calls of :meth:`sample` on the same generator would.
+        ``MixtureCost`` (draws every component pick first) and
+        ``LogUniformCost`` (``np.exp`` rounds differently from
+        ``math.exp``) do *not*: trace generation, which must stay
+        stream-identical to per-request sampling, never calls them.
+        """
         return np.array([self.sample(rng) for _ in range(n)])
 
 
@@ -131,8 +140,15 @@ class LogNormalCost(CostDistribution):
         self._sigma = self.sigma_decades * math.log(10.0)
 
     def sample(self, rng: np.random.Generator) -> float:
-        value = float(rng.lognormal(self._mu, self._sigma))
-        return self._clip(value)
+        # Scalar draws are Python floats already; clipping is inlined
+        # because traces call this once per request.
+        value = rng.lognormal(self._mu, self._sigma)
+        low, high = self.low, self.high
+        if low is not None and value < low:
+            return low
+        if high is not None and value > high:
+            return high
+        return value
 
     def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
         values = rng.lognormal(self._mu, self._sigma, size=n)
@@ -144,13 +160,6 @@ class LogNormalCost(CostDistribution):
 
     def mean(self) -> float:
         return math.exp(self._mu + self._sigma**2 / 2.0)
-
-    def _clip(self, value: float) -> float:
-        if self.low is not None and value < self.low:
-            return self.low
-        if self.high is not None and value > self.high:
-            return self.high
-        return value
 
     def __repr__(self) -> str:
         return (
@@ -208,10 +217,11 @@ class MixtureCost(CostDistribution):
         total = float(sum(weights))
         self.components = list(components)
         self.weights = [w / total for w in weights]
-        self._cumulative = np.cumsum(self.weights)
+        self._cumulative = np.cumsum(self.weights).tolist()
 
     def sample(self, rng: np.random.Generator) -> float:
-        index = int(np.searchsorted(self._cumulative, rng.random(), side="right"))
+        # bisect_right on the float list == np.searchsorted(side="right").
+        index = bisect_right(self._cumulative, rng.random())
         index = min(index, len(self.components) - 1)
         return self.components[index].sample(rng)
 

@@ -16,16 +16,21 @@ sources by :mod:`repro.workloads.build` and into offline traces by
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import WorkloadError
 from .arrivals import ArrivalProcess, Backlogged
-from .distributions import CostDistribution
+from .distributions import CostDistribution, FixedCost, LogNormalCost, NormalCost
 
 __all__ = ["TenantSpec"]
+
+#: Distributions whose ``sample_many(rng, n)`` equals ``n`` calls of
+#: ``sample(rng)`` (exact types: a subclass may override ``sample``).
+_BULK_EXACT = (FixedCost, NormalCost, LogNormalCost)
 
 
 @dataclass
@@ -84,7 +89,8 @@ class TenantSpec:
     def request_sampler(
         self, rng: np.random.Generator
     ) -> Callable[[], Tuple[str, float]]:
-        """Build a ``() -> (api, cost)`` sampler bound to ``rng``."""
+        """Build a ``() -> (api, cost)`` sampler bound to ``rng`` (closed-loop
+        sources draw per request; traces use :meth:`sample_costs`)."""
         names, probs = self._api_mix()
         costs = self.api_costs
 
@@ -106,6 +112,44 @@ class TenantSpec:
             return api, costs[api].sample(rng)
 
         return sample
+
+    def sample_costs(
+        self, rng: np.random.Generator, n: int
+    ) -> Tuple[List[str], np.ndarray, np.ndarray]:
+        """Draw ``n`` requests at once as ``(apis, picks, costs)``: request
+        ``k`` calls ``apis[picks[k]]`` and costs ``costs[k]``.
+
+        The draws are exactly those of ``n`` calls to
+        ``request_sampler(rng)()``.  A single-API tenant whose cost
+        distribution samples in bulk stream-identically (see
+        :meth:`~repro.workloads.distributions.CostDistribution.sample_many`)
+        draws in one call.  Every other tenant loops per request: a
+        multi-API tenant interleaves its API pick and cost draws.
+        """
+        names, probs = self._api_mix()
+        dists = [self.api_costs[name] for name in names]
+        if len(names) == 1:
+            dist = dists[0]
+            if type(dist) in _BULK_EXACT:
+                values = dist.sample_many(rng, n)
+            else:
+                values = np.array([dist.sample(rng) for _ in range(n)], dtype=float)
+            return names, np.zeros(n, dtype=np.intp), values
+        # The request_sampler loop, with bisect_right over a float list
+        # in place of np.searchsorted(side="right"): the same index.
+        bounds = np.cumsum(probs).tolist()
+        last = len(names) - 1
+        samplers = [dist.sample for dist in dists]
+        random = rng.random
+        picks: List[int] = []
+        costs: List[float] = []
+        for _ in range(n):
+            index = bisect_right(bounds, random())
+            if index > last:
+                index = last
+            picks.append(index)
+            costs.append(samplers[index](rng))
+        return names, np.array(picks, dtype=np.intp), np.array(costs, dtype=float)
 
     def _api_mix(self) -> Tuple[list, np.ndarray]:
         names = sorted(self.api_costs)
