@@ -73,7 +73,7 @@ the linear scans.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple, Union, cast
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import SchedulerError
 from ..estimation.base import CostEstimator
@@ -95,8 +95,12 @@ _HeapEntry = Tuple[Union[float, int, "TenantState"], ...]
 
 #: One dirty-log record: ``[state, version, snapshot]`` where
 #: ``snapshot`` is ``None`` until the first structure to sync the record
-#: memoizes ``(start, finish, estimate, seqno)``.
-_LogRecord = List[object]
+#: memoizes ``(start, finish, estimate, seqno)``.  Typed ``Any`` so the
+#: hot sync loops read it without per-access casts.
+_LogRecord = List[Any]
+
+#: A memoized ``(start, finish, estimate, seqno)`` selection key.
+_Snapshot = Tuple[VirtualTime, VirtualTime, Cost, int]
 
 #: Heaps are compacted (stale entries filtered out, then re-heapified)
 #: once they grow past ``max(_COMPACT_MIN, 2 * live_entries)``; amortized
@@ -146,6 +150,8 @@ class SelectionIndex:
         "_cursor_finish",
         "_cursor_start",
         "_cursor_ladder",
+        "_gates",
+        "_hist",
         "stale_pops",
         "rebuilds",
         "pushes",
@@ -182,6 +188,13 @@ class SelectionIndex:
         self._cursor_finish = 0
         self._cursor_start = 0
         self._cursor_ladder = 0
+        # Eligibility-count bookkeeping, built on the first
+        # eligible_count() call (traced runs only): the lowest gate each
+        # fresh tenant entry has passed, and a histogram of those gates.
+        # Both live and die with this index, so an adaptive teardown and
+        # rebuild can never carry a stale gate over.
+        self._gates: Optional[Dict[TenantState, int]] = None
+        self._hist: List[int] = []
         # Churn counters (always on): superseded entries discarded at a
         # heap top, compaction rebuilds, entries pushed, and touches
         # received.  pushes/touches is the coalescing ratio the perf
@@ -219,23 +232,32 @@ class SelectionIndex:
         state.sel_version += 1
         self._log.append([state, state.sel_version, None])
         self.touches += 1
+        if self._gates is not None:
+            self._forget_gate(self._gates, state)
         if len(self._log) >= self._log_limit:
             self._flush_log()
 
     def drop(self, state: TenantState) -> None:
         """Invalidate every entry of a tenant that left the backlog."""
         state.sel_version += 1
+        if self._gates is not None:
+            self._forget_gate(self._gates, state)
 
-    def _snapshot(
-        self, record: _LogRecord
-    ) -> Tuple[VirtualTime, VirtualTime, Cost, int]:
+    def _forget_gate(self, gates: Dict[TenantState, int], state: TenantState) -> None:
+        """The tenant's entries just went stale: take it out of the
+        eligibility histogram."""
+        gate = gates.pop(state, None)
+        if gate is not None:
+            self._hist[gate] -= 1
+
+    def _snapshot(self, record: _LogRecord) -> _Snapshot:
         """Memoized ``(start, finish, estimate, seqno)`` for a still-fresh
         log record.  Safe to compute at any later sync: every mutation of
         the underlying state pairs with a new touch, which supersedes
         this record before the stale snapshot could be reused."""
-        snap = record[2]
+        snap: Optional[_Snapshot] = record[2]
         if snap is None:
-            state = cast(TenantState, record[0])
+            state = record[0]
             head = state.queue[0]
             estimate = self._estimator.estimate(head)
             if estimate < MIN_COST:
@@ -243,7 +265,7 @@ class SelectionIndex:
             start = state.start_tag
             snap = (start, start + estimate / state.weight, estimate, head.seqno)
             record[2] = snap
-        return cast(Tuple[VirtualTime, VirtualTime, Cost, int], snap)
+        return snap
 
     def _sync_finish(self) -> None:
         log = self._log
@@ -256,7 +278,7 @@ class SelectionIndex:
         while i < end:
             record = log[i]
             i += 1
-            state = cast(TenantState, record[0])
+            state = record[0]
             if record[1] != state.sel_version:
                 continue  # superseded by a later touch (or dropped)
             start, finish, estimate, seqno = self._snapshot(record)
@@ -273,7 +295,7 @@ class SelectionIndex:
         while i < end:
             record = log[i]
             i += 1
-            state = cast(TenantState, record[0])
+            state = record[0]
             if record[1] != state.sel_version:
                 continue
             start, finish, estimate, seqno = self._snapshot(record)
@@ -294,7 +316,7 @@ class SelectionIndex:
         while i < end:
             record = log[i]
             i += 1
-            state = cast(TenantState, record[0])
+            state = record[0]
             if record[1] != state.sel_version:
                 continue
             start, finish, estimate, seqno = self._snapshot(record)
@@ -327,7 +349,7 @@ class SelectionIndex:
         live = sum(
             1
             for rec in self._log
-            if rec[1] == cast(TenantState, rec[0]).sel_version
+            if rec[1] == rec[0].sel_version
         )
         self._log_limit = max(_LOG_COMPACT_MIN, 4 * live)
         self._log.clear()
@@ -344,7 +366,7 @@ class SelectionIndex:
             # snapshot, entry[-1] the TenantState (see _HeapEntry).
             live = [
                 e for e in heap
-                if e[-2] == cast(TenantState, e[-1]).sel_version
+                if e[-2] == e[-1].sel_version  # type: ignore[union-attr]
             ]
             heapq.heapify(live)
             self._heaps[heap_id] = live
@@ -379,7 +401,7 @@ class SelectionIndex:
             raise SchedulerError("selection index was built without a finish heap")
         self._sync_finish()
         entry = self._peek(self._finish_heap)
-        return cast(TenantState, entry[-1]) if entry is not None else None
+        return entry[-1] if entry is not None else None  # type: ignore[return-value]
 
     def min_start(self) -> Optional[TenantState]:
         """Backlogged tenant with the smallest ``(start tag, head
@@ -388,7 +410,7 @@ class SelectionIndex:
             raise SchedulerError("selection index was built without a start heap")
         self._sync_start()
         entry = self._peek(self._start_heap)
-        return cast(TenantState, entry[-1]) if entry is not None else None
+        return entry[-1] if entry is not None else None  # type: ignore[return-value]
 
     def min_start_tag(self) -> Optional[VirtualTime]:
         """Smallest start tag over backlogged tenants (WF2Q+ virtual-time
@@ -397,7 +419,7 @@ class SelectionIndex:
             raise SchedulerError("selection index was built without a start heap")
         self._sync_start()
         entry = self._peek(self._start_heap)
-        return cast(VirtualTime, entry[0]) if entry is not None else None
+        return entry[0] if entry is not None else None  # type: ignore[return-value]
 
     def min_eligible_finish(
         self, slot: int, threshold: VirtualTime
@@ -418,6 +440,7 @@ class SelectionIndex:
         staggers = self._staggers
         pending_ids = self._pending
         ready_ids = self._ready
+        gates = self._gates
         stale = 0
         for j in range(len(staggers) - 1, slot - 1, -1):
             pending = heaps[pending_ids[j]]
@@ -451,16 +474,54 @@ class SelectionIndex:
                 self._push(ready_id, entry[2:])
                 if cascade:
                     # entry = (e_j, start, finish, estimate, seqno, v, state)
-                    start = cast(float, entry[1])
-                    estimate = cast(float, entry[3])
                     self._push(
                         next_id,
-                        (start - next_stagger * estimate,) + entry[1:],
+                        (entry[1] - next_stagger * entry[3],)  # type: ignore[operator]
+                        + entry[1:],
                     )
+                if gates is not None:
+                    # The tenant's lowest passed gate moves down to j.
+                    tenant: TenantState = entry[-1]  # type: ignore[assignment]
+                    hist = self._hist
+                    passed = gates.get(tenant)
+                    if passed is not None:
+                        hist[passed] -= 1
+                    gates[tenant] = j
+                    hist[j] += 1
         if stale:
             self.stale_pops += stale
         top = self._peek(ready_ids[slot])
-        return cast(TenantState, top[-1]) if top is not None else None
+        return top[-1] if top is not None else None  # type: ignore[return-value]
+
+    def eligible_count(self, slot: int) -> int:
+        """Size of the slot-``slot`` eligibility set as of the last
+        :meth:`min_eligible_finish` query for that slot (or a lower
+        one) -- the ``eligible`` field of traced ``select`` events.
+
+        Eligibility is nested down the gate chain, so a fresh tenant is
+        eligible on ``slot`` exactly when the lowest gate its entry has
+        passed is ``<= slot``: the answer is a prefix sum of the gate
+        histogram, O(stagger slots) with no estimator calls.  The
+        histogram is built from the ready heaps on the first call and
+        maintained from then on."""
+        if self._gates is None:
+            self._start_gate_counts()
+        return sum(self._hist[: slot + 1])
+
+    def _start_gate_counts(self) -> None:
+        gates: Dict[TenantState, int] = {}
+        # Descending, so each tenant ends at the lowest ready heap that
+        # holds a fresh entry of it.
+        for j in range(len(self._staggers) - 1, -1, -1):
+            for entry in self._heaps[self._ready[j]]:
+                state: TenantState = entry[-1]  # type: ignore[assignment]
+                if entry[-2] == state.sel_version:
+                    gates[state] = j
+        hist = [0] * len(self._staggers)
+        for gate in gates.values():
+            hist[gate] += 1
+        self._gates = gates
+        self._hist = hist
 
     # -- introspection -------------------------------------------------------
 

@@ -120,6 +120,10 @@ class TwoDFQScheduler(VirtualTimeScheduler):
     def _trace_eligible_count(self, thread_id: int, vnow: VirtualTime) -> int:
         # Tracing only: the staggered eligibility set of Figure 7 line 20
         # for this specific thread, |{ f : S_f - (i/n) L^f_max <= v }|.
+        # The index answers from its gate histogram (slot i = thread i);
+        # the linear scan below is the reference it is tested against.
+        if self._index is not None:
+            return self._index.eligible_count(thread_id)
         stagger = thread_id / self._num_threads
         threshold = self._eligibility_threshold(vnow)
         estimate_fn = self._estimator.estimate

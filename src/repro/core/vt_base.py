@@ -661,9 +661,11 @@ class VirtualTimeScheduler(Scheduler):
         ``E_now`` of Figure 7, recorded in ``select`` trace events.
 
         The default (no eligibility gate: WFQ, SFQ) is the whole
-        backlogged set; gated policies override.  Runs only under an
-        attached tracer, so an O(N) scan is acceptable here even in
-        indexed mode.
+        backlogged set; gated policies override, scanning the backlog on
+        the linear path and asking the index
+        (:meth:`~repro.core.selection.SelectionIndex.eligible_count`)
+        when it is active.  Called right after the selection query, so
+        the index's gates are drained to the same threshold.
         """
         return len(self._backlogged)
 

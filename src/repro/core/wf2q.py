@@ -55,7 +55,10 @@ class WF2QScheduler(VirtualTimeScheduler):
 
     def _trace_eligible_count(self, thread_id: int, vnow: VirtualTime) -> int:
         # Tracing only: |{ f in A : S_f <= v(now) }|, the all-or-nothing
-        # eligibility set whose emptiness marks fallback dispatches.
+        # eligibility set whose emptiness marks fallback dispatches.  The
+        # index answers from its gate histogram (slot 0 is the only slot).
+        if self._index is not None:
+            return self._index.eligible_count(0)
         return sum(
             1
             for state in self._backlogged.values()

@@ -5,14 +5,14 @@ thread and why (tags, eligibility, stagger, estimates).  This package
 makes those decisions observable without perturbing them:
 
 * :class:`Tracer` -- typed decision events (:mod:`repro.obs.events`)
-  emitted by the instrumented schedulers, estimators and simulator; a
-  single ``is not None`` guard when disabled (see the overhead contract
-  in :mod:`repro.obs.tracer`);
+  emitted by the instrumented schedulers, estimators and simulator and
+  stored as one list of row tuples; a single ``is not None`` guard when
+  disabled (see the overhead contract in :mod:`repro.obs.tracer`);
 * :class:`MetricsRegistry` -- named counters/gauges/timers with a
   snapshot API (:mod:`repro.obs.registry`);
 * exporters (:mod:`repro.obs.exporters`) -- JSONL event streams, Chrome
-  trace / Perfetto occupancy timelines, and per-run ``manifest.json``
-  provenance records;
+  trace / Perfetto occupancy timelines (both encoded from the rows at
+  export), and per-run ``manifest.json`` provenance records;
 * :class:`TraceSession` (:mod:`repro.obs.session`) -- the glue that the
   experiment runner and the ``--trace`` CLI flag use to write all three
   artifacts per run.
@@ -52,6 +52,7 @@ from .exporters import (
     write_chrome_trace,
     write_events_jsonl,
     write_manifest,
+    write_rows_jsonl,
 )
 from .flight import FlightRecorder
 from .prometheus import prometheus_text, write_prometheus
@@ -78,6 +79,7 @@ __all__ = [
     "chrome_trace_events",
     "write_chrome_trace",
     "write_events_jsonl",
+    "write_rows_jsonl",
     "write_manifest",
     "BlockingInterval",
     "RequestSpan",

@@ -45,7 +45,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional
 
-from .events import CANCEL, COMPLETE, DISPATCH, ENQUEUE, TraceEvent
+from .events import CANCEL, COMPLETE, DISPATCH, ENQUEUE, Row, row_field
 from .tracer import Tracer
 
 __all__ = ["AuditConfig", "FairnessAuditor"]
@@ -130,16 +130,19 @@ class FairnessAuditor:
 
     # -- event sink ------------------------------------------------------------
 
-    def on_event(self, event: TraceEvent) -> None:
-        """Tracer sink: track backlog membership and charge error."""
-        kind = event.kind
+    def on_event(self, row: Row) -> None:
+        """Tracer sink: track backlog membership and charge error.
+
+        Reads the row by position: ``(kind, t, vt, tenant, keys,
+        values)`` (see :mod:`repro.obs.events`)."""
+        kind = row[0]
         if kind == ENQUEUE:
-            state = self._state(event.tenant)
+            state = self._state(row[3])
             state.queued += 1
             if state.queued == 1:
-                state.backlogged_since = event.t
+                state.backlogged_since = row[1]
         elif kind == DISPATCH:
-            state = self._state(event.tenant)
+            state = self._state(row[3])
             # Dispatch removes the request from the queue but the tenant
             # stays backlogged for burst purposes while work is in
             # flight; only an empty queue with nothing new arriving ends
@@ -149,21 +152,21 @@ class FairnessAuditor:
             if state.queued == 0:
                 state.backlogged_since = None
         elif kind == CANCEL:
-            if not event.data.get("was_running", False):
-                state = self._state(event.tenant)
+            if not row_field(row, "was_running", False):
+                state = self._state(row[3])
                 if state.queued > 0:
                     state.queued -= 1
                 if state.queued == 0:
                     state.backlogged_since = None
         elif kind == COMPLETE:
-            actual = event.data.get("actual", 0.0)
-            charged = event.data.get("charged", actual)
+            actual = row_field(row, "actual", 0.0)
+            charged = row_field(row, "charged", actual)
             if actual > 0.0:
                 rel_error = abs(charged - actual) / actual
                 alpha = self.config.drift_alpha
                 self._drift_ewma += alpha * (rel_error - self._drift_ewma)
                 self._drift_observations += 1
-                self._check_drift(event.t)
+                self._check_drift(row[1])
         # audit/fault/invariant/select/vt_update/estimate: not consumed.
 
     # -- sample hook -----------------------------------------------------------

@@ -58,6 +58,16 @@ Event taxonomy (the ``kind`` field; see DESIGN.md §9):
 
 Every event also records the simulated wallclock ``t`` and the system
 virtual time ``vt`` at emission, so virtual- and wall-time views line up.
+
+Rows
+----
+The :class:`~repro.obs.tracer.Tracer` stores each event as one
+fixed-shape *row* tuple ``(kind, t, vt, tenant, keys, values)``: the
+four header fields, then the payload as a tuple of field names (a
+module constant per typed emitter) and a parallel tuple of values.
+Sinks receive rows; :class:`TraceEvent` is the object view of a row,
+built only where a caller asks for one (:meth:`TraceEvent.from_row`,
+:meth:`TraceEvent.as_row`, :func:`row_as_dict`).
 """
 
 from __future__ import annotations
@@ -67,6 +77,9 @@ from typing import Any, Dict, Optional, Tuple
 
 __all__ = [
     "EVENT_KINDS",
+    "Row",
+    "row_as_dict",
+    "row_field",
     "ENQUEUE",
     "SELECT",
     "DISPATCH",
@@ -109,6 +122,32 @@ EVENT_KINDS: Tuple[str, ...] = (
 )
 
 
+#: One stored event: ``(kind, t, vt, tenant, keys, values)``.
+Row = Tuple[
+    str, float, Optional[float], Optional[str], Tuple[str, ...], Tuple[Any, ...]
+]
+
+
+def row_as_dict(row: Row) -> Dict[str, Any]:
+    """Flatten a row to the JSON-ready dict of :meth:`TraceEvent.as_dict`."""
+    kind, t, vt, tenant, keys, values = row
+    out: Dict[str, Any] = {"kind": kind, "t": t}
+    if vt is not None:
+        out["vt"] = vt
+    if tenant is not None:
+        out["tenant"] = tenant
+    out.update(zip(keys, values))
+    return out
+
+
+def row_field(row: Row, name: str, default: Any = None) -> Any:
+    """Payload field ``name`` of a row, or ``default`` when absent."""
+    try:
+        return row[5][row[4].index(name)]
+    except ValueError:
+        return default
+
+
 @dataclass
 class TraceEvent:
     """One scheduler-decision event.
@@ -123,12 +162,17 @@ class TraceEvent:
     tenant: Optional[str]
     data: Dict[str, Any] = field(default_factory=dict)
 
+    @classmethod
+    def from_row(cls, row: Row) -> "TraceEvent":
+        kind, t, vt, tenant, keys, values = row
+        return cls(kind, t, vt, tenant, dict(zip(keys, values)))
+
+    def as_row(self) -> Row:
+        """The stored form of this event (what tracer sinks receive)."""
+        data = self.data
+        values = tuple(data.values())
+        return (self.kind, self.t, self.vt, self.tenant, tuple(data), values)
+
     def as_dict(self) -> Dict[str, Any]:
         """Flatten to one JSON-ready dict (header fields first)."""
-        out: Dict[str, Any] = {"kind": self.kind, "t": self.t}
-        if self.vt is not None:
-            out["vt"] = self.vt
-        if self.tenant is not None:
-            out["tenant"] = self.tenant
-        out.update(self.data)
-        return out
+        return row_as_dict(self.as_row())

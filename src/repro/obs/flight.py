@@ -3,13 +3,13 @@
 Long runs cannot retain their full event stream, but the events that
 *explain a failure* are almost always the ones immediately before it.
 A :class:`FlightRecorder` is a tracer sink holding a ring buffer of the
-last ``capacity`` events; whenever a trigger event arrives -- a
-``fault`` from the :class:`~repro.faults.injector.FaultInjector` or an
-``invariant`` from the :mod:`repro.validate` watchdog -- it snapshots
-the ring into a dump.  The watchdog emits its ``invariant`` event
-*before* raising in strict mode, so the dump exists even when the run
-aborts; the session exporter writes any dumps as
-``flight_recorder.json`` alongside the manifest.
+last ``capacity`` event rows (flattened to dicts only when dumped);
+whenever a trigger event arrives -- a ``fault`` from the
+:class:`~repro.faults.injector.FaultInjector` or an ``invariant`` from
+the :mod:`repro.validate` watchdog -- it snapshots the ring into a dump.
+The watchdog emits its ``invariant`` event *before* raising in strict
+mode, so the dump exists even when the run aborts; the session exporter
+writes any dumps as ``flight_recorder.json`` alongside the manifest.
 
 Dumps are capped (``max_dumps``) so a fault storm cannot blow memory;
 suppressed dumps are counted, never silently ignored.
@@ -23,7 +23,7 @@ from typing import Any, Deque, Dict, List, Tuple, Union
 
 import json
 
-from .events import FAULT, INVARIANT, TraceEvent
+from .events import FAULT, INVARIANT, Row, row_as_dict
 
 __all__ = ["FlightRecorder"]
 
@@ -42,26 +42,26 @@ class FlightRecorder:
         self.max_dumps = max_dumps
         self.events_seen = 0
         self.suppressed_dumps = 0
-        self._ring: Deque[TraceEvent] = deque(maxlen=capacity)
+        self._ring: Deque[Row] = deque(maxlen=capacity)
         #: Completed dumps, oldest first.
         self.dumps: List[Dict[str, Any]] = []
 
-    def on_event(self, event: TraceEvent) -> None:
-        """Tracer sink: record the event; dump if it is a trigger."""
-        self._ring.append(event)
+    def on_event(self, row: Row) -> None:
+        """Tracer sink: record the row; dump if it is a trigger."""
+        self._ring.append(row)
         self.events_seen += 1
-        if event.kind in self.trigger_kinds:
-            self._dump(event)
+        if row[0] in self.trigger_kinds:
+            self._dump(row)
 
-    def _dump(self, trigger: TraceEvent) -> None:
+    def _dump(self, trigger: Row) -> None:
         if len(self.dumps) >= self.max_dumps:
             self.suppressed_dumps += 1
             return
         self.dumps.append(
             {
-                "trigger": trigger.as_dict(),
+                "trigger": row_as_dict(trigger),
                 "events_seen": self.events_seen,
-                "ring": [e.as_dict() for e in self._ring],
+                "ring": [row_as_dict(row) for row in self._ring],
             }
         )
 

@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
 
 from .audit import AuditConfig, FairnessAuditor
-from .exporters import write_chrome_trace, write_events_jsonl, write_manifest
+from .exporters import write_chrome_trace, write_manifest, write_rows_jsonl
 from .flight import FlightRecorder
 from .prometheus import write_prometheus
 from .tracer import Tracer
@@ -100,16 +100,16 @@ class TraceSession:
     ) -> Path:
         """Write one run's artifacts; returns the run directory."""
         run_dir = self._unique_dir(tracer.name)
-        write_events_jsonl(tracer.events, run_dir / "events.jsonl")
+        write_rows_jsonl(tracer.rows, run_dir / "events.jsonl")
         write_chrome_trace(
             dispatch_log,
             run_dir / "chrome_trace.json",
-            trace_events=tracer.events,
+            trace_events=tracer.rows,
             process_name=tracer.name,
             metadata={"run": tracer.name},
         )
         counters = tracer.registry.snapshot()
-        counters["trace.events"] = len(tracer.events)
+        counters["trace.events"] = len(tracer.rows)
         counters["trace.dropped_events"] = tracer.dropped_events
         if auditor is not None:
             with (run_dir / "audit_report.json").open("w") as fh:

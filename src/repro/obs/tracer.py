@@ -22,14 +22,16 @@ disabled tracer stores ``None``, so the disabled mode is exactly one
 (``benchmarks/test_bench_perf_hotpath.py``) asserts this stays under 5%
 of dequeue throughput.
 
-When enabled, emission is one dataclass construction and a list append;
-``max_events`` bounds memory for long runs (overflow is counted, not
-silently ignored).
+When enabled, emission is one row tuple and a list append (DESIGN.md
+§9): a typed emitter builds no dict and no :class:`TraceEvent`, and
+encoding waits for export.  ``max_events`` bounds memory for long runs
+(overflow is counted, not silently ignored).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, List, Optional
+import sys
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .events import (
     AUDIT,
@@ -43,11 +45,70 @@ from .events import (
     ROUTE,
     SELECT,
     VT_UPDATE,
+    Row,
     TraceEvent,
 )
-from .registry import MetricsRegistry
+from .registry import Counter, MetricsRegistry
 
 __all__ = ["Tracer"]
+
+#: A streaming consumer of emitted rows.
+Sink = Callable[[Row], None]
+
+# Payload field names of the typed emitters, one shared tuple each.
+_ENQUEUE_KEYS = ("seqno", "api", "cost", "start_tag", "queue_depth", "backlog")
+_SELECT_KEYS = (
+    "thread",
+    "policy",
+    "start_tag",
+    "finish_tag",
+    "eligible",
+    "backlogged",
+    "fallback",
+    "stagger",
+    "indexed",
+)
+_DISPATCH_KEYS = ("seqno", "api", "thread", "estimate", "start_tag_after", "backlog")
+_COMPLETE_KEYS = (
+    "seqno",
+    "api",
+    "actual",
+    "charged",
+    "error",
+    "start_tag_after",
+    "running",
+)
+_CANCEL_KEYS = ("seqno", "api", "was_running", "backlog")
+_ESTIMATE_KEYS = ("api", "old", "new", "actual")
+_ROUTE_KEYS = ("seqno", "server", "policy", "healthy", "backlog", "accepted")
+_ROUTE_REASON_KEYS = _ROUTE_KEYS + ("reason",)
+
+
+class _EventView(Sequence[TraceEvent]):
+    """Read-only :class:`TraceEvent` view of a tracer's rows.
+
+    ``len`` is O(1); each read builds fresh event objects from the rows,
+    so the rows stay the only store (mutating an event read from the
+    view does not change the trace)."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: List[Row]) -> None:
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return list(map(TraceEvent.from_row, self._rows[index]))
+        return TraceEvent.from_row(self._rows[index])
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return map(TraceEvent.from_row, self._rows)
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} trace events>"
 
 
 class Tracer:
@@ -64,9 +125,12 @@ class Tracer:
         Hard cap on retained events; further emissions only increment
         ``dropped_events``.  ``None`` (default) keeps everything.
 
+    Events are retained in :attr:`rows` (see :mod:`repro.obs.events`);
+    :attr:`events` is a :class:`TraceEvent` view of the same store.
+
     Streaming consumers -- the online fairness auditor and the flight
     recorder -- register as *sinks* (:meth:`add_sink`) and see every
-    emitted event, including those dropped from the retained list once
+    emitted row, including those dropped from the retained store once
     ``max_events`` overflows: bounded consumers must keep working
     precisely on the runs too long to retain in full.
     """
@@ -74,11 +138,17 @@ class Tracer:
     __slots__ = (
         "name",
         "enabled",
+        "rows",
         "events",
         "registry",
         "dropped_events",
-        "_max",
+        "_limit",
         "_sinks",
+        "_dispatches",
+        "_completions",
+        "_cancellations",
+        "_refreshes",
+        "_routes",
     )
 
     def __init__(
@@ -89,34 +159,50 @@ class Tracer:
     ) -> None:
         self.name = name
         self.enabled = bool(enabled)
-        self.events: List[TraceEvent] = []
+        #: The event store: one row per retained event, in emission order.
+        self.rows: List[Row] = []
+        #: The retained events as :class:`TraceEvent` objects: a
+        #: read-only view of :attr:`rows`.
+        self.events: Sequence[TraceEvent] = _EventView(self.rows)
         self.registry = MetricsRegistry()
         self.dropped_events = 0
-        self._max = max_events
-        self._sinks: List[Callable[[TraceEvent], None]] = []
+        self._limit = sys.maxsize if max_events is None else max_events
+        self._sinks: List[Sink] = []
+        # Counters of the hot emitters, fetched on first use so the
+        # registry's registration order is that of the run's events.
+        self._dispatches: Optional[Counter] = None
+        self._completions: Optional[Counter] = None
+        self._cancellations: Optional[Counter] = None
+        self._refreshes: Optional[Counter] = None
+        self._routes: Optional[Counter] = None
 
     # -- emission --------------------------------------------------------------
 
-    def add_sink(self, sink: Callable[[TraceEvent], None]) -> None:
-        """Register a streaming consumer called with every emitted event.
+    def add_sink(self, sink: Sink) -> None:
+        """Register a streaming consumer called with every emitted row.
 
-        Sinks run synchronously at emission, before the retained-list
-        append, and are *not* subject to ``max_events``.  A sink that
-        emits events of its own (the auditor does) re-enters ``emit``;
+        Sinks run synchronously at emission, *after* the row is stored
+        (so an event a sink emits in response is stored after its
+        cause), and are not subject to ``max_events``.  A sink that
+        emits events of its own (the auditor does) re-enters emission;
         sinks must therefore ignore the kinds they produce.
         """
         self._sinks.append(sink)
 
-    def emit(self, event: TraceEvent) -> None:
-        """Append one event (respects ``enabled`` and ``max_events``)."""
+    def _record(self, row: Row) -> None:
         if not self.enabled:
             return
-        for sink in self._sinks:
-            sink(event)
-        if self._max is not None and len(self.events) >= self._max:
+        rows = self.rows
+        if len(rows) < self._limit:
+            rows.append(row)
+        else:
             self.dropped_events += 1
-            return
-        self.events.append(event)
+        for sink in self._sinks:
+            sink(row)
+
+    def emit(self, event: TraceEvent) -> None:
+        """Store one event object (respects ``enabled`` and ``max_events``)."""
+        self._record(event.as_row())
 
     # Typed emitters: thin wrappers that fix the ``kind`` and name the
     # payload fields, so instrumentation sites read like the taxonomy.
@@ -134,20 +220,14 @@ class Tracer:
         queue_depth: int,
         backlog: int,
     ) -> None:
-        self.emit(
-            TraceEvent(
+        self._record(
+            (
                 ENQUEUE,
                 t,
                 vt,
                 tenant,
-                {
-                    "seqno": seqno,
-                    "api": api,
-                    "cost": cost,
-                    "start_tag": start_tag,
-                    "queue_depth": queue_depth,
-                    "backlog": backlog,
-                },
+                _ENQUEUE_KEYS,
+                (seqno, api, cost, start_tag, queue_depth, backlog),
             )
         )
 
@@ -167,23 +247,24 @@ class Tracer:
         stagger: float,
         indexed: bool,
     ) -> None:
-        self.emit(
-            TraceEvent(
+        self._record(
+            (
                 SELECT,
                 t,
                 vt,
                 tenant,
-                {
-                    "thread": thread,
-                    "policy": policy,
-                    "start_tag": start_tag,
-                    "finish_tag": finish_tag,
-                    "eligible": eligible,
-                    "backlogged": backlogged,
-                    "fallback": fallback,
-                    "stagger": stagger,
-                    "indexed": indexed,
-                },
+                _SELECT_KEYS,
+                (
+                    thread,
+                    policy,
+                    start_tag,
+                    finish_tag,
+                    eligible,
+                    backlogged,
+                    fallback,
+                    stagger,
+                    indexed,
+                ),
             )
         )
 
@@ -200,21 +281,19 @@ class Tracer:
         start_tag_after: float,
         backlog: int,
     ) -> None:
-        self.registry.counter("scheduler.dispatches").inc()
-        self.emit(
-            TraceEvent(
+        counter = self._dispatches
+        if counter is None:
+            counter = self.registry.counter("scheduler.dispatches")
+            self._dispatches = counter
+        counter.inc()
+        self._record(
+            (
                 DISPATCH,
                 t,
                 vt,
                 tenant,
-                {
-                    "seqno": seqno,
-                    "api": api,
-                    "thread": thread,
-                    "estimate": estimate,
-                    "start_tag_after": start_tag_after,
-                    "backlog": backlog,
-                },
+                _DISPATCH_KEYS,
+                (seqno, api, thread, estimate, start_tag_after, backlog),
             )
         )
 
@@ -231,22 +310,27 @@ class Tracer:
         start_tag_after: float,
         running: int,
     ) -> None:
-        self.registry.counter("scheduler.completions").inc()
-        self.emit(
-            TraceEvent(
+        counter = self._completions
+        if counter is None:
+            counter = self.registry.counter("scheduler.completions")
+            self._completions = counter
+        counter.inc()
+        self._record(
+            (
                 COMPLETE,
                 t,
                 vt,
                 tenant,
-                {
-                    "seqno": seqno,
-                    "api": api,
-                    "actual": actual,
-                    "charged": charged,
-                    "error": charged - actual,
-                    "start_tag_after": start_tag_after,
-                    "running": running,
-                },
+                _COMPLETE_KEYS,
+                (
+                    seqno,
+                    api,
+                    actual,
+                    charged,
+                    charged - actual,
+                    start_tag_after,
+                    running,
+                ),
             )
         )
 
@@ -259,9 +343,7 @@ class Tracer:
         reason: str,
         **fields: Any,
     ) -> None:
-        data = {"reason": reason}
-        data.update(fields)
-        self.emit(TraceEvent(VT_UPDATE, t, vt, tenant, data))
+        self._record(_open_row(VT_UPDATE, t, vt, tenant, "reason", reason, fields))
 
     def cancel(
         self,
@@ -274,20 +356,13 @@ class Tracer:
         was_running: bool,
         backlog: int,
     ) -> None:
-        self.registry.counter("scheduler.cancellations").inc()
-        self.emit(
-            TraceEvent(
-                CANCEL,
-                t,
-                vt,
-                tenant,
-                {
-                    "seqno": seqno,
-                    "api": api,
-                    "was_running": was_running,
-                    "backlog": backlog,
-                },
-            )
+        counter = self._cancellations
+        if counter is None:
+            counter = self.registry.counter("scheduler.cancellations")
+            self._cancellations = counter
+        counter.inc()
+        self._record(
+            (CANCEL, t, vt, tenant, _CANCEL_KEYS, (seqno, api, was_running, backlog))
         )
 
     def fault(
@@ -299,9 +374,7 @@ class Tracer:
         **fields: Any,
     ) -> None:
         self.registry.counter(f"faults.{fault}").inc()
-        data = {"fault": fault}
-        data.update(fields)
-        self.emit(TraceEvent(FAULT, t, None, tenant, data))
+        self._record(_open_row(FAULT, t, None, tenant, "fault", fault, fields))
 
     def invariant(
         self,
@@ -313,9 +386,7 @@ class Tracer:
         **fields: Any,
     ) -> None:
         self.registry.counter("validate.violations").inc()
-        data = {"code": code}
-        data.update(fields)
-        self.emit(TraceEvent(INVARIANT, t, vt, tenant, data))
+        self._record(_open_row(INVARIANT, t, vt, tenant, "code", code, fields))
 
     def estimate(
         self,
@@ -327,16 +398,13 @@ class Tracer:
         new: float,
         actual: float,
     ) -> None:
-        self.registry.counter("estimator.refreshes").inc()
-        self.emit(
-            TraceEvent(
-                ESTIMATE,
-                t,
-                None,
-                tenant,
-                {"api": api, "old": old, "new": new, "actual": actual},
-            )
-        )
+        counter = self._refreshes
+        if counter is None:
+            counter = self.registry.counter("estimator.refreshes")
+            self._refreshes = counter
+        counter.inc()
+        values = (api, old, new, actual)
+        self._record((ESTIMATE, t, None, tenant, _ESTIMATE_KEYS, values))
 
     def route(
         self,
@@ -356,20 +424,18 @@ class Tracer:
         and ``server=None``) by router ``policy`` choosing among
         ``healthy`` routable servers with ``backlog`` requests queued
         fleet-wide at decision time."""
-        self.registry.counter("fleet.route_decisions").inc()
+        counter = self._routes
+        if counter is None:
+            counter = self.registry.counter("fleet.route_decisions")
+            self._routes = counter
+        counter.inc()
         if not accepted:
             self.registry.counter("fleet.rejections").inc()
-        data = {
-            "seqno": seqno,
-            "server": server,
-            "policy": policy,
-            "healthy": healthy,
-            "backlog": backlog,
-            "accepted": accepted,
-        }
+        values: Tuple[Any, ...] = (seqno, server, policy, healthy, backlog, accepted)
+        keys = _ROUTE_KEYS
         if reason is not None:
-            data["reason"] = reason
-        self.emit(TraceEvent(ROUTE, t, None, tenant, data))
+            keys, values = _ROUTE_REASON_KEYS, values + (reason,)
+        self._record((ROUTE, t, None, tenant, keys, values))
 
     def audit(
         self,
@@ -381,14 +447,12 @@ class Tracer:
         **fields: Any,
     ) -> None:
         self.registry.counter(f"audit.{monitor}").inc()
-        data = {"monitor": monitor}
-        data.update(fields)
-        self.emit(TraceEvent(AUDIT, t, vt, tenant, data))
+        self._record(_open_row(AUDIT, t, vt, tenant, "monitor", monitor, fields))
 
     # -- inspection ------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.rows)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
@@ -400,5 +464,19 @@ class Tracer:
     def __repr__(self) -> str:
         return (
             f"Tracer({self.name!r}, enabled={self.enabled}, "
-            f"events={len(self.events)})"
+            f"events={len(self.rows)})"
         )
+
+
+def _open_row(
+    kind: str,
+    t: float,
+    vt: Optional[float],
+    tenant: Optional[str],
+    head: str,
+    value: Any,
+    fields: Dict[str, Any],
+) -> Row:
+    """Row of an emitter whose payload is one named field plus free
+    ``**fields`` (vt_update, fault, invariant, audit)."""
+    return (kind, t, vt, tenant, (head, *fields), (value, *fields.values()))

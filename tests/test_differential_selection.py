@@ -9,17 +9,27 @@ These tests run the two modes side by side:
   refresh charging, open-loop arrival traces);
 * on seeded random workloads (random weights, arrival times, APIs and
   costs) through a direct scheduler driver with interleaved refreshes --
-  a property-style loop over many seeds and all eight schedulers.
+  a property-style loop over many seeds and all eight schedulers;
+* traced, comparing whole decision-event streams -- which pins the
+  index's eligibility counts (the ``eligible`` field of ``select``
+  events) against the linear scans, across adaptive index activation
+  and teardown.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.core.request as request_module
 from repro.core import make_scheduler
 from repro.core.request import Request
+from repro.obs import Tracer
+from repro.obs.events import row_as_dict
 from repro.simulator.clock import Simulation
 from repro.simulator.rng import make_rng
 from repro.simulator.server import ThreadPoolServer
@@ -233,7 +243,7 @@ class TestIndexMechanics:
         assert not linear.indexed
 
 
-def ramped_trace(seed, num_tenants=40, bursts=2, per_burst=80):
+def ramped_trace(seed, num_tenants=40, bursts=2, per_burst=80, max_exponent=1.0):
     """Bursty trace engineered to cross both adaptive thresholds: each
     burst backs up every tenant at once (backlog >> AUTO_INDEX_HIGH),
     then a long silence lets the pool drain below AUTO_INDEX_LOW."""
@@ -247,7 +257,7 @@ def ramped_trace(seed, num_tenants=40, bursts=2, per_burst=80):
                     now,
                     Request(
                         tenant_id=f"T{i % num_tenants}",
-                        cost=float(10.0 ** rng.uniform(-0.5, 1.0)),
+                        cost=float(10.0 ** rng.uniform(-0.5, max_exponent)),
                         api=str(rng.choice(["A", "B"])),
                     ),
                 )
@@ -316,3 +326,73 @@ class TestAdaptiveSelection:
         assert orders[False] == orders[True] == orders["auto"]
         assert len(orders[False]) == len(trace)
         assert len(transitions) >= 2, "auto mode never activated"
+
+
+def traced_stream(name, mode, trace, num_threads):
+    """Decision events of one traced run, flattened, each ``select``
+    without its ``indexed`` field (the one field the modes may differ
+    in); plus the ``indexed`` values seen."""
+    saved = request_module._SEQUENCE
+    request_module._SEQUENCE = itertools.count()  # same seqnos every run
+    try:
+        requests = rebuild(trace)
+    finally:
+        request_module._SEQUENCE = saved
+    scheduler = make_scheduler(
+        name, num_threads=num_threads, thread_rate=10.0, indexed=mode
+    )
+    tracer = Tracer(f"{name}-{mode}")
+    scheduler.attach_tracer(tracer)
+    scheduler.estimator.attach_tracer(tracer)
+    drive_trace(scheduler, requests, num_threads=num_threads)
+    events = [row_as_dict(row) for row in tracer.rows]
+    indexed = {event.pop("indexed") for event in events if event["kind"] == "select"}
+    return events, indexed
+
+
+def assert_streams_identical(name, trace, num_threads):
+    streams = {
+        mode: traced_stream(name, mode, trace, num_threads)
+        for mode in (False, True, "auto")
+    }
+    linear, _ = streams[False]
+    assert streams[False][1] == {False}
+    for mode in (True, "auto"):
+        events, _ = streams[mode]
+        assert len(events) == len(linear)
+        for i, (got, want) in enumerate(zip(events, linear)):
+            assert got == want, f"{name} indexed={mode!r}: event {i} diverged"
+    return streams
+
+
+class TestTracedDifferential:
+    """Indexed and adaptive runs emit the linear run's event stream.
+
+    ``eligible`` comes from :meth:`SelectionIndex.eligible_count` on the
+    index and from a backlog scan on the linear path, so this is the
+    test that pins the gate histogram."""
+
+    @pytest.mark.parametrize("name", ALL_EIGHT)
+    def test_event_rows_identical_across_transitions(self, name):
+        streams = assert_streams_identical(name, ramped_trace(5), num_threads=4)
+        assert streams[True][1] == {True}
+        assert streams["auto"][1] == {False, True}, "auto never switched paths"
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=st.sampled_from(ALL_EIGHT),
+        num_tenants=st.integers(2, 48),
+        num_threads=st.integers(1, 6),
+        max_exponent=st.sampled_from([0.0, 1.0, 2.5]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_event_rows_identical_sweep(
+        self, name, num_tenants, num_threads, max_exponent, seed
+    ):
+        trace = ramped_trace(
+            seed,
+            num_tenants=num_tenants,
+            per_burst=2 * num_tenants,
+            max_exponent=max_exponent,
+        )
+        assert_streams_identical(name, trace, num_threads)

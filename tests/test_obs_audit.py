@@ -21,6 +21,7 @@ from repro.experiments.production import (
     production_trace,
 )
 from repro.experiments.runner import run_single
+from repro.experiments.unpredictable import unpredictable_config
 from repro.obs import (
     AuditConfig,
     FairnessAuditor,
@@ -30,23 +31,29 @@ from repro.obs import (
     TraceSession,
     Tracer,
     prometheus_text,
+    trace_session,
 )
+
+
+# Sinks receive tracer rows (repro.obs.events); these build them.
 
 
 def enqueue_event(t, tenant, seqno, cost=1.0):
     return TraceEvent(
         "enqueue", t, None, tenant, {"seqno": seqno, "cost": cost, "api": "op"}
-    )
+    ).as_row()
 
 
 def dispatch_event(t, tenant, seqno):
-    return TraceEvent("dispatch", t, 0.0, tenant, {"seqno": seqno, "thread": 0})
+    return TraceEvent(
+        "dispatch", t, 0.0, tenant, {"seqno": seqno, "thread": 0}
+    ).as_row()
 
 
 def complete_event(t, tenant, actual, charged):
     return TraceEvent(
         "complete", t, None, tenant, {"actual": actual, "charged": charged}
-    )
+    ).as_row()
 
 
 class TestLagMonitor:
@@ -194,6 +201,48 @@ class TestEstimatorDriftMonitor:
 
 
 class TestTracerIntegration:
+    def test_sink_responses_are_stored_after_their_cause(self):
+        """A drift trip is emitted by the auditor sink while the tracer
+        handles the ``complete`` that caused it; both the tracer's store
+        and the flight-recorder ring must hold them in causal order."""
+        tracer = Tracer("drift")
+        flight = FlightRecorder(capacity=16)
+        tracer.add_sink(flight.on_event)  # the runner's sink order
+        auditor = FairnessAuditor(
+            AuditConfig(drift_min_observations=1, drift_threshold=0.05), tracer
+        )
+        tracer.add_sink(auditor.on_event)
+        tracer.complete(
+            1.0, 1.0, "B", seqno=0, api="x", actual=1.0, charged=5.0,
+            start_tag_after=0.0, running=0,
+        )
+        assert [e.kind for e in tracer.events] == ["complete", "audit"]
+        tracer.fault(2.0, "worker_crash", worker=0)
+        (dump,) = flight.dumps
+        assert [e["kind"] for e in dump["ring"]] == ["complete", "audit", "fault"]
+
+    def test_exported_drift_trip_follows_its_complete(self, tmp_path):
+        """Regression: the exported stream used to hold the drift
+        ``audit`` line *before* the ``complete`` line that tripped it."""
+        config = dataclasses.replace(
+            unpredictable_config(duration=0.3, seed=0), schedulers=("2dfq-e",)
+        )
+        specs = production_specs(num_random=20, seed=0, named_mode="backlogged")
+        trace = production_trace(specs, config, open_loop_utilization=1.2)
+        audit = AuditConfig(drift_min_observations=5, drift_threshold=0.05)
+        with trace_session(tmp_path, audit=audit) as session:
+            run_single("2dfq-e", specs, config, trace=trace)
+        lines = (tmp_path / session.runs[0] / "events.jsonl").read_text().splitlines()
+        events = [json.loads(line) for line in lines]
+        trips = [
+            i for i, e in enumerate(events)
+            if e["kind"] == "audit" and e["monitor"] == "estimator_drift"
+        ]
+        assert trips, "scenario no longer trips the drift monitor"
+        for i in trips:
+            cause = events[i - 1]
+            assert cause["kind"] == "complete" and cause["t"] == events[i]["t"]
+
     def test_trips_emit_audit_events_and_gauges(self):
         tracer = Tracer("audited")
         auditor = FairnessAuditor(
@@ -281,17 +330,19 @@ class TestFlightRecorder:
     def test_ring_is_bounded(self):
         recorder = FlightRecorder(capacity=3)
         for i in range(5):
-            recorder.on_event(TraceEvent("vt_update", float(i), 0.0, None, {}))
+            recorder.on_event(
+                TraceEvent("vt_update", float(i), 0.0, None, {}).as_row()
+            )
         assert len(recorder) == 3
         assert recorder.events_seen == 5
         assert recorder.dumps == []
 
     def test_fault_triggers_a_dump_of_the_ring(self):
         recorder = FlightRecorder(capacity=8)
-        recorder.on_event(TraceEvent("dispatch", 0.0, 0.0, "A", {"seqno": 0}))
-        recorder.on_event(TraceEvent("dispatch", 1.0, 1.0, "B", {"seqno": 1}))
+        recorder.on_event(TraceEvent("dispatch", 0.0, 0.0, "A", {"seqno": 0}).as_row())
+        recorder.on_event(TraceEvent("dispatch", 1.0, 1.0, "B", {"seqno": 1}).as_row())
         trigger = TraceEvent("fault", 2.0, None, None, {"fault": "worker_crash"})
-        recorder.on_event(trigger)
+        recorder.on_event(trigger.as_row())
         (dump,) = recorder.dumps
         assert dump["trigger"] == trigger.as_dict()
         assert dump["events_seen"] == 3
@@ -300,14 +351,18 @@ class TestFlightRecorder:
     def test_dump_storm_is_capped_and_counted(self):
         recorder = FlightRecorder(capacity=4, max_dumps=1)
         for i in range(3):
-            recorder.on_event(TraceEvent("invariant", float(i), None, None, {}))
+            recorder.on_event(
+                TraceEvent("invariant", float(i), None, None, {}).as_row()
+            )
         assert len(recorder.dumps) == 1
         assert recorder.suppressed_dumps == 2
         assert recorder.payload()["suppressed_dumps"] == 2
 
     def test_write_round_trips(self, tmp_path):
         recorder = FlightRecorder(capacity=4)
-        recorder.on_event(TraceEvent("fault", 0.0, None, None, {"fault": "x"}))
+        recorder.on_event(
+            TraceEvent("fault", 0.0, None, None, {"fault": "x"}).as_row()
+        )
         path = recorder.write(tmp_path / "flight.json")
         payload = json.loads(path.read_text())
         assert payload["capacity"] == 4
