@@ -13,9 +13,8 @@ The committed deliverable is ``benchmarks/results/BENCH_schedulers.json``
 -- the requests/sec trajectory tracked from PR to PR, including the
 ``SelectionIndex`` lazy-invalidation churn (stale pops, heap rebuilds,
 pushes, touches) per indexed cell -- plus ``BENCH_manifest.json``, whose
-``adaptive_selection`` (linear-vs-index crossover sweep) and
-``batch_dispatch`` (dequeue_batch size ablation) sections this module
-owns alongside the provenance record (seed, versions, git SHA).
+``adaptive_selection`` (linear-vs-index crossover sweep) section this
+module owns alongside the provenance record (seed, versions, git SHA).
 
 Acceptance bars:
 
@@ -52,7 +51,6 @@ from repro.obs import write_manifest
 from repro.perf import (
     format_results,
     measure_adaptive_crossover,
-    measure_batch_dispatch,
     measure_observability_overhead,
     run_hotpath_suite,
     write_results,
@@ -111,7 +109,7 @@ def _format_observability(section):
 #: Manifest sections owned by *other* bench modules, carried over when
 #: this module rewrites the manifest (write_manifest replaces the file
 #: wholesale).
-PRESERVED_SECTIONS = ("parallel_engine", "metrics_streaming", "event_queue")
+PRESERVED_SECTIONS = ("parallel_engine", "metrics_streaming")
 
 
 def test_bench_perf_hotpath(benchmark, capsys):
@@ -140,9 +138,6 @@ def test_bench_perf_hotpath(benchmark, capsys):
         )
         for name in ("2dfq", "wf2q+")
     }
-    batch = measure_batch_dispatch(
-        "2dfq", num_tenants=100, ops=ops_env or None, repeats=repeats
-    )
     preserved = {
         key: value
         for key, value in read_bench_manifest().items()
@@ -157,7 +152,6 @@ def test_bench_perf_hotpath(benchmark, capsys):
             "results_file": BENCH_JSON.name,
             "observability": observability,
             "adaptive_selection": crossover,
-            "batch_dispatch": batch,
             **preserved,
         },
     )
@@ -259,13 +253,6 @@ def test_bench_perf_hotpath(benchmark, capsys):
         if not reduced:
             assert sweep["crossover_tenants"] is not None, sweep
             assert sweep["crossover_tenants"] <= 2 * sweep["auto_high"], sweep
-    # Batch dispatch measured every requested size and stayed within
-    # sane bounds (it is the same per-request work, so a batched cycle
-    # can neither collapse nor implausibly inflate throughput).
-    assert [r["batch_size"] for r in batch["rows"]] == [1, 2, 4, 8]
-    for row in batch["rows"]:
-        assert row["rps"] > 0, row
-        assert 0.5 <= row["ratio"] <= 2.0, row
     # Observability acceptance bar: with no tracer attached the
     # instrumentation must cost < 5% median throughput vs the committed
     # baseline (only enforced against a same-host, same-ops baseline).

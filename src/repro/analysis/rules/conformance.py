@@ -152,31 +152,21 @@ class TracerPairingRule(Rule):
 
 
 class IndexSurfaceRule(Rule):
-    """RPR022: the indexed-selection and batch-dispatch surfaces stay
-    paired below ``VirtualTimeScheduler``.
+    """RPR022: the indexed-selection surface stays paired below
+    ``VirtualTimeScheduler``.
 
-    Two halves, both protecting differential identities the framework
-    relies on:
-
-    * a subclass that advertises an index layout by overriding
-      ``_index_spec`` concretely must have a concrete
-      ``_select_indexed`` somewhere along its by-name base chain --
-      otherwise ``indexed=True`` (and the adaptive default's rising
-      edge) routes straight into the base stub's
-      ``NotImplementedError`` mid-run;
-    * a subclass that overrides ``dequeue`` must also override
-      ``dequeue_batch``: the base ``dequeue_batch`` inlines the *base*
-      dequeue body for the untraced hot path, so an inherited batch
-      path would silently dispatch with the old policy whenever
-      several workers free at once.
+    A subclass that advertises an index layout by overriding
+    ``_index_spec`` concretely must have a concrete ``_select_indexed``
+    somewhere along its by-name base chain -- otherwise ``indexed=True``
+    (and the adaptive default's rising edge) routes straight into the
+    base stub's ``NotImplementedError`` mid-run.
     """
 
     code: ClassVar[str] = "RPR022"
     name: ClassVar[str] = "index-surface"
     description: ClassVar[str] = (
-        "VirtualTimeScheduler subclass breaks the indexed-selection "
-        "pairing (_index_spec without a concrete _select_indexed, or "
-        "dequeue overridden without dequeue_batch)"
+        "VirtualTimeScheduler subclass overrides _index_spec without a "
+        "concrete _select_indexed"
     )
 
     _ROOT: ClassVar[str] = "VirtualTimeScheduler"
@@ -189,36 +179,18 @@ class IndexSurfaceRule(Rule):
                 ):
                     continue
                 spec = info.methods.get("_index_spec")
-                if spec is not None and not (spec.is_abstract or spec.is_stub):
-                    found = project.find_method(
-                        info.name, "_select_indexed", info.module
-                    )
-                    if found is None or found[1].is_abstract or found[1].is_stub:
-                        report(
-                            info.path,
-                            spec.lineno,
-                            spec.col,
-                            self.code,
-                            f"`{info.name}` overrides `_index_spec` but has "
-                            "no concrete `_select_indexed` in its base "
-                            "chain; indexed mode (including the adaptive "
-                            "default) would raise mid-run",
-                            self.name,
-                        )
-                deq = info.methods.get("dequeue")
-                if (
-                    deq is not None
-                    and not (deq.is_abstract or deq.is_stub)
-                    and "dequeue_batch" not in info.methods
-                ):
+                if spec is None or spec.is_abstract or spec.is_stub:
+                    continue
+                found = project.find_method(info.name, "_select_indexed", info.module)
+                if found is None or found[1].is_abstract or found[1].is_stub:
                     report(
                         info.path,
-                        deq.lineno,
-                        deq.col,
+                        spec.lineno,
+                        spec.col,
                         self.code,
-                        f"`{info.name}` overrides `dequeue` without "
-                        "overriding `dequeue_batch`; the inherited batch "
-                        "path inlines the base dequeue and would dispatch "
-                        "with the old policy",
+                        f"`{info.name}` overrides `_index_spec` but has "
+                        "no concrete `_select_indexed` in its base "
+                        "chain; indexed mode (including the adaptive "
+                        "default) would raise mid-run",
                         self.name,
                     )

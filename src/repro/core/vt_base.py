@@ -55,9 +55,7 @@ from typing import (
     ClassVar,
     Dict,
     Iterable,
-    List,
     Optional,
-    Sequence,
     Union,
 )
 
@@ -365,81 +363,6 @@ class VirtualTimeScheduler(Scheduler):
                 backlog=self._size,
             )
         return request
-
-    def dequeue_batch(
-        self, thread_ids: Sequence[int], now: SimTime
-    ) -> List[Request]:
-        """Batched :meth:`dequeue`: one dispatch per thread id, in
-        order, stopping early when the backlog drains.
-
-        Request-for-request identical to the sequential loop (the batch
-        property tests pin requests, order, virtual times, and tracer
-        event streams), but the untraced hot path runs one inlined loop
-        with the per-dispatch attribute lookups hoisted out -- this is
-        what :class:`~repro.simulator.server.ThreadPoolServer` calls
-        when several workers free at the same instant.  The traced path
-        simply loops :meth:`dequeue` so phase timers and event streams
-        stay exactly per-dispatch.
-        """
-        if self._trace is not None:
-            batch: List[Request] = []
-            for thread_id in thread_ids:
-                request = self.dequeue(thread_id, now)
-                if request is None:
-                    break
-                batch.append(request)
-            return batch
-        # Untraced fast path: the body below replicates dequeue() minus
-        # the tracer branches, with loop-invariant lookups hoisted.
-        # Keep the two in lockstep when touching either.
-        batch = []
-        backlogged = self._backlogged
-        clock = self._clock
-        estimator = self._estimator
-        auto = self._auto
-        low = self.AUTO_INDEX_LOW
-        for thread_id in thread_ids:
-            self._check_thread(thread_id)
-            if not backlogged:
-                break
-            index = self._index
-            if index is not None and auto and len(backlogged) <= low:
-                self._index = index = None
-            vnow = self._adjust_virtual_time(clock.advance(now))
-            if index is not None:
-                state = self._select_indexed(thread_id, vnow)
-                if state is None:
-                    state = self._fallback_indexed(thread_id, vnow)
-            else:
-                state = self._select(thread_id, vnow)
-                if state is None:
-                    state = self._fallback(thread_id, vnow)
-            if state is None:
-                raise SchedulerError(
-                    f"{type(self).__name__} violated work conservation with "
-                    f"{self._size} queued requests"
-                )
-            request = state.queue.popleft()
-            if not state.queue:
-                del backlogged[state.tenant_id]
-            estimate = max(estimator.estimate(request), MIN_COST)
-            request.charged_cost = estimate
-            request.credit = estimate
-            state.start_tag += estimate / state.weight
-            state.running += 1
-            if index is not None:
-                if state.queue:
-                    index.touch(state)
-                else:
-                    index.drop(state)
-            # Inlined Scheduler._note_dispatched (hot path).
-            request.phase = RequestPhase.RUNNING
-            request.thread_id = thread_id
-            request.dispatch_time = now
-            self._size -= 1
-            self._dispatched += 1
-            batch.append(request)
-        return batch
 
     def refresh(self, request: Request, usage: Cost, now: SimTime) -> None:
         """Refresh charging (Figure 7, Refresh): consume pre-paid credit,

@@ -10,6 +10,7 @@ methodology).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -58,12 +59,6 @@ class ExperimentConfig:
         sketches for long runs -- DESIGN.md §13).  Part of the config,
         hence of run-cache keys: the two modes produce different result
         objects.
-    event_queue:
-        ``"heap"`` (default) or ``"calendar"`` -- the simulator's event
-        queue implementation (:mod:`repro.simulator.events`).  Pop-order
-        identical, so results do not change; the calendar queue is the
-        throughput choice once pending events reach the hundreds of
-        thousands (DESIGN.md §15).
     """
 
     name: str
@@ -81,19 +76,22 @@ class ExperimentConfig:
     fault_plan: Optional[FaultPlan] = None
     validate: bool = False
     metrics_mode: str = "exact"
-    event_queue: str = "heap"
 
     def __post_init__(self) -> None:
         if isinstance(self.fault_plan, dict):
             self.fault_plan = FaultPlan.from_dict(self.fault_plan)
         if self.num_threads < 1:
             raise ConfigurationError(f"num_threads must be >= 1, got {self.num_threads}")
-        if self.thread_rate <= 0:
-            raise ConfigurationError(
-                f"thread_rate must be positive, got {self.thread_rate}"
-            )
-        if self.duration <= 0:
-            raise ConfigurationError(f"duration must be positive, got {self.duration}")
+        for name in ("thread_rate", "duration", "sample_interval"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(
+                    f"{name} must be positive and finite, got {value}"
+                )
+        for name in ("warmup", "refresh_interval"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if not self.schedulers:
             raise ConfigurationError("at least one scheduler required")
         if self.warmup < 0 or self.warmup >= self.duration:
@@ -104,11 +102,6 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"metrics_mode must be 'exact' or 'streaming', "
                 f"got {self.metrics_mode!r}"
-            )
-        if self.event_queue not in ("heap", "calendar"):
-            raise ConfigurationError(
-                f"event_queue must be 'heap' or 'calendar', "
-                f"got {self.event_queue!r}"
             )
 
     @property

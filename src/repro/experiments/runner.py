@@ -88,7 +88,7 @@ def run_single(
     recorder whose dumps are exported even when a strict-mode watchdog
     raise aborts the run.
     """
-    sim = Simulation(event_queue=config.event_queue)
+    sim = Simulation()
     inner_scheduler = make_scheduler(
         scheduler_name,
         num_threads=config.num_threads,

@@ -91,7 +91,6 @@ class FleetCollector:
         fleet: Fleet,
         sample_interval: float = 0.1,
         warmup: float = 0.0,
-        track_gps: bool = True,
     ) -> None:
         if sample_interval <= 0:
             raise ValueError(
@@ -102,9 +101,7 @@ class FleetCollector:
         self._interval = float(sample_interval)
         self._warmup = float(warmup)
         self._tracker = ServiceTracker()
-        self._gps: Optional[GPSReference] = (
-            GPSReference(fleet.capacity) if track_gps else None
-        )
+        self._gps = GPSReference(fleet.capacity)
         self._latencies: Dict[str, List[float]] = {}
         self._seen_tenants: Set[str] = set()
         self._previous_service: Dict[str, float] = {}
@@ -126,10 +123,9 @@ class FleetCollector:
 
     def _on_admit(self, request: Request) -> None:
         self._seen_tenants.add(request.tenant_id)
-        if self._gps is not None:
-            self._gps.arrive(
-                request.tenant_id, request.cost, self._sim.now, request.weight
-            )
+        self._gps.arrive(
+            request.tenant_id, request.cost, self._sim.now, request.weight
+        )
 
     def _on_complete(self, request: Request) -> None:
         if request.completion_time >= self._warmup:
@@ -139,7 +135,7 @@ class FleetCollector:
 
     def _on_capacity_change(self, now: float, capacity: float) -> None:
         self._capacity_timeline.append((now, capacity))
-        if self._gps is not None and capacity > 0:
+        if capacity > 0:
             # An all-down fleet (capacity 0) keeps the last rate: the
             # fluid reference must keep a positive rate, and the lag it
             # accrues against a wedged fleet is exactly the signal.
@@ -149,14 +145,12 @@ class FleetCollector:
 
     def _sample(self) -> None:
         now = self._sim.now
-        if self._gps is not None:
-            self._gps.advance(now)
+        self._gps.advance(now)
         actual: Dict[str, float] = {}
         gps: Dict[str, float] = {}
         for tenant in self._seen_tenants:
             actual[tenant] = self._fleet.service_received(tenant)
-            if self._gps is not None:
-                gps[tenant] = self._gps.service(tenant)
+            gps[tenant] = self._gps.service(tenant)
         if now >= self._warmup:
             if self._observed_samples == 0 and self._previous_service:
                 self._tracker.set_baselines(self._previous_service)

@@ -105,7 +105,6 @@ class MetricsCollector:
         server: ThreadPoolServer,
         sample_interval: Duration = 0.1,
         record_dispatches: bool = True,
-        track_gps: bool = True,
         warmup: Duration = 0.0,
         mode: str = "exact",
         seed: int = 0,
@@ -126,9 +125,7 @@ class MetricsCollector:
         self._warmup: Duration = float(warmup)
         self._mode = mode
         self._tracker = ServiceTracker()
-        self._gps: Optional[GPSReference] = (
-            GPSReference(server.num_threads * server.rate) if track_gps else None
-        )
+        self._gps = GPSReference(server.num_threads * server.rate)
         self._latencies: Dict[str, List[Duration]] = {}
         self._dispatch_log: List[DispatchRecord] = []
         self._record_dispatches = bool(record_dispatches)
@@ -186,10 +183,9 @@ class MetricsCollector:
 
     def _on_submit(self, request: Request) -> None:
         self._seen_tenants.add(request.tenant_id)
-        if self._gps is not None:
-            self._gps.arrive(
-                request.tenant_id, request.cost, self._sim.now, request.weight
-            )
+        self._gps.arrive(
+            request.tenant_id, request.cost, self._sim.now, request.weight
+        )
 
     def _on_dispatch(self, request: Request) -> None:
         # Record at dispatch (with the deterministic simulated end time)
@@ -227,12 +223,10 @@ class MetricsCollector:
         now = self._sim.now
         actual: Dict[str, Cost] = {}
         gps: Dict[str, Cost] = {}
-        if self._gps is not None:
-            self._gps.advance(now)
+        self._gps.advance(now)
         for tenant in self._seen_tenants:
             actual[tenant] = self._server.service_received(tenant)
-            if self._gps is not None:
-                gps[tenant] = self._gps.service(tenant)
+            gps[tenant] = self._gps.service(tenant)
         if self._auditor is not None:
             self._auditor.on_sample(now, actual, gps)
         if now >= self._warmup:

@@ -54,7 +54,6 @@ __all__ = [
     "measure_dequeue_throughput",
     "measure_paired_cell",
     "measure_adaptive_crossover",
-    "measure_batch_dispatch",
     "measure_observability_overhead",
     "quiesced_gc",
     "run_hotpath_suite",
@@ -67,12 +66,12 @@ __all__ = [
 def quiesced_gc() -> Iterator[None]:
     """Collect, then disable the cyclic GC for a timed region.
 
-    Benchmarks that build hundreds of thousands of objects (a
-    million-entry event queue, a 10k-tenant backlog) otherwise spend
-    more wallclock in generational collections triggered by *earlier*
-    measurements than in the code under test -- the classic
-    order-dependent bench distortion.  Timed regions here allocate and
-    release acyclic objects only, so disabling the collector is safe.
+    Benchmarks that build tens of thousands of objects (a 10k-tenant
+    backlog) otherwise spend more wallclock in generational collections
+    triggered by *earlier* measurements than in the code under test --
+    the classic order-dependent bench distortion.  Timed regions here
+    allocate and release acyclic objects only, so disabling the
+    collector is safe.
     """
     gc.collect()
     was_enabled = gc.isenabled()
@@ -331,81 +330,6 @@ def measure_adaptive_crossover(
         "crossover_tenants": crossover,
         "auto_high": getattr(type(scheduler), "AUTO_INDEX_HIGH", None),
         "auto_low": getattr(type(scheduler), "AUTO_INDEX_LOW", None),
-    }
-
-
-def measure_batch_dispatch(
-    scheduler_name: str = "2dfq",
-    num_tenants: int = 100,
-    batch_sizes: Sequence[int] = (1, 2, 4, 8),
-    ops: Optional[int] = None,
-    seed: int = 0,
-    repeats: int = 2,
-) -> Dict:
-    """Batch-size ablation: ``dequeue_batch(k)`` cycles vs ``k=1``.
-
-    For each batch size ``k`` the timed loop pulls ``k`` requests in one
-    ``dequeue_batch`` call (the pool-drain path ``ThreadPoolServer``
-    takes when several workers free simultaneously), then completes and
-    replaces each -- so every cell performs the same number of
-    dispatches and only the per-call overhead varies.  ``ratio`` is
-    throughput relative to the ``k=1`` cell.
-    """
-    if ops is None:
-        ops = _default_ops(num_tenants)
-    rng = make_rng(seed, "hotpath-batch", scheduler_name, str(num_tenants))
-    replacement_costs = 10.0 ** rng.uniform(0.0, 4.0, ops)
-    num_threads = max(batch_sizes)
-    rows: List[Dict] = []
-    for k in batch_sizes:
-        thread_ids = list(range(k))
-        best = float("inf")
-        timer = Timer(f"hotpath-batch.{scheduler_name}.{k}")
-        for _ in range(max(1, repeats)):
-            scheduler = make_scheduler(
-                scheduler_name, num_threads=num_threads, thread_rate=1.0
-            )
-            for request in _build_backlog(scheduler_name, num_tenants, seed):
-                scheduler.enqueue(request, 0.0)
-            replacements = [
-                Request(tenant_id="", cost=float(cost))
-                for cost in replacement_costs
-            ]
-            dequeue_batch = scheduler.dequeue_batch
-            complete = scheduler.complete
-            enqueue = scheduler.enqueue
-            dt = 1e-4
-            now = 0.0
-            cycles = ops // k
-            with quiesced_gc(), timer:
-                cursor = 0
-                for _cycle in range(cycles):
-                    now += dt
-                    batch = dequeue_batch(thread_ids, now)
-                    for out in batch:
-                        complete(out, out.cost, now)
-                        replacement = replacements[cursor]
-                        cursor += 1
-                        replacement.tenant_id = out.tenant_id
-                        replacement.api = out.api
-                        enqueue(replacement, now)
-            best = min(best, timer.last)
-        dispatches = (ops // k) * k
-        rows.append(
-            {
-                "batch_size": k,
-                "ops": dispatches,
-                "rps": round(dispatches / best, 1) if best > 0 else float("inf"),
-            }
-        )
-    base_rps = rows[0]["rps"] or 1.0
-    for row in rows:
-        row["ratio"] = round(row["rps"] / base_rps, 3)
-    return {
-        "scheduler": scheduler_name,
-        "tenants": num_tenants,
-        "threads": num_threads,
-        "rows": rows,
     }
 
 

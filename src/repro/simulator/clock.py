@@ -14,37 +14,16 @@ from typing import Any, Callable, Optional
 
 from ..errors import SimulationError
 from ..units import Duration, SimTime
-from .events import CalendarEventQueue, EventHandle, EventQueue
+from .events import EventHandle, EventQueue
 
 __all__ = ["Simulation"]
 
-#: Event-queue implementations selectable per simulation.  Both are
-#: pop-order identical (differentially tested); the calendar queue wins
-#: once pending events reach the hundreds of thousands, the heap below.
-_EVENT_QUEUES = {"heap": EventQueue, "calendar": CalendarEventQueue}
-
 
 class Simulation:
-    """Discrete-event simulation loop.
+    """Discrete-event simulation loop over one :class:`EventQueue`."""
 
-    Parameters
-    ----------
-    event_queue:
-        ``"heap"`` (the default binary heap) or ``"calendar"`` (the
-        bucketed calendar queue for very large pending-event counts);
-        see :mod:`repro.simulator.events`.  Results are bit-identical
-        either way -- this is purely a throughput knob, surfaced as
-        ``ExperimentConfig.event_queue``.
-    """
-
-    def __init__(self, event_queue: str = "heap") -> None:
-        queue_cls = _EVENT_QUEUES.get(event_queue)
-        if queue_cls is None:
-            raise SimulationError(
-                f"event_queue must be one of {sorted(_EVENT_QUEUES)}, "
-                f"got {event_queue!r}"
-            )
-        self._queue = queue_cls()
+    def __init__(self) -> None:
+        self._queue = EventQueue()
         self._now: SimTime = 0.0
         self._running = False
         self._stopped = False
@@ -80,15 +59,17 @@ class Simulation:
 
     def at(self, time: SimTime, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` at absolute simulated time ``time``."""
-        if time < self._now - 1e-12:
+        # Negated comparisons: NaN fails every comparison, so it lands
+        # in the error branch instead of firing first with ``now = nan``.
+        if not time >= self._now - 1e-12:
             raise SimulationError(
-                f"cannot schedule event in the past: {time} < now {self._now}"
+                f"event time must be >= now {self._now}, got {time}"
             )
         return self._queue.push(max(time, self._now), fn, *args)
 
     def after(self, delay: Duration, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` after ``delay`` seconds."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"delay must be >= 0, got {delay}")
         return self._queue.push(self._now + delay, fn, *args)
 

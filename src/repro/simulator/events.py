@@ -1,30 +1,10 @@
-"""Event queues for the discrete-event simulator.
+"""The event queue of the discrete-event simulator.
 
-Events are ``(time, sequence)``-ordered callbacks.  The sequence number
-guarantees FIFO ordering among events scheduled for the same instant,
-which keeps every simulation fully deterministic.  Cancellation is lazy:
-cancelled events stay in the queue and are skipped on pop, the standard
-O(1)-cancel technique for simulation queues.
-
-Two interchangeable implementations share that contract:
-
-* :class:`EventQueue` -- a binary heap, the reference.  O(log n) per
-  operation with an excellent constant at small sizes, but the
-  sift-down pointer walk loses cache locality once the heap spans
-  hundreds of thousands of pending events (the fleet-scale regime);
-* :class:`CalendarEventQueue` -- a calendar queue (Brown 1988): time is
-  divided into fixed-width *days*, each hashed to a bucket; pops scan
-  the current day's bucket and advance day by day.  Buckets absorb
-  pushes as unsorted appends and are sorted lazily when the pop scan
-  enters them, giving O(1) amortized push/pop under the hold model with
-  sequential memory access -- ~2.8x heap throughput at a million
-  pending events on the long-horizon bench (DESIGN.md §15 has the
-  sizing methodology).  Selected per run via
-  ``ExperimentConfig.event_queue = "calendar"``.
-
-The differential tests drive both through identical seeded
-long-horizon push/cancel/pop traces and pin the exact pop order,
-including same-instant FIFO ties.
+Events are ``(time, sequence)``-ordered callbacks in a binary heap.  The
+sequence number guarantees FIFO ordering among events scheduled for the
+same instant, which keeps every simulation fully deterministic.
+Cancellation is lazy: cancelled events stay in the heap and are skipped
+on pop, the standard O(1)-cancel technique for simulation queues.
 
 Lazy cancellation trades memory for speed, so the backlog of cancelled
 entries is (a) observable -- :attr:`EventQueue.cancelled_backlog` feeds
@@ -50,7 +30,6 @@ from ..units import SimTime
 __all__ = [
     "EventHandle",
     "EventQueue",
-    "CalendarEventQueue",
     "DEFAULT_PURGE_THRESHOLD",
 ]
 
@@ -172,314 +151,4 @@ class EventQueue:
         """
         self._heap = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(self._heap)
-        self._purges += 1
-
-
-#: One stored calendar entry: the heap's ``(time, seq, ...)`` sort-key
-#: prefix (``seq`` is unique, so per-bucket sorts reproduce the heap's
-#: exact global order and the trailing fields are never compared),
-#: followed by the handle and the entry's *day* ``int(time / width)``.
-#: The day is computed once at push and only ever compared for
-#: equality afterwards: re-deriving the boundary as ``(day+1) * width``
-#: would round differently from the division and strand entries whose
-#: time sits exactly on a bucket boundary.
-_CalendarEntry = Tuple[float, int, EventHandle, int]
-
-#: Calendar geometry defaults.  The queue starts tiny and doubles its
-#: bucket count whenever live events exceed ``_CALENDAR_RESIZE_FACTOR``
-#: per bucket, re-deriving the day width from the observed event
-#: spacing, so no workload-specific tuning is needed up front.
-_CALENDAR_INITIAL_BUCKETS = 4
-_CALENDAR_INITIAL_WIDTH = 1.0
-_CALENDAR_RESIZE_FACTOR = 6
-#: Number of earliest entries sampled to estimate event spacing at
-#: resize, and the target events-per-day multiplier derived from it.
-_CALENDAR_SPACING_SAMPLE = 64
-_CALENDAR_EVENTS_PER_DAY = 4.0
-
-
-class CalendarEventQueue:
-    """Calendar queue: bucketed event ladder with lazy sorting.
-
-    Drop-in alternative to :class:`EventQueue` with the identical
-    surface (``push``/``cancel``/``peek_time``/``pop``/``__len__``/
-    gauges) and identical pop order for any push/cancel sequence,
-    including same-time FIFO ties -- the differential tests pin this.
-
-    Mechanics: a push appends to the bucket its day hashes to (O(1))
-    and marks the bucket dirty; the pop scan sorts a dirty bucket only
-    when it enters it, consumes entries through a per-bucket cursor,
-    and walks day by day when the current day's bucket is exhausted,
-    falling back to a direct minimum over bucket heads when a whole
-    year (one lap of the buckets) is sparse.  The bucket count doubles
-    whenever occupancy exceeds ``6`` live events per bucket, re-deriving
-    the day width from the spacing of the earliest entries so that a
-    day holds ~4 events regardless of event rate.
-
-    Scheduling an event *earlier* than the current scan day (legal:
-    ``Simulation.at`` admits any time >= ``now``, and the scan day can
-    sit arbitrarily far ahead of ``now`` after a peek) rewinds the scan
-    to that day, preserving exact min-order at the cost of re-walking
-    the gap -- cheap, since the rewound gap contains only the buckets
-    the new entry and the old frontier span.
-    """
-
-    __slots__ = (
-        "_nbuckets",
-        "_width",
-        "_buckets",
-        "_heads",
-        "_dirty",
-        "_seq",
-        "_live",
-        "_dead",
-        "_day",
-        "_cur",
-        "_purge_threshold",
-        "_purges",
-    )
-
-    def __init__(self, purge_threshold: int = DEFAULT_PURGE_THRESHOLD) -> None:
-        if purge_threshold < 1:
-            raise SimulationError(
-                f"purge_threshold must be >= 1, got {purge_threshold}"
-            )
-        self._nbuckets = _CALENDAR_INITIAL_BUCKETS
-        self._width = _CALENDAR_INITIAL_WIDTH
-        self._buckets: List[List[_CalendarEntry]] = [
-            [] for _ in range(self._nbuckets)
-        ]
-        self._heads = [0] * self._nbuckets
-        self._dirty = [False] * self._nbuckets
-        self._seq = itertools.count()
-        self._live = 0
-        self._dead = 0
-        self._day = 0
-        self._cur = 0
-        self._purge_threshold = purge_threshold
-        self._purges = 0
-
-    def __len__(self) -> int:
-        """Number of pending (non-cancelled) events."""
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
-
-    @property
-    def cancelled_backlog(self) -> int:
-        """Cancelled entries still occupying bucket slots (the memory
-        cost of lazy cancellation; exported as an obs gauge)."""
-        return self._dead
-
-    @property
-    def purges(self) -> int:
-        """Number of compaction passes performed so far."""
-        return self._purges
-
-    @property
-    def purge_threshold(self) -> int:
-        return self._purge_threshold
-
-    def push(self, time: SimTime, fn: Callable[..., Any], *args: Any) -> EventHandle:
-        """Schedule ``fn(*args)`` at ``time`` and return a handle."""
-        handle = EventHandle(time, next(self._seq), fn, args)
-        day = int(time / self._width)
-        bucket = day % self._nbuckets
-        self._buckets[bucket].append((time, handle.seq, handle, day))
-        self._dirty[bucket] = True
-        self._live += 1
-        if day < self._day:
-            # The new event lands before the scan frontier: rewind so
-            # the next pop re-walks forward from its day (exact
-            # min-order is preserved; see the class docstring).
-            self._day = day
-            self._cur = bucket
-        if self._live > _CALENDAR_RESIZE_FACTOR * self._nbuckets:
-            self._resize(2 * self._nbuckets)
-        return handle
-
-    def cancel(self, handle: EventHandle) -> None:
-        """Cancel a previously pushed event (no-op if already fired)."""
-        if not handle.cancelled:
-            handle.cancel()
-            self._live -= 1
-            self._dead += 1
-            # Same purge heuristic as the heap: compact when dead
-            # entries both exceed the threshold and outnumber the live.
-            if self._dead > self._purge_threshold and self._dead > self._live:
-                self._compact()
-
-    def peek_time(self) -> Optional[SimTime]:
-        """Time of the earliest pending event, or ``None`` when empty."""
-        entry = self._position()
-        return entry[0] if entry is not None else None
-
-    def pop(self) -> EventHandle:
-        """Remove and return the earliest pending event."""
-        # Inlined fast path (the hold-model common case): the next event
-        # is the head of the current day's bucket, live.  Everything
-        # else -- day advance, cancelled skips, the sparse-year fallback,
-        # the empty-queue raise -- drops to :meth:`_position`.
-        cur = self._cur
-        heads = self._heads
-        bucket = self._buckets[cur]
-        head = heads[cur]
-        if head < len(bucket):
-            if self._dirty[cur]:
-                if head:
-                    del bucket[:head]
-                    head = 0
-                bucket.sort()
-                self._dirty[cur] = False
-            entry = bucket[head]
-            if entry[3] == self._day and not entry[2].cancelled:
-                head += 1
-                if head == len(bucket):
-                    bucket.clear()
-                    heads[cur] = 0
-                else:
-                    heads[cur] = head
-                self._live -= 1
-                return entry[2]
-            heads[cur] = head  # persist the sort's prefix deletion
-        slow = self._position()
-        if slow is None:
-            raise SimulationError("pop from an empty event queue")
-        cur = self._cur
-        bucket = self._buckets[cur]
-        head = self._heads[cur] + 1
-        if head == len(bucket):
-            bucket.clear()
-            self._heads[cur] = 0
-        else:
-            self._heads[cur] = head
-        self._live -= 1
-        return slow[2]
-
-    # -- internals ---------------------------------------------------------
-
-    def _sort_bucket(self, b: int) -> None:
-        """Sort a dirty bucket, deleting its consumed prefix first so
-        cursor state survives the reorder."""
-        bucket = self._buckets[b]
-        head = self._heads[b]
-        if head:
-            del bucket[:head]
-            self._heads[b] = 0
-        bucket.sort()
-        self._dirty[b] = False
-
-    def _skim(self, b: int) -> Optional[_CalendarEntry]:
-        """Head entry of bucket ``b`` after sorting if dirty and
-        skipping cancelled entries, or ``None`` when exhausted."""
-        bucket = self._buckets[b]
-        head = self._heads[b]
-        if head >= len(bucket):
-            return None
-        if self._dirty[b]:
-            self._sort_bucket(b)
-            head = 0
-        while head < len(bucket):
-            entry = bucket[head]
-            if not entry[2].cancelled:
-                self._heads[b] = head
-                return entry
-            head += 1
-            self._dead -= 1
-        bucket.clear()
-        self._heads[b] = 0
-        return None
-
-    def _position(self) -> Optional[_CalendarEntry]:
-        """Advance the scan to the globally earliest pending entry and
-        return it without consuming (``self._cur``'s head cursor points
-        at it afterwards).  Returns ``None`` when the queue is empty."""
-        if self._live == 0:
-            return None
-        # Fast path: the next event lives in the current day.  Day
-        # membership compares the day stamped at push -- never a
-        # recomputed boundary (see _CalendarEntry).  Within a bucket the
-        # head's day is the bucket's smallest (same-bucket days differ
-        # by >= nbuckets, so their time ranges cannot interleave), and
-        # the scan day is always <= the minimum pending day (pushes
-        # rewind), so an == check suffices.
-        entry = self._skim(self._cur)
-        if entry is not None and entry[3] == self._day:
-            return entry
-        # Walk forward day by day, at most one full lap of the buckets.
-        nbuckets = self._nbuckets
-        day = self._day
-        for _ in range(nbuckets):
-            day += 1
-            cur = day % nbuckets
-            entry = self._skim(cur)
-            if entry is not None and entry[3] == day:
-                self._day = day
-                self._cur = cur
-                return entry
-        # Sparse year: no event within a lap of days.  Take the direct
-        # minimum over bucket heads and re-seed the scan at its day.
-        best: Optional[_CalendarEntry] = None
-        best_bucket = -1
-        for b in range(nbuckets):
-            entry = self._skim(b)
-            if entry is not None and (best is None or entry < best):
-                best, best_bucket = entry, b
-        if best is None:  # pragma: no cover - guarded by the _live check
-            raise SimulationError(
-                "event queue reported pending events but none were found "
-                "(live-count/bucket divergence)"
-            )
-        self._day = best[3]
-        self._cur = best_bucket
-        return best
-
-    def _resize(self, nbuckets: int) -> None:
-        """Double the bucket count and re-derive the day width from the
-        observed spacing of the earliest entries (~4 events per day).
-        Cancelled entries and consumed prefixes are dropped while
-        re-bucketing; keys are untouched, so pop order is preserved."""
-        entries: List[_CalendarEntry] = []
-        for b, bucket in enumerate(self._buckets):
-            for entry in bucket[self._heads[b]:]:
-                if not entry[2].cancelled:
-                    entries.append(entry)
-        entries.sort()
-        self._dead = 0
-        width = self._width
-        if len(entries) > 1:
-            k = min(len(entries), _CALENDAR_SPACING_SAMPLE)
-            span = entries[k - 1][0] - entries[0][0]
-            if span > 0.0:
-                width = _CALENDAR_EVENTS_PER_DAY * span / k
-        self._nbuckets = nbuckets
-        self._width = width
-        self._buckets = [[] for _ in range(nbuckets)]
-        self._heads = [0] * nbuckets
-        self._dirty = [False] * nbuckets
-        for time, seq, handle, _ in entries:
-            # Re-stamp days under the new width.  Globally sorted
-            # insertion keeps every bucket sorted, so no dirty flags.
-            day = int(time / width)
-            self._buckets[day % nbuckets].append((time, seq, handle, day))
-        self._day = int(entries[0][0] / width) if entries else 0
-        self._cur = self._day % nbuckets
-
-    def _compact(self) -> None:
-        """Drop every cancelled entry (and consumed prefixes) in one
-        pass, keeping geometry and keys -- pop order is unchanged."""
-        for b, bucket in enumerate(self._buckets):
-            head = self._heads[b]
-            kept = [
-                entry
-                for entry in (bucket[head:] if head else bucket)
-                if not entry[2].cancelled
-            ]
-            self._buckets[b] = kept
-            self._heads[b] = 0
-            if self._dirty[b]:
-                kept.sort()
-                self._dirty[b] = False
-        self._dead = 0
         self._purges += 1

@@ -13,16 +13,16 @@ charging** measurements of paper §5: every ``refresh_interval`` seconds
 last report, so the scheduler notices under-estimated expensive requests
 while they are still running.
 
-Idle workers are offered work in *descending* thread-index order by
-default.  Under 2DFQ high-index threads are where small requests become
-eligible first, so offering them first gives small requests the first
-shot at their preferred threads; for thread-oblivious schedulers the
-order is irrelevant.  The order is configurable for ablations.
+Idle workers are offered work in *descending* thread-index order.
+Under 2DFQ high-index threads are where small requests become eligible
+first, so offering them first gives small requests the first shot at
+their preferred threads; for thread-oblivious schedulers the order is
+irrelevant.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Literal, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from ..core.request import Request
 from ..core.scheduler import Scheduler
@@ -98,9 +98,6 @@ class ThreadPoolServer:
         Period of refresh-charging measurements in seconds, or ``None``
         to disable interim reports (usage is then reported only at
         completion).  Paper default: 0.01 (10 ms).
-    dispatch_order:
-        ``"descending"`` (default) or ``"ascending"`` -- the order in
-        which idle workers are offered work.
     """
 
     def __init__(
@@ -110,7 +107,6 @@ class ThreadPoolServer:
         num_threads: int,
         rate: Rate = 1.0,
         refresh_interval: Optional[Duration] = 0.01,
-        dispatch_order: Literal["descending", "ascending"] = "descending",
     ) -> None:
         if scheduler.num_threads != num_threads:
             raise ConfigurationError(
@@ -123,24 +119,14 @@ class ThreadPoolServer:
             raise ConfigurationError(
                 f"refresh_interval must be positive or None, got {refresh_interval}"
             )
-        if dispatch_order not in ("descending", "ascending"):
-            raise ConfigurationError(
-                f"dispatch_order must be 'descending' or 'ascending', "
-                f"got {dispatch_order!r}"
-            )
         self.sim = sim
         self.scheduler = scheduler
         self.rate: Rate = float(rate)
         self.num_threads = int(num_threads)
         self.workers: List[Worker] = [Worker(i) for i in range(num_threads)]
-        self._dispatch_order = dispatch_order
-        # Workers in the order idle ones are offered work, fixed at
-        # construction -- the dispatch cycle must not re-sort per call.
-        self._dispatch_cycle: List[Worker] = (
-            list(reversed(self.workers))
-            if dispatch_order == "descending"
-            else list(self.workers)
-        )
+        # Workers in the order idle ones are offered work (descending
+        # index), fixed at construction so dispatch never re-sorts.
+        self._dispatch_cycle: List[Worker] = self.workers[::-1]
         self._refresh_interval: Optional[Duration] = refresh_interval
         self._refresh_scheduled = False
         #: Attached :class:`repro.obs.Tracer` or ``None``; same
@@ -358,9 +344,6 @@ class ThreadPoolServer:
 
     # -- internals --------------------------------------------------------------------
 
-    def _idle_workers(self) -> List[Worker]:
-        return [w for w in self._dispatch_cycle if not w.busy]
-
     def _dispatch_idle(self) -> None:
         """Offer work to every idle, non-crashed worker while the
         scheduler has any.
@@ -374,27 +357,12 @@ class ThreadPoolServer:
         scheduler = self.scheduler
         if scheduler.backlog == 0:
             return
-        idle = [
-            w for w in self._dispatch_cycle if not w.busy and not w.crashed
-        ]
-        if not idle:
-            return
-        if len(idle) == 1:
-            # Single free worker (the common steady-state case after one
-            # completion): a direct dequeue skips the batch plumbing.
-            request = scheduler.dequeue(idle[0].index, now)
-            if request is not None:
-                self._start(idle[0], request)
-            return
-        # Several workers freed at the same instant (startup, bursts,
-        # simultaneous completions): one batched call amortizes index
-        # maintenance across the selections.  dequeue_batch stops early
-        # when the backlog drains, and is request-for-request identical
-        # to sequential dequeues, so _start ordering -- and with it the
-        # completion-event seq order -- is unchanged.
-        batch = scheduler.dequeue_batch([w.index for w in idle], now)
-        for worker, request in zip(idle, batch):
-            self._start(worker, request)
+        for worker in self._dispatch_cycle:
+            if worker.request is None and not worker.crashed:
+                request = scheduler.dequeue(worker.index, now)
+                if request is None:
+                    break
+                self._start(worker, request)
 
     def _start(self, worker: Worker, request: Request) -> None:
         now = self.sim.now

@@ -47,7 +47,7 @@ calls; it is strictly opt-in and never on the benchmarked hot path.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..core.request import Request, RequestPhase
 from ..core.scheduler import Scheduler
@@ -197,21 +197,6 @@ class ValidatingScheduler:
             )
         self._after("dequeue", now, request.tenant_id)
         return request
-
-    def dequeue_batch(self, thread_ids: Sequence[int], now: float) -> List[Request]:
-        """Batched dispatch, validated per item: route through this
-        proxy's :meth:`dequeue` so every invariant check runs for every
-        dispatch (the inner scheduler's fused fast path would bypass
-        them via ``__getattr__`` delegation).  Semantically identical to
-        the inner batch call -- ``dequeue_batch`` is pinned
-        request-for-request to sequential dequeues."""
-        batch: List[Request] = []
-        for thread_id in thread_ids:
-            request = self.dequeue(thread_id, now)
-            if request is None:
-                break
-            batch.append(request)
-        return batch
 
     def refresh(self, request: Request, usage: float, now: float) -> None:
         if request.seqno not in self._running:

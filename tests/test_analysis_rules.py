@@ -106,11 +106,10 @@ def test_tracer_pairing_rule() -> None:
 
 def test_index_surface_rule() -> None:
     # The root, both compliant pairings (own and inherited
-    # _select_indexed, dequeue+dequeue_batch), and the class outside the
-    # framework are silent; only the two half-surfaces fire.
+    # _select_indexed), and the class outside the framework are silent;
+    # only the half-surface fires.
     assert findings_in("indexsurface") == [
-        ("RPR022", "vt.py", 46),  # _index_spec without _select_indexed
-        ("RPR022", "vt.py", 53),  # dequeue without dequeue_batch
+        ("RPR022", "vt.py", 34),  # _index_spec without _select_indexed
     ]
 
 
@@ -119,8 +118,7 @@ def test_index_surface_messages_name_the_missing_half() -> None:
     by_line = {
         (os.path.basename(f.path), f.line): f.message for f in result.findings
     }
-    assert "`_select_indexed`" in by_line[("vt.py", 46)]
-    assert "`dequeue_batch`" in by_line[("vt.py", 53)]
+    assert "`_select_indexed`" in by_line[("vt.py", 34)]
 
 
 def test_runtime_assert_rule() -> None:
@@ -155,4 +153,4 @@ def test_fixture_findings_are_disjoint_per_rule() -> None:
         "RPR022",
         "RPR030",
     ]
-    assert len(all_at_once) == 4 + 5 + 3 + 4 + 3 + 3 + 1 + 2 + 1
+    assert len(all_at_once) == 4 + 5 + 3 + 4 + 3 + 3 + 1 + 1 + 1

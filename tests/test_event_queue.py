@@ -4,6 +4,95 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.simulator.events import EventQueue
+from repro.simulator.rng import make_rng
+
+
+def _noop():
+    pass
+
+
+def run_oracle_trace(seed, ops=4000, purge_threshold=64, cancel_bias=0.2):
+    """Drive the heap through one seeded trace of interleaved pushes,
+    cancels, peeks and pops, checking it against a naive oracle -- a
+    plain list of pending ``(time, seq)`` keys whose minimum is the next
+    event -- at every step.  Returns ``(pop_order, queue)``.
+
+    Popped handles are marked consumed via ``handle.cancel()`` directly
+    (exactly what ``Simulation.run`` does after firing a callback), so a
+    later ``queue.cancel`` on them is a no-op.
+    """
+    rng = make_rng(seed, "event-queue-oracle", str(purge_threshold))
+    queue = EventQueue(purge_threshold=purge_threshold)
+    oracle = []  # pending (time, seq) keys
+    handles = {}  # seq -> handle
+    now = 0.0
+    pop_order = []
+
+    def pop_both():
+        handle = queue.pop()
+        expected = min(oracle)
+        assert (handle.time, handle.seq) == expected
+        oracle.remove(expected)
+        del handles[handle.seq]
+        handle.cancel()  # mark consumed, as Simulation.run does
+        pop_order.append(expected)
+        return handle.time
+
+    for _ in range(ops):
+        r = rng.random()
+        if r < 0.55 or not oracle:
+            u = rng.random()
+            if u < 0.10:
+                # Same-instant ties at an integral time, often <= now.
+                t = float(int(now))
+            elif u < 0.18:
+                t = now + float(rng.exponential(2_000.0))  # far-future outlier
+            else:
+                t = now + float(rng.exponential(5.0))
+            handle = queue.push(t, _noop)
+            oracle.append((t, handle.seq))
+            handles[handle.seq] = handle
+        elif r < 0.55 + cancel_bias:
+            key = sorted(oracle)[int(rng.integers(len(oracle)))]
+            oracle.remove(key)
+            queue.cancel(handles.pop(key[1]))
+        else:
+            assert queue.peek_time() == (min(oracle)[0] if oracle else None)
+            if oracle:
+                now = max(now, pop_both())
+        assert len(queue) == len(oracle)
+        assert queue.cancelled_backlog >= 0
+    while oracle:
+        pop_both()
+    assert not queue
+    assert queue.peek_time() is None
+    return pop_order, queue
+
+
+class TestOracleDifferential:
+    def test_seeded_long_horizon_traces(self):
+        """Six seeds of mixed push/cancel/peek/pop traffic: exact
+        ``(time, seq)`` pop order and step-by-step len/peek agreement
+        with the naive oracle."""
+        for seed in range(6):
+            pop_order, _ = run_oracle_trace(seed)
+            assert len(pop_order) > 500
+            assert len({seq for _, seq in pop_order}) == len(pop_order)
+
+    def test_forced_compactions_preserve_order(self):
+        """A tiny purge threshold plus cancel-heavy traffic forces
+        repeated compactions; the pop order must still match."""
+        pop_order, queue = run_oracle_trace(
+            99, ops=3000, purge_threshold=4, cancel_bias=0.38
+        )
+        assert queue.purges > 0
+        assert len(pop_order) > 300
+
+    def test_exact_tie_fifo(self):
+        """Same-instant events pop in push (seq) order."""
+        q = EventQueue()
+        pushed = [q.push(7.0, _noop).seq for _ in range(10)]
+        assert [q.pop().seq for _ in range(10)] == pushed
 
 
 class TestOrdering:

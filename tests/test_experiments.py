@@ -41,6 +41,31 @@ class TestConfig:
                 duration=1.0, warmup=1.0,
             )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sample_interval", 0.0),
+            ("sample_interval", -0.1),
+            ("sample_interval", float("nan")),
+            ("sample_interval", float("inf")),
+            ("duration", float("nan")),
+            ("duration", float("inf")),
+            ("thread_rate", float("nan")),
+            ("thread_rate", float("inf")),
+            ("warmup", float("nan")),
+            ("refresh_interval", float("nan")),
+            ("refresh_interval", float("inf")),
+        ],
+    )
+    def test_non_finite_and_zero_values_rejected(self, field, value):
+        kwargs = dict(
+            name="x", schedulers=("wfq",), num_threads=1, thread_rate=1.0,
+            duration=1.0,
+        )
+        kwargs[field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            ExperimentConfig(**kwargs)
+
     def test_initial_estimate_applied_to_e_variants_only(self):
         config = ExperimentConfig(
             name="x", schedulers=("wfq", "wfq-e"), num_threads=1,

@@ -72,6 +72,32 @@ class TestExecution:
         sim.run(until=0.5)
         assert threads == [3, 2]
 
+    def test_simultaneous_frees_take_work_until_backlog_drains(self):
+        # Restoring a crashed server frees all four workers at one
+        # instant: they take the two queued requests in descending index
+        # order, and the scan stops at the first empty dequeue.
+        sim, server = build(num_threads=4, scheduler_name="wf2q")
+        scheduler = server.scheduler
+        asked = []
+        dequeue = scheduler.dequeue
+
+        def counting_dequeue(thread_id, now):
+            asked.append(thread_id)
+            return dequeue(thread_id, now)
+
+        scheduler.dequeue = counting_dequeue
+        started = []
+        server.on_dispatch(lambda r: started.append((r.tenant_id, r.thread_id)))
+        server.crash()
+        server.submit(req("A", 1.0))
+        server.submit(req("B", 2.0))
+        assert started == [] and scheduler.backlog == 2
+        server.restore()
+        assert started == [("A", 3), ("B", 2)]
+        assert asked == [3, 2, 1]
+        assert scheduler.backlog == 0
+        assert [w.busy for w in server.workers] == [False, False, True, True]
+
     def test_completed_cost_tracking(self):
         sim, server = build(num_threads=1)
         sim.at(0.0, server.submit, req("A", 2.0))
@@ -136,12 +162,4 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ThreadPoolServer(
                 sim, scheduler, num_threads=1, refresh_interval=-0.1
-            )
-
-    def test_invalid_dispatch_order(self):
-        sim = Simulation()
-        scheduler = FIFOScheduler(num_threads=1)
-        with pytest.raises(ConfigurationError):
-            ThreadPoolServer(
-                sim, scheduler, num_threads=1, dispatch_order="random"
             )

@@ -33,6 +33,22 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             Simulation().after(-1.0, lambda: None)
 
+    def test_nan_time_rejected(self):
+        # A NaN time used to be accepted and fire first, with now = nan.
+        sim = Simulation()
+        seen = []
+        with pytest.raises(SimulationError):
+            sim.at(float("nan"), seen.append, "nan")
+        sim.at(0.5, seen.append, 0.5)
+        sim.at(0.2, seen.append, 0.2)
+        sim.run(until=1.0)
+        assert seen == [0.2, 0.5]
+        assert sim.now == 1.0
+
+    def test_nan_delay_rejected(self):
+        with pytest.raises(SimulationError):
+            Simulation().after(float("nan"), lambda: None)
+
     def test_cancel(self):
         sim = Simulation()
         seen = []
