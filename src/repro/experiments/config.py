@@ -16,6 +16,7 @@ from typing import Dict, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..faults.plan import FaultPlan
+from ..metrics.streaming import CAPACITIES
 
 __all__ = ["ExperimentConfig"]
 
@@ -54,11 +55,10 @@ class ExperimentConfig:
         :class:`~repro.validate.ValidatingScheduler` invariant watchdog
         (also switchable process-wide via ``REPRO_VALIDATE=1``).
     metrics_mode:
-        ``"exact"`` (default: every sample kept, bit-identical to the
-        historical collector) or ``"streaming"`` (bounded-memory
-        sketches for long runs -- DESIGN.md §13).  Part of the config,
-        hence of run-cache keys: the two modes produce different result
-        objects.
+        Row of the metrics store's capacity table: ``"exact"`` (default:
+        every value kept) or ``"streaming"`` (bounded sketches for long
+        runs -- DESIGN.md §13).  Part of the config, hence of run-cache
+        keys: the two modes produce different numbers.
     """
 
     name: str
@@ -98,9 +98,9 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"warmup must be in [0, duration), got {self.warmup}"
             )
-        if self.metrics_mode not in ("exact", "streaming"):
+        if self.metrics_mode not in CAPACITIES:
             raise ConfigurationError(
-                f"metrics_mode must be 'exact' or 'streaming', "
+                f"metrics_mode must be one of {tuple(CAPACITIES)}, "
                 f"got {self.metrics_mode!r}"
             )
 

@@ -65,6 +65,7 @@ from typing import Callable, Dict
 
 from .experiments.config import ExperimentConfig
 from .faults.plan import FaultPlan
+from .metrics.streaming import CAPACITIES
 from .obs.audit import AuditConfig
 from .obs.session import trace_session
 from .parallel import RunCache, execution_context
@@ -358,7 +359,7 @@ def main(argv=None) -> int:
         "ablation table always sweeps every policy)",
     )
     parser.add_argument(
-        "--metrics", choices=("exact", "streaming"), default="exact",
+        "--metrics", choices=tuple(CAPACITIES), default="exact",
         help="metrics collection mode: 'exact' keeps every sample "
         "(default); 'streaming' collects into bounded-memory sketches "
         "for long runs (DESIGN.md §13; <1%% p50/p99 latency error)",

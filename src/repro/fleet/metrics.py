@@ -14,8 +14,9 @@ a flow's virtual emptying time is capacity-independent.
 
 The collector mirrors the single-server
 :class:`~repro.metrics.collector.MetricsCollector` shape -- absolute-grid
-sampling into a :class:`~repro.metrics.service.ServiceTracker`, latency
-lists per tenant, warmup exclusion for statistics -- but listens on the
+sampling into an unbounded
+:class:`~repro.metrics.streaming.BoundedServiceSeries`, latency lists per
+tenant, warmup exclusion for statistics -- but listens on the
 *fleet* (logical admissions and completions), so hedge duplicates and
 failover re-routes never double-count.
 """
@@ -26,8 +27,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.request import Request
+from ..metrics.collector import validate_sampling
 from ..metrics.latency import LatencyStats, latency_stats
-from ..metrics.service import ServiceSeries, ServiceTracker
+from ..metrics.service import ServiceSeries
+from ..metrics.streaming import BoundedServiceSeries
 from ..simulator.gps import GPSReference
 from .fleet import Fleet
 
@@ -38,7 +41,8 @@ __all__ = ["FleetCollector", "FleetRunMetrics"]
 class FleetRunMetrics:
     """Frozen results of one fleet run."""
 
-    tracker: ServiceTracker
+    #: Every fleet-wide (actual, GPS) sample, with warmup baselines.
+    series: BoundedServiceSeries
     latencies: Dict[str, List[float]]
     counts: Dict[str, int]
     sample_interval: float
@@ -47,11 +51,11 @@ class FleetRunMetrics:
     capacity_timeline: List[Tuple[float, float]] = field(default_factory=list)
 
     def tenants(self) -> List[str]:
-        return self.tracker.tenants()
+        return self.series.tenants()
 
     def service_series(self, tenant_id: str) -> ServiceSeries:
         """Fleet-aggregated service vs the fleet-wide GPS reference."""
-        return self.tracker.series(tenant_id)
+        return self.series.service_series(tenant_id)
 
     def lag_sigma(
         self, tenant_id: str, reference_rate: Optional[float] = None
@@ -92,15 +96,12 @@ class FleetCollector:
         sample_interval: float = 0.1,
         warmup: float = 0.0,
     ) -> None:
-        if sample_interval <= 0:
-            raise ValueError(
-                f"sample_interval must be positive, got {sample_interval}"
-            )
+        validate_sampling(sample_interval, warmup)
         self._fleet = fleet
         self._sim = fleet.sim
         self._interval = float(sample_interval)
         self._warmup = float(warmup)
-        self._tracker = ServiceTracker()
+        self._series = BoundedServiceSeries(capacity=None)
         self._gps = GPSReference(fleet.capacity)
         self._latencies: Dict[str, List[float]] = {}
         self._seen_tenants: Set[str] = set()
@@ -153,8 +154,8 @@ class FleetCollector:
             gps[tenant] = self._gps.service(tenant)
         if now >= self._warmup:
             if self._observed_samples == 0 and self._previous_service:
-                self._tracker.set_baselines(self._previous_service)
-            self._tracker.observe(now, actual, gps)
+                self._series.baselines = dict(self._previous_service)
+            self._series.observe(now, actual, gps)
             self._observed_samples += 1
         self._previous_service = actual
         self._sample_index += 1
@@ -168,7 +169,7 @@ class FleetCollector:
     def result(self) -> FleetRunMetrics:
         """Freeze the collected samples into a result object."""
         return FleetRunMetrics(
-            tracker=self._tracker,
+            series=self._series,
             latencies=self._latencies,
             counts=dict(self._fleet.counts),
             sample_interval=self._interval,

@@ -5,9 +5,11 @@
 * request **latency** percentiles (focus on the 99th);
 * the **Gini index** of instantaneous fairness.
 
-Two collection modes: ``exact`` (every sample kept, the default) and
-``streaming`` (bounded-memory sketches from :mod:`repro.metrics.streaming`
-for 10M-request-scale runs) -- DESIGN.md §13.
+Every run's statistics live in one store,
+:class:`~repro.metrics.streaming.MetricsPartial`, read back as
+:class:`RunMetrics`.  The collection mode picks a row of its capacity
+table: ``exact`` (every value kept, the default) or ``streaming``
+(bounded sketches for 10M-request-scale runs) -- DESIGN.md §13.
 """
 
 from .collector import (
@@ -15,18 +17,17 @@ from .collector import (
     DispatchRecord,
     MetricsCollector,
     RunMetrics,
-    StreamingRunMetrics,
 )
 from .gini import gini_index
 from .latency import LatencyStats, latency_stats, percentile_table, speedup
-from .service import ServiceSeries, ServiceTracker
+from .service import ServiceSeries
 from .streaming import (
+    CAPACITIES,
     BoundedServiceSeries,
+    Capacities,
     MetricsPartial,
-    P2Quantile,
     QuantileDigest,
     ReservoirSample,
-    RingBuffer,
     StreamingMoments,
     merge_partials,
 )
@@ -40,19 +41,17 @@ from .summary import (
 __all__ = [
     "MetricsCollector",
     "RunMetrics",
-    "StreamingRunMetrics",
     "COLLECTOR_MODES",
+    "CAPACITIES",
+    "Capacities",
     "DispatchRecord",
     "MetricsPartial",
     "merge_partials",
     "StreamingMoments",
     "QuantileDigest",
-    "P2Quantile",
     "ReservoirSample",
-    "RingBuffer",
     "BoundedServiceSeries",
     "ServiceSeries",
-    "ServiceTracker",
     "gini_index",
     "LatencyStats",
     "latency_stats",

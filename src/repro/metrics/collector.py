@@ -12,28 +12,28 @@ One collector per simulation run.  It
   regenerated;
 * samples the Gini index of interval service across active tenants.
 
-Collection modes (DESIGN.md §13)
---------------------------------
-``mode="exact"`` (the default) keeps every sample: a list entry per
-completed request and per dispatch.  Memory grows linearly with run
-length, which caps runs well short of the 10M-request scale target.
+Everything lands in one store, a
+:class:`~repro.metrics.streaming.MetricsPartial`, and ``result()`` reads
+it back as a :class:`RunMetrics`.  The collection ``mode`` only picks a
+row of the capacity table :data:`~repro.metrics.streaming.CAPACITIES`
+(DESIGN.md §13): ``"exact"`` (the default) keeps every value, so memory
+grows with run length; ``"streaming"`` bounds every part -- latencies and
+lags fold into sketches from the first value, the service curves
+decimate, the Gini samples become a reservoir and the dispatch log
+keeps its newest records -- for 10M-request-scale runs.  ``partial()``
+exposes the picklable store so :mod:`repro.parallel` can merge the
+windowed partials of a time-sharded run.
 
-``mode="streaming"`` swaps the per-request lists for bounded sketches
-from :mod:`repro.metrics.streaming`: a mergeable quantile digest plus
-Welford moments per tenant for latencies, Welford moments per tenant for
-service lag, a decimating bounded service curve, a seeded reservoir for
-Gini samples, and a ring buffer for the dispatch log.  ``result()`` then
-returns a :class:`StreamingRunMetrics` with the same query surface
-(latency percentiles within the sketch error bound -- benchmarked <1%
-at p50/p99 -- lag sigma exact up to float round-off).  ``partial()``
-exposes the picklable sketch state so :mod:`repro.parallel` can merge
-windowed partials from a time-sharded run.
+The hot path stays one list append: a completion appends its latency to
+the tenant's raw list, a dispatch appends its record to the log.  The
+10 Hz sampler, ``result()`` and ``merge`` enforce the capacities.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -44,18 +44,18 @@ from ..simulator.gps import GPSReference
 from ..simulator.server import ThreadPoolServer
 from .gini import gini_index
 from .latency import LatencyStats, latency_stats
-from .service import ServiceSeries, ServiceTracker
-from .streaming import MetricsPartial
+from .service import ServiceSeries, lag_std
+from .streaming import CAPACITIES, MetricsPartial
 
 __all__ = [
     "DispatchRecord",
     "MetricsCollector",
     "RunMetrics",
-    "StreamingRunMetrics",
     "COLLECTOR_MODES",
+    "validate_sampling",
 ]
 
-COLLECTOR_MODES = ("exact", "streaming")
+COLLECTOR_MODES = tuple(CAPACITIES)
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,18 @@ class DispatchRecord:
     cost: Cost
     start: SimTime
     end: SimTime
+
+
+def validate_sampling(sample_interval: Duration, warmup: Duration) -> None:
+    """Reject sampling settings under which a collector would silently
+    record nothing (a NaN warmup fails every ``t >= warmup`` test, an
+    infinite interval never samples) or fail later in the event loop."""
+    if not (math.isfinite(sample_interval) and sample_interval > 0):
+        raise ValueError(
+            f"sample_interval must be positive and finite, got {sample_interval}"
+        )
+    if not (math.isfinite(warmup) and warmup >= 0):
+        raise ValueError(f"warmup must be finite and >= 0, got {warmup}")
 
 
 class MetricsCollector:
@@ -94,10 +106,8 @@ class MetricsCollector:
     ``record_dispatches=False`` drops the dispatch log entirely (the
     occupancy plots become unavailable but long runs save the memory).
 
-    ``mode="streaming"`` collects into bounded sketches instead of
-    per-request lists -- see the module docstring.  The sketch knobs
-    (``compression``, ``series_capacity``, ``reservoir_capacity``,
-    ``dispatch_capacity``) are ignored in exact mode.
+    ``mode`` picks the store's capacity row (see the module docstring);
+    ``seed`` seeds the Gini reservoir once it overflows.
     """
 
     def __init__(
@@ -108,14 +118,9 @@ class MetricsCollector:
         warmup: Duration = 0.0,
         mode: str = "exact",
         seed: int = 0,
-        compression: int = 200,
-        series_capacity: int = 1024,
-        reservoir_capacity: int = 4096,
-        dispatch_capacity: int = 65536,
     ) -> None:
-        if sample_interval <= 0:
-            raise ValueError(f"sample_interval must be positive, got {sample_interval}")
-        if mode not in COLLECTOR_MODES:
+        validate_sampling(sample_interval, warmup)
+        if mode not in CAPACITIES:
             raise ConfigurationError(
                 f"mode must be one of {COLLECTOR_MODES}, got {mode!r}"
             )
@@ -124,31 +129,22 @@ class MetricsCollector:
         self._interval: Duration = float(sample_interval)
         self._warmup: Duration = float(warmup)
         self._mode = mode
-        self._tracker = ServiceTracker()
         self._gps = GPSReference(server.num_threads * server.rate)
-        self._latencies: Dict[str, List[Duration]] = {}
-        self._dispatch_log: List[DispatchRecord] = []
-        self._record_dispatches = bool(record_dispatches)
-        self._gini_times: List[SimTime] = []
-        self._gini_values: List[Scalar] = []
+        self._partial = MetricsPartial(
+            self._interval, seed=seed, capacities=CAPACITIES[mode]
+        )
+        # The hot-path listeners append straight into the store.
+        self._latencies = self._partial.latencies.raw
+        self._dispatch_log = self._partial.dispatch_log
         self._seen_tenants: set[str] = set()
         self._previous_service: Dict[str, Cost] = {}
         self._sample_index = 0
         self._observed_samples = 0
         self._trace = None
         self._auditor = None
-        self._partial: Optional[MetricsPartial] = None
-        if mode == "streaming":
-            self._partial = MetricsPartial(
-                sample_interval=self._interval,
-                seed=seed,
-                compression=compression,
-                series_capacity=series_capacity,
-                reservoir_capacity=reservoir_capacity,
-                dispatch_capacity=dispatch_capacity,
-            )
         server.on_submit(self._on_submit)
-        server.on_dispatch(self._on_dispatch)
+        if record_dispatches:
+            server.on_dispatch(self._on_dispatch)
         server.on_complete(self._on_complete)
         # Samples sit on the absolute grid epoch + k * interval
         # (multiplication, not accumulation) so no float drift pushes
@@ -166,7 +162,7 @@ class MetricsCollector:
 
     def attach_tracer(self, tracer) -> None:
         """Attach a :class:`repro.obs.Tracer`; the collector contributes
-        sampling counters (and, in streaming mode, sketch-size gauges)
+        sampling counters (and, for a bounded store, sketch-size gauges)
         to its registry."""
         self._trace = (
             tracer if tracer is not None and tracer.enabled else None
@@ -175,8 +171,7 @@ class MetricsCollector:
     def attach_auditor(self, auditor) -> None:
         """Attach a :class:`repro.obs.audit.FairnessAuditor`; it receives
         every periodic per-tenant (actual, GPS) service sample --
-        warmup-unfiltered, in both exact and streaming modes -- through
-        ``on_sample``."""
+        warmup-unfiltered, in every mode -- through ``on_sample``."""
         self._auditor = auditor
 
     # -- listeners ------------------------------------------------------------
@@ -192,8 +187,8 @@ class MetricsCollector:
         # rather than completion, so requests still running when the
         # simulation stops -- e.g. multi-second expensive requests --
         # appear in the occupancy log.
-        if self._record_dispatches:
-            record = DispatchRecord(
+        self._dispatch_log.append(
+            DispatchRecord(
                 thread_id=request.thread_id,
                 tenant_id=request.tenant_id,
                 api=request.api,
@@ -201,21 +196,13 @@ class MetricsCollector:
                 start=request.dispatch_time,
                 end=request.dispatch_time + request.cost / self._server.rate,
             )
-            if self._partial is not None:
-                self._partial.observe_dispatch(record)
-            else:
-                self._dispatch_log.append(record)
+        )
 
     def _on_complete(self, request: Request) -> None:
         if request.completion_time >= self._warmup:
-            if self._partial is not None:
-                self._partial.observe_latency(
-                    request.tenant_id, request.latency
-                )
-            else:
-                self._latencies.setdefault(request.tenant_id, []).append(
-                    request.latency
-                )
+            self._latencies.setdefault(request.tenant_id, []).append(
+                request.latency
+            )
 
     # -- sampling ----------------------------------------------------------------
 
@@ -229,31 +216,24 @@ class MetricsCollector:
             gps[tenant] = self._gps.service(tenant)
         if self._auditor is not None:
             self._auditor.on_sample(now, actual, gps)
+        partial = self._partial
         if now >= self._warmup:
             if self._observed_samples == 0 and self._previous_service:
                 # First post-warmup sample: the previous (pre-warmup)
                 # sample anchors service_rate differencing.
-                if self._partial is not None:
-                    self._partial.baselines = dict(self._previous_service)
-                else:
-                    self._tracker.set_baselines(self._previous_service)
+                partial.series.baselines = dict(self._previous_service)
             gini = self._interval_gini(actual)
-            if self._partial is not None:
-                self._partial.observe_sample(now, actual, gps)
-                if gini is not None:
-                    self._partial.observe_gini(now, gini)
-            else:
-                self._tracker.observe(now, actual, gps)
-                if gini is not None:
-                    self._gini_times.append(now)
-                    self._gini_values.append(gini)
+            partial.observe_sample(now, actual, gps)
+            if gini is not None:
+                partial.observe_gini(now, gini)
             self._observed_samples += 1
         elif self._trace is not None:
             self._trace.registry.counter("collector.warmup_samples_skipped").inc()
+        partial.enforce_capacities()
         if self._trace is not None:
             self._trace.registry.counter("collector.samples").inc()
-            if self._partial is not None:
-                for name, value in self._partial.sketch_sizes().items():
+            if partial.capacities.bounded:
+                for name, value in partial.sketch_sizes().items():
                     self._trace.registry.gauge(f"collector.sketch.{name}").set(
                         value
                     )
@@ -283,37 +263,113 @@ class MetricsCollector:
     # -- results ------------------------------------------------------------------
 
     def partial(self) -> MetricsPartial:
-        """The run's picklable sketch state (streaming mode only) --
-        the mergeable unit of the time-sharded parallel runner."""
-        if self._partial is None:
-            raise ConfigurationError(
-                "partial() requires MetricsCollector(mode='streaming'); "
-                "exact mode has no mergeable sketch state"
-            )
+        """The run's picklable store -- the mergeable unit of the
+        time-sharded parallel runner."""
         return self._partial
 
     def result(self) -> "RunMetrics":
         """Freeze collected data (call after the simulation finishes)."""
-        if self._partial is not None:
-            return StreamingRunMetrics(self._partial)
-        return RunMetrics(
-            tracker=self._tracker,
-            latencies={k: list(v) for k, v in self._latencies.items()},
-            dispatch_log=list(self._dispatch_log),
-            gini_times=np.asarray(self._gini_times),
-            gini_values=np.asarray(self._gini_values),
-            sample_interval=self._interval,
-        )
+        return RunMetrics(self._partial)
 
 
-class _DispatchLogMetrics:
-    """Occupancy analyses shared by the exact and streaming results.
+class RunMetrics:
+    """Everything measured during one scheduler run, read from its
+    :class:`~repro.metrics.streaming.MetricsPartial` store.
 
-    Subclasses provide ``dispatch_log`` (a time-ordered sequence of
-    :class:`DispatchRecord`).
+    Fidelity follows the store's capacities (DESIGN.md §13).  While a
+    part is below capacity -- always, in exact mode -- its numbers come
+    from the raw values through the same numpy calls in every mode.
+    Past capacity:
+
+    * latency percentiles come from the tenant's quantile digest (<1%
+      p50/p99 error by the benchmark gate); count/mean/max stay exact;
+    * ``lag_sigma`` comes from Welford moments over every sample --
+      exact up to float round-off, *not* sketched;
+    * ``service_series`` is the decimated bounded curve: correct shape,
+      possibly coarser than ``sample_interval``;
+    * ``gini_values``/``gini_times`` are the reservoir sample;
+      ``gini_mean`` is exact always;
+    * ``dispatch_log`` holds the newest records.
     """
 
-    dispatch_log: Sequence[DispatchRecord]
+    def __init__(self, partial: MetricsPartial) -> None:
+        partial.enforce_capacities()
+        #: The underlying store; time-sharded runs merge these across
+        #: shards before wrapping the result.
+        self.partial = partial
+        self.sample_interval = partial.sample_interval
+        items = partial.gini.items()
+        self.gini_times = np.asarray([t for t, _ in items])
+        self.gini_values = np.asarray([v for _, v in items])
+        self.dispatch_log: List[DispatchRecord] = partial.dispatch_log
+
+    # -- service -------------------------------------------------------------
+
+    def tenants(self) -> List[str]:
+        return sorted(self.partial.series.actual.keys() | self.partial.lags.tenants())
+
+    def service_series(self, tenant_id: str) -> ServiceSeries:
+        return self.partial.series.service_series(tenant_id)
+
+    def lag_sigma(
+        self, tenant_id: str, reference_rate: Optional[Rate] = None
+    ) -> float:
+        """sigma of service lag for one tenant (seconds if rate given)."""
+        lags = self.partial.lags
+        moments = lags.sketches.get(tenant_id)
+        if moments is None:
+            return lag_std(np.array(lags.raw.get(tenant_id, ())), reference_rate)
+        sigma = moments.std
+        if reference_rate is not None:
+            sigma /= reference_rate
+        return float(sigma)
+
+    def lag_sigmas(
+        self,
+        tenants: Optional[Sequence[str]] = None,
+        reference_rate: Optional[Rate] = None,
+    ) -> Dict[str, float]:
+        """sigma(lag) per tenant -- the CDF input of Figures 10/12."""
+        names = list(tenants) if tenants is not None else self.tenants()
+        return {t: self.lag_sigma(t, reference_rate) for t in names}
+
+    # -- latency --------------------------------------------------------------
+
+    @property
+    def latencies(self) -> Dict[str, List[Duration]]:
+        """Every post-warmup latency per tenant, in completion order.
+        Raises once any tenant's latencies have been folded into a
+        sketch (a bounded store past capacity)."""
+        store = self.partial.latencies
+        if store.sketches:
+            raise ConfigurationError(
+                "raw latencies are gone: this run's store folded them into "
+                "sketches past capacity; use latency_stats()"
+            )
+        return store.raw
+
+    def latency_stats(self, tenant_id: str) -> LatencyStats:
+        store = self.partial.latencies
+        sketch = store.sketches.get(tenant_id)
+        if sketch is not None:
+            return sketch.stats()
+        return latency_stats(store.raw.get(tenant_id, []))
+
+    def latency_p99(self, tenant_id: str) -> Duration:
+        return self.latency_stats(tenant_id).p99
+
+    # -- gini and store --------------------------------------------------------
+
+    @property
+    def gini_mean(self) -> float:
+        """Exact mean of every Gini sample (not just the reservoir)."""
+        return float(self.partial.gini_moments.mean)
+
+    def sketch_sizes(self) -> Dict[str, int]:
+        """Stored-point counts per store part (memory audit)."""
+        return self.partial.sketch_sizes()
+
+    # -- occupancy ------------------------------------------------------------
 
     def write_chrome_trace(self, path, trace_events=(), process_name="repro"):
         """Export the dispatch log as a Chrome/Perfetto trace -- the
@@ -382,150 +438,3 @@ class _DispatchLogMetrics:
         with np.errstate(invalid="ignore"):
             means = sums / counts
         return means
-
-
-class RunMetrics(_DispatchLogMetrics):
-    """Everything measured during one scheduler run (exact mode)."""
-
-    def __init__(
-        self,
-        tracker: ServiceTracker,
-        latencies: Dict[str, List[Duration]],
-        dispatch_log: List[DispatchRecord],
-        gini_times: np.ndarray,
-        gini_values: np.ndarray,
-        sample_interval: Duration,
-    ) -> None:
-        self._tracker = tracker
-        self.latencies = latencies
-        self.dispatch_log = dispatch_log
-        self.gini_times = gini_times
-        self.gini_values = gini_values
-        self.sample_interval = sample_interval
-
-    # -- service -------------------------------------------------------------
-
-    def tenants(self) -> List[str]:
-        return self._tracker.tenants()
-
-    def service_series(self, tenant_id: str) -> ServiceSeries:
-        return self._tracker.series(tenant_id)
-
-    def lag_sigma(
-        self, tenant_id: str, reference_rate: Optional[Rate] = None
-    ) -> float:
-        """sigma of service lag for one tenant (seconds if rate given)."""
-        return self.service_series(tenant_id).lag_sigma(reference_rate)
-
-    def lag_sigmas(
-        self,
-        tenants: Optional[Sequence[str]] = None,
-        reference_rate: Optional[Rate] = None,
-    ) -> Dict[str, float]:
-        """sigma(lag) per tenant -- the CDF input of Figures 10/12."""
-        names = list(tenants) if tenants is not None else self.tenants()
-        return {t: self.lag_sigma(t, reference_rate) for t in names}
-
-    # -- latency --------------------------------------------------------------
-
-    def latency_stats(self, tenant_id: str) -> LatencyStats:
-        return latency_stats(self.latencies.get(tenant_id, []))
-
-    def latency_p99(self, tenant_id: str) -> Duration:
-        return self.latency_stats(tenant_id).p99
-
-
-class StreamingRunMetrics(_DispatchLogMetrics):
-    """Run metrics backed by bounded sketches (streaming mode).
-
-    Same query surface as :class:`RunMetrics`, different fidelity
-    contract (DESIGN.md §13):
-
-    * latency percentiles come from the per-tenant quantile digest
-      (<1% p50/p99 error by the benchmark gate); count/mean/max exact;
-    * ``lag_sigma`` comes from Welford moments over every sample --
-      exact up to float round-off, *not* sketched;
-    * ``service_series`` is the decimated bounded curve: correct shape,
-      possibly coarser than ``sample_interval``;
-    * ``gini_values``/``gini_times`` are the reservoir sample -- exact
-      (all samples, time-ordered) while the run fits the reservoir;
-      ``gini_mean`` is exact always;
-    * ``dispatch_log`` holds the most recent ``dispatch_capacity``
-      records.
-    """
-
-    def __init__(self, partial: MetricsPartial) -> None:
-        #: The underlying mergeable sketch state; time-sharded runs
-        #: merge these across shards before wrapping the result.
-        self.partial = partial
-        self.sample_interval = partial.sample_interval
-        items = partial.gini.items()
-        self.gini_times = np.asarray([t for t, _ in items])
-        self.gini_values = np.asarray([v for _, v in items])
-        self.dispatch_log = partial.dispatches.items()
-
-    # -- service -------------------------------------------------------------
-
-    def tenants(self) -> List[str]:
-        return sorted(set(self.partial.series.actual) | set(self.partial.lag_moments))
-
-    def service_series(self, tenant_id: str) -> ServiceSeries:
-        times, actual, gps = self.partial.series.columns(tenant_id)
-        return ServiceSeries(
-            tenant_id=tenant_id,
-            times=times,
-            actual=actual,
-            gps=gps,
-            baseline=self.partial.baselines.get(tenant_id, 0.0),
-        )
-
-    def lag_sigma(
-        self, tenant_id: str, reference_rate: Optional[Rate] = None
-    ) -> float:
-        """sigma of service lag from the full-resolution Welford
-        moments (exact up to float round-off)."""
-        moments = self.partial.lag_moments.get(tenant_id)
-        if moments is None or moments.count == 0:
-            return 0.0
-        sigma = moments.std
-        if reference_rate is not None:
-            sigma /= reference_rate
-        return float(sigma)
-
-    def lag_sigmas(
-        self,
-        tenants: Optional[Sequence[str]] = None,
-        reference_rate: Optional[Rate] = None,
-    ) -> Dict[str, float]:
-        names = list(tenants) if tenants is not None else self.tenants()
-        return {t: self.lag_sigma(t, reference_rate) for t in names}
-
-    # -- latency --------------------------------------------------------------
-
-    def latency_stats(self, tenant_id: str) -> LatencyStats:
-        digest = self.partial.latency_digests.get(tenant_id)
-        moments = self.partial.latency_moments.get(tenant_id)
-        if digest is None or moments is None or digest.empty:
-            return latency_stats([])
-        return LatencyStats(
-            count=int(moments.count),
-            mean=float(moments.mean),
-            p1=float(digest.quantile(0.01)),
-            p50=float(digest.quantile(0.50)),
-            p99=float(digest.quantile(0.99)),
-            maximum=float(moments.maximum),
-        )
-
-    def latency_p99(self, tenant_id: str) -> Duration:
-        return self.latency_stats(tenant_id).p99
-
-    # -- streaming extras ------------------------------------------------------
-
-    @property
-    def gini_mean(self) -> float:
-        """Exact mean of every Gini sample (not just the reservoir)."""
-        return float(self.partial.gini_moments.mean)
-
-    def sketch_sizes(self) -> Dict[str, int]:
-        """Stored-point counts per sketch family (memory audit)."""
-        return self.partial.sketch_sizes()

@@ -18,13 +18,13 @@ Definitions follow paper §6:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Optional
 
 import numpy as np
 
-from ..units import Cost, Rate, SimTime
+from ..units import Cost, Rate
 
-__all__ = ["ServiceSeries", "ServiceTracker"]
+__all__ = ["ServiceSeries", "lag_std"]
 
 
 @dataclass
@@ -70,68 +70,14 @@ class ServiceSeries:
 
         In seconds when ``reference_rate`` is given, else in cost units.
         """
-        lag = self.lag_units()
-        if reference_rate is not None:
-            lag = lag / reference_rate
-        if lag.size == 0:
-            return 0.0
-        return float(np.std(lag))
+        return lag_std(self.lag_units(), reference_rate)
 
 
-class ServiceTracker:
-    """Accumulates sampled service values during a run, then freezes
-    them into :class:`ServiceSeries` objects."""
-
-    def __init__(self) -> None:
-        self._times: List[SimTime] = []
-        self._actual: Dict[str, List[Cost]] = {}
-        self._gps: Dict[str, List[Cost]] = {}
-        self._baselines: Dict[str, Cost] = {}
-
-    def set_baselines(self, actual: Dict[str, Cost]) -> None:
-        """Record the cumulative service delivered *before* the first
-        observed sample (warmup runs): the collector passes the last
-        pre-warmup sample here so ``service_rate`` differences the first
-        post-warmup sample against it instead of against zero."""
-        self._baselines = dict(actual)
-
-    def observe(
-        self, time: SimTime, actual: Dict[str, Cost], gps: Dict[str, Cost]
-    ) -> None:
-        """Record one sample.  Tenants appearing mid-run are backfilled
-        with zero service for earlier samples."""
-        index = len(self._times)
-        self._times.append(time)
-        for tenant, value in actual.items():
-            column = self._actual.setdefault(tenant, [0.0] * index)
-            if len(column) < index:
-                column.extend([column[-1] if column else 0.0] * (index - len(column)))
-            column.append(value)
-        for tenant, value in gps.items():
-            column = self._gps.setdefault(tenant, [0.0] * index)
-            if len(column) < index:
-                column.extend([column[-1] if column else 0.0] * (index - len(column)))
-            column.append(value)
-
-    def tenants(self) -> List[str]:
-        return sorted(self._actual)
-
-    def series(self, tenant_id: str) -> ServiceSeries:
-        """Freeze the samples of one tenant into a series."""
-        times = np.asarray(self._times)
-        n = times.size
-
-        def column(data: Dict[str, List[Cost]]) -> np.ndarray:
-            values = data.get(tenant_id, [])
-            if len(values) < n:
-                pad_value = values[-1] if values else 0.0
-                values = values + [pad_value] * (n - len(values))
-            return np.asarray(values)
-
-        return ServiceSeries(
-            tenant_id=tenant_id,
-            times=times,
-            actual=column(self._actual),
-            gps=column(self._gps),
-            baseline=self._baselines.get(tenant_id, 0.0),
-        )
+def lag_std(lag: np.ndarray, reference_rate: Optional[Rate] = None) -> float:
+    """sigma of a lag series (cost units), in seconds of fair-share
+    service when ``reference_rate`` is given; 0.0 for an empty series."""
+    if reference_rate is not None:
+        lag = lag / reference_rate
+    if lag.size == 0:
+        return 0.0
+    return float(np.std(lag))

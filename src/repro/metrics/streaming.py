@@ -1,61 +1,68 @@
-"""Bounded-memory streaming metric sketches (DESIGN.md §13).
+"""The per-run metrics store and its sketches (DESIGN.md §13).
 
-The exact :class:`~repro.metrics.collector.MetricsCollector` path keeps a
-Python list entry per completed request and per dispatch, which caps run
-length far short of the ROADMAP's 10M-request goal.  This module provides
-the constant-memory accumulators behind
-``MetricsCollector(mode="streaming")``:
+Every per-run statistic lives in one :class:`MetricsPartial`.  Each of
+its parts keeps every value, in arrival order, until it passes its
+capacity, and only then falls back to a bounded sketch:
 
-* :class:`StreamingMoments` -- Welford mean/variance (exact, mergeable
-  via the Chan et al. parallel-update formula); powers ``lag_sigma``.
-* :class:`QuantileDigest` -- a t-digest-style mergeable quantile sketch
-  (buffered merging-compaction with a tail-tight weight limit); powers
-  per-tenant latency percentiles.
-* :class:`P2Quantile` -- the classic P² single-quantile estimator
-  (Jain & Chlamtac 1985): five markers, O(1) memory, approximate merge
-  by piecewise-CDF resampling.  The lighter alternative when only one
-  quantile is needed.
-* :class:`ReservoirSample` -- seeded Algorithm-R reservoir; exact while
-  the stream fits, uniform subsample beyond; powers the Gini samples.
-* :class:`RingBuffer` -- capped dispatch log keeping the most recent
-  records.
-* :class:`BoundedServiceSeries` -- a decimating service-curve recorder:
-  when full it drops every other stored sample and doubles its stride,
-  so the curve keeps its shape at a bounded point count.
+* latency, per tenant -- a list of raw values; past capacity a
+  :class:`LatencySketch` (:class:`QuantileDigest` for the percentiles,
+  :class:`StreamingMoments` for count, mean and max);
+* service lag, per tenant -- an ``array('d')`` of ``actual - gps``;
+  past capacity :class:`StreamingMoments` (Welford, exact up to
+  round-off);
+* Gini samples -- a seeded :class:`ReservoirSample` (exact below
+  capacity, a uniform subsample beyond);
+* dispatch log -- a list trimmed to its newest records;
+* service curves -- a :class:`BoundedServiceSeries`, which decimates
+  past capacity (drops every other point, doubles its stride).
 
-:class:`MetricsPartial` packages one run's (or one time shard's) sketch
-state into a picklable object with ``merge(other)``, which is what lets
+:data:`CAPACITIES` is the capacity table: ``"exact"`` is the row where
+every capacity is unbounded (``None``), ``"streaming"`` the bounded row.
+A capacity of ``0`` starts the sketch at the first value.  Below
+capacity the statistics are computed from the raw values by the same
+numpy calls as an unbounded store, so they are bit-identical to it.
+
+``merge(other)`` combines two consecutive windows, which is what lets
 :mod:`repro.parallel` fan one long run out as time shards and merge the
-windowed partials back together.
-
-Every structure here is differential-tested against the exact collector
-(``tests/test_metrics_streaming.py``); the benchmark gate holds p50/p99
-latency error under 1% vs exact (``benchmarks/test_bench_metrics_streaming.py``).
+windowed partials back together.  The benchmark gate holds streaming
+p50/p99 latency error under 1% vs exact
+(``benchmarks/test_bench_metrics_streaming.py``).
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from array import array
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..simulator.rng import make_rng
 from ..units import Cost, Duration, Scalar, SimTime
+from .latency import LatencyStats
+from .service import ServiceSeries
 
 __all__ = [
     "StreamingMoments",
     "QuantileDigest",
-    "P2Quantile",
+    "LatencySketch",
     "ReservoirSample",
-    "RingBuffer",
     "BoundedServiceSeries",
+    "TenantValues",
+    "Capacities",
+    "CAPACITIES",
     "MetricsPartial",
     "merge_partials",
 ]
+
+
+def _max_capacity(a: Optional[int], b: Optional[int]) -> Optional[int]:
+    """The larger of two capacities; ``None`` (unbounded) wins."""
+    return None if a is None or b is None else max(a, b)
 
 
 class StreamingMoments:
@@ -303,184 +310,78 @@ class QuantileDigest:
         )
 
 
-class P2Quantile:
-    """P² single-quantile estimator (Jain & Chlamtac 1985).
+class LatencySketch:
+    """One tenant's latencies past its raw capacity: a
+    :class:`QuantileDigest` for the percentiles and
+    :class:`StreamingMoments` for count, mean and max (exact)."""
 
-    Five markers track (min, p/2, p, (1+p)/2, max); marker heights move
-    by piecewise-parabolic interpolation as positions drift from their
-    desired quantile ranks.  O(1) memory, no buffers -- the minimal
-    streaming percentile when a full digest is overkill.
+    __slots__ = ("digest", "moments")
 
-    ``merge`` is approximate: each sketch is read as a piecewise-linear
-    CDF through its markers, resampled at ``resample`` evenly spaced
-    quantiles weighted by its count, and the samples re-fed into a fresh
-    sketch.  Use :class:`QuantileDigest` when merge fidelity matters.
-    """
+    def __init__(self) -> None:
+        self.digest = QuantileDigest()
+        self.moments = StreamingMoments()
 
-    __slots__ = ("p", "count", "_initial", "_heights", "_positions", "_desired")
+    def add(self, value: Duration) -> None:
+        self.digest.add(value)
+        self.moments.add(value)
 
-    def __init__(self, p: float) -> None:
-        if not 0.0 < p < 1.0:
-            raise ConfigurationError(f"p must be in (0, 1), got {p}")
-        self.p = float(p)
-        self.count = 0
-        self._initial: List[float] = []
-        self._heights: List[float] = []
-        self._positions: List[float] = []
-        self._desired: List[float] = []
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        if self._heights:
-            self._insert(float(value))
-            return
-        self._initial.append(float(value))
-        if len(self._initial) == 5:
-            self._initial.sort()
-            self._heights = list(self._initial)
-            self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-            p = self.p
-            self._desired = [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p,
-                             3.0 + 2.0 * p, 5.0]
-            self._initial = []
-
-    def _insert(self, value: float) -> None:
-        heights = self._heights
-        positions = self._positions
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while value >= heights[cell + 1]:
-                cell += 1
-        for i in range(cell + 1, 5):
-            positions[i] += 1.0
-        p = self.p
-        increments = (0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0)
-        for i in range(5):
-            self._desired[i] += increments[i]
-        # Adjust interior markers toward their desired positions.
-        for i in (1, 2, 3):
-            delta = self._desired[i] - positions[i]
-            if (delta >= 1.0 and positions[i + 1] - positions[i] > 1.0) or (
-                delta <= -1.0 and positions[i - 1] - positions[i] < -1.0
-            ):
-                step = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, step)
-                positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        heights = self._heights
-        positions = self._positions
-        term1 = step / (positions[i + 1] - positions[i - 1])
-        term2 = (positions[i] - positions[i - 1] + step) * (
-            heights[i + 1] - heights[i]
-        ) / (positions[i + 1] - positions[i])
-        term3 = (positions[i + 1] - positions[i] - step) * (
-            heights[i] - heights[i - 1]
-        ) / (positions[i] - positions[i - 1])
-        return heights[i] + term1 * (term2 + term3)
-
-    def _linear(self, i: int, step: float) -> float:
-        heights = self._heights
-        positions = self._positions
-        j = i + int(step)
-        return heights[i] + step * (heights[j] - heights[i]) / (
-            positions[j] - positions[i]
-        )
-
-    def value(self) -> float:
-        """Current estimate of the ``p``-quantile."""
-        if self.count == 0:
-            return float("nan")
-        if self._initial:
-            ordered = sorted(self._initial)
-            return float(np.percentile(ordered, self.p * 100.0))
-        return self._heights[2]
-
-    def _cdf_points(self) -> Tuple[List[float], List[float]]:
-        """(quantile rank, value) knots of the piecewise-linear read."""
-        if self._initial:
-            ordered = sorted(self._initial)
-            n = len(ordered)
-            if n == 1:
-                return [0.0, 1.0], [ordered[0], ordered[0]]
-            ranks = [i / (n - 1) for i in range(n)]
-            return ranks, ordered
-        total = self._positions[4]
-        ranks = [(pos - 1.0) / (total - 1.0) for pos in self._positions]
-        return ranks, list(self._heights)
-
-    def merge(self, other: "P2Quantile", resample: int = 64) -> "P2Quantile":
-        """Approximate union sketch by weighted CDF resampling."""
-        if other.p != self.p:
-            raise ConfigurationError(
-                f"cannot merge P2Quantile(p={other.p}) into p={self.p}"
-            )
-        merged = P2Quantile(self.p)
-        sources = [s for s in (self, other) if s.count > 0]
-        total = sum(s.count for s in sources)
-        if total == 0:
-            return merged
-        # Interleave weighted resamples in a deterministic round-robin so
-        # neither window dominates the warm-up of the fresh sketch.
-        streams: List[List[float]] = []
-        for source in sources:
-            ranks, values = source._cdf_points()
-            share = max(5, int(round(resample * source.count / total)))
-            qs = np.linspace(0.0, 1.0, share)
-            streams.append(list(np.interp(qs, ranks, values)))
-        while any(streams):
-            for stream in streams:
-                if stream:
-                    merged.add(stream.pop(0))
-        merged.count = total
+    def merge(self, other: "LatencySketch") -> "LatencySketch":
+        merged = LatencySketch()
+        merged.digest = self.digest.merge(other.digest)
+        merged.moments = self.moments.merge(other.moments)
         return merged
 
-    def __repr__(self) -> str:
-        return f"P2Quantile(p={self.p}, count={self.count}, value={self.value():.6g})"
+    def stats(self) -> LatencyStats:
+        return LatencyStats(
+            count=int(self.moments.count),
+            mean=float(self.moments.mean),
+            p1=float(self.digest.quantile(0.01)),
+            p50=float(self.digest.quantile(0.50)),
+            p99=float(self.digest.quantile(0.99)),
+            maximum=float(self.moments.maximum),
+        )
 
 
 class ReservoirSample:
     """Seeded Algorithm-R reservoir of (time, value) samples.
 
     Exact (every sample kept, in arrival order) while the stream fits in
-    ``capacity``; a uniform random subsample beyond.  All randomness
-    flows through :func:`repro.simulator.rng.make_rng`, so reservoirs
-    are reproducible and cell-deterministic.
+    ``capacity`` (``None``: always); a uniform random subsample beyond.
+    All randomness flows through :func:`repro.simulator.rng.make_rng`,
+    so reservoirs are reproducible and cell-deterministic.  The
+    generator is built at the first eviction: an unbounded reservoir
+    never pays for one.
     """
 
-    __slots__ = ("capacity", "seen", "_items", "_rng")
+    __slots__ = ("capacity", "seen", "_items", "_rng", "_rng_key")
 
-    def __init__(self, capacity: int, seed: int, *key: str) -> None:
-        if capacity < 1:
+    def __init__(self, capacity: Optional[int], seed: int, *key: str) -> None:
+        if capacity is not None and capacity < 1:
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
+        self.capacity = capacity
         self.seen = 0
         self._items: List[Tuple[float, float]] = []
-        self._rng = make_rng(seed, "reservoir", *key)
+        self._rng: Optional[np.random.Generator] = None
+        self._rng_key = (seed, "reservoir", *key)
+
+    def _generator(self) -> np.random.Generator:
+        if self._rng is None:
+            self._rng = make_rng(*self._rng_key)
+        return self._rng
 
     def add(self, time: float, value: float) -> None:
         self.seen += 1
-        if len(self._items) < self.capacity:
+        if self.capacity is None or len(self._items) < self.capacity:
             self._items.append((time, value))
             return
-        slot = int(self._rng.integers(0, self.seen))
+        slot = int(self._generator().integers(0, self.seen))
         if slot < self.capacity:
             self._items[slot] = (time, value)
 
     @property
     def exact(self) -> bool:
         """True while no sample has been evicted."""
-        return self.seen <= self.capacity
+        return self.seen == len(self._items)
 
     @property
     def size(self) -> int:
@@ -493,27 +394,23 @@ class ReservoirSample:
     def merge(self, other: "ReservoirSample") -> "ReservoirSample":
         """Union reservoir; draws from each side proportionally to its
         stream length (exact concatenation while everything fits)."""
-        merged = ReservoirSample(max(self.capacity, other.capacity), 0)
+        merged = ReservoirSample(_max_capacity(self.capacity, other.capacity), 0)
+        merged.seen = self.seen + other.seen
+        combined = self._items + other._items
+        if merged.capacity is None or len(combined) <= merged.capacity:
+            merged._items = combined
+            return merged
         # The merged reservoir's own rng continues from a copy of self's
         # stream: deterministic across repeated merges, and the inputs
         # stay untouched.
-        merged._rng = copy.deepcopy(self._rng)
-        merged.seen = self.seen + other.seen
-        combined = self._items + other._items
-        if len(combined) <= merged.capacity:
-            merged._items = list(combined)
-            return merged
+        rng = merged._rng = copy.deepcopy(self._generator())
         weight_self = self.seen / merged.seen
         take_self = int(round(merged.capacity * weight_self))
         take_self = min(max(take_self, merged.capacity - len(other._items)),
                         len(self._items))
         take_other = merged.capacity - take_self
-        pick_self = merged._rng.choice(
-            len(self._items), size=take_self, replace=False
-        )
-        pick_other = merged._rng.choice(
-            len(other._items), size=take_other, replace=False
-        )
+        pick_self = rng.choice(len(self._items), size=take_self, replace=False)
+        pick_other = rng.choice(len(other._items), size=take_other, replace=False)
         merged._items = [self._items[i] for i in sorted(pick_self)] + [
             other._items[i] for i in sorted(pick_other)
         ]
@@ -526,73 +423,36 @@ class ReservoirSample:
         )
 
 
-class RingBuffer:
-    """Capped append-only log keeping the most recent ``capacity`` items."""
-
-    __slots__ = ("capacity", "total", "_items", "_next")
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self.total = 0
-        self._items: List[Any] = []
-        self._next = 0
-
-    def append(self, item: Any) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(item)
-        else:
-            self._items[self._next] = item
-            self._next = (self._next + 1) % self.capacity
-        self.total += 1
-
-    @property
-    def dropped(self) -> int:
-        return self.total - len(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def items(self) -> List[Any]:
-        """Retained items, oldest first."""
-        if len(self._items) < self.capacity:
-            return list(self._items)
-        return self._items[self._next:] + self._items[: self._next]
-
-    def merge(self, other: "RingBuffer") -> "RingBuffer":
-        """Union keeping the most recent items (``other`` is the later
-        window)."""
-        merged = RingBuffer(max(self.capacity, other.capacity))
-        for item in self.items():
-            merged.append(item)
-        for item in other.items():
-            merged.append(item)
-        merged.total = self.total + other.total
-        return merged
-
-
 class BoundedServiceSeries:
     """Decimating recorder of per-tenant cumulative service curves.
 
-    Stores at most ``capacity`` sample instants: when full, every other
-    stored sample is dropped and the recording stride doubles, so the
-    curve's shape survives at half resolution.  Late tenants are
-    backfilled with zeros, mirroring the exact
-    :class:`~repro.metrics.service.ServiceTracker` semantics.
+    Stores fewer than ``capacity`` sample instants (``None``: every
+    one): when full, every other stored sample is dropped and the
+    recording stride doubles, so the curve's shape survives at half
+    resolution.  Tenants appearing mid-run are backfilled with zero
+    service for earlier samples; a tenant missing from a later sample
+    carries its last value.
+
+    ``baselines`` holds each tenant's cumulative service *before* the
+    first sample (the last pre-warmup sample), so
+    :meth:`ServiceSeries.service_rate` differences the first sample
+    against it instead of against zero.
     """
 
-    __slots__ = ("capacity", "stride", "_counter", "times", "actual", "gps")
+    __slots__ = (
+        "capacity", "stride", "_counter", "times", "actual", "gps", "baselines",
+    )
 
-    def __init__(self, capacity: int = 1024) -> None:
-        if capacity < 8:
+    def __init__(self, capacity: Optional[int] = 1024) -> None:
+        if capacity is not None and capacity < 8:
             raise ConfigurationError(f"capacity must be >= 8, got {capacity}")
-        self.capacity = int(capacity)
+        self.capacity = capacity
         self.stride = 1
         self._counter = 0
         self.times: List[SimTime] = []
         self.actual: Dict[str, List[Cost]] = {}
         self.gps: Dict[str, List[Cost]] = {}
+        self.baselines: Dict[str, Cost] = {}
 
     def observe(
         self, time: SimTime, actual: Dict[str, Cost], gps: Dict[str, Cost]
@@ -609,7 +469,7 @@ class BoundedServiceSeries:
                     pad = column[-1] if column else 0.0
                     column.extend([pad] * (index - len(column)))
                 column.append(value)
-        if len(self.times) >= self.capacity:
+        if self.capacity is not None and len(self.times) >= self.capacity:
             self._decimate()
 
     def _decimate(self) -> None:
@@ -628,8 +488,8 @@ class BoundedServiceSeries:
         return sorted(self.actual)
 
     def columns(self, tenant_id: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(times, actual, gps) arrays for one tenant, padded like the
-        exact tracker (trailing gaps carry the last value)."""
+        """(times, actual, gps) arrays for one tenant; trailing gaps
+        carry the last value."""
         n = len(self.times)
 
         def column(store: Dict[str, List[Cost]]) -> np.ndarray:
@@ -640,6 +500,17 @@ class BoundedServiceSeries:
             return np.asarray(values)
 
         return np.asarray(self.times), column(self.actual), column(self.gps)
+
+    def service_series(self, tenant_id: str) -> ServiceSeries:
+        """Freeze one tenant's samples into a :class:`ServiceSeries`."""
+        times, actual, gps = self.columns(tenant_id)
+        return ServiceSeries(
+            tenant_id=tenant_id,
+            times=times,
+            actual=actual,
+            gps=gps,
+            baseline=self.baselines.get(tenant_id, 0.0),
+        )
 
     def shift_times(self, offset: Duration) -> None:
         self.times = [t + offset for t in self.times]
@@ -652,8 +523,10 @@ class BoundedServiceSeries:
 
     def merge(self, other: "BoundedServiceSeries") -> "BoundedServiceSeries":
         """Concatenate a later window, re-basing its cumulative curves on
-        this window's final values, then re-decimate to capacity."""
-        merged = BoundedServiceSeries(max(self.capacity, other.capacity))
+        this window's final values, then re-decimate to capacity.  The
+        baselines are this window's."""
+        merged = BoundedServiceSeries(_max_capacity(self.capacity, other.capacity))
+        merged.baselines = dict(self.baselines)
         merged.stride = max(self.stride, other.stride)
         final_actual, final_gps = self.final_values()
         times = list(self.times)
@@ -677,20 +550,177 @@ class BoundedServiceSeries:
                     tail.extend([pad] * (len(other.times) - len(tail)))
                 store[tenant] = head + tail
         merged._counter = len(merged.times)
-        while len(merged.times) >= merged.capacity:
+        while merged.capacity is not None and len(merged.times) >= merged.capacity:
             merged._decimate()
         return merged
 
 
-class MetricsPartial:
-    """Picklable sketch state of one run (or one time shard) in
-    streaming mode.
+def _float_array(values: Sequence[float] = ()) -> "array[float]":
+    return array("d", values)
 
-    ``merge(other)`` combines two consecutive windows: latency digests
-    and moments merge exactly (digest: within the sketch error bound),
+
+class TenantValues:
+    """Per-tenant value streams kept raw until capacity -- the one helper
+    behind the latency and the lag parts of :class:`MetricsPartial`.
+
+    ``raw[tenant]`` holds a tenant's values in arrival order; writers
+    append to it directly.  :meth:`fold` enforces ``capacity``: once a
+    tenant's raw count passes it, its values are fed, in order, into a
+    fresh ``sketch()``, and from then on every :meth:`fold` drains the
+    values appended since into that sketch.  ``capacity=None`` never
+    folds; ``0`` folds from the first value.
+    """
+
+    __slots__ = ("capacity", "raw", "sketches", "_sketch", "_raw")
+
+    def __init__(
+        self,
+        capacity: Optional[int],
+        sketch: Callable[[], Any],
+        raw: Callable[..., Any] = list,
+    ) -> None:
+        self.capacity = capacity
+        self.raw: Dict[str, Any] = {}
+        self.sketches: Dict[str, Any] = {}
+        self._sketch = sketch
+        self._raw = raw
+
+    def tenants(self) -> Set[str]:
+        return self.raw.keys() | self.sketches.keys()
+
+    def _zeros(self, count: int) -> Any:
+        """``count`` zero values: raw while they fit, else a sketch."""
+        if self.capacity is not None and count > self.capacity:
+            sketch = self._sketch()
+            sketch.add_zeros(count)
+            return sketch
+        return self._raw([0.0] * count)
+
+    def start(self, tenant: str, zeros: int = 0) -> Any:
+        """Open ``tenant``'s stream behind ``zeros`` zero values (a late
+        tenant's lag before it was first sampled); returns its raw
+        buffer."""
+        head = self._zeros(zeros)
+        if isinstance(head, self._sketch):
+            self.sketches[tenant] = head
+            head = self._raw()
+        self.raw[tenant] = head
+        return head
+
+    def fold(self) -> None:
+        """Move every value past capacity into its tenant's sketch."""
+        capacity = self.capacity
+        if capacity is None:
+            return
+        sketches = self.sketches
+        for tenant, values in self.raw.items():
+            if not values:
+                continue
+            sketch = sketches.get(tenant)
+            if sketch is None:
+                if len(values) <= capacity:
+                    continue
+                sketch = sketches[tenant] = self._sketch()
+            for value in values:
+                sketch.add(value)
+            del values[:]
+
+    def _window(self, tenant: str, zeros: int) -> Any:
+        """This (folded) window's part of ``tenant``: its sketch, else
+        its raw values; an absent tenant stands for ``zeros`` zeros."""
+        sketch = self.sketches.get(tenant)
+        if sketch is not None:
+            return sketch
+        values = self.raw.get(tenant)
+        return self._zeros(zeros) if values is None else values
+
+    def _as_sketch(self, part: Any) -> Any:
+        if isinstance(part, self._sketch):
+            return part
+        sketch = self._sketch()
+        for value in part:
+            sketch.add(value)
+        return sketch
+
+    def merge(
+        self, other: "TenantValues", zeros: Tuple[int, int] = (0, 0)
+    ) -> "TenantValues":
+        """Union with a *later* window.  Raw streams concatenate, bit for
+        bit; a sketch on either side merges with the other side's
+        sketch.  ``zeros`` is what a tenant missing from (self, other)
+        stands for there: that many zero values (lag), or none."""
+        self.fold()
+        other.fold()
+        merged = TenantValues(self.capacity, self._sketch, self._raw)
+        names = dict.fromkeys([*self.raw, *self.sketches, *other.raw, *other.sketches])
+        for tenant in names:
+            left = self._window(tenant, zeros[0])
+            right = other._window(tenant, zeros[1])
+            left_raw = not isinstance(left, self._sketch)
+            right_raw = not isinstance(right, self._sketch)
+            if left_raw and right_raw:
+                merged.raw[tenant] = left + right
+            elif left_raw and not left:
+                merged.sketches[tenant] = right
+            elif right_raw and not right:
+                merged.sketches[tenant] = left
+            else:
+                merged.sketches[tenant] = self._as_sketch(left).merge(
+                    self._as_sketch(right)
+                )
+        merged.fold()
+        return merged
+
+
+@dataclasses.dataclass(frozen=True)
+class Capacities:
+    """How many values each part of a :class:`MetricsPartial` keeps raw
+    before it falls back to its sketch; ``None`` is unbounded."""
+
+    #: Stored service-curve sample instants (decimated beyond).
+    series: Optional[int]
+    #: Gini samples (a uniform subsample beyond).
+    reservoir: Optional[int]
+    #: Newest dispatch records kept.
+    dispatch: Optional[int]
+    #: Raw latencies per tenant (digest + moments beyond).
+    latency: Optional[int]
+    #: Raw lag samples per tenant (moments beyond).
+    lag: Optional[int]
+
+    def __post_init__(self) -> None:
+        for name, value in dataclasses.asdict(self).items():
+            if value is not None and (not isinstance(value, int) or value < 0):
+                raise ConfigurationError(
+                    f"{name} capacity must be None or an int >= 0, got {value!r}"
+                )
+
+    @property
+    def bounded(self) -> bool:
+        return any(value is not None for value in dataclasses.astuple(self))
+
+
+#: The capacity table: one row per collector mode.
+CAPACITIES: Dict[str, Capacities] = {
+    "exact": Capacities(series=None, reservoir=None, dispatch=None, latency=None, lag=None),
+    "streaming": Capacities(series=1024, reservoir=4096, dispatch=65536, latency=0, lag=0),
+}
+
+
+class MetricsPartial:
+    """Every statistic of one run (or one time shard): the picklable,
+    mergeable store behind :class:`~repro.metrics.collector.RunMetrics`.
+
+    Writers append straight into ``latencies.raw[tenant]`` and
+    ``dispatch_log``; :meth:`observe_sample` and :meth:`observe_gini`
+    take the periodic samples, and :meth:`enforce_capacities` folds
+    and trims whatever passed its capacity.
+
+    ``merge(other)`` combines two consecutive windows: raw values
+    concatenate, sketches merge (the digest within its error bound),
     service curves re-base on the earlier window's final cumulative
     values, the Gini reservoir subsamples proportionally, and the
-    dispatch ring keeps the most recent records.  This is the unit the
+    dispatch log keeps its newest records.  This is the unit the
     time-sharded parallel runner fans out and folds back together.
     """
 
@@ -698,47 +728,44 @@ class MetricsPartial:
         self,
         sample_interval: Duration,
         seed: int = 0,
-        compression: int = 200,
-        series_capacity: int = 1024,
-        reservoir_capacity: int = 4096,
-        dispatch_capacity: int = 65536,
+        capacities: Capacities = CAPACITIES["streaming"],
     ) -> None:
         self.sample_interval: Duration = float(sample_interval)
         self.seed = int(seed)
-        self.compression = int(compression)
-        self.latency_digests: Dict[str, QuantileDigest] = {}
-        self.latency_moments: Dict[str, StreamingMoments] = {}
-        self.lag_moments: Dict[str, StreamingMoments] = {}
-        self.series = BoundedServiceSeries(series_capacity)
-        self.gini = ReservoirSample(reservoir_capacity, seed, "gini")
-        self.gini_moments = StreamingMoments()
-        self.dispatches = RingBuffer(dispatch_capacity)
-        self.baselines: Dict[str, Cost] = {}
+        self.capacities = capacities
+        self.latencies = TenantValues(capacities.latency, LatencySketch)
+        self.lags = TenantValues(capacities.lag, StreamingMoments, _float_array)
+        self.dispatch_log: List[Any] = []
+        self.dispatches_dropped = 0
         self.lag_samples = 0
 
-    # -- ingestion (collector-facing) ---------------------------------------
+    # The sampled parts are built at first use, which keeps a collector's
+    # construction -- most of a short run's set-up time -- cheap.
 
-    def observe_latency(self, tenant_id: str, latency: Duration) -> None:
-        digest = self.latency_digests.get(tenant_id)
-        if digest is None:
-            digest = self.latency_digests[tenant_id] = QuantileDigest(
-                self.compression
-            )
-            self.latency_moments[tenant_id] = StreamingMoments()
-        digest.add(latency)
-        self.latency_moments[tenant_id].add(latency)
+    @functools.cached_property
+    def series(self) -> BoundedServiceSeries:
+        return BoundedServiceSeries(self.capacities.series)
+
+    @functools.cached_property
+    def gini(self) -> ReservoirSample:
+        return ReservoirSample(self.capacities.reservoir, self.seed, "gini")
+
+    @functools.cached_property
+    def gini_moments(self) -> StreamingMoments:
+        return StreamingMoments()
+
+    # -- ingestion (collector-facing) ---------------------------------------
 
     def observe_sample(
         self, now: SimTime, actual: Dict[str, Cost], gps: Dict[str, Cost]
     ) -> None:
+        raw = self.lags.raw
         for tenant, value in actual.items():
-            moments = self.lag_moments.get(tenant)
-            if moments is None:
-                moments = self.lag_moments[tenant] = StreamingMoments()
-                # Late tenant: the exact series backfills zeros for the
-                # samples recorded before it was first seen.
-                moments.add_zeros(self.lag_samples)
-            moments.add(value - gps.get(tenant, 0.0))
+            values = raw.get(tenant)
+            if values is None:
+                # Late tenant: zero lag for the samples before it was seen.
+                values = self.lags.start(tenant, self.lag_samples)
+            values.append(value - gps.get(tenant, 0.0))
         self.lag_samples += 1
         self.series.observe(now, actual, gps)
 
@@ -746,8 +773,16 @@ class MetricsPartial:
         self.gini.add(now, value)
         self.gini_moments.add(value)
 
-    def observe_dispatch(self, record: Any) -> None:
-        self.dispatches.append(record)
+    def enforce_capacities(self) -> None:
+        """Fold latencies and lags past capacity into their sketches and
+        trim the dispatch log to its newest records."""
+        self.latencies.fold()
+        self.lags.fold()
+        capacity = self.capacities.dispatch
+        if capacity is not None and len(self.dispatch_log) > capacity:
+            excess = len(self.dispatch_log) - capacity
+            del self.dispatch_log[:excess]
+            self.dispatches_dropped += excess
 
     # -- windowed composition ------------------------------------------------
 
@@ -757,57 +792,27 @@ class MetricsPartial:
         start/end times."""
         self.series.shift_times(offset)
         self.gini._items = [(t + offset, v) for t, v in self.gini._items]
-        shifted = RingBuffer(self.dispatches.capacity)
-        shifted.total = self.dispatches.dropped
-        for record in self.dispatches.items():
-            shifted.append(
-                dataclasses.replace(
-                    record,
-                    start=record.start + offset,
-                    end=record.end + offset,
-                )
+        self.dispatch_log[:] = [
+            dataclasses.replace(
+                record, start=record.start + offset, end=record.end + offset
             )
-        self.dispatches = shifted
+            for record in self.dispatch_log
+        ]
 
     def merge(self, other: "MetricsPartial") -> "MetricsPartial":
         """Combine with a *later* window's partial."""
-        merged = MetricsPartial(
-            sample_interval=self.sample_interval,
-            seed=self.seed,
-            compression=max(self.compression, other.compression),
-            series_capacity=self.series.capacity,
-            reservoir_capacity=self.gini.capacity,
-            dispatch_capacity=self.dispatches.capacity,
+        merged = MetricsPartial(self.sample_interval, self.seed, self.capacities)
+        merged.latencies = self.latencies.merge(other.latencies)
+        merged.lags = self.lags.merge(
+            other.lags, zeros=(self.lag_samples, other.lag_samples)
         )
-        tenants = set(self.latency_digests) | set(other.latency_digests)
-        for tenant in tenants:
-            mine = self.latency_digests.get(tenant)
-            theirs = other.latency_digests.get(tenant)
-            if mine is not None and theirs is not None:
-                merged.latency_digests[tenant] = mine.merge(theirs)
-                merged.latency_moments[tenant] = self.latency_moments[
-                    tenant
-                ].merge(other.latency_moments[tenant])
-            else:
-                source = self if mine is not None else other
-                merged.latency_digests[tenant] = source.latency_digests[tenant]
-                merged.latency_moments[tenant] = source.latency_moments[tenant]
-        for tenant in set(self.lag_moments) | set(other.lag_moments):
-            left = self.lag_moments.get(tenant)
-            right = other.lag_moments.get(tenant)
-            if left is None:
-                left = StreamingMoments()
-                left.add_zeros(self.lag_samples)
-            if right is None:
-                right = StreamingMoments()
-                right.add_zeros(other.lag_samples)
-            merged.lag_moments[tenant] = left.merge(right)
         merged.lag_samples = self.lag_samples + other.lag_samples
         merged.series = self.series.merge(other.series)
         merged.gini = self.gini.merge(other.gini)
         merged.gini_moments = self.gini_moments.merge(other.gini_moments)
-        merged.dispatches = self.dispatches.merge(other.dispatches)
-        merged.baselines = dict(self.baselines)
+        merged.dispatch_log = self.dispatch_log + other.dispatch_log
+        merged.dispatches_dropped = self.dispatches_dropped + other.dispatches_dropped
+        merged.enforce_capacities()
         return merged
 
     # -- gauges ---------------------------------------------------------------
@@ -816,12 +821,12 @@ class MetricsPartial:
         """Current stored-point counts, exported as obs gauges."""
         return {
             "latency_centroids": sum(
-                d.size for d in self.latency_digests.values()
-            ),
+                sketch.digest.size for sketch in self.latencies.sketches.values()
+            ) + sum(len(values) for values in self.latencies.raw.values()),
             "series_points": self.series.size,
             "gini_reservoir": self.gini.size,
-            "dispatch_ring": len(self.dispatches),
-            "tenants": len(self.lag_moments),
+            "dispatch_log": len(self.dispatch_log),
+            "tenants": len(self.lags.tenants()),
         }
 
 

@@ -5,7 +5,7 @@ open-loop workload is a pure replay of a pre-materialized trace -- so
 the run can be *sharded in time*: slice the trace into ``N`` consecutive
 windows, simulate each window independently with the streaming
 collector, and fold the resulting :class:`~repro.metrics.streaming.MetricsPartial`
-objects back together.  Each shard is an ordinary picklable cell
+stores back together.  Each shard is an ordinary picklable cell
 (:class:`TimeShardSpec`), so the fan-out rides the existing
 :func:`repro.parallel.run_cells` pool/cache machinery and inherits its
 determinism contract.
@@ -37,7 +37,7 @@ from ..errors import ConfigurationError
 
 if TYPE_CHECKING:  # imported lazily at run time to avoid package cycles
     from ..experiments.config import ExperimentConfig
-    from ..metrics.collector import StreamingRunMetrics
+    from ..metrics.collector import RunMetrics
     from ..metrics.streaming import MetricsPartial
     from ..parallel.cache import RunCache
     from ..workloads.spec import TenantSpec
@@ -136,10 +136,10 @@ def run_time_sharded(
     speed: float = 1.0,
     jobs: Optional[int] = None,
     cache: Optional["RunCache"] = None,
-) -> "StreamingRunMetrics":
+) -> "RunMetrics":
     """Run one scheduler over one long workload as ``num_shards``
     consecutive time windows, merged into a single
-    :class:`~repro.metrics.collector.StreamingRunMetrics`.
+    :class:`~repro.metrics.collector.RunMetrics` over a streaming store.
 
     The workload must be fully open-loop (pre-materializable): the trace
     is generated once (or taken from ``trace``, in trace-time units),
@@ -150,7 +150,7 @@ def run_time_sharded(
     approximation this makes.
     """
     from ..parallel.engine import run_cells
-    from ..metrics.collector import StreamingRunMetrics
+    from ..metrics.collector import RunMetrics
     from ..metrics.streaming import merge_partials
     from ..workloads.arrivals import OpenLoopProcess
     from ..workloads.trace import generate_trace
@@ -196,4 +196,4 @@ def run_time_sharded(
         for index in range(num_shards)
     ]
     partials = run_cells(cells, jobs=jobs, cache=cache)
-    return StreamingRunMetrics(merge_partials(partials))
+    return RunMetrics(merge_partials(partials))

@@ -362,6 +362,24 @@ class TestFleetCollector:
         series = metrics.service_series("a")
         assert series.actual.size > 0 and series.gps.size > 0
 
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"sample_interval": 0.0},
+            {"sample_interval": float("inf")},
+            {"sample_interval": float("nan")},
+            {"warmup": float("nan")},
+            {"warmup": float("inf")},
+            {"warmup": -0.5},
+        ],
+    )
+    def test_rejects_sampling_that_records_nothing(self, settings):
+        # A NaN warmup used to fail every `t >= warmup` test, so a run
+        # completing requests recorded no latency and no sample.
+        _, fleet = build_fleet(num_servers=2)
+        with pytest.raises(ValueError):
+            FleetCollector(fleet, **settings)
+
     def test_validation_errors_surface(self):
         sim, fleet = build_fleet(num_servers=2)
         ledger = FleetConservationLedger(fleet, strict=False)

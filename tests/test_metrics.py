@@ -5,9 +5,12 @@ import pytest
 
 from repro.core import make_scheduler
 from repro.metrics import (
+    CAPACITIES,
+    BoundedServiceSeries,
     MetricsCollector,
+    MetricsPartial,
+    RunMetrics,
     ServiceSeries,
-    ServiceTracker,
     cost_summary,
     latency_stats,
     speedup,
@@ -46,26 +49,36 @@ class TestServiceSeries:
         assert series.lag_sigma(2.0) == pytest.approx(expected / 2.0)
 
 
-class TestServiceTracker:
+class TestUnboundedServiceSeries:
+    """The exact collector's service recorder: a BoundedServiceSeries
+    without a capacity."""
+
     def test_backfills_late_tenants(self):
-        tracker = ServiceTracker()
-        tracker.observe(0.1, {"A": 1.0}, {"A": 1.0})
-        tracker.observe(0.2, {"A": 2.0, "B": 5.0}, {"A": 2.0, "B": 4.0})
-        series_b = tracker.series("B")
+        recorder = BoundedServiceSeries(capacity=None)
+        recorder.observe(0.1, {"A": 1.0}, {"A": 1.0})
+        recorder.observe(0.2, {"A": 2.0, "B": 5.0}, {"A": 2.0, "B": 4.0})
+        series_b = recorder.service_series("B")
         assert series_b.actual == pytest.approx([0.0, 5.0])
         assert series_b.gps == pytest.approx([0.0, 4.0])
 
     def test_pads_missing_trailing_samples(self):
-        tracker = ServiceTracker()
-        tracker.observe(0.1, {"A": 1.0, "B": 2.0}, {})
-        tracker.observe(0.2, {"A": 2.0}, {})
-        series_b = tracker.series("B")
+        recorder = BoundedServiceSeries(capacity=None)
+        recorder.observe(0.1, {"A": 1.0, "B": 2.0}, {})
+        recorder.observe(0.2, {"A": 2.0}, {})
+        series_b = recorder.service_series("B")
         assert series_b.actual == pytest.approx([2.0, 2.0])
 
     def test_tenants_sorted(self):
-        tracker = ServiceTracker()
-        tracker.observe(0.1, {"B": 1.0, "A": 1.0}, {})
-        assert tracker.tenants() == ["A", "B"]
+        recorder = BoundedServiceSeries(capacity=None)
+        recorder.observe(0.1, {"B": 1.0, "A": 1.0}, {})
+        assert recorder.tenants() == ["A", "B"]
+
+    def test_never_decimates(self):
+        recorder = BoundedServiceSeries(capacity=None)
+        for i in range(5000):
+            recorder.observe(i * 0.1, {"A": float(i)}, {"A": float(i)})
+        assert recorder.size == 5000
+        assert recorder.stride == 1
 
 
 class TestLatencyStats:
@@ -242,6 +255,28 @@ class TestCollector:
         with pytest.raises(ValueError):
             MetricsCollector(server, sample_interval=0.0)
 
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"sample_interval": float("inf")},
+            {"sample_interval": float("nan")},
+            {"warmup": float("nan")},
+            {"warmup": float("inf")},
+            {"warmup": -0.5},
+        ],
+    )
+    def test_rejects_sampling_that_records_nothing(self, settings):
+        # A NaN warmup used to fail every `t >= warmup` test (no sample,
+        # no latency), an infinite interval never sampled, and a NaN one
+        # failed later inside the event loop.
+        sim = Simulation()
+        scheduler = make_scheduler("wfq", num_threads=1)
+        server = ThreadPoolServer(
+            sim, scheduler, num_threads=1, refresh_interval=None
+        )
+        with pytest.raises(ValueError):
+            MetricsCollector(server, **settings)
+
     def test_service_rate_has_no_warmup_spike(self):
         # Regression: with a warmup, the first post-warmup sample used to
         # difference against 0, so the first service_rate entry was the
@@ -268,16 +303,9 @@ class TestCollector:
 
 class TestOccupancyBoundaryBins:
     def _metrics(self, dispatch_log):
-        from repro.metrics.collector import RunMetrics
-
-        return RunMetrics(
-            tracker=ServiceTracker(),
-            latencies={},
-            dispatch_log=dispatch_log,
-            gini_times=np.asarray([]),
-            gini_values=np.asarray([]),
-            sample_interval=0.1,
-        )
+        partial = MetricsPartial(sample_interval=0.1, capacities=CAPACITIES["exact"])
+        partial.dispatch_log.extend(dispatch_log)
+        return RunMetrics(partial)
 
     def test_shared_bin_goes_to_larger_overlap(self):
         # Regression: the record iterated later used to overwrite shared

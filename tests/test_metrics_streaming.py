@@ -1,10 +1,13 @@
-"""Streaming metrics: sketches, the streaming collector, and time shards.
+"""The metrics store: sketches, capacities, the collector, time shards.
 
-Three layers of coverage (DESIGN.md §13):
+Four layers of coverage (DESIGN.md §13):
 
 * sketch unit tests -- each accumulator against its exact numpy
   counterpart, including the ``merge`` paths the time-sharded runner
   depends on;
+* store tests -- each part of :class:`MetricsPartial` raw until its
+  capacity and its sketch beyond, and merges of exact stores bit for
+  bit;
 * collector differential tests -- the same simulation run in
   ``mode="exact"`` and ``mode="streaming"`` must agree: exactly where
   streaming keeps full information (counts, means, lag sigma, Gini
@@ -25,15 +28,17 @@ from repro.core import make_scheduler
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_single
-from repro.metrics import MetricsCollector
+from repro.metrics import MetricsCollector, RunMetrics, latency_stats
+from repro.metrics.collector import DispatchRecord
 from repro.metrics.streaming import (
+    CAPACITIES,
     BoundedServiceSeries,
+    LatencySketch,
     MetricsPartial,
-    P2Quantile,
     QuantileDigest,
     ReservoirSample,
-    RingBuffer,
     StreamingMoments,
+    TenantValues,
     merge_partials,
 )
 from repro.parallel import run_time_sharded, slice_trace
@@ -154,47 +159,6 @@ class TestQuantileDigest:
             QuantileDigest(compression=2)
 
 
-class TestP2Quantile:
-    def test_tracks_median(self):
-        rng = make_rng(6, "p2")
-        values = rng.normal(10.0, 3.0, size=20000)
-        sketch = P2Quantile(0.5)
-        for v in values:
-            sketch.add(float(v))
-        assert sketch.value() == pytest.approx(
-            float(np.percentile(values, 50)), rel=0.05
-        )
-
-    def test_tiny_stream_uses_exact_buffer(self):
-        sketch = P2Quantile(0.5)
-        for v in (3.0, 1.0, 2.0):
-            sketch.add(v)
-        assert sketch.value() == pytest.approx(2.0)
-
-    def test_merge_approximates_union(self):
-        rng = make_rng(7, "p2")
-        left_values = rng.random(5000)
-        right_values = rng.random(5000) + 0.5
-        left, right = P2Quantile(0.9), P2Quantile(0.9)
-        for v in left_values:
-            left.add(float(v))
-        for v in right_values:
-            right.add(float(v))
-        merged = left.merge(right)
-        union = np.concatenate([left_values, right_values])
-        assert merged.count == 10000
-        assert merged.value() == pytest.approx(
-            float(np.percentile(union, 90)), rel=0.1
-        )
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            P2Quantile(0.0)
-        with pytest.raises(ConfigurationError):
-            P2Quantile(0.5).merge(P2Quantile(0.9))
-        assert np.isnan(P2Quantile(0.5).value())
-
-
 class TestReservoirSample:
     def test_exact_below_capacity(self):
         reservoir = ReservoirSample(10, seed=0)
@@ -242,35 +206,65 @@ class TestReservoirSample:
         with pytest.raises(ConfigurationError):
             ReservoirSample(0, seed=0)
 
+    def test_unbounded_keeps_everything_and_builds_no_rng(self):
+        reservoir = ReservoirSample(None, seed=0)
+        for i in range(10000):
+            reservoir.add(float(i), float(i))
+        assert reservoir.exact
+        assert reservoir.size == 10000
+        assert reservoir._rng is None
+        merged = reservoir.merge(ReservoirSample(None, seed=0))
+        assert merged.capacity is None
+        assert merged.items() == reservoir.items()
 
-class TestRingBuffer:
+
+def _dispatch_records(start, count):
+    return [
+        DispatchRecord(i % 2, "A", "x", 1.0, start=float(i), end=float(i) + 0.5)
+        for i in range(start, start + count)
+    ]
+
+
+def _capacities(**overrides):
+    return dataclasses.replace(CAPACITIES["exact"], **overrides)
+
+
+class TestDispatchLogCapacity:
+    """The dispatch-log part of the store: a list trimmed to its newest
+    ``capacities.dispatch`` records."""
+
     def test_keeps_most_recent(self):
-        ring = RingBuffer(3)
-        for i in range(7):
-            ring.append(i)
-        assert ring.items() == [4, 5, 6]
-        assert ring.total == 7
-        assert ring.dropped == 4
+        partial = MetricsPartial(0.1, capacities=_capacities(dispatch=3))
+        records = _dispatch_records(0, 7)
+        partial.dispatch_log.extend(records)
+        partial.enforce_capacities()
+        assert partial.dispatch_log == records[4:]
+        assert partial.dispatches_dropped == 4
 
     def test_below_capacity(self):
-        ring = RingBuffer(8)
-        ring.append("a")
-        assert ring.items() == ["a"]
-        assert ring.dropped == 0
+        partial = MetricsPartial(0.1, capacities=_capacities(dispatch=8))
+        records = _dispatch_records(0, 1)
+        partial.dispatch_log.extend(records)
+        partial.enforce_capacities()
+        assert partial.dispatch_log == records
+        assert partial.dispatches_dropped == 0
 
     def test_merge_keeps_tail(self):
-        left, right = RingBuffer(4), RingBuffer(4)
-        for i in range(4):
-            left.append(i)
-        for i in range(4, 10):
-            right.append(i)
+        left = MetricsPartial(0.1, capacities=_capacities(dispatch=4))
+        right = MetricsPartial(0.1, capacities=_capacities(dispatch=4))
+        records = _dispatch_records(0, 10)
+        left.dispatch_log.extend(records[:4])
+        right.dispatch_log.extend(records[4:])
+        right.enforce_capacities()
         merged = left.merge(right)
-        assert merged.items() == [6, 7, 8, 9]
-        assert merged.total == 10
+        assert merged.dispatch_log == records[6:]
+        assert merged.dispatches_dropped + len(merged.dispatch_log) == 10
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            RingBuffer(0)
+            _capacities(dispatch=-1)
+        with pytest.raises(ConfigurationError):
+            _capacities(latency=1.5)
 
 
 class TestBoundedServiceSeries:
@@ -335,7 +329,7 @@ class TestBoundedServiceSeries:
             BoundedServiceSeries(capacity=4)
 
 
-def _run_collector(mode, duration=2.0, warmup=0.0, **sketch_kwargs):
+def _run_collector(mode, duration=2.0, warmup=0.0):
     """One deterministic backlogged run, collected in the given mode."""
     sim = Simulation()
     scheduler = make_scheduler("2dfq", num_threads=2, thread_rate=10.0)
@@ -343,7 +337,7 @@ def _run_collector(mode, duration=2.0, warmup=0.0, **sketch_kwargs):
         sim, scheduler, num_threads=2, rate=10.0, refresh_interval=None
     )
     collector = MetricsCollector(
-        server, sample_interval=0.1, warmup=warmup, mode=mode, **sketch_kwargs
+        server, sample_interval=0.1, warmup=warmup, mode=mode
     )
     costs = iter([1.0, 5.0, 0.5, 2.0] * 10000)
     BackloggedSource(server, "A", lambda: ("x", 1.0), window=2).start()
@@ -386,9 +380,14 @@ class TestStreamingCollectorDifferential:
 
     def test_dispatch_ring_is_tail_of_exact_log(self):
         exact = _run_collector("exact").result()
-        streaming = _run_collector("streaming", dispatch_capacity=16).result()
-        assert streaming.dispatch_log == exact.dispatch_log[-16:]
-        assert streaming.partial.dispatches.total == len(exact.dispatch_log)
+        partial = MetricsPartial(0.1, capacities=_capacities(dispatch=16))
+        for record in exact.dispatch_log:
+            partial.dispatch_log.append(record)
+            if len(partial.dispatch_log) % 10 == 0:
+                partial.enforce_capacities()
+        bounded = RunMetrics(partial)
+        assert bounded.dispatch_log == exact.dispatch_log[-16:]
+        assert partial.dispatches_dropped + 16 == len(exact.dispatch_log)
 
     def test_service_series_matches_below_capacity(self):
         exact = _run_collector("exact").result()
@@ -409,9 +408,12 @@ class TestStreamingCollectorDifferential:
                 pytest.approx(exact.service_series(tenant).service_rate())
             )
 
-    def test_partial_requires_streaming_mode(self):
-        with pytest.raises(ConfigurationError, match="streaming"):
-            _run_collector("exact").partial()
+    def test_modes_pick_rows_of_the_capacity_table(self):
+        for mode in ("exact", "streaming"):
+            collector = _run_collector(mode, duration=0.5)
+            assert collector.partial().capacities == CAPACITIES[mode]
+        assert not CAPACITIES["exact"].bounded
+        assert CAPACITIES["streaming"].bounded
 
     def test_invalid_mode_rejected(self):
         sim = Simulation()
@@ -427,9 +429,10 @@ class TestStreamingCollectorDifferential:
         sizes = streaming.sketch_sizes()
         assert sizes["tenants"] == 2
         assert sizes["series_points"] > 0
-        assert sizes["dispatch_ring"] > 0
+        assert sizes["dispatch_log"] > 0
+        assert sizes["latency_centroids"] > 0
 
-    def test_sketch_gauges_exported_to_tracer(self):
+    def _traced_run(self, mode):
         from repro.obs.tracer import Tracer
 
         sim = Simulation()
@@ -437,15 +440,23 @@ class TestStreamingCollectorDifferential:
         server = ThreadPoolServer(
             sim, scheduler, num_threads=1, rate=10.0, refresh_interval=None
         )
-        collector = MetricsCollector(server, sample_interval=0.1, mode="streaming")
-        tracer = Tracer("streaming-gauges")
+        collector = MetricsCollector(server, sample_interval=0.1, mode=mode)
+        tracer = Tracer(f"{mode}-gauges")
         collector.attach_tracer(tracer)
         BackloggedSource(server, "A", lambda: ("x", 1.0), window=1).start()
         sim.run(until=1.0)
-        snapshot = tracer.registry.snapshot()
+        return collector, tracer.registry.snapshot()
+
+    def test_sketch_gauges_exported_to_tracer(self):
+        collector, snapshot = self._traced_run("streaming")
         sizes = collector.partial().sketch_sizes()
         for name, value in sizes.items():
             assert snapshot[f"collector.sketch.{name}"] == value
+        assert snapshot["collector.samples"] > 0
+
+    def test_no_sketch_gauges_for_an_unbounded_store(self):
+        _, snapshot = self._traced_run("exact")
+        assert not [name for name in snapshot if name.startswith("collector.sketch.")]
         assert snapshot["collector.samples"] > 0
 
     def test_partial_pickles(self):
@@ -455,9 +466,13 @@ class TestStreamingCollectorDifferential:
         assert clone.lag_samples == partial.lag_samples
 
 
+def _add_latency(partial, tenant, value):
+    partial.latencies.raw.setdefault(tenant, []).append(value)
+
+
 class TestMetricsPartialMerge:
-    def _synthetic(self, offset, samples=40, seed=0):
-        partial = MetricsPartial(sample_interval=0.1, seed=seed)
+    def _synthetic(self, offset, samples=40, seed=0, capacities=CAPACITIES["streaming"]):
+        partial = MetricsPartial(sample_interval=0.1, seed=seed, capacities=capacities)
         rng = make_rng(seed, "synthetic", str(offset))
         for i in range(samples):
             now = offset + (i + 1) * 0.1
@@ -465,7 +480,7 @@ class TestMetricsPartialMerge:
             gps = {"A": (i + 1) * 0.9, "B": (i + 1) * 0.6}
             partial.observe_sample(now, actual, gps)
             partial.observe_gini(now, float(rng.random()))
-            partial.observe_latency("A", float(rng.lognormal(-2.0, 1.0)))
+            _add_latency(partial, "A", float(rng.lognormal(-2.0, 1.0)))
         return partial
 
     def test_merge_equals_concatenated_stream(self):
@@ -473,13 +488,32 @@ class TestMetricsPartialMerge:
         second = self._synthetic(4.0)
         merged = first.merge(second)
         assert merged.lag_samples == 80
-        assert merged.latency_moments["A"].count == 80
-        moments = merged.lag_moments["A"]
+        assert merged.latencies.sketches["A"].moments.count == 80
+        moments = merged.lags.sketches["A"]
         assert moments.count == 80
         # Both windows' lag streams are (i+1)*0.1 for A: exact merge.
         expected = np.concatenate([np.arange(1, 41) * 0.1] * 2)
         assert moments.mean == pytest.approx(np.mean(expected))
         assert moments.std == pytest.approx(np.std(expected))
+
+    def test_exact_merge_concatenates_raw_values_bit_for_bit(self):
+        exact = CAPACITIES["exact"]
+        first = self._synthetic(0.0, capacities=exact)
+        second = self._synthetic(4.0, capacities=exact)
+        # A tenant only the second window sees.
+        second.observe_sample(8.1, {"C": 1.0}, {"C": 0.25})
+        merged = first.merge(second)
+        assert not merged.latencies.sketches and not merged.lags.sketches
+        assert merged.latencies.raw["A"] == (
+            first.latencies.raw["A"] + second.latencies.raw["A"]
+        )
+        assert merged.lags.raw["A"] == first.lags.raw["A"] + second.lags.raw["A"]
+        assert list(merged.lags.raw["C"]) == [0.0] * 80 + [0.75]
+        # ... so the statistics are the numpy calls over the union.
+        union = list(first.latencies.raw["A"]) + list(second.latencies.raw["A"])
+        assert RunMetrics(merged).latency_stats("A") == latency_stats(union)
+        lag = np.array(list(first.lags.raw["B"]) + list(second.lags.raw["B"]))
+        assert RunMetrics(merged).lag_sigma("B", 2.0) == float(np.std(lag / 2.0))
 
     def test_merge_partials_folds_in_order(self):
         partials = [self._synthetic(float(i) * 4.0) for i in range(3)]
@@ -496,24 +530,88 @@ class TestMetricsPartialMerge:
         second.observe_sample(0.2, {"B": 3.0}, {"B": 3.0})
         merged = first.merge(second)
         # A tenant absent from one window contributes zero lag there,
-        # matching the exact tracker's zero-backfill.
-        assert merged.lag_moments["A"].count == 2
-        assert merged.lag_moments["B"].count == 2
-        assert merged.lag_moments["B"].mean == pytest.approx(0.0)
+        # matching the exact store's zero-backfill.
+        assert merged.lags.sketches["A"].count == 2
+        assert merged.lags.sketches["B"].count == 2
+        assert merged.lags.sketches["B"].mean == pytest.approx(0.0)
 
     def test_shift_times_moves_all_clocks(self):
-        from repro.metrics.collector import DispatchRecord
-
         partial = self._synthetic(0.0, samples=3)
-        partial.observe_dispatch(
+        partial.dispatch_log.append(
             DispatchRecord(0, "A", "x", 1.0, start=0.05, end=0.15)
         )
         partial.shift_times(10.0)
         assert partial.series.times[0] == pytest.approx(10.1)
         assert partial.gini.items()[0][0] == pytest.approx(10.1)
-        record = partial.dispatches.items()[0]
+        record = partial.dispatch_log[0]
         assert record.start == pytest.approx(10.05)
         assert record.end == pytest.approx(10.15)
+
+
+class TestRawUntilCapacity:
+    def test_zero_capacity_latency_matches_digest_and_moments(self):
+        values = make_rng(8, "latency").lognormal(-3.0, 1.0, size=3000).tolist()
+        partial = MetricsPartial(0.1, capacities=_capacities(latency=0))
+        digest, moments = QuantileDigest(), StreamingMoments()
+        for chunk in range(0, len(values), 250):
+            for value in values[chunk:chunk + 250]:
+                _add_latency(partial, "A", value)
+                digest.add(value)
+                moments.add(value)
+            partial.enforce_capacities()
+        stats = RunMetrics(partial).latency_stats("A")
+        assert stats.count == moments.count
+        assert stats.mean == moments.mean
+        assert stats.maximum == moments.maximum
+        for q, got in ((0.01, stats.p1), (0.50, stats.p50), (0.99, stats.p99)):
+            assert got == digest.quantile(q)
+
+    def test_zero_capacity_lag_matches_moments(self):
+        partial = MetricsPartial(0.1, capacities=_capacities(lag=0))
+        moments = {"A": StreamingMoments(), "B": StreamingMoments()}
+        for i in range(50):
+            actual = {"A": i * 1.5}
+            if i >= 20:
+                actual["B"] = (i - 20) * 0.5
+            gps = {tenant: value * 0.9 for tenant, value in actual.items()}
+            partial.observe_sample(i * 0.1, actual, gps)
+            if i == 20:
+                moments["B"].add_zeros(20)
+            for tenant, value in actual.items():
+                moments[tenant].add(value - gps[tenant])
+            partial.enforce_capacities()
+        metrics = RunMetrics(partial)
+        for tenant in ("A", "B"):
+            assert metrics.lag_sigma(tenant) == moments[tenant].std
+            assert metrics.lag_sigma(tenant, 4.0) == moments[tenant].std / 4.0
+
+    def test_folds_only_past_capacity(self):
+        store = TenantValues(3, LatencySketch)
+        store.raw["A"] = [1.0, 2.0, 3.0]
+        store.fold()
+        assert store.raw["A"] == [1.0, 2.0, 3.0] and not store.sketches
+        store.raw["A"].append(4.0)
+        store.fold()
+        assert store.raw["A"] == []
+        assert store.sketches["A"].moments.count == 4
+        store.raw["A"].append(5.0)
+        store.fold()
+        assert store.sketches["A"].moments.count == 5
+
+    def test_latencies_raise_once_folded(self):
+        partial = MetricsPartial(0.1, capacities=_capacities(latency=2))
+        for value in (0.1, 0.2):
+            _add_latency(partial, "A", value)
+        assert RunMetrics(partial).latencies == {"A": [0.1, 0.2]}
+        _add_latency(partial, "A", 0.3)
+        with pytest.raises(ConfigurationError, match="latency_stats"):
+            RunMetrics(partial).latencies
+        assert RunMetrics(partial).latency_stats("A").count == 3
+
+    def test_streaming_run_has_no_raw_latencies(self):
+        streaming = _run_collector("streaming").result()
+        with pytest.raises(ConfigurationError):
+            streaming.latencies
 
 
 def _stable_specs(n=4):
@@ -626,11 +724,10 @@ class TestConfigPlumbing:
             _stable_config(metrics_mode="bogus")
 
     def test_streaming_mode_flows_through_run_single(self):
-        from repro.metrics.collector import StreamingRunMetrics
-
         config = _stable_config(duration=1.0, metrics_mode="streaming")
         metrics = run_single("2dfq", _stable_specs(2), config)
-        assert isinstance(metrics, StreamingRunMetrics)
+        assert isinstance(metrics, RunMetrics)
+        assert metrics.partial.capacities == CAPACITIES["streaming"]
 
     def test_figures_cli_flag_sets_mode(self):
         import argparse
