@@ -45,8 +45,8 @@ the slot-``i`` eligibility set -- and in the common regime where a
 tenant is re-touched before virtual time reaches its lower slots, the
 cascade never runs and the per-touch cost stays at one push.  2DFQ's
 per-touch cost drops from ``n + 1`` heap pushes under the PR-1 eager
-design to ~1 amortized, which is where the churn reduction in
-``BENCH_schedulers.json`` (stale_pops / heap_pushes) comes from.
+design to ~1 amortized, which is the churn reduction the
+:meth:`SelectionIndex.stats` counters (stale_pops / pushes) show.
 
 Because system virtual time never moves backwards, the eligibility
 threshold passed to :meth:`min_eligible_finish` is non-decreasing, so
@@ -197,8 +197,7 @@ class SelectionIndex:
         self._hist: List[int] = []
         # Churn counters (always on): superseded entries discarded at a
         # heap top, compaction rebuilds, entries pushed, and touches
-        # received.  pushes/touches is the coalescing ratio the perf
-        # benches pin.
+        # received.  pushes/touches is the coalescing ratio.
         self.stale_pops = 0
         self.rebuilds = 0
         self.pushes = 0
@@ -537,9 +536,7 @@ class SelectionIndex:
         pushed, ``touches`` the touch calls received (pushes/touches is
         the deferred-maintenance coalescing ratio); ``entries`` is the
         summed current heap occupancy (live plus not-yet-surfaced stale).
-        Surfaced per benchmark cell in
-        ``benchmarks/results/BENCH_schedulers.json`` and in traced-run
-        manifests.
+        Surfaced in traced-run manifests.
         """
         return {
             "stale_pops": self.stale_pops,

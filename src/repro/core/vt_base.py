@@ -104,8 +104,8 @@ class VirtualTimeScheduler(Scheduler):
     #: is built when the backlog reaches ``AUTO_INDEX_HIGH`` and torn
     #: down when it falls to ``AUTO_INDEX_LOW``.  The defaults sit above
     #: the measured linear/heap crossover of the slowest policies
-    #: (``repro.perf.hotpath.measure_adaptive_crossover``; DESIGN.md
-    #: §15), with a 2x band so a backlog oscillating around the
+    #: (``measure_adaptive_crossover`` in ``benchmarks/hotpath.py``;
+    #: DESIGN.md §15), with a 2x band so a backlog oscillating around the
     #: crossover does not thrash index builds.  Class attributes:
     #: subclasses or callers may retune per deployment.
     AUTO_INDEX_HIGH: ClassVar[int] = 32
@@ -284,7 +284,7 @@ class VirtualTimeScheduler(Scheduler):
         # while a tracer is attached, so the disabled hot path stays one
         # ``is not None`` check per phase.  The clock behind the timers
         # is injectable -- the runner attaches the sim clock for traced
-        # runs, the perf harness keeps the host clock.
+        # runs, the hot-path microbenchmarks keep the host clock.
         trace = self._trace
         phase_timer: Optional["Timer"] = None
         if trace is not None:

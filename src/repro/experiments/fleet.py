@@ -47,9 +47,9 @@ from ..fleet import (
     Fleet,
     FleetCollector,
     FleetInjector,
-    FleetRunMetrics,
     router_names,
 )
+from ..metrics.collector import RunMetrics
 from ..obs.flight import FlightRecorder
 from ..obs.session import current_session
 from ..obs.tracer import Tracer
@@ -65,6 +65,7 @@ __all__ = [
     "PROBE_TENANT",
     "fleet_population",
     "fleet_crash_plan",
+    "max_abs_lag",
     "run_fleet",
     "run_figfleet",
     "FleetRunResult",
@@ -131,11 +132,21 @@ def fleet_crash_plan(
     )
 
 
+def max_abs_lag(metrics: RunMetrics, tenant_id: str) -> float:
+    """Worst absolute service lag (cost units) of one tenant over the
+    run -- the boundedness criterion of the crash-failover acceptance
+    test."""
+    lag = metrics.service_series(tenant_id).lag_units()
+    if lag.size == 0:
+        return 0.0
+    return float(max(abs(float(lag.min())), abs(float(lag.max()))))
+
+
 @dataclass
 class FleetRunResult:
     """One fleet run: metrics plus the fault/conservation bookkeeping."""
 
-    metrics: FleetRunMetrics
+    metrics: RunMetrics
     counts: Dict[str, int]
     injector_counts: Dict[str, int] = field(default_factory=dict)
     ledger: Optional[FleetConservationLedger] = None
@@ -151,7 +162,6 @@ def run_fleet(
     specs: Optional[Sequence[TenantSpec]] = None,
     plan: Optional[FaultPlan] = None,
     failover: Optional[FailoverPolicy] = FailoverPolicy(),
-    admission_limit: Optional[float] = None,
     health_interval: float = 0.05,
     failure_threshold: int = 1,
     sample_interval: float = 0.1,
@@ -198,7 +208,6 @@ def run_fleet(
         servers,
         router=router,
         failover=failover,
-        admission_limit=admission_limit,
         health_interval=health_interval,
         failure_threshold=failure_threshold,
         seed=seed,
@@ -250,7 +259,6 @@ def run_fleet(
                 "duration": duration,
                 "router": router,
                 "failover": failover is not None,
-                "admission_limit": admission_limit,
                 "health_interval": health_interval,
                 "failure_threshold": failure_threshold,
             },
@@ -277,10 +285,12 @@ class FigFleetResult:
 
     def worst_survivor_lag(self, mode: str) -> float:
         """Worst max-|lag| (seconds of fair-share service) over the
-        surviving closed-loop tenants in one mode."""
-        metrics = self.runs[mode].metrics
+        surviving tenants in one mode."""
+        return self._worst_lag(self.runs[mode])
+
+    def _worst_lag(self, run: FleetRunResult) -> float:
         return max(
-            metrics.max_abs_lag(tenant) / self.fair_rate
+            max_abs_lag(run.metrics, tenant) / self.fair_rate
             for tenant in self.survivors
         )
 
@@ -302,14 +312,10 @@ class FigFleetResult:
     def ablation_rows(self) -> List[tuple]:
         out = []
         for name, run in self.ablation.items():
-            metrics = run.metrics
             out.append(
                 (
                     name,
-                    max(
-                        metrics.max_abs_lag(tenant) / self.fair_rate
-                        for tenant in self.survivors
-                    ),
+                    self._worst_lag(run),
                     run.counts.get("completed", 0),
                     run.counts.get("rejected", 0),
                 )

@@ -29,21 +29,15 @@ exhausted budget abandons the request back to its source.  With
 and stranded work is simply lost -- the degradation contrast the
 ``figfleet`` figure quantifies.
 
-``hedge=True`` additionally clones every admitted request onto a second
-server (when one exists).  The first copy to finish wins; the loser is
-aborted through the same exact-refund path, so the surviving copy is
-charged exactly once -- the request-cloning discipline of the tail-latency
-literature, restated in scheduler-charge terms.
-
-Admission control (``admission_limit``) bounds the *fleet-wide* queued
-backlog to ``limit x healthy threads``; beyond it, submissions are
-rejected and their source notified after ``reject_retry_delay`` (the
-deferral breaks the same-instant resubmit loop a closed-loop source
-would otherwise enter).
+A submission arriving while every server is marked down is rejected,
+and its source is notified :data:`REJECT_RETRY_DELAY` seconds later: a
+same-instant notification would make a closed-loop source resubmit into
+the identical all-down fleet.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Union
@@ -57,7 +51,10 @@ from ..simulator.rng import make_rng
 from ..simulator.server import ThreadPoolServer
 from .router import Router, make_router
 
-__all__ = ["FailoverPolicy", "Fleet"]
+__all__ = ["FailoverPolicy", "Fleet", "REJECT_RETRY_DELAY"]
+
+#: Seconds between a rejection and the notification of its source.
+REJECT_RETRY_DELAY = 0.02
 
 RequestListener = Callable[[Request], None]
 CapacityListener = Callable[[float, float], None]
@@ -65,7 +62,7 @@ CapacityListener = Callable[[float, float], None]
 
 @dataclass(frozen=True)
 class FailoverPolicy:
-    """Retry budget and hedging knobs for crash failover.
+    """Retry budget and backoff schedule for crash failover.
 
     The backoff schedule is shared with the deadline-retry model
     (:func:`repro.faults.plan.retry_delay`): attempt ``k`` waits
@@ -77,18 +74,24 @@ class FailoverPolicy:
     backoff: float = 0.005
     growth: float = 2.0
     jitter: float = 0.1
-    #: Duplicate every admitted request onto a second healthy server;
-    #: first completion wins, the loser is cancelled with a full refund.
-    hedge: bool = False
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ConfigurationError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
-        if self.backoff < 0 or self.growth < 1.0 or not 0 <= self.jitter <= 1:
+        # A non-finite backoff or growth would only fail at the first
+        # failover, mid-run, as a non-finite retry delay.
+        if not (
+            math.isfinite(self.backoff)
+            and self.backoff >= 0
+            and math.isfinite(self.growth)
+            and self.growth >= 1.0
+            and 0 <= self.jitter <= 1
+        ):
             raise ConfigurationError(
-                "need backoff >= 0, growth >= 1, 0 <= jitter <= 1; got "
+                "need finite backoff >= 0, finite growth >= 1, "
+                "0 <= jitter <= 1; got "
                 f"backoff={self.backoff}, growth={self.growth}, "
                 f"jitter={self.jitter}"
             )
@@ -109,16 +112,10 @@ class Fleet:
         The crash-failover policy, or ``None`` to disable both failover
         *and* health monitoring (the router then never learns of
         crashes).
-    admission_limit:
-        Reject new submissions while the fleet-wide queued backlog is at
-        least ``admission_limit x healthy threads``; ``None`` disables
-        admission control.
     health_interval:
         Probe period of the health monitor (seconds).
     failure_threshold:
         Consecutive missed probes before a server is marked down.
-    reject_retry_delay:
-        Delay before a rejected request's source is notified.
     seed:
         Seeds the router and the failover jitter streams.
     """
@@ -129,10 +126,8 @@ class Fleet:
         servers: Sequence[ThreadPoolServer],
         router: Union[Router, str] = "least-backlog",
         failover: Optional[FailoverPolicy] = FailoverPolicy(),
-        admission_limit: Optional[float] = None,
         health_interval: float = 0.05,
         failure_threshold: int = 1,
-        reject_retry_delay: float = 0.02,
         seed: int = 0,
     ) -> None:
         if not servers:
@@ -142,14 +137,6 @@ class Fleet:
                 raise ConfigurationError(
                     f"server {index} belongs to a different Simulation"
                 )
-        if admission_limit is not None and admission_limit <= 0:
-            raise ConfigurationError(
-                f"admission_limit must be positive, got {admission_limit}"
-            )
-        if reject_retry_delay < 0:
-            raise ConfigurationError(
-                f"reject_retry_delay must be >= 0, got {reject_retry_delay}"
-            )
         self.sim = sim
         self.servers: List[ThreadPoolServer] = list(servers)
         self.router: Router = (
@@ -157,8 +144,6 @@ class Fleet:
         )
         self.router.bind(self, seed)
         self.failover = failover
-        self._admission_limit = admission_limit
-        self._reject_retry_delay = float(reject_retry_delay)
         self._rng = make_rng(seed, "fleet", "failover")
         self._trace: Optional[Tracer] = None
         # Routing view: servers *detected* down.  A crashed server stays
@@ -170,18 +155,12 @@ class Fleet:
         self._owner: Dict[int, int] = {}
         self._attempts: Dict[int, int] = {}
         self._pending_retry: Dict[int, Request] = {}
-        # Hedge pairs: seqno -> sibling request (both directions); the
-        # clone side is recorded in _hedge_clones for the pair's life.
-        self._hedge: Dict[int, Request] = {}
-        self._hedge_clones: Set[int] = set()
         self.counts: Dict[str, int] = {
             "admitted": 0,
             "rejected": 0,
             "routed": 0,
             "completed": 0,
             "abandoned": 0,
-            "hedged": 0,
-            "hedge_wins_clone": 0,
             "server_crashes": 0,
             "server_restores": 0,
             "detections": 0,
@@ -207,19 +186,18 @@ class Fleet:
             )
             self.monitor.start()
 
-    # -- listeners (logical requests only; hedge clones never appear) ------
+    # -- listeners (fleet-routed requests only) ----------------------------
 
     def on_admit(self, fn: RequestListener) -> None:
         """Fired once per accepted submission (not per failover retry)."""
         self._admit_listeners.append(fn)
 
     def on_reject(self, fn: RequestListener) -> None:
-        """Fired when admission control or an empty healthy set refuses."""
+        """Fired when a submission finds no healthy server."""
         self._reject_listeners.append(fn)
 
     def on_complete(self, fn: RequestListener) -> None:
-        """Fired once per logical completion, with the logical request
-        (its ``completion_time`` reflects the winning copy)."""
+        """Fired once per completed fleet-routed request."""
         self._complete_listeners.append(fn)
 
     def on_abandon(self, fn: RequestListener) -> None:
@@ -267,17 +245,10 @@ class Fleet:
         return sum(s.service_received(tenant_id) for s in self.servers)
 
     def pending_seqnos(self) -> Set[int]:
-        """Seqnos of logical requests still in flight: live on a server
+        """Seqnos of requests still in flight: live on a server
         (including frozen on a crashed one), or awaiting a failover
-        retry.  A live hedge clone pins its primary's seqno as pending.
-        """
-        pending = set(self._owner) | set(self._pending_retry)
-        for seqno in sorted(pending):
-            if seqno in self._hedge_clones:
-                sibling = self._hedge.get(seqno)
-                if sibling is not None:
-                    pending.add(sibling.seqno)
-        return pending
+        retry."""
+        return set(self._owner) | set(self._pending_retry)
 
     def update_gauges(self) -> None:
         """Refresh the ``fleet.*`` gauges (no-op without a tracer)."""
@@ -293,44 +264,18 @@ class Fleet:
     # -- ingress -----------------------------------------------------------
 
     def submit(self, request: Request) -> None:
-        """Admit (or reject) one logical request at the current time."""
+        """Admit (or reject) one request at the current time."""
         healthy = self._routable()
         if not healthy:
-            self._reject(request, "no_healthy_servers", healthy)
-            return
-        if self._admission_full(healthy):
-            self._reject(request, "backlog_limit", healthy)
+            self._reject(request)
             return
         self.counts["admitted"] += 1
         for fn in self._admit_listeners:
             fn(request)
         self._place(request, healthy)
-        policy = self.failover
-        if policy is not None and policy.hedge and len(healthy) > 1:
-            primary_server = self._owner[request.seqno]
-            alternates = [i for i in healthy if i != primary_server]
-            clone = Request(
-                tenant_id=request.tenant_id,
-                cost=request.cost,
-                api=request.api,
-                weight=request.weight,
-                source=None,
-            )
-            self._hedge[request.seqno] = clone
-            self._hedge[clone.seqno] = request
-            self._hedge_clones.add(clone.seqno)
-            self.counts["hedged"] += 1
-            self._place(clone, alternates)
 
     def _routable(self) -> List[int]:
         return [i for i in range(len(self.servers)) if i not in self._down]
-
-    def _admission_full(self, healthy: List[int]) -> bool:
-        if self._admission_limit is None:
-            return False
-        queued = sum(self.servers[i].scheduler.backlog for i in healthy)
-        threads = sum(self.servers[i].num_threads for i in healthy)
-        return queued >= self._admission_limit * threads
 
     def _place(self, request: Request, candidates: List[int]) -> None:
         choice = self.router.route(request, candidates)
@@ -356,9 +301,7 @@ class Fleet:
             )
         self.servers[choice].submit(request)
 
-    def _reject(
-        self, request: Request, reason: str, healthy: List[int]
-    ) -> None:
+    def _reject(self, request: Request) -> None:
         self.counts["rejected"] += 1
         trace = self._trace
         if trace is not None:
@@ -368,10 +311,10 @@ class Fleet:
                 seqno=request.seqno,
                 server=None,
                 policy=self.router.name,
-                healthy=len(healthy),
+                healthy=0,
                 backlog=self.backlog,
                 accepted=False,
-                reason=reason,
+                reason="no_healthy_servers",
             )
         for fn in self._reject_listeners:
             fn(request)
@@ -380,7 +323,7 @@ class Fleet:
             # Deferred: a same-instant notification would make a
             # closed-loop source resubmit into the identical state.
             self.sim.after(
-                self._reject_retry_delay, source.on_request_complete, request
+                REJECT_RETRY_DELAY, source.on_request_complete, request
             )
 
     # -- completion --------------------------------------------------------
@@ -390,27 +333,9 @@ class Fleet:
             return  # not fleet-routed (direct server traffic)
         self._owner.pop(request.seqno, None)
         self._attempts.pop(request.seqno, None)
-        logical = request
-        sibling = self._hedge.pop(request.seqno, None)
-        if sibling is not None:
-            self._hedge.pop(sibling.seqno, None)
-            winner_is_clone = request.seqno in self._hedge_clones
-            self._hedge_clones.discard(request.seqno)
-            self._hedge_clones.discard(sibling.seqno)
-            owner = self._owner.pop(sibling.seqno, None)
-            if owner is not None:
-                self._live[owner].pop(sibling.seqno, None)
-                self.servers[owner].abort(sibling)
-            if winner_is_clone:
-                self.counts["hedge_wins_clone"] += 1
-                logical = sibling
-                logical.completion_time = request.completion_time
-                source = logical.source
-                if source is not None:
-                    source.on_request_complete(logical)
         self.counts["completed"] += 1
         for fn in self._complete_listeners:
-            fn(logical)
+            fn(request)
 
     # -- fault surface (driven by FleetInjector) ---------------------------
 
@@ -449,15 +374,6 @@ class Fleet:
         if owner is None:
             return was_pending
         self._live[owner].pop(request.seqno, None)
-        sibling = self._hedge.pop(request.seqno, None)
-        if sibling is not None:
-            self._hedge.pop(sibling.seqno, None)
-            self._hedge_clones.discard(request.seqno)
-            self._hedge_clones.discard(sibling.seqno)
-            sibling_owner = self._owner.pop(sibling.seqno, None)
-            if sibling_owner is not None:
-                self._live[sibling_owner].pop(sibling.seqno, None)
-                self.servers[sibling_owner].abort(sibling)
         return self.servers[owner].abort(request)
 
     # -- health transitions (driven by HealthMonitor) ----------------------
@@ -497,42 +413,13 @@ class Fleet:
 
     def _drain(self, index: int) -> None:
         """Abort every request stranded on a dead server (exact refund)
-        and schedule failover retries for the logical requests that no
-        surviving hedge copy still carries."""
+        and schedule a failover retry for each."""
         server = self.servers[index]
         victims = list(self._live[index].values())
         self._live[index].clear()
         for request in victims:
             self._owner.pop(request.seqno, None)
             server.abort(request)
-        requeue: List[Request] = []
-        scheduled: Set[int] = set()
-        dropped = 0
-        for request in victims:
-            sibling = self._hedge.get(request.seqno)
-            if request.seqno in self._hedge_clones:
-                # A hedge duplicate never retries on its own; when its
-                # primary is also gone (stranded in an earlier crash and
-                # dropped in favour of this copy), resolve the pair into
-                # a plain retry of the primary.
-                if sibling is not None and self._copy_dead(sibling):
-                    self._unlink(request.seqno, sibling)
-                    if (
-                        sibling.phase == RequestPhase.CANCELLED
-                        and sibling.seqno not in scheduled
-                    ):
-                        scheduled.add(sibling.seqno)
-                        requeue.append(sibling)
-                dropped += 1
-                continue
-            if sibling is not None:
-                if not self._copy_dead(sibling):
-                    dropped += 1  # the surviving clone carries it
-                    continue
-                self._unlink(request.seqno, sibling)
-            if request.seqno not in scheduled:
-                scheduled.add(request.seqno)
-                requeue.append(request)
         self.counts["failovers"] += 1
         trace = self._trace
         if trace is not None:
@@ -541,23 +428,10 @@ class Fleet:
                 "failover",
                 server=index,
                 drained=len(victims),
-                requeued=len(requeue),
-                dropped=dropped,
+                requeued=len(victims),
             )
-        for request in requeue:
+        for request in victims:
             self._requeue(request)
-
-    def _copy_dead(self, request: Request) -> bool:
-        return (
-            self._owner.get(request.seqno) is None
-            and request.seqno not in self._pending_retry
-        )
-
-    def _unlink(self, seqno: int, sibling: Request) -> None:
-        self._hedge.pop(seqno, None)
-        self._hedge.pop(sibling.seqno, None)
-        self._hedge_clones.discard(seqno)
-        self._hedge_clones.discard(sibling.seqno)
 
     def _requeue(self, request: Request) -> None:
         policy = self.failover
@@ -584,7 +458,7 @@ class Fleet:
         if request.phase != RequestPhase.CANCELLED:
             return
         healthy = self._routable()
-        if not healthy or self._admission_full(healthy):
+        if not healthy:
             self._requeue(request)  # burns another attempt
             return
         self.counts["failover_retries"] += 1

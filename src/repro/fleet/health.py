@@ -18,6 +18,7 @@ alongside the fairness cost of the crash.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, List
 
 from ..errors import ConfigurationError
@@ -37,9 +38,11 @@ class HealthMonitor:
         interval: float = 0.05,
         failure_threshold: int = 1,
     ) -> None:
-        if interval <= 0:
+        # An infinite interval never probes, so a crash would never be
+        # detected; NaN would fail later, inside the event loop.
+        if not (math.isfinite(interval) and interval > 0):
             raise ConfigurationError(
-                f"health interval must be positive, got {interval}"
+                f"health interval must be positive and finite, got {interval}"
             )
         if failure_threshold < 1:
             raise ConfigurationError(

@@ -358,6 +358,18 @@ class RunMetrics:
     def latency_p99(self, tenant_id: str) -> Duration:
         return self.latency_stats(tenant_id).p99
 
+    def completed(self, tenant_id: Optional[str] = None) -> int:
+        """Post-warmup completions of one tenant, or of every tenant."""
+        store = self.partial.latencies
+        names = store.tenants() if tenant_id is None else {tenant_id}
+        total = 0
+        for name in names:
+            total += len(store.raw.get(name, ()))
+            sketch = store.sketches.get(name)
+            if sketch is not None:
+                total += sketch.moments.count
+        return total
+
     # -- gini and store --------------------------------------------------------
 
     @property

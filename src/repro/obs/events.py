@@ -53,8 +53,8 @@ Event taxonomy (the ``kind`` field; see DESIGN.md §9):
 ``route``
     A fleet router (:mod:`repro.fleet`) placed -- or refused -- a
     request: which server won, under which policy, over how many
-    healthy candidates, and whether admission control accepted it.
-    Rejections carry ``accepted=False`` plus a ``reason``.
+    healthy candidates, and whether the fleet accepted it.  Rejections
+    (no healthy server) carry ``accepted=False`` plus a ``reason``.
 
 Every event also records the simulated wallclock ``t`` and the system
 virtual time ``vt`` at emission, so virtual- and wall-time views line up.

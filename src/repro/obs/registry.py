@@ -18,8 +18,8 @@ callable, defaulting to the host's monotonic high-resolution counter
 (:data:`HOST_CLOCK`).  The experiment runner swaps in the simulation
 clock (:meth:`MetricsRegistry.set_clock`) for traced runs, so phase
 timers report in deterministic sim-time and run manifests stay
-byte-reproducible; standalone profiling (the perf harness) keeps the
-host clock.
+byte-reproducible; standalone profiling (the hot-path microbenchmarks)
+keeps the host clock.
 """
 
 from __future__ import annotations

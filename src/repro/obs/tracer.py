@@ -18,9 +18,9 @@ check::
 
 ``attach_tracer`` enforces the invariant: attaching ``None`` or a
 disabled tracer stores ``None``, so the disabled mode is exactly one
-``is not None`` test per instrumented operation.  The hot-path benchmark
-(``benchmarks/test_bench_perf_hotpath.py``) asserts this stays under 5%
-of dequeue throughput.
+``is not None`` test per instrumented operation.  The hot-path
+microbenchmarks (``benchmarks/hotpath.py``) measure traced and audited
+dequeue throughput against this disabled path.
 
 When enabled, emission is one row tuple and a list append (DESIGN.md
 §9): a typed emitter builds no dict and no :class:`TraceEvent`, and

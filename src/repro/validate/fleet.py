@@ -11,14 +11,14 @@ that every admitted request reaches **exactly one** terminal outcome --
 * abandoned once (failover retry budget or fleet-level deadline policy
   exhausted);
 * or is verifiably still in flight at :meth:`verify` time -- live on a
-  server (including frozen on a crashed one), awaiting a failover
-  retry, or carried by a surviving hedge copy.
+  server (including frozen on a crashed one) or awaiting a failover
+  retry.
 
 Anything else is a lost request (the no-loss half).  The ledger also
-checks the charge side on every completion: the completing copy's
-reported usage must not exceed its true cost beyond float tolerance --
-with hedging, the surviving copy is charged exactly once and the
-loser's charges are refunded, so an overshoot means a double charge.
+checks the charge side on every completion: the request's reported
+usage must not exceed its true cost beyond float tolerance -- a request
+drained from a dead server is refunded before it is re-routed, so an
+overshoot means a double charge.
 
 Enable wherever the fleet runs under ``REPRO_VALIDATE=1`` (the
 experiment runner and the property tests do).

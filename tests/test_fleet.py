@@ -1,5 +1,5 @@
-"""The fleet tier: routing, health detection, crash failover, hedging,
-admission control, and the figfleet acceptance contrast.
+"""The fleet tier: routing, health detection, crash failover, rejection
+of work no healthy server can take, and the figfleet acceptance contrast.
 
 The scenarios drive a real multi-server simulation end to end (shared
 ``Simulation``, per-server schedulers, closed-loop sources through the
@@ -10,6 +10,7 @@ servers.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.registry import make_scheduler
@@ -18,6 +19,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.fleet import (
     PROBE_TENANT,
     fleet_crash_plan,
+    max_abs_lag,
     run_fleet,
     run_figfleet,
 )
@@ -30,6 +32,7 @@ from repro.fleet import (
     make_router,
     router_names,
 )
+from repro.fleet.fleet import REJECT_RETRY_DELAY
 from repro.simulator.clock import Simulation
 from repro.simulator.rng import make_rng
 from repro.simulator.server import ThreadPoolServer
@@ -144,23 +147,6 @@ class TestFleetBasics:
         assert fleet.service_received("a") == pytest.approx(total)
         assert all(s.completed_requests > 0 for s in fleet.servers)
 
-    def test_admission_control_rejects_and_recovers(self):
-        sim, fleet = build_fleet(
-            num_servers=2,
-            admission_limit=1.0,
-            reject_retry_delay=0.05,
-        )
-        backlogged(fleet, "a", cost=20.0, window=16, limit=40)
-        sim.run(until=60.0)
-        assert fleet.counts["rejected"] > 0
-        assert fleet.counts["completed"] > 0
-        # Every submission is accounted for: the closed loop is told
-        # about rejections (after reject_retry_delay) and moves on.
-        assert (
-            fleet.counts["completed"] + fleet.counts["rejected"] == 40
-        )
-        assert not fleet.pending_seqnos()
-
     def test_rejects_when_no_server_is_healthy(self):
         sim, fleet = build_fleet(num_servers=2, health_interval=0.01)
         fleet.crash_server(0)
@@ -170,6 +156,33 @@ class TestFleetBasics:
         fleet.submit(Request(tenant_id="a", cost=1.0))
         assert fleet.counts["rejected"] == 1
         assert fleet.counts["admitted"] == 0
+        # A closed-loop source hears of each rejection REJECT_RETRY_DELAY
+        # later, not at the same instant, and moves on; once a server
+        # comes back, its later submissions are admitted and complete.
+        start = sim.now
+        source = BackloggedSource(
+            fleet, "b", lambda: ("A", 1.0), window=2, limit=10, start_time=start
+        )
+        notified = []
+        forward = source.on_request_complete
+
+        def spy(request):
+            notified.append(sim.now)
+            forward(request)
+
+        source.on_request_complete = spy
+        source.start()
+        sim.at(start + 0.05, fleet.restore_server, 0)
+        sim.run(until=start)
+        assert fleet.counts["rejected"] == 3
+        assert notified == []
+        sim.run(until=start + REJECT_RETRY_DELAY)
+        assert notified == [pytest.approx(start + REJECT_RETRY_DELAY)] * 2
+        sim.run(until=10.0)
+        assert source.submitted == 10
+        assert fleet.counts["admitted"] > 0
+        assert fleet.counts["completed"] + fleet.counts["rejected"] == 1 + 10
+        assert not fleet.pending_seqnos()
 
 
 class TestCrashAndFailover:
@@ -263,40 +276,6 @@ class TestCrashAndFailover:
             assert request.reported_usage == pytest.approx(request.cost)
 
 
-class TestHedging:
-    def test_first_completion_wins_and_loser_is_refunded(self):
-        sim, fleet = build_fleet(
-            num_servers=2,
-            router="round-robin",
-            failover=FailoverPolicy(hedge=True),
-        )
-        done = []
-        fleet.on_complete(done.append)
-        backlogged(fleet, "a", cost=4.0, window=2, limit=30)
-        sim.run(until=20.0)
-        assert fleet.counts["hedged"] == 30
-        assert fleet.counts["completed"] == 30
-        assert len(done) == 30
-        # 60 copies routed, 30 logical completions.
-        assert fleet.counts["routed"] == 60
-        assert not fleet.pending_seqnos()
-
-    def test_hedge_survives_crash_of_either_copy(self):
-        sim, fleet = build_fleet(
-            num_servers=2,
-            router="round-robin",
-            health_interval=0.02,
-            failover=FailoverPolicy(hedge=True),
-        )
-        ledger = FleetConservationLedger(fleet)
-        backlogged(fleet, "a", cost=5.0, window=4, limit=40)
-        sim.at(0.2, fleet.crash_server, 0)
-        sim.run(until=30.0)
-        assert fleet.counts["completed"] == 40
-        ledger.verify()
-        assert ledger.errors == []
-
-
 class TestFigFleet:
     def test_crash_degrades_and_failover_restores(self):
         # The acceptance contrast: with failover the fleet stays within
@@ -319,7 +298,7 @@ class TestFigFleet:
         fair = 16.0 * 1000.0 / 12.0
         worst = {
             name: max(
-                run.metrics.max_abs_lag(t) / fair
+                max_abs_lag(run.metrics, t) / fair
                 for t in run.metrics.tenants()
             )
             for name, run in (
@@ -356,11 +335,33 @@ class TestFleetCollector:
         sim.run(until=1.0)
         metrics = collector.result()
         # Timeline: full capacity, then the post-detection halving.
-        assert metrics.capacity_timeline[0] == (0.0, 400.0)
-        assert metrics.capacity_timeline[-1][1] == pytest.approx(200.0)
+        assert collector.capacity_timeline[0] == (0.0, 400.0)
+        assert collector.capacity_timeline[-1][1] == pytest.approx(200.0)
         assert "a" in metrics.tenants()
         series = metrics.service_series("a")
         assert series.actual.size > 0 and series.gps.size > 0
+
+    def test_lag_sigma_matches_the_service_series_bit_for_bit(self):
+        # sigma(lag) reads the store's lag part, the lag curves read the
+        # service series: both hold actual - gps from the same float
+        # subtraction, and both backfill a late tenant with zeros.
+        sim, fleet = build_fleet(
+            num_servers=2, router="round-robin", health_interval=0.05
+        )
+        collector = FleetCollector(fleet, sample_interval=0.05, warmup=0.2)
+        backlogged(fleet, "a", cost=2.0)
+        BackloggedSource(
+            fleet, "late", lambda: ("A", 3.0), window=2, start_time=0.6
+        ).start()
+        sim.at(0.4, fleet.crash_server, 0)
+        sim.run(until=1.5)
+        metrics = collector.result()
+        assert metrics.tenants() == ["a", "late"]
+        assert metrics.service_series("late").actual[0] == 0.0
+        for tenant in metrics.tenants():
+            lag = metrics.service_series(tenant).lag_units()
+            assert metrics.lag_sigma(tenant) == float(np.std(lag))
+            assert metrics.lag_sigma(tenant, 50.0) == float(np.std(lag / 50.0))
 
     @pytest.mark.parametrize(
         "settings",
@@ -405,10 +406,29 @@ class TestConfigErrors:
             Fleet(sim, [stray])
 
     def test_failover_policy_validation(self):
-        with pytest.raises(ConfigurationError):
-            FailoverPolicy(max_retries=-1)
-        with pytest.raises(ConfigurationError):
-            FailoverPolicy(growth=0.5)
+        for settings in (
+            {"max_retries": -1},
+            {"growth": 0.5},
+            {"backoff": -0.1},
+            {"jitter": 1.5},
+            # A NaN backoff or growth used to pass, then the first
+            # failover died mid-run scheduling a NaN delay.
+            {"backoff": float("nan")},
+            {"backoff": float("inf")},
+            {"growth": float("nan")},
+            {"growth": float("inf")},
+        ):
+            with pytest.raises(ConfigurationError):
+                FailoverPolicy(**settings)
+
+    @pytest.mark.parametrize("interval", [0.0, -0.05, float("nan"), float("inf")])
+    def test_health_interval_validation(self, interval):
+        # NaN failed later inside the event loop; inf made zero probes,
+        # so a crash was never detected.
+        sim = Simulation()
+        server = ThreadPoolServer(sim, make_scheduler("fifo", num_threads=1), 1)
+        with pytest.raises(ConfigurationError, match="health interval"):
+            Fleet(sim, [server], health_interval=interval)
 
     def test_injector_rejects_unknown_server(self):
         sim, fleet = build_fleet(num_servers=2)

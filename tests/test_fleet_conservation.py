@@ -1,7 +1,7 @@
 """Property test: crash + failover conserves requests on every scheduler.
 
 Hypothesis drives randomized crash plans (any subset of servers short of
-the whole fleet, random crash/restart times, any router, hedged or not)
+the whole fleet, random crash/restart times, any router)
 against every registered scheduler with ``REPRO_VALIDATE=1`` semantics:
 each server's scheduler runs inside the invariant watchdog and a
 :class:`FleetConservationLedger` audits the cluster in strict mode, so
@@ -61,7 +61,6 @@ def crash_scenarios(draw):
         "num_servers": num_servers,
         "plan": FaultPlan(server_crashes=tuple(crashes), seed=draw(st.integers(0, 99))),
         "router": draw(st.sampled_from(router_names())),
-        "hedge": draw(st.booleans()),
         "seed": draw(st.integers(min_value=0, max_value=99)),
     }
 
@@ -83,9 +82,7 @@ def test_crash_failover_conserves_requests(name, scenario):
             sim,
             servers,
             router=scenario["router"],
-            failover=FailoverPolicy(
-                max_retries=2, backoff=0.01, hedge=scenario["hedge"]
-            ),
+            failover=FailoverPolicy(max_retries=2, backoff=0.01),
             health_interval=0.05,
             seed=scenario["seed"],
         )

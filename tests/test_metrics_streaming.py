@@ -613,6 +613,31 @@ class TestRawUntilCapacity:
         with pytest.raises(ConfigurationError):
             streaming.latencies
 
+    def test_completed_counts_raw_and_folded_latencies(self):
+        partial = MetricsPartial(0.1, capacities=_capacities(latency=2))
+        for value in (0.1, 0.2, 0.3):
+            _add_latency(partial, "A", value)
+        _add_latency(partial, "B", 0.4)
+        metrics = RunMetrics(partial)  # A folds past capacity, B stays raw
+        assert "A" in partial.latencies.sketches
+        assert metrics.completed("A") == 3
+        assert metrics.completed("B") == 1
+        assert metrics.completed("C") == 0
+        assert metrics.completed() == 4
+        _add_latency(partial, "A", 0.5)  # raw again, not yet folded
+        assert metrics.completed("A") == 4
+        assert metrics.completed() == 5
+
+    def test_completed_agrees_across_modes(self):
+        exact = _run_collector("exact", warmup=0.5).result()
+        streaming = _run_collector("streaming", warmup=0.5).result()
+        total = sum(len(values) for values in exact.latencies.values())
+        assert exact.completed() == total > 0
+        assert streaming.completed() == total
+        for tenant in exact.tenants():
+            count = exact.latency_stats(tenant).count
+            assert exact.completed(tenant) == streaming.completed(tenant) == count
+
 
 def _stable_specs(n=4):
     return [

@@ -66,7 +66,7 @@ def test_fleet_collector_attaches_mid_run() -> None:
     assert series.times[0] == pytest.approx(0.35)
     # The capacity timeline's initial point carries the attach epoch,
     # not a fabricated t=0 entry.
-    assert collector.result().capacity_timeline[0][0] == pytest.approx(0.25)
+    assert collector.capacity_timeline[0][0] == pytest.approx(0.25)
 
 
 def test_health_monitor_starts_mid_run() -> None:
