@@ -94,9 +94,8 @@ class WallClockRule(_ImportTrackingRule):
 
     Simulated time is :attr:`repro.simulator.clock.Simulation.now`;
     anything derived from the host's clock differs between runs and
-    machines.  The few legitimate wall-clock sites -- run telemetry
-    timers in :mod:`repro.obs.registry`, worker timeouts in
-    :mod:`repro.parallel.engine` -- carry explicit
+    machines.  The few legitimate wall-clock sites -- the run telemetry
+    timers in :mod:`repro.obs.registry` -- carry explicit
     ``# repro: ignore[RPR001]`` suppressions, which doubles as an
     auditable inventory of every place the host clock leaks in.
     """

@@ -197,7 +197,6 @@ def _suite_config(
     params: SuiteParameters,
     schedulers: Sequence[str],
     initial_estimate: float,
-    metrics_mode: str = "exact",
 ) -> ExperimentConfig:
     """The shared per-experiment configuration of one suite cell."""
     return ExperimentConfig(
@@ -211,7 +210,6 @@ def _suite_config(
         seed=params.seed + experiment.index,
         initial_estimate=initial_estimate,
         record_dispatches=False,
-        metrics_mode=metrics_mode,
     )
 
 
@@ -252,7 +250,6 @@ class SuiteCell:
     scheduler: str
     tenants: Tuple[str, ...]
     initial_estimate: float
-    metrics_mode: str = "exact"
 
     def label(self) -> str:
         return f"suite-{self.index}--{self.scheduler}"
@@ -267,7 +264,6 @@ class SuiteCell:
             self.params,
             (self.scheduler,),
             self.initial_estimate,
-            metrics_mode=self.metrics_mode,
         )
         specs = _experiment_specs(experiment, config.seed)
         trace = _suite_trace(experiment, self.params, specs, config)
@@ -288,17 +284,11 @@ def run_suite(
     initial_estimate: float = 1000.0,
     jobs: Optional[int] = None,
     cache: Optional["RunCache"] = None,
-    metrics_mode: str = "exact",
 ) -> SuiteResult:
     """Run the randomized suite and collect per-tenant p99 latencies.
 
     Pass a scaled-down :class:`SuiteParameters` for quick runs -- shape
     is preserved at far smaller scale than the paper's 150x15s.
-
-    ``metrics_mode="streaming"`` runs every cell with the bounded-memory
-    sketch collector (DESIGN.md §13): per-cell memory stays flat however
-    long the experiments run, at <1% p99 error (the suite only consumes
-    p99 latencies, so the result shape is unchanged).
 
     The suite is embarrassingly parallel: every (experiment, scheduler)
     pair is an independent :class:`SuiteCell` fanned out through
@@ -325,7 +315,6 @@ def run_suite(
             scheduler=name,
             tenants=tuple(tenants),
             initial_estimate=initial_estimate,
-            metrics_mode=metrics_mode,
         )
         for index in range(params.num_experiments)
         for name in schedulers

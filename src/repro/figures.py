@@ -375,6 +375,10 @@ def main(argv=None) -> int:
             parser.error(f"unknown figure {fig!r}; try 'list'")
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    if "figfleet" in args.figures and args.metrics != "exact":
+        parser.error(
+            f"figfleet collects exact metrics only; drop --metrics {args.metrics}"
+        )
     if args.trace and args.audit:
         parser.error(
             "--audit already implies --trace; pass exactly one of the two"

@@ -29,7 +29,6 @@ from .streaming import (
     QuantileDigest,
     ReservoirSample,
     StreamingMoments,
-    merge_partials,
 )
 from .summary import (
     CostSummary,
@@ -46,7 +45,6 @@ __all__ = [
     "Capacities",
     "DispatchRecord",
     "MetricsPartial",
-    "merge_partials",
     "StreamingMoments",
     "QuantileDigest",
     "ReservoirSample",

@@ -20,13 +20,11 @@ row of the capacity table :data:`~repro.metrics.streaming.CAPACITIES`
 grows with run length; ``"streaming"`` bounds every part -- latencies and
 lags fold into sketches from the first value, the service curves
 decimate, the Gini samples become a reservoir and the dispatch log
-keeps its newest records -- for 10M-request-scale runs.  ``partial()``
-exposes the picklable store so :mod:`repro.parallel` can merge the
-windowed partials of a time-sharded run.
+keeps its newest records -- for 10M-request-scale runs.
 
 The hot path stays one list append: a completion appends its latency to
 the tenant's raw list, a dispatch appends its record to the log.  The
-10 Hz sampler, ``result()`` and ``merge`` enforce the capacities.
+10 Hz sampler and ``result()`` enforce the capacities.
 """
 
 from __future__ import annotations
@@ -262,11 +260,6 @@ class MetricsCollector:
 
     # -- results ------------------------------------------------------------------
 
-    def partial(self) -> MetricsPartial:
-        """The run's picklable store -- the mergeable unit of the
-        time-sharded parallel runner."""
-        return self._partial
-
     def result(self) -> "RunMetrics":
         """Freeze collected data (call after the simulation finishes)."""
         return RunMetrics(self._partial)
@@ -294,8 +287,7 @@ class RunMetrics:
 
     def __init__(self, partial: MetricsPartial) -> None:
         partial.enforce_capacities()
-        #: The underlying store; time-sharded runs merge these across
-        #: shards before wrapping the result.
+        #: The underlying store.
         self.partial = partial
         self.sample_interval = partial.sample_interval
         items = partial.gini.items()

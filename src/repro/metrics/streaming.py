@@ -22,16 +22,13 @@ A capacity of ``0`` starts the sketch at the first value.  Below
 capacity the statistics are computed from the raw values by the same
 numpy calls as an unbounded store, so they are bit-identical to it.
 
-``merge(other)`` combines two consecutive windows, which is what lets
-:mod:`repro.parallel` fan one long run out as time shards and merge the
-windowed partials back together.  The benchmark gate holds streaming
-p50/p99 latency error under 1% vs exact
+The benchmark gate holds streaming p50/p99 latency error under 1% vs
+exact
 (``benchmarks/test_bench_metrics_streaming.py``).
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import functools
 import math
@@ -56,22 +53,16 @@ __all__ = [
     "Capacities",
     "CAPACITIES",
     "MetricsPartial",
-    "merge_partials",
 ]
 
 
-def _max_capacity(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    """The larger of two capacities; ``None`` (unbounded) wins."""
-    return None if a is None or b is None else max(a, b)
-
-
 class StreamingMoments:
-    """Welford streaming mean/variance with exact parallel merge.
+    """Welford streaming mean/variance.
 
     Matches ``np.mean`` / ``np.std`` (population, ``ddof=0``) up to
-    float round-off for any insertion order; ``merge`` uses the Chan et
-    al. pairwise-update formula, so merging per-window partials is exact
-    too (the property the time-sharded runner relies on).
+    float round-off for any insertion order; :meth:`merge_into` folds in
+    another accumulator with the Chan et al. pairwise-update formula,
+    which is how :meth:`add_zeros` accounts a run of zeros in O(1).
     """
 
     __slots__ = ("count", "mean", "m2", "minimum", "maximum")
@@ -128,13 +119,6 @@ class StreamingMoments:
         target.minimum = min(target.minimum, self.minimum)
         target.maximum = max(target.maximum, self.maximum)
 
-    def merge(self, other: "StreamingMoments") -> "StreamingMoments":
-        """New accumulator equal to the union of both streams."""
-        merged = StreamingMoments()
-        self.merge_into(merged)
-        other.merge_into(merged)
-        return merged
-
     @property
     def variance(self) -> float:
         """Population variance (``ddof=0``, matching ``np.std``)."""
@@ -154,7 +138,7 @@ class StreamingMoments:
 
 
 class QuantileDigest:
-    """Mergeable t-digest-style quantile sketch.
+    """t-digest-style quantile sketch.
 
     Incoming values buffer until ``buffer_size``, then a compaction pass
     sorts centroids + buffer together and greedily re-clusters under the
@@ -162,10 +146,6 @@ class QuantileDigest:
     The limit vanishes at ``q -> 0, 1``, so tail centroids stay near
     singletons -- which is why p99 error stays well under the 1% budget
     while the centroid count stays O(compression).
-
-    ``merge(other)`` feeds the other digest's centroids through the same
-    compaction (weighted), making windowed partials combinable with the
-    same error bound.
     """
 
     __slots__ = (
@@ -201,20 +181,6 @@ class QuantileDigest:
             self.maximum = value
         if len(self._buffer) >= 4 * self.compression:
             self._compress()
-
-    def merge(self, other: "QuantileDigest") -> "QuantileDigest":
-        """New digest summarizing the union of both streams."""
-        merged = QuantileDigest(max(self.compression, other.compression))
-        for source in (self, other):
-            source._compress()
-            for mean, weight in zip(source._means, source._weights):
-                merged._buffer.append(mean)
-                merged._buffer_weights.append(weight)
-            merged.count += source.count
-            merged.minimum = min(merged.minimum, source.minimum)
-            merged.maximum = max(merged.maximum, source.maximum)
-        merged._compress()
-        return merged
 
     def _compress(self) -> None:
         if not self._buffer and len(self._means) <= self.compression:
@@ -325,12 +291,6 @@ class LatencySketch:
         self.digest.add(value)
         self.moments.add(value)
 
-    def merge(self, other: "LatencySketch") -> "LatencySketch":
-        merged = LatencySketch()
-        merged.digest = self.digest.merge(other.digest)
-        merged.moments = self.moments.merge(other.moments)
-        return merged
-
     def stats(self) -> LatencyStats:
         return LatencyStats(
             count=int(self.moments.count),
@@ -390,31 +350,6 @@ class ReservoirSample:
     def items(self) -> List[Tuple[float, float]]:
         """Samples sorted by time."""
         return sorted(self._items)
-
-    def merge(self, other: "ReservoirSample") -> "ReservoirSample":
-        """Union reservoir; draws from each side proportionally to its
-        stream length (exact concatenation while everything fits)."""
-        merged = ReservoirSample(_max_capacity(self.capacity, other.capacity), 0)
-        merged.seen = self.seen + other.seen
-        combined = self._items + other._items
-        if merged.capacity is None or len(combined) <= merged.capacity:
-            merged._items = combined
-            return merged
-        # The merged reservoir's own rng continues from a copy of self's
-        # stream: deterministic across repeated merges, and the inputs
-        # stay untouched.
-        rng = merged._rng = copy.deepcopy(self._generator())
-        weight_self = self.seen / merged.seen
-        take_self = int(round(merged.capacity * weight_self))
-        take_self = min(max(take_self, merged.capacity - len(other._items)),
-                        len(self._items))
-        take_other = merged.capacity - take_self
-        pick_self = rng.choice(len(self._items), size=take_self, replace=False)
-        pick_other = rng.choice(len(other._items), size=take_other, replace=False)
-        merged._items = [self._items[i] for i in sorted(pick_self)] + [
-            other._items[i] for i in sorted(pick_other)
-        ]
-        return merged
 
     def __repr__(self) -> str:
         return (
@@ -512,48 +447,6 @@ class BoundedServiceSeries:
             baseline=self.baselines.get(tenant_id, 0.0),
         )
 
-    def shift_times(self, offset: Duration) -> None:
-        self.times = [t + offset for t in self.times]
-
-    def final_values(self) -> Tuple[Dict[str, Cost], Dict[str, Cost]]:
-        """Last recorded cumulative (actual, gps) per tenant."""
-        actual = {t: (c[-1] if c else 0.0) for t, c in self.actual.items()}
-        gps = {t: (c[-1] if c else 0.0) for t, c in self.gps.items()}
-        return actual, gps
-
-    def merge(self, other: "BoundedServiceSeries") -> "BoundedServiceSeries":
-        """Concatenate a later window, re-basing its cumulative curves on
-        this window's final values, then re-decimate to capacity.  The
-        baselines are this window's."""
-        merged = BoundedServiceSeries(_max_capacity(self.capacity, other.capacity))
-        merged.baselines = dict(self.baselines)
-        merged.stride = max(self.stride, other.stride)
-        final_actual, final_gps = self.final_values()
-        times = list(self.times)
-        n_self = len(times)
-        merged.times = times + list(other.times)
-        for store, own, finals in (
-            (merged.actual, self.actual, final_actual),
-            (merged.gps, self.gps, final_gps),
-        ):
-            source = other.actual if store is merged.actual else other.gps
-            tenants = set(own) | set(source)
-            for tenant in tenants:
-                head = list(own.get(tenant, []))
-                if len(head) < n_self:
-                    pad = head[-1] if head else 0.0
-                    head.extend([pad] * (n_self - len(head)))
-                offset = finals.get(tenant, 0.0)
-                tail = [offset + v for v in source.get(tenant, [])]
-                if len(tail) < len(other.times):
-                    pad = tail[-1] if tail else offset
-                    tail.extend([pad] * (len(other.times) - len(tail)))
-                store[tenant] = head + tail
-        merged._counter = len(merged.times)
-        while merged.capacity is not None and len(merged.times) >= merged.capacity:
-            merged._decimate()
-        return merged
-
 
 def _float_array(values: Sequence[float] = ()) -> "array[float]":
     return array("d", values)
@@ -588,22 +481,16 @@ class TenantValues:
     def tenants(self) -> Set[str]:
         return self.raw.keys() | self.sketches.keys()
 
-    def _zeros(self, count: int) -> Any:
-        """``count`` zero values: raw while they fit, else a sketch."""
-        if self.capacity is not None and count > self.capacity:
-            sketch = self._sketch()
-            sketch.add_zeros(count)
-            return sketch
-        return self._raw([0.0] * count)
-
     def start(self, tenant: str, zeros: int = 0) -> Any:
         """Open ``tenant``'s stream behind ``zeros`` zero values (a late
-        tenant's lag before it was first sampled); returns its raw
-        buffer."""
-        head = self._zeros(zeros)
-        if isinstance(head, self._sketch):
-            self.sketches[tenant] = head
+        tenant's lag before it was first sampled): raw while they fit,
+        else in a sketch.  Returns the tenant's raw buffer."""
+        if self.capacity is not None and zeros > self.capacity:
+            sketch = self.sketches[tenant] = self._sketch()
+            sketch.add_zeros(zeros)
             head = self._raw()
+        else:
+            head = self._raw([0.0] * zeros)
         self.raw[tenant] = head
         return head
 
@@ -624,52 +511,6 @@ class TenantValues:
             for value in values:
                 sketch.add(value)
             del values[:]
-
-    def _window(self, tenant: str, zeros: int) -> Any:
-        """This (folded) window's part of ``tenant``: its sketch, else
-        its raw values; an absent tenant stands for ``zeros`` zeros."""
-        sketch = self.sketches.get(tenant)
-        if sketch is not None:
-            return sketch
-        values = self.raw.get(tenant)
-        return self._zeros(zeros) if values is None else values
-
-    def _as_sketch(self, part: Any) -> Any:
-        if isinstance(part, self._sketch):
-            return part
-        sketch = self._sketch()
-        for value in part:
-            sketch.add(value)
-        return sketch
-
-    def merge(
-        self, other: "TenantValues", zeros: Tuple[int, int] = (0, 0)
-    ) -> "TenantValues":
-        """Union with a *later* window.  Raw streams concatenate, bit for
-        bit; a sketch on either side merges with the other side's
-        sketch.  ``zeros`` is what a tenant missing from (self, other)
-        stands for there: that many zero values (lag), or none."""
-        self.fold()
-        other.fold()
-        merged = TenantValues(self.capacity, self._sketch, self._raw)
-        names = dict.fromkeys([*self.raw, *self.sketches, *other.raw, *other.sketches])
-        for tenant in names:
-            left = self._window(tenant, zeros[0])
-            right = other._window(tenant, zeros[1])
-            left_raw = not isinstance(left, self._sketch)
-            right_raw = not isinstance(right, self._sketch)
-            if left_raw and right_raw:
-                merged.raw[tenant] = left + right
-            elif left_raw and not left:
-                merged.sketches[tenant] = right
-            elif right_raw and not right:
-                merged.sketches[tenant] = left
-            else:
-                merged.sketches[tenant] = self._as_sketch(left).merge(
-                    self._as_sketch(right)
-                )
-        merged.fold()
-        return merged
 
 
 @dataclasses.dataclass(frozen=True)
@@ -708,20 +549,13 @@ CAPACITIES: Dict[str, Capacities] = {
 
 
 class MetricsPartial:
-    """Every statistic of one run (or one time shard): the picklable,
-    mergeable store behind :class:`~repro.metrics.collector.RunMetrics`.
+    """Every statistic of one run: the picklable store behind
+    :class:`~repro.metrics.collector.RunMetrics`.
 
     Writers append straight into ``latencies.raw[tenant]`` and
     ``dispatch_log``; :meth:`observe_sample` and :meth:`observe_gini`
     take the periodic samples, and :meth:`enforce_capacities` folds
     and trims whatever passed its capacity.
-
-    ``merge(other)`` combines two consecutive windows: raw values
-    concatenate, sketches merge (the digest within its error bound),
-    service curves re-base on the earlier window's final cumulative
-    values, the Gini reservoir subsamples proportionally, and the
-    dispatch log keeps its newest records.  This is the unit the
-    time-sharded parallel runner fans out and folds back together.
     """
 
     def __init__(
@@ -784,37 +618,6 @@ class MetricsPartial:
             del self.dispatch_log[:excess]
             self.dispatches_dropped += excess
 
-    # -- windowed composition ------------------------------------------------
-
-    def shift_times(self, offset: Duration) -> None:
-        """Move every recorded timestamp by ``offset`` (shard -> global
-        clock): sample times, Gini sample times, and dispatch-record
-        start/end times."""
-        self.series.shift_times(offset)
-        self.gini._items = [(t + offset, v) for t, v in self.gini._items]
-        self.dispatch_log[:] = [
-            dataclasses.replace(
-                record, start=record.start + offset, end=record.end + offset
-            )
-            for record in self.dispatch_log
-        ]
-
-    def merge(self, other: "MetricsPartial") -> "MetricsPartial":
-        """Combine with a *later* window's partial."""
-        merged = MetricsPartial(self.sample_interval, self.seed, self.capacities)
-        merged.latencies = self.latencies.merge(other.latencies)
-        merged.lags = self.lags.merge(
-            other.lags, zeros=(self.lag_samples, other.lag_samples)
-        )
-        merged.lag_samples = self.lag_samples + other.lag_samples
-        merged.series = self.series.merge(other.series)
-        merged.gini = self.gini.merge(other.gini)
-        merged.gini_moments = self.gini_moments.merge(other.gini_moments)
-        merged.dispatch_log = self.dispatch_log + other.dispatch_log
-        merged.dispatches_dropped = self.dispatches_dropped + other.dispatches_dropped
-        merged.enforce_capacities()
-        return merged
-
     # -- gauges ---------------------------------------------------------------
 
     def sketch_sizes(self) -> Dict[str, int]:
@@ -829,12 +632,3 @@ class MetricsPartial:
             "tenants": len(self.lags.tenants()),
         }
 
-
-def merge_partials(partials: Sequence[MetricsPartial]) -> MetricsPartial:
-    """Fold consecutive windowed partials (earliest first) into one."""
-    if not partials:
-        raise ConfigurationError("merge_partials needs at least one partial")
-    merged: Optional[MetricsPartial] = None
-    for partial in partials:
-        merged = partial if merged is None else merged.merge(partial)
-    return merged  # type: ignore[return-value]  -- loop ran at least once

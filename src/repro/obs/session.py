@@ -174,7 +174,7 @@ class TraceSession:
 
         The failed run's directory gets a ``manifest.json`` whose
         ``errors`` block carries the failure record -- cell index, label,
-        exception type/message, attempts -- so a degraded suite leaves an
+        exception type and message -- so a degraded suite leaves an
         attributable paper trail next to its successful runs.
         """
         record = failure.as_dict() if hasattr(failure, "as_dict") else dict(failure)

@@ -31,13 +31,11 @@ from .engine import (
     execution_context,
     run_cells,
 )
-from .shard import TimeShardSpec, run_time_sharded, slice_trace
 from .spec import RunSpec, canonicalize
 
 __all__ = [
     "RunSpec",
     "RunCache",
-    "TimeShardSpec",
     "canonicalize",
     "source_digest",
     "CellFailure",
@@ -45,6 +43,4 @@ __all__ = [
     "execution_context",
     "current_execution",
     "run_cells",
-    "run_time_sharded",
-    "slice_trace",
 ]

@@ -17,11 +17,13 @@ Cache-invalidation rules (DESIGN.md §10):
   digest* hashes every module, so a scheduler bug-fix invalidates every
   cached result computed with the buggy code).
 
-Entries are pickle files named by their key, written atomically
-(temp file + ``os.replace``) so concurrent writers -- two figure
-invocations sharing one cache directory -- can never expose a torn
-entry.  A corrupt or unreadable entry is treated as a miss and
-overwritten, never trusted.
+Entries are files named by their key: the 32-byte SHA-256 digest of
+the pickled result, then the pickle itself.  They are written
+atomically (temp file + ``os.replace``) so concurrent writers -- two
+figure invocations sharing one cache directory -- can never expose a
+torn entry.  A read checks the digest before unpickling, so a
+truncated, bit-flipped or otherwise corrupt entry is treated as a miss
+and overwritten, never trusted.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ __all__ = ["RunCache", "source_digest"]
 
 #: Sentinel distinguishing "no entry" from a cached ``None``.
 _MISS = object()
+
+#: Length of the SHA-256 digest that heads every entry.
+_DIGEST_SIZE = hashlib.sha256().digest_size
 
 
 @functools.lru_cache(maxsize=1)
@@ -95,14 +100,16 @@ class RunCache:
     def get(self, key: str) -> Any:
         """The cached result for ``key``, or the module ``_MISS`` sentinel.
 
-        Use :meth:`lookup` for the ``(found, value)`` view.  Unreadable
-        entries count as misses.
+        Use :meth:`lookup` for the ``(found, value)`` view.  Missing,
+        unreadable and corrupt entries count as misses.
         """
-        path = self._path(key)
         try:
-            with path.open("rb") as fh:
-                value = pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+            data = self._path(key).read_bytes()
+            digest, payload = data[:_DIGEST_SIZE], data[_DIGEST_SIZE:]
+            if hashlib.sha256(payload).digest() != digest:
+                raise ValueError("cache entry fails its checksum")
+            value = pickle.loads(payload)
+        except Exception:  # noqa: BLE001 -- any unreadable entry is a miss
             self.misses += 1
             return _MISS
         self.hits += 1
@@ -118,12 +125,14 @@ class RunCache:
     def put(self, key: str, result: Any) -> Path:
         """Store a result atomically; concurrent writers are safe."""
         path = self._path(key)
+        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         fd, tmp_name = tempfile.mkstemp(
             prefix=f".{key[:12]}-", suffix=".tmp", dir=self.directory
         )
         try:
             with os.fdopen(fd, "wb") as fh:
-                pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                fh.write(hashlib.sha256(payload).digest())
+                fh.write(payload)
             os.replace(tmp_name, path)
         except BaseException:
             try:

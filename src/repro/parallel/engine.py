@@ -16,23 +16,16 @@ Failure policy (DESIGN.md §11)
 ------------------------------
 A failing cell is always *attributable*: worker exceptions are wrapped
 in :class:`~repro.errors.CellExecutionError` carrying the cell index
-and the cell object (the original exception is ``__cause__``).  Three
-degradation knobs harden long fan-outs:
+and the cell object (the original exception is ``__cause__``).  Each
+cell runs once.  ``on_error`` picks what a failure does:
 
-* ``retries=N`` -- re-execute a failed cell up to N more times before
-  giving up (transient failures; deterministic cells fail fast anyway);
-* ``timeout=T`` -- a cell running longer than T wall-clock seconds is
-  abandoned (``jobs > 1`` only: a hung serial cell cannot be preempted
-  from within its own process).  Timeouts are not retried -- a stuck
-  cell would just wedge another worker;
-* ``on_error="quarantine"`` -- instead of raising on the first failure,
-  failed cells yield :class:`CellFailure` placeholders (never cached)
-  while every other cell's result is still returned; under an active
-  trace session each quarantined cell is recorded as a run directory
-  whose ``manifest.json`` carries an ``errors`` block.
-
-The default (``on_error="raise"``) keeps the fail-fast semantics:
-first failure cancels the remaining cells and propagates.
+* ``"raise"`` (the default) -- fail fast: the first failure cancels the
+  cells still queued and propagates;
+* ``"quarantine"`` -- failed cells yield :class:`CellFailure`
+  placeholders (never cached) while every other cell's result is still
+  returned; under an active trace session each quarantined cell is
+  recorded as a run directory whose ``manifest.json`` carries an
+  ``errors`` block.
 
 Trace-session semantics (DESIGN.md §10)
 ---------------------------------------
@@ -51,8 +44,8 @@ artifacts are written by the run it observes.  The contract is:
   manifest-only run directory so provenance stays honest (the result
   was *not* recomputed; the manifest says so and names the cache key).
 
-Use :func:`execution_context` to set jobs/cache/failure policy once for
-a whole block (the figures CLI wraps every figure in it), or pass the
+Use :func:`execution_context` to set jobs and cache once for a whole
+block (the figures CLI wraps every figure in it), or pass the
 parameters explicitly to :func:`run_cells` and the experiment entry
 points that forward to it.
 """
@@ -61,9 +54,8 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from ..errors import CellExecutionError, ConfigurationError
 from ..obs.session import clear_session, current_session
@@ -93,7 +85,6 @@ class CellFailure:
     label: str
     error_type: str
     error: str
-    attempts: int
 
     def as_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -106,18 +97,13 @@ class ExecutionContext:
 
     jobs: int = 1
     cache: Optional[RunCache] = None
-    timeout: Optional[float] = None
-    retries: int = 0
-    on_error: str = "raise"
 
 
-_DEFAULT = ExecutionContext()
-_ACTIVE: ExecutionContext = _DEFAULT
+_ACTIVE = ExecutionContext()
 
 
 def current_execution() -> ExecutionContext:
-    """The active execution context (defaults: serial, no cache,
-    fail-fast)."""
+    """The active execution context (defaults: serial, no cache)."""
     return _ACTIVE
 
 
@@ -125,9 +111,6 @@ def current_execution() -> ExecutionContext:
 def execution_context(
     jobs: int = 1,
     cache: Optional[RunCache] = None,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    on_error: str = "raise",
 ) -> Iterator[ExecutionContext]:
     """Set engine defaults for the duration of the block.
 
@@ -140,30 +123,12 @@ def execution_context(
     global _ACTIVE
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    _check_policy(timeout, retries, on_error)
     previous = _ACTIVE
-    _ACTIVE = ExecutionContext(
-        jobs=int(jobs),
-        cache=cache,
-        timeout=timeout,
-        retries=int(retries),
-        on_error=on_error,
-    )
+    _ACTIVE = ExecutionContext(jobs=int(jobs), cache=cache)
     try:
         yield _ACTIVE
     finally:
         _ACTIVE = previous
-
-
-def _check_policy(timeout: Optional[float], retries: int, on_error: str) -> None:
-    if timeout is not None and timeout <= 0:
-        raise ConfigurationError(f"timeout must be positive, got {timeout}")
-    if retries < 0:
-        raise ConfigurationError(f"retries must be >= 0, got {retries}")
-    if on_error not in _ON_ERROR:
-        raise ConfigurationError(
-            f"on_error must be one of {_ON_ERROR}, got {on_error!r}"
-        )
 
 
 def _worker_init() -> None:
@@ -187,9 +152,7 @@ def run_cells(
     cells: Sequence[Any],
     jobs: Optional[int] = None,
     cache: Optional[RunCache] = None,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    on_error: Optional[str] = None,
+    on_error: str = "raise",
 ) -> List[Any]:
     """Execute independent cells, in parallel and/or from cache.
 
@@ -203,18 +166,11 @@ def run_cells(
         :func:`execution_context` (default 1 = serial, in-process).
     cache:
         A :class:`RunCache`; ``None`` consults the context.
-    timeout:
-        Per-cell wall-clock limit in seconds (``jobs > 1`` only; a
-        serial cell cannot be preempted from its own process).  ``None``
-        consults the context (default: no limit).
-    retries:
-        Extra executions granted to a cell that raised; ``None``
-        consults the context (default 0).  Timeouts are never retried.
     on_error:
-        ``"raise"`` (default): first failure raises
-        :class:`~repro.errors.CellExecutionError`.  ``"quarantine"``:
-        failed cells yield :class:`CellFailure` placeholders and every
-        other result is still returned.
+        ``"raise"`` (default): the first failure cancels the cells still
+        queued and raises :class:`~repro.errors.CellExecutionError`.
+        ``"quarantine"``: failed cells yield :class:`CellFailure`
+        placeholders and every other result is still returned.
 
     Returns the cells' results **in cell order** -- the deterministic
     merge that makes parallel output identical to serial output.
@@ -222,12 +178,12 @@ def run_cells(
     context = current_execution()
     effective_jobs = context.jobs if jobs is None else int(jobs)
     effective_cache = context.cache if cache is None else cache
-    effective_timeout = context.timeout if timeout is None else timeout
-    effective_retries = context.retries if retries is None else int(retries)
-    effective_on_error = context.on_error if on_error is None else on_error
     if effective_jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {effective_jobs}")
-    _check_policy(effective_timeout, effective_retries, effective_on_error)
+    if on_error not in _ON_ERROR:
+        raise ConfigurationError(
+            f"on_error must be one of {_ON_ERROR}, got {on_error!r}"
+        )
     session = current_session()
     if session is not None and effective_jobs > 1:
         raise ConfigurationError(
@@ -256,47 +212,28 @@ def run_cells(
     if not pending:
         return results
 
-    failures: List[CellFailure] = []
-
-    def fail(index: int, attempts: int, exc: BaseException) -> None:
+    def fail(index: int, exc: BaseException) -> None:
         cell = cells[index]
-        if effective_on_error == "raise":
+        if on_error == "raise":
             raise CellExecutionError(index, cell, str(exc)) from exc
         failure = CellFailure(
             index=index,
             label=_cell_label(cell),
             error_type=type(exc).__name__,
             error=str(exc),
-            attempts=attempts,
         )
         results[index] = failure
-        failures.append(failure)
         if session is not None:
             session.export_failed_cell(failure, cell=cell)
 
     if effective_jobs == 1:
         for index in pending:
-            attempts = 0
-            while True:
-                attempts += 1
-                try:
-                    results[index] = cells[index].execute()
-                    break
-                except Exception as exc:  # noqa: BLE001 -- policy boundary
-                    if attempts <= effective_retries:
-                        continue
-                    fail(index, attempts, exc)
-                    break
+            try:
+                results[index] = cells[index].execute()
+            except Exception as exc:  # noqa: BLE001 -- policy boundary
+                fail(index, exc)
     else:
-        _run_pool(
-            cells,
-            pending,
-            results,
-            jobs=effective_jobs,
-            timeout=effective_timeout,
-            retries=effective_retries,
-            fail=fail,
-        )
+        _run_pool(cells, pending, results, jobs=effective_jobs, fail=fail)
 
     if effective_cache is not None:
         for index in pending:
@@ -312,90 +249,26 @@ def _run_pool(
     results: List[Any],
     *,
     jobs: int,
-    timeout: Optional[float],
-    retries: int,
-    fail,
+    fail: Callable[[int, BaseException], None],
 ) -> None:
-    """Fan pending cells over a process pool with the failure policy.
-
-    Every in-flight future carries (cell index, attempt count, deadline).
-    Completed futures either record a result, get the cell resubmitted
-    (exception, retries left), or invoke the failure policy.  A future
-    past its deadline is abandoned: its worker process may be wedged, so
-    once any timeout fires the executor is torn down without joining and
-    its worker processes are terminated.
-    """
+    """Fan pending cells over a process pool, recording each result as
+    it completes.  When ``fail`` raises, the pool shuts down with the
+    cells still queued cancelled, so fail-fast stops promptly."""
     workers = min(jobs, len(pending))
     executor = ProcessPoolExecutor(max_workers=workers, initializer=_worker_init)
-    timed_out = False
-    inflight: Dict[Future, Tuple[int, int, Optional[float]]] = {}
-
-    def submit(index: int, attempt: int) -> None:
-        deadline = (
-            # Worker timeouts are real elapsed time, not simulated time.
-            time.monotonic() + timeout  # repro: ignore[RPR001]
-            if timeout is not None
-            else None
-        )
-        inflight[executor.submit(_run_cell, cells[index])] = (
-            index, attempt, deadline,
-        )
-
     try:
-        for index in pending:
-            submit(index, 1)
-        while inflight:
-            wait_for = None
-            if timeout is not None:
-                deadlines = [d for (_, _, d) in inflight.values() if d is not None]
-                wait_for = max(
-                    0.0, min(deadlines) - time.monotonic()  # repro: ignore[RPR001]
-                )
-            done, _ = wait(
-                inflight, timeout=wait_for, return_when=FIRST_COMPLETED
-            )
-            for future in done:
-                index, attempt, _ = inflight.pop(future)
-                exc = future.exception()
-                if exc is None:
-                    results[index] = future.result()
-                elif attempt <= retries:
-                    submit(index, attempt + 1)
-                else:
-                    fail(index, attempt, exc)
-            if timeout is not None:
-                now = time.monotonic()  # repro: ignore[RPR001]
-                for future in list(inflight):
-                    index, attempt, deadline = inflight[future]
-                    if deadline is not None and now >= deadline:
-                        del inflight[future]
-                        future.cancel()
-                        timed_out = True
-                        fail(
-                            index,
-                            attempt,
-                            TimeoutError(
-                                f"cell exceeded the {timeout:g}s wall-clock limit"
-                            ),
-                        )
+        futures = {
+            executor.submit(_run_cell, cells[index]): index for index in pending
+        }
+        for future in as_completed(futures):
+            index = futures[future]
+            exc = future.exception()
+            if exc is None:
+                results[index] = future.result()
+            else:
+                fail(index, exc)
     finally:
-        if timed_out:
-            # Abandoned futures may be wedged inside a worker; joining
-            # would inherit the hang.  Drop the pool and terminate its
-            # processes (best effort -- the private map is stable across
-            # supported Python versions, and the pool is discarded
-            # either way).
-            processes = list(
-                (getattr(executor, "_processes", None) or {}).values()
-            )
-            executor.shutdown(wait=False, cancel_futures=True)
-            for process in processes:
-                try:
-                    process.terminate()
-                except Exception:  # pragma: no cover -- teardown best effort
-                    pass
-        else:
-            executor.shutdown(wait=True)
+        executor.shutdown(wait=True, cancel_futures=True)
 
 
 def _cell_label(cell: Any) -> str:

@@ -1,21 +1,16 @@
-"""The metrics store: sketches, capacities, the collector, time shards.
+"""The metrics store: sketches, capacities and the collector.
 
-Four layers of coverage (DESIGN.md §13):
+Three layers of coverage (DESIGN.md §13):
 
 * sketch unit tests -- each accumulator against its exact numpy
-  counterpart, including the ``merge`` paths the time-sharded runner
-  depends on;
+  counterpart;
 * store tests -- each part of :class:`MetricsPartial` raw until its
-  capacity and its sketch beyond, and merges of exact stores bit for
-  bit;
+  capacity and its sketch beyond;
 * collector differential tests -- the same simulation run in
   ``mode="exact"`` and ``mode="streaming"`` must agree: exactly where
   streaming keeps full information (counts, means, lag sigma, Gini
   while the reservoir is unfilled, dispatch tail), within the sketch
-  error budget (<1%) for latency percentiles;
-* composition tests -- windowed partials merged back together, and the
-  :func:`repro.parallel.run_time_sharded` fan-out against an unsharded
-  run.
+  error budget (<1%) for latency percentiles.
 """
 
 import dataclasses
@@ -28,7 +23,7 @@ from repro.core import make_scheduler
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_single
-from repro.metrics import MetricsCollector, RunMetrics, latency_stats
+from repro.metrics import MetricsCollector, RunMetrics
 from repro.metrics.collector import DispatchRecord
 from repro.metrics.streaming import (
     CAPACITIES,
@@ -39,16 +34,13 @@ from repro.metrics.streaming import (
     ReservoirSample,
     StreamingMoments,
     TenantValues,
-    merge_partials,
 )
-from repro.parallel import run_time_sharded, slice_trace
 from repro.simulator import BackloggedSource, Simulation, ThreadPoolServer
 from repro.simulator.rng import make_rng
 from repro.workloads import (
     LogNormalCost,
     PoissonArrivals,
     TenantSpec,
-    generate_trace,
 )
 
 
@@ -64,25 +56,6 @@ class TestStreamingMoments:
         assert moments.std == pytest.approx(np.std(values))
         assert moments.minimum == pytest.approx(values.min())
         assert moments.maximum == pytest.approx(values.max())
-
-    def test_merge_is_exact(self):
-        rng = make_rng(2, "moments")
-        values = rng.normal(0.0, 1.0, size=501)
-        left, right = StreamingMoments(), StreamingMoments()
-        for v in values[:200]:
-            left.add(float(v))
-        for v in values[200:]:
-            right.add(float(v))
-        merged = left.merge(right)
-        assert merged.count == 501
-        assert merged.mean == pytest.approx(np.mean(values))
-        assert merged.std == pytest.approx(np.std(values))
-
-    def test_merge_with_empty(self):
-        moments = StreamingMoments()
-        moments.add(5.0)
-        assert moments.merge(StreamingMoments()).mean == 5.0
-        assert StreamingMoments().merge(moments).std == 0.0
 
     def test_add_zeros_matches_explicit_zeros(self):
         backfilled = StreamingMoments()
@@ -133,20 +106,6 @@ class TestQuantileDigest:
         assert digest.quantile(0.0) == pytest.approx(1.0)
         assert digest.quantile(1.0) == pytest.approx(9.0)
 
-    def test_merge_matches_union(self):
-        rng = make_rng(5, "digest")
-        left_values = rng.normal(0.0, 1.0, size=8000)
-        right_values = rng.normal(4.0, 0.5, size=4000)
-        left, right = QuantileDigest(), QuantileDigest()
-        self._fill(left, left_values)
-        self._fill(right, right_values)
-        merged = left.merge(right)
-        union = np.concatenate([left_values, right_values])
-        assert merged.count == pytest.approx(12000)
-        for q in (0.01, 0.50, 0.99):
-            exact = float(np.percentile(union, q * 100.0))
-            assert merged.quantile(q) == pytest.approx(exact, rel=0.02, abs=0.02)
-
     def test_empty_and_validation(self):
         digest = QuantileDigest()
         assert digest.empty
@@ -179,29 +138,6 @@ class TestReservoirSample:
         assert a.size == 16
         assert a.items() == b.items()  # same seed, same subsample
 
-    def test_merge_exact_when_fits(self):
-        left = ReservoirSample(10, seed=0)
-        right = ReservoirSample(10, seed=0, )
-        left.add(0.0, 1.0)
-        right.add(1.0, 2.0)
-        merged = left.merge(right)
-        assert merged.items() == [(0.0, 1.0), (1.0, 2.0)]
-        assert merged.seen == 2
-
-    def test_merge_bounded_and_proportional(self):
-        left = ReservoirSample(16, seed=1)
-        right = ReservoirSample(16, seed=2)
-        for i in range(900):
-            left.add(float(i), -1.0)
-        for i in range(100):
-            right.add(1000.0 + i, +1.0)
-        merged = left.merge(right)
-        assert merged.size == 16
-        assert merged.seen == 1000
-        # ~90% of the stream came from the left window.
-        values = [v for _, v in merged.items()]
-        assert values.count(-1.0) >= 10
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             ReservoirSample(0, seed=0)
@@ -213,9 +149,6 @@ class TestReservoirSample:
         assert reservoir.exact
         assert reservoir.size == 10000
         assert reservoir._rng is None
-        merged = reservoir.merge(ReservoirSample(None, seed=0))
-        assert merged.capacity is None
-        assert merged.items() == reservoir.items()
 
 
 def _dispatch_records(start, count):
@@ -248,17 +181,6 @@ class TestDispatchLogCapacity:
         partial.enforce_capacities()
         assert partial.dispatch_log == records
         assert partial.dispatches_dropped == 0
-
-    def test_merge_keeps_tail(self):
-        left = MetricsPartial(0.1, capacities=_capacities(dispatch=4))
-        right = MetricsPartial(0.1, capacities=_capacities(dispatch=4))
-        records = _dispatch_records(0, 10)
-        left.dispatch_log.extend(records[:4])
-        right.dispatch_log.extend(records[4:])
-        right.enforce_capacities()
-        merged = left.merge(right)
-        assert merged.dispatch_log == records[6:]
-        assert merged.dispatches_dropped + len(merged.dispatch_log) == 10
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -294,35 +216,6 @@ class TestBoundedServiceSeries:
         series.observe(0.2, {"A": 2.0, "B": 5.0}, {})
         _, actual_b, _ = series.columns("B")
         assert actual_b == pytest.approx([0.0, 5.0])
-
-    def test_merge_rebases_cumulative_curves(self):
-        left = BoundedServiceSeries(capacity=64)
-        right = BoundedServiceSeries(capacity=64)
-        for i in range(5):
-            left.observe(i * 0.1, {"A": float(i)}, {"A": float(i)})
-        # The later window restarts its cumulative counters at zero
-        # (its shard's server started idle); merge re-bases on the
-        # earlier window's finals.
-        for i in range(5):
-            right.observe(0.5 + i * 0.1, {"A": float(i) * 2.0}, {"A": float(i)})
-        merged = left.merge(right)
-        times, actual, gps = merged.columns("A")
-        assert times == pytest.approx(np.arange(10) * 0.1)
-        assert actual == pytest.approx(
-            [0, 1, 2, 3, 4, 4, 6, 8, 10, 12], abs=1e-12
-        )
-        assert gps == pytest.approx([0, 1, 2, 3, 4, 4, 5, 6, 7, 8], abs=1e-12)
-
-    def test_merge_handles_disjoint_tenants(self):
-        left = BoundedServiceSeries()
-        right = BoundedServiceSeries()
-        left.observe(0.0, {"A": 1.0}, {})
-        right.observe(0.1, {"B": 2.0}, {})
-        merged = left.merge(right)
-        _, actual_a, _ = merged.columns("A")
-        _, actual_b, _ = merged.columns("B")
-        assert actual_a == pytest.approx([1.0, 1.0])  # trailing pad
-        assert actual_b == pytest.approx([0.0, 2.0])  # backfill
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -411,7 +304,7 @@ class TestStreamingCollectorDifferential:
     def test_modes_pick_rows_of_the_capacity_table(self):
         for mode in ("exact", "streaming"):
             collector = _run_collector(mode, duration=0.5)
-            assert collector.partial().capacities == CAPACITIES[mode]
+            assert collector.result().partial.capacities == CAPACITIES[mode]
         assert not CAPACITIES["exact"].bounded
         assert CAPACITIES["streaming"].bounded
 
@@ -449,7 +342,7 @@ class TestStreamingCollectorDifferential:
 
     def test_sketch_gauges_exported_to_tracer(self):
         collector, snapshot = self._traced_run("streaming")
-        sizes = collector.partial().sketch_sizes()
+        sizes = collector.result().partial.sketch_sizes()
         for name, value in sizes.items():
             assert snapshot[f"collector.sketch.{name}"] == value
         assert snapshot["collector.samples"] > 0
@@ -460,7 +353,7 @@ class TestStreamingCollectorDifferential:
         assert snapshot["collector.samples"] > 0
 
     def test_partial_pickles(self):
-        partial = _run_collector("streaming").partial()
+        partial = _run_collector("streaming").result().partial
         clone = pickle.loads(pickle.dumps(partial))
         assert clone.sketch_sizes() == partial.sketch_sizes()
         assert clone.lag_samples == partial.lag_samples
@@ -468,84 +361,6 @@ class TestStreamingCollectorDifferential:
 
 def _add_latency(partial, tenant, value):
     partial.latencies.raw.setdefault(tenant, []).append(value)
-
-
-class TestMetricsPartialMerge:
-    def _synthetic(self, offset, samples=40, seed=0, capacities=CAPACITIES["streaming"]):
-        partial = MetricsPartial(sample_interval=0.1, seed=seed, capacities=capacities)
-        rng = make_rng(seed, "synthetic", str(offset))
-        for i in range(samples):
-            now = offset + (i + 1) * 0.1
-            actual = {"A": (i + 1) * 1.0, "B": (i + 1) * 0.5}
-            gps = {"A": (i + 1) * 0.9, "B": (i + 1) * 0.6}
-            partial.observe_sample(now, actual, gps)
-            partial.observe_gini(now, float(rng.random()))
-            _add_latency(partial, "A", float(rng.lognormal(-2.0, 1.0)))
-        return partial
-
-    def test_merge_equals_concatenated_stream(self):
-        first = self._synthetic(0.0)
-        second = self._synthetic(4.0)
-        merged = first.merge(second)
-        assert merged.lag_samples == 80
-        assert merged.latencies.sketches["A"].moments.count == 80
-        moments = merged.lags.sketches["A"]
-        assert moments.count == 80
-        # Both windows' lag streams are (i+1)*0.1 for A: exact merge.
-        expected = np.concatenate([np.arange(1, 41) * 0.1] * 2)
-        assert moments.mean == pytest.approx(np.mean(expected))
-        assert moments.std == pytest.approx(np.std(expected))
-
-    def test_exact_merge_concatenates_raw_values_bit_for_bit(self):
-        exact = CAPACITIES["exact"]
-        first = self._synthetic(0.0, capacities=exact)
-        second = self._synthetic(4.0, capacities=exact)
-        # A tenant only the second window sees.
-        second.observe_sample(8.1, {"C": 1.0}, {"C": 0.25})
-        merged = first.merge(second)
-        assert not merged.latencies.sketches and not merged.lags.sketches
-        assert merged.latencies.raw["A"] == (
-            first.latencies.raw["A"] + second.latencies.raw["A"]
-        )
-        assert merged.lags.raw["A"] == first.lags.raw["A"] + second.lags.raw["A"]
-        assert list(merged.lags.raw["C"]) == [0.0] * 80 + [0.75]
-        # ... so the statistics are the numpy calls over the union.
-        union = list(first.latencies.raw["A"]) + list(second.latencies.raw["A"])
-        assert RunMetrics(merged).latency_stats("A") == latency_stats(union)
-        lag = np.array(list(first.lags.raw["B"]) + list(second.lags.raw["B"]))
-        assert RunMetrics(merged).lag_sigma("B", 2.0) == float(np.std(lag / 2.0))
-
-    def test_merge_partials_folds_in_order(self):
-        partials = [self._synthetic(float(i) * 4.0) for i in range(3)]
-        merged = merge_partials(partials)
-        assert merged.lag_samples == 120
-        assert merge_partials([partials[0]]) is partials[0]
-        with pytest.raises(ConfigurationError):
-            merge_partials([])
-
-    def test_merge_backfills_disjoint_tenants(self):
-        first = MetricsPartial(sample_interval=0.1)
-        second = MetricsPartial(sample_interval=0.1)
-        first.observe_sample(0.1, {"A": 2.0}, {"A": 2.0})
-        second.observe_sample(0.2, {"B": 3.0}, {"B": 3.0})
-        merged = first.merge(second)
-        # A tenant absent from one window contributes zero lag there,
-        # matching the exact store's zero-backfill.
-        assert merged.lags.sketches["A"].count == 2
-        assert merged.lags.sketches["B"].count == 2
-        assert merged.lags.sketches["B"].mean == pytest.approx(0.0)
-
-    def test_shift_times_moves_all_clocks(self):
-        partial = self._synthetic(0.0, samples=3)
-        partial.dispatch_log.append(
-            DispatchRecord(0, "A", "x", 1.0, start=0.05, end=0.15)
-        )
-        partial.shift_times(10.0)
-        assert partial.series.times[0] == pytest.approx(10.1)
-        assert partial.gini.items()[0][0] == pytest.approx(10.1)
-        record = partial.dispatch_log[0]
-        assert record.start == pytest.approx(10.05)
-        assert record.end == pytest.approx(10.15)
 
 
 class TestRawUntilCapacity:
@@ -652,7 +467,7 @@ def _stable_specs(n=4):
 
 def _stable_config(**overrides):
     base = dict(
-        name="shardtest",
+        name="plumbing",
         schedulers=("2dfq",),
         num_threads=4,
         thread_rate=1.0,
@@ -661,86 +476,6 @@ def _stable_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
-
-
-class TestTimeSharding:
-    def test_sharded_matches_unsharded_streaming(self):
-        specs = _stable_specs()
-        config = _stable_config()
-        whole = run_single(
-            "2dfq", specs, dataclasses.replace(config, metrics_mode="streaming")
-        )
-        sharded = run_time_sharded("2dfq", specs, config, num_shards=2)
-        for tenant in ("T0", "T1"):
-            ws, ss = whole.latency_stats(tenant), sharded.latency_stats(tenant)
-            # Boundary truncation may drop the handful of requests in
-            # flight when a shard's window closes.
-            assert ss.count >= ws.count - 10
-            assert ss.p50 == pytest.approx(ws.p50, rel=0.1)
-            assert ss.p99 == pytest.approx(ws.p99, rel=0.25)
-            assert sharded.lag_sigma(tenant, reference_rate=1.0) == (
-                pytest.approx(whole.lag_sigma(tenant, reference_rate=1.0), rel=0.2)
-            )
-        assert sharded.gini_mean == pytest.approx(whole.gini_mean, abs=0.05)
-        assert sharded.partial.lag_samples == whole.partial.lag_samples
-
-    def test_single_shard_is_plain_streaming_run(self):
-        specs = _stable_specs(2)
-        config = _stable_config(duration=2.0)
-        whole = run_single(
-            "2dfq", specs, dataclasses.replace(config, metrics_mode="streaming")
-        )
-        sharded = run_time_sharded("2dfq", specs, config, num_shards=1)
-        stats_w, stats_s = whole.latency_stats("T0"), sharded.latency_stats("T0")
-        assert stats_s.count == stats_w.count
-        assert stats_s.p50 == pytest.approx(stats_w.p50)
-
-    def test_rejects_closed_loop_specs(self):
-        from repro.workloads import Backlogged
-
-        specs = _stable_specs(2)
-        specs.append(
-            TenantSpec(
-                "C",
-                api_costs={"get": LogNormalCost(median=0.01, sigma_decades=0.2)},
-                arrivals=Backlogged(window=2),
-            )
-        )
-        with pytest.raises(ConfigurationError, match="closed-loop"):
-            run_time_sharded("2dfq", specs, _stable_config(), num_shards=2)
-
-    def test_rejects_warmup_spanning_shards(self):
-        config = _stable_config(duration=4.0, warmup=3.0)
-        with pytest.raises(ConfigurationError, match="warmup"):
-            run_time_sharded("2dfq", _stable_specs(), config, num_shards=2)
-
-    def test_rejects_bad_shard_count(self):
-        with pytest.raises(ConfigurationError):
-            run_time_sharded("2dfq", _stable_specs(), _stable_config(), 0)
-
-    def test_slice_trace_rebases_times(self):
-        trace = generate_trace(_stable_specs(2), 2.0, seed=3)
-        cut = slice_trace(trace, 1.0, 2.0)
-        assert all(0.0 <= r.time < 1.0 for r in cut)
-        kept = [r for r in trace if 1.0 <= r.time < 2.0]
-        assert len(cut) == len(kept)
-        with pytest.raises(ConfigurationError):
-            slice_trace(trace, 2.0, 1.0)
-
-    def test_shard_cells_pickle(self):
-        from repro.parallel import TimeShardSpec
-
-        trace = generate_trace(_stable_specs(2), 1.0, seed=3)
-        cell = TimeShardSpec(
-            scheduler="2dfq",
-            config=_stable_config(duration=1.0),
-            trace=tuple(trace),
-            shard_index=0,
-            num_shards=2,
-        )
-        clone = pickle.loads(pickle.dumps(cell))
-        assert clone.label() == cell.label()
-        assert clone.start_time == 0.0
 
 
 class TestConfigPlumbing:

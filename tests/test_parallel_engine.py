@@ -264,39 +264,20 @@ class _CrashCell:
 
 
 @dataclasses.dataclass(frozen=True)
-class _SleepCell:
-    """Picklable cell that wedges its worker."""
+class _MarkerCell:
+    """Picklable cell that leaves a marker file, so a test can count
+    the cells that actually executed, then holds its worker briefly."""
 
-    seconds: float = 30.0
-
-    def label(self):
-        return "sleeper"
-
-    def execute(self):
-        time.sleep(self.seconds)
-        return "woke"
-
-
-@dataclasses.dataclass(frozen=True)
-class _FlakyCell:
-    """Fails the first ``fail_times`` executions, then succeeds.
-
-    Attempt state lives in a file so the count survives process
-    boundaries (pool workers re-execute retried cells)."""
-
-    marker: str
-    fail_times: int
+    directory: str
+    tag: int
 
     def label(self):
-        return "flaky"
+        return f"marker-{self.tag}"
 
     def execute(self):
-        path = Path(self.marker)
-        count = int(path.read_text()) if path.exists() else 0
-        path.write_text(str(count + 1))
-        if count < self.fail_times:
-            raise ValueError(f"transient failure {count}")
-        return "ok"
+        (Path(self.directory) / str(self.tag)).write_text("ran")
+        time.sleep(0.05)
+        return self.tag
 
 
 class TestFailurePolicy:
@@ -330,25 +311,17 @@ class TestFailurePolicy:
         assert isinstance(failure, CellFailure)
         assert failure.index == 1
         assert failure.error_type == "ValueError"
-        assert failure.attempts == 1
         assert failure.as_dict()["error"] == "boom"
 
-    def test_retries_recover_transient_failures_serial(self, tmp_path):
-        cell = _FlakyCell(marker=str(tmp_path / "m"), fail_times=2)
-        assert run_cells([cell], jobs=1, retries=2) == ["ok"]
-        assert (tmp_path / "m").read_text() == "3"
-
-    def test_retries_recover_transient_failures_in_pool(self, tmp_path):
-        cell = _FlakyCell(marker=str(tmp_path / "m"), fail_times=1)
-        assert run_cells([cell], jobs=2, retries=1) == ["ok"]
-
-    def test_exhausted_retries_report_attempt_count(self, tmp_path):
-        cell = _FlakyCell(marker=str(tmp_path / "m"), fail_times=5)
-        (failure,) = run_cells(
-            [cell], jobs=1, retries=1, on_error="quarantine"
-        )
-        assert isinstance(failure, CellFailure)
-        assert failure.attempts == 2  # first run + one retry
+    def test_fail_fast_pool_cancels_queued_cells(self, tmp_path):
+        cells = [_CrashCell()] + [
+            _MarkerCell(directory=str(tmp_path), tag=i) for i in range(30)
+        ]
+        with pytest.raises(CellExecutionError):
+            run_cells(cells, jobs=2)
+        # The crash is the first cell out, so most markers were still
+        # queued when it failed; they must never start.
+        assert len(list(tmp_path.iterdir())) < 15
 
     def test_failed_cells_are_never_cached(self, tmp_path):
         cache = RunCache(tmp_path)
@@ -375,59 +348,13 @@ class TestFailurePolicy:
                 "label": "crash-0",
                 "error_type": "ValueError",
                 "error": "boom",
-                "attempts": 1,
             }
         ]
 
-    def test_policy_flows_through_execution_context(self):
-        with execution_context(on_error="quarantine", retries=0):
-            (failure,) = run_cells([_CrashCell()])
-        assert isinstance(failure, CellFailure)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"on_error": "explode"},
-            {"timeout": 0.0},
-            {"timeout": -1.0},
-            {"retries": -1},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", [{"on_error": "explode"}])
     def test_invalid_policy_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             run_cells([_ValueCell(1)], **kwargs)
-        with pytest.raises(ConfigurationError):
-            with execution_context(**kwargs):
-                pass
-
-
-class TestTimeouts:
-    def test_timed_out_cell_quarantined_others_survive(self):
-        started = time.monotonic()  # repro: ignore[RPR001] -- measures the engine's real timeout
-        results = run_cells(
-            [_ValueCell(1), _SleepCell(seconds=30.0)],
-            jobs=2,
-            timeout=0.5,
-            on_error="quarantine",
-        )
-        elapsed = time.monotonic() - started  # repro: ignore[RPR001] -- measures the engine's real timeout
-        assert results[0] == 1
-        failure = results[1]
-        assert isinstance(failure, CellFailure)
-        assert failure.error_type == "TimeoutError"
-        assert "wall-clock" in failure.error
-        # The wedged worker must not be joined.
-        assert elapsed < 10.0
-
-    def test_timeout_raises_under_fail_fast(self):
-        with pytest.raises(CellExecutionError) as excinfo:
-            run_cells([_SleepCell(seconds=30.0)], jobs=2, timeout=0.5)
-        assert isinstance(excinfo.value.__cause__, TimeoutError)
-
-    def test_serial_execution_ignores_timeout(self):
-        # Documented: a serial cell cannot be preempted from within its
-        # own process, so the limit only applies to pools.
-        assert run_cells([_ValueCell(5)], jobs=1, timeout=0.001) == [5]
 
 
 class TestSuiteQuarantine:

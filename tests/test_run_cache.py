@@ -1,6 +1,7 @@
 """Tests for the content-addressed run cache and RunSpec canonicalization."""
 
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -99,13 +100,26 @@ class TestCacheStore:
         assert not found and value is None
         assert cache.misses == 1
 
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize("damage", ["garbage", "flipped_float", "truncated"])
+    def test_corrupt_entry_is_a_miss(self, tmp_path, damage):
+        result = {"p99": 0.123456789, "tenants": ["A", "B"]}
         cache = RunCache(tmp_path)
-        cache.put("k" * 64, [1, 2, 3])
+        cache.put("k" * 64, result)
         entry = next(tmp_path.glob("*.pkl"))
-        entry.write_bytes(b"not a pickle")
-        found, _ = cache.lookup("k" * 64)
-        assert not found
+        data = bytearray(entry.read_bytes())
+        if damage == "garbage":
+            data = bytearray(b"not a pickle")
+        elif damage == "flipped_float":
+            # One bit inside the stored float: still a well-formed pickle,
+            # so only the checksum can tell the value is wrong.
+            at = data.index(struct.pack(">d", result["p99"]))
+            data[at + 7] ^= 0x01
+        else:
+            del data[len(data) // 2:]
+        entry.write_bytes(bytes(data))
+        assert cache.lookup("k" * 64) == (False, None)
+        cache.put("k" * 64, result)
+        assert cache.lookup("k" * 64) == (True, result)
 
     def test_counters(self, tmp_path):
         cache = RunCache(tmp_path)
