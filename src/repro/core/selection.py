@@ -29,28 +29,29 @@ with *lazy invalidation* and *deferred maintenance*:
 * when a tenant leaves the backlog the scheduler calls :meth:`drop`,
   which only bumps the version -- O(1), no heap surgery.
 
-Eligibility-gated policies (WF2Q, MSF2Q, 2DFQ) use pending/ready heap
-pairs per *stagger offset*, organised as a **gate chain**: because the
-stagger offsets are sorted ascending, the staggered start tag ``e_j(f)
-= S_f - staggers[j] * l_head`` is non-increasing in the slot index, so
-eligibility is *nested* -- a tenant eligible on slot ``i`` is eligible
-on every slot ``j >= i``.  A touched tenant is therefore pushed into
-the *top* pending heap only (one push, not one per slot); when a query
-for slot ``i`` arrives, gates ``m-1 .. i`` are drained in descending
-order with the query threshold, migrating entries into ``ready[j]``
-(keyed by finish tag) and cascading them into ``pending[j-1]``.  Any
-entry with ``e_i <= threshold`` passes every intermediate gate (its
-keys there are ``e_j <= e_i``), so ``ready[i]`` always holds exactly
-the slot-``i`` eligibility set -- and in the common regime where a
-tenant is re-touched before virtual time reaches its lower slots, the
-cascade never runs and the per-touch cost stays at one push.  2DFQ's
-per-touch cost drops from ``n + 1`` heap pushes under the PR-1 eager
-design to ~1 amortized, which is the churn reduction the
-:meth:`SelectionIndex.stats` counters (stale_pops / pushes) show.
+Eligibility-gated policies (WF2Q, MSF2Q, 2DFQ) use **one gate heap plus
+one ready heap per stagger slot**.  The stagger offsets are sorted
+ascending, so the staggered start tag ``e_j(f) = S_f - staggers[j] *
+l_head`` is non-increasing in the slot index and eligibility is
+*nested*: a tenant eligible on slot ``i`` is eligible on every slot
+``j >= i``.  A synced record enters the gate heap once, keyed by its top
+gate ``e_{m-1}``.  A query at threshold ``T`` pops every gate entry
+keyed ``<= T``, walks it down through every further gate it passes (the
+float expression and ``<=`` of the linear scans), and pushes it once
+into ``ready[g]`` for its lowest passed gate ``g`` and, if ``g > 0``,
+once back into the gate heap keyed by ``e_{g-1}``.  The answer for slot
+``i`` is the smallest fresh ``(finish, estimate, seqno)`` among the tops
+of ``ready[0..i]``; a copy left in a higher ready heap after its tenant
+moved down carries the same key and names the same tenant, so it is
+harmless.  A head change thus costs one gate push plus, per drain that
+moves it, one ready push and at most one gate push: ~2-3 pushes per
+touch on any thread count, and a query compares at most ``i + 1``
+ready tops.
 
-Because system virtual time never moves backwards, the eligibility
-threshold passed to :meth:`min_eligible_finish` is non-decreasing, so
-entries migrate through each gate exactly once per version.
+The eligibility threshold is system virtual time, which never moves
+backwards, so an entry passes each gate at most once per version.
+WF2Q+ retracting a jump after a cancel is the one exception; that
+scheduler rebuilds its index instead.
 
 Contract with cost estimators
 -----------------------------
@@ -84,8 +85,9 @@ __all__ = ["SelectionIndex"]
 
 #: One lazy-invalidation heap entry.  The *prefix* is the policy's sort
 #: key -- ``(finish, estimate, seqno)`` for the finish heap, ``(start,
-#: estimate, seqno)`` for the start heap, ``(staggered start, start,
-#: finish, estimate, seqno)`` for a pending heap -- and every entry ends
+#: estimate, seqno)`` for the start heap and a ready heap, ``(staggered
+#: start, next gate, start, finish, estimate, seqno)`` for the gate heap
+#: -- and every entry ends
 #: with the fixed ``(..., sel_version, state)`` suffix the invalidation
 #: machinery reads via ``entry[-2]`` / ``entry[-1]``.  Entries are plain
 #: tuples (not objects) because heapq compares them lexicographically on
@@ -129,11 +131,12 @@ class SelectionIndex:
         Maintain a global min-start-tag heap (SFQ selection, MSF2Q
         fallback, and the WF2Q+ virtual-time lower bound).
     staggers:
-        One eligibility pending/ready heap pair per entry; entry ``j``
-        gates on ``S_f - staggers[j] * l_head <= threshold``.  WF2Q-style
-        policies pass ``(0.0,)``; 2DFQ passes ``(i / n for i in
-        range(n))``.  Must be sorted ascending -- the gate chain relies
-        on the nested-eligibility property that implies.
+        One eligibility slot (and ready heap) per entry, all fed by one
+        gate heap; slot ``j`` gates on ``S_f - staggers[j] * l_head <=
+        threshold``.  WF2Q-style policies pass ``(0.0,)``; 2DFQ passes
+        ``(i / n for i in range(n))``.  Must be sorted ascending -- the
+        gate heap relies on the nested-eligibility property that
+        implies.
     """
 
     __slots__ = (
@@ -142,14 +145,14 @@ class SelectionIndex:
         "_limits",
         "_finish_heap",
         "_start_heap",
-        "_pending",
+        "_gate",
         "_ready",
         "_staggers",
         "_log",
         "_log_limit",
         "_cursor_finish",
         "_cursor_start",
-        "_cursor_ladder",
+        "_cursor_gate",
         "_gates",
         "_hist",
         "stale_pops",
@@ -176,18 +179,18 @@ class SelectionIndex:
         ):
             raise SchedulerError(
                 "stagger offsets must be sorted ascending (the gate "
-                f"chain relies on nested eligibility): {self._staggers}"
+                f"heap relies on nested eligibility): {self._staggers}"
             )
-        self._pending = [self._new_heap() for _ in self._staggers]
+        self._gate = self._new_heap() if self._staggers else -1
         self._ready = [self._new_heap() for _ in self._staggers]
         #: Shared dirty log of deferred touches plus one cursor per
-        #: maintained structure (the ladder counts as one structure: its
-        #: single entry point is the top pending heap).
+        #: maintained structure (the gate heap and its ready heaps count
+        #: as one structure: the gate heap is its single entry point).
         self._log: List[_LogRecord] = []
         self._log_limit = _LOG_COMPACT_MIN
         self._cursor_finish = 0
         self._cursor_start = 0
-        self._cursor_ladder = 0
+        self._cursor_gate = 0
         # Eligibility-count bookkeeping, built on the first
         # eligible_count() call (traced runs only): the lowest gate each
         # fresh tenant entry has passed, and a histogram of those gates.
@@ -300,17 +303,16 @@ class SelectionIndex:
             start, finish, estimate, seqno = self._snapshot(record)
             self._push(heap_id, (start, estimate, seqno, record[1], state))
 
-    def _sync_ladder(self) -> None:
-        """Feed fresh dirty records into the gate chain's single entry
-        point: the top pending heap (largest stagger offset)."""
+    def _sync_gate(self) -> None:
+        """Feed fresh dirty records into the gate heap, keyed by their
+        top gate (largest stagger offset)."""
         log = self._log
         end = len(log)
-        i = self._cursor_ladder
+        i = self._cursor_gate
         if i == end:
             return
-        self._cursor_ladder = end
+        self._cursor_gate = end
         top = len(self._staggers) - 1
-        heap_id = self._pending[top]
         stagger = self._staggers[top]
         while i < end:
             record = log[i]
@@ -320,9 +322,10 @@ class SelectionIndex:
                 continue
             start, finish, estimate, seqno = self._snapshot(record)
             self._push(
-                heap_id,
+                self._gate,
                 (
                     start - stagger * estimate,
+                    top,
                     start,
                     finish,
                     estimate,
@@ -344,7 +347,7 @@ class SelectionIndex:
         if self._start_heap >= 0:
             self._sync_start()
         if self._staggers:
-            self._sync_ladder()
+            self._sync_gate()
         live = sum(
             1
             for rec in self._log
@@ -354,7 +357,7 @@ class SelectionIndex:
         self._log.clear()
         self._cursor_finish = 0
         self._cursor_start = 0
-        self._cursor_ladder = 0
+        self._cursor_gate = 0
 
     def _push(self, heap_id: int, entry: _HeapEntry) -> None:
         heap = self._heaps[heap_id]
@@ -363,13 +366,13 @@ class SelectionIndex:
         if len(heap) >= self._limits[heap_id]:
             # The suffix layout is fixed: entry[-2] is the sel_version
             # snapshot, entry[-1] the TenantState (see _HeapEntry).
-            live = [
+            # In place, so a query holding the list keeps a valid heap.
+            heap[:] = [
                 e for e in heap
                 if e[-2] == e[-1].sel_version  # type: ignore[union-attr]
             ]
-            heapq.heapify(live)
-            self._heaps[heap_id] = live
-            self._limits[heap_id] = max(_COMPACT_MIN, 2 * len(live))
+            heapq.heapify(heap)
+            self._limits[heap_id] = max(_COMPACT_MIN, 2 * len(heap))
             self.rebuilds += 1
 
     # -- queries -------------------------------------------------------------
@@ -427,77 +430,72 @@ class SelectionIndex:
         ``threshold`` for stagger slot ``slot``.
 
         ``threshold`` must be non-decreasing across calls (system virtual
-        time never moves backwards), which is what lets entries migrate
-        through each gate exactly once.  Gates are drained from the top
-        stagger down to ``slot``; an entry with ``e_slot <= threshold``
-        has ``e_j <= e_slot <= threshold`` at every intermediate gate
-        (staggers ascending, estimates positive), so after the drain
-        ``ready[slot]`` holds the full slot eligibility set.
+        time never moves backwards), which is what lets an entry pass
+        each gate at most once.  The drain pops every gate entry keyed
+        within ``threshold``, walks it down to its lowest passed gate
+        ``g`` and files it in ``ready[g]``; a tenant eligible on
+        ``slot`` has its lowest passed gate ``<= slot`` (eligibility is
+        nested), so the answer is the best fresh top of
+        ``ready[0..slot]``.
         """
-        self._sync_ladder()
+        self._sync_gate()
         heaps = self._heaps
         staggers = self._staggers
-        pending_ids = self._pending
         ready_ids = self._ready
         gates = self._gates
+        gate = heaps[self._gate]
         stale = 0
-        for j in range(len(staggers) - 1, slot - 1, -1):
-            pending = heaps[pending_ids[j]]
-            if not pending:
+        # Key check first: when the top key is beyond the threshold
+        # nothing can pass, fresh or stale (a stale top parked out there
+        # is swept up by compaction or once the threshold reaches it).
+        # Hot path: positional suffix reads, as in _peek.
+        while gate and gate[0][0] <= threshold:  # type: ignore[operator]
+            entry = heapq.heappop(gate)
+            # entry = (e_g, g, start, finish, estimate, seqno, v, state)
+            if entry[-2] != entry[-1].sel_version:  # type: ignore[union-attr]
+                stale += 1
                 continue
-            ready_id = ready_ids[j]
-            # An entry leaving pending[j] must ALWAYS seed pending[j-1]
-            # (not only when the query slot lies below j): a later query
-            # for a lower slot drains the lower gates and would never
-            # see a tenant this query consumed from gate j.
-            cascade = j > 0
-            if cascade:
-                next_stagger = staggers[j - 1]
-                next_id = pending_ids[j - 1]
-            while pending:
-                entry = pending[0]
-                # Key check first: when the top key is beyond the
-                # threshold nothing can migrate, fresh or stale (a stale
-                # top parked out there is swept up by compaction or once
-                # the threshold reaches it).  Hot path: positional
-                # suffix reads, as in _peek.
-                if entry[0] > threshold:  # type: ignore[operator]
+            g: int = entry[1]  # type: ignore[assignment]
+            while g:
+                key = entry[2] - staggers[g - 1] * entry[4]  # type: ignore[operator]
+                if key > threshold:
+                    self._push(self._gate, (key, g - 1) + entry[2:])
                     break
-                if entry[-2] != entry[-1].sel_version:  # type: ignore[union-attr]
-                    heapq.heappop(pending)
-                    stale += 1
-                    continue
-                heapq.heappop(pending)
-                # Re-key from staggered start to finish tag; the ready
-                # entry drops the (staggered start, start) prefix.
-                self._push(ready_id, entry[2:])
-                if cascade:
-                    # entry = (e_j, start, finish, estimate, seqno, v, state)
-                    self._push(
-                        next_id,
-                        (entry[1] - next_stagger * entry[3],)  # type: ignore[operator]
-                        + entry[1:],
-                    )
-                if gates is not None:
-                    # The tenant's lowest passed gate moves down to j.
-                    tenant: TenantState = entry[-1]  # type: ignore[assignment]
-                    hist = self._hist
-                    passed = gates.get(tenant)
-                    if passed is not None:
-                        hist[passed] -= 1
-                    gates[tenant] = j
-                    hist[j] += 1
+                g -= 1
+            # Re-key from staggered start to finish tag.
+            self._push(ready_ids[g], entry[3:])
+            if gates is not None:
+                # The tenant's lowest passed gate moves down to g.
+                tenant: TenantState = entry[-1]  # type: ignore[assignment]
+                hist = self._hist
+                passed = gates.get(tenant)
+                if passed is not None:
+                    hist[passed] -= 1
+                gates[tenant] = g
+                hist[g] += 1
+        best: Optional[_HeapEntry] = None
+        for ready_id in ready_ids[: slot + 1]:
+            ready = heaps[ready_id]
+            while ready:
+                top = ready[0]
+                if top[-2] == top[-1].sel_version:  # type: ignore[union-attr]
+                    # First three fields only: two fresh copies of one
+                    # tenant tie there and must not compare states.
+                    if best is None or top[:3] < best[:3]:
+                        best = top
+                    break
+                heapq.heappop(ready)
+                stale += 1
         if stale:
             self.stale_pops += stale
-        top = self._peek(ready_ids[slot])
-        return top[-1] if top is not None else None  # type: ignore[return-value]
+        return best[-1] if best is not None else None  # type: ignore[return-value]
 
     def eligible_count(self, slot: int) -> int:
         """Size of the slot-``slot`` eligibility set as of the last
-        :meth:`min_eligible_finish` query for that slot (or a lower
-        one) -- the ``eligible`` field of traced ``select`` events.
+        :meth:`min_eligible_finish` query -- the ``eligible`` field of
+        traced ``select`` events.
 
-        Eligibility is nested down the gate chain, so a fresh tenant is
+        Eligibility is nested across the slots, so a fresh tenant is
         eligible on ``slot`` exactly when the lowest gate its entry has
         passed is ``<= slot``: the answer is a prefix sum of the gate
         histogram, O(stagger slots) with no estimator calls.  The
@@ -554,9 +552,10 @@ class SelectionIndex:
             sizes["finish"] = len(self._heaps[self._finish_heap])
         if self._start_heap >= 0:
             sizes["start"] = len(self._heaps[self._start_heap])
-        for slot in range(len(self._staggers)):
-            sizes[f"pending[{slot}]"] = len(self._heaps[self._pending[slot]])
-            sizes[f"ready[{slot}]"] = len(self._heaps[self._ready[slot]])
+        if self._gate >= 0:
+            sizes["gate"] = len(self._heaps[self._gate])
+        for slot, ready_id in enumerate(self._ready):
+            sizes[f"ready[{slot}]"] = len(self._heaps[ready_id])
         sizes["log"] = len(self._log)
         return sizes
 

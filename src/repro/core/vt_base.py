@@ -203,10 +203,11 @@ class VirtualTimeScheduler(Scheduler):
                 self._index.touch(state)
 
     def _activate_index(self) -> None:
-        """Adaptive mode, rising edge: build a fresh selection index and
-        seed it with the entire backlog.  O(N) once per activation --
-        amortized against the >= AUTO_INDEX_HIGH dequeues the backlog
-        implies before the tear-down threshold can be reached."""
+        """Build a fresh selection index and seed it with the entire
+        backlog.  O(N) per call: adaptive mode's rising edge amortizes
+        it against the >= AUTO_INDEX_HIGH dequeues the backlog implies
+        before the tear-down threshold can be reached; WF2Q+ pays it
+        only when a running cancel moves its virtual time backwards."""
         spec = self._index_spec()
         if spec is None:  # pragma: no cover - auto is disarmed in __init__
             self._auto = False

@@ -52,9 +52,15 @@ class WF2QPlusScheduler(WF2QScheduler):
         # surviving backlog no longer supports (the next ``jump_to``
         # restores ``V >= min_f S_f``, so this is self-healing).
         min_start = self._min_backlogged_start()
+        before = self._clock.value
         self._clock.rewind_jump(
             min_start if min_start is not None else float("-inf")
         )
+        if self._index is not None and self._clock.value < before:
+            # The index admits entries at a non-decreasing threshold; a
+            # lower clock would leave them eligible where the linear
+            # scan gates them out again.  Rebuild from the backlog.
+            self._activate_index()
         return True
 
     def _index_spec(self) -> Optional[Dict[str, Any]]:

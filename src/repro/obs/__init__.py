@@ -48,9 +48,7 @@ from .audit import AuditConfig, FairnessAuditor
 from .events import EVENT_KINDS, TraceEvent
 from .exporters import (
     build_manifest,
-    chrome_trace_events,
     write_chrome_trace,
-    write_events_jsonl,
     write_manifest,
     write_rows_jsonl,
 )
@@ -76,9 +74,7 @@ __all__ = [
     "current_session",
     "clear_session",
     "build_manifest",
-    "chrome_trace_events",
     "write_chrome_trace",
-    "write_events_jsonl",
     "write_rows_jsonl",
     "write_manifest",
     "BlockingInterval",

@@ -26,11 +26,11 @@ a per-export cache of ``encode_basestring_ascii``, ``true``/``false``/
 ``null`` as literals, anything else through ``json.dumps``).  The
 output is written in chunks of :data:`CHUNK_ROWS` rows, so the encoded
 text held at once stays bounded.  The bytes equal ``json.dumps`` of
-each event's :meth:`~repro.obs.events.TraceEvent.as_dict`: the
-reference writers :func:`write_events_jsonl` and
-:func:`chrome_trace_events` are kept for that comparison, and rows whose
-payload keys could reorder the header (a key named ``kind``, ``t``,
-``vt`` or ``tenant``) are encoded through them.
+each event's :meth:`~repro.obs.events.TraceEvent.as_dict` (the test
+suite keeps the ``json.dumps`` reference writers to compare against),
+and rows whose payload keys could reorder the header (a key named
+``kind``, ``t``, ``vt`` or ``tenant``) are encoded with ``json.dumps``
+directly.
 
 All functions take duck-typed inputs (anything with the right
 attributes), so this module depends only on the standard library and
@@ -66,10 +66,8 @@ from .events import Row, TraceEvent, row_as_dict
 
 __all__ = [
     "CHUNK_ROWS",
-    "write_events_jsonl",
     "encode_rows_jsonl",
     "write_rows_jsonl",
-    "chrome_trace_events",
     "write_chrome_trace",
     "build_manifest",
     "write_manifest",
@@ -183,21 +181,6 @@ def _literal(text: str) -> str:
 # -- JSONL event stream ---------------------------------------------------------
 
 
-def write_events_jsonl(events: Iterable[Any], path: Union[str, Path]) -> Path:
-    """Write trace events (or plain dicts) as one JSON object per line.
-
-    The reference encoder: one ``json.dumps`` per event.  Traced runs
-    export through :func:`write_rows_jsonl`, which writes the same
-    bytes."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        for event in events:
-            record = event.as_dict() if hasattr(event, "as_dict") else event
-            fh.write(json.dumps(record) + "\n")
-    return path
-
-
 #: Row shape: kind, payload keys, and whether vt / tenant are present.
 _Shape = Tuple[str, Tuple[str, ...], bool, bool]
 
@@ -226,8 +209,8 @@ def _jsonl_template(shape: _Shape) -> Optional[str]:
 
 def encode_rows_jsonl(rows: Sequence[Row]) -> Iterator[str]:
     """``events.jsonl`` text of ``rows``, one chunk per
-    :data:`CHUNK_ROWS` rows; byte-identical to :func:`write_events_jsonl`
-    over the same events."""
+    :data:`CHUNK_ROWS` rows; byte-identical to one ``json.dumps`` per
+    event's :meth:`~repro.obs.events.TraceEvent.as_dict`."""
     encoder = _ColumnEncoder()
     templates: Dict[_Shape, Optional[str]] = {}
     for start in range(0, len(rows), CHUNK_ROWS):
@@ -343,20 +326,6 @@ def _thread_meta(tids: Iterable[int]) -> List[Dict[str, Any]]:
     return out
 
 
-def _slice(fields: _Slice) -> Dict[str, Any]:
-    tid, tenant, name, start, end, cost = fields
-    return {
-        "name": name,
-        "cat": "request",
-        "ph": "X",
-        "ts": start * _US,
-        "dur": max(0.0, end - start) * _US,
-        "pid": 1,
-        "tid": tid,
-        "args": {"tenant": tenant, "cost": cost},
-    }
-
-
 def _trace_records(record: Dict[str, Any]) -> List[Dict[str, Any]]:
     """Chrome events contributed by one flattened trace event: two
     counter samples per dispatch, one instant per exceptional kind."""
@@ -397,35 +366,6 @@ def _trace_records(record: Dict[str, Any]) -> List[Dict[str, Any]]:
             }
         ]
     return []
-
-
-def chrome_trace_events(
-    dispatch_log: Iterable[Any],
-    trace_events: Iterable[Any] = (),
-    process_name: str = "repro",
-) -> List[Dict[str, Any]]:
-    """Build the Chrome ``traceEvents`` list.
-
-    ``dispatch_log`` becomes complete (``"ph": "X"``) slices, one
-    timeline row per worker thread.  ``trace_events`` (the tracer's
-    decision events, optional) contribute ``virtual_time`` and
-    ``backlog`` counter tracks sampled at every dispatch, plus
-    process-scoped instant events (``"ph": "i"``) for the exceptional
-    kinds -- ``cancel``, ``fault``, ``invariant``, ``audit`` -- colored
-    by tenant (``cname``, stable hash of the tenant id) with the full
-    event payload in ``args``.
-
-    The reference builder (one dict per Chrome event);
-    :func:`write_chrome_trace` writes the same bytes without it.
-    """
-    slices = [_slice(_record_fields(record)) for record in dispatch_log]
-    out = [_process_meta(process_name)]
-    out.extend(_thread_meta(sorted({s["tid"] for s in slices})))
-    out.extend(slices)
-    for event in trace_events:
-        record = event.as_dict() if hasattr(event, "as_dict") else event
-        out.extend(_trace_records(record))
-    return out
 
 
 _SLICE_TEMPLATE = (
@@ -529,8 +469,8 @@ def write_chrome_trace(
     """Write a Chrome/Perfetto-loadable trace (JSON object format).
 
     ``trace_events`` may hold tracer rows, :class:`TraceEvent` objects
-    or flattened dicts.  Streams the bytes ``json.dumps`` would write
-    for :func:`chrome_trace_events` in bounded chunks."""
+    or flattened dicts.  Streams, in bounded chunks, the bytes
+    ``json.dumps`` would write for one dict per Chrome event."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     slices = [_record_fields(record) for record in dispatch_log]

@@ -13,7 +13,9 @@ These tests run the two modes side by side:
 * traced, comparing whole decision-event streams -- which pins the
   index's eligibility counts (the ``eligible`` field of ``select``
   events) against the linear scans, across adaptive index activation
-  and teardown.
+  and teardown, up to the 32-thread pools the production cells run;
+* with running requests cancelled mid-run, which moves WF2Q+'s virtual
+  time backwards.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.core import make_scheduler
 from repro.core.request import Request
 from repro.obs import Tracer
 from repro.obs.events import row_as_dict
+from repro.simulator import BackloggedSource
 from repro.simulator.clock import Simulation
 from repro.simulator.rng import make_rng
 from repro.simulator.server import ThreadPoolServer
@@ -195,21 +198,71 @@ class TestDifferentialAzureSimulator:
 class TestIndexMechanics:
     def test_heap_sizes_stay_bounded(self):
         """Lazy invalidation must not leak: after many dispatch cycles
-        the heaps stay O(backlogged tenants), not O(total dispatches)."""
-        s = make_scheduler("2dfq", num_threads=4, thread_rate=1.0)
-        num_tenants = 50
-        for i in range(num_tenants):
-            for _ in range(2):
-                s.enqueue(Request(tenant_id=f"t{i}", cost=1.0), 0.0)
-        now = 0.0
-        for i in range(5000):
-            now += 1e-3
-            out = s.dequeue(i % 4, now)
-            s.complete(out, out.cost, now)
-            s.enqueue(Request(tenant_id=out.tenant_id, cost=1.0), now)
-        sizes = s.selection_index.heap_sizes()
-        for heap_name, size in sizes.items():
-            assert size <= 8 * num_tenants + 256, (heap_name, sizes)
+        the heaps -- including ready heaps holding copies their tenants
+        have since moved below -- stay O(backlogged tenants), not
+        O(total dispatches)."""
+        for num_threads in (4, 16):
+            s = make_scheduler("2dfq", num_threads=num_threads, thread_rate=1.0)
+            num_tenants = 50
+            for i in range(num_tenants):
+                for _ in range(2):
+                    s.enqueue(Request(tenant_id=f"t{i}", cost=1.0 + i % 3), 0.0)
+            now = 0.0
+            for i in range(5000):
+                now += 1e-3
+                out = s.dequeue(i % num_threads, now)
+                s.complete(out, out.cost, now)
+                s.enqueue(Request(tenant_id=out.tenant_id, cost=out.cost), now)
+            sizes = s.selection_index.heap_sizes()
+            assert "gate" in sizes and f"ready[{num_threads - 1}]" in sizes
+            for heap_name, size in sizes.items():
+                assert size <= 8 * num_tenants + 256, (num_threads, heap_name, sizes)
+
+    def test_stagger_churn_stays_constant_per_touch(self):
+        """2DFQ's staggered eligibility costs a few heap pushes per
+        touch on any thread count, not one cascade step per slot: 100
+        closed-loop tenants (half of them 1000x more expensive) on 16
+        threads, the Figure 8a shape."""
+        sim = Simulation()
+        scheduler = make_scheduler("2dfq", 16, thread_rate=1000.0, indexed=True)
+        server = ThreadPoolServer(sim, scheduler, num_threads=16, rate=1000.0)
+        for i in range(50):
+            BackloggedSource(server, f"E{i}", lambda: ("big", 1000.0)).start()
+            BackloggedSource(server, f"S{i}", lambda: ("small", 1.0)).start()
+        sim.run(until=2.0)
+        stats = scheduler.selection_index.stats()
+        assert stats["touches"] > 10_000
+        assert stats["pushes"] / stats["touches"] <= 4, stats
+
+    def test_lower_slot_after_higher_slot_matches_linear(self):
+        """Querying a high stagger slot drains the gate heap to the
+        threshold; every lower slot queried afterwards at the same
+        threshold must still see exactly the linear scan's choice."""
+        num_threads = 8
+        trace = random_timed_requests(7, num_tenants=40, count=400)
+        linear = make_scheduler("2dfq", num_threads, thread_rate=10.0, indexed=False)
+        indexed = make_scheduler("2dfq", num_threads, thread_rate=10.0, indexed=True)
+        runs = [(linear, rebuild(trace)), (indexed, rebuild(trace))]
+        index = indexed.selection_index
+        checked = 0
+        for step in range(len(trace)):
+            now = trace[step][0]
+            for scheduler, requests in runs:
+                scheduler.enqueue(requests[step][1], now)
+            if step % 3:
+                continue
+            vnow = linear.virtual_time(now)
+            assert indexed.virtual_time(now) == vnow
+            threshold = indexed._eligibility_threshold(vnow)
+            for slot in range(num_threads - 1, -1, -1):
+                want = linear._select(slot, vnow)
+                got = index.min_eligible_finish(slot, threshold)
+                assert (got and got.tenant_id) == (want and want.tenant_id), (step, slot)
+                checked += want is not None
+            for scheduler, _ in runs:
+                out = scheduler.dequeue(step % num_threads, now)
+                scheduler.complete(out, out.cost, now)
+        assert checked > 100
 
     def test_linear_only_subclass_still_works(self):
         """External subclasses that only override _select get the linear
@@ -396,3 +449,73 @@ class TestTracedDifferential:
             max_exponent=max_exponent,
         )
         assert_streams_identical(name, trace, num_threads)
+
+    @pytest.mark.parametrize(
+        "name,num_threads", itertools.product(["2dfq", "2dfq-e"], [16, 32])
+    )
+    def test_event_rows_identical_at_cell_thread_counts(self, name, num_threads):
+        """The shipped cells run 2DFQ on 16 (``expensive``) and 32
+        (``unpredictable``, ``production``) threads, far past the
+        sweep's 1-6: the gate heap must agree with the linear scan
+        there too, ``eligible`` counts included."""
+        trace = ramped_trace(
+            num_threads, num_tenants=64, per_burst=256, max_exponent=2.0
+        )
+        streams = assert_streams_identical(name, trace, num_threads)
+        assert streams["auto"][1] == {False, True}, "auto never switched paths"
+
+
+def drive_with_cancels(scheduler, seed, num_threads=3, num_tenants=41, steps=400):
+    """Seeded random arrivals (costs 0.1-20) on ``num_threads`` threads,
+    cancelling a random running request on 15% of the steps; returns
+    the dispatch order as ``(tenant, seqno relative to the first)``."""
+    rng = make_rng(seed, "cancel-differential")
+    rate = 10.0
+    busy = {}  # thread -> (end, request)
+    order = []
+    now = 0.0
+    for _ in range(steps):
+        now += 0.05
+        for thread in sorted(busy):
+            end, request = busy[thread]
+            if end <= now:
+                del busy[thread]
+                scheduler.complete(request, request.cost, now)
+        for _ in range(int(rng.integers(0, 3))):
+            scheduler.enqueue(
+                Request(
+                    tenant_id=f"T{int(rng.integers(num_tenants))}",
+                    cost=float(rng.choice([0.1, 1.0, 5.0, 20.0])),
+                ),
+                now,
+            )
+        if busy and rng.random() < 0.15:
+            thread = sorted(busy)[int(rng.integers(len(busy)))]
+            assert scheduler.cancel(busy.pop(thread)[1], now)
+        for thread in range(num_threads):
+            if thread not in busy and scheduler.backlog > 0:
+                request = scheduler.dequeue(thread, now)
+                busy[thread] = (now + request.cost / rate, request)
+                order.append((request.tenant_id, request.seqno))
+    first = min(seqno for _, seqno in order)
+    return [(tenant, seqno - first) for tenant, seqno in order]
+
+
+class TestCancelDifferential:
+    """Cancelling a running request refunds its charge; under WF2Q+ that
+    can retract a jump of the virtual-time function, moving the
+    eligibility threshold backwards.  The index must still dispatch
+    exactly like the linear scan."""
+
+    @pytest.mark.parametrize("name", ["wf2q+", "2dfq", "wf2q"])
+    def test_running_cancels_identical_across_modes(self, name):
+        for seed in range(12):
+            orders = [
+                drive_with_cancels(
+                    make_scheduler(name, 3, thread_rate=10.0, indexed=mode), seed
+                )
+                for mode in (False, True, "auto")
+            ]
+            assert len(orders[0]) > 100
+            assert orders[1] == orders[0], (name, seed, "indexed")
+            assert orders[2] == orders[0], (name, seed, "auto")

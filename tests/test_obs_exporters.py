@@ -4,16 +4,15 @@ import json
 
 import pytest
 
+from reference.export_writers import chrome_trace_events, write_events_jsonl
 from repro.obs import (
     TraceEvent,
     TraceSession,
     Tracer,
     build_manifest,
-    chrome_trace_events,
     current_session,
     trace_session,
     write_chrome_trace,
-    write_events_jsonl,
     write_manifest,
     write_rows_jsonl,
 )

@@ -219,7 +219,7 @@ class TestSpanSetSurface:
         json.dumps(record)  # JSON-ready end to end
 
     def test_spans_from_jsonl_round_trip(self, tmp_path):
-        from repro.obs import write_events_jsonl
+        from reference.export_writers import write_events_jsonl
 
         tracer = drive_scheduler("wf2q", horizon=10.0)
         path = write_events_jsonl(tracer.events, tmp_path / "events.jsonl")
