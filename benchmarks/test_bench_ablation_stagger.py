@@ -33,13 +33,7 @@ from conftest import emit, once
 def _stagger_class(name: str, g):
     class Stagger2DFQ(VirtualTimeScheduler):
         def _select(self, thread_id: int, vnow: float) -> Optional[TenantState]:
-            shape = g(thread_id / self._num_threads)
-            eligible = []
-            for state in self._backlogged.values():
-                offset = shape * self._head_estimate(state)
-                if self._eligible(state.start_tag - offset, vnow):
-                    eligible.append(state)
-            return self._min_finish(eligible)
+            return self._min_eligible_finish(g(thread_id / self._num_threads), vnow)
 
     Stagger2DFQ.name = name
     return Stagger2DFQ

@@ -29,13 +29,9 @@ class QuadraticStagger2DFQ(VirtualTimeScheduler):
     name = "2dfq-quadratic"
 
     def _select(self, thread_id: int, vnow: float) -> Optional[TenantState]:
+        # Smallest finish tag among tenants with S - stagger * l <= v(now).
         stagger = (thread_id / self._num_threads) ** 2
-        eligible = []
-        for state in self._backlogged.values():
-            offset = stagger * self._head_estimate(state)
-            if self._eligible(state.start_tag - offset, vnow):
-                eligible.append(state)
-        return self._min_finish(eligible)
+        return self._min_eligible_finish(stagger, vnow)
 
 
 def main() -> None:

@@ -30,9 +30,10 @@ whenever any request is queued (paper §2, "Desirable Properties").
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import TYPE_CHECKING, ClassVar, Deque, Dict, Optional
+from typing import TYPE_CHECKING, ClassVar, Deque, Dict, Optional, Tuple
 
 from ..errors import ConfigurationError, SchedulerError
 from ..units import Cost, Rate, SimTime, VirtualTime, Weight
@@ -41,12 +42,16 @@ from .request import Request, RequestPhase
 if TYPE_CHECKING:  # import cycle: repro.obs is instrumented *by* core
     from ..obs.tracer import Tracer
 
-__all__ = ["Scheduler", "TenantState", "MIN_COST"]
+__all__ = ["Scheduler", "TenantState", "MIN_COST", "HeadKey"]
 
 #: Lower bound applied to every cost estimate so zero-cost requests can
 #: never produce zero-width virtual-time slots (and divide-by-zero in
 #: downstream bookkeeping).
 MIN_COST = 1e-9
+
+#: A backlogged tenant's selection key ``(finish tag, clamped head
+#: estimate, head seqno)``; see :attr:`TenantState.head_key`.
+HeadKey = Tuple[float, float, int]
 
 
 class TenantState:
@@ -73,6 +78,11 @@ class TenantState:
         :class:`~repro.core.selection.SelectionIndex`: heap entries
         snapshot it at push time and are discarded once it moves on.
         Schedulers running without an index never touch it.
+    head_key:
+        Cached :data:`HeadKey` of the head request, ``None`` while
+        unknown.  Owned by :class:`~repro.core.vt_base.VirtualTimeScheduler`,
+        which fills it lazily and clears it wherever the head, the start
+        tag or the head estimate may change.
     """
 
     __slots__ = (
@@ -84,11 +94,14 @@ class TenantState:
         "active",
         "deficit",
         "sel_version",
+        "head_key",
     )
 
     def __init__(self, tenant_id: str, weight: Weight) -> None:
-        if weight <= 0:
-            raise ConfigurationError(f"tenant weight must be positive, got {weight}")
+        if not 0.0 < weight < math.inf:
+            raise ConfigurationError(
+                f"tenant weight must be positive and finite, got {weight}"
+            )
         self.tenant_id = tenant_id
         self.weight: Weight = weight
         self.queue: Deque[Request] = deque()
@@ -97,6 +110,7 @@ class TenantState:
         self.active = False
         self.deficit: Cost = 0.0
         self.sel_version = 0
+        self.head_key: Optional[HeadKey] = None
 
     @property
     def backlogged(self) -> bool:
@@ -119,9 +133,9 @@ class Scheduler(ABC):
     def __init__(self, num_threads: int, thread_rate: Rate = 1.0) -> None:
         if num_threads < 1:
             raise ConfigurationError(f"num_threads must be >= 1, got {num_threads}")
-        if thread_rate <= 0:
+        if not 0.0 < thread_rate < math.inf:
             raise ConfigurationError(
-                f"thread_rate must be positive, got {thread_rate}"
+                f"thread_rate must be positive and finite, got {thread_rate}"
             )
         self._num_threads = int(num_threads)
         self._thread_rate = float(thread_rate)

@@ -55,31 +55,32 @@ scheduler rebuilds its index instead.
 
 Contract with cost estimators
 -----------------------------
-Keys are snapshotted when a dirty-log record is first synced, so the
-index is only coherent if a queued request's estimate can change
-*solely* through ``observe()`` calls for the same tenant (estimators
-key their state on ``(tenant_id, api)``; see
-:mod:`repro.estimation.base`) -- every such change site in
-:mod:`repro.core.vt_base` pairs with a :meth:`touch`, which supersedes
-the memoized snapshot.  Every estimator in this library satisfies
-that; a custom estimator whose estimates drift spontaneously must run
-with ``indexed=False``.
-
-The per-record snapshot is also a *head-estimate cache*: the estimate
-is computed once per effective touch and reused by every structure
-that syncs the record, instead of once per candidate per dequeue as in
-the linear scans.
+The index reads each tenant's key through the scheduler's cached head
+key (:attr:`TenantState.head_key
+<repro.core.scheduler.TenantState.head_key>`), the same cache the
+linear scans and the dequeue charge read, so there is one head-estimate
+cache and it is computed at most once per head change.  Both selection
+paths are therefore coherent only if a queued request's estimate can
+change *solely* through ``observe()`` calls for the same tenant
+(estimators key their state on ``(tenant_id, api)``; see
+:mod:`repro.estimation.base`): every such change site in
+:mod:`repro.core.vt_base` goes through its one invalidation point,
+``_touch``, which clears the key and calls :meth:`touch`.  Every
+estimator in this library satisfies that, provided one estimator
+instance serves one scheduler; ``indexed=False`` is no escape hatch for
+an estimator whose estimates drift spontaneously.  Such an estimator
+needs ``reindex_backlogged()`` whenever its estimates move, as the
+fault injector does at each window edge.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import SchedulerError
-from ..estimation.base import CostEstimator
-from ..units import Cost, Scalar, VirtualTime
-from .scheduler import MIN_COST, TenantState
+from ..units import Scalar, VirtualTime
+from .scheduler import HeadKey, TenantState
 
 __all__ = ["SelectionIndex"]
 
@@ -95,14 +96,9 @@ __all__ = ["SelectionIndex"]
 #: break every tie before the non-comparable ``state`` is reached.
 _HeapEntry = Tuple[Union[float, int, "TenantState"], ...]
 
-#: One dirty-log record: ``[state, version, snapshot]`` where
-#: ``snapshot`` is ``None`` until the first structure to sync the record
-#: memoizes ``(start, finish, estimate, seqno)``.  Typed ``Any`` so the
-#: hot sync loops read it without per-access casts.
-_LogRecord = List[Any]
-
-#: A memoized ``(start, finish, estimate, seqno)`` selection key.
-_Snapshot = Tuple[VirtualTime, VirtualTime, Cost, int]
+#: One dirty-log record: the touched tenant and its ``sel_version``
+#: after the touch.
+_LogRecord = Tuple[TenantState, int]
 
 #: Heaps are compacted (stale entries filtered out, then re-heapified)
 #: once they grow past ``max(_COMPACT_MIN, 2 * live_entries)``; amortized
@@ -121,9 +117,10 @@ class SelectionIndex:
 
     Parameters
     ----------
-    estimator:
-        The scheduler's cost estimator; consulted once per effective
-        :meth:`touch` to snapshot the head estimate.
+    head_key:
+        The scheduler's cached head-key function
+        (``VirtualTimeScheduler._head_key``); read when a fresh record
+        is synced.
     finish:
         Maintain a global min-finish-tag heap (WFQ selection and the
         default work-conserving fallback).
@@ -140,7 +137,7 @@ class SelectionIndex:
     """
 
     __slots__ = (
-        "_estimator",
+        "_head_key",
         "_heaps",
         "_limits",
         "_finish_heap",
@@ -163,12 +160,12 @@ class SelectionIndex:
 
     def __init__(
         self,
-        estimator: CostEstimator,
+        head_key: Callable[[TenantState], HeadKey],
         finish: bool = False,
         start: bool = False,
         staggers: Sequence[Scalar] = (),
     ) -> None:
-        self._estimator = estimator
+        self._head_key = head_key
         self._heaps: List[List[_HeapEntry]] = []
         self._limits: List[int] = []
         self._finish_heap = self._new_heap() if finish else -1
@@ -208,14 +205,6 @@ class SelectionIndex:
 
     # -- maintenance ---------------------------------------------------------
 
-    def set_estimator(self, estimator: CostEstimator) -> None:
-        """Swap the estimator consulted for head estimates (fault
-        injection).  Entries and memoized snapshots created under the old
-        estimator carry stale tags, so the owning scheduler must
-        re-``touch`` every backlogged tenant immediately after (see
-        :meth:`~repro.core.vt_base.VirtualTimeScheduler.set_estimator`)."""
-        self._estimator = estimator
-
     def _new_heap(self) -> int:
         self._heaps.append([])
         self._limits.append(_COMPACT_MIN)
@@ -232,7 +221,7 @@ class SelectionIndex:
         tenant coalesce into one push.
         """
         state.sel_version += 1
-        self._log.append([state, state.sel_version, None])
+        self._log.append((state, state.sel_version))
         self.touches += 1
         if self._gates is not None:
             self._forget_gate(self._gates, state)
@@ -252,23 +241,6 @@ class SelectionIndex:
         if gate is not None:
             self._hist[gate] -= 1
 
-    def _snapshot(self, record: _LogRecord) -> _Snapshot:
-        """Memoized ``(start, finish, estimate, seqno)`` for a still-fresh
-        log record.  Safe to compute at any later sync: every mutation of
-        the underlying state pairs with a new touch, which supersedes
-        this record before the stale snapshot could be reused."""
-        snap: Optional[_Snapshot] = record[2]
-        if snap is None:
-            state = record[0]
-            head = state.queue[0]
-            estimate = self._estimator.estimate(head)
-            if estimate < MIN_COST:
-                estimate = MIN_COST
-            start = state.start_tag
-            snap = (start, start + estimate / state.weight, estimate, head.seqno)
-            record[2] = snap
-        return snap
-
     def _sync_finish(self) -> None:
         log = self._log
         end = len(log)
@@ -277,14 +249,15 @@ class SelectionIndex:
             return
         self._cursor_finish = end
         heap_id = self._finish_heap
+        head_key = self._head_key
         while i < end:
-            record = log[i]
+            state, version = log[i]
             i += 1
-            state = record[0]
-            if record[1] != state.sel_version:
+            if version != state.sel_version:
                 continue  # superseded by a later touch (or dropped)
-            start, finish, estimate, seqno = self._snapshot(record)
-            self._push(heap_id, (finish, estimate, seqno, record[1], state))
+            # A fresh record means no touch since: the cached key and
+            # the start tag are still current.
+            self._push(heap_id, (state.head_key or head_key(state)) + (version, state))
 
     def _sync_start(self) -> None:
         log = self._log
@@ -294,14 +267,14 @@ class SelectionIndex:
             return
         self._cursor_start = end
         heap_id = self._start_heap
+        head_key = self._head_key
         while i < end:
-            record = log[i]
+            state, version = log[i]
             i += 1
-            state = record[0]
-            if record[1] != state.sel_version:
+            if version != state.sel_version:
                 continue
-            start, finish, estimate, seqno = self._snapshot(record)
-            self._push(heap_id, (start, estimate, seqno, record[1], state))
+            _, estimate, seqno = state.head_key or head_key(state)
+            self._push(heap_id, (state.start_tag, estimate, seqno, version, state))
 
     def _sync_gate(self) -> None:
         """Feed fresh dirty records into the gate heap, keyed by their
@@ -314,13 +287,14 @@ class SelectionIndex:
         self._cursor_gate = end
         top = len(self._staggers) - 1
         stagger = self._staggers[top]
+        head_key = self._head_key
         while i < end:
-            record = log[i]
+            state, version = log[i]
             i += 1
-            state = record[0]
-            if record[1] != state.sel_version:
+            if version != state.sel_version:
                 continue
-            start, finish, estimate, seqno = self._snapshot(record)
+            finish, estimate, seqno = state.head_key or head_key(state)
+            start = state.start_tag
             self._push(
                 self._gate,
                 (
@@ -330,7 +304,7 @@ class SelectionIndex:
                     finish,
                     estimate,
                     seqno,
-                    record[1],
+                    version,
                     state,
                 ),
             )

@@ -41,7 +41,7 @@ from ..errors import SchedulerError
 from ..estimation.base import CostEstimator
 from ..estimation.pessimistic import PessimisticEstimator
 from ..units import Cost, Rate, Scalar, VirtualTime
-from .scheduler import MIN_COST, TenantState
+from .scheduler import TenantState
 from .vt_base import VirtualTimeScheduler
 
 __all__ = ["TwoDFQScheduler", "TwoDFQEScheduler"]
@@ -61,32 +61,10 @@ class TwoDFQScheduler(VirtualTimeScheduler):
         # Figure 7, line 20: E_now = { f in A : S_f - (i/n) L^f_max < v(now) }.
         # The stagger is expressed in virtual-time units; following the
         # paper's formulation the offset is the raw estimated cost (the
-        # evaluation uses equal weights, for which this is exact).
-        #
-        # Single fused pass over the backlogged set: eligibility and the
-        # min-finish choice share one estimate per tenant.  Estimates are
-        # clamped to the framework-wide MIN_COST and gated on the shared
-        # eligibility threshold, so the selection key can never disagree
-        # with the amount ``dequeue`` charges.
-        stagger = thread_id / self._num_threads
-        threshold = self._eligibility_threshold(vnow)
-        estimate_fn = self._estimator.estimate
-        best: Optional[TenantState] = None
-        best_key = (float("inf"), float("inf"), 0)
-        for state in self._backlogged.values():
-            head = state.queue[0]
-            estimate = estimate_fn(head)
-            if estimate < MIN_COST:
-                estimate = MIN_COST
-            if state.start_tag - stagger * estimate <= threshold:
-                key = (
-                    state.start_tag + estimate / state.weight,
-                    estimate,
-                    head.seqno,
-                )
-                if key < best_key:
-                    best, best_key = state, key
-        return best
+        # evaluation uses equal weights, for which this is exact).  The
+        # scan reads the cached head keys, whose estimate is also what
+        # ``dequeue`` charges.
+        return self._min_eligible_finish(thread_id / self._num_threads, vnow)
 
     # Work-conserving fallback inherited: smallest finish tag overall.
     # On thread n-1 the stagger is largest, so small requests are usually
@@ -120,21 +98,10 @@ class TwoDFQScheduler(VirtualTimeScheduler):
     def _trace_eligible_count(self, thread_id: int, vnow: VirtualTime) -> int:
         # Tracing only: the staggered eligibility set of Figure 7 line 20
         # for this specific thread, |{ f : S_f - (i/n) L^f_max <= v }|.
-        # The index answers from its gate histogram (slot i = thread i);
-        # the linear scan below is the reference it is tested against.
+        # The index answers from its gate histogram (slot i = thread i).
         if self._index is not None:
             return self._index.eligible_count(thread_id)
-        stagger = thread_id / self._num_threads
-        threshold = self._eligibility_threshold(vnow)
-        estimate_fn = self._estimator.estimate
-        count = 0
-        for state in self._backlogged.values():
-            estimate = estimate_fn(state.queue[0])
-            if estimate < MIN_COST:
-                estimate = MIN_COST
-            if state.start_tag - stagger * estimate <= threshold:
-                count += 1
-        return count
+        return self._eligible_count(thread_id / self._num_threads, vnow)
 
 
 class TwoDFQEScheduler(TwoDFQScheduler):

@@ -17,6 +17,8 @@ freezes; newly arriving tenants fast-forward their start tags with
 
 from __future__ import annotations
 
+import math
+
 from ..errors import ConfigurationError, SchedulerError
 from ..units import Rate, SimTime, VirtualTime, Weight
 
@@ -42,8 +44,10 @@ class VirtualClock:
     )
 
     def __init__(self, capacity: Rate) -> None:
-        if capacity <= 0:
-            raise ConfigurationError(f"capacity must be positive, got {capacity}")
+        if not 0.0 < capacity < math.inf:
+            raise ConfigurationError(
+                f"capacity must be positive and finite, got {capacity}"
+            )
         self._capacity: Rate = float(capacity)
         self._value: VirtualTime = 0.0
         self._base: VirtualTime = 0.0

@@ -25,11 +25,23 @@ choosing a backlogged tenant given the thread index and current virtual
 time, plus optionally :meth:`_fallback` for the work-conserving choice
 when no tenant is *eligible* under the policy.
 
+Every policy ranks a backlogged tenant by its head key ``(finish tag,
+clamped head estimate, head seqno)``.  The key is cached on
+:attr:`TenantState.head_key <repro.core.scheduler.TenantState.head_key>`
+and computed at most once per head change by :meth:`_head_key`; the
+linear scans, the dequeue charge and the selection index all read that
+one cache.  :meth:`_touch` is the single invalidation point: every site
+that changes a tenant's head request, start tag or head estimate
+(enqueue of a new head, dequeue, a refresh overage, complete, both
+cancel paths, an estimator swap) calls it, which clears the key and
+tells the index.  Estimators change a queued request's estimate only in
+``observe`` for the same tenant, inside ``complete``, so no other
+invalidation is needed.
+
 Selection runs in one of three interchangeable modes:
 
-* **linear scan** (``indexed=False``, the reference): `_select` /
-  `_fallback` walk the backlogged set, exactly as the policy
-  definitions read;
+* **linear scan** (``indexed=False``): `_select` / `_fallback` walk the
+  backlogged set, exactly as the policy definitions read;
 * **indexed** (``indexed=True``): policies that declare an
   :meth:`_index_spec` get a :class:`~repro.core.selection.SelectionIndex`
   -- heaps with lazy invalidation -- and `dequeue` routes through
@@ -43,8 +55,10 @@ Selection runs in one of three interchangeable modes:
   linear scan, large backlogs get the index.
 
 All modes are dispatch-for-dispatch identical (the differential tests
-assert it); external subclasses that only override `_select` simply
-keep the linear path, whatever mode was requested.
+assert it, and ``tests/reference/fair_queue_oracle.py`` checks the
+known-cost policies against an implementation that shares none of this
+code); external subclasses that only override `_select` simply keep the
+linear path, whatever mode was requested.
 """
 
 from __future__ import annotations
@@ -64,10 +78,10 @@ if TYPE_CHECKING:
 
 from ..errors import ConfigurationError, SchedulerError
 from ..estimation.base import CostEstimator
-from ..units import Cost, Rate, SimTime, VirtualTime
+from ..units import Cost, Rate, Scalar, SimTime, VirtualTime
 from ..estimation.oracle import OracleEstimator
 from .request import Request, RequestPhase
-from .scheduler import MIN_COST, Scheduler, TenantState
+from .scheduler import MIN_COST, HeadKey, Scheduler, TenantState
 from .selection import SelectionIndex
 from .virtual_time import VirtualClock
 
@@ -76,6 +90,9 @@ __all__ = ["VirtualTimeScheduler"]
 #: Slack applied to eligibility comparisons to absorb floating-point
 #: round-off in virtual-time arithmetic.
 _ELIGIBILITY_EPS = 1e-9
+
+#: Sorts after every real head key: the start value of a minimum scan.
+_NO_KEY: HeadKey = (float("inf"), float("inf"), 0)
 
 
 class VirtualTimeScheduler(Scheduler):
@@ -130,7 +147,7 @@ class VirtualTimeScheduler(Scheduler):
             self._auto = False
             spec = self._index_spec()
             if spec is not None:
-                self._index = SelectionIndex(self._estimator, **spec)
+                self._index = SelectionIndex(self._head_key, **spec)
         elif indexed is False:
             self._auto = False
         elif indexed == "auto":
@@ -181,26 +198,33 @@ class VirtualTimeScheduler(Scheduler):
     def set_estimator(self, estimator: CostEstimator) -> None:
         """Swap the cost estimator at runtime (fault injection).
 
-        The selection index caches finish/start tags computed from head
-        estimates, so every backlogged tenant is re-touched to keep the
-        index coherent with the new estimator's view.
-        """
+        Cached head keys were computed by the old estimator, so every
+        backlogged tenant is re-touched."""
         self._estimator = estimator
-        if self._index is not None:
-            self._index.set_estimator(estimator)
-            for state in self._backlogged.values():
-                self._index.touch(state)
+        self.reindex_backlogged()
 
     def reindex_backlogged(self) -> None:
-        """Re-touch every backlogged tenant in the selection index.
+        """Re-touch every backlogged tenant.
 
         Needed when head estimates change outside the ``observe()`` path
         -- e.g. a :class:`~repro.faults.FaultyEstimator` entering or
         leaving an outage/bias window shifts *all* estimates at once.
         """
-        if self._index is not None:
-            for state in self._backlogged.values():
-                self._index.touch(state)
+        for state in self._backlogged.values():
+            self._touch(state)
+
+    def _touch(self, state: TenantState) -> None:
+        """The single invalidation point: the tenant's head request,
+        start tag or head estimate may have changed.  Clears the cached
+        head key and re-files the tenant in the index (or drops it there
+        once its queue is empty)."""
+        state.head_key = None
+        index = self._index
+        if index is not None:
+            if state.queue:
+                index.touch(state)
+            else:
+                index.drop(state)
 
     def _activate_index(self) -> None:
         """Build a fresh selection index and seed it with the entire
@@ -212,7 +236,7 @@ class VirtualTimeScheduler(Scheduler):
         if spec is None:  # pragma: no cover - auto is disarmed in __init__
             self._auto = False
             return
-        index = SelectionIndex(self._estimator, **spec)
+        index = SelectionIndex(self._head_key, **spec)
         for state in self._backlogged.values():
             index.touch(state)
         self._index = index
@@ -246,10 +270,12 @@ class VirtualTimeScheduler(Scheduler):
         if len(state.queue) == 1:
             # A new head request (and possibly a fast-forwarded start
             # tag); deeper enqueues change neither the head nor the tag.
-            index = self._index
-            if index is not None:
-                index.touch(state)
-            elif self._auto and len(self._backlogged) >= self.AUTO_INDEX_HIGH:
+            self._touch(state)
+            if (
+                self._index is None
+                and self._auto
+                and len(self._backlogged) >= self.AUTO_INDEX_HIGH
+            ):
                 # Adaptive rising edge.  Checked only here: the backlog
                 # can only grow when a tenant becomes backlogged, so
                 # deeper enqueues never need to re-test the threshold.
@@ -332,24 +358,22 @@ class VirtualTimeScheduler(Scheduler):
                 stagger=self._trace_stagger(thread_id),
                 indexed=index is not None,
             )
+        # Charge the estimate up front (Figure 7, lines 22-24): the same
+        # cached key the selection ranked the tenant by.
+        estimate = (state.head_key or self._head_key(state))[1]
         request = state.queue.popleft()
         if not state.queue:
             del self._backlogged[state.tenant_id]
-        # Charge the estimate up front (Figure 7, lines 22-24).
-        estimate = max(self._estimator.estimate(request), MIN_COST)
         request.charged_cost = estimate
         request.credit = estimate
         state.start_tag += estimate / state.weight
         state.running += 1
-        if index is not None:
-            if trace is not None:
-                phase_timer = trace.registry.timer("scheduler.phase.index").start()
-            if state.queue:
-                index.touch(state)
-            else:
-                index.drop(state)
-            if phase_timer is not None:
-                phase_timer.stop()
+        if index is not None and trace is not None:
+            phase_timer = trace.registry.timer("scheduler.phase.index").start()
+            self._touch(state)
+            phase_timer.stop()
+        else:
+            self._touch(state)
         self._note_dispatched(request, thread_id, now)
         if trace is not None:
             trace.dispatch(
@@ -375,8 +399,7 @@ class VirtualTimeScheduler(Scheduler):
             state = self._tenants[request.tenant_id]
             state.start_tag += (usage - request.credit) / state.weight
             request.credit = 0.0
-            if self._index is not None and state.queue:
-                self._index.touch(state)
+            self._touch(state)
             if self._trace is not None:
                 self._trace.vt_update(
                     now,
@@ -416,10 +439,8 @@ class VirtualTimeScheduler(Scheduler):
         request.credit = 0.0
         state.running -= 1
         self._estimator.observe(request, request.reported_usage)
-        if self._index is not None and state.queue:
-            # Both the start tag and (via observe) the tenant's head
-            # estimate may have moved.
-            self._index.touch(state)
+        # Both the start tag and (via observe) the head estimate moved.
+        self._touch(state)
         trace = self._trace
         if trace is not None:
             trace.complete(
@@ -465,10 +486,10 @@ class VirtualTimeScheduler(Scheduler):
         except ValueError:
             return False
         self._clock.advance(now)
+        # The head may have changed, or the tenant left the backlog.
+        self._touch(state)
         if not state.queue:
             self._backlogged.pop(state.tenant_id, None)
-            if self._index is not None:
-                self._index.drop(state)
             if state.running == 0 and state.active:
                 state.active = False
                 self._clock.remove_weight(state.weight, now)
@@ -480,9 +501,6 @@ class VirtualTimeScheduler(Scheduler):
                         reason="tenant_idle",
                         active_weight=self._clock.active_weight,
                     )
-        elif self._index is not None:
-            # The head request may have changed.
-            self._index.touch(state)
         return True
 
     def _cancel_running(
@@ -504,8 +522,7 @@ class VirtualTimeScheduler(Scheduler):
         self._clock.advance(now)
         state.start_tag -= (request.reported_usage + request.credit) / state.weight
         state.running -= 1
-        if self._index is not None and state.queue:
-            self._index.touch(state)
+        self._touch(state)
         if self._trace is not None:
             self._trace.vt_update(
                 now,
@@ -543,9 +560,10 @@ class VirtualTimeScheduler(Scheduler):
         ``vnow``; return ``None`` if no tenant is eligible under the
         policy (the framework then calls :meth:`_fallback`).
 
-        This is the *reference* linear-scan hook; it stays O(N) and
-        readable.  Policies that also provide :meth:`_index_spec` and
-        :meth:`_select_indexed` get the O(log N) path in ``dequeue``.
+        This is the linear-scan hook; it stays O(N) and readable, and
+        reads the cached head keys.  Policies that also provide
+        :meth:`_index_spec` and :meth:`_select_indexed` get the
+        O(log N) path in ``dequeue``.
         """
         raise NotImplementedError
 
@@ -600,14 +618,29 @@ class VirtualTimeScheduler(Scheduler):
 
     # -- selection primitives shared by the policies -----------------------------------
 
+    def _head_key(self, state: TenantState) -> HeadKey:
+        """The cached head key ``(F_f, l_head, seqno)`` with ``F_f = S_f +
+        l_head / phi_f`` (Figure 7, line 21) and ``l_head`` the head
+        estimate clamped to MIN_COST; computed on first use after
+        :meth:`_touch`.  Hot loops read ``state.head_key or
+        self._head_key(state)`` to skip the call on a hit."""
+        key = state.head_key
+        if key is None:
+            head = state.queue[0]
+            estimate = self._estimator.estimate(head)
+            if estimate < MIN_COST:
+                estimate = MIN_COST
+            key = (state.start_tag + estimate / state.weight, estimate, head.seqno)
+            state.head_key = key
+        return key
+
     def _head_estimate(self, state: TenantState) -> Cost:
         """Estimated cost of the tenant's head request."""
-        return max(self._estimator.estimate(state.queue[0]), MIN_COST)
+        return self._head_key(state)[1]
 
     def _finish_tag(self, state: TenantState) -> VirtualTime:
-        """Virtual finish time of the head request:
-        ``F_f = S_f + l_head / phi_f`` (Figure 7, line 21)."""
-        return state.start_tag + self._head_estimate(state) / state.weight
+        """Virtual finish time of the head request."""
+        return self._head_key(state)[0]
 
     def _min_finish(
         self, candidates: Iterable[TenantState]
@@ -621,15 +654,11 @@ class VirtualTimeScheduler(Scheduler):
         WFQ runs four A/B rounds before the C/D block) and is the choice
         that minimizes potential blocking when tags are equal.
         """
+        head_key = self._head_key
         best: Optional[TenantState] = None
-        best_key: tuple[float, float, int] = (float("inf"), float("inf"), 0)
+        best_key = _NO_KEY
         for state in candidates:
-            estimate = self._head_estimate(state)
-            key = (
-                state.start_tag + estimate / state.weight,
-                estimate,
-                state.queue[0].seqno,
-            )
+            key = state.head_key or head_key(state)
             if key < best_key:
                 best, best_key = state, key
         return best
@@ -637,17 +666,45 @@ class VirtualTimeScheduler(Scheduler):
     def _min_start(self, candidates: Iterable[TenantState]) -> Optional[TenantState]:
         """Tenant with the smallest start tag (SFQ decision); same
         size-then-seqno tie-breaking as :meth:`_min_finish`."""
+        head_key = self._head_key
         best: Optional[TenantState] = None
-        best_key: tuple[float, float, int] = (float("inf"), float("inf"), 0)
+        best_key = _NO_KEY
         for state in candidates:
-            key = (
-                state.start_tag,
-                self._head_estimate(state),
-                state.queue[0].seqno,
-            )
+            _, estimate, seqno = state.head_key or head_key(state)
+            key = (state.start_tag, estimate, seqno)
             if key < best_key:
                 best, best_key = state, key
         return best
+
+    def _min_eligible_finish(
+        self, stagger: Scalar, vnow: VirtualTime
+    ) -> Optional[TenantState]:
+        """Smallest-head-key tenant among those eligible under a stagger:
+        ``S_f - stagger * l_head <= v(now)`` (with the float slack of
+        :meth:`_eligibility_threshold`).  WF2Q passes ``0.0``, 2DFQ
+        ``i / n`` (Figure 7, line 20); ``None`` when nothing is
+        eligible."""
+        threshold = self._eligibility_threshold(vnow)
+        head_key = self._head_key
+        best: Optional[TenantState] = None
+        best_key = _NO_KEY
+        for state in self._backlogged.values():
+            key = state.head_key or head_key(state)
+            if state.start_tag - stagger * key[1] <= threshold and key < best_key:
+                best, best_key = state, key
+        return best
+
+    def _eligible_count(self, stagger: Scalar, vnow: VirtualTime) -> int:
+        """Size of the eligibility set :meth:`_min_eligible_finish`
+        chooses from (tracing only)."""
+        threshold = self._eligibility_threshold(vnow)
+        head_key = self._head_key
+        return sum(
+            1
+            for state in self._backlogged.values()
+            if state.start_tag - stagger * (state.head_key or head_key(state))[1]
+            <= threshold
+        )
 
     @staticmethod
     def _eligibility_threshold(vnow: VirtualTime) -> VirtualTime:

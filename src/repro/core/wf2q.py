@@ -33,12 +33,8 @@ class WF2QScheduler(VirtualTimeScheduler):
     name = "wf2q"
 
     def _select(self, thread_id: int, vnow: VirtualTime) -> Optional[TenantState]:
-        eligible = (
-            state
-            for state in self._backlogged.values()
-            if self._eligible(state.start_tag, vnow)
-        )
-        return self._min_finish(eligible)
+        # Stagger 0: plain ``S_f <= v(now)`` (``S - 0.0 * l`` is exactly S).
+        return self._min_eligible_finish(0.0, vnow)
 
     # _fallback inherited: min finish tag over everything (work conserving).
 
@@ -59,8 +55,4 @@ class WF2QScheduler(VirtualTimeScheduler):
         # index answers from its gate histogram (slot 0 is the only slot).
         if self._index is not None:
             return self._index.eligible_count(0)
-        return sum(
-            1
-            for state in self._backlogged.values()
-            if self._eligible(state.start_tag, vnow)
-        )
+        return self._eligible_count(0.0, vnow)

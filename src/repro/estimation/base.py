@@ -12,6 +12,7 @@ tenants (Figure 3).
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import Dict, Tuple
 
@@ -75,9 +76,10 @@ class KeyedEstimator(CostEstimator):
     """
 
     def __init__(self, initial_estimate: Cost = 1.0) -> None:
-        if initial_estimate <= 0:
+        if not 0.0 < initial_estimate < math.inf:
             raise ConfigurationError(
-                f"initial_estimate must be positive, got {initial_estimate}"
+                "initial_estimate must be positive and finite, got "
+                f"{initial_estimate}"
             )
         self._initial: Cost = float(initial_estimate)
         self._state: Dict[Tuple[str, str], Cost] = {}

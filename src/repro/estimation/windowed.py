@@ -9,6 +9,7 @@ Shares the EMA's weakness -- a feedback delay proportional to the window
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Deque, Dict, Tuple
 
@@ -28,9 +29,10 @@ class WindowedMeanEstimator(CostEstimator):
     def __init__(self, window: int = 16, initial_estimate: Cost = 1.0) -> None:
         if window < 1:
             raise ConfigurationError(f"window must be >= 1, got {window}")
-        if initial_estimate <= 0:
+        if not 0.0 < initial_estimate < math.inf:
             raise ConfigurationError(
-                f"initial_estimate must be positive, got {initial_estimate}"
+                "initial_estimate must be positive and finite, got "
+                f"{initial_estimate}"
             )
         self._window = int(window)
         self._initial: Cost = float(initial_estimate)

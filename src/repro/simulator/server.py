@@ -22,6 +22,7 @@ irrelevant.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Callable, List, Optional
 
 from ..core.request import Request
@@ -113,11 +114,12 @@ class ThreadPoolServer:
                 f"scheduler built for {scheduler.num_threads} threads, "
                 f"server has {num_threads}"
             )
-        if rate <= 0:
-            raise ConfigurationError(f"rate must be positive, got {rate}")
-        if refresh_interval is not None and refresh_interval <= 0:
+        if not 0.0 < rate < math.inf:
+            raise ConfigurationError(f"rate must be positive and finite, got {rate}")
+        if refresh_interval is not None and not 0.0 < refresh_interval < math.inf:
             raise ConfigurationError(
-                f"refresh_interval must be positive or None, got {refresh_interval}"
+                "refresh_interval must be positive and finite, or None, got "
+                f"{refresh_interval}"
             )
         self.sim = sim
         self.scheduler = scheduler
@@ -165,7 +167,15 @@ class ThreadPoolServer:
     # -- ingress ------------------------------------------------------------------
 
     def submit(self, request: Request) -> None:
-        """Admit a request at the current simulated time."""
+        """Admit a request at the current simulated time.
+
+        A NaN, infinite or negative cost is rejected here: it would
+        poison the tenant's tags and silently starve it."""
+        if not 0.0 <= request.cost < math.inf:
+            raise ConfigurationError(
+                f"request #{request.seqno} of tenant {request.tenant_id} has "
+                f"cost {request.cost}; costs must be finite and >= 0"
+            )
         now = self.sim.now
         request.arrival_time = now
         self.scheduler.enqueue(request, now)

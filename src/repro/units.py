@@ -240,6 +240,7 @@ ORDERING_SENSITIVE_ATTRS: FrozenSet[str] = frozenset(
         "deficit",
         "seqno",
         "sel_version",
+        "head_key",
         "version",
     }
 )

@@ -38,21 +38,31 @@ Invariant catalogue (DESIGN.md §11):
     After ``complete()`` on a virtual-time scheduler the request has
     been charged exactly its measured cost
     (``reported_usage == cost``; paper §5 retroactive charging).
+``head-key-coherence``
+    A virtual-time scheduler's cached head key (``TenantState.head_key``)
+    equals a fresh recomputation ``(S_f + l/phi_f, l, head seqno)``
+    bit for bit, with ``l`` the clamped head estimate: checked for the
+    call's tenant after every call and for every backlogged tenant on
+    the periodic audit.  A stale key means an invalidation was missed.
+    Skipped while a :class:`~repro.faults.FaultyEstimator` is installed,
+    whose outage fallback is frozen by its first estimate.
 
-The watchdog costs two dict operations plus a handful of comparisons
-per contract call and an O(N) structural audit every ``audit_interval``
-calls; it is strictly opt-in and never on the benchmarked hot path.
+The watchdog costs two dict operations, a handful of comparisons and
+one head-key recomputation per contract call, plus an O(N) structural
+audit every ``audit_interval`` calls; it is strictly opt-in and never
+on the benchmarked hot path.
 """
 
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, cast
 
 from ..core.request import Request, RequestPhase
-from ..core.scheduler import Scheduler
+from ..core.scheduler import MIN_COST, Scheduler, TenantState
 from ..core.vt_base import VirtualTimeScheduler
 from ..errors import InvariantViolation
+from ..faults.estimator import FaultyEstimator
 
 if TYPE_CHECKING:  # import cycle: repro.obs instruments core schedulers
     from ..obs.tracer import Tracer
@@ -307,6 +317,9 @@ class ValidatingScheduler:
                     vt=vt,
                 )
             self._last_vt = max(self._last_vt, vt)
+            state = inner.tenant_state(tenant) if tenant is not None else None
+            if state is not None:
+                self._check_head_key(state, op, now)
         if self._ops % self._audit_interval == 0:
             self._audit(op, now)
 
@@ -337,6 +350,8 @@ class ValidatingScheduler:
                     op=op,
                     tenant=state.tenant_id,
                 )
+            if self._is_vt:
+                self._check_head_key(state, op, now)
         # FIFO keeps its backlog in one global queue, not the per-tenant
         # queues; its own backlog counter was already checked per call.
         if total and total != inner.backlog:
@@ -346,6 +361,27 @@ class ValidatingScheduler:
                 f"{inner.backlog}",
                 now,
                 op=op,
+            )
+
+    def _check_head_key(self, state: TenantState, op: str, now: float) -> None:
+        """A set head key must match a fresh, side-effect-free
+        recomputation (FaultyEstimator's first estimate is not)."""
+        key = state.head_key
+        estimator = cast(VirtualTimeScheduler, self._inner).estimator
+        if key is None or not state.queue or isinstance(estimator, FaultyEstimator):
+            return
+        head = state.queue[0]
+        estimate = max(estimator.estimate(head), MIN_COST)
+        fresh = (state.start_tag + estimate / state.weight, estimate, head.seqno)
+        if fresh != key:
+            self._violate(
+                "head-key-coherence",
+                f"tenant {state.tenant_id} caches head key {key}, "
+                f"recomputed {fresh}",
+                now,
+                op=op,
+                tenant=state.tenant_id,
+                seqno=head.seqno,
             )
 
     def _violate(self, code: str, message: str, now: float, **context: Any) -> None:

@@ -16,6 +16,7 @@ sources by :mod:`repro.workloads.build` and into offline traces by
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -70,9 +71,10 @@ class TenantSpec:
                 raise WorkloadError(
                     f"tenant {self.tenant_id}: weights for unknown APIs {missing}"
                 )
-        if self.weight <= 0:
+        if not 0.0 < self.weight < math.inf:
             raise WorkloadError(
-                f"tenant {self.tenant_id}: weight must be positive, got {self.weight}"
+                f"tenant {self.tenant_id}: weight must be positive and "
+                f"finite, got {self.weight}"
             )
 
     @property

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import make_scheduler
 from repro.core.request import Request
-from repro.core.twodfq import TwoDFQScheduler
+from repro.core.twodfq import TwoDFQEScheduler, TwoDFQScheduler
 from repro.errors import InvariantViolation
 from repro.experiments import ExperimentConfig, run_comparison
 from repro.obs import Tracer
@@ -65,6 +65,21 @@ class ShortchargingScheduler(TwoDFQScheduler):
     def complete(self, request, usage, now):
         super().complete(request, usage, now)
         request.reported_usage = request.cost * 0.5  # the seeded bug
+
+
+def without_touch(cls, method_name):
+    """A subclass whose ``method_name`` skips the head-key invalidation
+    (``_touch``) it would otherwise make."""
+    method = getattr(cls, method_name)
+
+    def mutated(self, *args):
+        self._touch = lambda state: None  # shadows the bound method
+        try:
+            return method(self, *args)
+        finally:
+            del self._touch
+
+    return type(f"Stale{method_name.strip('_').title()}", (cls,), {method_name: mutated})
 
 
 def drive_two(scheduler, now=0.0):
@@ -142,6 +157,66 @@ class TestMutants:
         assert summary["violations"] == 1
         assert summary["codes"] == ["backlog-consistency"]
         assert summary["strict"] is False
+
+
+def prime_head_keys(scheduler):
+    """A's first request runs, B's runs next; the second dequeue's scan
+    caches A's head key for ``a2`` (estimate 1 under the pessimistic
+    estimator, true costs 4)."""
+    a1, a2, a3 = (Request(tenant_id="A", cost=4.0, api="x") for _ in range(3))
+    for request in (a1, a2, a3, Request(tenant_id="B", cost=1.0, api="x")):
+        scheduler.enqueue(request, 0.0)
+    assert scheduler.dequeue(0, 0.0) is a1
+    assert scheduler.dequeue(0, 0.0).tenant_id == "B"
+    return a1, a2
+
+
+#: Invalidation site -> (the contract call that must trip, the step
+#: after priming that exercises the site).
+INVALIDATIONS = {
+    "dequeue": ("dequeue", lambda w, a1, a2: None),
+    "refresh": ("refresh", lambda w, a1, a2: w.refresh(a1, 2.0, 1.0)),
+    "complete": ("complete", lambda w, a1, a2: w.complete(a1, 4.0, 4.0)),
+    "_cancel_running": ("cancel", lambda w, a1, a2: w.cancel(a1, 1.0)),
+    "_cancel_queued": ("cancel", lambda w, a1, a2: w.cancel(a2, 1.0)),
+}
+
+
+class TestHeadKeyCoherence:
+    @pytest.mark.parametrize("method", sorted(INVALIDATIONS))
+    def test_missed_invalidation_caught(self, method):
+        op, step = INVALIDATIONS[method]
+        mutant = without_touch(TwoDFQEScheduler, method)(num_threads=1, indexed=False)
+        watched = ValidatingScheduler(mutant)
+        with pytest.raises(InvariantViolation) as excinfo:
+            a1, a2 = prime_head_keys(watched)
+            step(watched, a1, a2)
+        assert excinfo.value.code == "head-key-coherence"
+        assert excinfo.value.context["op"] == op
+        assert excinfo.value.context["tenant"] == "A"
+
+    @pytest.mark.parametrize("method", sorted(INVALIDATIONS))
+    def test_clean_scheduler_passes_the_same_steps(self, method):
+        _, step = INVALIDATIONS[method]
+        watched = ValidatingScheduler(
+            TwoDFQEScheduler(num_threads=1, indexed=False), audit_interval=1
+        )
+        a1, a2 = prime_head_keys(watched)
+        step(watched, a1, a2)
+        assert watched.violations == []
+
+    def test_audit_checks_every_backlogged_tenant(self):
+        inner = TwoDFQEScheduler(num_threads=1, indexed=False)
+        watched = ValidatingScheduler(inner, audit_interval=1)
+        prime_head_keys(watched)
+        state = inner.tenant_state("A")
+        finish, estimate, seqno = state.head_key
+        state.head_key = (finish + 1.0, estimate, seqno)
+        # The call names tenant C; only the audit looks at A.
+        with pytest.raises(InvariantViolation) as excinfo:
+            watched.enqueue(Request(tenant_id="C", cost=1.0), 0.5)
+        assert excinfo.value.code == "head-key-coherence"
+        assert excinfo.value.context["tenant"] == "A"
 
 
 class TestCleanRuns:
