@@ -34,7 +34,7 @@ from hotpath import measure_adaptive_crossover, measure_observability_overhead
 #: Manifest sections owned by *other* bench modules, carried over when
 #: this module rewrites the manifest (write_manifest replaces the file
 #: wholesale).
-PRESERVED_SECTIONS = ("analysis", "fleet", "metrics_streaming", "parallel_engine")
+PRESERVED_SECTIONS = ("analysis", "fleet", "parallel_engine")
 
 
 def _format_crossover(sweep):

@@ -16,7 +16,6 @@ from typing import Dict, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..faults.plan import FaultPlan
-from ..metrics.streaming import CAPACITIES
 
 __all__ = ["ExperimentConfig"]
 
@@ -54,11 +53,6 @@ class ExperimentConfig:
         Wrap every run's scheduler in the
         :class:`~repro.validate.ValidatingScheduler` invariant watchdog
         (also switchable process-wide via ``REPRO_VALIDATE=1``).
-    metrics_mode:
-        Row of the metrics store's capacity table: ``"exact"`` (default:
-        every value kept) or ``"streaming"`` (bounded sketches for long
-        runs -- DESIGN.md §13).  Part of the config, hence of run-cache
-        keys: the two modes produce different numbers.
     """
 
     name: str
@@ -75,7 +69,6 @@ class ExperimentConfig:
     record_dispatches: bool = True
     fault_plan: Optional[FaultPlan] = None
     validate: bool = False
-    metrics_mode: str = "exact"
 
     def __post_init__(self) -> None:
         if isinstance(self.fault_plan, dict):
@@ -97,11 +90,6 @@ class ExperimentConfig:
         if self.warmup < 0 or self.warmup >= self.duration:
             raise ConfigurationError(
                 f"warmup must be in [0, duration), got {self.warmup}"
-            )
-        if self.metrics_mode not in CAPACITIES:
-            raise ConfigurationError(
-                f"metrics_mode must be one of {tuple(CAPACITIES)}, "
-                f"got {self.metrics_mode!r}"
             )
 
     @property

@@ -117,8 +117,6 @@ def run_single(
         sample_interval=config.sample_interval,
         record_dispatches=config.record_dispatches,
         warmup=config.warmup,
-        mode=config.metrics_mode,
-        seed=config.seed,
     )
     session = current_session() if tracer is None else None
     if session is not None:

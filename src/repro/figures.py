@@ -65,7 +65,6 @@ from typing import Callable, Dict
 
 from .experiments.config import ExperimentConfig
 from .faults.plan import FaultPlan
-from .metrics.streaming import CAPACITIES
 from .obs.audit import AuditConfig
 from .obs.session import trace_session
 from .parallel import RunCache, execution_context
@@ -102,8 +101,7 @@ __all__ = ["main", "FIGURES"]
 
 
 def _flagged(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    """Apply the ``--faults`` / ``--validate`` / ``--metrics`` flags to
-    a figure config.
+    """Apply the ``--faults`` / ``--validate`` flags to a figure config.
 
     With no flag set the config object is returned unchanged, so
     default invocations execute exactly the pre-flag configurations
@@ -111,12 +109,9 @@ def _flagged(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentCo
     """
     plan = getattr(args, "fault_plan_obj", None)
     validate = bool(getattr(args, "validate", False))
-    metrics_mode = getattr(args, "metrics", "exact")
-    if plan is None and not validate and metrics_mode == "exact":
+    if plan is None and not validate:
         return config
-    return dataclasses.replace(
-        config, fault_plan=plan, validate=validate, metrics_mode=metrics_mode
-    )
+    return dataclasses.replace(config, fault_plan=plan, validate=validate)
 
 
 def fig01(args: argparse.Namespace) -> str:
@@ -358,12 +353,6 @@ def main(argv=None) -> int:
         "(default round-robin, the health-oblivious baseline; the "
         "ablation table always sweeps every policy)",
     )
-    parser.add_argument(
-        "--metrics", choices=tuple(CAPACITIES), default="exact",
-        help="metrics collection mode: 'exact' keeps every sample "
-        "(default); 'streaming' collects into bounded-memory sketches "
-        "for long runs (DESIGN.md §13; <1%% p50/p99 latency error)",
-    )
     args = parser.parse_args(argv)
     args.fault_plan_obj = FaultPlan.load(args.faults) if args.faults else None
     if args.figures == ["list"]:
@@ -375,10 +364,6 @@ def main(argv=None) -> int:
             parser.error(f"unknown figure {fig!r}; try 'list'")
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if "figfleet" in args.figures and args.metrics != "exact":
-        parser.error(
-            f"figfleet collects exact metrics only; drop --metrics {args.metrics}"
-        )
     if args.trace and args.audit:
         parser.error(
             "--audit already implies --trace; pass exactly one of the two"

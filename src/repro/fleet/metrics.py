@@ -14,8 +14,8 @@ a flow's virtual emptying time is capacity-independent.
 
 The collector mirrors the single-server
 :class:`~repro.metrics.collector.MetricsCollector` -- absolute-grid
-sampling, warmup exclusion for statistics, one exact
-:class:`~repro.metrics.streaming.MetricsPartial` store read back as a
+sampling, warmup exclusion for statistics, one
+:class:`~repro.metrics.store.MetricsPartial` store read back as a
 :class:`~repro.metrics.collector.RunMetrics` -- but listens on the
 *fleet* (admissions and completions), so failover re-routes never
 double-count.
@@ -27,7 +27,7 @@ from typing import Dict, List, Set, Tuple
 
 from ..core.request import Request
 from ..metrics.collector import RunMetrics, validate_sampling
-from ..metrics.streaming import CAPACITIES, MetricsPartial
+from ..metrics.store import MetricsPartial
 from ..simulator.gps import GPSReference
 from .fleet import Fleet
 
@@ -48,10 +48,8 @@ class FleetCollector:
         self._sim = fleet.sim
         self._interval = float(sample_interval)
         self._warmup = float(warmup)
-        self._partial = MetricsPartial(
-            self._interval, capacities=CAPACITIES["exact"]
-        )
-        self._latencies = self._partial.latencies.raw
+        self._partial = MetricsPartial(self._interval)
+        self._latencies = self._partial.latencies
         self._gps = GPSReference(fleet.capacity)
         self._seen_tenants: Set[str] = set()
         self._previous_service: Dict[str, float] = {}

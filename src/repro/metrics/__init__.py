@@ -5,31 +5,16 @@
 * request **latency** percentiles (focus on the 99th);
 * the **Gini index** of instantaneous fairness.
 
-Every run's statistics live in one store,
-:class:`~repro.metrics.streaming.MetricsPartial`, read back as
-:class:`RunMetrics`.  The collection mode picks a row of its capacity
-table: ``exact`` (every value kept, the default) or ``streaming``
-(bounded sketches for 10M-request-scale runs) -- DESIGN.md §13.
+Every run's statistics live in one store that keeps every value,
+:class:`~repro.metrics.store.MetricsPartial`, read back as
+:class:`RunMetrics` -- DESIGN.md §13.
 """
 
-from .collector import (
-    COLLECTOR_MODES,
-    DispatchRecord,
-    MetricsCollector,
-    RunMetrics,
-)
+from .collector import DispatchRecord, MetricsCollector, RunMetrics
 from .gini import gini_index
 from .latency import LatencyStats, latency_stats, percentile_table, speedup
 from .service import ServiceSeries
-from .streaming import (
-    CAPACITIES,
-    BoundedServiceSeries,
-    Capacities,
-    MetricsPartial,
-    QuantileDigest,
-    ReservoirSample,
-    StreamingMoments,
-)
+from .store import MetricsPartial, ServiceRecorder
 from .summary import (
     CostSummary,
     cdf_points,
@@ -40,15 +25,9 @@ from .summary import (
 __all__ = [
     "MetricsCollector",
     "RunMetrics",
-    "COLLECTOR_MODES",
-    "CAPACITIES",
-    "Capacities",
     "DispatchRecord",
     "MetricsPartial",
-    "StreamingMoments",
-    "QuantileDigest",
-    "ReservoirSample",
-    "BoundedServiceSeries",
+    "ServiceRecorder",
     "ServiceSeries",
     "gini_index",
     "LatencyStats",

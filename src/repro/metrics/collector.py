@@ -13,18 +13,12 @@ One collector per simulation run.  It
 * samples the Gini index of interval service across active tenants.
 
 Everything lands in one store, a
-:class:`~repro.metrics.streaming.MetricsPartial`, and ``result()`` reads
-it back as a :class:`RunMetrics`.  The collection ``mode`` only picks a
-row of the capacity table :data:`~repro.metrics.streaming.CAPACITIES`
-(DESIGN.md §13): ``"exact"`` (the default) keeps every value, so memory
-grows with run length; ``"streaming"`` bounds every part -- latencies and
-lags fold into sketches from the first value, the service curves
-decimate, the Gini samples become a reservoir and the dispatch log
-keeps its newest records -- for 10M-request-scale runs.
+:class:`~repro.metrics.store.MetricsPartial` that keeps every value
+(DESIGN.md §13), and ``result()`` reads it back as a
+:class:`RunMetrics`.
 
 The hot path stays one list append: a completion appends its latency to
-the tenant's raw list, a dispatch appends its record to the log.  The
-10 Hz sampler and ``result()`` enforce the capacities.
+the tenant's list, a dispatch appends its record to the log.
 """
 
 from __future__ import annotations
@@ -36,24 +30,20 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..core.request import Request
-from ..errors import ConfigurationError
 from ..units import Cost, Duration, Rate, Scalar, SimTime
 from ..simulator.gps import GPSReference
 from ..simulator.server import ThreadPoolServer
 from .gini import gini_index
 from .latency import LatencyStats, latency_stats
 from .service import ServiceSeries, lag_std
-from .streaming import CAPACITIES, MetricsPartial
+from .store import MetricsPartial
 
 __all__ = [
     "DispatchRecord",
     "MetricsCollector",
     "RunMetrics",
-    "COLLECTOR_MODES",
     "validate_sampling",
 ]
-
-COLLECTOR_MODES = tuple(CAPACITIES)
 
 
 @dataclass(frozen=True)
@@ -103,9 +93,6 @@ class MetricsCollector:
 
     ``record_dispatches=False`` drops the dispatch log entirely (the
     occupancy plots become unavailable but long runs save the memory).
-
-    ``mode`` picks the store's capacity row (see the module docstring);
-    ``seed`` seeds the Gini reservoir once it overflows.
     """
 
     def __init__(
@@ -114,25 +101,16 @@ class MetricsCollector:
         sample_interval: Duration = 0.1,
         record_dispatches: bool = True,
         warmup: Duration = 0.0,
-        mode: str = "exact",
-        seed: int = 0,
     ) -> None:
         validate_sampling(sample_interval, warmup)
-        if mode not in CAPACITIES:
-            raise ConfigurationError(
-                f"mode must be one of {COLLECTOR_MODES}, got {mode!r}"
-            )
         self._server = server
         self._sim = server.sim
         self._interval: Duration = float(sample_interval)
         self._warmup: Duration = float(warmup)
-        self._mode = mode
         self._gps = GPSReference(server.num_threads * server.rate)
-        self._partial = MetricsPartial(
-            self._interval, seed=seed, capacities=CAPACITIES[mode]
-        )
+        self._partial = MetricsPartial(self._interval)
         # The hot-path listeners append straight into the store.
-        self._latencies = self._partial.latencies.raw
+        self._latencies = self._partial.latencies
         self._dispatch_log = self._partial.dispatch_log
         self._seen_tenants: set[str] = set()
         self._previous_service: Dict[str, Cost] = {}
@@ -154,14 +132,9 @@ class MetricsCollector:
         self._epoch: SimTime = self._sim.now
         self._sim.at(self._epoch + self._interval, self._sample)
 
-    @property
-    def mode(self) -> str:
-        return self._mode
-
     def attach_tracer(self, tracer) -> None:
         """Attach a :class:`repro.obs.Tracer`; the collector contributes
-        sampling counters (and, for a bounded store, sketch-size gauges)
-        to its registry."""
+        sampling counters to its registry."""
         self._trace = (
             tracer if tracer is not None and tracer.enabled else None
         )
@@ -169,7 +142,7 @@ class MetricsCollector:
     def attach_auditor(self, auditor) -> None:
         """Attach a :class:`repro.obs.audit.FairnessAuditor`; it receives
         every periodic per-tenant (actual, GPS) service sample --
-        warmup-unfiltered, in every mode -- through ``on_sample``."""
+        warmup-unfiltered -- through ``on_sample``."""
         self._auditor = auditor
 
     # -- listeners ------------------------------------------------------------
@@ -223,18 +196,12 @@ class MetricsCollector:
             gini = self._interval_gini(actual)
             partial.observe_sample(now, actual, gps)
             if gini is not None:
-                partial.observe_gini(now, gini)
+                partial.gini.append((now, gini))
             self._observed_samples += 1
         elif self._trace is not None:
             self._trace.registry.counter("collector.warmup_samples_skipped").inc()
-        partial.enforce_capacities()
         if self._trace is not None:
             self._trace.registry.counter("collector.samples").inc()
-            if partial.capacities.bounded:
-                for name, value in partial.sketch_sizes().items():
-                    self._trace.registry.gauge(f"collector.sketch.{name}").set(
-                        value
-                    )
         self._previous_service = actual
         self._sample_index += 1
         self._sim.at(
@@ -267,38 +234,21 @@ class MetricsCollector:
 
 class RunMetrics:
     """Everything measured during one scheduler run, read from its
-    :class:`~repro.metrics.streaming.MetricsPartial` store.
-
-    Fidelity follows the store's capacities (DESIGN.md §13).  While a
-    part is below capacity -- always, in exact mode -- its numbers come
-    from the raw values through the same numpy calls in every mode.
-    Past capacity:
-
-    * latency percentiles come from the tenant's quantile digest (<1%
-      p50/p99 error by the benchmark gate); count/mean/max stay exact;
-    * ``lag_sigma`` comes from Welford moments over every sample --
-      exact up to float round-off, *not* sketched;
-    * ``service_series`` is the decimated bounded curve: correct shape,
-      possibly coarser than ``sample_interval``;
-    * ``gini_values``/``gini_times`` are the reservoir sample;
-      ``gini_mean`` is exact always;
-    * ``dispatch_log`` holds the newest records.
-    """
+    :class:`~repro.metrics.store.MetricsPartial` store.  Every number
+    is computed from the full per-run values (DESIGN.md §13)."""
 
     def __init__(self, partial: MetricsPartial) -> None:
-        partial.enforce_capacities()
         #: The underlying store.
         self.partial = partial
         self.sample_interval = partial.sample_interval
-        items = partial.gini.items()
-        self.gini_times = np.asarray([t for t, _ in items])
-        self.gini_values = np.asarray([v for _, v in items])
+        self.gini_times = np.asarray([t for t, _ in partial.gini])
+        self.gini_values = np.asarray([v for _, v in partial.gini])
         self.dispatch_log: List[DispatchRecord] = partial.dispatch_log
 
     # -- service -------------------------------------------------------------
 
     def tenants(self) -> List[str]:
-        return sorted(self.partial.series.actual.keys() | self.partial.lags.tenants())
+        return sorted(self.partial.series.actual.keys() | self.partial.lags.keys())
 
     def service_series(self, tenant_id: str) -> ServiceSeries:
         return self.partial.series.service_series(tenant_id)
@@ -307,14 +257,9 @@ class RunMetrics:
         self, tenant_id: str, reference_rate: Optional[Rate] = None
     ) -> float:
         """sigma of service lag for one tenant (seconds if rate given)."""
-        lags = self.partial.lags
-        moments = lags.sketches.get(tenant_id)
-        if moments is None:
-            return lag_std(np.array(lags.raw.get(tenant_id, ())), reference_rate)
-        sigma = moments.std
-        if reference_rate is not None:
-            sigma /= reference_rate
-        return float(sigma)
+        return lag_std(
+            np.array(self.partial.lags.get(tenant_id, ())), reference_rate
+        )
 
     def lag_sigmas(
         self,
@@ -329,49 +274,21 @@ class RunMetrics:
 
     @property
     def latencies(self) -> Dict[str, List[Duration]]:
-        """Every post-warmup latency per tenant, in completion order.
-        Raises once any tenant's latencies have been folded into a
-        sketch (a bounded store past capacity)."""
-        store = self.partial.latencies
-        if store.sketches:
-            raise ConfigurationError(
-                "raw latencies are gone: this run's store folded them into "
-                "sketches past capacity; use latency_stats()"
-            )
-        return store.raw
+        """Every post-warmup latency per tenant, in completion order."""
+        return self.partial.latencies
 
     def latency_stats(self, tenant_id: str) -> LatencyStats:
-        store = self.partial.latencies
-        sketch = store.sketches.get(tenant_id)
-        if sketch is not None:
-            return sketch.stats()
-        return latency_stats(store.raw.get(tenant_id, []))
+        return latency_stats(self.partial.latencies.get(tenant_id, []))
 
     def latency_p99(self, tenant_id: str) -> Duration:
         return self.latency_stats(tenant_id).p99
 
     def completed(self, tenant_id: Optional[str] = None) -> int:
         """Post-warmup completions of one tenant, or of every tenant."""
-        store = self.partial.latencies
-        names = store.tenants() if tenant_id is None else {tenant_id}
-        total = 0
-        for name in names:
-            total += len(store.raw.get(name, ()))
-            sketch = store.sketches.get(name)
-            if sketch is not None:
-                total += sketch.moments.count
-        return total
-
-    # -- gini and store --------------------------------------------------------
-
-    @property
-    def gini_mean(self) -> float:
-        """Exact mean of every Gini sample (not just the reservoir)."""
-        return float(self.partial.gini_moments.mean)
-
-    def sketch_sizes(self) -> Dict[str, int]:
-        """Stored-point counts per store part (memory audit)."""
-        return self.partial.sketch_sizes()
+        latencies = self.partial.latencies
+        if tenant_id is not None:
+            return len(latencies.get(tenant_id, ()))
+        return sum(len(values) for values in latencies.values())
 
     # -- occupancy ------------------------------------------------------------
 

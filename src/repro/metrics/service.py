@@ -17,6 +17,7 @@ Definitions follow paper §6:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -61,8 +62,7 @@ class ServiceSeries:
         units per second (``capacity * phi_f / sum(phi)`` for the
         experiment's steady-state tenant population).
         """
-        if reference_rate <= 0:
-            raise ValueError(f"reference_rate must be positive, got {reference_rate}")
+        _check_reference_rate(reference_rate)
         return self.lag_units() / reference_rate
 
     def lag_sigma(self, reference_rate: Optional[Rate] = None) -> float:
@@ -73,10 +73,18 @@ class ServiceSeries:
         return lag_std(self.lag_units(), reference_rate)
 
 
+def _check_reference_rate(reference_rate: Rate) -> None:
+    """Reject a fair-share rate that cannot convert cost units to
+    seconds: zero, negative, NaN or infinite."""
+    if not (math.isfinite(reference_rate) and reference_rate > 0):
+        raise ValueError(f"reference_rate must be positive, got {reference_rate}")
+
+
 def lag_std(lag: np.ndarray, reference_rate: Optional[Rate] = None) -> float:
     """sigma of a lag series (cost units), in seconds of fair-share
     service when ``reference_rate`` is given; 0.0 for an empty series."""
     if reference_rate is not None:
+        _check_reference_rate(reference_rate)
         lag = lag / reference_rate
     if lag.size == 0:
         return 0.0

@@ -34,8 +34,8 @@ incremental monitors:
 Each trip/clear emits a structured ``audit`` trace event and updates
 ``audit.*`` gauges in the run's registry, so the Prometheus exporter and
 the flight recorder see monitor state with no extra wiring.  All state
-is O(tenants · window): the auditor works unchanged on streaming-mode
-runs whose full event list is never retained.
+is O(tenants · window): the auditor never needs the retained event list,
+so it works unchanged on a tracer that caps ``max_events``.
 """
 
 from __future__ import annotations

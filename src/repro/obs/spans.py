@@ -19,7 +19,8 @@ it across every scheduler: for each completed request,
     wait + service                   == latency
 
 Spans are pure derivation -- nothing here runs during the simulation;
-feed :func:`build_spans` a tracer's events or a parsed ``events.jsonl``.
+feed :func:`build_spans` a tracer's rows or events, or a parsed
+``events.jsonl``.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Union, cast
 
-from .events import CANCEL, COMPLETE, DISPATCH, ENQUEUE
+from .events import CANCEL, COMPLETE, DISPATCH, ENQUEUE, Row, TraceEvent, row_field
 
 __all__ = [
     "BlockingInterval",
@@ -243,11 +244,26 @@ class SpanSet:
 # -- construction ---------------------------------------------------------------
 
 
-def _event_fields(event: Any) -> Dict[str, Any]:
-    """Flatten a :class:`TraceEvent` or an ``events.jsonl`` dict."""
-    if hasattr(event, "as_dict"):
-        return event.as_dict()
-    return event
+_HEADER = ("kind", "t", "vt", "tenant")
+_SPAN_KINDS = frozenset((ENQUEUE, DISPATCH, COMPLETE, CANCEL))
+
+
+def _as_row(event: Any) -> Row:
+    """The row of a tracer row, a :class:`TraceEvent` or an
+    ``events.jsonl`` dict."""
+    if isinstance(event, tuple):
+        return cast(Row, event)
+    if isinstance(event, TraceEvent):
+        return event.as_row()
+    payload = {key: value for key, value in event.items() if key not in _HEADER}
+    return (
+        event.get("kind"),
+        event.get("t"),
+        event.get("vt"),
+        event.get("tenant"),
+        tuple(payload),
+        tuple(payload.values()),
+    )
 
 
 @dataclass
@@ -264,10 +280,11 @@ def build_spans(events: Iterable[Any]) -> SpanSet:
     """Fold a decision-event stream into request spans with exact
     blocking attribution.
 
-    Accepts :class:`~repro.obs.events.TraceEvent` objects or the plain
-    dicts of an ``events.jsonl`` stream, in emission order.  Events of
-    kinds other than enqueue/dispatch/complete/cancel are ignored, so a
-    full mixed stream can be passed as-is.
+    Accepts the tracer's rows (:attr:`~repro.obs.tracer.Tracer.rows`),
+    :class:`~repro.obs.events.TraceEvent` objects or the plain dicts of
+    an ``events.jsonl`` stream, in emission order.  Events of kinds
+    other than enqueue/dispatch/complete/cancel are ignored, so a full
+    mixed stream can be passed as-is.
     """
     spans: Dict[int, RequestSpan] = {}
     order: List[int] = []
@@ -276,57 +293,43 @@ def build_spans(events: Iterable[Any]) -> SpanSet:
     #: seqno -> its currently open occupancy (for close-out).
     open_occupancy: Dict[int, _Occupancy] = {}
 
-    for raw in events:
-        record = _event_fields(raw)
-        kind = record.get("kind")
+    for event in events:
+        row = _as_row(event)
+        kind, t, _, tenant, keys, values = row
+        if kind not in _SPAN_KINDS:
+            continue
+        seqno = values[keys.index("seqno")]
+        span = spans.get(seqno)
         if kind == ENQUEUE:
-            seqno = record["seqno"]
-            span = spans.get(seqno)
             if span is None:
                 span = RequestSpan(
-                    tenant=record.get("tenant", "?"),
+                    tenant="?" if tenant is None else tenant,
                     seqno=seqno,
-                    api=record.get("api", ""),
-                    cost=record.get("cost", 0.0),
+                    api=row_field(row, "api", ""),
+                    cost=row_field(row, "cost", 0.0),
                 )
                 spans[seqno] = span
                 order.append(seqno)
-            span.attempts.append(Attempt(enqueue_t=record["t"]))
-        elif kind == DISPATCH:
-            span = spans.get(record["seqno"])
-            if span is None or not span.attempts:
-                continue  # trace started mid-run; no enqueue seen
-            attempt = span.attempts[-1]
-            attempt.dispatch_t = record["t"]
-            attempt.thread = record.get("thread")
-            attempt.estimate = record.get("estimate")
+            span.attempts.append(Attempt(enqueue_t=t))
+            continue
+        if span is None or not span.attempts:
+            continue  # trace started mid-run; no enqueue seen
+        attempt = span.attempts[-1]
+        if kind == DISPATCH:
+            attempt.dispatch_t = t
+            attempt.thread = row_field(row, "thread")
+            attempt.estimate = row_field(row, "estimate")
             attempt.outcome = "running"
             if attempt.thread is not None:
-                occ = _Occupancy(
-                    start=record["t"], seqno=span.seqno, tenant=span.tenant
-                )
+                occ = _Occupancy(start=t, seqno=seqno, tenant=span.tenant)
                 occupancy.setdefault(attempt.thread, []).append(occ)
-                open_occupancy[span.seqno] = occ
-        elif kind == COMPLETE:
-            span = spans.get(record["seqno"])
-            if span is None or not span.attempts:
-                continue
-            attempt = span.attempts[-1]
-            attempt.end_t = record["t"]
-            attempt.outcome = "completed"
-            occ = open_occupancy.pop(span.seqno, None)
+                open_occupancy[seqno] = occ
+        else:
+            attempt.end_t = t
+            attempt.outcome = "completed" if kind == COMPLETE else "cancelled"
+            occ = open_occupancy.pop(seqno, None)
             if occ is not None:
-                occ.end = record["t"]
-        elif kind == CANCEL:
-            span = spans.get(record["seqno"])
-            if span is None or not span.attempts:
-                continue
-            attempt = span.attempts[-1]
-            attempt.end_t = record["t"]
-            attempt.outcome = "cancelled"
-            occ = open_occupancy.pop(span.seqno, None)
-            if occ is not None:
-                occ.end = record["t"]
+                occ.end = t
 
     for seqno in order:
         for attempt in spans[seqno].attempts:

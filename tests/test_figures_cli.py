@@ -81,12 +81,6 @@ class TestParallelFlags:
         with pytest.raises(SystemExit):
             main(["fig01", "--jobs", "0"])
 
-    def test_figfleet_rejects_streaming_metrics(self):
-        # The fleet collector keeps every value; a streaming request
-        # must fail loudly rather than run exact.
-        with pytest.raises(SystemExit):
-            main(["figfleet", "--metrics", "streaming", "--duration", "0.5"])
-
     def test_trace_with_jobs_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["fig06", "--trace", str(tmp_path), "--jobs", "2"])

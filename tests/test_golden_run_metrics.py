@@ -1,5 +1,5 @@
-"""Golden digests of the per-run figure numbers, in both collector modes
-and for fleet runs.
+"""Golden digests of the per-run figure numbers, for single-server and
+fleet runs.
 
 Each cell runs one scheduler over one small workload and reduces its
 :class:`~repro.metrics.collector.RunMetrics` to five canonical texts:
@@ -10,8 +10,9 @@ and the dispatch log.  Their SHA-256 digests are compared with
 numbers the figures are drawn from fails tier-1, not only the end-to-end
 benchmark.
 
-Two workloads, each under WFQ, WF2Q, 2DFQ and 2DFQ^E and in the
-``exact`` and ``streaming`` metrics modes:
+Two workloads, each under WFQ, WF2Q, 2DFQ and 2DFQ^E (their cells end
+in ``/exact``, the name of the store the digests were first recorded
+from):
 
 * ``closed`` -- backlogged tenants with mixed costs, a warmup, and one
   tenant that joins after the warmup (its lag is backfilled with zeros);
@@ -31,7 +32,6 @@ Regenerate after an *intentional* change to the numbers with::
         "from test_golden_run_metrics import write_digests; write_digests()"
 """
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -55,7 +55,6 @@ from repro.workloads import (
 DIGESTS = Path(__file__).parent / "data" / "golden_run_metrics.json"
 
 SCHEDULERS = ("wfq", "wf2q", "2dfq", "2dfq-e")
-MODES = ("exact", "streaming")
 WORKLOADS = ("closed", "open")
 FLEET_MODES = ("healthy", "failover")
 FLEET_DURATION = 2.0
@@ -182,10 +181,9 @@ def _sha256(numbers):
     }
 
 
-def run_digests(workload, scheduler, mode):
+def run_digests(workload, scheduler):
     """The five figure-number digests of one cell."""
     specs, config, trace = {"closed": _closed_loop, "open": _open_loop}[workload]()
-    config = dataclasses.replace(config, metrics_mode=mode)
     run = run_single(scheduler, specs, config, trace=trace)
     numbers = _tenant_numbers(run, config.capacity)
     numbers["gini_values"] = [run.gini_times.tolist(), run.gini_values.tolist()]
@@ -234,10 +232,9 @@ def fleet_digests(mode):
 
 
 CELLS = [
-    f"{workload}/{scheduler}/{mode}"
+    f"{workload}/{scheduler}/exact"
     for workload in WORKLOADS
     for scheduler in SCHEDULERS
-    for mode in MODES
 ] + [f"fleet/{mode}" for mode in FLEET_MODES]
 
 
@@ -245,7 +242,7 @@ def cell_digests(cell):
     parts = cell.split("/")
     if parts[0] == "fleet":
         return fleet_digests(parts[1])
-    return run_digests(*parts)
+    return run_digests(parts[0], parts[1])
 
 
 def write_digests():

@@ -1,15 +1,17 @@
-"""Unit tests for metrics: service series, latency, summaries, collector."""
+"""Unit tests for metrics: service series, latency, summaries, collector
+and the exact per-run store."""
+
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.core import make_scheduler
 from repro.metrics import (
-    CAPACITIES,
-    BoundedServiceSeries,
     MetricsCollector,
     MetricsPartial,
     RunMetrics,
+    ServiceRecorder,
     ServiceSeries,
     cost_summary,
     latency_stats,
@@ -19,6 +21,9 @@ from repro.metrics.latency import percentile_table
 from repro.metrics.summary import cdf_points, coefficient_of_variation
 from repro.simulator import BackloggedSource, Simulation, ThreadPoolServer
 
+#: Reference rates that cannot convert cost units to seconds.
+BAD_RATES = (0.0, -2.0, float("nan"), float("inf"))
+
 
 class TestServiceSeries:
     def _series(self):
@@ -26,6 +31,15 @@ class TestServiceSeries:
         actual = np.array([1.0, 2.0, 2.0, 4.0])
         gps = np.array([1.0, 2.0, 3.0, 4.0])
         return ServiceSeries("T", times, actual, gps)
+
+    def _metrics(self):
+        """The same series as a run's store: sigma(lag) of ``T`` is that
+        of ``_series``."""
+        series = self._series()
+        partial = MetricsPartial(sample_interval=0.1)
+        for t, actual, gps in zip(series.times, series.actual, series.gps):
+            partial.observe_sample(t, {"T": actual}, {"T": gps})
+        return RunMetrics(partial)
 
     def test_service_rate(self):
         series = self._series()
@@ -39,22 +53,35 @@ class TestServiceSeries:
     def test_lag_seconds(self):
         series = self._series()
         assert series.lag_seconds(10.0) == pytest.approx([0.0, 0.0, -0.1, 0.0])
-        with pytest.raises(ValueError):
-            series.lag_seconds(0.0)
+        for rate in BAD_RATES:
+            with pytest.raises(ValueError, match="reference_rate must be positive"):
+                series.lag_seconds(rate)
 
     def test_lag_sigma(self):
         series = self._series()
         expected = np.std([0.0, 0.0, -1.0, 0.0])
         assert series.lag_sigma() == pytest.approx(expected)
         assert series.lag_sigma(2.0) == pytest.approx(expected / 2.0)
+        metrics = self._metrics()
+        assert metrics.lag_sigma("T") == series.lag_sigma()
+        assert metrics.lag_sigma("T", 2.0) == series.lag_sigma(2.0)
+        # A zero, negative or non-finite rate used to yield nan (or, for
+        # a negative rate, a plausible positive sigma) instead of failing
+        # like lag_seconds.
+        for rate in BAD_RATES:
+            with pytest.raises(ValueError, match="reference_rate must be positive"):
+                series.lag_sigma(rate)
+            with pytest.raises(ValueError, match="reference_rate must be positive"):
+                metrics.lag_sigma("T", rate)
+            with pytest.raises(ValueError, match="reference_rate must be positive"):
+                metrics.lag_sigmas(reference_rate=rate)
 
 
 class TestUnboundedServiceSeries:
-    """The exact collector's service recorder: a BoundedServiceSeries
-    without a capacity."""
+    """The collector's service recorder keeps every sample."""
 
     def test_backfills_late_tenants(self):
-        recorder = BoundedServiceSeries(capacity=None)
+        recorder = ServiceRecorder()
         recorder.observe(0.1, {"A": 1.0}, {"A": 1.0})
         recorder.observe(0.2, {"A": 2.0, "B": 5.0}, {"A": 2.0, "B": 4.0})
         series_b = recorder.service_series("B")
@@ -62,23 +89,24 @@ class TestUnboundedServiceSeries:
         assert series_b.gps == pytest.approx([0.0, 4.0])
 
     def test_pads_missing_trailing_samples(self):
-        recorder = BoundedServiceSeries(capacity=None)
+        recorder = ServiceRecorder()
         recorder.observe(0.1, {"A": 1.0, "B": 2.0}, {})
         recorder.observe(0.2, {"A": 2.0}, {})
         series_b = recorder.service_series("B")
         assert series_b.actual == pytest.approx([2.0, 2.0])
 
     def test_tenants_sorted(self):
-        recorder = BoundedServiceSeries(capacity=None)
+        recorder = ServiceRecorder()
         recorder.observe(0.1, {"B": 1.0, "A": 1.0}, {})
         assert recorder.tenants() == ["A", "B"]
 
     def test_never_decimates(self):
-        recorder = BoundedServiceSeries(capacity=None)
+        recorder = ServiceRecorder()
         for i in range(5000):
             recorder.observe(i * 0.1, {"A": float(i)}, {"A": float(i)})
-        assert recorder.size == 5000
-        assert recorder.stride == 1
+        times, actual, gps = recorder.columns("A")
+        assert times.tolist() == [i * 0.1 for i in range(5000)]
+        assert actual.tolist() == gps.tolist() == [float(i) for i in range(5000)]
 
 
 class TestLatencyStats:
@@ -303,7 +331,7 @@ class TestCollector:
 
 class TestOccupancyBoundaryBins:
     def _metrics(self, dispatch_log):
-        partial = MetricsPartial(sample_interval=0.1, capacities=CAPACITIES["exact"])
+        partial = MetricsPartial(sample_interval=0.1)
         partial.dispatch_log.extend(dispatch_log)
         return RunMetrics(partial)
 
@@ -340,3 +368,81 @@ class TestOccupancyBoundaryBins:
         grid = self._metrics(log).occupancy_matrix(0.0, 2.0, 1.0, 2)
         assert grid[0].tolist() == [2.0, 2.0]
         assert grid[1].tolist() == [3.0, 0.0]
+
+
+def _late_joiner_run(warmup=0.0):
+    """2DFQ over two backlogged tenants plus ``late``, whose source
+    starts at t=1.0; returns the run's metrics."""
+    sim = Simulation()
+    scheduler = make_scheduler("2dfq", num_threads=2, thread_rate=10.0)
+    server = ThreadPoolServer(
+        sim, scheduler, num_threads=2, rate=10.0, refresh_interval=None
+    )
+    collector = MetricsCollector(server, sample_interval=0.1, warmup=warmup)
+    costs = iter([1.0, 5.0, 0.5, 2.0] * 1000)
+    BackloggedSource(server, "A", lambda: ("x", 1.0), window=2).start()
+    BackloggedSource(server, "B", lambda: ("y", next(costs)), window=2).start()
+    BackloggedSource(
+        server, "late", lambda: ("z", 0.5), window=1, start_time=1.0
+    ).start()
+    sim.run(until=2.0)
+    return collector.result()
+
+
+class TestExactStore:
+    def test_late_tenant_lag_is_zero_filled(self):
+        partial = MetricsPartial(sample_interval=0.1)
+        lags = {"A": [], "B": []}
+        for i in range(10):
+            actual = {"A": i * 1.5}
+            if i >= 4:
+                actual["B"] = (i - 4) * 0.5
+            gps = {tenant: value * 0.9 for tenant, value in actual.items()}
+            partial.observe_sample(i * 0.1, actual, gps)
+            for tenant in lags:
+                if tenant in actual:
+                    lags[tenant].append(actual[tenant] - gps[tenant])
+        padded_b = np.array([0.0] * 4 + lags["B"])
+        metrics = RunMetrics(partial)
+        assert metrics.lag_sigma("A") == np.std(np.array(lags["A"]))
+        assert metrics.lag_sigma("B") == np.std(padded_b)
+        assert metrics.lag_sigma("B", 4.0) == np.std(padded_b / 4.0)
+
+    def test_late_tenant_in_a_run(self):
+        run = _late_joiner_run()
+        series = run.service_series("late")
+        lag = series.lag_units()
+        joined = int(np.argmax(series.actual > 0))
+        assert joined > 0 and not lag[:joined].any()
+        assert run.lag_sigma("late") == np.std(lag)
+        assert run.lag_sigma("late", 5.0) == np.std(lag / 5.0)
+
+    def test_completed_matches_latency_lists(self):
+        run = _late_joiner_run(warmup=0.5)
+        total = sum(len(values) for values in run.latencies.values())
+        assert run.completed() == total > 0
+        for tenant in ("A", "B", "late"):
+            count = len(run.latencies[tenant])
+            assert run.completed(tenant) == run.latency_stats(tenant).count == count
+        assert run.completed("nobody") == 0
+
+    def test_run_metrics_pickle_round_trip(self):
+        run = _late_joiner_run(warmup=0.5)
+        clone = pickle.loads(pickle.dumps(run))
+        assert clone.tenants() == run.tenants()
+        assert clone.lag_sigmas() == run.lag_sigmas()
+        assert clone.lag_sigmas(reference_rate=5.0) == run.lag_sigmas(
+            reference_rate=5.0
+        )
+        assert clone.latencies == run.latencies
+        for tenant in run.tenants():
+            assert clone.latency_stats(tenant) == run.latency_stats(tenant)
+            ours, theirs = run.service_series(tenant), clone.service_series(tenant)
+            assert theirs.times.tolist() == ours.times.tolist()
+            assert theirs.actual.tolist() == ours.actual.tolist()
+            assert theirs.gps.tolist() == ours.gps.tolist()
+            assert theirs.baseline == ours.baseline
+        assert clone.gini_times.tolist() == run.gini_times.tolist()
+        assert clone.gini_values.tolist() == run.gini_values.tolist()
+        assert clone.dispatch_log == run.dispatch_log
+        assert clone.completed() == run.completed()

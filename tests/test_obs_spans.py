@@ -13,9 +13,13 @@ import pytest
 
 from repro.core import make_scheduler
 from repro.core.request import Request
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import run_single
 from repro.obs import Tracer, build_spans, spans_from_jsonl
+from repro.obs.exporters import write_rows_jsonl
 from repro.obs.spans import SpanSet
 from repro.simulator.rng import make_rng
+from repro.workloads.synthetic import expensive_requests_population
 
 #: The virtual-time schedulers the decomposition property runs over.
 VT_SCHEDULERS = ("wfq", "sfq", "wf2q", "wf2q+", "msf2q", "2dfq", "2dfq-e", "wf2q-e")
@@ -231,3 +235,34 @@ class TestSpanSetSurface:
             assert a.seqno == b.seqno
             assert a.wait == pytest.approx(b.wait)
             assert len(a.blocking) == len(b.blocking)
+
+
+class TestSpanSources:
+    def test_rows_events_and_jsonl_give_the_same_spans(self, tmp_path):
+        # The tracer stores rows; build_spans(tracer.rows) used to fail
+        # with AttributeError ('tuple' object has no attribute 'get').
+        config = ExperimentConfig(
+            name="spans-crash",
+            schedulers=("2dfq",),
+            num_threads=4,
+            thread_rate=1000.0,
+            duration=0.4,
+            refresh_interval=None,
+            fault_plan={
+                "crashes": [
+                    {"worker": 2, "at": 0.15, "restart_at": 0.25, "redispatch": True}
+                ],
+            },
+        )
+        tracer = Tracer("spans-crash")
+        specs = expensive_requests_population(num_small=10, total=14)
+        run_single("2dfq", specs, config, tracer=tracer)
+        path = write_rows_jsonl(tracer.rows, tmp_path / "events.jsonl")
+
+        from_rows = build_spans(tracer.rows)
+        from_events = build_spans(tracer.events)
+        from_jsonl = spans_from_jsonl(path)
+        assert from_rows.summary()["redispatched"] > 0
+        assert len(from_rows) == len(from_events) == len(from_jsonl) > 0
+        for a, b, c in zip(from_rows, from_events, from_jsonl):
+            assert a.as_dict() == b.as_dict() == c.as_dict()
