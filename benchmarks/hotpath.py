@@ -1,7 +1,8 @@
 """Scheduler hot-path microbenchmarks.
 
-Two measurements that locate costs inside the scheduler core; the
-end-to-end speed of figure runs is measured by ``benchmarks/e2e``.
+Measurements that locate costs inside the scheduler core and the
+metrics sampler; the end-to-end speed of figure runs is measured by
+``benchmarks/e2e``.
 
 * :func:`measure_adaptive_crossover` -- forced-index vs linear-scan
   dequeue throughput over small backlogs, the empirical basis of the
@@ -10,7 +11,11 @@ end-to-end speed of figure runs is measured by ``benchmarks/e2e``.
 * :func:`measure_observability_overhead` -- the same dispatch cycle with
   tracing disabled, traced, and audited (DESIGN.md §9).
 
-Both time :func:`measure_dequeue_throughput`: full dispatch cycles
+* :func:`measure_metrics_sample` -- the cost of one periodic metrics
+  sample early and late in a run (DESIGN.md §13), whose ratio exposes
+  any per-sample cost that grows with the samples already taken.
+
+The first two time :func:`measure_dequeue_throughput`: full dispatch cycles
 
     dequeue -> complete (retroactive charge + estimator observe)
             -> enqueue a replacement for the same tenant
@@ -18,7 +23,7 @@ Both time :func:`measure_dequeue_throughput`: full dispatch cycles
 with N tenants held continuously backlogged, so the numbers cover the
 whole bookkeeping path, not just the selection scan.  Wallclock timings
 vary with the host; the ratios are the signal.
-``benchmarks/test_bench_perf_hotpath.py`` records both into
+``benchmarks/test_bench_perf_hotpath.py`` records all three into
 ``benchmarks/results/BENCH_manifest.json``.
 """
 
@@ -26,19 +31,25 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import statistics
+import time
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core import make_scheduler
 from repro.core.request import Request
+from repro.metrics import MetricsCollector
 from repro.obs.audit import AuditConfig, FairnessAuditor
 from repro.obs.flight import FlightRecorder
 from repro.obs.registry import Timer
 from repro.obs.tracer import Tracer
+from repro.simulator.clock import Simulation
 from repro.simulator.rng import make_rng
+from repro.simulator.server import ThreadPoolServer
 
 __all__ = [
     "measure_adaptive_crossover",
     "measure_dequeue_throughput",
+    "measure_metrics_sample",
     "measure_observability_overhead",
     "quiesced_gc",
 ]
@@ -283,4 +294,73 @@ def measure_observability_overhead(
         "threads": num_threads,
         "ops": ops if ops is not None else _default_ops(num_tenants),
         "modes": measured,
+    }
+
+
+def _sampled_run(
+    num_tenants: int, num_threads: int, interval: float, seed: int
+) -> Simulation:
+    """A server whose only events are its collector's samples:
+    ``num_tenants`` tenants each submit two requests far too long to
+    finish, so every worker stays busy and every tenant stays backlogged
+    (and in the Gini sample)."""
+    sim = Simulation()
+    server = ThreadPoolServer(
+        sim,
+        make_scheduler("2dfq", num_threads=num_threads),
+        num_threads,
+        refresh_interval=None,
+    )
+    MetricsCollector(server, sample_interval=interval)
+    rng = make_rng(seed, "metrics-sample", str(num_tenants))
+    for i in range(num_tenants):
+        for _ in range(2):
+            cost = float(1e9 * rng.uniform(1.0, 2.0))
+            server.submit(Request(tenant_id=f"t{i:05d}", cost=cost, api="A"))
+    return sim
+
+
+def measure_metrics_sample(
+    num_tenants: int,
+    num_threads: int,
+    samples: int = 1500,
+    interval: float = 0.1,
+    seed: int = 0,
+) -> Dict[str, Union[int, float]]:
+    """Microseconds per periodic metrics sample, early and late in a run
+    of ``samples`` samples ``interval`` apart.
+
+    Two identical runs (:func:`_sampled_run`) are timed side by side:
+    one through the first 10% of its samples, the other -- advanced
+    untimed to the start of the last 10% -- through the last 10%, one
+    sample of each in turn, so a change in host speed hits both alike.
+    ``first_us`` and ``last_us`` are the median per-sample times;
+    ``growth`` is their ratio: about 1.0 when a sample costs
+    O(tenants + threads), above 1.0 when its cost grows with the samples
+    already taken.
+    """
+    window = max(1, samples // 10)
+    early = _sampled_run(num_tenants, num_threads, interval, seed)
+    late = _sampled_run(num_tenants, num_threads, interval, seed)
+    late.run(until=(samples - window) * interval)
+    first: List[float] = []
+    last: List[float] = []
+    clock = time.perf_counter
+    with quiesced_gc():
+        for k in range(1, window + 1):
+            start = clock()
+            early.run(until=k * interval)
+            middle = clock()
+            late.run(until=(samples - window + k) * interval)
+            last.append(clock() - middle)
+            first.append(middle - start)
+    first_us = statistics.median(first) * 1e6
+    last_us = statistics.median(last) * 1e6
+    return {
+        "tenants": num_tenants,
+        "threads": num_threads,
+        "samples": samples,
+        "first_us": round(first_us, 1),
+        "last_us": round(last_us, 1),
+        "growth": round(last_us / first_us, 3) if first_us > 0 else 0.0,
     }

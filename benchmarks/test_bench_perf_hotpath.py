@@ -2,18 +2,25 @@
 
 Not a paper figure: these locate costs inside the scheduler core, while
 ``benchmarks/e2e`` measures the speed of figure runs.  The bench records
-two sections of ``benchmarks/results/BENCH_manifest.json`` alongside the
-provenance record (seed, versions, git SHA):
+three sections of ``benchmarks/results/BENCH_manifest.json`` alongside
+the provenance record (seed, versions, git SHA):
 
 * ``adaptive_selection`` -- the linear-vs-index crossover sweep behind
   the ``AUTO_INDEX_HIGH``/``AUTO_INDEX_LOW`` thresholds, for the paper's
   scheduler and the policy with the latest measured crossover;
 * ``observability`` -- traced and audited dequeue throughput relative to
-  the disabled default (recorded, not gated: wallclock variance).
+  the disabled default (recorded, not gated: wallclock variance);
+* ``metrics_sample`` -- microseconds per periodic metrics sample over the
+  first and last 10% of a 1,500-sample run, at 8 tenants x 4 threads
+  (``quickstart``'s shape) and 262 tenants x 32 threads
+  (``production``'s), and their ratio ``growth``.
 
 Acceptance bars: the thresholds form a hysteresis band, and at full
 scale the index wins somewhere inside the sweep, within the 2x band the
-activation threshold was chosen from.
+activation threshold was chosen from.  A sample's cost must not grow
+with the samples already taken: ``growth`` stays under 1.5 (about 1.0
+on a 2-core x86-64 VM; the sampler that copied a zero prefix of every
+tenant's history per sample measured 2.2-2.5 there).
 
 Scale down for smoke runs with ``REPRO_BENCH_OPS`` (dispatches per
 timing cell, default 500-3000 depending on N); committed full-scale
@@ -29,7 +36,11 @@ import platform
 from repro.obs import write_manifest
 
 from conftest import BENCH_MANIFEST, emit, once, read_bench_manifest
-from hotpath import measure_adaptive_crossover, measure_observability_overhead
+from hotpath import (
+    measure_adaptive_crossover,
+    measure_metrics_sample,
+    measure_observability_overhead,
+)
 
 #: Manifest sections owned by *other* bench modules, carried over when
 #: this module rewrites the manifest (write_manifest replaces the file
@@ -55,6 +66,20 @@ def _format_observability(section):
     return "\n".join(lines)
 
 
+#: (tenants, threads) of the metrics-sample cells.
+METRICS_SAMPLE_SHAPES = ((8, 4), (262, 32))
+
+
+def _format_metrics_sample(rows):
+    lines = [f"{'tenants':>7} {'threads':>7} {'first us':>9} {'last us':>9} {'growth':>7}"]
+    for row in rows:
+        lines.append(
+            f"{row['tenants']:>7} {row['threads']:>7} {row['first_us']:>9.1f} "
+            f"{row['last_us']:>9.1f} {row['growth']:>6.3f}x"
+        )
+    return "\n".join(lines)
+
+
 def test_bench_perf_hotpath(benchmark, capsys):
     ops = int(os.environ.get("REPRO_BENCH_OPS", "0")) or None
     repeats = int(os.environ.get("REPRO_BENCH_REPEATS", "0")) or 2
@@ -69,6 +94,10 @@ def test_bench_perf_hotpath(benchmark, capsys):
     observability = measure_observability_overhead(
         "2dfq", num_tenants=100, ops=ops, repeats=repeats
     )
+    metrics_sample = [
+        measure_metrics_sample(tenants, threads)
+        for tenants, threads in METRICS_SAMPLE_SHAPES
+    ]
     preserved = {
         key: value
         for key, value in read_bench_manifest().items()
@@ -88,6 +117,7 @@ def test_bench_perf_hotpath(benchmark, capsys):
         extra={
             "observability": observability,
             "adaptive_selection": crossover,
+            "metrics_sample": metrics_sample,
             **preserved,
         },
     )
@@ -100,7 +130,9 @@ def test_bench_perf_hotpath(benchmark, capsys):
             for name, sweep in crossover.items()
         )
         + "\n\nobservability layers (2dfq, 100 tenants):\n"
-        + _format_observability(observability),
+        + _format_observability(observability)
+        + "\n\nmetrics sample cost, first vs last 10% of 1500 samples:\n"
+        + _format_metrics_sample(metrics_sample),
     )
     for name, sweep in crossover.items():
         assert sweep["auto_high"] > sweep["auto_low"] > 0
@@ -112,3 +144,6 @@ def test_bench_perf_hotpath(benchmark, capsys):
     for mode, row in observability["modes"].items():
         assert row["rps"] > 0, f"observability mode {mode} measured no work"
         assert row["relative"] <= 2.0, f"implausible speedup in mode {mode}: {row}"
+    for row in metrics_sample:
+        assert row["first_us"] > 0, row
+        assert row["growth"] < 1.5, f"metrics sample cost grows over the run: {row}"

@@ -158,12 +158,16 @@ def occupancy_expensive_fraction(
     (Figure 8b in one number per thread).  Under 2DFQ the vector is a
     step function -- some threads ~1.0, the rest ~0.0; under WFQ/WF2Q it
     is near-uniform."""
-    busy = np.zeros(num_threads)
-    expensive = np.zeros(num_threads)
-    for record in run.dispatch_log:
-        duration = record.end - record.start
-        busy[record.thread_id] += duration
-        if record.cost >= cost_threshold:
-            expensive[record.thread_id] += duration
+    # Python lists accumulate the same IEEE sums as float64 arrays,
+    # without a numpy scalar round trip per record.
+    busy_time = [0.0] * num_threads
+    expensive_time = [0.0] * num_threads
+    for thread_id, _, _, cost, start, end in run.dispatch_log:
+        duration = end - start
+        busy_time[thread_id] += duration
+        if cost >= cost_threshold:
+            expensive_time[thread_id] += duration
+    busy = np.array(busy_time)
+    expensive = np.array(expensive_time)
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(busy > 0, expensive / busy, 0.0)

@@ -23,9 +23,8 @@ Reproduced series:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..metrics.latency import LatencyStats
 from ..simulator.rng import make_rng
 from ..workloads.arrivals import OpenLoopProcess
 from ..workloads.spec import TenantSpec
@@ -141,18 +140,6 @@ class UnpredictableSweep:
 
     def result_at(self, fraction: float) -> ComparisonResult:
         return self.results[self.fractions.index(fraction)]
-
-    def latency_table(
-        self, tenants: Sequence[str]
-    ) -> Dict[float, Dict[str, Dict[str, LatencyStats]]]:
-        """Figure 12 data: fraction -> scheduler -> tenant -> stats."""
-        table: Dict[float, Dict[str, Dict[str, LatencyStats]]] = {}
-        for fraction, result in zip(self.fractions, self.results):
-            per_sched: Dict[str, Dict[str, LatencyStats]] = {}
-            for name, run in result.runs.items():
-                per_sched[name] = {t: run.latency_stats(t) for t in tenants}
-            table[fraction] = per_sched
-        return table
 
 
 def run_unpredictable_sweep(

@@ -40,7 +40,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Union
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Union,
+)
 
 from ..core.request import Request, RequestPhase
 from ..errors import ConfigurationError
@@ -241,8 +251,21 @@ class Fleet:
 
     def service_received(self, tenant_id: str) -> float:
         """Cumulative useful service across all servers -- the quantity
-        cluster-level fairness compares against the fleet-wide GPS."""
-        return sum(s.service_received(tenant_id) for s in self.servers)
+        cluster-level fairness compares against the fleet-wide GPS.
+        A read of :meth:`service_snapshot`."""
+        return self.service_snapshot((tenant_id,))[tenant_id]
+
+    def service_snapshot(self, tenant_ids: Iterable[str]) -> Dict[str, float]:
+        """Fleet-wide cumulative service of every tenant in
+        ``tenant_ids``, keyed in their order: one
+        :meth:`ThreadPoolServer.service_snapshot` per server, summed in
+        server order."""
+        tenant_ids = tuple(tenant_ids)
+        snapshots = [server.service_snapshot(tenant_ids) for server in self.servers]
+        return {
+            tenant: sum(snapshot[tenant] for snapshot in snapshots)
+            for tenant in tenant_ids
+        }
 
     def pending_seqnos(self) -> Set[int]:
         """Seqnos of requests still in flight: live on a server

@@ -35,7 +35,12 @@ __all__ = ["FleetCollector"]
 
 
 class FleetCollector:
-    """Attach to a fleet *before* starting sources; read results after."""
+    """Attach to a fleet *before* starting sources; read results after.
+
+    Each sample reads every seen tenant's cluster-wide service from one
+    :meth:`~repro.fleet.fleet.Fleet.service_snapshot`: one worker scan
+    per server, summed in server order (DESIGN.md §13).
+    """
 
     def __init__(
         self,
@@ -96,11 +101,9 @@ class FleetCollector:
     def _sample(self) -> None:
         now = self._sim.now
         self._gps.advance(now)
-        actual: Dict[str, float] = {}
-        gps: Dict[str, float] = {}
-        for tenant in self._seen_tenants:
-            actual[tenant] = self._fleet.service_received(tenant)
-            gps[tenant] = self._gps.service(tenant)
+        actual = self._fleet.service_snapshot(self._seen_tenants)
+        reference = self._gps.service
+        gps = {tenant: reference(tenant) for tenant in actual}
         if now >= self._warmup:
             partial = self._partial
             if self._observed_samples == 0 and self._previous_service:

@@ -5,7 +5,8 @@ One collector per simulation run.  It
 * mirrors every arrival into a fluid :class:`~repro.simulator.gps.GPSReference`
   of rate ``N * r`` (the paper's reference system, §6);
 * samples cumulative per-tenant service (actual and GPS) every
-  ``sample_interval`` seconds (paper: 100 ms);
+  ``sample_interval`` seconds (paper: 100 ms), reading every tenant's
+  actual service from one scan of the server's workers;
 * records per-request latencies at completion;
 * records the dispatch log -- ``(thread, tenant, api, cost, start, end)``
   -- from which the thread-occupancy plots (Figures 8b/9b/11b) are
@@ -24,8 +25,7 @@ the tenant's list, a dispatch appends its record to the log.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -46,9 +46,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DispatchRecord:
-    """One executed request in the occupancy log."""
+class DispatchRecord(NamedTuple):
+    """One executed request in the occupancy log (an immutable tuple:
+    cheaper to build per dispatch than a frozen dataclass)."""
 
     thread_id: int
     tenant_id: str
@@ -158,14 +158,15 @@ class MetricsCollector:
         # rather than completion, so requests still running when the
         # simulation stops -- e.g. multi-second expensive requests --
         # appear in the occupancy log.
+        start = request.dispatch_time
         self._dispatch_log.append(
             DispatchRecord(
-                thread_id=request.thread_id,
-                tenant_id=request.tenant_id,
-                api=request.api,
-                cost=request.cost,
-                start=request.dispatch_time,
-                end=request.dispatch_time + request.cost / self._server.rate,
+                request.thread_id,
+                request.tenant_id,
+                request.api,
+                request.cost,
+                start,
+                start + request.cost / self._server.rate,
             )
         )
 
@@ -179,12 +180,11 @@ class MetricsCollector:
 
     def _sample(self) -> None:
         now = self._sim.now
-        actual: Dict[str, Cost] = {}
-        gps: Dict[str, Cost] = {}
         self._gps.advance(now)
-        for tenant in self._seen_tenants:
-            actual[tenant] = self._server.service_received(tenant)
-            gps[tenant] = self._gps.service(tenant)
+        # One scan of the workers for every tenant (DESIGN.md §13).
+        actual = self._server.service_snapshot(self._seen_tenants)
+        reference = self._gps.service
+        gps = {tenant: reference(tenant) for tenant in actual}
         if self._auditor is not None:
             self._auditor.on_sample(now, actual, gps)
         partial = self._partial
@@ -212,15 +212,13 @@ class MetricsCollector:
     def _interval_gini(self, actual: Dict[str, Cost]) -> Optional[Scalar]:
         """Gini index of weight-normalized interval service across the
         currently active tenants; None when no tenant is active."""
-        scheduler = self._server.scheduler
+        previous = self._previous_service
         deltas = []
-        for tenant_id, state in scheduler.tenants().items():
-            if not state.active:
-                continue
-            delta = actual.get(tenant_id, 0.0) - self._previous_service.get(
-                tenant_id, 0.0
-            )
-            deltas.append(max(0.0, delta) / state.weight)
+        for tenant_id, state in self._server.scheduler.tenants().items():
+            if state.active:
+                delta = actual.get(tenant_id, 0.0) - previous.get(tenant_id, 0.0)
+                # Same value as max(0.0, delta), without the call.
+                deltas.append((delta if delta > 0.0 else 0.0) / state.weight)
         if not deltas:
             return None
         return gini_index(deltas)
@@ -248,7 +246,7 @@ class RunMetrics:
     # -- service -------------------------------------------------------------
 
     def tenants(self) -> List[str]:
-        return sorted(self.partial.series.actual.keys() | self.partial.lags.keys())
+        return self.partial.series.tenants()
 
     def service_series(self, tenant_id: str) -> ServiceSeries:
         return self.partial.series.service_series(tenant_id)
@@ -258,7 +256,7 @@ class RunMetrics:
     ) -> float:
         """sigma of service lag for one tenant (seconds if rate given)."""
         return lag_std(
-            np.array(self.partial.lags.get(tenant_id, ())), reference_rate
+            np.array(self.partial.series.lags.get(tenant_id, ())), reference_rate
         )
 
     def lag_sigmas(
@@ -350,12 +348,14 @@ class RunMetrics:
         run expensive requests); under WFQ/WF2Q it is flat -- the
         quantitative version of the occupancy figures.
         """
-        sums = np.zeros(num_threads)
-        counts = np.zeros(num_threads)
-        for record in self.dispatch_log:
-            duration = record.end - record.start
-            sums[record.thread_id] += np.log10(max(record.cost, 1e-12)) * duration
-            counts[record.thread_id] += duration
+        # Python lists accumulate the same IEEE sums as float64 arrays,
+        # without a numpy scalar round trip per record.
+        sums = [0.0] * num_threads
+        counts = [0.0] * num_threads
+        for thread_id, _, _, cost, start, end in self.dispatch_log:
+            duration = end - start
+            sums[thread_id] += np.log10(max(cost, 1e-12)) * duration
+            counts[thread_id] += duration
         with np.errstate(invalid="ignore"):
-            means = sums / counts
+            means = np.array(sums) / np.array(counts)
         return means

@@ -4,10 +4,7 @@ Every per-run statistic lives in one :class:`MetricsPartial`, and every
 part of it keeps every value:
 
 * latency, per tenant -- a list, in completion order;
-* service lag, per tenant -- an ``array('d')`` of ``actual - gps``, one
-  entry per sample, zero-filled for samples taken before a late tenant
-  appeared;
-* service curves -- one :class:`ServiceRecorder`;
+* service curves and service lag -- one :class:`ServiceRecorder`;
 * Gini samples -- a time-ordered list of ``(time, value)``;
 * dispatch log -- a list of records, in dispatch order.
 """
@@ -26,11 +23,15 @@ __all__ = ["ServiceRecorder", "MetricsPartial"]
 
 
 class ServiceRecorder:
-    """Recorder of per-tenant cumulative service curves, one point per
-    sample.
+    """Recorder of per-tenant cumulative service curves and service lag,
+    one point per sample.
 
-    Tenants appearing mid-run are zero-filled for earlier samples; a
-    tenant missing from a later sample carries its last value.
+    In the ``actual`` and ``gps`` columns, tenants appearing mid-run are
+    zero-filled for earlier samples, and a tenant missing from a later
+    sample carries its last value.  ``lags`` holds each tenant's
+    ``actual - gps`` as an ``array('d')``: one entry per sample that
+    reports the tenant's actual service, zero-filled for the samples
+    taken before it first did.
 
     ``baselines`` holds each tenant's cumulative service *before* the
     first sample (the last pre-warmup sample), so
@@ -38,26 +39,51 @@ class ServiceRecorder:
     against it instead of against zero.
     """
 
-    __slots__ = ("times", "actual", "gps", "baselines")
+    __slots__ = ("times", "actual", "gps", "lags", "baselines")
 
     def __init__(self) -> None:
         self.times: List[SimTime] = []
         self.actual: Dict[str, List[Cost]] = {}
         self.gps: Dict[str, List[Cost]] = {}
+        self.lags: Dict[str, "array[float]"] = {}
         self.baselines: Dict[str, Cost] = {}
 
     def observe(
         self, time: SimTime, actual: Dict[str, Cost], gps: Dict[str, Cost]
     ) -> None:
+        """Record one sample in one pass over its tenants: their actual
+        and GPS columns and their lag.  Nothing is allocated in
+        proportion to the samples already taken, except the zero prefix
+        of a tenant seen for the first time."""
         index = len(self.times)
         self.times.append(time)
-        for store, values in ((self.actual, actual), (self.gps, gps)):
-            for tenant, value in values.items():
-                column = store.setdefault(tenant, [0.0] * index)
-                if len(column) < index:
-                    pad = column[-1] if column else 0.0
-                    column.extend([pad] * (index - len(column)))
-                column.append(value)
+        actual_columns = self.actual
+        gps_columns = self.gps
+        lags = self.lags
+        matched = 0
+        for tenant, value in actual.items():
+            column = actual_columns.get(tenant)
+            if column is None or len(column) != index:
+                column = _padded(actual_columns, tenant, index)
+            column.append(value)
+            reference = gps.get(tenant)
+            if reference is None:
+                reference = 0.0
+            else:
+                matched += 1
+                column = gps_columns.get(tenant)
+                if column is None or len(column) != index:
+                    column = _padded(gps_columns, tenant, index)
+                column.append(reference)
+            lag = lags.get(tenant)
+            if lag is None:
+                lag = lags[tenant] = array("d", [0.0] * index)
+            lag.append(value - reference)
+        if matched != len(gps):
+            # GPS-only tenants: a service column but no lag.
+            for tenant, reference in gps.items():
+                if tenant not in actual:
+                    _padded(gps_columns, tenant, index).append(reference)
 
     def tenants(self) -> List[str]:
         return sorted(self.actual)
@@ -100,21 +126,25 @@ class MetricsPartial:
     def __init__(self, sample_interval: Duration) -> None:
         self.sample_interval: Duration = float(sample_interval)
         self.latencies: Dict[str, List[Duration]] = {}
-        self.lags: Dict[str, "array[float]"] = {}
         self.series = ServiceRecorder()
         self.gini: List[Tuple[SimTime, Scalar]] = []
         self.dispatch_log: List[Any] = []
-        self.lag_samples = 0
 
     def observe_sample(
         self, now: SimTime, actual: Dict[str, Cost], gps: Dict[str, Cost]
     ) -> None:
-        lags = self.lags
-        for tenant, value in actual.items():
-            values = lags.get(tenant)
-            if values is None:
-                # Late tenant: zero lag for the samples before it was seen.
-                values = lags[tenant] = array("d", [0.0] * self.lag_samples)
-            values.append(value - gps.get(tenant, 0.0))
-        self.lag_samples += 1
+        """Record one periodic sample: service columns and lags."""
         self.series.observe(now, actual, gps)
+
+
+def _padded(store: Dict[str, List[Cost]], tenant: str, index: int) -> List[Cost]:
+    """``store[tenant]`` extended to ``index`` samples: a new tenant is
+    zero-filled, a tenant missing from recent samples carries its last
+    value.  A column already ``index`` long is returned as it is."""
+    column = store.get(tenant)
+    if column is None:
+        column = store[tenant] = [0.0] * index
+    elif len(column) < index:
+        pad = column[-1] if column else 0.0
+        column.extend([pad] * (index - len(column)))
+    return column

@@ -35,7 +35,7 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Union
 
 from .. import __version__
 from .spec import canonicalize
@@ -162,13 +162,3 @@ class RunCache:
             f"RunCache({str(self.directory)!r}, hits={self.hits}, "
             f"misses={self.misses}, stores={self.stores})"
         )
-
-
-def describe_cache(cache: Optional[RunCache]) -> str:
-    """One-line summary for CLI output (empty string when no cache)."""
-    if cache is None:
-        return ""
-    return (
-        f"run cache: {cache.hits} hit(s), {cache.misses} miss(es), "
-        f"{cache.stores} stored under {cache.directory}"
-    )

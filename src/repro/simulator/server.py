@@ -23,7 +23,7 @@ irrelevant.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
 from ..core.request import Request
 from ..core.scheduler import Scheduler
@@ -202,24 +202,33 @@ class ThreadPoolServer:
         """Cumulative service (cost units) delivered to a tenant so far,
         counting partial progress of running requests -- the quantity the
         paper's service-rate and service-lag metrics are computed from.
+        A read of :meth:`service_snapshot`, which holds the formula."""
+        return self.service_snapshot((tenant_id,))[tenant_id]
 
+    def service_snapshot(self, tenant_ids: Iterable[str]) -> Dict[str, Cost]:
+        """Cumulative service of every tenant in ``tenant_ids``, keyed in
+        their order, from one scan of the workers.
+
+        Each total starts from the tenant's completed cost and adds the
+        capped progress of its running requests in worker-index order.
         Progress integrates the worker's speed piecewise:
         ``done_work`` accumulates the segments before the last speed
         change and the current segment runs at the current speed.  On a
         healthy worker (``speed == 1.0``, ``done_work == 0.0``) this
         reduces bit-exactly to ``(now - started) * rate``.
         """
-        total = self._completed_cost.get(tenant_id, 0.0)
+        completed = self._completed_cost
+        totals = {tenant: completed.get(tenant, 0.0) for tenant in tenant_ids}
         now = self.sim.now
         for worker in self.workers:
             request = worker.request
-            if request is not None and request.tenant_id == tenant_id:
+            if request is not None and request.tenant_id in totals:
                 progress = (
                     worker.done_work
                     + (now - worker.work_mark) * self.rate * worker.speed
                 )
-                total += min(progress, request.cost)
-        return total
+                totals[request.tenant_id] += min(progress, request.cost)
+        return totals
 
     def running_requests(self) -> List[Request]:
         """Requests currently executing (one per busy worker)."""

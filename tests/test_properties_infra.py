@@ -151,6 +151,57 @@ class TestGiniProperties:
         g = gini_index([0.0] * 9 + [100.0])
         assert g == pytest.approx(0.9, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [float("nan"), 1.0],
+            [float("inf"), 1.0],
+            [-float("inf"), 1.0],
+            [1.0, 2.0, float("nan")],
+        ],
+    )
+    def test_rejects_nan_and_inf(self, values):
+        # These used to return nan with only a RuntimeWarning.
+        with pytest.raises(ValueError):
+            gini_index(values)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_finite_values_whose_sums_overflow(self):
+        # Finite inputs whose sum (or rank-weighted sum) overflows used
+        # to give nan; the index is scale-free, so they are rescaled.
+        assert gini_index([1e308, 1e308]) == 0.0
+        assert gini_index([1e308] * 3 + [0.0]) == pytest.approx(0.25, abs=1e-12)
+        assert gini_index([1e307, 1e308]) == pytest.approx(
+            gini_index([0.1, 1.0]), abs=1e-12
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(values=st.lists(st.floats(min_value=0.0, max_value=1e6),
+                           min_size=1, max_size=50))
+    def test_finite_sums_keep_the_direct_identity(self, values):
+        # The rescaled path is taken only when the identity is not
+        # finite, so every ordinary input keeps its bits.
+        array = np.asarray(values, dtype=float)
+        total = array.sum()
+        if total <= 0:
+            assert gini_index(values) == 0.0
+            return
+        array = np.sort(array)
+        n = array.size
+        direct = (2.0 * np.dot(np.arange(1, n + 1), array)) / (n * total) - (
+            n + 1.0
+        ) / n
+        assert gini_index(values) == float(min(max(direct, 0.0), 1.0))
+
+    @settings(max_examples=50, deadline=None)
+    @given(values=st.lists(st.floats(min_value=0.5, max_value=1.0),
+                           min_size=2, max_size=30))
+    def test_near_overflow_matches_unit_scale(self, values):
+        with np.errstate(over="ignore", invalid="ignore"):
+            big = gini_index([v * 1e307 for v in values])
+        assert big == pytest.approx(gini_index(values), abs=1e-9)
+
 
 class TestRNGProperties:
     @settings(max_examples=30, deadline=None)
