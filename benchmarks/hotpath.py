@@ -50,6 +50,8 @@ __all__ = [
     "measure_adaptive_crossover",
     "measure_dequeue_throughput",
     "measure_metrics_sample",
+    "METRICS_SAMPLES",
+    "METRICS_SAMPLE_SHAPES",
     "measure_observability_overhead",
     "quiesced_gc",
 ]
@@ -297,9 +299,15 @@ def measure_observability_overhead(
     }
 
 
-def _sampled_run(
-    num_tenants: int, num_threads: int, interval: float, seed: int
-) -> Simulation:
+#: (tenants, threads) of the metrics-sample cells: ``quickstart``'s and
+#: ``production``'s shapes.
+METRICS_SAMPLE_SHAPES = ((8, 4), (262, 32))
+#: Samples per metrics-sample run, and the simulated time between them.
+METRICS_SAMPLES = 1500
+METRICS_SAMPLE_INTERVAL = 0.1
+
+
+def _sampled_run(num_tenants: int, num_threads: int) -> Simulation:
     """A server whose only events are its collector's samples:
     ``num_tenants`` tenants each submit two requests far too long to
     finish, so every worker stays busy and every tenant stays backlogged
@@ -311,24 +319,18 @@ def _sampled_run(
         num_threads,
         refresh_interval=None,
     )
-    MetricsCollector(server, sample_interval=interval)
-    rng = make_rng(seed, "metrics-sample", str(num_tenants))
+    MetricsCollector(server, sample_interval=METRICS_SAMPLE_INTERVAL)
     for i in range(num_tenants):
         for _ in range(2):
-            cost = float(1e9 * rng.uniform(1.0, 2.0))
-            server.submit(Request(tenant_id=f"t{i:05d}", cost=cost, api="A"))
+            server.submit(Request(tenant_id=f"t{i:05d}", cost=1e9, api="A"))
     return sim
 
 
 def measure_metrics_sample(
-    num_tenants: int,
-    num_threads: int,
-    samples: int = 1500,
-    interval: float = 0.1,
-    seed: int = 0,
+    num_tenants: int, num_threads: int
 ) -> Dict[str, Union[int, float]]:
     """Microseconds per periodic metrics sample, early and late in a run
-    of ``samples`` samples ``interval`` apart.
+    of :data:`METRICS_SAMPLES` samples.
 
     Two identical runs (:func:`_sampled_run`) are timed side by side:
     one through the first 10% of its samples, the other -- advanced
@@ -339,9 +341,11 @@ def measure_metrics_sample(
     O(tenants + threads), above 1.0 when its cost grows with the samples
     already taken.
     """
+    samples = METRICS_SAMPLES
+    interval = METRICS_SAMPLE_INTERVAL
     window = max(1, samples // 10)
-    early = _sampled_run(num_tenants, num_threads, interval, seed)
-    late = _sampled_run(num_tenants, num_threads, interval, seed)
+    early = _sampled_run(num_tenants, num_threads)
+    late = _sampled_run(num_tenants, num_threads)
     late.run(until=(samples - window) * interval)
     first: List[float] = []
     last: List[float] = []

@@ -13,14 +13,15 @@ the provenance record (seed, versions, git SHA):
 * ``metrics_sample`` -- microseconds per periodic metrics sample over the
   first and last 10% of a 1,500-sample run, at 8 tenants x 4 threads
   (``quickstart``'s shape) and 262 tenants x 32 threads
-  (``production``'s), and their ratio ``growth``.
+  (``production``'s), and their ratio ``growth`` (recorded, not gated:
+  wallclock variance; about 1.0 on a 2-core x86-64 VM, where the sampler
+  that copied a zero prefix of every tenant's history per sample
+  measured 2.2-2.5).  ``tests/test_metrics_sampling.py`` gates "no
+  per-sample growth" deterministically, with ``tracemalloc``.
 
 Acceptance bars: the thresholds form a hysteresis band, and at full
 scale the index wins somewhere inside the sweep, within the 2x band the
-activation threshold was chosen from.  A sample's cost must not grow
-with the samples already taken: ``growth`` stays under 1.5 (about 1.0
-on a 2-core x86-64 VM; the sampler that copied a zero prefix of every
-tenant's history per sample measured 2.2-2.5 there).
+activation threshold was chosen from.
 
 Scale down for smoke runs with ``REPRO_BENCH_OPS`` (dispatches per
 timing cell, default 500-3000 depending on N); committed full-scale
@@ -37,6 +38,8 @@ from repro.obs import write_manifest
 
 from conftest import BENCH_MANIFEST, emit, once, read_bench_manifest
 from hotpath import (
+    METRICS_SAMPLE_SHAPES,
+    METRICS_SAMPLES,
     measure_adaptive_crossover,
     measure_metrics_sample,
     measure_observability_overhead,
@@ -64,10 +67,6 @@ def _format_observability(section):
         row = section["modes"][mode]
         lines.append(f"{mode:<10} {row['rps']:>12.1f} {row['relative']:>8.3f}x")
     return "\n".join(lines)
-
-
-#: (tenants, threads) of the metrics-sample cells.
-METRICS_SAMPLE_SHAPES = ((8, 4), (262, 32))
 
 
 def _format_metrics_sample(rows):
@@ -131,7 +130,7 @@ def test_bench_perf_hotpath(benchmark, capsys):
         )
         + "\n\nobservability layers (2dfq, 100 tenants):\n"
         + _format_observability(observability)
-        + "\n\nmetrics sample cost, first vs last 10% of 1500 samples:\n"
+        + f"\n\nmetrics sample cost, first vs last 10% of {METRICS_SAMPLES} samples:\n"
         + _format_metrics_sample(metrics_sample),
     )
     for name, sweep in crossover.items():
@@ -145,5 +144,4 @@ def test_bench_perf_hotpath(benchmark, capsys):
         assert row["rps"] > 0, f"observability mode {mode} measured no work"
         assert row["relative"] <= 2.0, f"implausible speedup in mode {mode}: {row}"
     for row in metrics_sample:
-        assert row["first_us"] > 0, row
-        assert row["growth"] < 1.5, f"metrics sample cost grows over the run: {row}"
+        assert row["first_us"] > 0 and row["last_us"] > 0, row

@@ -110,7 +110,7 @@ class FleetCollector:
                 # First post-warmup sample: the previous (pre-warmup)
                 # sample anchors service_rate differencing.
                 partial.series.baselines = dict(self._previous_service)
-            partial.observe_sample(now, actual, gps)
+            partial.series.observe(now, actual, gps)
             self._observed_samples += 1
         self._previous_service = actual
         self._sample_index += 1

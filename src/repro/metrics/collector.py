@@ -194,7 +194,7 @@ class MetricsCollector:
                 # sample anchors service_rate differencing.
                 partial.series.baselines = dict(self._previous_service)
             gini = self._interval_gini(actual)
-            partial.observe_sample(now, actual, gps)
+            partial.series.observe(now, actual, gps)
             if gini is not None:
                 partial.gini.append((now, gini))
             self._observed_samples += 1

@@ -51,39 +51,25 @@ class ServiceRecorder:
     def observe(
         self, time: SimTime, actual: Dict[str, Cost], gps: Dict[str, Cost]
     ) -> None:
-        """Record one sample in one pass over its tenants: their actual
-        and GPS columns and their lag.  Nothing is allocated in
-        proportion to the samples already taken, except the zero prefix
-        of a tenant seen for the first time."""
+        """Record one sample: each tenant's actual and GPS service and its
+        lag.  Only a tenant seen for the first time gets a zero prefix,
+        so nothing is allocated in proportion to the samples already
+        taken."""
         index = len(self.times)
         self.times.append(time)
-        actual_columns = self.actual
-        gps_columns = self.gps
-        lags = self.lags
-        matched = 0
-        for tenant, value in actual.items():
-            column = actual_columns.get(tenant)
-            if column is None or len(column) != index:
-                column = _padded(actual_columns, tenant, index)
-            column.append(value)
-            reference = gps.get(tenant)
-            if reference is None:
-                reference = 0.0
-            else:
-                matched += 1
-                column = gps_columns.get(tenant)
+        for store, values in ((self.actual, actual), (self.gps, gps)):
+            for tenant, value in values.items():
+                column = store.get(tenant)
                 if column is None or len(column) != index:
-                    column = _padded(gps_columns, tenant, index)
-                column.append(reference)
+                    column = store.setdefault(tenant, [])
+                    column += _padding(column, index)
+                column.append(value)
+        lags = self.lags
+        for tenant, value in actual.items():
             lag = lags.get(tenant)
             if lag is None:
                 lag = lags[tenant] = array("d", [0.0] * index)
-            lag.append(value - reference)
-        if matched != len(gps):
-            # GPS-only tenants: a service column but no lag.
-            for tenant, reference in gps.items():
-                if tenant not in actual:
-                    _padded(gps_columns, tenant, index).append(reference)
+            lag.append(value - gps.get(tenant, 0.0))
 
     def tenants(self) -> List[str]:
         return sorted(self.actual)
@@ -96,8 +82,7 @@ class ServiceRecorder:
         def column(store: Dict[str, List[Cost]]) -> np.ndarray:
             values = store.get(tenant_id, [])
             if len(values) < n:
-                pad = values[-1] if values else 0.0
-                values = values + [pad] * (n - len(values))
+                values = values + _padding(values, n)
             return np.asarray(values)
 
         return np.asarray(self.times), column(self.actual), column(self.gps)
@@ -119,8 +104,8 @@ class MetricsPartial:
     :class:`~repro.metrics.collector.RunMetrics`.
 
     Writers append straight into ``latencies[tenant]``,
-    ``dispatch_log`` and ``gini``; :meth:`observe_sample` takes the
-    periodic service samples.
+    ``dispatch_log`` and ``gini``, and the periodic service samples
+    into ``series`` (:meth:`ServiceRecorder.observe`).
     """
 
     def __init__(self, sample_interval: Duration) -> None:
@@ -130,21 +115,8 @@ class MetricsPartial:
         self.gini: List[Tuple[SimTime, Scalar]] = []
         self.dispatch_log: List[Any] = []
 
-    def observe_sample(
-        self, now: SimTime, actual: Dict[str, Cost], gps: Dict[str, Cost]
-    ) -> None:
-        """Record one periodic sample: service columns and lags."""
-        self.series.observe(now, actual, gps)
 
-
-def _padded(store: Dict[str, List[Cost]], tenant: str, index: int) -> List[Cost]:
-    """``store[tenant]`` extended to ``index`` samples: a new tenant is
-    zero-filled, a tenant missing from recent samples carries its last
-    value.  A column already ``index`` long is returned as it is."""
-    column = store.get(tenant)
-    if column is None:
-        column = store[tenant] = [0.0] * index
-    elif len(column) < index:
-        pad = column[-1] if column else 0.0
-        column.extend([pad] * (index - len(column)))
-    return column
+def _padding(column: List[Cost], length: int) -> List[Cost]:
+    """The values that extend ``column`` to ``length`` samples: its last
+    value carried forward, or zeros for a tenant not seen before."""
+    return [column[-1] if column else 0.0] * (length - len(column))

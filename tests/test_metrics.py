@@ -38,7 +38,7 @@ class TestServiceSeries:
         series = self._series()
         partial = MetricsPartial(sample_interval=0.1)
         for t, actual, gps in zip(series.times, series.actual, series.gps):
-            partial.observe_sample(t, {"T": actual}, {"T": gps})
+            partial.series.observe(t, {"T": actual}, {"T": gps})
         return RunMetrics(partial)
 
     def test_service_rate(self):
@@ -398,7 +398,7 @@ class TestExactStore:
             if i >= 4:
                 actual["B"] = (i - 4) * 0.5
             gps = {tenant: value * 0.9 for tenant, value in actual.items()}
-            partial.observe_sample(i * 0.1, actual, gps)
+            partial.series.observe(i * 0.1, actual, gps)
             for tenant in lags:
                 if tenant in actual:
                     lags[tenant].append(actual[tenant] - gps[tenant])
