@@ -2,7 +2,7 @@
 
 Not a paper figure: these locate costs inside the scheduler core, while
 ``benchmarks/e2e`` measures the speed of figure runs.  The bench records
-three sections of ``benchmarks/results/BENCH_manifest.json`` alongside
+four sections of ``benchmarks/results/BENCH_manifest.json`` alongside
 the provenance record (seed, versions, git SHA):
 
 * ``adaptive_selection`` -- the linear-vs-index crossover sweep behind
@@ -17,14 +17,18 @@ the provenance record (seed, versions, git SHA):
   wallclock variance; about 1.0 on a 2-core x86-64 VM, where the sampler
   that copied a zero prefix of every tenant's history per sample
   measured 2.2-2.5).  ``tests/test_metrics_sampling.py`` gates "no
-  per-sample growth" deterministically, with ``tracemalloc``.
+  per-sample growth" deterministically, with ``tracemalloc``;
+* ``event_loop`` -- events per second through ``Simulation.run`` for 64
+  self-rescheduling timers, without and with 10% cancel churn (recorded,
+  not gated).
 
 Acceptance bars: the thresholds form a hysteresis band, and at full
 scale the index wins somewhere inside the sweep, within the 2x band the
 activation threshold was chosen from.
 
 Scale down for smoke runs with ``REPRO_BENCH_OPS`` (dispatches per
-timing cell, default 500-3000 depending on N); committed full-scale
+timing cell, default 500-3000 depending on N, and events per event-loop
+cell, default 200,000); committed full-scale
 runs use ``REPRO_BENCH_REPEATS=5``::
 
     PYTHONPATH=src REPRO_BENCH_REPEATS=5 python -m pytest \\
@@ -38,9 +42,12 @@ from repro.obs import write_manifest
 
 from conftest import BENCH_MANIFEST, emit, once, read_bench_manifest
 from hotpath import (
+    EVENT_LOOP_CHURN,
+    EVENT_LOOP_TIMERS,
     METRICS_SAMPLE_SHAPES,
     METRICS_SAMPLES,
     measure_adaptive_crossover,
+    measure_event_loop,
     measure_metrics_sample,
     measure_observability_overhead,
 )
@@ -79,6 +86,15 @@ def _format_metrics_sample(rows):
     return "\n".join(lines)
 
 
+def _format_event_loop(rows):
+    lines = [f"{'churn':>6} {'events':>8} {'events/s':>11}"]
+    for row in rows:
+        lines.append(
+            f"{row['churn']:>6.2f} {row['events']:>8} {row['events_per_s']:>11.1f}"
+        )
+    return "\n".join(lines)
+
+
 def test_bench_perf_hotpath(benchmark, capsys):
     ops = int(os.environ.get("REPRO_BENCH_OPS", "0")) or None
     repeats = int(os.environ.get("REPRO_BENCH_REPEATS", "0")) or 2
@@ -96,6 +112,10 @@ def test_bench_perf_hotpath(benchmark, capsys):
     metrics_sample = [
         measure_metrics_sample(tenants, threads)
         for tenants, threads in METRICS_SAMPLE_SHAPES
+    ]
+    event_loop = [
+        measure_event_loop(churn, events=ops, repeats=repeats)
+        for churn in EVENT_LOOP_CHURN
     ]
     preserved = {
         key: value
@@ -117,6 +137,7 @@ def test_bench_perf_hotpath(benchmark, capsys):
             "observability": observability,
             "adaptive_selection": crossover,
             "metrics_sample": metrics_sample,
+            "event_loop": event_loop,
             **preserved,
         },
     )
@@ -131,7 +152,9 @@ def test_bench_perf_hotpath(benchmark, capsys):
         + "\n\nobservability layers (2dfq, 100 tenants):\n"
         + _format_observability(observability)
         + f"\n\nmetrics sample cost, first vs last 10% of {METRICS_SAMPLES} samples:\n"
-        + _format_metrics_sample(metrics_sample),
+        + _format_metrics_sample(metrics_sample)
+        + f"\n\nevent loop, {EVENT_LOOP_TIMERS} self-rescheduling timers:\n"
+        + _format_event_loop(event_loop),
     )
     for name, sweep in crossover.items():
         assert sweep["auto_high"] > sweep["auto_low"] > 0
@@ -145,3 +168,5 @@ def test_bench_perf_hotpath(benchmark, capsys):
         assert row["relative"] <= 2.0, f"implausible speedup in mode {mode}: {row}"
     for row in metrics_sample:
         assert row["first_us"] > 0 and row["last_us"] > 0, row
+    for row in event_loop:
+        assert row["events_per_s"] > 0, row

@@ -22,9 +22,22 @@ from typing import Any, Optional
 
 from ..units import Cost, Duration, SimTime, Weight
 
-__all__ = ["Request", "RequestPhase"]
+__all__ = ["Request", "RequestPhase", "restart_seqnos"]
 
 _SEQUENCE = itertools.count()
+
+
+def restart_seqnos() -> None:
+    """Number the requests created from now on from 0 again.
+
+    The experiment runners call this where a run starts, so a run's
+    seqnos -- and every artifact that records them -- do not depend on
+    what the process ran before.  Seqnos are only ever compared within
+    one run (tie-breaks, fleet ownership maps), so that is all their
+    uniqueness has to cover.
+    """
+    global _SEQUENCE
+    _SEQUENCE = itertools.count()
 
 
 class RequestPhase:
@@ -70,8 +83,9 @@ class Request:
     arrival_time: SimTime = -1.0
     weight: Weight = 1.0
 
-    #: Monotonically increasing global sequence number; used as the final
-    #: deterministic tie-breaker in every scheduler.
+    #: Monotonically increasing sequence number, unique within a run
+    #: (:func:`restart_seqnos`); the final deterministic tie-breaker in
+    #: every scheduler.
     seqno: int = field(default_factory=lambda: next(_SEQUENCE))
 
     # -- scheduling bookkeeping (owned by the scheduler) ------------------

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.registry import make_scheduler
+from ..core.request import restart_seqnos
 from ..faults.plan import FaultPlan, ServerCrash
 from ..fleet import (
     FailoverPolicy,
@@ -184,9 +185,11 @@ def run_fleet(
     session tracer labelled ``name``, a flight recorder riding the
     tracer sink (fleet crash/failover events are FAULT-kind triggers,
     so every detection and drain leaves a dump), and its artifacts are
-    exported when the run ends.
+    exported when the run ends.  Requests are numbered from seqno 0 in
+    every run.
     """
     validate = validate or env_validate()
+    restart_seqnos()
     sim = Simulation()
     servers = []
     # initial_estimate only applies to estimated (-e) variants, the same

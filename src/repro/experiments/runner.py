@@ -22,6 +22,7 @@ if TYPE_CHECKING:
     from ..parallel.cache import RunCache
 
 from ..core.registry import make_scheduler
+from ..core.request import restart_seqnos
 from ..core.scheduler import Scheduler
 from ..faults.injector import FaultInjector
 from ..metrics.collector import MetricsCollector, RunMetrics
@@ -87,7 +88,10 @@ def run_single(
     ``--audit``) builds one per run automatically, plus a flight
     recorder whose dumps are exported even when a strict-mode watchdog
     raise aborts the run.
+
+    Requests are numbered from seqno 0 in every run.
     """
+    restart_seqnos()
     sim = Simulation()
     inner_scheduler = make_scheduler(
         scheduler_name,

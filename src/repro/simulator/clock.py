@@ -10,6 +10,8 @@ a discrete-event simulator).
 
 from __future__ import annotations
 
+import heapq
+import math
 from typing import Any, Callable, Optional
 
 from ..errors import SimulationError
@@ -20,21 +22,22 @@ __all__ = ["Simulation"]
 
 
 class Simulation:
-    """Discrete-event simulation loop over one :class:`EventQueue`."""
+    """Discrete-event simulation loop over one :class:`EventQueue`.
+
+    ``now`` is the current simulated wallclock time in seconds, a plain
+    attribute that only :meth:`run` advances.  :meth:`at`, :meth:`after`,
+    :meth:`cancel` and :meth:`run` are the only ways to schedule and fire
+    events.
+    """
 
     def __init__(self) -> None:
         self._queue = EventQueue()
-        self._now: SimTime = 0.0
+        self.now: SimTime = 0.0
         self._running = False
         self._stopped = False
         self._events_processed = 0
 
     # -- observation ----------------------------------------------------------
-
-    @property
-    def now(self) -> SimTime:
-        """Current simulated wallclock time in seconds."""
-        return self._now
 
     @property
     def pending_events(self) -> int:
@@ -56,22 +59,36 @@ class Simulation:
         return self._queue.purges
 
     # -- scheduling -------------------------------------------------------------
+    #
+    # ``at`` and ``after`` push onto the queue's heap directly (one handle,
+    # one heappush) instead of through ``EventQueue.push``: they run once
+    # per scheduled event, and the queue is this kernel's own structure.
 
     def at(self, time: SimTime, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` at absolute simulated time ``time``."""
+        now = self.now
         # Negated comparisons: NaN fails every comparison, so it lands
         # in the error branch instead of firing first with ``now = nan``.
-        if not time >= self._now - 1e-12:
-            raise SimulationError(
-                f"event time must be >= now {self._now}, got {time}"
-            )
-        return self._queue.push(max(time, self._now), fn, *args)
+        if not time >= now - 1e-12:
+            raise SimulationError(f"event time must be >= now {now}, got {time}")
+        if time < now:
+            time = now
+        queue = self._queue
+        handle = EventHandle(time, next(queue._seq), fn, args)
+        heapq.heappush(queue._heap, (time, handle.seq, handle))
+        queue._live += 1
+        return handle
 
     def after(self, delay: Duration, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` after ``delay`` seconds."""
         if not delay >= 0:
             raise SimulationError(f"delay must be >= 0, got {delay}")
-        return self._queue.push(self._now + delay, fn, *args)
+        time = self.now + delay
+        queue = self._queue
+        handle = EventHandle(time, next(queue._seq), fn, args)
+        heapq.heappush(queue._heap, (time, handle.seq, handle))
+        queue._live += 1
+        return handle
 
     def cancel(self, handle: EventHandle) -> None:
         self._queue.cancel(handle)
@@ -90,42 +107,49 @@ class Simulation:
 
         When ``until`` is given, time is advanced exactly to ``until`` even
         if the last event fires earlier, so periodic samplers and service
-        accounting line up across runs.
+        accounting line up across runs.  ``max_events`` counts every event
+        this simulation has fired, over all ``run`` calls.  A NaN ``until``
+        or a negative ``max_events`` raises :class:`SimulationError`.
         """
         if self._running:
             raise SimulationError("simulation loop re-entered")
+        if until is None:
+            horizon = math.inf
+        elif math.isnan(until):  # every `time > until` test would fail
+            raise SimulationError("run horizon `until` is NaN")
+        else:
+            horizon = until
+        if max_events is None:
+            limit: float = math.inf
+        elif max_events < 0:
+            raise SimulationError(f"max_events must be >= 0, got {max_events}")
+        else:
+            limit = max_events
         self._running = True
         self._stopped = False
+        # One queue call per fired event: ``pop_due`` drops cancelled
+        # tops, stops at the horizon and marks the handle consumed.
+        pop_due = self._queue.pop_due
+        processed = self._events_processed
         try:
-            while self._queue and not self._stopped:
-                next_time = self._queue.peek_time()
-                if next_time is None:
-                    # `while self._queue` guarantees a live event; a None
-                    # peek means the queue's live-count drifted from its
-                    # heap contents.  Raise (never assert: python -O
-                    # would strip the check) -- this is state corruption,
-                    # not a schedulable condition.
-                    raise SimulationError(
-                        "event queue reported pending events but none "
-                        "could be peeked (live-count/heap divergence)"
-                    )
-                if until is not None and next_time > until:
+            while processed < limit and not self._stopped:
+                handle = pop_due(horizon)
+                if handle is None:
                     break
-                if max_events is not None and self._events_processed >= max_events:
-                    break
-                handle = self._queue.pop()
-                self._now = handle.time
+                self.now = handle.time
                 fn, args = handle.fn, handle.args
-                handle.cancel()  # mark consumed; frees references
-                self._events_processed += 1
+                handle.fn = None  # free references early
+                handle.args = ()
+                processed += 1
+                self._events_processed = processed
                 if fn is None:
                     raise SimulationError(
                         f"popped event at t={handle.time} was already "
                         "consumed (callback reference cleared)"
                     )
                 fn(*args)
-            if until is not None and self._now < until and not self._stopped:
-                self._now = until
+            if until is not None and self.now < until and not self._stopped:
+                self.now = until
         finally:
             self._running = False
-        return self._now
+        return self.now

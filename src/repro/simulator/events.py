@@ -16,12 +16,19 @@ Compaction preserves the exact ``(time, seq)`` keys, so the pop order
 two conditions together guarantee amortized O(1) cost per cancel while
 capping stored entries at twice the live size (plus the threshold
 floor).
+
+The queue and :class:`~repro.simulator.clock.Simulation` form one event
+kernel: the simulation pushes handles straight onto :attr:`EventQueue._heap`
+and drains it through :meth:`EventQueue.pop_due`, one call per fired
+event (DESIGN.md §8).  Compaction rebuilds the heap list in place, so
+no holder of the list ever sees a stale copy.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..errors import SimulationError
@@ -123,24 +130,49 @@ class EventQueue:
 
     def peek_time(self) -> Optional[SimTime]:
         """Time of the earliest pending event, or ``None`` when empty."""
-        self._drop_cancelled()
-        if not self._heap:
-            return None
-        return self._heap[0][0]
-
-    def pop(self) -> EventHandle:
-        """Remove and return the earliest pending event."""
-        self._drop_cancelled()
-        if not self._heap:
-            raise SimulationError("pop from an empty event queue")
-        _, _, handle = heapq.heappop(self._heap)
-        self._live -= 1
-        return handle
-
-    def _drop_cancelled(self) -> None:
         heap = self._heap
         while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
+        if not heap:
+            return None
+        return heap[0][0]
+
+    def pop(self) -> EventHandle:
+        """Remove and return the earliest pending event, marked consumed
+        (a later :meth:`cancel` of it is a no-op)."""
+        handle = self.pop_due(math.inf)
+        if handle is None:
+            raise SimulationError("pop from an empty event queue")
+        return handle
+
+    def pop_due(self, horizon: SimTime) -> Optional[EventHandle]:
+        """Remove and return the earliest pending event if its time is at
+        most ``horizon``, else ``None`` (the event stays queued).
+
+        Cancelled tops are dropped on the way, by the same rule as
+        :meth:`peek_time`.  The returned handle is marked consumed; its
+        ``fn`` and ``args`` are left for the caller to run.
+        """
+        heap = self._heap
+        while heap:
+            entry = heapq.heappop(heap)
+            handle = entry[2]
+            if handle.cancelled:
+                continue
+            if entry[0] > horizon:
+                heapq.heappush(heap, entry)
+                return None
+            self._live -= 1
+            handle.cancelled = True
+            return handle
+        if self._live:
+            # Raise (never assert: python -O would strip the check) --
+            # this is state corruption, not a schedulable condition.
+            raise SimulationError(
+                f"event queue reports {self._live} pending events but "
+                "holds none (live-count/heap divergence)"
+            )
+        return None
 
     def _compact(self) -> None:
         """Drop every cancelled entry in one pass.
@@ -148,7 +180,11 @@ class EventQueue:
         Entries keep their original ``(time, seq)`` keys, so heap pops
         after compaction yield the identical sequence a non-compacted
         queue would -- compaction can never perturb simulation results.
+        The list is rebuilt in place, so a reference to it taken before
+        the compaction (a cancel inside a running callback can compact)
+        stays current.
         """
-        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
-        heapq.heapify(self._heap)
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapq.heapify(heap)
         self._purges += 1

@@ -16,14 +16,13 @@ Regenerate after an *intentional* format change with::
 """
 
 import hashlib
-import itertools
 import json
 import tempfile
 from pathlib import Path
 
 import pytest
 
-import repro.core.request as request_module
+from repro.core.request import Request
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_single
 from repro.obs import AuditConfig, trace_session
@@ -53,7 +52,7 @@ FAULT_PLAN = {
 
 def golden_run(directory):
     """Run the pinned audited cell into ``directory``; returns its run
-    directory.  Caller must reset ``repro.core.request._SEQUENCE``."""
+    directory."""
     config = ExperimentConfig(
         name="golden-audit",
         schedulers=("2dfq",),
@@ -81,7 +80,6 @@ def artifact_digests(run_dir):
 
 def write_digests():
     """Re-record the committed digests (intentional changes only)."""
-    request_module._SEQUENCE = itertools.count()
     with tempfile.TemporaryDirectory() as tmp:
         digests = artifact_digests(golden_run(tmp))
     DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
@@ -89,12 +87,7 @@ def write_digests():
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
-    saved = request_module._SEQUENCE
-    request_module._SEQUENCE = itertools.count()
-    try:
-        return golden_run(tmp_path_factory.mktemp("golden-audit"))
-    finally:
-        request_module._SEQUENCE = saved
+    return golden_run(tmp_path_factory.mktemp("golden-audit"))
 
 
 @pytest.mark.parametrize("name", ARTIFACTS)
@@ -102,6 +95,15 @@ def test_artifact_bytes_match_golden_digest(run_dir, name):
     expected = json.loads(DIGESTS.read_text())
     got = hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
     assert got == expected[name], f"{name} drifted from its golden digest"
+
+
+def test_artifacts_do_not_depend_on_earlier_runs(run_dir, tmp_path):
+    """A second run of the same cell in the same process, after other
+    requests were created, exports the same bytes: every run numbers its
+    requests from seqno 0."""
+    Request(tenant_id="earlier", cost=1.0)
+    again = golden_run(tmp_path)
+    assert artifact_digests(again) == artifact_digests(run_dir)
 
 
 def test_golden_run_covers_the_instant_kinds(run_dir):
