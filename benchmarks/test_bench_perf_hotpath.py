@@ -7,7 +7,7 @@ the provenance record (seed, versions, git SHA):
 
 * ``adaptive_selection`` -- the linear-vs-index crossover sweep behind
   the ``AUTO_INDEX_HIGH``/``AUTO_INDEX_LOW`` thresholds, for the paper's
-  scheduler and the policy with the latest measured crossover;
+  scheduler and WF2Q (one eligibility slot);
 * ``observability`` -- traced and audited dequeue throughput relative to
   the disabled default (recorded, not gated: wallclock variance);
 * ``metrics_sample`` -- microseconds per periodic metrics sample over the
@@ -103,7 +103,7 @@ def test_bench_perf_hotpath(benchmark, capsys):
         benchmark,
         lambda: {
             name: measure_adaptive_crossover(name, ops=ops, repeats=repeats)
-            for name in ("2dfq", "wf2q+")
+            for name in ("2dfq", "wf2q")
         },
     )
     observability = measure_observability_overhead(

@@ -99,7 +99,7 @@ class DimensionBoundaryRule(_DataflowRule):
 
 class RngOrderingTaintRule(_DataflowRule):
     """RPR110: a seeded-RNG draw flows into ordering-sensitive scheduler
-    state (tags, deficits, heap keys, scheduler-class comparisons).
+    state (tags, heap keys, scheduler-class comparisons).
 
     Workload randomness (arrival times, costs) is legitimate; the sink
     set is restricted to scheduler classes precisely so only *dispatch
@@ -110,7 +110,7 @@ class RngOrderingTaintRule(_DataflowRule):
     name = "rng-ordering-taint"
     description = (
         "seeded-RNG draws must not reach ordering-sensitive scheduler "
-        "state (virtual-time tags, deficits, heap keys)"
+        "state (virtual-time tags, heap keys)"
     )
     kind = "rng_order"
 

@@ -35,7 +35,6 @@ _FLOAT_ATTRS = frozenset(
         "arrival_time",
         "dispatch_time",
         "completion_time",
-        "deficit",
         "virtual_time",
     }
 )

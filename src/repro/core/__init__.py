@@ -9,7 +9,6 @@ Public surface:
 * :func:`make_scheduler` -- registry-based construction.
 """
 
-from .drr import DRRScheduler
 from .fifo import FIFOScheduler
 from .msf2q import MSF2QScheduler
 from .registry import SCHEDULER_CLASSES, make_scheduler, scheduler_names
@@ -22,7 +21,6 @@ from .twodfq import TwoDFQEScheduler, TwoDFQScheduler
 from .virtual_time import VirtualClock
 from .vt_base import VirtualTimeScheduler
 from .wf2q import WF2QScheduler
-from .wf2qplus import WF2QPlusScheduler
 from .wfq import WFQScheduler
 
 __all__ = [
@@ -40,8 +38,6 @@ __all__ = [
     "WF2QScheduler",
     "MSF2QScheduler",
     "SFQScheduler",
-    "WF2QPlusScheduler",
-    "DRRScheduler",
     "TwoDFQScheduler",
     "TwoDFQEScheduler",
     "make_scheduler",

@@ -9,8 +9,6 @@ The names follow the paper's terminology:
 ``wf2q``       work-conserving multi-thread WF2Q with oracle costs
 ``msf2q``      Blanquer & Özden's multi-server WF2Q
 ``sfq``        start-time fair queuing
-``wf2q+``      WF2Q with the WF2Q+ virtual time
-``drr``        deficit round robin
 ``2dfq``       Two-Dimensional Fair Queuing with oracle costs (§4)
 ``wfq-e``      WFQ with per-tenant/API EMA estimation (§6.2 baseline)
 ``wf2q-e``     WF2Q with per-tenant/API EMA estimation (§6.2 baseline)
@@ -28,7 +26,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional, Type
 
 from ..estimation import CostEstimator, EMAEstimator
-from .drr import DRRScheduler
 from .fifo import FIFOScheduler
 from .msf2q import MSF2QScheduler
 from .round_robin import RoundRobinScheduler
@@ -37,7 +34,6 @@ from .sfq import SFQScheduler
 from .twodfq import TwoDFQEScheduler, TwoDFQScheduler
 from .vt_base import VirtualTimeScheduler
 from .wf2q import WF2QScheduler
-from .wf2qplus import WF2QPlusScheduler
 from .wfq import WFQScheduler
 
 __all__ = ["make_scheduler", "scheduler_names", "SCHEDULER_CLASSES"]
@@ -52,8 +48,6 @@ SCHEDULER_CLASSES: Dict[str, Type[Scheduler]] = {
         WF2QScheduler,
         MSF2QScheduler,
         SFQScheduler,
-        WF2QPlusScheduler,
-        DRRScheduler,
         TwoDFQScheduler,
         TwoDFQEScheduler,
     )
@@ -85,8 +79,6 @@ _FACTORIES: Dict[str, Callable[..., Scheduler]] = {
 }
 _FACTORIES["wfq-e"] = _ema_variant(WFQScheduler)
 _FACTORIES["wf2q-e"] = _ema_variant(WF2QScheduler)
-_FACTORIES["sfq-e"] = _ema_variant(SFQScheduler)
-_FACTORIES["msf2q-e"] = _ema_variant(MSF2QScheduler)
 
 
 def scheduler_names() -> list[str]:

@@ -70,9 +70,6 @@ class TenantState:
     active:
         Whether the tenant currently contributes weight to the virtual
         clock (has queued or running work).
-    deficit:
-        Deficit counter; used only by DRR, kept here so the state object
-        can be shared by every scheduler implementation.
     sel_version:
         Monotone invalidation counter owned by
         :class:`~repro.core.selection.SelectionIndex`: heap entries
@@ -92,7 +89,6 @@ class TenantState:
         "start_tag",
         "running",
         "active",
-        "deficit",
         "sel_version",
         "head_key",
     )
@@ -108,7 +104,6 @@ class TenantState:
         self.start_tag: VirtualTime = 0.0
         self.running = 0
         self.active = False
-        self.deficit: Cost = 0.0
         self.sel_version = 0
         self.head_key: Optional[HeadKey] = None
 
@@ -200,7 +195,7 @@ class Scheduler(ABC):
 
         A disabled tracer is stored as ``None`` so the hot path keeps
         its single-attribute-check fast path; only the virtual-time
-        schedulers emit events (FIFO/RR/DRR accept the attachment but
+        schedulers emit events (FIFO and round robin accept the attachment but
         have no instrumented decision points).
         """
         self._trace = (
@@ -233,7 +228,7 @@ class Scheduler(ABC):
         """Remove a queued or running request, refunding every charge.
 
         Mirrors the reconciliation ``complete()`` performs, but in the
-        other direction: the tenant's virtual-time (or deficit) state is
+        other direction: the tenant's virtual-time state is
         restored to what it would be had the request never been
         dispatched.  Returns ``True`` if the request was cancelled and
         ``False`` for a stale cancel (request already DONE or CANCELLED,

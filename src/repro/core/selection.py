@@ -50,8 +50,6 @@ ready tops.
 
 The eligibility threshold is system virtual time, which never moves
 backwards, so an entry passes each gate at most once per version.
-WF2Q+ retracting a jump after a cancel is the one exception; that
-scheduler rebuilds its index instead.
 
 Contract with cost estimators
 -----------------------------
@@ -125,8 +123,8 @@ class SelectionIndex:
         Maintain a global min-finish-tag heap (WFQ selection and the
         default work-conserving fallback).
     start:
-        Maintain a global min-start-tag heap (SFQ selection, MSF2Q
-        fallback, and the WF2Q+ virtual-time lower bound).
+        Maintain a global min-start-tag heap (SFQ selection and the
+        MSF2Q fallback).
     staggers:
         One eligibility slot (and ready heap) per entry, all fed by one
         gate heap; slot ``j`` gates on ``S_f - staggers[j] * l_head <=
@@ -387,15 +385,6 @@ class SelectionIndex:
         self._sync_start()
         entry = self._peek(self._start_heap)
         return entry[-1] if entry is not None else None  # type: ignore[return-value]
-
-    def min_start_tag(self) -> Optional[VirtualTime]:
-        """Smallest start tag over backlogged tenants (WF2Q+ virtual-time
-        lower bound), or ``None`` when the backlog is empty."""
-        if self._start_heap < 0:
-            raise SchedulerError("selection index was built without a start heap")
-        self._sync_start()
-        entry = self._peek(self._start_heap)
-        return entry[0] if entry is not None else None  # type: ignore[return-value]
 
     def min_eligible_finish(
         self, slot: int, threshold: VirtualTime

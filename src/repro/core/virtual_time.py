@@ -38,7 +38,6 @@ class VirtualClock:
     __slots__ = (
         "_capacity",
         "_value",
-        "_base",
         "_last_wallclock",
         "_active_weight",
     )
@@ -50,7 +49,6 @@ class VirtualClock:
             )
         self._capacity: Rate = float(capacity)
         self._value: VirtualTime = 0.0
-        self._base: VirtualTime = 0.0
         self._last_wallclock: SimTime = 0.0
         self._active_weight: Weight = 0.0
 
@@ -93,9 +91,7 @@ class VirtualClock:
         if now > self._last_wallclock:
             if self._active_weight > 0.0:
                 elapsed = now - self._last_wallclock
-                increment = elapsed * self._capacity / self._active_weight
-                self._value += increment
-                self._base += increment
+                self._value += elapsed * self._capacity / self._active_weight
             self._last_wallclock = now
         return self._value
 
@@ -118,28 +114,6 @@ class VirtualClock:
             )
         if self._active_weight < 1e-12:
             self._active_weight = 0.0
-
-    def jump_to(self, value: VirtualTime) -> None:
-        """Raise virtual time to ``value`` if it is ahead of the clock.
-
-        Used by the WF2Q+ virtual-time function
-        ``V(t) = max(V(t-) + dv, min_f S_f)``; never moves time backwards.
-        """
-        if value > self._value:
-            self._value = value
-
-    def rewind_jump(self, floor: VirtualTime) -> None:
-        """Retract jump elevation down to ``max(base, floor)``, where the
-        base is the wall-driven value had no jump ever happened.
-
-        Used when a cancelled request's start tag drove a ``jump_to``:
-        the next ``jump_to`` re-establishes ``V >= min_f S_f`` over the
-        surviving backlog, so retracting is self-healing.  Never moves
-        below the base, and never moves time forwards.
-        """
-        target = max(self._base, floor)
-        if target < self._value:
-            self._value = target
 
     def __repr__(self) -> str:
         return (

@@ -1,7 +1,7 @@
 """Virtual-time scheduler framework.
 
 Every tag-based fair queue scheduler in this library -- WFQ, WF2Q, MSF2Q,
-SFQ, WF2Q+, 2DFQ and their estimated variants -- is a policy on top of
+SFQ, 2DFQ and their estimated variants -- is a policy on top of
 the same bookkeeping machinery, which this module implements once:
 
 * per-tenant virtual start tags ``S_f`` (Figure 7 keeps tags per tenant
@@ -230,8 +230,7 @@ class VirtualTimeScheduler(Scheduler):
         """Build a fresh selection index and seed it with the entire
         backlog.  O(N) per call: adaptive mode's rising edge amortizes
         it against the >= AUTO_INDEX_HIGH dequeues the backlog implies
-        before the tear-down threshold can be reached; WF2Q+ pays it
-        only when a running cancel moves its virtual time backwards."""
+        before the tear-down threshold can be reached."""
         spec = self._index_spec()
         if spec is None:  # pragma: no cover - auto is disarmed in __init__
             self._auto = False
@@ -317,7 +316,6 @@ class VirtualTimeScheduler(Scheduler):
         if trace is not None:
             phase_timer = trace.registry.timer("scheduler.phase.vt_update").start()
         vnow = self._clock.advance(now)
-        vnow = self._adjust_virtual_time(vnow)
         if phase_timer is not None and trace is not None:
             phase_timer.stop()
             phase_timer = trace.registry.timer("scheduler.phase.select").start()
@@ -550,10 +548,6 @@ class VirtualTimeScheduler(Scheduler):
         return self._clock.value
 
     # -- policy hooks ---------------------------------------------------------------
-
-    def _adjust_virtual_time(self, vnow: VirtualTime) -> VirtualTime:
-        """Hook for policies that reshape virtual time (WF2Q+)."""
-        return vnow
 
     def _select(self, thread_id: int, vnow: VirtualTime) -> Optional[TenantState]:
         """Choose a backlogged tenant for ``thread_id`` at virtual time

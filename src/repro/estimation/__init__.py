@@ -9,8 +9,8 @@ The choice of estimator is the second half of the 2DFQ^E contribution:
   the baseline used by WFQ^E and WF2Q^E;
 * :class:`PessimisticEstimator` -- alpha-decayed maximum, the 2DFQ^E
   strategy that pushes unpredictable tenants toward expensive threads;
-* :class:`LastValueEstimator`, :class:`WindowedMeanEstimator` -- further
-  baselines for estimator ablations.
+* :class:`LastValueEstimator` -- the naive last-observed cost from the
+  §5 estimate-gaming example.
 """
 
 from .base import CostEstimator, KeyedEstimator
@@ -18,7 +18,6 @@ from .ema import EMAEstimator
 from .last_value import LastValueEstimator
 from .oracle import OracleEstimator
 from .pessimistic import PessimisticEstimator
-from .windowed import WindowedMeanEstimator
 
 __all__ = [
     "CostEstimator",
@@ -27,7 +26,6 @@ __all__ = [
     "EMAEstimator",
     "PessimisticEstimator",
     "LastValueEstimator",
-    "WindowedMeanEstimator",
     "make_estimator",
 ]
 
@@ -36,7 +34,6 @@ _FACTORIES = {
     "ema": EMAEstimator,
     "pessimistic": PessimisticEstimator,
     "last-value": LastValueEstimator,
-    "windowed-mean": WindowedMeanEstimator,
 }
 
 

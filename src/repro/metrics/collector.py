@@ -303,44 +303,6 @@ class RunMetrics:
             process_name=process_name,
         )
 
-    def occupancy_matrix(
-        self, t_start: SimTime, t_end: SimTime, resolution: Duration, num_threads: int
-    ) -> np.ndarray:
-        """Request-cost-per-thread-per-time grid for the Figure 8b/9b/11b
-        occupancy plots: entry ``[i, k]`` is the cost of the request
-        running on thread ``i`` during time bin ``k`` (0 when idle).
-
-        When two dispatches on the same thread share a boundary bin, the
-        record covering the larger fraction of the bin wins (ties go to
-        the later start) -- the bin shows the request that actually
-        occupied most of it, not whichever record iterated last.
-        """
-        bins = max(1, int(round((t_end - t_start) / resolution)))
-        grid = np.zeros((num_threads, bins))
-        # Winning overlap per cell; records arrive in dispatch-time
-        # order, so >= breaks exact-overlap ties toward the later start.
-        best = np.zeros((num_threads, bins))
-        for record in self.dispatch_log:
-            if record.end <= t_start or record.start >= t_end:
-                continue
-            first = max(0, int((record.start - t_start) / resolution))
-            last = min(bins, int(np.ceil((record.end - t_start) / resolution)))
-            if last <= first:
-                continue
-            edges = t_start + np.arange(first, last + 1) * resolution
-            overlap = np.minimum(record.end, edges[1:]) - np.maximum(
-                record.start, edges[:-1]
-            )
-            row = slice(first, last)
-            wins = overlap >= best[record.thread_id, row]
-            grid[record.thread_id, row] = np.where(
-                wins, record.cost, grid[record.thread_id, row]
-            )
-            best[record.thread_id, row] = np.maximum(
-                best[record.thread_id, row], overlap
-            )
-        return grid
-
     def thread_cost_partition(self, num_threads: int) -> np.ndarray:
         """Mean log10 cost of requests executed per thread.
 

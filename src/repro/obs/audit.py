@@ -56,7 +56,7 @@ class AuditConfig:
     """Thresholds for the online monitors.
 
     ``capacity`` (total service rate, threads x rate) is needed to turn
-    GPS service deficits into seconds of lag; leave it ``None`` to have
+    shortfalls against GPS service into seconds of lag; leave it ``None`` to have
     the runner fill it from the experiment config at attach time.
     """
 

@@ -155,15 +155,6 @@ class RequestSpan:
     def blocking(self) -> List[BlockingInterval]:
         return [b for attempt in self.attempts for b in attempt.blocking]
 
-    def blocked_by_tenant(self) -> Dict[str, float]:
-        """Seconds of queueing delay attributed to each blocking tenant
-        (the ``"idle"`` remainder under the ``None``-free key ``"-"``)."""
-        out: Dict[str, float] = {}
-        for interval in self.blocking:
-            key = interval.blocker_tenant if interval.kind == "running" else "-"
-            out[key] = out.get(key, 0.0) + interval.duration
-        return out
-
     def as_dict(self) -> Dict[str, Any]:
         return {
             "tenant": self.tenant,

@@ -107,8 +107,11 @@ class Simulation:
 
         When ``until`` is given, time is advanced exactly to ``until`` even
         if the last event fires earlier, so periodic samplers and service
-        accounting line up across runs.  ``max_events`` counts every event
-        this simulation has fired, over all ``run`` calls.  A NaN ``until``
+        accounting line up across runs -- unless ``max_events`` ended the
+        run while a live event is still due by ``until``: then ``now``
+        stays at the last fired event, so the next ``run`` never fires an
+        event in the past.  ``max_events`` counts every event this
+        simulation has fired, over all ``run`` calls.  A NaN ``until``
         or a negative ``max_events`` raises :class:`SimulationError`.
         """
         if self._running:
@@ -149,7 +152,9 @@ class Simulation:
                     )
                 fn(*args)
             if until is not None and self.now < until and not self._stopped:
-                self.now = until
+                due = self._queue.peek_time() if processed >= limit else None
+                if due is None or due > until:
+                    self.now = until
         finally:
             self._running = False
         return self.now

@@ -148,7 +148,6 @@ ATTRIBUTE_DIMS: Dict[str, str] = {
     "charged_cost": "cost",
     "credit": "cost",
     "reported_usage": "cost",
-    "deficit": "cost",
     # capacity and shares
     "capacity": "rate",
     "thread_rate": "rate",
@@ -164,7 +163,6 @@ ATTRIBUTE_DIMS: Dict[str, str] = {
 #: analysis cannot type (``self._clock.advance(now)``).
 CALLABLE_DIMS: Dict[str, str] = {
     "virtual_time": "virtual_time",
-    "_adjust_virtual_time": "virtual_time",
     "_finish_tag": "virtual_time",
     "_eligibility_threshold": "virtual_time",
     "_head_estimate": "cost",
@@ -237,7 +235,6 @@ ORDERING_SENSITIVE_ATTRS: FrozenSet[str] = frozenset(
         "start_tag",
         "finish_tag",
         "empty_at",
-        "deficit",
         "seqno",
         "sel_version",
         "head_key",

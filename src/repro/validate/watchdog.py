@@ -13,10 +13,8 @@ event context.
 Invariant catalogue (DESIGN.md §11):
 
 ``vt-monotonic``
-    System virtual time never decreases (checked after every call, for
-    virtual-time schedulers).  ``cancel`` is a reset point: a refund may
-    retract WF2Q+ jump elevation the surviving backlog no longer
-    supports, so monotonicity is re-based at the post-cancel value.
+    System virtual time never decreases (checked after every call,
+    ``cancel`` included, for virtual-time schedulers).
 ``work-conservation``
     ``dequeue`` never returns ``None`` while requests are queued
     (paper §2, "Desirable Properties").
@@ -303,11 +301,7 @@ class ValidatingScheduler:
             )
         if self._is_vt:
             vt = inner.virtual_clock.value
-            if op == "cancel":
-                # A cancel refund may retract WF2Q+ jump elevation the
-                # surviving backlog no longer supports; re-base here.
-                self._last_vt = vt
-            elif vt < self._last_vt - _EPS * max(1.0, abs(self._last_vt)):
+            if vt < self._last_vt - _EPS * max(1.0, abs(self._last_vt)):
                 self._violate(
                     "vt-monotonic",
                     f"virtual time moved backwards: {vt} < {self._last_vt}",

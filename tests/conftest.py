@@ -7,8 +7,28 @@ from typing import Dict, List, Optional, Tuple
 
 import pytest
 
+from repro.core import MSF2QScheduler, SFQScheduler, make_scheduler, scheduler_names
 from repro.core.request import Request
 from repro.core.scheduler import Scheduler
+from repro.estimation import EMAEstimator
+
+#: SFQ and MSF2Q driven by the EMA estimator.  The registry names no such
+#: pairing (the paper's EMA baselines are WFQ^E and WF2Q^E, §6.2); tests
+#: build them here so both policies stay covered under estimated costs.
+EMA_POLICIES = {"sfq-e": SFQScheduler, "msf2q-e": MSF2QScheduler}
+
+#: Every registry name plus the two EMA pairings above.
+TEST_SCHEDULERS = sorted(scheduler_names() + list(EMA_POLICIES))
+
+
+def build_scheduler(
+    name: str, num_threads: int, thread_rate: float = 1.0, **kwargs
+) -> Scheduler:
+    """``make_scheduler``, extended to the names in :data:`EMA_POLICIES`."""
+    policy = EMA_POLICIES.get(name)
+    if policy is None:
+        return make_scheduler(name, num_threads, thread_rate, **kwargs)
+    return policy(num_threads, thread_rate, estimator=EMAEstimator(), **kwargs)
 
 
 def make_request(
@@ -38,8 +58,7 @@ class SchedulerHarness:
     def run(self, horizon: float) -> List[Tuple[float, int, str]]:
         scheduler = self.scheduler
         # Two initial requests per tenant so queues never drain at
-        # dequeue time (a drained DRR flow forfeits its deficit, which
-        # would make a window-1 closed loop spuriously unfair).
+        # dequeue time.
         for tenant, cost in self.costs.items():
             scheduler.enqueue(make_request(tenant, cost), 0.0)
         for tenant, cost in self.costs.items():

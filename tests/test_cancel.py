@@ -1,8 +1,8 @@
 """The cancellation path through the scheduler stack.
 
 Every scheduler implements ``cancel(request, now)`` with exact charge
-refunds: a cancelled request leaves the scheduler's virtual-time (or
-deficit) state as if it had never been dispatched, mirroring the
+refunds: a cancelled request leaves the scheduler's virtual-time state
+as if it had never been dispatched, mirroring the
 ``complete()`` reconciliation in the other direction.  The property
 tests at the bottom pin the two race orderings:
 
@@ -19,14 +19,15 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import make_scheduler, scheduler_names
+from repro.core import make_scheduler
 from repro.core.request import Request, RequestPhase
 from repro.core.vt_base import VirtualTimeScheduler
 
-ALL_SCHEDULERS = scheduler_names()
+from conftest import TEST_SCHEDULERS as ALL_SCHEDULERS, build_scheduler
+
 VT_SCHEDULERS = [
     n for n in ALL_SCHEDULERS
-    if isinstance(make_scheduler(n, num_threads=1), VirtualTimeScheduler)
+    if isinstance(build_scheduler(n, num_threads=1), VirtualTimeScheduler)
 ]
 
 APPROX = dict(rel=1e-9, abs=1e-12)
@@ -41,7 +42,6 @@ def state_snapshot(scheduler):
             "queued": len(state.queue),
             "running": state.running,
             "active": state.active,
-            "deficit": state.deficit,
         }
     snap = {"backlog": scheduler.backlog, "tenants": tenants}
     clock = getattr(scheduler, "virtual_clock", None)
@@ -60,7 +60,6 @@ def assert_snapshots_match(got, want):
         assert other["running"] == state["running"], tid
         assert other["active"] == state["active"], tid
         assert other["start_tag"] == pytest.approx(state["start_tag"], **APPROX)
-        assert other["deficit"] == pytest.approx(state["deficit"], **APPROX)
     if "vt" in want:
         assert got["vt"] == pytest.approx(want["vt"], **APPROX)
         assert got["active_weight"] == pytest.approx(
@@ -71,7 +70,7 @@ def assert_snapshots_match(got, want):
 class TestCancelQueued:
     @pytest.mark.parametrize("name", ALL_SCHEDULERS)
     def test_cancel_queued_removes_and_counts(self, name):
-        scheduler = make_scheduler(name, num_threads=2)
+        scheduler = build_scheduler(name, num_threads=2)
         keep = Request(tenant_id="A", cost=1.0)
         victim = Request(tenant_id="B", cost=4.0)
         scheduler.enqueue(keep, 0.0)
@@ -86,7 +85,7 @@ class TestCancelQueued:
 
     @pytest.mark.parametrize("name", ALL_SCHEDULERS)
     def test_cancel_is_idempotent(self, name):
-        scheduler = make_scheduler(name, num_threads=1)
+        scheduler = build_scheduler(name, num_threads=1)
         victim = Request(tenant_id="A", cost=1.0)
         scheduler.enqueue(victim, 0.0)
         assert scheduler.cancel(victim, 0.0) is True
@@ -95,7 +94,7 @@ class TestCancelQueued:
 
     @pytest.mark.parametrize("name", ALL_SCHEDULERS)
     def test_cancel_unknown_request_is_false(self, name):
-        scheduler = make_scheduler(name, num_threads=1)
+        scheduler = build_scheduler(name, num_threads=1)
         scheduler.enqueue(Request(tenant_id="A", cost=1.0), 0.0)
         stranger = Request(tenant_id="Z", cost=1.0)
         assert scheduler.cancel(stranger, 0.0) is False
@@ -127,7 +126,7 @@ class TestCancelQueued:
 
     @pytest.mark.parametrize("name", VT_SCHEDULERS)
     def test_cancelling_last_request_idles_tenant(self, name):
-        scheduler = make_scheduler(name, num_threads=1)
+        scheduler = build_scheduler(name, num_threads=1)
         victim = Request(tenant_id="A", cost=2.0)
         scheduler.enqueue(victim, 0.0)
         state = scheduler.tenant_state("A")
@@ -140,7 +139,7 @@ class TestCancelQueued:
 class TestCancelRunning:
     @pytest.mark.parametrize("name", VT_SCHEDULERS)
     def test_refund_restores_start_tag(self, name):
-        scheduler = make_scheduler(name, num_threads=2)
+        scheduler = build_scheduler(name, num_threads=2)
         keep = Request(tenant_id="A", cost=1.0)
         victim = Request(tenant_id="A", cost=4.0)
         scheduler.enqueue(keep, 0.0)
@@ -158,7 +157,7 @@ class TestCancelRunning:
     def test_refund_covers_refresh_overage(self, name):
         # Refresh past the credit pushes the tag; the cancel refund must
         # return it too (charge = reported_usage + credit).
-        scheduler = make_scheduler(name, num_threads=1)
+        scheduler = build_scheduler(name, num_threads=1)
         victim = Request(tenant_id="A", cost=10.0)
         scheduler.enqueue(victim, 0.0)
         tag_idle = scheduler.tenant_state("A").start_tag
@@ -171,23 +170,9 @@ class TestCancelRunning:
             tag_idle, **APPROX
         )
 
-    def test_drr_refunds_deficit(self):
-        scheduler = make_scheduler("drr", num_threads=1)
-        victim = Request(tenant_id="A", cost=5.0)
-        filler = Request(tenant_id="A", cost=1.0)
-        scheduler.enqueue(victim, 0.0)
-        scheduler.enqueue(filler, 0.0)
-        dispatched = scheduler.dequeue(0, 0.0)
-        assert dispatched is victim
-        deficit_after_dispatch = scheduler.tenant_state("A").deficit
-        assert scheduler.cancel(victim, 0.0)
-        assert scheduler.tenant_state("A").deficit == pytest.approx(
-            deficit_after_dispatch + victim.cost
-        )
-
     @pytest.mark.parametrize("name", ALL_SCHEDULERS)
     def test_stale_complete_after_cancel_is_noop(self, name):
-        scheduler = make_scheduler(name, num_threads=1)
+        scheduler = build_scheduler(name, num_threads=1)
         victim = Request(tenant_id="A", cost=2.0)
         scheduler.enqueue(victim, 0.0)
         scheduler.dequeue(0, 0.0)
@@ -223,8 +208,8 @@ def test_cancel_orderings_match_never_submitting(
     have been submitted.  In the complete-then-cancel ordering the stale
     cancel must leave the post-completion state untouched, exactly.
     """
-    test = make_scheduler(name, num_threads=2)
-    control = make_scheduler(name, num_threads=2)
+    test = build_scheduler(name, num_threads=2)
+    control = build_scheduler(name, num_threads=2)
     for scheduler in (test, control):
         scheduler.enqueue(Request(tenant_id="A", cost=cost_a), 0.0)
         scheduler.enqueue(Request(tenant_id="B", cost=cost_b), 0.0)
@@ -271,8 +256,8 @@ def test_queued_cancel_matches_never_submitting(name, cost_victim):
     """Cancelling a still-queued request also restores the
     never-submitted state (nothing was charged; only backlog structures
     must be repaired)."""
-    test = make_scheduler(name, num_threads=2)
-    control = make_scheduler(name, num_threads=2)
+    test = build_scheduler(name, num_threads=2)
+    control = build_scheduler(name, num_threads=2)
     for scheduler in (test, control):
         scheduler.enqueue(Request(tenant_id="A", cost=1.0), 0.0)
         scheduler.dequeue(0, 0.0)

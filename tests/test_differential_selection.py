@@ -9,13 +9,12 @@ These tests run the two modes side by side:
   refresh charging, open-loop arrival traces);
 * on seeded random workloads (random weights, arrival times, APIs and
   costs) through a direct scheduler driver with interleaved refreshes --
-  a property-style loop over many seeds and all eight schedulers;
+  a property-style loop over many seeds and every indexed scheduler;
 * traced, comparing whole decision-event streams -- which pins the
   index's eligibility counts (the ``eligible`` field of ``select``
   events) against the linear scans, across adaptive index activation
   and teardown, up to the 32-thread pools the production cells run;
-* with running requests cancelled mid-run, which moves WF2Q+'s virtual
-  time backwards.
+* with running requests cancelled mid-run.
 """
 
 from __future__ import annotations
@@ -39,10 +38,12 @@ from repro.simulator.server import ThreadPoolServer
 from repro.workloads.azure import random_tenants
 from repro.workloads.build import attach_specs
 
+from conftest import build_scheduler
+
 #: Every virtual-time scheduler with an indexed path, covering all three
 #: estimator families: oracle (plain names), pessimistic (2dfq-e), and
-#: EMA (wf2q-e / sfq-e).
-ALL_EIGHT = ["wfq", "sfq", "wf2q", "wf2q+", "msf2q", "2dfq", "2dfq-e", "wf2q-e"]
+#: EMA (wf2q-e).
+INDEXED_SCHEDULERS = ["wfq", "sfq", "wf2q", "msf2q", "2dfq", "2dfq-e", "wf2q-e"]
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +134,7 @@ def rebuild(requests):
 
 
 class TestDifferentialDirect:
-    @pytest.mark.parametrize("name", ALL_EIGHT)
+    @pytest.mark.parametrize("name", INDEXED_SCHEDULERS)
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_indexed_matches_linear_scan(self, name, seed):
         trace = random_timed_requests(seed)
@@ -153,7 +154,7 @@ class TestDifferentialDirect:
             trace = random_timed_requests(11, num_tenants=4, count=80)
             runs = []
             for indexed in (False, True):
-                s = make_scheduler(
+                s = build_scheduler(
                     name, num_threads=num_threads, thread_rate=10.0, indexed=indexed
                 )
                 runs.append(drive_trace(s, rebuild(trace), num_threads=num_threads))
@@ -353,7 +354,7 @@ class TestAdaptiveSelection:
             s.enqueue(Request(tenant_id=f"r{j}", cost=1.0), now)
         assert s.indexed
 
-    @pytest.mark.parametrize("name", ["2dfq", "wf2q+", "2dfq-e"])
+    @pytest.mark.parametrize("name", ["2dfq", "wf2q", "2dfq-e"])
     def test_auto_identical_across_transitions(self, name):
         """A trace that ramps the backlog over HIGH and back under LOW
         (twice) dispatches identically in all three selection modes --
@@ -425,7 +426,7 @@ class TestTracedDifferential:
     index and from a backlog scan on the linear path, so this is the
     test that pins the gate histogram."""
 
-    @pytest.mark.parametrize("name", ALL_EIGHT)
+    @pytest.mark.parametrize("name", INDEXED_SCHEDULERS)
     def test_event_rows_identical_across_transitions(self, name):
         streams = assert_streams_identical(name, ramped_trace(5), num_threads=4)
         assert streams[True][1] == {True}
@@ -433,7 +434,7 @@ class TestTracedDifferential:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        name=st.sampled_from(ALL_EIGHT),
+        name=st.sampled_from(INDEXED_SCHEDULERS),
         num_tenants=st.integers(2, 48),
         num_threads=st.integers(1, 6),
         max_exponent=st.sampled_from([0.0, 1.0, 2.5]),
@@ -502,12 +503,10 @@ def drive_with_cancels(scheduler, seed, num_threads=3, num_tenants=41, steps=400
 
 
 class TestCancelDifferential:
-    """Cancelling a running request refunds its charge; under WF2Q+ that
-    can retract a jump of the virtual-time function, moving the
-    eligibility threshold backwards.  The index must still dispatch
-    exactly like the linear scan."""
+    """Cancelling a running request refunds its charge; the index must
+    still dispatch exactly like the linear scan."""
 
-    @pytest.mark.parametrize("name", ["wf2q+", "2dfq", "wf2q"])
+    @pytest.mark.parametrize("name", ["msf2q", "2dfq", "wf2q"])
     def test_running_cancels_identical_across_modes(self, name):
         for seed in range(12):
             orders = [

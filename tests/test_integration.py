@@ -11,7 +11,7 @@ from repro.workloads import attach_specs, named_tenants
 
 class TestFullStackSmoke:
     @pytest.mark.parametrize("name", ["fifo", "wfq", "wf2q", "2dfq", "2dfq-e",
-                                      "wfq-e", "drr", "sfq", "round-robin"])
+                                      "wfq-e", "msf2q", "sfq", "round-robin"])
     def test_server_runs_every_scheduler(self, name):
         sim = Simulation()
         scheduler = make_scheduler(name, num_threads=4, thread_rate=100.0)

@@ -199,10 +199,11 @@ class TestCollector:
 
     def test_dispatch_log_and_occupancy(self):
         result = self._run()
-        assert result.dispatch_log
-        grid = result.occupancy_matrix(0.0, 2.0, 0.1, 2)
-        assert grid.shape == (2, 20)
-        assert (grid > 0).any()
+        log = result.dispatch_log
+        assert log
+        # Both threads ran work, each record a positive-cost interval.
+        assert {record.thread_id for record in log} == {0, 1}
+        assert all(record.cost > 0 and record.start < record.end for record in log)
 
     def test_partition_measure_under_2dfq(self):
         result = self._run("2dfq")
@@ -327,47 +328,6 @@ class TestCollector:
         assert times.min() == pytest.approx(0.5)
         result_past = self._warmup_run(warmup=0.55)
         assert result_past.service_series("A").times.min() == pytest.approx(0.6)
-
-
-class TestOccupancyBoundaryBins:
-    def _metrics(self, dispatch_log):
-        partial = MetricsPartial(sample_interval=0.1)
-        partial.dispatch_log.extend(dispatch_log)
-        return RunMetrics(partial)
-
-    def test_shared_bin_goes_to_larger_overlap(self):
-        # Regression: the record iterated later used to overwrite shared
-        # boundary bins unconditionally.  Bin [1, 2): the first record
-        # covers 0.6 of it, the second only 0.4 -- the first must win.
-        from repro.metrics.collector import DispatchRecord
-
-        log = [
-            DispatchRecord(0, "A", "x", 5.0, start=0.0, end=1.6),
-            DispatchRecord(0, "B", "y", 7.0, start=1.6, end=3.0),
-        ]
-        grid = self._metrics(log).occupancy_matrix(0.0, 3.0, 1.0, 1)
-        assert grid[0].tolist() == [5.0, 5.0, 7.0]
-
-    def test_shared_bin_tie_goes_to_later_start(self):
-        from repro.metrics.collector import DispatchRecord
-
-        log = [
-            DispatchRecord(0, "A", "x", 5.0, start=0.0, end=1.5),
-            DispatchRecord(0, "B", "y", 7.0, start=1.5, end=3.0),
-        ]
-        grid = self._metrics(log).occupancy_matrix(0.0, 3.0, 1.0, 1)
-        assert grid[0].tolist() == [5.0, 7.0, 7.0]
-
-    def test_full_bins_unaffected(self):
-        from repro.metrics.collector import DispatchRecord
-
-        log = [
-            DispatchRecord(0, "A", "x", 2.0, start=0.0, end=2.0),
-            DispatchRecord(1, "B", "y", 3.0, start=0.0, end=1.0),
-        ]
-        grid = self._metrics(log).occupancy_matrix(0.0, 2.0, 1.0, 2)
-        assert grid[0].tolist() == [2.0, 2.0]
-        assert grid[1].tolist() == [3.0, 0.0]
 
 
 def _late_joiner_run(warmup=0.0):

@@ -19,8 +19,7 @@ from repro.core.request import Request
 from repro.core.scheduler import TenantState
 from repro.core.virtual_time import VirtualClock
 from repro.errors import ConfigurationError, WorkloadError
-from repro.estimation import EMAEstimator, PessimisticEstimator
-from repro.estimation.windowed import WindowedMeanEstimator
+from repro.estimation import EMAEstimator, LastValueEstimator, PessimisticEstimator
 from repro.simulator import Simulation, ThreadPoolServer
 from repro.workloads import FixedCost, TenantSpec
 
@@ -47,7 +46,7 @@ def test_virtual_clock_capacity(value):
         VirtualClock(value)
 
 
-@pytest.mark.parametrize("name", ["fifo", "drr", "wfq", "2dfq"])
+@pytest.mark.parametrize("name", ["fifo", "round-robin", "wfq", "2dfq"])
 @pytest.mark.parametrize("value", NON_FINITE)
 def test_scheduler_thread_rate(name, value):
     with pytest.raises(ConfigurationError, match="finite"):
@@ -69,7 +68,7 @@ def test_server_refresh_interval(value):
 
 
 @pytest.mark.parametrize(
-    "estimator", [EMAEstimator, PessimisticEstimator, WindowedMeanEstimator]
+    "estimator", [EMAEstimator, PessimisticEstimator, LastValueEstimator]
 )
 @pytest.mark.parametrize("value", NON_FINITE)
 def test_estimator_initial_estimate(estimator, value):

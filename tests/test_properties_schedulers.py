@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import make_scheduler
 from repro.core.request import Request
 
-FAIR_SCHEDULERS = ["wfq", "wf2q", "msf2q", "sfq", "wf2q+", "2dfq", "drr"]
+FAIR_SCHEDULERS = ["wfq", "wf2q", "msf2q", "sfq", "2dfq"]
 ALL_SCHEDULERS = FAIR_SCHEDULERS + ["fifo", "round-robin", "2dfq-e", "wfq-e"]
 
 tenant_ids = st.sampled_from(["A", "B", "C", "D"])

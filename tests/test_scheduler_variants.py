@@ -1,18 +1,13 @@
 """Behavioural tests specific to the baseline scheduler variants."""
 
-import pytest
-
 from repro.core import (
-    DRRScheduler,
     MSF2QScheduler,
     SFQScheduler,
-    WF2QPlusScheduler,
     WF2QScheduler,
     WFQScheduler,
 )
-from repro.estimation import LastValueEstimator
 
-from conftest import SchedulerHarness, make_request
+from conftest import make_request
 
 
 class TestWF2QEligibility:
@@ -67,67 +62,6 @@ class TestSFQ:
         assert first.tenant_id == "B"
         # B's start advanced by 1; A still at 0 -> A next.
         assert s.dequeue(0, 0.0).tenant_id == "A"
-
-
-class TestWF2QPlus:
-    def test_virtual_time_jumps_to_min_start(self):
-        s = WF2QPlusScheduler(num_threads=1)
-        s.enqueue(make_request("A", 10.0), 0.0)
-        s.dequeue(0, 0.0)
-        s.enqueue(make_request("A", 10.0), 0.0)
-        # v(0) = 0 but min start tag is 10; the WF2Q+ virtual time
-        # function lifts v so the request is genuinely eligible.
-        s.dequeue(0, 0.0)
-        assert s.virtual_clock.value >= 10.0
-
-    def test_same_long_run_fairness_as_wf2q(self):
-        costs = {"small": 1.0, "big": 8.0}
-        plus = SchedulerHarness(WF2QPlusScheduler(num_threads=2), costs)
-        plus.run(200.0)
-        service = plus.service_by_tenant(horizon=180.0)
-        assert service["small"] == pytest.approx(service["big"], rel=0.25)
-
-
-class TestDRR:
-    def test_quantum_accumulates_for_large_requests(self):
-        s = DRRScheduler(num_threads=1, quantum=2.0)
-        s.enqueue(make_request("A", 5.0), 0.0)
-        s.enqueue(make_request("A", 5.0), 0.0)
-        s.enqueue(make_request("B", 1.0), 0.0)
-        s.enqueue(make_request("B", 1.0), 0.0)
-        # A needs three visits (deficit 2, 4, 6) before affording 5.
-        order = [s.dequeue(0, 0.0).tenant_id for _ in range(4)]
-        assert order.count("A") == 2 and order.count("B") == 2
-
-    def test_adaptive_quantum_grows(self):
-        s = DRRScheduler(num_threads=1)
-        assert s.quantum == 1.0
-        s.enqueue(make_request("A", 500.0), 0.0)
-        s.dequeue(0, 0.0)
-        assert s.quantum == 500.0
-
-    def test_configured_quantum_respected(self):
-        s = DRRScheduler(num_threads=1, quantum=64.0)
-        s.enqueue(make_request("A", 500.0), 0.0)
-        s.dequeue(0, 0.0)
-        assert s.quantum == 64.0
-
-    def test_invalid_quantum(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            DRRScheduler(num_threads=1, quantum=0.0)
-
-    def test_estimated_costs_reconciled(self):
-        est = LastValueEstimator(initial_estimate=1.0)
-        s = DRRScheduler(num_threads=1, estimator=est, quantum=10.0)
-        s.enqueue(make_request("A", 100.0), 0.0)
-        s.enqueue(make_request("A", 1.0), 0.0)
-        out = s.dequeue(0, 0.0)  # charged 1 (estimate)
-        assert out.charged_cost == 1.0
-        s.complete(out, 100.0, 100.0)
-        # Retroactive: the extra 99 is debited from A's deficit.
-        assert s.tenant_state("A").deficit == pytest.approx(10.0 - 1.0 - 99.0)
 
 
 class TestFIFOandRR:

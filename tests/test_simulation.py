@@ -124,6 +124,17 @@ class TestRunSemantics:
         sim.run(until=5.0, max_events=1)
         assert seen == [1.0]
 
+    def test_max_events_cut_keeps_clock_before_due_events(self):
+        # The clock used to move to `until` past the t=2 event, which the
+        # next run then fired with `now` going from 5.0 back to 2.0.
+        sim = Simulation()
+        seen = []
+        for t in (1.0, 2.0):
+            sim.at(t, lambda: seen.append(sim.now))
+        assert sim.run(until=5.0, max_events=1) == 1.0
+        assert sim.run(until=6.0) == 6.0
+        assert seen == [1.0, 2.0]
+
     def test_stop_from_callback(self):
         sim = Simulation()
         seen = []
@@ -269,8 +280,11 @@ def run_random_program(seed, budget=300):
             continue
         due = [key for key in pending.values() if until is None or key[0] <= until]
         assert (max_events is not None and len(fired) >= max_events) or not due
+        # A run that max_events cut short with an event still due by
+        # ``until`` stops at its last fired event; any other run with a
+        # horizon ends exactly at it.
         expected = last_time
-        if until is not None and expected < until:
+        if until is not None and expected < until and not due:
             expected = until
         assert sim.now == expected
     return len(fired), state["purges"]

@@ -67,6 +67,15 @@ class ShortchargingScheduler(TwoDFQScheduler):
         request.reported_usage = request.cost * 0.5  # the seeded bug
 
 
+class RewindingScheduler(TwoDFQScheduler):
+    """Drags system virtual time backwards when it cancels."""
+
+    def cancel(self, request, now):
+        cancelled = super().cancel(request, now)
+        self._clock._value -= 1.0  # the seeded bug
+        return cancelled
+
+
 def without_touch(cls, method_name):
     """A subclass whose ``method_name`` skips the head-key invalidation
     (``_touch``) it would otherwise make."""
@@ -124,6 +133,16 @@ class TestMutants:
         with pytest.raises(InvariantViolation) as excinfo:
             watched.complete(request, request.cost, 1.0)
         assert excinfo.value.code == "charge-reconciliation"
+
+    def test_rewinding_cancel_caught_as_vt_monotonic(self):
+        # No scheduler may lower virtual time, a cancel refund included.
+        watched = ValidatingScheduler(RewindingScheduler(num_threads=1))
+        _, b = drive_two(watched)
+        watched.dequeue(0, 0.0)
+        with pytest.raises(InvariantViolation) as excinfo:
+            watched.cancel(b, 1.0)
+        assert excinfo.value.code == "vt-monotonic"
+        assert excinfo.value.context["op"] == "cancel"
 
     def test_foreign_complete_caught_as_lost_request(self):
         inner = TwoDFQScheduler(num_threads=1)
@@ -258,7 +277,7 @@ class TestCleanRuns:
         ]
         config = ExperimentConfig(
             name="watchdog-diff",
-            schedulers=("2dfq", "wfq", "drr"),
+            schedulers=("2dfq", "wfq", "round-robin"),
             num_threads=2,
             thread_rate=1.0,
             duration=3.0,

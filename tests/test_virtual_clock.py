@@ -90,12 +90,3 @@ class TestWeightAccounting:
             clock.remove_weight(0.1, 0.0)
         assert clock.active_weight == 0.0
         assert clock.rate == 0.0
-
-
-class TestJump:
-    def test_jump_forward_only(self):
-        clock = VirtualClock(10.0)
-        clock.jump_to(5.0)
-        assert clock.value == 5.0
-        clock.jump_to(3.0)
-        assert clock.value == 5.0
