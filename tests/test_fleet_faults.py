@@ -176,6 +176,57 @@ class TestFleetInjectorDispatch:
         assert injector.counts["abandoned"] == 1
         assert [r.tenant_id for r in abandoned] == ["probe"]
 
+    def test_fleet_deadline_fault_sequence_is_pinned(self):
+        # The scenario above, traced: the exact fault rows (times carry
+        # the ("fleet-faults", "jitter") backoff draws) and the counts.
+        sim, fleet = build_fleet(num_servers=2, failover=None)
+        tracer = Tracer("fleet-deadlines")
+        fleet.attach_tracer(tracer)
+        for server in fleet.servers:
+            for _ in range(4):
+                server.submit(Request(tenant_id="bg", cost=1000.0))
+        plan = FaultPlan(
+            deadlines=(
+                DeadlinePolicy(
+                    deadline=0.1,
+                    max_retries=2,
+                    backoff=0.01,
+                    tenants=("probe",),
+                ),
+            )
+        )
+        injector = FleetInjector(fleet, plan)
+        injector.install()
+        probe = Request(tenant_id="probe", cost=5.0)
+        fleet.submit(probe)
+        sim.run(until=5.0)
+        rows = []
+        for kind, t, _, tenant, keys, values in tracer.rows:
+            if kind == FAULT:
+                data = dict(zip(keys, values))
+                assert tenant == "probe" and data["seqno"] == probe.seqno
+                rows.append((t, data["fault"], data.get("attempt")))
+        assert rows == [
+            (0.1, "deadline_expired", None),
+            (0.11087545593330252, "retry", 1),
+            (0.21087545593330254, "deadline_expired", None),
+            (0.2318920003594401, "retry", 2),
+            (0.3318920003594401, "deadline_expired", None),
+            (0.3318920003594401, "abandoned", None),
+        ]
+        assert injector.counts == {
+            "server_crashes": 0,
+            "server_restarts": 0,
+            "server_slowdowns": 0,
+            "deadline_expiries": 3,
+            "retries": 2,
+            "abandoned": 1,
+        }
+        assert fleet.counts["admitted"] == 3
+        assert fleet.counts["routed"] == 3
+        assert fleet.counts["abandoned"] == 1
+        assert fleet.counts["completed"] == 0
+
 
 class TestFleetFlightRecorder:
     def make_traced_fleet(self, recorder, **kwargs):
