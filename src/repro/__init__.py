@@ -45,7 +45,6 @@ from .errors import (
     SimulationError,
     WorkloadError,
 )
-from .estimation import make_estimator
 from .simulator import GPSReference, Simulation, ThreadPoolServer
 
 __version__ = "1.0.0"
@@ -58,7 +57,6 @@ __all__ = [
     "TwoDFQEScheduler",
     "make_scheduler",
     "scheduler_names",
-    "make_estimator",
     "Simulation",
     "ThreadPoolServer",
     "GPSReference",

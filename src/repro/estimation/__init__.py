@@ -26,26 +26,4 @@ __all__ = [
     "EMAEstimator",
     "PessimisticEstimator",
     "LastValueEstimator",
-    "make_estimator",
 ]
-
-_FACTORIES = {
-    "oracle": OracleEstimator,
-    "ema": EMAEstimator,
-    "pessimistic": PessimisticEstimator,
-    "last-value": LastValueEstimator,
-}
-
-
-def make_estimator(name: str, **kwargs) -> CostEstimator:
-    """Construct an estimator by registry name.
-
-    >>> make_estimator("ema", alpha=0.9).alpha
-    0.9
-    """
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
-        known = ", ".join(sorted(_FACTORIES))
-        raise KeyError(f"unknown estimator {name!r}; known: {known}") from None
-    return factory(**kwargs)

@@ -38,7 +38,7 @@ which the ablation table makes visible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.registry import make_scheduler
 from ..core.request import restart_seqnos
@@ -51,8 +51,7 @@ from ..fleet import (
     router_names,
 )
 from ..metrics.collector import RunMetrics
-from ..obs.flight import FlightRecorder
-from ..obs.session import current_session
+from ..obs.session import RunTelemetry
 from ..obs.tracer import Tracer
 from ..simulator.clock import Simulation
 from ..simulator.server import ThreadPoolServer
@@ -180,13 +179,15 @@ def run_fleet(
     watchdog *and* audits cross-server conservation with a
     :class:`~repro.validate.FleetConservationLedger`.
 
-    Observability follows the single-server runner's contract: inside an
-    active trace session (the figures CLI's ``--trace``) the run gets a
-    session tracer labelled ``name``, a flight recorder riding the
-    tracer sink (fleet crash/failover events are FAULT-kind triggers,
-    so every detection and drain leaves a dump), and its artifacts are
-    exported when the run ends.  Requests are numbered from seqno 0 in
-    every run.
+    Observability is the single-server runner's
+    :class:`~repro.obs.session.RunTelemetry`: inside an active trace
+    session (the figures CLI's ``--trace``) the run gets a session
+    tracer labelled ``name``, a flight recorder riding the tracer sink
+    (fleet crash/failover events are FAULT-kind triggers, so every
+    detection and drain leaves a dump), and its artifacts are exported
+    when the run ends -- also when the watchdog or the ledger's
+    ``verify()`` raises, with an ``aborted`` manifest block.  Requests
+    are numbered from seqno 0 in every run.
     """
     validate = validate or env_validate()
     restart_seqnos()
@@ -215,19 +216,13 @@ def run_fleet(
         failure_threshold=failure_threshold,
         seed=seed,
     )
-    session = current_session() if tracer is None else None
-    if session is not None:
-        tracer = session.tracer(name)
-    flight: Optional[FlightRecorder] = None
-    if tracer is not None and tracer.enabled:
-        tracer.registry.set_clock(lambda: sim.now)
+    telemetry = RunTelemetry(sim, name, tracer)
+    tracer = telemetry.tracer
+    if tracer is not None:
         fleet.attach_tracer(tracer)
         for server in servers:
             server.attach_tracer(tracer)
             server.scheduler.attach_tracer(tracer)
-        if session is not None:
-            flight = FlightRecorder(capacity=session.flight_events)
-            tracer.add_sink(flight.on_event)
     collector = FleetCollector(
         fleet, sample_interval=sample_interval, warmup=warmup
     )
@@ -241,19 +236,16 @@ def run_fleet(
             capacity=num_servers * num_threads * thread_rate
         )
     attach_specs(fleet, specs, seed=seed, duration=duration)
-    sim.run(until=duration)
-    if ledger is not None:
-        ledger.verify()
-    if session is not None and tracer is not None:
-        extra: Dict[str, object] = {"fleet": dict(fleet.counts)}
+
+    def manifest() -> Dict[str, Any]:
+        extra: Dict[str, Any] = {"fleet": dict(fleet.counts)}
         if injector is not None:
             extra["faults"] = dict(injector.counts)
         if ledger is not None:
             extra["validation"] = {"violations": list(ledger.errors)}
-        session.export_run(
-            tracer,
-            seed=seed,
-            config={
+        return {
+            "seed": seed,
+            "config": {
                 "name": name,
                 "scheduler": scheduler,
                 "num_servers": num_servers,
@@ -265,9 +257,14 @@ def run_fleet(
                 "health_interval": health_interval,
                 "failure_threshold": failure_threshold,
             },
-            extra=extra,
-            flight=flight,
-        )
+            "extra": extra,
+        }
+
+    with telemetry.exporting_aborts(manifest):
+        sim.run(until=duration)
+        if ledger is not None:
+            ledger.verify()
+    telemetry.export(manifest)
     return FleetRunResult(
         metrics=collector.result(),
         counts=dict(fleet.counts),

@@ -27,8 +27,7 @@ from ..core.scheduler import Scheduler
 from ..faults.injector import FaultInjector
 from ..metrics.collector import MetricsCollector, RunMetrics
 from ..obs.audit import FairnessAuditor
-from ..obs.flight import FlightRecorder
-from ..obs.session import current_session
+from ..obs.session import RunTelemetry
 from ..obs.tracer import Tracer
 from ..validate import ValidatingScheduler, env_validate
 from ..simulator.clock import Simulation
@@ -122,30 +121,23 @@ def run_single(
         record_dispatches=config.record_dispatches,
         warmup=config.warmup,
     )
-    session = current_session() if tracer is None else None
-    if session is not None:
-        tracer = session.tracer(f"{config.name}--{scheduler_name}")
-    flight: Optional[FlightRecorder] = None
-    if tracer is not None and tracer.enabled:
-        # Registry timers report in deterministic sim-time while attached
-        # to a run (ISSUE satellite: injectable clock).
-        tracer.registry.set_clock(lambda: sim.now)
+    telemetry = RunTelemetry(sim, f"{config.name}--{scheduler_name}", tracer)
+    session = telemetry.session
+    tracer = telemetry.tracer
+    if tracer is not None:
         scheduler.attach_tracer(tracer)
         estimator = getattr(scheduler, "estimator", None)
         if estimator is not None:
             estimator.attach_tracer(tracer)
         server.attach_tracer(tracer)
         collector.attach_tracer(tracer)
-        if session is not None:
-            flight = FlightRecorder(capacity=session.flight_events)
-            tracer.add_sink(flight.on_event)
-            if auditor is None and session.audit is not None:
-                audit_config = session.audit
-                if audit_config.capacity is None:
-                    audit_config = dataclasses.replace(
-                        audit_config, capacity=config.capacity
-                    )
-                auditor = FairnessAuditor(audit_config, tracer)
+        if auditor is None and session is not None and session.audit is not None:
+            audit_config = session.audit
+            if audit_config.capacity is None:
+                audit_config = dataclasses.replace(
+                    audit_config, capacity=config.capacity
+                )
+            auditor = FairnessAuditor(audit_config, tracer)
         if auditor is not None:
             auditor.attach_tracer(tracer)
             tracer.add_sink(auditor.on_event)
@@ -161,7 +153,7 @@ def run_single(
         trace=trace,
     )
 
-    def _session_extra() -> Dict[str, Any]:
+    def manifest() -> Dict[str, Any]:
         extra: Dict[str, Any] = {}
         if injector is not None:
             extra["faults"] = injector.counts
@@ -173,40 +165,18 @@ def run_single(
                 "lag": auditor.ever_tripped("lag"),
                 "bursty": auditor.ever_tripped("bursty"),
             }
-        return extra
+        return {
+            "seed": config.seed,
+            "config": dataclasses.asdict(config),
+            "scheduler": _scheduler_manifest(inner_scheduler),
+            "extra": extra,
+            "auditor": auditor,
+        }
 
-    try:
+    with telemetry.exporting_aborts(manifest):
         sim.run(until=config.duration)
-    except Exception as exc:
-        if session is not None:
-            # Export what the run produced before it died -- most
-            # importantly the flight-recorder dump triggered by the
-            # watchdog's invariant event (emitted before the raise).
-            extra = _session_extra()
-            extra["aborted"] = {"type": type(exc).__name__, "message": str(exc)}
-            session.export_run(
-                tracer,
-                seed=config.seed,
-                config=dataclasses.asdict(config),
-                scheduler=_scheduler_manifest(inner_scheduler),
-                extra=extra,
-                auditor=auditor,
-                flight=flight,
-            )
-        raise
     metrics = collector.result()
-    if session is not None:
-        extra = _session_extra()
-        session.export_run(
-            tracer,
-            dispatch_log=metrics.dispatch_log,
-            seed=config.seed,
-            config=dataclasses.asdict(config),
-            scheduler=_scheduler_manifest(inner_scheduler),
-            extra=extra or None,
-            auditor=auditor,
-            flight=flight,
-        )
+    telemetry.export(manifest, dispatch_log=metrics.dispatch_log)
     return metrics
 
 

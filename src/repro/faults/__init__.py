@@ -9,6 +9,9 @@ this package makes degradation a reproducible experiment input:
   and estimator outage/bias windows;
 * :class:`FaultInjector` (:mod:`repro.faults.injector`) -- schedules the
   plan's faults as ordinary events in the run's simulation loop;
+* :class:`~repro.faults.deadlines.DeadlineTimer` -- the deadline expiry,
+  retry and abandonment path that the single-server and the fleet
+  injector share;
 * :class:`FaultyEstimator` (:mod:`repro.faults.estimator`) -- the
   time-windowed estimator perturbation.
 

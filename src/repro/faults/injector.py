@@ -15,20 +15,13 @@ summary counts either way (surfaced in the run manifest).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from ..core.request import Request, RequestPhase
 from ..errors import ConfigurationError
-from ..simulator.rng import make_rng
 from ..simulator.server import ThreadPoolServer
+from .deadlines import DeadlineTimer, trace_fault
 from .estimator import FaultyEstimator
-from .plan import (
-    DeadlinePolicy,
-    FaultPlan,
-    WorkerCrash,
-    WorkerSlowdown,
-    retry_delay,
-)
+from .plan import FaultPlan, WorkerCrash, WorkerSlowdown
 
 __all__ = ["FaultInjector"]
 
@@ -49,8 +42,6 @@ class FaultInjector:
     def __init__(self, server: ThreadPoolServer, plan: FaultPlan) -> None:
         self.server = server
         self.plan = plan
-        self._rng = make_rng(plan.seed, "faults", "jitter")
-        self._attempts: Dict[int, int] = {}  # seqno -> retries so far
         self.counts: Dict[str, int] = {
             "slowdowns": 0,
             "crashes": 0,
@@ -59,6 +50,9 @@ class FaultInjector:
             "retries": 0,
             "abandoned": 0,
         }
+        self._deadlines = DeadlineTimer(
+            server, plan, self.counts, ("faults", "jitter")
+        )
 
     # -- installation -----------------------------------------------------------
 
@@ -85,8 +79,7 @@ class FaultInjector:
             sim.at(crash.at, self._crash, crash)
             if crash.restart_at is not None:
                 sim.at(crash.restart_at, self._restore, crash)
-        if self.plan.deadlines:
-            self.server.on_submit(self._watch_deadline)
+        self._deadlines.arm(self.server.on_submit)
 
     def wire_estimator(self, scheduler) -> None:
         """Wrap the scheduler's estimator in a
@@ -114,20 +107,24 @@ class FaultInjector:
     def _begin_slowdown(self, slowdown: WorkerSlowdown) -> None:
         self.server.set_worker_speed(slowdown.worker, slowdown.factor)
         self.counts["slowdowns"] += 1
-        self._trace_fault(
-            "slowdown_begin", worker=slowdown.worker, factor=slowdown.factor
+        trace_fault(
+            self.server,
+            "slowdown_begin",
+            worker=slowdown.worker,
+            factor=slowdown.factor,
         )
 
     def _end_slowdown(self, slowdown: WorkerSlowdown) -> None:
         self.server.set_worker_speed(slowdown.worker, 1.0)
-        self._trace_fault("slowdown_end", worker=slowdown.worker)
+        trace_fault(self.server, "slowdown_end", worker=slowdown.worker)
 
     def _crash(self, crash: WorkerCrash) -> None:
         interrupted = self.server.crash_worker(
             crash.worker, redispatch=crash.redispatch
         )
         self.counts["crashes"] += 1
-        self._trace_fault(
+        trace_fault(
+            self.server,
             "worker_crash",
             tenant=interrupted.tenant_id if interrupted is not None else None,
             worker=crash.worker,
@@ -138,73 +135,9 @@ class FaultInjector:
     def _restore(self, crash: WorkerCrash) -> None:
         self.server.restore_worker(crash.worker)
         self.counts["restarts"] += 1
-        self._trace_fault("worker_restart", worker=crash.worker)
+        trace_fault(self.server, "worker_restart", worker=crash.worker)
 
     def _estimator_edge(self, fault, edge: str, reindex) -> None:
         if reindex is not None:
             reindex()
-        self._trace_fault(f"estimator_{fault.mode}_{edge}")
-
-    # -- deadlines --------------------------------------------------------------
-
-    def _watch_deadline(self, request: Request) -> None:
-        policy = self.plan.policy_for(request.tenant_id)
-        if policy is None:
-            return
-        self.server.sim.after(policy.deadline, self._expire, request, policy)
-
-    def _expire(self, request: Request, policy: DeadlinePolicy) -> None:
-        phase = request.phase
-        if phase != RequestPhase.QUEUED and phase != RequestPhase.RUNNING:
-            return  # completed (or already torn down) before the deadline
-        if not self.server.abort(request):
-            return
-        self.counts["deadline_expiries"] += 1
-        self._trace_fault(
-            "deadline_expired",
-            tenant=request.tenant_id,
-            seqno=request.seqno,
-            was_running=phase == RequestPhase.RUNNING,
-        )
-        attempts = self._attempts.get(request.seqno, 0)
-        if attempts < policy.max_retries:
-            self._attempts[request.seqno] = attempts + 1
-            delay = retry_delay(
-                policy.backoff,
-                policy.growth,
-                policy.jitter,
-                attempts,
-                float(self._rng.uniform(0.0, 1.0)),
-            )
-            self.server.sim.after(delay, self._retry, request)
-        else:
-            self.counts["abandoned"] += 1
-            self._trace_fault(
-                "abandoned", tenant=request.tenant_id, seqno=request.seqno
-            )
-            source = request.source
-            if source is not None:
-                # The client gave up; closed-loop tenants move on to
-                # their next request rather than wedging forever.
-                source.on_request_complete(request)
-
-    def _retry(self, request: Request) -> None:
-        if request.phase != RequestPhase.CANCELLED:
-            return  # re-submitted or torn down through another path
-        self.counts["retries"] += 1
-        self._trace_fault(
-            "retry",
-            tenant=request.tenant_id,
-            seqno=request.seqno,
-            attempt=self._attempts.get(request.seqno, 0),
-        )
-        # A retry is a fresh client submission: arrival time moves to
-        # now and the deadline listener arms a new timer for it.
-        self.server.submit(request)
-
-    # -- tracing ----------------------------------------------------------------
-
-    def _trace_fault(self, fault: str, tenant: Optional[str] = None, **fields) -> None:
-        trace = self.server._trace
-        if trace is not None:
-            trace.fault(self.server.sim.now, fault, tenant=tenant, **fields)
+        trace_fault(self.server, f"estimator_{fault.mode}_{edge}")

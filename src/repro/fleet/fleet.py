@@ -229,15 +229,12 @@ class Fleet:
     @property
     def capacity(self) -> float:
         """Total fleet capacity in cost units/second, up or down."""
-        return sum(s.num_threads * s.rate for s in self.servers)
+        return sum(s.capacity for s in self.servers)
 
     @property
     def healthy_capacity(self) -> float:
         """Capacity of the servers currently routable (not marked down)."""
-        return sum(
-            self.servers[i].num_threads * self.servers[i].rate
-            for i in self._routable()
-        )
+        return sum(self.servers[i].capacity for i in self._routable())
 
     @property
     def down(self) -> FrozenSet[int]:
@@ -462,7 +459,7 @@ class Fleet:
             return
         attempts = self._attempts.get(request.seqno, 0)
         if attempts >= policy.max_retries:
-            self._abandon(request)
+            self.abandon(request)
             return
         self._attempts[request.seqno] = attempts + 1
         delay = retry_delay(
@@ -487,11 +484,11 @@ class Fleet:
         self.counts["failover_retries"] += 1
         self._place(request, healthy)
 
-    def _abandon(self, request: Request) -> None:
+    def abandon(self, request: Request) -> None:
         """Terminal give-up: a failover retry budget ran out, or a
         fleet-level deadline policy expired its last retry (the
-        injector routes its abandonments through here so ledger
-        listeners see every terminal outcome)."""
+        deadline timer abandons through here so ledger listeners see
+        every terminal outcome)."""
         self._attempts.pop(request.seqno, None)
         self.counts["abandoned"] += 1
         trace = self._trace

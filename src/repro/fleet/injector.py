@@ -3,7 +3,7 @@
 :class:`~repro.faults.plan.FaultPlan` against a
 :class:`~repro.fleet.fleet.Fleet`.
 
-The split mirrors the plan vocabulary: worker-granularity faults
+The split follows the plan vocabulary: worker-granularity faults
 (``slowdowns``, ``crashes``, ``estimator_faults``) name a worker index
 inside *one* process and are executed by the single-server
 :class:`~repro.faults.FaultInjector`; a fleet plan names whole servers.
@@ -12,22 +12,23 @@ reason the single-server injector rejects fleet faults -- a plan must be
 executable by exactly one injector, or "same plan, same seed, same run"
 stops meaning anything.
 
-Deadlines work at fleet scope: the timer arms on logical admission, the
-expiry aborts the request *wherever it lives* (any server, a frozen
-crashed server, or the failover retry queue) through
-:meth:`Fleet.abort`, and the retry is a fresh fleet submission routed
-like any other.  Backoff shares :func:`~repro.faults.plan.retry_delay`
-with both the single-server injector and the failover policy.
+Deadlines run on the same :class:`~repro.faults.deadlines.DeadlineTimer`
+as the single-server injector, at fleet scope: the timer arms on
+logical admission (``fleet.on_admit``), the expiry aborts the request
+*wherever it lives* (any server, a frozen crashed server, or the
+failover retry queue) through :meth:`Fleet.abort`, the retry is a fresh
+fleet submission routed like any other, and the last expiry abandons
+through :meth:`Fleet.abandon`.  Backoff jitter draws from the
+``("fleet-faults", "jitter")`` stream.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Dict
 
-from ..core.request import Request, RequestPhase
 from ..errors import ConfigurationError
-from ..faults.plan import DeadlinePolicy, FaultPlan, ServerCrash, ServerSlowdown, retry_delay
-from ..simulator.rng import make_rng
+from ..faults.deadlines import DeadlineTimer, trace_fault
+from ..faults.plan import FaultPlan, ServerCrash, ServerSlowdown
 from .fleet import Fleet
 
 __all__ = ["FleetInjector"]
@@ -48,8 +49,6 @@ class FleetInjector:
     def __init__(self, fleet: Fleet, plan: FaultPlan) -> None:
         self.fleet = fleet
         self.plan = plan
-        self._rng = make_rng(plan.seed, "fleet-faults", "jitter")
-        self._attempts: Dict[int, int] = {}  # seqno -> retries so far
         self.counts: Dict[str, int] = {
             "server_crashes": 0,
             "server_restarts": 0,
@@ -58,6 +57,9 @@ class FleetInjector:
             "retries": 0,
             "abandoned": 0,
         }
+        self._deadlines = DeadlineTimer(
+            fleet, plan, self.counts, ("fleet-faults", "jitter")
+        )
 
     def install(self) -> None:
         """Validate the plan against this fleet and schedule every fault."""
@@ -89,8 +91,7 @@ class FleetInjector:
         for slowdown in plan.server_slowdowns:
             sim.at(slowdown.start, self._begin_slowdown, slowdown)
             sim.at(slowdown.end, self._end_slowdown, slowdown)
-        if plan.deadlines:
-            self.fleet.on_admit(self._watch_deadline)
+        self._deadlines.arm(self.fleet.on_admit)
 
     # -- server faults -----------------------------------------------------
 
@@ -105,7 +106,8 @@ class FleetInjector:
     def _begin_slowdown(self, slowdown: ServerSlowdown) -> None:
         self.fleet.set_server_speed(slowdown.server, slowdown.factor)
         self.counts["server_slowdowns"] += 1
-        self._trace_fault(
+        trace_fault(
+            self.fleet,
             "server_slowdown_begin",
             server=slowdown.server,
             factor=slowdown.factor,
@@ -113,69 +115,4 @@ class FleetInjector:
 
     def _end_slowdown(self, slowdown: ServerSlowdown) -> None:
         self.fleet.set_server_speed(slowdown.server, 1.0)
-        self._trace_fault("server_slowdown_end", server=slowdown.server)
-
-    # -- deadlines ---------------------------------------------------------
-
-    def _watch_deadline(self, request: Request) -> None:
-        policy = self.plan.policy_for(request.tenant_id)
-        if policy is None:
-            return
-        self.fleet.sim.after(policy.deadline, self._expire, request, policy)
-
-    def _expire(self, request: Request, policy: DeadlinePolicy) -> None:
-        phase = request.phase
-        if phase != RequestPhase.QUEUED and phase != RequestPhase.RUNNING:
-            # CANCELLED can still mean "alive, awaiting failover retry";
-            # Fleet.abort distinguishes that from a terminal state.
-            if phase != RequestPhase.CANCELLED:
-                return
-        if not self.fleet.abort(request):
-            return
-        self.counts["deadline_expiries"] += 1
-        self._trace_fault(
-            "deadline_expired",
-            tenant=request.tenant_id,
-            seqno=request.seqno,
-            was_running=phase == RequestPhase.RUNNING,
-        )
-        attempts = self._attempts.get(request.seqno, 0)
-        if attempts < policy.max_retries:
-            self._attempts[request.seqno] = attempts + 1
-            delay = retry_delay(
-                policy.backoff,
-                policy.growth,
-                policy.jitter,
-                attempts,
-                float(self._rng.uniform(0.0, 1.0)),
-            )
-            self.fleet.sim.after(delay, self._retry, request)
-        else:
-            self.counts["abandoned"] += 1
-            # Routed through the fleet so abandon listeners (the
-            # conservation ledger) see the terminal outcome; the fleet
-            # notifies the source.
-            self.fleet._abandon(request)
-
-    def _retry(self, request: Request) -> None:
-        if request.phase != RequestPhase.CANCELLED:
-            return
-        self.counts["retries"] += 1
-        self._trace_fault(
-            "retry",
-            tenant=request.tenant_id,
-            seqno=request.seqno,
-            attempt=self._attempts.get(request.seqno, 0),
-        )
-        # A retry is a fresh client submission: routed anew, counted as
-        # a new admission, and its deadline timer re-arms via on_admit.
-        self.fleet.submit(request)
-
-    # -- tracing -----------------------------------------------------------
-
-    def _trace_fault(
-        self, fault: str, tenant: Optional[str] = None, **fields: Any
-    ) -> None:
-        trace = self.fleet._trace
-        if trace is not None:
-            trace.fault(self.fleet.sim.now, fault, tenant=tenant, **fields)
+        trace_fault(self.fleet, "server_slowdown_end", server=slowdown.server)

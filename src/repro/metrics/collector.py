@@ -25,7 +25,7 @@ the tenant's list, a dispatch appends its record to the log.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +37,9 @@ from .gini import gini_index
 from .latency import LatencyStats, latency_stats
 from .service import ServiceSeries, lag_std
 from .store import MetricsPartial
+
+if TYPE_CHECKING:  # import cycle: the fleet collector subclasses this one
+    from ..fleet.fleet import Fleet
 
 __all__ = [
     "DispatchRecord",
@@ -93,21 +96,26 @@ class MetricsCollector:
 
     ``record_dispatches=False`` drops the dispatch log entirely (the
     occupancy plots become unavailable but long runs save the memory).
+
+    The sampler reads only the target's ``sim``, ``capacity`` and
+    ``service_snapshot``; :meth:`_listen` registers the listeners, so
+    :class:`~repro.fleet.metrics.FleetCollector` samples a fleet by
+    overriding it (DESIGN.md §16).
     """
 
     def __init__(
         self,
-        server: ThreadPoolServer,
+        server: "ThreadPoolServer | Fleet",
         sample_interval: Duration = 0.1,
         record_dispatches: bool = True,
         warmup: Duration = 0.0,
     ) -> None:
         validate_sampling(sample_interval, warmup)
-        self._server = server
+        self._server: Any = server
         self._sim = server.sim
         self._interval: Duration = float(sample_interval)
         self._warmup: Duration = float(warmup)
-        self._gps = GPSReference(server.num_threads * server.rate)
+        self._gps = GPSReference(server.capacity)
         self._partial = MetricsPartial(self._interval)
         # The hot-path listeners append straight into the store.
         self._latencies = self._partial.latencies
@@ -118,10 +126,6 @@ class MetricsCollector:
         self._observed_samples = 0
         self._trace = None
         self._auditor = None
-        server.on_submit(self._on_submit)
-        if record_dispatches:
-            server.on_dispatch(self._on_dispatch)
-        server.on_complete(self._on_complete)
         # Samples sit on the absolute grid epoch + k * interval
         # (multiplication, not accumulation) so no float drift pushes
         # the final sample past the experiment's `until` horizon.  The
@@ -130,7 +134,15 @@ class MetricsCollector:
         # collector to a simulation already past t=interval scheduled
         # its first sample in the past and raised SimulationError.
         self._epoch: SimTime = self._sim.now
+        self._listen(server, record_dispatches)
         self._sim.at(self._epoch + self._interval, self._sample)
+
+    def _listen(self, server: Any, record_dispatches: bool) -> None:
+        """Register the hot-path listeners on the target."""
+        server.on_submit(self._on_submit)
+        if record_dispatches:
+            server.on_dispatch(self._on_dispatch)
+        server.on_complete(self._on_complete)
 
     def attach_tracer(self, tracer) -> None:
         """Attach a :class:`repro.obs.Tracer`; the collector contributes
@@ -289,19 +301,6 @@ class RunMetrics:
         return sum(len(values) for values in latencies.values())
 
     # -- occupancy ------------------------------------------------------------
-
-    def write_chrome_trace(self, path, trace_events=(), process_name="repro"):
-        """Export the dispatch log as a Chrome/Perfetto trace -- the
-        interactive version of the occupancy figures (8b/9b/11b).
-        Requires the run to have kept ``record_dispatches=True``."""
-        from ..obs.exporters import write_chrome_trace
-
-        return write_chrome_trace(
-            self.dispatch_log,
-            path,
-            trace_events=trace_events,
-            process_name=process_name,
-        )
 
     def thread_cost_partition(self, num_threads: int) -> np.ndarray:
         """Mean log10 cost of requests executed per thread.

@@ -22,6 +22,11 @@ additionally attaches a :class:`~repro.obs.audit.FairnessAuditor` and a
 
 The session is process-global and experiments are single-threaded (the
 simulator is a discrete-event loop), so a plain module global suffices.
+
+Both experiment runners (:func:`repro.experiments.runner.run_single`
+and :func:`repro.experiments.fleet.run_fleet`) set up their run's
+tracer, flight recorder and export through one :class:`RunTelemetry`,
+which also exports a run that raises.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import dataclasses
 import json
 import re
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Union
 
 from .audit import AuditConfig, FairnessAuditor
 from .exporters import write_chrome_trace, write_manifest, write_rows_jsonl
@@ -39,7 +44,13 @@ from .flight import FlightRecorder
 from .prometheus import write_prometheus
 from .tracer import Tracer
 
-__all__ = ["TraceSession", "trace_session", "current_session", "clear_session"]
+__all__ = [
+    "RunTelemetry",
+    "TraceSession",
+    "trace_session",
+    "current_session",
+    "clear_session",
+]
 
 _ACTIVE: Optional["TraceSession"] = None
 
@@ -207,6 +218,69 @@ class TraceSession:
             run_dir = self.directory / f"{name}-{suffix}"
         run_dir.mkdir(parents=True)
         return run_dir
+
+
+class RunTelemetry:
+    """The observability setup of one experiment run.
+
+    Inside an active session the run gets a session tracer labelled
+    ``label`` and a flight recorder riding the tracer's sink; an
+    explicit ``tracer`` is used as given, and its caller owns the
+    export.  An enabled tracer's registry timers report in the run's
+    simulated time.
+
+    Wrap the run in :meth:`exporting_aborts` and call :meth:`export`
+    after it.  Both take ``manifest``, a callable returning the
+    :meth:`TraceSession.export_run` keywords (``seed``, ``config``,
+    ``extra``, ...), called only inside a session.
+    """
+
+    def __init__(self, sim: Any, label: str, tracer: Optional[Tracer] = None) -> None:
+        self.session = current_session() if tracer is None else None
+        if self.session is not None:
+            tracer = self.session.tracer(label)
+        #: The run's tracer when enabled, else ``None``.
+        self.tracer = tracer if tracer is not None and tracer.enabled else None
+        self.flight: Optional[FlightRecorder] = None
+        if self.tracer is not None:
+            self.tracer.registry.set_clock(lambda: sim.now)
+            if self.session is not None:
+                self.flight = FlightRecorder(capacity=self.session.flight_events)
+                self.tracer.add_sink(self.flight.on_event)
+
+    @contextlib.contextmanager
+    def exporting_aborts(
+        self, manifest: Callable[[], Dict[str, Any]]
+    ) -> Iterator[None]:
+        """Run the block; if it raises, export what the run produced --
+        most importantly the flight-recorder dump of the watchdog's
+        invariant event -- with an ``aborted`` manifest block, then
+        re-raise."""
+        try:
+            yield
+        except Exception as exc:
+            self.export(manifest, aborted=exc)
+            raise
+
+    def export(
+        self,
+        manifest: Callable[[], Dict[str, Any]],
+        *,
+        dispatch_log: Any = (),
+        aborted: Optional[Exception] = None,
+    ) -> None:
+        """Write the run's artifacts (a no-op outside a session)."""
+        if self.session is None or self.tracer is None:
+            return
+        fields = manifest()
+        if aborted is not None:
+            fields["extra"] = dict(
+                fields.get("extra") or {},
+                aborted={"type": type(aborted).__name__, "message": str(aborted)},
+            )
+        self.session.export_run(
+            self.tracer, dispatch_log=dispatch_log, flight=self.flight, **fields
+        )
 
 
 @contextlib.contextmanager

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
-from ..core.request import Request
+from ..core.request import Request, RequestPhase
 from ..core.scheduler import Scheduler
 from ..errors import ConfigurationError, SimulationError
 from ..units import Cost, Duration, Rate, Scalar, SimTime
@@ -185,6 +185,11 @@ class ThreadPoolServer:
         self._ensure_refresh_timer()
 
     # -- observation ---------------------------------------------------------------
+
+    @property
+    def capacity(self) -> Rate:
+        """Processing rate of the whole pool, ``num_threads * rate``."""
+        return self.num_threads * self.rate
 
     @property
     def busy_workers(self) -> int:
@@ -348,7 +353,10 @@ class ThreadPoolServer:
         from the scheduler, a running one is torn off its worker (its
         completion event is cancelled and the freed worker is re-offered
         work).  Returns ``False`` for a stale abort (already completed
-        or cancelled)."""
+        or cancelled) without touching the scheduler."""
+        phase = request.phase
+        if phase != RequestPhase.QUEUED and phase != RequestPhase.RUNNING:
+            return False
         now = self.sim.now
         for worker in self.workers:
             if worker.request is request:
@@ -360,6 +368,22 @@ class ThreadPoolServer:
                 self._dispatch_idle()
                 return cancelled
         return self.scheduler.cancel(request, now)
+
+    def abandon(self, request: Request) -> None:
+        """Terminal give-up on an aborted request (its client deadline
+        expired for the last time): trace it and notify its source, so
+        a closed-loop tenant moves on to its next request."""
+        trace = self._trace
+        if trace is not None:
+            trace.fault(
+                self.sim.now,
+                "abandoned",
+                tenant=request.tenant_id,
+                seqno=request.seqno,
+            )
+        source = request.source
+        if source is not None:
+            source.on_request_complete(request)
 
     # -- internals --------------------------------------------------------------------
 

@@ -142,4 +142,4 @@ class FleetConservationLedger:
     def _flag(self, message: str) -> None:
         self.errors.append(message)
         if self._strict:
-            raise InvariantViolation(f"fleet conservation: {message}")
+            raise InvariantViolation("fleet-conservation", message)

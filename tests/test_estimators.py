@@ -8,7 +8,6 @@ from repro.estimation import (
     LastValueEstimator,
     OracleEstimator,
     PessimisticEstimator,
-    make_estimator,
 )
 
 from conftest import make_request
@@ -126,25 +125,7 @@ class TestLastValue:
 
 
 class TestRegistry:
-    def test_known_names(self):
-        names = ("ema", "last-value", "oracle", "pessimistic")
-        for name in names:
-            assert make_estimator(name) is not None
-        # Exactly these four: a new name must edit this test and justify
-        # itself.
-        with pytest.raises(KeyError) as excinfo:
-            make_estimator("bogus")
-        assert excinfo.value.args[0].endswith("known: " + ", ".join(names))
-
-    def test_kwargs_forwarded(self):
-        est = make_estimator("ema", alpha=0.5)
-        assert est.alpha == 0.5
-
-    def test_unknown_name(self):
-        with pytest.raises(KeyError, match="unknown estimator"):
-            make_estimator("magic")
-
     def test_negative_cost_rejected(self):
-        est = make_estimator("ema")
+        est = EMAEstimator()
         with pytest.raises(ConfigurationError):
             est.observe(make_request(), -1.0)

@@ -10,12 +10,15 @@ servers.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core.registry import make_scheduler
 from repro.core.request import Request
-from repro.errors import ConfigurationError
+from repro.core.twodfq import TwoDFQScheduler
+from repro.errors import ConfigurationError, InvariantViolation
 from repro.experiments.fleet import (
     PROBE_TENANT,
     fleet_crash_plan,
@@ -33,6 +36,7 @@ from repro.fleet import (
     router_names,
 )
 from repro.fleet.fleet import REJECT_RETRY_DELAY
+from repro.obs import trace_session
 from repro.simulator.clock import Simulation
 from repro.simulator.rng import make_rng
 from repro.simulator.server import ThreadPoolServer
@@ -322,6 +326,61 @@ class TestFigFleet:
     def test_figfleet_needs_two_servers(self):
         with pytest.raises(ValueError, match="at least 2 servers"):
             run_figfleet(duration=1.0, num_servers=1)
+
+
+class ShortchargingScheduler(TwoDFQScheduler):
+    """Completes requests without reconciling the full cost."""
+
+    def complete(self, request, usage, now):
+        super().complete(request, usage, now)
+        request.reported_usage = request.cost * 0.5  # the seeded bug
+
+
+class TestAbortedFleetRunExports:
+    """A fleet run that raises inside a trace session still writes its
+    manifest (with an ``aborted`` block) and its flight-recorder dump,
+    as a single-server run does."""
+
+    def only_run_dir(self, tmp_path):
+        (run_dir,) = [path for path in tmp_path.iterdir() if path.is_dir()]
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        flight = json.loads((run_dir / "flight_recorder.json").read_text())
+        return manifest, [d["trigger"] for d in flight["dumps"]]
+
+    def test_ledger_raise_exports(self, tmp_path, monkeypatch):
+        # Hide the stranded requests from the ledger: verify() after the
+        # run then finds admitted requests that went nowhere.
+        monkeypatch.setattr(Fleet, "pending_seqnos", lambda self: set())
+        with trace_session(tmp_path):
+            with pytest.raises(InvariantViolation, match="lost") as excinfo:
+                run_fleet(
+                    duration=1.0,
+                    plan=fleet_crash_plan(1.0),
+                    failover=None,
+                    validate=True,
+                    name="lost",
+                )
+        assert excinfo.value.code == "fleet-conservation"
+        manifest, triggers = self.only_run_dir(tmp_path)
+        assert manifest["aborted"]["type"] == "InvariantViolation"
+        assert "lost" in manifest["aborted"]["message"]
+        assert manifest["validation"]["violations"]
+        assert manifest["faults"]["server_crashes"] == 1
+        assert "server_crash" in [t["fault"] for t in triggers]
+
+    def test_watchdog_raise_exports(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            "repro.experiments.fleet.make_scheduler",
+            lambda name, num_threads: ShortchargingScheduler(num_threads),
+        )
+        with trace_session(tmp_path):
+            with pytest.raises(InvariantViolation) as excinfo:
+                run_fleet(duration=1.0, validate=True, name="shortcharge")
+        assert excinfo.value.code == "charge-reconciliation"
+        manifest, triggers = self.only_run_dir(tmp_path)
+        assert manifest["aborted"]["type"] == "InvariantViolation"
+        assert manifest["fleet"]["admitted"] > 0
+        assert triggers[0]["kind"] == "invariant"
 
 
 class TestFleetCollector:
