@@ -136,7 +136,6 @@ class Scheduler(ABC):
         self._thread_rate = float(thread_rate)
         self._tenants: Dict[str, TenantState] = {}
         self._size = 0
-        self._dispatched = 0
         self._completed = 0
         self._cancelled = 0
         #: Attached :class:`repro.obs.Tracer`, or ``None`` (the default).
@@ -164,10 +163,6 @@ class Scheduler(ABC):
     def backlog(self) -> int:
         """Number of queued (not yet dispatched) requests."""
         return self._size
-
-    @property
-    def dispatched_count(self) -> int:
-        return self._dispatched
 
     @property
     def completed_count(self) -> int:
@@ -322,7 +317,6 @@ class Scheduler(ABC):
         request.thread_id = thread_id
         request.dispatch_time = now
         self._size -= 1
-        self._dispatched += 1
 
     def __repr__(self) -> str:
         return (

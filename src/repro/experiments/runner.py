@@ -176,7 +176,7 @@ def run_single(
     with telemetry.exporting_aborts(manifest):
         sim.run(until=config.duration)
     metrics = collector.result()
-    telemetry.export(manifest, dispatch_log=metrics.dispatch_log)
+    telemetry.export(manifest)
     return metrics
 
 

@@ -134,7 +134,6 @@ def worked_example(
     if session is not None:
         session.export_run(
             tracer,
-            dispatch_log=slots,
             config={
                 "horizon": horizon,
                 "num_threads": num_threads,

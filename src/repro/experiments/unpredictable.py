@@ -138,9 +138,6 @@ class UnpredictableSweep:
     fractions: List[float]
     results: List[ComparisonResult] = field(default_factory=list)
 
-    def result_at(self, fraction: float) -> ComparisonResult:
-        return self.results[self.fractions.index(fraction)]
-
 
 def run_unpredictable_sweep(
     fractions: Sequence[float] = (0.0, 0.33, 0.66),

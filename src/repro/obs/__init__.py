@@ -12,7 +12,9 @@ makes those decisions observable without perturbing them:
   snapshot API (:mod:`repro.obs.registry`);
 * exporters (:mod:`repro.obs.exporters`) -- JSONL event streams, Chrome
   trace / Perfetto occupancy timelines (both encoded from the rows at
-  export), and per-run ``manifest.json`` provenance records;
+  export; the request slices are the rows' occupancy fold,
+  :func:`repro.obs.events.occupancies`), and per-run ``manifest.json``
+  provenance records;
 * :class:`TraceSession` (:mod:`repro.obs.session`) -- the glue that the
   experiment runner and the ``--trace`` CLI flag use to write all three
   artifacts per run.

@@ -68,16 +68,25 @@ module constant per typed emitter) and a parallel tuple of values.
 Sinks receive rows; :class:`TraceEvent` is the object view of a row,
 built only where a caller asks for one (:meth:`TraceEvent.from_row`,
 :meth:`TraceEvent.as_row`, :func:`row_as_dict`).
+
+Occupancy
+---------
+Which request held which worker thread, and when, is one fold over the
+rows (:func:`occupancies`); the Chrome trace's request slices and the
+spans' blocking attribution both read it, so the two views cannot
+disagree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "EVENT_KINDS",
+    "Occupancy",
     "Row",
+    "occupancies",
     "row_as_dict",
     "row_field",
     "ENQUEUE",
@@ -176,3 +185,71 @@ class TraceEvent:
     def as_dict(self) -> Dict[str, Any]:
         """Flatten to one JSON-ready dict (header fields first)."""
         return row_as_dict(self.as_row())
+
+
+@dataclass(slots=True)
+class Occupancy:
+    """One request's tenure on one worker thread.
+
+    ``row`` is the index of the ``dispatch`` row that opened it;
+    ``server`` is the fleet server the request was routed to (``None``
+    on a single server) and ``cost`` the request's enqueue-row cost.
+    """
+
+    row: int
+    server: Optional[int]
+    thread: int
+    seqno: int
+    tenant: Optional[str]
+    api: Any
+    cost: Any
+    start: float
+    end: float
+
+
+def occupancies(rows: Sequence[Row]) -> List[Occupancy]:
+    """Thread occupancy of a run, in dispatch order, in one pass.
+
+    A ``dispatch`` row opens an occupancy on ``(server, thread)``; the
+    same seqno's next ``complete`` or ``cancel`` row closes it at that
+    row's ``t``; one still open at the end closes at the last row's
+    ``t``.  ``server`` comes from the seqno's latest accepted ``route``
+    row.  Dispatch rows without a seqno or thread open nothing.
+    """
+    out: List[Occupancy] = []
+    servers: Dict[Any, Any] = {}
+    costs: Dict[Any, Any] = {}
+    running: Dict[Any, Occupancy] = {}
+    for index, row in enumerate(rows):
+        kind = row[0]
+        if kind == DISPATCH:
+            seqno = row_field(row, "seqno")
+            thread = row_field(row, "thread")
+            if seqno is None or thread is None:
+                continue
+            occupancy = Occupancy(
+                index,
+                servers.get(seqno),
+                thread,
+                seqno,
+                row[3],
+                row_field(row, "api"),
+                costs.get(seqno),
+                row[1],
+                row[1],
+            )
+            out.append(occupancy)
+            running[seqno] = occupancy
+        elif kind == COMPLETE or kind == CANCEL:
+            closed = running.pop(row_field(row, "seqno"), None)
+            if closed is not None:
+                closed.end = row[1]
+        elif kind == ENQUEUE:
+            costs[row_field(row, "seqno")] = row_field(row, "cost")
+        elif kind == ROUTE and row_field(row, "accepted"):
+            servers[row_field(row, "seqno")] = row_field(row, "server")
+    if running:
+        last = rows[-1][1]
+        for occupancy in running.values():
+            occupancy.end = last
+    return out

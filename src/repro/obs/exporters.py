@@ -6,14 +6,21 @@ a run that cannot be re-derived from its artifacts is not reproduced):
 * ``events.jsonl`` -- the tracer's decision events, one JSON object per
   line, in emission order.  Greppable, diffable, and the format the
   golden-trace tests pin.
-* ``chrome_trace.json`` -- the thread-occupancy log in the Chrome
+* ``chrome_trace.json`` -- the thread-occupancy timeline in the Chrome
   trace-event format, loadable in ``chrome://tracing`` or Perfetto, so
   the schedules behind Figures 8b/9b/11b can be inspected interactively
   (one timeline row per worker thread, one slice per request, virtual
-  time and backlog as counter tracks).
+  time and backlog as counter tracks; a fleet run gets one process per
+  server).
 * ``manifest.json`` -- everything needed to re-run: seed, configuration,
   scheduler parameters, package versions, git SHA, plus the counter
   snapshot of the run.
+
+Both event artifacts derive from the tracer's rows alone.  A request
+slice runs from its ``dispatch`` row to the same seqno's ``complete`` or
+``cancel`` row (:func:`~repro.obs.events.occupancies`, the fold the
+spans read too), so an aborted request's slice ends where it was
+aborted.
 
 Encode at export
 ----------------
@@ -32,9 +39,8 @@ and rows whose payload keys could reorder the header (a key named
 ``kind``, ``t``, ``vt`` or ``tenant``) are encoded with ``json.dumps``
 directly.
 
-All functions take duck-typed inputs (anything with the right
-attributes), so this module depends only on the standard library and
-never imports the scheduler or metrics packages.
+This module depends only on the standard library and the row format;
+it never imports the scheduler or metrics packages.
 """
 
 from __future__ import annotations
@@ -46,14 +52,12 @@ import platform
 import subprocess
 import sys
 import zlib
-from itertools import islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -62,7 +66,7 @@ from typing import (
     Union,
 )
 
-from .events import Row, TraceEvent, row_as_dict
+from .events import Occupancy, Row, occupancies, row_as_dict
 
 __all__ = [
     "CHUNK_ROWS",
@@ -73,7 +77,7 @@ __all__ = [
     "write_manifest",
 ]
 
-#: Rows (or dispatch records) encoded per write by the row encoders.
+#: Rows (or occupancies) encoded per write by the row encoders.
 CHUNK_ROWS = 8192
 
 #: Chrome trace timestamps are microseconds.
@@ -259,57 +263,41 @@ def write_rows_jsonl(rows: Sequence[Row], path: Union[str, Path]) -> Path:
 # -- Chrome trace ----------------------------------------------------------------
 
 
-#: A normalized dispatch-log record:
-#: ``(thread_id, tenant, name, start, end, cost)``.
-_Slice = Tuple[int, Any, Any, float, float, float]
+def _pid(server: Optional[int]) -> int:
+    """Chrome process of a server: pid 1 is the run itself (a single
+    server's threads, and every instant), server ``s`` of a fleet is
+    pid ``s + 2``."""
+    return 1 if server is None else server + 2
 
 
-def _record_fields(record: Any) -> _Slice:
-    """Normalize a dispatch-log-like record.
-
-    Accepts :class:`~repro.metrics.collector.DispatchRecord`,
-    :class:`~repro.experiments.schedule_examples.ScheduledSlot`, or any
-    object/dict with ``thread_id``, ``start``, ``end`` and optionally
-    ``tenant_id``/``api``/``cost``/``label``.
-    """
-    get = record.get if isinstance(record, dict) else (
-        lambda key, default=None: getattr(record, key, default)
-    )
-    tenant = get("tenant_id", "?")
-    label = get("label", None)
-    api = get("api", None)
-    start = float(get("start"))
-    end = float(get("end"))
-    cost = get("cost", None)
-    name = label or (f"{tenant}/{api}" if api else str(tenant))
-    return (
-        int(get("thread_id")),
-        tenant,
-        name,
-        start,
-        end,
-        end - start if cost is None else float(cost),
-    )
+def _slice_name(tenant: Any, api: Any) -> str:
+    return f"{tenant}/{api}" if api else str(tenant)
 
 
-def _process_meta(process_name: str) -> Dict[str, Any]:
+def _process_meta(pid: int, process_name: str) -> Dict[str, Any]:
     return {
         "name": "process_name",
         "ph": "M",
-        "pid": 1,
+        "pid": pid,
         "tid": 0,
         "args": {"name": process_name},
     }
 
 
-def _thread_meta(tids: Iterable[int]) -> List[Dict[str, Any]]:
-    out: List[Dict[str, Any]] = []
-    for tid in tids:
+def _chrome_head(
+    tenure: Sequence[Occupancy], process_name: str
+) -> List[Dict[str, Any]]:
+    """Metadata events: one process for the run and one per fleet
+    server, one named row per worker thread that ran a request."""
+    out = [_process_meta(1, process_name)]
+    for server in sorted({o.server for o in tenure if o.server is not None}):
+        out.append(_process_meta(_pid(server), f"{process_name}/server-{server}"))
+    for pid, tid in sorted({(_pid(o.server), o.thread) for o in tenure}):
         out.append(
             {
                 "name": "thread_name",
                 "ph": "M",
-                "pid": 1,
+                "pid": pid,
                 "tid": tid,
                 "args": {"name": f"worker-{tid}"},
             }
@@ -318,7 +306,7 @@ def _thread_meta(tids: Iterable[int]) -> List[Dict[str, Any]]:
             {
                 "name": "thread_sort_index",
                 "ph": "M",
-                "pid": 1,
+                "pid": pid,
                 "tid": tid,
                 "args": {"sort_index": tid},
             }
@@ -326,9 +314,10 @@ def _thread_meta(tids: Iterable[int]) -> List[Dict[str, Any]]:
     return out
 
 
-def _trace_records(record: Dict[str, Any]) -> List[Dict[str, Any]]:
+def _trace_records(record: Dict[str, Any], pid: int) -> List[Dict[str, Any]]:
     """Chrome events contributed by one flattened trace event: two
-    counter samples per dispatch, one instant per exceptional kind."""
+    counter samples (in process ``pid``) per dispatch, one instant per
+    exceptional kind."""
     kind = record.get("kind")
     if kind == "dispatch":
         ts = record["t"] * _US
@@ -337,14 +326,14 @@ def _trace_records(record: Dict[str, Any]) -> List[Dict[str, Any]]:
                 "name": "virtual_time",
                 "ph": "C",
                 "ts": ts,
-                "pid": 1,
+                "pid": pid,
                 "args": {"vt": record.get("vt", 0.0)},
             },
             {
                 "name": "backlog",
                 "ph": "C",
                 "ts": ts,
-                "pid": 1,
+                "pid": pid,
                 "args": {"queued": record.get("backlog", 0)},
             },
         ]
@@ -370,29 +359,30 @@ def _trace_records(record: Dict[str, Any]) -> List[Dict[str, Any]]:
 
 _SLICE_TEMPLATE = (
     '{"name": %s, "cat": "request", "ph": "X", "ts": %s, "dur": %s, '
-    '"pid": 1, "tid": %s, "args": {"tenant": %s, "cost": %s}}'
+    '"pid": %s, "tid": %s, "args": {"tenant": %s, "cost": %s}}'
 )
 _COUNTER_TEMPLATE = (
-    '{"name": "virtual_time", "ph": "C", "ts": %s, "pid": 1, "args": {"vt": %s}}, '
-    '{"name": "backlog", "ph": "C", "ts": %s, "pid": 1, "args": {"queued": %s}}'
+    '{"name": "virtual_time", "ph": "C", "ts": %s, "pid": %s, "args": {"vt": %s}}, '
+    '{"name": "backlog", "ph": "C", "ts": %s, "pid": %s, "args": {"queued": %s}}'
 )
 
 
-def _slice_chunks(slices: Sequence[_Slice], encoder: _ColumnEncoder) -> Iterator[str]:
-    """Encoded ``"ph": "X"`` slices of normalized dispatch records,
-    :data:`CHUNK_ROWS` records a chunk."""
+def _slice_chunks(
+    tenure: Sequence[Occupancy], encoder: _ColumnEncoder
+) -> Iterator[str]:
+    """Encoded ``"ph": "X"`` slices, one per occupancy,
+    :data:`CHUNK_ROWS` a chunk."""
     column = encoder.column
-    for start in range(0, len(slices), CHUNK_ROWS):
-        tids, tenants, names, starts, ends, costs = zip(
-            *slices[start : start + CHUNK_ROWS]
-        )
+    for start in range(0, len(tenure), CHUNK_ROWS):
+        block = tenure[start : start + CHUNK_ROWS]
         texts = [
-            column(names),
-            column([s * _US for s in starts]),
-            column([max(0.0, e - s) * _US for s, e in zip(starts, ends)]),
-            column(tids),
-            column(tenants),
-            column(costs),
+            column([_slice_name(o.tenant, o.api) for o in block]),
+            column([o.start * _US for o in block]),
+            column([max(0.0, o.end - o.start) * _US for o in block]),
+            column([_pid(o.server) for o in block]),
+            column([o.thread for o in block]),
+            column([o.tenant for o in block]),
+            column([o.cost for o in block]),
         ]
         yield ", ".join([_SLICE_TEMPLATE % item for item in zip(*texts)])
 
@@ -412,28 +402,20 @@ def _chrome_layout(kind: str, keys: Tuple[str, ...]) -> _Layout:
     return keys.index("backlog") if "backlog" in keys else len(keys)
 
 
-def _trace_chunks(events: Iterable[Any], encoder: _ColumnEncoder) -> Iterator[str]:
-    """Encoded counter samples and instants of the trace events, in
-    emission order, :data:`CHUNK_ROWS` events a chunk."""
+def _trace_chunks(
+    rows: Sequence[Row], pids: Dict[int, int], encoder: _ColumnEncoder
+) -> Iterator[str]:
+    """Encoded counter samples and instants of the rows, in emission
+    order, :data:`CHUNK_ROWS` rows a chunk; ``pids`` maps a dispatch
+    row's index to its fleet server's process (absent: pid 1)."""
     layouts: Dict[Tuple[str, Tuple[str, ...]], _Layout] = {}
     column = encoder.column
-    remaining = iter(events)
-    while True:
-        block = list(islice(remaining, CHUNK_ROWS))
-        if not block:
-            return
+    for first in range(0, len(rows), CHUNK_ROWS):
         items: List[str] = []
-        # backlog position -> (item slots, dispatch rows)
-        counters: Dict[int, Tuple[List[int], List[Row]]] = {}
-        for event in block:
-            if type(event) is tuple:
-                row: Row = event
-            elif isinstance(event, TraceEvent):
-                row = event.as_row()
-            else:
-                record = event.as_dict() if hasattr(event, "as_dict") else event
-                items.extend(map(json.dumps, _trace_records(record)))
-                continue
+        # backlog position -> (item slots, row indices)
+        counters: Dict[int, Tuple[List[int], List[int]]] = {}
+        for index in range(first, min(first + CHUNK_ROWS, len(rows))):
+            row = rows[index]
             shape = (row[0], row[4])
             if shape not in layouts:
                 layouts[shape] = _chrome_layout(*shape)
@@ -441,49 +423,51 @@ def _trace_chunks(events: Iterable[Any], encoder: _ColumnEncoder) -> Iterator[st
             if layout is None:
                 continue
             if layout < 0:
-                items.extend(map(json.dumps, _trace_records(row_as_dict(row))))
+                records = _trace_records(row_as_dict(row), pids.get(index, 1))
+                items.extend(map(json.dumps, records))
                 continue
             slots, members = counters.setdefault(layout, ([], []))
             slots.append(len(items))
-            members.append(row)
+            members.append(index)
             items.append("")
         for position, (slots, members) in counters.items():
-            ts = column([row[1] * _US for row in members])
-            vts = column([0.0 if row[2] is None else row[2] for row in members])
+            block = [rows[index] for index in members]
+            ts = column([row[1] * _US for row in block])
+            pid = column([pids.get(index, 1) for index in members])
+            vts = column([0.0 if row[2] is None else row[2] for row in block])
             backlogs = column(
-                [row[5][position] if position < len(row[5]) else 0 for row in members]
+                [row[5][position] if position < len(row[5]) else 0 for row in block]
             )
-            for slot, t, vt, backlog in zip(slots, ts, vts, backlogs):
-                items[slot] = _COUNTER_TEMPLATE % (t, vt, t, backlog)
+            for slot, t, p, vt, backlog in zip(slots, ts, pid, vts, backlogs):
+                items[slot] = _COUNTER_TEMPLATE % (t, p, vt, t, p, backlog)
         if items:
             yield ", ".join(items)
 
 
 def write_chrome_trace(
-    dispatch_log: Iterable[Any],
+    rows: Sequence[Row],
     path: Union[str, Path],
-    trace_events: Iterable[Any] = (),
     process_name: str = "repro",
     metadata: Optional[Dict[str, Any]] = None,
 ) -> Path:
     """Write a Chrome/Perfetto-loadable trace (JSON object format).
 
-    ``trace_events`` may hold tracer rows, :class:`TraceEvent` objects
-    or flattened dicts.  Streams, in bounded chunks, the bytes
+    Request slices come from the rows' thread occupancy
+    (:func:`~repro.obs.events.occupancies`); counters and instants from
+    the rows themselves.  Streams, in bounded chunks, the bytes
     ``json.dumps`` would write for one dict per Chrome event."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    slices = [_record_fields(record) for record in dispatch_log]
+    tenure = occupancies(rows)
+    pids = {o.row: _pid(o.server) for o in tenure if o.server is not None}
     encoder = _ColumnEncoder()
-    head = [_process_meta(process_name)]
-    head += _thread_meta(sorted({fields[0] for fields in slices}))
     with path.open("w") as fh:
         fh.write('{"traceEvents": [')
-        fh.write(", ".join(map(json.dumps, head)))
-        for chunk in _slice_chunks(slices, encoder):
+        fh.write(", ".join(map(json.dumps, _chrome_head(tenure, process_name))))
+        for chunk in _slice_chunks(tenure, encoder):
             fh.write(", ")
             fh.write(chunk)
-        for chunk in _trace_chunks(trace_events, encoder):
+        for chunk in _trace_chunks(rows, pids, encoder):
             fh.write(", ")
             fh.write(chunk)
         fh.write('], "displayTimeUnit": "ms", "otherData": ')

@@ -101,7 +101,6 @@ class TraceSession:
         self,
         tracer: Tracer,
         *,
-        dispatch_log: Any = (),
         seed: Optional[int] = None,
         config: Optional[Dict[str, Any]] = None,
         scheduler: Optional[Dict[str, Any]] = None,
@@ -113,9 +112,8 @@ class TraceSession:
         run_dir = self._unique_dir(tracer.name)
         write_rows_jsonl(tracer.rows, run_dir / "events.jsonl")
         write_chrome_trace(
-            dispatch_log,
+            tracer.rows,
             run_dir / "chrome_trace.json",
-            trace_events=tracer.rows,
             process_name=tracer.name,
             metadata={"run": tracer.name},
         )
@@ -266,7 +264,6 @@ class RunTelemetry:
         self,
         manifest: Callable[[], Dict[str, Any]],
         *,
-        dispatch_log: Any = (),
         aborted: Optional[Exception] = None,
     ) -> None:
         """Write the run's artifacts (a no-op outside a session)."""
@@ -278,9 +275,7 @@ class RunTelemetry:
                 fields.get("extra") or {},
                 aborted={"type": type(aborted).__name__, "message": str(aborted)},
             )
-        self.session.export_run(
-            self.tracer, dispatch_log=dispatch_log, flight=self.flight, **fields
-        )
+        self.session.export_run(self.tracer, flight=self.flight, **fields)
 
 
 @contextlib.contextmanager

@@ -5,8 +5,10 @@ cancel); this module folds them into per-request **spans** that answer
 the paper's explanatory question directly: *why did this request wait?*
 Each span carries its full lifecycle (possibly multiple attempts, when a
 worker crash forced a re-dispatch) and a **wait-time decomposition**:
-the queueing interval is partitioned at the occupancy boundaries of the
-thread the request eventually ran on, attributing every sub-interval to
+the queueing interval is partitioned at the occupancy boundaries
+(:func:`~repro.obs.events.occupancies`, the fold the Chrome trace's
+slices come from) of the thread -- on its fleet server -- the request
+eventually ran on, attributing every sub-interval to
 the specific request that was holding that thread -- head-of-line
 blocking attribution ("small request 17 of A waited behind request 4 of
 B for 3.0s") -- or to thread idleness (only possible around worker
@@ -19,8 +21,8 @@ it across every scheduler: for each completed request,
     wait + service                   == latency
 
 Spans are pure derivation -- nothing here runs during the simulation;
-feed :func:`build_spans` a tracer's rows or events, or a parsed
-``events.jsonl``.
+feed :func:`build_spans` a tracer's rows, or :func:`spans_from_jsonl`
+an exported ``events.jsonl``.
 """
 
 from __future__ import annotations
@@ -28,9 +30,29 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Union, cast
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
-from .events import CANCEL, COMPLETE, DISPATCH, ENQUEUE, Row, TraceEvent, row_field
+from .events import (
+    CANCEL,
+    COMPLETE,
+    DISPATCH,
+    ENQUEUE,
+    Occupancy,
+    Row,
+    occupancies,
+    row_field,
+)
 
 __all__ = [
     "BlockingInterval",
@@ -239,53 +261,28 @@ _HEADER = ("kind", "t", "vt", "tenant")
 _SPAN_KINDS = frozenset((ENQUEUE, DISPATCH, COMPLETE, CANCEL))
 
 
-def _as_row(event: Any) -> Row:
-    """The row of a tracer row, a :class:`TraceEvent` or an
-    ``events.jsonl`` dict."""
-    if isinstance(event, tuple):
-        return cast(Row, event)
-    if isinstance(event, TraceEvent):
-        return event.as_row()
-    payload = {key: value for key, value in event.items() if key not in _HEADER}
-    return (
-        event.get("kind"),
-        event.get("t"),
-        event.get("vt"),
-        event.get("tenant"),
-        tuple(payload),
-        tuple(payload.values()),
-    )
+def build_spans(rows: Sequence[Row]) -> SpanSet:
+    """Fold the tracer's rows (:attr:`~repro.obs.tracer.Tracer.rows`,
+    in emission order) into request spans with exact blocking
+    attribution.
 
-
-@dataclass
-class _Occupancy:
-    """One request's tenure on one thread (open until end is set)."""
-
-    start: float
-    seqno: int
-    tenant: str
-    end: Optional[float] = None
-
-
-def build_spans(events: Iterable[Any]) -> SpanSet:
-    """Fold a decision-event stream into request spans with exact
-    blocking attribution.
-
-    Accepts the tracer's rows (:attr:`~repro.obs.tracer.Tracer.rows`),
-    :class:`~repro.obs.events.TraceEvent` objects or the plain dicts of
-    an ``events.jsonl`` stream, in emission order.  Events of kinds
-    other than enqueue/dispatch/complete/cancel are ignored, so a full
-    mixed stream can be passed as-is.
+    Rows of kinds other than enqueue/dispatch/complete/cancel are
+    ignored, so a full mixed stream can be passed as-is.  Who held a
+    thread comes from :func:`~repro.obs.events.occupancies`, keyed by
+    ``(server, thread)``, so in a fleet a request is only ever blamed
+    on requests of its own server.
     """
+    tenure = occupancies(rows)
+    histories: Dict[Tuple[Optional[int], int], List[Occupancy]] = {}
+    for occ in tenure:
+        histories.setdefault((occ.server, occ.thread), []).append(occ)
+    opened = {occ.row: occ for occ in tenure}
     spans: Dict[int, RequestSpan] = {}
     order: List[int] = []
-    #: Per-thread occupancy history, in dispatch order.
-    occupancy: Dict[int, List[_Occupancy]] = {}
-    #: seqno -> its currently open occupancy (for close-out).
-    open_occupancy: Dict[int, _Occupancy] = {}
+    #: Dispatched attempts with the occupancy their dispatch opened.
+    dispatched: List[Tuple[Attempt, Occupancy]] = []
 
-    for event in events:
-        row = _as_row(event)
+    for index, row in enumerate(rows):
         kind, t, _, tenant, keys, values = row
         if kind not in _SPAN_KINDS:
             continue
@@ -311,27 +308,21 @@ def build_spans(events: Iterable[Any]) -> SpanSet:
             attempt.thread = row_field(row, "thread")
             attempt.estimate = row_field(row, "estimate")
             attempt.outcome = "running"
-            if attempt.thread is not None:
-                occ = _Occupancy(start=t, seqno=seqno, tenant=span.tenant)
-                occupancy.setdefault(attempt.thread, []).append(occ)
-                open_occupancy[seqno] = occ
+            occ = opened.get(index)
+            if occ is not None:
+                dispatched.append((attempt, occ))
         else:
             attempt.end_t = t
             attempt.outcome = "completed" if kind == COMPLETE else "cancelled"
-            occ = open_occupancy.pop(seqno, None)
-            if occ is not None:
-                occ.end = t
 
-    for seqno in order:
-        for attempt in spans[seqno].attempts:
-            if attempt.thread is not None and attempt.dispatch_t is not None:
-                attempt.blocking = _attribute_wait(
-                    attempt.enqueue_t,
-                    attempt.dispatch_t,
-                    attempt.thread,
-                    seqno,
-                    occupancy.get(attempt.thread, ()),
-                )
+    for attempt, occ in dispatched:
+        attempt.blocking = _attribute_wait(
+            attempt.enqueue_t,
+            occ.start,
+            occ.thread,
+            occ.seqno,
+            histories[(occ.server, occ.thread)],
+        )
     return SpanSet([spans[seqno] for seqno in order])
 
 
@@ -340,7 +331,7 @@ def _attribute_wait(
     dispatch_t: float,
     thread: int,
     seqno: int,
-    history: Iterable[_Occupancy],
+    history: Iterable[Occupancy],
 ) -> List[BlockingInterval]:
     """Partition ``[enqueue_t, dispatch_t)`` at the occupancy boundaries
     of ``thread``, yielding one interval per blocking request plus idle
@@ -354,15 +345,14 @@ def _attribute_wait(
     for occ in history:
         if occ.seqno == seqno and occ.start >= dispatch_t - 1e-18:
             continue  # the request's own tenure
-        end = occ.end if occ.end is not None else dispatch_t
-        if end <= cursor or occ.start >= dispatch_t:
+        if occ.end <= cursor or occ.start >= dispatch_t:
             continue
         start = max(occ.start, cursor)
         if start > cursor:
             out.append(
                 BlockingInterval(cursor, start, kind="idle", thread=thread)
             )
-        clipped_end = min(end, dispatch_t)
+        clipped_end = min(occ.end, dispatch_t)
         if clipped_end > start:
             out.append(
                 BlockingInterval(
@@ -386,7 +376,20 @@ def _attribute_wait(
     return out
 
 
+def _row(line: Dict[str, Any]) -> Row:
+    """The row of one parsed ``events.jsonl`` line."""
+    payload = {key: value for key, value in line.items() if key not in _HEADER}
+    return (
+        line["kind"],
+        line["t"],
+        line.get("vt"),
+        line.get("tenant"),
+        tuple(payload),
+        tuple(payload.values()),
+    )
+
+
 def spans_from_jsonl(path: Union[str, Path]) -> SpanSet:
     """Build spans straight from an exported ``events.jsonl``."""
     with Path(path).open() as fh:
-        return build_spans(json.loads(line) for line in fh if line.strip())
+        return build_spans([_row(json.loads(line)) for line in fh if line.strip()])

@@ -14,12 +14,7 @@ from .events import EventHandle, EventQueue
 from .gps import GPSReference
 from .rng import make_rng, stable_hash
 from .server import ThreadPoolServer, Worker
-from .sources import (
-    ArrivalProcessSource,
-    BackloggedSource,
-    Source,
-    TraceSource,
-)
+from .sources import BackloggedSource, Source, TraceSource
 
 __all__ = [
     "Simulation",
@@ -31,7 +26,6 @@ __all__ = [
     "Source",
     "TraceSource",
     "BackloggedSource",
-    "ArrivalProcessSource",
     "make_rng",
     "stable_hash",
 ]

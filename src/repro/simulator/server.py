@@ -235,10 +235,6 @@ class ThreadPoolServer:
                 totals[request.tenant_id] += min(progress, request.cost)
         return totals
 
-    def running_requests(self) -> List[Request]:
-        """Requests currently executing (one per busy worker)."""
-        return [w.request for w in self.workers if w.request is not None]
-
     # -- fault injection ----------------------------------------------------------
     #
     # These hooks are only ever called by repro.faults; a fault-free run

@@ -3,9 +3,8 @@
 Two arrival disciplines cover everything in the paper's evaluation:
 
 * **open loop** -- requests arrive at externally determined times,
-  regardless of how the server is doing.  Used for trace replay
-  (:class:`TraceSource`) and generative arrivals
-  (:class:`ArrivalProcessSource`).
+  regardless of how the server is doing: trace replay
+  (:class:`TraceSource`) of pre-generated arrivals.
 * **closed loop / backlogged** -- the tenant keeps a fixed number of
   requests outstanding and submits a new one the moment one completes
   (:class:`BackloggedSource`).  This realizes the paper's "continuously
@@ -22,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Optional, Protocol, Tuple
 
 from ..core.request import Request
 from ..errors import ConfigurationError
-from ..units import Cost, Duration, Scalar, SimTime, Weight
+from ..units import Cost, Scalar, SimTime, Weight
 from .clock import Simulation
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "Source",
     "TraceSource",
     "BackloggedSource",
-    "ArrivalProcessSource",
 ]
 
 
@@ -49,8 +47,6 @@ class SubmitTarget(Protocol):
 
 #: A sampler returns (api, cost) for the next request of a tenant.
 RequestSampler = Callable[[], Tuple[str, Cost]]
-#: An inter-arrival sampler returns the gap to the next arrival (seconds).
-GapSampler = Callable[[], Duration]
 
 
 class Source:
@@ -188,50 +184,3 @@ class BackloggedSource(Source):
         api, cost = self._sampler()
         self._submit(self.tenant_id, api, cost, self._weight)
         return True
-
-
-class ArrivalProcessSource(Source):
-    """Open-loop generative arrivals (e.g. Poisson) for one tenant.
-
-    Parameters
-    ----------
-    gap_sampler:
-        Callable returning the next inter-arrival gap in seconds (e.g.
-        exponential for Poisson arrivals).
-    sampler:
-        Callable returning ``(api, cost)`` per request.
-    until:
-        Stop generating arrivals after this simulated time.
-    """
-
-    def __init__(
-        self,
-        server: SubmitTarget,
-        tenant_id: str,
-        gap_sampler: GapSampler,
-        sampler: RequestSampler,
-        weight: Weight = 1.0,
-        start_time: SimTime = 0.0,
-        until: Optional[SimTime] = None,
-        limit: Optional[int] = None,
-    ) -> None:
-        super().__init__(server)
-        self.tenant_id = tenant_id
-        self._gap_sampler = gap_sampler
-        self._sampler = sampler
-        self._weight: Weight = float(weight)
-        self._start_time: SimTime = float(start_time)
-        self._until = until
-        self._limit = limit
-
-    def start(self) -> None:
-        self.server.sim.at(self._start_time + max(0.0, self._gap_sampler()), self._fire)
-
-    def _fire(self) -> None:
-        if self._limit is not None and self.submitted >= self._limit:
-            return
-        api, cost = self._sampler()
-        self._submit(self.tenant_id, api, cost, self._weight)
-        next_time = self.server.sim.now + max(0.0, self._gap_sampler())
-        if self._until is None or next_time <= self._until:
-            self.server.sim.at(next_time, self._fire)

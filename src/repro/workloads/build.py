@@ -3,10 +3,9 @@
 This is the glue between the declarative workload layer
 (:class:`~repro.workloads.spec.TenantSpec`, traces) and the execution
 layer (:mod:`repro.simulator.sources`).  Closed-loop specs become
-:class:`BackloggedSource`; open-loop specs become either a pre-generated
-:class:`TraceSource` (deterministic across schedulers -- the default, so
-each scheduler sees the byte-identical arrival sequence) or a live
-:class:`ArrivalProcessSource`.
+:class:`BackloggedSource`; open-loop specs become a pre-generated
+:class:`TraceSource`, so each scheduler sees the byte-identical arrival
+sequence.
 """
 
 from __future__ import annotations

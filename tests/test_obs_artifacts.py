@@ -24,8 +24,9 @@ import pytest
 
 from repro.core.request import Request
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.fleet import run_fleet
 from repro.experiments.runner import run_single
-from repro.obs import AuditConfig, trace_session
+from repro.obs import AuditConfig, spans_from_jsonl, trace_session
 from repro.workloads.synthetic import expensive_requests_population
 
 DIGESTS = Path(__file__).parent / "data" / "golden_audit_artifacts.json"
@@ -129,3 +130,151 @@ def test_manifest_counters_match_the_event_stream(run_dir):
     lines = (run_dir / "events.jsonl").read_text().splitlines()
     assert manifest["counters"]["trace.events"] == len(lines)
     assert manifest["counters"]["trace.dropped_events"] == 0
+
+
+# -- request slices: drawn from the event rows -----------------------------------
+
+
+def chrome_events(run_dir):
+    return json.loads((run_dir / "chrome_trace.json").read_text())["traceEvents"]
+
+
+def event_lines(run_dir):
+    return [
+        json.loads(line)
+        for line in (run_dir / "events.jsonl").read_text().splitlines()
+    ]
+
+
+def dispatched_slices(run_dir):
+    """``(dispatch event, "X" slice)`` pairs: slices come in dispatch
+    order, one per dispatch event."""
+    slices = [e for e in chrome_events(run_dir) if e["ph"] == "X"]
+    dispatches = [e for e in event_lines(run_dir) if e["kind"] == "dispatch"]
+    assert slices, "the trace has no request slices"
+    assert len(slices) == len(dispatches)
+    for event, slice_ in zip(dispatches, slices):
+        assert slice_["args"]["tenant"] == event["tenant"]
+        assert slice_["ts"] == event["t"] * 1e6
+    return list(zip(dispatches, slices))
+
+
+def assert_slices_do_not_overlap(slices):
+    lanes = {}
+    for slice_ in slices:
+        lanes.setdefault((slice_["pid"], slice_["tid"]), []).append(
+            (slice_["ts"], slice_["ts"] + slice_["dur"], slice_["name"])
+        )
+    for lane, intervals in lanes.items():
+        intervals.sort()
+        for left, right in zip(intervals, intervals[1:]):
+            # 1e-3 us absorbs the rounding of ts + dur at a shared edge.
+            assert left[1] <= right[0] + 1e-3, f"{lane}: {left} overlaps {right}"
+
+
+class TestRequestSlices:
+    def test_slices_do_not_overlap_on_a_thread(self, run_dir):
+        pairs = dispatched_slices(run_dir)
+        assert_slices_do_not_overlap([slice_ for _, slice_ in pairs])
+
+    def test_running_cancel_ends_its_slice(self, run_dir):
+        pairs = dispatched_slices(run_dir)
+        cancels = [
+            e for e in event_lines(run_dir)
+            if e["kind"] == "cancel" and e["was_running"]
+        ]
+        assert cancels, "the golden run aborts no running request"
+        for cancel in cancels:
+            # The cancelled attempt is the seqno's last dispatch before it.
+            (_, slice_), *_ = [
+                (event, slice_) for event, slice_ in reversed(pairs)
+                if event["seqno"] == cancel["seqno"] and event["t"] <= cancel["t"]
+            ]
+            end = slice_["ts"] + slice_["dur"]
+            assert end == pytest.approx(cancel["t"] * 1e6, abs=1e-3), cancel
+
+    @pytest.mark.parametrize("scheduler", ["2dfq", "wfq", "2dfq-e"])
+    def test_completed_slices_match_the_dispatch_log(self, tmp_path, scheduler):
+        """Unfaulted, every completion lands at its predicted end, so the
+        slices drawn from the rows equal the metrics dispatch log's."""
+        config = ExperimentConfig(
+            name="slices",
+            schedulers=(scheduler,),
+            num_threads=4,
+            thread_rate=1000.0,
+            duration=0.4,
+            sample_interval=0.02,
+            seed=0,
+        )
+        specs = expensive_requests_population(num_small=30, total=40)
+        with trace_session(tmp_path) as session:
+            metrics = run_single(scheduler, specs, config)
+        (run,) = session.runs
+        run_dir = tmp_path / run
+        pairs = dispatched_slices(run_dir)
+        completed = {
+            e["seqno"] for e in event_lines(run_dir) if e["kind"] == "complete"
+        }
+        assert len(pairs) == len(metrics.dispatch_log)
+        matched = 0
+        for (event, slice_), record in zip(pairs, metrics.dispatch_log):
+            assert slice_["tid"] == record.thread_id
+            assert slice_["name"] == f"{record.tenant_id}/{record.api}"
+            assert slice_["ts"] == record.start * 1e6
+            assert slice_["args"]["cost"] == record.cost
+            if event["seqno"] in completed:
+                assert slice_["dur"] == max(0.0, record.end - record.start) * 1e6
+                matched += 1
+        assert matched > 20
+
+
+@pytest.fixture(scope="module")
+def fleet_run_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fleet-slices")
+    with trace_session(directory) as session:
+        run_fleet(router="round-robin", duration=2.0, seed=1, name="fleet-rr")
+    (run,) = session.runs
+    return directory / run
+
+
+def routed_servers(run_dir):
+    servers = {}
+    for event in event_lines(run_dir):
+        if event["kind"] == "route" and event["accepted"]:
+            servers.setdefault(event["seqno"], []).append(event["server"])
+    return servers
+
+
+class TestFleetSlices:
+    def test_slices_sit_in_their_servers_process(self, fleet_run_dir):
+        pairs = dispatched_slices(fleet_run_dir)
+        processes = {
+            e["pid"]: e["args"]["name"]
+            for e in chrome_events(fleet_run_dir)
+            if e["ph"] == "M" and e["name"] == "process_name"
+        }
+        servers = routed_servers(fleet_run_dir)
+        for event, slice_ in pairs:
+            server = servers[event["seqno"]][-1]
+            assert processes[slice_["pid"]] == f"fleet-rr/server-{server}"
+        assert_slices_do_not_overlap([slice_ for _, slice_ in pairs])
+
+    def test_counter_tracks_are_per_server(self, fleet_run_dir):
+        pids = {
+            e["pid"] for e in chrome_events(fleet_run_dir)
+            if e["ph"] == "C" and e["name"] == "virtual_time"
+        }
+        slice_pids = {slice_["pid"] for _, slice_ in dispatched_slices(fleet_run_dir)}
+        assert pids == slice_pids and len(pids) == 4
+
+    def test_blocking_stays_on_the_blocked_requests_server(self, fleet_run_dir):
+        servers = routed_servers(fleet_run_dir)
+        spans = spans_from_jsonl(fleet_run_dir / "events.jsonl")
+        running = 0
+        for span in spans:
+            for interval in span.blocking:
+                if interval.kind != "running":
+                    continue
+                running += 1
+                assert servers[interval.blocker_seqno] == servers[span.seqno]
+        assert running > 100

@@ -22,23 +22,33 @@ from repro.obs.exporters import encode_rows_jsonl
 VALID_PHASES = {"M", "X", "C", "i"}
 
 
-def _dispatch_log():
-    return [
-        {"thread_id": 0, "tenant_id": "A", "api": "op", "start": 0.0, "end": 1.0},
-        {"thread_id": 1, "tenant_id": "B", "api": "op", "start": 0.0, "end": 4.0},
-        {"thread_id": 0, "tenant_id": "A", "api": "op", "start": 1.0, "end": 2.0},
-    ]
+def _rows():
+    """Three requests on two threads: A on thread 0 over [0, 1] and
+    [1, 2], B on thread 1 over [0, 4]."""
+    tracer = Tracer("rows")
+    for seqno, (tenant, thread, start, end) in enumerate(
+        [("A", 0, 0.0, 1.0), ("B", 1, 0.0, 4.0), ("A", 0, 1.0, 2.0)]
+    ):
+        tracer.enqueue(
+            seqno, 0.0, tenant, seqno=seqno, api="op", cost=end - start,
+            start_tag=0.0, queue_depth=1, backlog=3 - seqno,
+        )
+    for seqno, (tenant, thread, start, end) in enumerate(
+        [("A", 0, 0.0, 1.0), ("B", 1, 0.0, 4.0), ("A", 0, 1.0, 2.0)]
+    ):
+        tracer.dispatch(
+            start, start, tenant, seqno=seqno, api="op", thread=thread,
+            estimate=end - start, start_tag_after=end, backlog=2 - seqno,
+        )
+        tracer.complete(
+            end, end, tenant, seqno=seqno, api="op", actual=end - start,
+            charged=end - start, start_tag_after=end, running=0,
+        )
+    return tracer.rows
 
 
-def _events():
-    return [
-        TraceEvent("dispatch", 0.0, 0.0, "A", {"backlog": 2}),
-        TraceEvent("dispatch", 1.0, 1.0, "A", {"backlog": 1}),
-    ]
-
-
-def _exceptional_events():
-    return [
+def _exceptional_rows():
+    events = [
         TraceEvent(
             "cancel", 1.5, 2.0, "A", {"seqno": 7, "api": "op", "was_running": False}
         ),
@@ -46,15 +56,17 @@ def _exceptional_events():
         TraceEvent("invariant", 2.5, 3.0, "B", {"code": "vt-monotonic"}),
         TraceEvent("audit", 3.0, None, "B", {"monitor": "bursty", "tripped": True}),
     ]
+    return [event.as_row() for event in events]
 
 
 class TestEventsJsonl:
     def test_round_trips(self, tmp_path):
-        path = write_events_jsonl(_events(), tmp_path / "events.jsonl")
+        events = [TraceEvent.from_row(row) for row in _rows()]
+        path = write_events_jsonl(events, tmp_path / "events.jsonl")
         lines = path.read_text().splitlines()
-        assert len(lines) == 2
+        assert len(lines) == 9
         first = json.loads(lines[0])
-        assert first["kind"] == "dispatch"
+        assert first["kind"] == "enqueue"
         assert first["tenant"] == "A"
 
     def test_accepts_plain_dicts(self, tmp_path):
@@ -65,10 +77,7 @@ class TestEventsJsonl:
 class TestChromeTrace:
     def test_schema(self, tmp_path):
         path = write_chrome_trace(
-            _dispatch_log(),
-            tmp_path / "trace.json",
-            trace_events=_events(),
-            process_name="test-run",
+            _rows(), tmp_path / "trace.json", process_name="test-run"
         )
         payload = json.loads(path.read_text())
         assert set(payload) >= {"traceEvents", "displayTimeUnit"}
@@ -82,7 +91,7 @@ class TestChromeTrace:
                 assert event["dur"] >= 0.0
 
     def test_slices_and_metadata(self):
-        events = chrome_trace_events(_dispatch_log(), process_name="p")
+        events = chrome_trace_events(_rows(), process_name="p")
         slices = [e for e in events if e["ph"] == "X"]
         assert len(slices) == 3
         # Timestamps are microseconds.
@@ -97,16 +106,14 @@ class TestChromeTrace:
         assert tids == {0, 1}
 
     def test_counter_tracks_from_trace_events(self):
-        events = chrome_trace_events(_dispatch_log(), trace_events=_events())
+        events = chrome_trace_events(_rows())
         counters = [e for e in events if e["ph"] == "C"]
         assert {e["name"] for e in counters} == {"virtual_time", "backlog"}
 
     def test_instant_event_schema(self):
         """cancel/fault/invariant/audit render as tenant-colored
         process-scoped instant events carrying the full payload."""
-        events = chrome_trace_events(
-            _dispatch_log(), trace_events=_events() + _exceptional_events()
-        )
+        events = chrome_trace_events(_rows() + _exceptional_rows())
         instants = [e for e in events if e["ph"] == "i"]
         assert [e["name"] for e in instants] == [
             "cancel",
@@ -132,31 +139,27 @@ class TestChromeTrace:
         assert fault["cname"] == "generic_work"
 
     def test_instant_events_skipped_without_trace_events(self):
-        events = chrome_trace_events(_dispatch_log())
+        events = chrome_trace_events(_rows())
         assert not [e for e in events if e["ph"] == "i"]
 
-    def test_duck_types_objects_with_label(self):
-        class Slot:
-            thread_id = 0
-            start = 0.0
-            end = 2.0
-            tenant_id = "A"
-            label = "a1"
 
-        (slice_,) = [
-            e for e in chrome_trace_events([Slot()]) if e["ph"] == "X"
-        ]
-        assert slice_["name"] == "a1"
-
-
-def _mixed_tracer():
+def _mixed_tracer(fleet=False):
     """One tracer holding every row shape the encoders special-case:
     non-finite and signed-zero floats, int timestamps, non-ASCII and
     ``%``-bearing strings, absent vt/tenant headers, the ``**fields``
-    kinds (with nested values), both route shapes, and event objects
-    whose payload collides with a header name."""
+    kinds (with nested values), both route shapes, event objects whose
+    payload collides with a header name, and occupancies closed by a
+    complete, by a cancel, out of time order and not at all.  With
+    ``fleet``, the dispatched requests are first routed to three
+    servers."""
     nan, inf = float("nan"), float("inf")
     tracer = Tracer("encoders")
+    if fleet:
+        for seqno in (0, 1, 2, 3, 4, 9, 13, 14):
+            tracer.route(
+                0.0, "A", seqno=seqno, server=seqno % 3, policy="round-robin",
+                healthy=3, backlog=0, accepted=True,
+            )
     tracer.enqueue(
         0, 0.0, "t\u00e9nant-\u4e2d", seqno=1, api="op%s", cost=nan,
         start_tag=inf, queue_depth=1, backlog=2,
@@ -175,6 +178,10 @@ def _mixed_tracer():
             1.25 + i, 0.1 * i, "A", seqno=i, api="op", actual=1.0,
             charged=0.1 * 3, start_tag_after=-0.0, running=0,
         )
+    tracer.dispatch(
+        2.05, 5.0, "B", seqno=9, api="", thread=1, estimate=1.0,
+        start_tag_after=6.0, backlog=0,
+    )
     tracer.vt_update(2.0, 2.0, None, reason="tenant_idle", active_weight=0.0)
     tracer.vt_update(2.1, 2.0, "B", reason="refresh_charge", seqno=9, usage=nan)
     tracer.cancel(2.2, None, "B", seqno=9, api="op", was_running=True, backlog=0)
@@ -190,6 +197,18 @@ def _mixed_tracer():
         3.2, "A", seqno=12, server=None, policy="least-backlog", healthy=0,
         backlog=7, accepted=False, reason="overload",
     )
+    tracer.dispatch(
+        3.25, 7.0, "A", seqno=13, api="op", thread=0, estimate=1.0,
+        start_tag_after=8.0, backlog=0,
+    )
+    tracer.dispatch(
+        3.3, 7.0, "t\u00e9", seqno=14, api="op", thread=3, estimate=1.0,
+        start_tag_after=8.0, backlog=0,
+    )
+    tracer.complete(
+        3.28, 7.0, "t\u00e9", seqno=14, api="op", actual=1, charged=1.0,
+        start_tag_after=8.0, running=0,
+    )
     tracer.audit(3.3, "bursty", tripped=True, cov=-inf, window=10)
     tracer.audit(3.4, "lag", tenant="A", tripped=False, lag_seconds=0.0)
     tracer.emit(TraceEvent("enqueue", 4.0, None, "A", {"t": 9.0, "x%s": 1}))
@@ -203,9 +222,9 @@ def _reference_jsonl(events):
     return "".join(json.dumps(event.as_dict()) + "\n" for event in events)
 
 
-def _reference_chrome(dispatch_log, events, name="p", metadata=None):
+def _reference_chrome(rows, name="p", metadata=None):
     payload = {
-        "traceEvents": chrome_trace_events(dispatch_log, events, process_name=name),
+        "traceEvents": chrome_trace_events(rows, process_name=name),
         "displayTimeUnit": "ms",
         "otherData": metadata or {},
     }
@@ -233,41 +252,24 @@ class TestRowEncoders:
         assert "".join(chunks) == _reference_jsonl(tracer.events)
 
     @pytest.mark.parametrize("chunk", [None, 1, 4])
-    @pytest.mark.parametrize("form", ["rows", "events", "dicts"])
+    @pytest.mark.parametrize("form", ["rows", "fleet"])
     def test_chrome_trace_matches_reference(self, tmp_path, monkeypatch, chunk, form):
         if chunk is not None:
             monkeypatch.setattr(exporters, "CHUNK_ROWS", chunk)
-        tracer = _mixed_tracer()
-        log = _dispatch_log() + [
-            {"thread_id": 3, "tenant_id": "t\u00e9", "start": 2.0, "end": 1.5,
-             "cost": 1},
-            {"thread_id": 2, "tenant_id": 7, "api": "", "start": 0.0, "end": 0.0},
-        ]
-
-        class Slot:
-            thread_id = 1
-            start = 0.25
-            end = 0.75
-            tenant_id = "B"
-            label = "b1"
-
-        log.append(Slot())
-        trace_events = {
-            "rows": tracer.rows,
-            "events": list(tracer.events),
-            "dicts": [event.as_dict() for event in tracer.events],
-        }[form]
+        rows = _mixed_tracer(fleet=form == "fleet").rows
         metadata = {"run": "r\u00fcn"}
         path = write_chrome_trace(
-            log, tmp_path / "trace.json", trace_events=trace_events,
-            process_name="p", metadata=metadata,
+            rows, tmp_path / "trace.json", process_name="p", metadata=metadata
         )
-        expected = _reference_chrome(log, tracer.events, metadata=metadata)
+        expected = _reference_chrome(rows, metadata=metadata)
         assert path.read_text() == expected
+        slices = [e for e in json.loads(expected)["traceEvents"] if e["ph"] == "X"]
+        assert len(slices) == 8
+        assert len({e["pid"] for e in slices}) == (3 if form == "fleet" else 1)
 
     def test_chrome_trace_without_events_or_log(self, tmp_path):
         path = write_chrome_trace([], tmp_path / "empty.json")
-        assert path.read_text() == _reference_chrome([], [], name="repro")
+        assert path.read_text() == _reference_chrome([], name="repro")
 
 
 class TestManifest:
@@ -339,9 +341,7 @@ class TestTraceSession:
             0.0, 0.0, "A", seqno=0, api="x", thread=0, estimate=1.0,
             start_tag_after=1.0, backlog=1,
         )
-        run_dir = session.export_run(
-            tracer, dispatch_log=_dispatch_log(), seed=3, config={"d": 1}
-        )
+        run_dir = session.export_run(tracer, seed=3, config={"d": 1})
         for artifact in ("events.jsonl", "chrome_trace.json", "manifest.json"):
             assert (run_dir / artifact).exists()
         manifest = json.loads((run_dir / "manifest.json").read_text())

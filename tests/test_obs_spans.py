@@ -15,7 +15,7 @@ from repro.core import make_scheduler
 from repro.core.request import Request
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_single
-from repro.obs import Tracer, build_spans, spans_from_jsonl
+from repro.obs import TraceEvent, Tracer, build_spans, spans_from_jsonl
 from repro.obs.exporters import write_rows_jsonl
 from repro.obs.spans import SpanSet
 from repro.simulator.rng import make_rng
@@ -65,11 +65,23 @@ def drive_scheduler(scheduler_name, num_threads=3, horizon=40.0, seed=0):
     return tracer
 
 
+def as_rows(events):
+    """Rows of hand-written ``events.jsonl``-style dicts."""
+    header = ("kind", "t", "vt", "tenant")
+    return [
+        TraceEvent(
+            event["kind"], event["t"], event.get("vt"), event.get("tenant"),
+            {key: value for key, value in event.items() if key not in header},
+        ).as_row()
+        for event in events
+    ]
+
+
 class TestWaitDecompositionProperty:
     @pytest.mark.parametrize("scheduler_name", VT_SCHEDULERS)
     def test_decomposition_is_exact(self, scheduler_name):
         tracer = drive_scheduler(scheduler_name)
-        spans = build_spans(tracer.events)
+        spans = build_spans(tracer.rows)
         completed = spans.completed()
         assert len(completed) > 20, "driver must complete a real workload"
         waited = 0
@@ -95,7 +107,7 @@ class TestWaitDecompositionProperty:
 
     def test_blockers_ran_on_the_victims_thread(self):
         tracer = drive_scheduler("wfq")
-        spans = build_spans(tracer.events)
+        spans = build_spans(tracer.rows)
         by_seqno = spans.by_seqno
         for span in spans.completed():
             thread = span.attempts[-1].thread
@@ -124,7 +136,7 @@ class TestHeadOfLineAttribution:
         assert scheduler.dequeue(0, 10.0) is small
         scheduler.complete(small, small.cost, 11.0)
 
-        spans = build_spans(tracer.events)
+        spans = build_spans(tracer.rows)
         small_span = spans.by_seqno[small.seqno]
         assert small_span.wait == pytest.approx(9.5)
         (interval,) = small_span.blocking
@@ -146,7 +158,7 @@ class TestHeadOfLineAttribution:
             {"kind": "dispatch", "t": 2.0, "tenant": "A", "seqno": 1, "thread": 0},
             {"kind": "complete", "t": 4.0, "tenant": "A", "seqno": 1},
         ]
-        spans = build_spans(events)
+        spans = build_spans(as_rows(events))
         # Request 1 did wait behind request 0 (attribution is recorded)...
         (interval,) = spans.by_seqno[1].blocking
         assert interval.kind == "running"
@@ -164,7 +176,7 @@ class TestLifecycleEdges:
             {"kind": "dispatch", "t": 3.0, "tenant": "A", "seqno": 0, "thread": 0},
             {"kind": "complete", "t": 4.0, "tenant": "A", "seqno": 0},
         ]
-        span = build_spans(events).by_seqno[0]
+        span = build_spans(as_rows(events)).by_seqno[0]
         (interval,) = span.blocking
         assert interval.kind == "idle"
         assert interval.duration == pytest.approx(3.0)
@@ -176,7 +188,7 @@ class TestLifecycleEdges:
             {"kind": "enqueue", "t": 0.0, "tenant": "A", "seqno": 0, "cost": 1.0, "api": "x"},
             {"kind": "cancel", "t": 2.5, "tenant": "A", "seqno": 0, "was_running": False},
         ]
-        span = build_spans(events).by_seqno[0]
+        span = build_spans(as_rows(events)).by_seqno[0]
         assert span.outcome == "cancelled"
         assert span.latency is None
         assert span.wait == pytest.approx(2.5)
@@ -193,7 +205,7 @@ class TestLifecycleEdges:
             {"kind": "dispatch", "t": 1.5, "tenant": "A", "seqno": 0, "thread": 1},
             {"kind": "complete", "t": 3.5, "tenant": "A", "seqno": 0},
         ]
-        spans = build_spans(events)
+        spans = build_spans(as_rows(events))
         assert len(spans) == 1
         span = spans.by_seqno[0]
         assert len(span.attempts) == 2
@@ -208,13 +220,13 @@ class TestLifecycleEdges:
             {"kind": "dispatch", "t": 1.0, "tenant": "A", "seqno": 9, "thread": 0},
             {"kind": "complete", "t": 2.0, "tenant": "A", "seqno": 9},
         ]
-        assert len(build_spans(events)) == 0
+        assert len(build_spans(as_rows(events))) == 0
 
 
 class TestSpanSetSurface:
     def test_summary_and_dict_shapes(self):
         tracer = drive_scheduler("2dfq", horizon=15.0)
-        spans = build_spans(tracer.events)
+        spans = build_spans(tracer.rows)
         summary = spans.summary()
         assert summary["requests"] == len(spans)
         assert summary["completed"] == len(spans.completed())
@@ -229,7 +241,7 @@ class TestSpanSetSurface:
 
         tracer = drive_scheduler("wf2q", horizon=10.0)
         path = write_events_jsonl(tracer.events, tmp_path / "events.jsonl")
-        direct = build_spans(tracer.events)
+        direct = build_spans(tracer.rows)
         loaded = spans_from_jsonl(path)
         assert isinstance(loaded, SpanSet)
         assert len(loaded) == len(direct)
@@ -262,7 +274,7 @@ class TestSpanSources:
         path = write_rows_jsonl(tracer.rows, tmp_path / "events.jsonl")
 
         from_rows = build_spans(tracer.rows)
-        from_events = build_spans(tracer.events)
+        from_events = build_spans([event.as_row() for event in tracer.events])
         from_jsonl = spans_from_jsonl(path)
         assert from_rows.summary()["redispatched"] > 0
         assert len(from_rows) == len(from_events) == len(from_jsonl) > 0

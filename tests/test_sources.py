@@ -5,7 +5,6 @@ import pytest
 from repro.core import make_scheduler
 from repro.errors import ConfigurationError
 from repro.simulator import (
-    ArrivalProcessSource,
     BackloggedSource,
     Simulation,
     ThreadPoolServer,
@@ -102,27 +101,6 @@ class TestBackloggedSource:
         ).start()
         sim.run(until=3.0)
         assert seen == [3.0, 3.0]
-
-
-class TestArrivalProcessSource:
-    def test_generates_until_horizon(self):
-        sim, server = build_server(num_threads=2, rate=100.0)
-        gaps = iter([0.5] * 100)
-        source = ArrivalProcessSource(
-            server, "A", lambda: next(gaps), lambda: ("x", 1.0), until=2.4
-        )
-        source.start()
-        sim.run()
-        assert source.submitted == 4  # t = 0.5, 1.0, 1.5, 2.0
-
-    def test_limit(self):
-        sim, server = build_server(rate=100.0)
-        source = ArrivalProcessSource(
-            server, "A", lambda: 0.1, lambda: ("x", 1.0), limit=3
-        )
-        source.start()
-        sim.run(until=10.0)
-        assert source.submitted == 3
 
 
 class TestAttachSpecs:
