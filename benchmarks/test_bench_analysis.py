@@ -1,17 +1,10 @@
 """Static-analyzer runtime benchmark and budget gate.
 
-The full ``repro.analysis`` catalogue -- including the RPR1xx abstract
-interpretation, the most expensive pass -- runs as a pre-commit / CI
-gate, so its wall-clock must stay interactive.  This bench times one
-cold run over ``src/repro`` under the complete rule set, records the
-measurement into the ``analysis`` section of ``BENCH_manifest.json``,
-and fails if the run exceeds the 10-second budget.
-
-A second timed run through the CLI's ``--cache`` path records the warm
-(digest-hit) wall-clock next to it.  The warm run skips only the
-dataflow pass -- parsing and the single-pass rules still run -- so the
-gate on it is the same absolute budget, not a cold-vs-warm race that
-sub-second timing noise would make flaky.
+The full ``repro.analysis`` catalogue runs as a pre-commit / CI gate,
+so its wall-clock must stay interactive.  This bench times one cold run
+over ``src/repro`` under the complete rule set, records the measurement
+into the ``analysis`` section of ``BENCH_manifest.json``, and fails if
+the run exceeds the 10-second budget.
 """
 
 from __future__ import annotations
@@ -20,7 +13,6 @@ import os
 import time
 
 from repro.analysis import Analyzer
-from repro.analysis.cli import main as analysis_main
 
 from conftest import emit, merge_bench_manifest
 
@@ -34,26 +26,16 @@ SRC_REPRO = os.path.join(
 )
 
 
-def test_analysis_runtime_budget(capsys, tmp_path):
+def test_analysis_runtime_budget(capsys):
     started = time.perf_counter()  # repro: ignore[RPR001] -- host timing of the analyzer itself
     result = Analyzer().run([SRC_REPRO])
     cold_seconds = time.perf_counter() - started  # repro: ignore[RPR001] -- host timing of the analyzer itself
 
     assert result.findings == []  # the tree gate, enforced here too
 
-    cache_dir = str(tmp_path / "dfcache")
-    assert analysis_main(["--cache", cache_dir, SRC_REPRO]) == 0  # seed
-    started = time.perf_counter()  # repro: ignore[RPR001] -- host timing of the analyzer itself
-    assert analysis_main(["--cache", cache_dir, SRC_REPRO]) == 0  # hit
-    warm_seconds = time.perf_counter() - started  # repro: ignore[RPR001] -- host timing of the analyzer itself
-    # One digest entry: the second run hit it rather than re-analyzing.
-    entries = [e for e in os.listdir(cache_dir) if e.startswith("dataflow-")]
-    assert len(entries) == 1
-
     section = {
         "budget_seconds": ANALYSIS_BUDGET_SECONDS,
         "cold_seconds": round(cold_seconds, 3),
-        "warm_cached_seconds": round(warm_seconds, 3),
         "files_analyzed": result.files_analyzed,
         "rules": len(Analyzer().rules),
     }
@@ -65,11 +47,9 @@ def test_analysis_runtime_budget(capsys, tmp_path):
             [
                 f"cold full catalogue  {cold_seconds:8.3f} s "
                 f"(budget {ANALYSIS_BUDGET_SECONDS:.0f} s)",
-                f"warm --cache hit     {warm_seconds:8.3f} s",
                 f"files analyzed       {result.files_analyzed:8d}",
             ]
         ),
     )
 
     assert cold_seconds < ANALYSIS_BUDGET_SECONDS
-    assert warm_seconds < ANALYSIS_BUDGET_SECONDS

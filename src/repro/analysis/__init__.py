@@ -3,11 +3,11 @@
 Every result this repository produces rests on properties the runtime
 watchdog (:mod:`repro.validate`) can only check *per run*: determinism
 (all randomness flows from :func:`repro.simulator.rng.make_rng`, never
-from wall clocks or global RNG state), exact virtual-time arithmetic,
-uniform scheduler API conformance, and sim-purity (no ``assert`` for
-runtime invariants -- ``python -O`` strips them).  This package checks
-those properties *statically*, over the AST, so a violation is caught at
-review time instead of corrupting a run.
+from wall clocks, global RNG state or set iteration order) and trace
+completeness (scheduler hook overrides keep their obs events).  This
+package checks those properties *statically*, over the AST, for the
+hazards the tier-1 tests do not catch deterministically (DESIGN.md
+§17).
 
 The framework is a small visitor-based plugin system:
 
@@ -17,7 +17,7 @@ The framework is a small visitor-based plugin system:
 * the :class:`~repro.analysis.engine.Analyzer` parses each file once,
   dispatches nodes to the interested rules, builds a cross-file
   :class:`~repro.analysis.project.ProjectModel` for the conformance
-  rules, and applies inline ``# repro: ignore[RPR0xx]`` suppressions
+  rule, and applies inline ``# repro: ignore[RPR0xx]`` suppressions
   (an unused suppression is itself a finding, ``RPR000``);
 * ``python -m repro.analysis`` runs the whole catalogue from the command
   line (text or JSON output, nonzero exit on findings) and gates CI.

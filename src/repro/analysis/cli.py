@@ -4,10 +4,10 @@ Examples::
 
     python -m repro.analysis                    # src/repro + aux roots
     python -m repro.analysis src/repro --format json
-    python -m repro.analysis --select RPR001,RPR030 src/repro
+    python -m repro.analysis --select RPR001,RPR012 src/repro
     python -m repro.analysis --write-baseline analysis-baseline.json
     python -m repro.analysis --baseline analysis-baseline.json
-    python -m repro.analysis --format github --cache .repro-cache
+    python -m repro.analysis --format github
     python -m repro.analysis --list-rules
 
 Scan roots
@@ -16,10 +16,10 @@ With no explicit paths, ``src/repro`` is analyzed under the full rule
 catalogue, and the auxiliary roots (``benchmarks/``, ``examples/``,
 ``tests/``) are analyzed under the determinism subset only
 (:data:`AUX_RULE_SUBSET`): wall-clock and unseeded-RNG hygiene matter
-everywhere a simulation can be driven from, but style/structure rules
-and the dimension dataflow pass are scoped to the library source.  The
-seeded-violation fixture packages under ``tests/analysis_fixtures/``
-are excluded -- they exist to *contain* findings.
+everywhere a simulation can be driven from, but structure rules are
+scoped to the library source.  The seeded-violation fixture packages
+under ``tests/analysis_fixtures/`` are excluded -- they exist to
+*contain* findings.
 
 Baselines
 ---------
@@ -74,9 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "Simulation-safety static analysis: determinism, virtual-time "
-            "hygiene, scheduler conformance, sim-purity, and dimension "
-            "dataflow rules for the repro codebase (DESIGN.md §12, §17)."
+            "Simulation-safety static analysis: determinism and scheduler "
+            "conformance rules for the repro codebase (DESIGN.md §12)."
         ),
     )
     parser.add_argument(
@@ -123,14 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--write-baseline",
         metavar="FILE",
         help="record the current findings into FILE and exit 0",
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="DIR",
-        help=(
-            "persist the dataflow pass in DIR keyed on the source digest "
-            "(an unchanged tree skips the abstract interpretation)"
-        ),
     )
     parser.add_argument(
         "--list-rules",
@@ -259,7 +250,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not primary and not aux:
             parser.error("no paths given and src/repro not found")
 
-    analyzer = Analyzer(select=select, ignore=ignore, dataflow_cache=args.cache)
+    analyzer = Analyzer(select=select, ignore=ignore)
     result = (
         analyzer.run(primary) if primary else AnalysisResult()
     )

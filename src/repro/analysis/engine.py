@@ -109,14 +109,9 @@ class Analyzer:
         rules: Optional[Iterable[Type[Rule]]] = None,
         select: Optional[Iterable[str]] = None,
         ignore: Optional[Iterable[str]] = None,
-        dataflow_cache: Optional[str] = None,
     ) -> None:
         self._select = set(select) if select is not None else None
         self._ignore = set(ignore) if ignore is not None else set()
-        #: Directory for the persisted dataflow report (``--cache DIR``);
-        #: ``None`` disables on-disk caching (in-memory sharing across
-        #: the RPR1xx rules of one run is always on).
-        self._dataflow_cache = dataflow_cache
         catalogue = list(rules if rules is not None else ALL_RULES)
         #: every code some catalogue rule (or pseudo-rule) claims,
         #: regardless of --select/--ignore filtering -- so suppressions
@@ -148,8 +143,6 @@ class Analyzer:
     def run(self, paths: Sequence[str]) -> AnalysisResult:
         result = AnalysisResult()
         project = ProjectModel()
-        if self._dataflow_cache is not None:
-            project.cache["dataflow_cache_dir"] = self._dataflow_cache
         modules: List[Tuple[RuleContext, SuppressionIndex]] = []
 
         for path in collect_files(paths):

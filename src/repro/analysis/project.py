@@ -1,13 +1,12 @@
-"""Cross-file project model for conformance rules.
+"""Cross-file project model for the conformance rule.
 
 Per-module AST walks are enough for the local rules (wall-clock calls,
-asserts, float equality), but the scheduler-conformance contract is a
-*global* property: "every class registered in ``SCHEDULER_CLASSES``
-implements the full scheduler surface" needs the registry's membership
-list from one file and the class bodies -- possibly inherited through a
-chain of bases -- from several others.  The :class:`ProjectModel`
-accumulates exactly the summaries those rules need while the engine
-walks each file, then hands them to ``finish_project`` hooks.
+asserts, set iteration), but the tracer-pairing contract is a *global*
+property: "every hook override below ``VirtualTimeScheduler`` keeps its
+trace event" needs class bodies -- possibly inherited through a chain
+of bases -- from several files.  The :class:`ProjectModel` accumulates
+exactly the summaries that rule needs while the engine walks each file,
+then hands them to ``finish_project`` hooks.
 
 Name resolution is intentionally lightweight: base classes are resolved
 by bare class name across the analyzed tree (same-module definitions
@@ -19,13 +18,11 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "MethodInfo",
     "ClassInfo",
-    "ModuleInfo",
-    "RegisteredClass",
     "ProjectModel",
 ]
 
@@ -55,32 +52,8 @@ class ClassInfo:
     name: str
     module: str
     path: str
-    lineno: int
-    col: int
     bases: Tuple[str, ...]
     methods: Dict[str, MethodInfo] = field(default_factory=dict)
-
-
-@dataclass
-class ModuleInfo:
-    """One analyzed module: its tree plus naming, kept for passes that
-    need whole bodies rather than the light summaries above (the
-    dataflow layer re-walks function bodies in control-flow order)."""
-
-    tree: ast.Module
-    module: str
-    path: str
-
-
-@dataclass(frozen=True)
-class RegisteredClass:
-    """One class name found in a ``SCHEDULER_CLASSES`` registration."""
-
-    class_name: str
-    module: str
-    path: str
-    lineno: int
-    col: int
 
 
 def _base_name(node: ast.expr) -> Optional[str]:
@@ -158,8 +131,6 @@ def summarize_class(
         name=node.name,
         module=module,
         path=path,
-        lineno=node.lineno,
-        col=node.col_offset,
         bases=bases,
     )
     for stmt in node.body:
@@ -176,79 +147,20 @@ def summarize_class(
     return info
 
 
-def _registered_names(node: ast.AST) -> List[str]:
-    """Class names registered in a ``SCHEDULER_CLASSES`` assignment.
-
-    Understands both shapes::
-
-        SCHEDULER_CLASSES = {cls.name: cls for cls in (A, B, C)}
-        SCHEDULER_CLASSES = {"a": A, "b": B}
-    """
-    value: Optional[ast.expr] = None
-    if isinstance(node, ast.Assign):
-        value = node.value
-    elif isinstance(node, ast.AnnAssign):
-        value = node.value
-    if isinstance(value, ast.DictComp):
-        gen = value.generators[0]
-        if isinstance(gen.iter, (ast.Tuple, ast.List)):
-            return [
-                name
-                for name in (_base_name(e) for e in gen.iter.elts)
-                if name is not None
-            ]
-    elif isinstance(value, ast.Dict):
-        return [
-            name
-            for name in (_base_name(v) for v in value.values)
-            if name is not None
-        ]
-    return []
-
-
 class ProjectModel:
     """Accumulated cross-file facts about the analyzed tree."""
 
     def __init__(self) -> None:
         #: Class summaries by bare name; collisions keep every definition.
         self.classes: Dict[str, List[ClassInfo]] = {}
-        #: Classes named in a ``SCHEDULER_CLASSES`` registration.
-        self.registered: List[RegisteredClass] = []
-        #: Every analyzed module with its full tree, in analysis order.
-        self.modules: List[ModuleInfo] = []
-        #: Scratch space shared by cooperating rules so expensive
-        #: whole-project passes (the dataflow analysis) run once per
-        #: analyzer run however many rules consume them.
-        self.cache: Dict[str, Any] = {}
 
     # -- collection (called by the engine) --------------------------------
 
     def add_module(self, tree: ast.Module, module: str, path: str) -> None:
-        self.modules.append(ModuleInfo(tree=tree, module=module, path=path))
         for stmt in tree.body:
             if isinstance(stmt, ast.ClassDef):
                 info = summarize_class(stmt, module, path)
                 self.classes.setdefault(info.name, []).append(info)
-            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                target = None
-                if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                    target = stmt.targets[0]
-                elif isinstance(stmt, ast.AnnAssign):
-                    target = stmt.target
-                if (
-                    isinstance(target, ast.Name)
-                    and target.id == "SCHEDULER_CLASSES"
-                ):
-                    for name in _registered_names(stmt):
-                        self.registered.append(
-                            RegisteredClass(
-                                class_name=name,
-                                module=module,
-                                path=path,
-                                lineno=stmt.lineno,
-                                col=stmt.col_offset,
-                            )
-                        )
 
     # -- queries ----------------------------------------------------------
 
@@ -285,29 +197,6 @@ class ProjectModel:
                 continue
             yield info
             stack = [(b, info.module) for b in info.bases] + stack
-
-    def find_method(
-        self, class_name: str, method: str, from_module: Optional[str] = None
-    ) -> Optional[Tuple[ClassInfo, MethodInfo]]:
-        """First definition of ``method`` along the by-name MRO."""
-        for info in self.mro(class_name, from_module):
-            if method in info.methods:
-                return info, info.methods[method]
-        return None
-
-    def base_name_closure(
-        self, class_name: str, from_module: Optional[str] = None
-    ) -> "set[str]":
-        """Every class *name* reachable through the by-name MRO --
-        including base names that resolve to nothing in the analyzed
-        tree.  Scope checks like "is this a Scheduler subclass" want the
-        unresolved names too: a fixture deriving from an imported
-        ``Scheduler`` still declares its intent in the base list."""
-        names: set[str] = {class_name}
-        for info in self.mro(class_name, from_module):
-            names.add(info.name)
-            names.update(info.bases)
-        return names
 
     def derives_from(
         self, class_name: str, ancestor: str, from_module: Optional[str] = None

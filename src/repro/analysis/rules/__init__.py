@@ -6,36 +6,20 @@ code   rule                  property protected
 RPR000 unused-suppression    ``# repro: ignore`` hygiene (engine built-in)
 RPR001 wall-clock            determinism: no wall-clock reads in sim logic
 RPR002 unseeded-rng          determinism: RNG flows from ``make_rng`` only
-RPR010 float-equality        virtual-time hygiene: no float ``==``/``!=``
-                             in ``repro.core``
-RPR011 frozen-request-field  virtual-time hygiene: request identity is
-                             immutable after construction
 RPR012 unordered-iteration   virtual-time hygiene: no set-order-dependent
                              scheduling decisions
-RPR020 scheduler-surface     conformance: registered schedulers implement
-                             the full enqueue/dequeue/refresh/complete/
-                             cancel surface
 RPR021 tracer-pairing        conformance: overridden state-mutating hooks
                              keep emitting their paired obs event
-RPR022 index-surface         conformance: ``_index_spec`` overrides are
-                             paired with a concrete ``_select_indexed``
-RPR030 runtime-assert        sim-purity: no ``assert`` for runtime
-                             invariants (stripped under ``python -O``)
 RPR090 parse-error           file could not be parsed (engine built-in)
-RPR101 dimension-arithmetic  units: no additive arithmetic across
-                             incompatible time/cost dimensions
-RPR102 dimension-comparison  units: no ordering comparisons across
-                             incompatible dimensions
-RPR103 dimension-boundary    units: call arguments, returns, and annotated
-                             assignments match the declared dimension
-RPR110 rng-ordering-taint    taint: seeded-RNG draws never reach
-                             ordering-sensitive scheduler state
-RPR111 wall-clock-taint      taint: host-clock-derived values never flow
-                             into sim_time/virtual_time state
 ====== ===================== ==============================================
 
-The RPR1xx block is powered by the flow-sensitive abstract interpreter
-in :mod:`repro.analysis.dataflow`; see DESIGN.md §17.
+Each rule was audited by planting its violation at live sites and
+running tier-1 (DESIGN.md §17).  RPR002, RPR012 and RPR021 stay because
+some plant was missed or caught only under some hash seeds.  RPR001
+stays although tier-1 caught its ``src/repro`` plants: it is also the
+only guard on the host-clock reads in ``benchmarks/``, whose
+``# repro: ignore[RPR001]`` waivers it accounts for.  Rules whose every
+plant tier-1 caught were retired.
 """
 
 from __future__ import annotations
@@ -43,53 +27,25 @@ from __future__ import annotations
 from typing import Dict, List, Type
 
 from ..base import Rule
-from .conformance import IndexSurfaceRule, SchedulerSurfaceRule, TracerPairingRule
-from .dataflow import (
-    DimensionArithmeticRule,
-    DimensionBoundaryRule,
-    DimensionComparisonRule,
-    RngOrderingTaintRule,
-    WallClockTaintRule,
-)
+from .conformance import TracerPairingRule
 from .determinism import UnseededRngRule, WallClockRule
-from .hygiene import FloatEqualityRule, FrozenRequestFieldRule, UnorderedIterationRule
-from .purity import RuntimeAssertRule
+from .hygiene import UnorderedIterationRule
 
 __all__ = [
     "ALL_RULES",
     "rule_catalogue",
     "WallClockRule",
     "UnseededRngRule",
-    "FloatEqualityRule",
-    "FrozenRequestFieldRule",
     "UnorderedIterationRule",
-    "SchedulerSurfaceRule",
     "TracerPairingRule",
-    "IndexSurfaceRule",
-    "RuntimeAssertRule",
-    "DimensionArithmeticRule",
-    "DimensionComparisonRule",
-    "DimensionBoundaryRule",
-    "RngOrderingTaintRule",
-    "WallClockTaintRule",
 ]
 
 #: Every rule class, in catalogue (code) order.
 ALL_RULES: List[Type[Rule]] = [
     WallClockRule,
     UnseededRngRule,
-    FloatEqualityRule,
-    FrozenRequestFieldRule,
     UnorderedIterationRule,
-    SchedulerSurfaceRule,
     TracerPairingRule,
-    IndexSurfaceRule,
-    RuntimeAssertRule,
-    DimensionArithmeticRule,
-    DimensionComparisonRule,
-    DimensionBoundaryRule,
-    RngOrderingTaintRule,
-    WallClockTaintRule,
 ]
 
 

@@ -43,9 +43,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Type, Union
 
 from ..errors import ConfigurationError
 
@@ -77,7 +79,25 @@ def retry_delay(
     return delay * (1.0 + jitter * u)
 
 
+def _check_number(value: Any, what: str) -> None:
+    # NaN passes every ``<``/``<=`` check below, so it must be caught
+    # here or it surfaces mid-run as a SimulationError.
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or math.isnan(value)
+    ):
+        raise ConfigurationError(f"{what} must be a number, got {value!r}")
+
+
+def _check_integer(value: Any, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+
+
 def _check_window(start: float, end: float, what: str) -> None:
+    _check_number(start, f"{what} start")
+    _check_number(end, f"{what} end")
     if start < 0:
         raise ConfigurationError(f"{what} start must be >= 0, got {start}")
     if end <= start:
@@ -103,9 +123,11 @@ class WorkerSlowdown:
     factor: float
 
     def __post_init__(self) -> None:
+        _check_integer(self.worker, "worker index")
         if self.worker < 0:
             raise ConfigurationError(f"worker index must be >= 0, got {self.worker}")
         _check_window(self.start, self.end, "slowdown")
+        _check_number(self.factor, "slowdown factor")
         if self.factor < 0:
             raise ConfigurationError(
                 f"slowdown factor must be >= 0, got {self.factor}"
@@ -129,8 +151,12 @@ class WorkerCrash:
     redispatch: bool = True
 
     def __post_init__(self) -> None:
+        _check_integer(self.worker, "worker index")
         if self.worker < 0:
             raise ConfigurationError(f"worker index must be >= 0, got {self.worker}")
+        _check_number(self.at, "crash time")
+        if self.restart_at is not None:
+            _check_number(self.restart_at, "restart_at")
         if self.at < 0:
             raise ConfigurationError(f"crash time must be >= 0, got {self.at}")
         if self.restart_at is not None and self.restart_at <= self.at:
@@ -161,6 +187,10 @@ class DeadlinePolicy:
     tenants: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
+        _check_number(self.deadline, "deadline")
+        _check_integer(self.max_retries, "max_retries")
+        for name in ("backoff", "growth", "jitter"):
+            _check_number(getattr(self, name), name)
         if self.deadline <= 0:
             raise ConfigurationError(
                 f"deadline must be positive, got {self.deadline}"
@@ -205,6 +235,9 @@ class EstimatorFault:
 
     def __post_init__(self) -> None:
         _check_window(self.start, self.end, "estimator fault")
+        _check_number(self.bias, "bias")
+        if self.fallback is not None:
+            _check_number(self.fallback, "fallback")
         if self.mode not in ("outage", "bias"):
             raise ConfigurationError(
                 f"estimator fault mode must be 'outage' or 'bias', got {self.mode!r}"
@@ -241,10 +274,14 @@ class ServerCrash:
     restart_at: Optional[float] = None
 
     def __post_init__(self) -> None:
+        _check_integer(self.server, "server index")
         if self.server < 0:
             raise ConfigurationError(
                 f"server index must be >= 0, got {self.server}"
             )
+        _check_number(self.at, "crash time")
+        if self.restart_at is not None:
+            _check_number(self.restart_at, "restart_at")
         if self.at < 0:
             raise ConfigurationError(f"crash time must be >= 0, got {self.at}")
         if self.restart_at is not None and self.restart_at <= self.at:
@@ -268,11 +305,13 @@ class ServerSlowdown:
     factor: float
 
     def __post_init__(self) -> None:
+        _check_integer(self.server, "server index")
         if self.server < 0:
             raise ConfigurationError(
                 f"server index must be >= 0, got {self.server}"
             )
         _check_window(self.start, self.end, "server slowdown")
+        _check_number(self.factor, "slowdown factor")
         if self.factor < 0:
             raise ConfigurationError(
                 f"slowdown factor must be >= 0, got {self.factor}"
@@ -287,6 +326,32 @@ _KIND_CLASSES = {
     "server_crashes": ServerCrash,
     "server_slowdowns": ServerSlowdown,
 }
+
+
+def _entry(cls: Type[Any], where: str, item: Any) -> Any:
+    """Build one plan entry from a dict, naming it (``crashes[1]``) in
+    every error."""
+    if not isinstance(item, dict):
+        raise ConfigurationError(
+            f"{where}: expected an object, got {type(item).__name__}"
+        )
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(item) - {f.name for f in fields})
+    missing = [
+        f.name
+        for f in fields
+        if f.name not in item
+        and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    ]
+    if unknown:
+        raise ConfigurationError(f"{where}: unknown fields {unknown}")
+    if missing:
+        raise ConfigurationError(f"{where}: missing fields {missing}")
+    try:
+        return cls(**item)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -307,16 +372,17 @@ class FaultPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_integer(self.seed, "fault plan seed")
         for name, cls in _KIND_CLASSES.items():
+            entries = getattr(self, name)
+            if not isinstance(entries, (list, tuple)):
+                raise ConfigurationError(
+                    f"{name} must be a list, got {type(entries).__name__}"
+                )
             items = tuple(
-                cls(**item) if isinstance(item, dict) else item
-                for item in getattr(self, name)
+                item if isinstance(item, cls) else _entry(cls, f"{name}[{i}]", item)
+                for i, item in enumerate(entries)
             )
-            for item in items:
-                if not isinstance(item, cls):
-                    raise ConfigurationError(
-                        f"{name} entries must be {cls.__name__}, got {type(item).__name__}"
-                    )
             object.__setattr__(self, name, items)
 
     @property
@@ -349,18 +415,17 @@ class FaultPlan:
         return dataclasses.asdict(self)
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FaultPlan":
-        kwargs: Dict[str, Any] = {"seed": int(data.get("seed", 0))}
-        for name, item_cls in _KIND_CLASSES.items():
-            kwargs[name] = tuple(
-                item_cls(**item) for item in data.get(name, ())
+    def from_dict(cls, data: Any) -> "FaultPlan":
+        if not isinstance(data, dict):
+            raise ConfigurationError(
+                f"a fault plan must be an object, got {type(data).__name__}"
             )
-        unknown = set(data) - set(kwargs)
+        unknown = set(data) - {"seed", *_KIND_CLASSES}
         if unknown:
             raise ConfigurationError(
                 f"unknown fault plan keys: {sorted(unknown)}"
             )
-        return cls(**kwargs)
+        return cls(**data)
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -374,7 +439,7 @@ class FaultPlan:
         """Read a plan from a JSON file (the ``--faults PLAN.json`` CLI path)."""
         try:
             return cls.from_json(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, ConfigurationError) as exc:
             raise ConfigurationError(f"cannot load fault plan {path}: {exc}") from exc
 
     def dump(self, path: Union[str, Path]) -> None:

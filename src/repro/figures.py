@@ -63,6 +63,7 @@ import dataclasses
 import sys
 from typing import Callable, Dict
 
+from .errors import ConfigurationError
 from .experiments.config import ExperimentConfig
 from .faults.plan import FaultPlan
 from .obs.audit import AuditConfig
@@ -354,7 +355,10 @@ def main(argv=None) -> int:
         "ablation table always sweeps every policy)",
     )
     args = parser.parse_args(argv)
-    args.fault_plan_obj = FaultPlan.load(args.faults) if args.faults else None
+    try:
+        args.fault_plan_obj = FaultPlan.load(args.faults) if args.faults else None
+    except ConfigurationError as exc:
+        parser.error(str(exc))
     if args.figures == ["list"]:
         for fig in sorted(FIGURES):
             print(fig)

@@ -2,12 +2,12 @@
 
 
 def silenced(x: int) -> int:
-    assert x > 0  # repro: ignore[RPR030] -- consumed suppression
+    _ = [v for v in {x}]  # repro: ignore[RPR012] -- consumed suppression
     return x
 
 
 def unused(x: int) -> int:
-    return x + 1  # repro: ignore[RPR030] -- silences nothing
+    return x + 1  # repro: ignore[RPR012] -- silences nothing
 
 
 def malformed(x: int) -> int:

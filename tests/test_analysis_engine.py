@@ -37,7 +37,7 @@ def test_real_tree_is_clean() -> None:
 def test_suppression_consumes_matching_finding_and_reports_stale_ones() -> None:
     result = Analyzer().run([os.path.join(FIXTURES, "suppression")])
     triples = sorted((f.code, f.line) for f in result.findings)
-    # Line 5's assert is silenced (no RPR030 anywhere); lines 10/14/18/22
+    # Line 5's set iteration is silenced (no RPR012 anywhere); lines 10/14/18/22
     # carry a stale, malformed, unknown-code, and stale suppression.
     assert triples == [
         (UNUSED_SUPPRESSION_CODE, 10),
@@ -54,22 +54,22 @@ def test_suppression_consumes_matching_finding_and_reports_stale_ones() -> None:
 
 def test_suppression_index_ignores_strings_and_matches_codes() -> None:
     source = (
-        "x = '# repro: ignore[RPR030]'\n"
-        "y = 1  # repro: ignore[RPR001, RPR030]\n"
+        "x = '# repro: ignore[RPR012]'\n"
+        "y = 1  # repro: ignore[RPR001, RPR012]\n"
     )
     index = SuppressionIndex.from_source(source)
     assert len(index) == 1  # the string literal is not a comment
     assert index.suppressed(2, "RPR001")
-    assert index.suppressed(2, "RPR030")
+    assert index.suppressed(2, "RPR012")
     assert not index.suppressed(2, "RPR011")
     assert not index.suppressed(1, "RPR001")
 
 
 def test_select_distinguishes_filtered_codes_from_unknown_ones() -> None:
-    # Under --select RPR030 the RPR001 suppression on line 22 belongs to
+    # Under --select RPR012 the RPR001 suppression on line 22 belongs to
     # a filtered-out catalogue rule and is skipped, but RPR999 on line 18
     # is claimed by no rule at all, so it stays reported as unknown.
-    result = Analyzer(select={"RPR030", UNUSED_SUPPRESSION_CODE}).run(
+    result = Analyzer(select={"RPR012", UNUSED_SUPPRESSION_CODE}).run(
         [os.path.join(FIXTURES, "suppression")]
     )
     assert sorted((f.code, f.line) for f in result.findings) == [
@@ -82,8 +82,8 @@ def test_select_distinguishes_filtered_codes_from_unknown_ones() -> None:
 
 
 def test_ignore_disables_a_rule() -> None:
-    result = Analyzer(ignore={"RPR030", UNUSED_SUPPRESSION_CODE}).run(
-        [os.path.join(FIXTURES, "purity")]
+    result = Analyzer(ignore={"RPR021", UNUSED_SUPPRESSION_CODE}).run(
+        [os.path.join(FIXTURES, "tracer")]
     )
     assert result.findings == []
 
@@ -112,18 +112,18 @@ def test_module_name_walks_init_chain(tmp_path) -> None:
 
 
 def test_result_to_dict_shape() -> None:
-    result = Analyzer().run([os.path.join(FIXTURES, "purity")])
+    result = Analyzer().run([os.path.join(FIXTURES, "tracer")])
     payload = result.to_dict()
     assert payload["version"] == 1
-    assert payload["counts"] == {"RPR030": 1}
+    assert payload["counts"] == {"RPR021": 1}
     (record,) = payload["findings"]
-    assert record["code"] == "RPR030"
-    assert record["line"] == 5
-    assert record["rule"] == "runtime-assert"
+    assert record["code"] == "RPR021"
+    assert record["line"] == 25
+    assert record["rule"] == "tracer-pairing"
 
 
 def test_findings_are_sorted_and_deterministic() -> None:
-    paths = [os.path.join(FIXTURES, d) for d in ("purity", "wallclock", "rng")]
+    paths = [os.path.join(FIXTURES, d) for d in ("tracer", "wallclock", "rng")]
     first = Analyzer().run(paths)
     second = Analyzer().run(list(reversed(paths)))
     assert [f.sort_key for f in first.findings] == sorted(
@@ -142,23 +142,23 @@ def test_cli_exit_codes_and_text_output(capsys) -> None:
     out = capsys.readouterr().out
     assert "clean:" in out and "0 findings" in out
 
-    assert main([os.path.join(FIXTURES, "purity")]) == 1
+    assert main([os.path.join(FIXTURES, "tracer")]) == 1
     out = capsys.readouterr().out
-    assert "RPR030" in out
-    assert "asserts.py:5:" in out
+    assert "RPR021" in out
+    assert "vt.py:25:" in out
     assert "1 finding(s)" in out
 
 
 def test_cli_json_output(capsys) -> None:
-    assert main(["--format", "json", os.path.join(FIXTURES, "purity")]) == 1
+    assert main(["--format", "json", os.path.join(FIXTURES, "tracer")]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["counts"] == {"RPR030": 1}
+    assert payload["counts"] == {"RPR021": 1}
 
 
 def test_cli_select_filters_rules(capsys) -> None:
-    # wallclock fixture has only RPR001 findings; selecting RPR030 runs
+    # wallclock fixture has only RPR001 findings; selecting RPR021 runs
     # nothing that fires there.
-    assert main(["--select", "RPR030", os.path.join(FIXTURES, "wallclock")]) == 0
+    assert main(["--select", "RPR021", os.path.join(FIXTURES, "wallclock")]) == 0
     capsys.readouterr()
 
 
@@ -169,12 +169,8 @@ def test_cli_list_rules(capsys) -> None:
         "RPR000",
         "RPR001",
         "RPR002",
-        "RPR010",
-        "RPR011",
         "RPR012",
-        "RPR020",
         "RPR021",
-        "RPR030",
         "RPR090",
     ):
         assert code in out

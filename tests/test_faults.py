@@ -19,6 +19,7 @@ instant, then a later dispatch of the same seqno.  Regenerate after an
 import itertools
 import json
 import pickle
+import re
 from pathlib import Path
 
 import pytest
@@ -133,6 +134,35 @@ class TestPlanDSL:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigurationError):
             FaultPlan.from_dict({"slowdown": []})  # typo'd key
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ('{"deadlines": [{"deadline": NaN}]}', "deadlines[0]"),
+            (
+                '{"slowdowns": [{"worker": 0, "start": 0, "end": 1, "factor": NaN}]}',
+                "slowdowns[0]",
+            ),
+            ('{"estimator_faults": [{"start": NaN, "end": 1}]}', "estimator_faults[0]"),
+            ('{"deadlines": [{"deadline": 1, "max_retries": 1.5}]}', "deadlines[0]"),
+            ('{"crashes": [{"worker": 0, "at": 1}, {"worker": 0, "at": 1, "x": 2}]}',
+             "crashes[1]"),
+            ('{"crashes": [{"worker": 0}]}', "crashes[0]"),
+            ('{"crashes": [3]}', "crashes[0]"),
+            ("[]", "must be an object"),
+            ('{"seed": "x"}', "seed"),
+        ],
+        ids=[
+            "nan-deadline", "nan-factor", "nan-start", "fractional-retries",
+            "unknown-field", "missing-field", "non-object-entry",
+            "top-level-list", "string-seed",
+        ],
+    )
+    def test_bad_plan_files_fail_at_load_naming_the_entry(self, tmp_path, text, where):
+        path = tmp_path / "plan.json"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match=re.escape(where)):
+            FaultPlan.load(path)
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):

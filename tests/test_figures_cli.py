@@ -96,6 +96,16 @@ class TestParallelFlags:
                  "--audit", str(tmp_path / "a")]
             )
 
+    def test_bad_fault_plan_is_a_usage_error(self, capsys, tmp_path):
+        plan = tmp_path / "plan.json"
+        plan.write_text('{"deadlines": [{"deadline": NaN}]}')
+        with pytest.raises(SystemExit) as exc:
+            main(["fig08", "--duration", "1", "--faults", str(plan)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "deadlines[0]" in err
+        assert "Traceback" not in err
+
     def test_trace_with_serial_jobs_allowed(self, capsys, tmp_path):
         assert main(["fig06", "--trace", str(tmp_path), "--jobs", "1"]) == 0
         assert "trace artifacts" in capsys.readouterr().out

@@ -1,14 +1,14 @@
 """Regression tests for the epoch-anchored sampling grids.
 
-The RPR103 dataflow rule surfaced a shared pre-existing hazard in three
-periodic components: ``MetricsCollector``, ``FleetCollector`` and
-``HealthMonitor`` all scheduled their first event at ``at(interval)``
--- handing a *duration* to the absolute-time parameter.  Attached to a
-simulation whose clock had already advanced past one interval, that
-asked the simulator to schedule an event in the past and raised
-``SimulationError``.  The fix anchors each grid at the attach instant:
-events now fire at ``epoch + k * interval``.  These tests pin both the
-no-crash property and the anchored grid itself.
+Three periodic components -- ``MetricsCollector``, ``FleetCollector``
+and ``HealthMonitor`` -- once scheduled their first event at
+``at(interval)``, handing a *duration* to the absolute-time parameter.
+Attached to a simulation whose clock had already advanced past one
+interval, that asked the simulator to schedule an event in the past and
+raised ``SimulationError``.  The fix anchors each grid at the attach
+instant: events now fire at ``epoch + k * interval``.  These tests pin
+both the no-crash property and the anchored grid itself, so they are
+what fails if any of the three goes back to ``at(interval)``.
 """
 
 from __future__ import annotations
