@@ -315,11 +315,13 @@ METRICS_SAMPLES = 1500
 METRICS_SAMPLE_INTERVAL = 0.1
 
 
-def _sampled_run(num_tenants: int, num_threads: int) -> Simulation:
+def _sampled_run(
+    num_tenants: int, num_threads: int
+) -> Tuple[Simulation, MetricsCollector]:
     """A server whose only events are its collector's samples:
     ``num_tenants`` tenants each submit two requests far too long to
     finish, so every worker stays busy and every tenant stays backlogged
-    (and in the Gini sample)."""
+    (and in the Gini sample).  Returns the simulation and its collector."""
     sim = Simulation()
     server = ThreadPoolServer(
         sim,
@@ -327,11 +329,11 @@ def _sampled_run(num_tenants: int, num_threads: int) -> Simulation:
         num_threads,
         refresh_interval=None,
     )
-    MetricsCollector(server, sample_interval=METRICS_SAMPLE_INTERVAL)
+    collector = MetricsCollector(server, sample_interval=METRICS_SAMPLE_INTERVAL)
     for i in range(num_tenants):
         for _ in range(2):
             server.submit(Request(tenant_id=f"t{i:05d}", cost=1e9, api="A"))
-    return sim
+    return sim, collector
 
 
 def measure_metrics_sample(
@@ -347,13 +349,15 @@ def measure_metrics_sample(
     ``first_us`` and ``last_us`` are the median per-sample times;
     ``growth`` is their ratio: about 1.0 when a sample costs
     O(tenants + threads), above 1.0 when its cost grows with the samples
-    already taken.
+    already taken.  The collector folds every sample's Gini index at
+    ``result()``, so ``result_us`` -- the late run's ``result()`` time
+    divided by its samples -- is the rest of a sample's cost.
     """
     samples = METRICS_SAMPLES
     interval = METRICS_SAMPLE_INTERVAL
     window = max(1, samples // 10)
-    early = _sampled_run(num_tenants, num_threads)
-    late = _sampled_run(num_tenants, num_threads)
+    early, _ = _sampled_run(num_tenants, num_threads)
+    late, collector = _sampled_run(num_tenants, num_threads)
     late.run(until=(samples - window) * interval)
     first: List[float] = []
     last: List[float] = []
@@ -366,6 +370,9 @@ def measure_metrics_sample(
             late.run(until=(samples - window + k) * interval)
             last.append(clock() - middle)
             first.append(middle - start)
+        start = clock()
+        collector.result()
+        result_us = (clock() - start) / samples * 1e6
     first_us = statistics.median(first) * 1e6
     last_us = statistics.median(last) * 1e6
     return {
@@ -375,6 +382,7 @@ def measure_metrics_sample(
         "first_us": round(first_us, 1),
         "last_us": round(last_us, 1),
         "growth": round(last_us / first_us, 3) if first_us > 0 else 0.0,
+        "result_us": round(result_us, 2),
     }
 
 

@@ -16,8 +16,10 @@ the provenance record (seed, versions, git SHA):
   (``production``'s), and their ratio ``growth`` (recorded, not gated:
   wallclock variance; about 1.0 on a 2-core x86-64 VM, where the sampler
   that copied a zero prefix of every tenant's history per sample
-  measured 2.2-2.5).  ``tests/test_metrics_sampling.py`` gates "no
-  per-sample growth" deterministically, with ``tracemalloc``;
+  measured 2.2-2.5).  ``result_us`` is the ``result()`` time per sample:
+  the Gini fold moved there from the sample.
+  ``tests/test_metrics_sampling.py`` gates "no per-sample growth"
+  deterministically, with ``tracemalloc``;
 * ``event_loop`` -- events per second through ``Simulation.run`` for 64
   self-rescheduling timers, without and with 10% cancel churn (recorded,
   not gated).
@@ -77,11 +79,14 @@ def _format_observability(section):
 
 
 def _format_metrics_sample(rows):
-    lines = [f"{'tenants':>7} {'threads':>7} {'first us':>9} {'last us':>9} {'growth':>7}"]
+    lines = [
+        f"{'tenants':>7} {'threads':>7} {'first us':>9} {'last us':>9} "
+        f"{'growth':>7} {'result us':>10}"
+    ]
     for row in rows:
         lines.append(
             f"{row['tenants']:>7} {row['threads']:>7} {row['first_us']:>9.1f} "
-            f"{row['last_us']:>9.1f} {row['growth']:>6.3f}x"
+            f"{row['last_us']:>9.1f} {row['growth']:>6.3f}x {row['result_us']:>10.2f}"
         )
     return "\n".join(lines)
 

@@ -24,7 +24,7 @@ and it records no Gini samples.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..metrics.collector import MetricsCollector
 from .fleet import Fleet
@@ -66,10 +66,12 @@ class FleetCollector(MetricsCollector):
     def _on_capacity_change(self, now: float, capacity: float) -> None:
         self.capacity_timeline.append((now, capacity))
         if capacity > 0:
+            # The arrivals so far ran at the old rate.
+            self._replay_arrivals()
             # An all-down fleet (capacity 0) keeps the last rate: the
             # fluid reference must keep a positive rate, and the lag it
             # accrues against a wedged fleet is exactly the signal.
             self._gps.set_capacity(capacity, now)
 
-    def _interval_gini(self, actual: Dict[str, float]) -> Optional[float]:
-        return None
+    def _interval_gini(self, now: float, actual: Dict[str, float]) -> None:
+        pass

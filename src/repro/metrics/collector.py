@@ -18,22 +18,30 @@ Everything lands in one store, a
 (DESIGN.md §13), and ``result()`` reads it back as a
 :class:`RunMetrics`.
 
-The hot path stays one list append: a completion appends its latency to
-the tenant's list, a dispatch appends its record to the log.
+The hot path is appends only: a submit appends its
+``(tenant, cost, now, weight)`` arrival to a pending list, a completion
+appends its latency to the tenant's list, a dispatch appends its record
+to the log.  The arithmetic runs in batches that perform the same float
+operations in the same order, so every value keeps its bits: each
+sample first replays the pending arrivals into the GPS reference
+(:meth:`~repro.simulator.gps.GPSReference.replay`), and each sample's
+interval-service vector is buffered and folded into its Gini index
+once, by ``result()`` (:func:`~repro.metrics.gini.gini_rows`).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from ..core.request import Request
-from ..units import Cost, Duration, Rate, Scalar, SimTime
-from ..simulator.gps import GPSReference
+from ..units import Cost, Duration, Rate, SimTime
+from ..simulator.gps import Arrival, GPSReference
 from ..simulator.server import ThreadPoolServer
-from .gini import gini_index
+from .gini import gini_rows
 from .latency import LatencyStats, latency_stats
 from .service import ServiceSeries, lag_std
 from .store import MetricsPartial
@@ -59,6 +67,10 @@ class DispatchRecord(NamedTuple):
     cost: Cost
     start: SimTime
     end: SimTime
+
+
+# Builds a DispatchRecord without the NamedTuple's Python-level __new__.
+_new_record = tuple.__new__
 
 
 def validate_sampling(sample_interval: Duration, warmup: Duration) -> None:
@@ -121,6 +133,14 @@ class MetricsCollector:
         self._latencies = self._partial.latencies
         self._dispatch_log = self._partial.dispatch_log
         self._seen_tenants: set[str] = set()
+        # Arrivals since the last replay into the GPS reference.
+        self._arrivals: List[Arrival] = []
+        # Interval-service vectors awaiting their Gini fold: row k is
+        # _gini_values[_gini_offsets[k]:_gini_offsets[k + 1]], sampled
+        # at _gini_times[k].
+        self._gini_times = array("d")
+        self._gini_values = array("d")
+        self._gini_offsets = array("q", [0])
         self._previous_service: Dict[str, Cost] = {}
         self._sample_index = 0
         self._observed_samples = 0
@@ -160,9 +180,8 @@ class MetricsCollector:
     # -- listeners ------------------------------------------------------------
 
     def _on_submit(self, request: Request) -> None:
-        self._seen_tenants.add(request.tenant_id)
-        self._gps.arrive(
-            request.tenant_id, request.cost, self._sim.now, request.weight
+        self._arrivals.append(
+            (request.tenant_id, request.cost, self._sim.now, request.weight)
         )
 
     def _on_dispatch(self, request: Request) -> None:
@@ -172,13 +191,16 @@ class MetricsCollector:
         # appear in the occupancy log.
         start = request.dispatch_time
         self._dispatch_log.append(
-            DispatchRecord(
-                request.thread_id,
-                request.tenant_id,
-                request.api,
-                request.cost,
-                start,
-                start + request.cost / self._server.rate,
+            _new_record(
+                DispatchRecord,
+                (
+                    request.thread_id,
+                    request.tenant_id,
+                    request.api,
+                    request.cost,
+                    start,
+                    start + request.cost / self._server.rate,
+                ),
             )
         )
 
@@ -190,13 +212,23 @@ class MetricsCollector:
 
     # -- sampling ----------------------------------------------------------------
 
+    def _replay_arrivals(self) -> None:
+        """Feed the pending arrivals to the GPS reference, in order."""
+        arrivals = self._arrivals
+        if arrivals:
+            self._arrivals = []
+            # Added in arrival order, so the set (and the order of every
+            # sample's tenants) is the one per-submit adds would build.
+            self._seen_tenants.update([arrival[0] for arrival in arrivals])
+            self._gps.replay(arrivals)
+
     def _sample(self) -> None:
         now = self._sim.now
+        self._replay_arrivals()
         self._gps.advance(now)
         # One scan of the workers for every tenant (DESIGN.md §13).
         actual = self._server.service_snapshot(self._seen_tenants)
-        reference = self._gps.service
-        gps = {tenant: reference(tenant) for tenant in actual}
+        gps = self._gps.services(actual)
         if self._auditor is not None:
             self._auditor.on_sample(now, actual, gps)
         partial = self._partial
@@ -205,10 +237,8 @@ class MetricsCollector:
                 # First post-warmup sample: the previous (pre-warmup)
                 # sample anchors service_rate differencing.
                 partial.series.baselines = dict(self._previous_service)
-            gini = self._interval_gini(actual)
+            self._interval_gini(now, actual)
             partial.series.observe(now, actual, gps)
-            if gini is not None:
-                partial.gini.append((now, gini))
             self._observed_samples += 1
         elif self._trace is not None:
             self._trace.registry.counter("collector.warmup_samples_skipped").inc()
@@ -221,24 +251,41 @@ class MetricsCollector:
             self._sample,
         )
 
-    def _interval_gini(self, actual: Dict[str, Cost]) -> Optional[Scalar]:
-        """Gini index of weight-normalized interval service across the
-        currently active tenants; None when no tenant is active."""
+    def _interval_gini(self, now: SimTime, actual: Dict[str, Cost]) -> None:
+        """Buffer the weight-normalized interval service of the currently
+        active tenants, whose Gini index ``result()`` folds into the
+        store; no row when no tenant is active."""
         previous = self._previous_service
-        deltas = []
+        values = self._gini_values
         for tenant_id, state in self._server.scheduler.tenants().items():
             if state.active:
                 delta = actual.get(tenant_id, 0.0) - previous.get(tenant_id, 0.0)
                 # Same value as max(0.0, delta), without the call.
-                deltas.append((delta if delta > 0.0 else 0.0) / state.weight)
-        if not deltas:
-            return None
-        return gini_index(deltas)
+                values.append((delta if delta > 0.0 else 0.0) / state.weight)
+        if len(values) > self._gini_offsets[-1]:
+            self._gini_times.append(now)
+            self._gini_offsets.append(len(values))
+
+    def _fold_gini(self) -> None:
+        """Append the buffered rows' Gini indices to the store."""
+        times = self._gini_times
+        if times:
+            indices = gini_rows(self._gini_values, self._gini_offsets)
+            self._partial.gini.extend(zip(times, indices))
+            self._gini_times = array("d")
+            self._gini_values = array("d")
+            self._gini_offsets = array("q", [0])
 
     # -- results ------------------------------------------------------------------
 
     def result(self) -> "RunMetrics":
-        """Freeze collected data (call after the simulation finishes)."""
+        """Freeze collected data (call after the simulation finishes).
+
+        Replays the arrivals since the last sample, so a bad arrival
+        (a tenant re-arriving with another weight) raises here even when
+        the run ends before the next sample."""
+        self._replay_arrivals()
+        self._fold_gini()
         return RunMetrics(self._partial)
 
 

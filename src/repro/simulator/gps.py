@@ -25,13 +25,16 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from ..errors import ConfigurationError, SimulationError
 from ..units import Cost, Rate, SimTime, VirtualTime, Weight
 from .events import DEFAULT_PURGE_THRESHOLD
 
-__all__ = ["GPSReference"]
+__all__ = ["Arrival", "GPSReference"]
+
+#: One replayed arrival: ``(flow_id, cost, now, weight)``.
+Arrival = Tuple[str, Cost, SimTime, Weight]
 
 
 class _Flow:
@@ -129,17 +132,33 @@ class GPSReference:
 
     def service(self, flow_id: str) -> Cost:
         """Cumulative service W_f(0, t) delivered to a flow by GPS."""
-        flow = self._flows.get(flow_id)
-        if flow is None:
-            return 0.0
-        return flow.arrived - self.backlog(flow_id)
+        return self.services((flow_id,))[flow_id]
+
+    def services(self, flow_ids: Iterable[str]) -> Dict[str, Cost]:
+        """Cumulative service of every flow in ``flow_ids``, keyed in
+        their order: :meth:`service` for many flows in one call."""
+        flows = self._flows
+        virtual = self._virtual
+        totals: Dict[str, Cost] = {}
+        for flow_id in flow_ids:
+            flow = flows.get(flow_id)
+            if flow is None:
+                totals[flow_id] = 0.0
+            elif flow.active:
+                # The same value as arrived - backlog(flow_id).
+                backlog = flow.weight * (flow.empty_at - virtual)
+                totals[flow_id] = flow.arrived - (backlog if backlog > 0.0 else 0.0)
+            else:
+                totals[flow_id] = flow.arrived - 0.0
+        return totals
 
     # -- driving ------------------------------------------------------------------
 
     def arrive(
         self, flow_id: str, cost: Cost, now: SimTime, weight: Weight = 1.0
     ) -> None:
-        """Register the arrival of ``cost`` units of work for a flow.
+        """Register the arrival of ``cost`` units of work for a flow: a
+        one-record :meth:`replay`.
 
         A flow's weight is fixed at its first arrival: re-arriving with
         a different ``weight`` raises
@@ -148,37 +167,54 @@ class GPSReference:
         would otherwise diverge from the fair-share reference with no
         signal.
         """
-        if cost < 0:
-            raise ConfigurationError(f"cost must be >= 0, got {cost}")
-        self.advance(now)
-        flow = self._flows.get(flow_id)
-        if flow is None:
-            flow = _Flow(flow_id, weight)
-            self._flows[flow_id] = flow
-        elif weight != flow.weight:
-            raise ConfigurationError(
-                f"flow {flow_id!r} re-arrived with weight {weight}, but its "
-                f"weight is {flow.weight}; GPS flow weights are fixed at "
-                "first arrival (mid-run weight changes are unsupported)"
-            )
-        flow.arrived += cost
-        if cost == 0:
-            return
-        if flow.active:
-            flow.empty_at += cost / flow.weight
-            # The flow's previous heap entry is now superseded.
-            self._stale_entries += 1
-        else:
-            flow.active = True
-            self._active_weight += flow.weight
-            flow.empty_at = self._virtual + cost / flow.weight
-        flow.version += 1
-        heapq.heappush(
-            self._heap, (flow.empty_at, next(self._entry_seq), flow.version, flow)
-        )
-        live = len(self._heap) - self._stale_entries
-        if self._stale_entries > self._purge_threshold and self._stale_entries > live:
-            self._compact()
+        self.replay(((flow_id, cost, now, weight),))
+
+    def replay(self, arrivals: Iterable[Arrival]) -> None:
+        """Register ``(flow_id, cost, now, weight)`` arrivals in order.
+
+        Each arrival advances the fluid system to its ``now`` first, so
+        a batch replayed later leaves exactly the state (bit for bit)
+        that arriving each record in turn would have; a metrics
+        collector buffers a sample interval's arrivals and replays them
+        at the sample.  Raises like :meth:`arrive` at the first bad
+        record, with the records before it applied.
+        """
+        flows = self._flows
+        advance = self.advance
+        heappush = heapq.heappush
+        entry_seq = self._entry_seq
+        for flow_id, cost, now, weight in arrivals:
+            if cost < 0:
+                raise ConfigurationError(f"cost must be >= 0, got {cost}")
+            advance(now)
+            flow = flows.get(flow_id)
+            if flow is None:
+                flow = _Flow(flow_id, weight)
+                flows[flow_id] = flow
+            elif weight != flow.weight:
+                raise ConfigurationError(
+                    f"flow {flow_id!r} re-arrived with weight {weight}, but its "
+                    f"weight is {flow.weight}; GPS flow weights are fixed at "
+                    "first arrival (mid-run weight changes are unsupported)"
+                )
+            flow.arrived += cost
+            if cost == 0:
+                continue
+            if flow.active:
+                flow.empty_at += cost / flow.weight
+                # The flow's previous heap entry is now superseded.
+                self._stale_entries += 1
+            else:
+                flow.active = True
+                self._active_weight += flow.weight
+                flow.empty_at = self._virtual + cost / flow.weight
+            flow.version += 1
+            # _compact rebinds the heap, so read it afresh per record.
+            heap = self._heap
+            heappush(heap, (flow.empty_at, next(entry_seq), flow.version, flow))
+            stale = self._stale_entries
+            if stale > self._purge_threshold and stale > len(heap) - stale:
+                self._compact()
 
     def set_capacity(self, capacity: Rate, now: SimTime) -> None:
         """Change the fluid server's rate from wallclock ``now`` on.
@@ -203,9 +239,17 @@ class GPSReference:
             raise SimulationError(
                 f"GPS time moved backwards: {to_time} < {self._wallclock}"
             )
+        heap = self._heap
         while True:
-            flow = self._peek_active()
-            if flow is None:
+            # The earliest-draining active flow, skipping stale entries.
+            while heap:
+                _, _, version, flow = heap[0]
+                if flow.active and version == flow.version:
+                    break
+                heapq.heappop(heap)
+                if self._stale_entries > 0:
+                    self._stale_entries -= 1
+            else:
                 # Nothing backlogged: virtual time freezes.
                 self._wallclock = max(self._wallclock, to_time)
                 return
@@ -216,7 +260,7 @@ class GPSReference:
                 # The flow drains before (or at) the target time.
                 self._virtual = flow.empty_at
                 self._wallclock = empty_wallclock
-                heapq.heappop(self._heap)
+                heapq.heappop(heap)
                 flow.active = False
                 self._active_weight -= flow.weight
                 if self._active_weight < 1e-12:
@@ -230,19 +274,6 @@ class GPSReference:
             return
 
     # -- internals ------------------------------------------------------------------
-
-    def _peek_active(self) -> Optional[_Flow]:
-        """Earliest-draining active flow, skipping stale heap entries."""
-        heap = self._heap
-        while heap:
-            _, _, version, flow = heap[0]
-            if not flow.active or version != flow.version:
-                heapq.heappop(heap)
-                if self._stale_entries > 0:
-                    self._stale_entries -= 1
-                continue
-            return flow
-        return None
 
     def _compact(self) -> None:
         """Rebuild the heap from the active flows' current entries.
