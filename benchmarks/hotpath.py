@@ -9,7 +9,9 @@ metrics sampler; the end-to-end speed of figure runs is measured by
   adaptive selection thresholds ``AUTO_INDEX_HIGH``/``AUTO_INDEX_LOW``
   (``VirtualTimeScheduler``; DESIGN.md §15);
 * :func:`measure_observability_overhead` -- the same dispatch cycle with
-  tracing disabled, traced, and audited (DESIGN.md §9).
+  tracing disabled, traced, and audited (DESIGN.md §9);
+* :func:`measure_export` -- seconds per 10k rows of the two event
+  exporters over an unbounded audited tracer's rows (DESIGN.md §9).
 
 * :func:`measure_metrics_sample` -- the cost of one periodic metrics
   sample early and late in a run (DESIGN.md §13), whose ratio exposes
@@ -36,13 +38,16 @@ from __future__ import annotations
 import contextlib
 import gc
 import statistics
+import tempfile
 import time
+from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core import make_scheduler
 from repro.core.request import Request
 from repro.metrics import MetricsCollector
 from repro.obs.audit import AuditConfig, FairnessAuditor
+from repro.obs.exporters import write_chrome_trace, write_rows_jsonl
 from repro.obs.flight import FlightRecorder
 from repro.obs.registry import Timer
 from repro.obs.tracer import Tracer
@@ -57,6 +62,7 @@ __all__ = [
     "measure_adaptive_crossover",
     "measure_dequeue_throughput",
     "measure_event_loop",
+    "measure_export",
     "measure_metrics_sample",
     "METRICS_SAMPLES",
     "METRICS_SAMPLE_SHAPES",
@@ -238,11 +244,13 @@ def measure_adaptive_crossover(
     }
 
 
-def _audited_tracer(scheduler_name: str, num_threads: int) -> Tracer:
-    """The ``--audit`` sink stack on a bounded tracer: auditor + flight
-    recorder fed by every event, event retention capped (streaming
-    shape)."""
-    tracer = Tracer(f"hotpath-audited-{scheduler_name}", max_events=2048)
+def _audited_tracer(
+    scheduler_name: str, num_threads: int, max_events: Optional[int] = 2048
+) -> Tracer:
+    """The ``--audit`` sink stack: auditor + flight recorder fed by every
+    event, event retention capped at ``max_events`` (by default the
+    streaming shape; ``None`` keeps every row, as an exported run does)."""
+    tracer = Tracer(f"hotpath-audited-{scheduler_name}", max_events=max_events)
     auditor = FairnessAuditor(AuditConfig(capacity=float(num_threads)), tracer)
     tracer.add_sink(auditor.on_event)
     recorder = FlightRecorder(capacity=512)
@@ -304,6 +312,52 @@ def measure_observability_overhead(
         "threads": num_threads,
         "ops": ops if ops is not None else _default_ops(num_tenants),
         "modes": measured,
+    }
+
+
+def measure_export(
+    scheduler_name: str = "2dfq",
+    num_tenants: int = 100,
+    num_threads: int = 4,
+    ops: Optional[int] = None,
+    seed: int = 0,
+    repeats: int = 3,
+) -> Dict[str, Union[int, float]]:
+    """Seconds per 10k rows of ``write_rows_jsonl`` and
+    ``write_chrome_trace``, best of ``repeats``.
+
+    The rows are those of an unbounded audited tracer (the ``--audit``
+    sink stack, every row kept) after ``ops`` dispatch cycles of
+    :func:`measure_dequeue_throughput` (default 10,000: about four rows
+    per cycle).  Each exporter writes to a temporary directory.
+    """
+    tracer = _audited_tracer(scheduler_name, num_threads, max_events=None)
+    measure_dequeue_throughput(
+        scheduler_name,
+        num_tenants,
+        num_threads=num_threads,
+        ops=ops if ops is not None else 10_000,
+        seed=seed,
+        repeats=1,
+        tracer_factory=lambda: tracer,
+    )
+    rows = tracer.rows
+    best = {"jsonl": float("inf"), "chrome": float("inf")}
+    clock = time.perf_counter
+    with tempfile.TemporaryDirectory() as scratch, quiesced_gc():
+        out = Path(scratch)
+        for _ in range(max(1, repeats)):
+            start = clock()
+            write_rows_jsonl(rows, out / "events.jsonl")
+            middle = clock()
+            write_chrome_trace(rows, out / "chrome_trace.json")
+            best["chrome"] = min(best["chrome"], clock() - middle)
+            best["jsonl"] = min(best["jsonl"], middle - start)
+    per_10k = 1e4 / len(rows)
+    return {
+        "rows": len(rows),
+        "jsonl_s_per_10k": round(best["jsonl"] * per_10k, 5),
+        "chrome_s_per_10k": round(best["chrome"] * per_10k, 5),
     }
 
 

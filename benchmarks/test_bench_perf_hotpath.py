@@ -9,7 +9,9 @@ the provenance record (seed, versions, git SHA):
   the ``AUTO_INDEX_HIGH``/``AUTO_INDEX_LOW`` thresholds, for the paper's
   scheduler and WF2Q (one eligibility slot);
 * ``observability`` -- traced and audited dequeue throughput relative to
-  the disabled default (recorded, not gated: wallclock variance);
+  the disabled default, and under ``export`` the seconds per 10k rows of
+  ``write_rows_jsonl`` and ``write_chrome_trace`` over an unbounded
+  audited tracer's rows (both recorded, not gated: wallclock variance);
 * ``metrics_sample`` -- microseconds per periodic metrics sample over the
   first and last 10% of a 1,500-sample run, at 8 tenants x 4 threads
   (``quickstart``'s shape) and 262 tenants x 32 threads
@@ -50,6 +52,7 @@ from hotpath import (
     METRICS_SAMPLES,
     measure_adaptive_crossover,
     measure_event_loop,
+    measure_export,
     measure_metrics_sample,
     measure_observability_overhead,
 )
@@ -75,6 +78,12 @@ def _format_observability(section):
     for mode in ("disabled", "traced", "audited"):
         row = section["modes"][mode]
         lines.append(f"{mode:<10} {row['rps']:>12.1f} {row['relative']:>8.3f}x")
+    export = section["export"]
+    lines.append(
+        f"export of {export['rows']} audited rows, s per 10k rows: "
+        f"events.jsonl {export['jsonl_s_per_10k']:.4f}, "
+        f"chrome_trace.json {export['chrome_s_per_10k']:.4f}"
+    )
     return "\n".join(lines)
 
 
@@ -112,6 +121,9 @@ def test_bench_perf_hotpath(benchmark, capsys):
         },
     )
     observability = measure_observability_overhead(
+        "2dfq", num_tenants=100, ops=ops, repeats=repeats
+    )
+    observability["export"] = measure_export(
         "2dfq", num_tenants=100, ops=ops, repeats=repeats
     )
     metrics_sample = [
@@ -171,6 +183,8 @@ def test_bench_perf_hotpath(benchmark, capsys):
     for mode, row in observability["modes"].items():
         assert row["rps"] > 0, f"observability mode {mode} measured no work"
         assert row["relative"] <= 2.0, f"implausible speedup in mode {mode}: {row}"
+    export = observability["export"]
+    assert export["jsonl_s_per_10k"] > 0 and export["chrome_s_per_10k"] > 0, export
     for row in metrics_sample:
         assert row["first_us"] > 0 and row["last_us"] > 0, row
     for row in event_loop:

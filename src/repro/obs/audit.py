@@ -43,12 +43,24 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from .events import CANCEL, COMPLETE, DISPATCH, ENQUEUE, Row, row_field
+from .events import (
+    CANCEL,
+    COMPLETE,
+    DISPATCH,
+    ENQUEUE,
+    Row,
+    payload_reader,
+    row_field,
+)
 from .tracer import Tracer
 
 __all__ = ["AuditConfig", "FairnessAuditor"]
+
+#: Stands in for a payload field a row does not carry.
+_ABSENT = object()
+_COMPLETE_FIELDS = ("actual", "charged")
 
 
 @dataclass
@@ -121,6 +133,10 @@ class FairnessAuditor:
         self._drift_tripped = False
         #: Structured record of every trip/clear, in order.
         self.trips: List[Dict[str, Any]] = []
+        # Reader of (actual, charged) for the latest complete row's
+        # payload keys (the tracer shares one keys tuple per kind).
+        self._complete_keys: Tuple[str, ...] = ()
+        self._read_complete = payload_reader((), _COMPLETE_FIELDS, _ABSENT)
 
     def attach_tracer(self, tracer: Optional[Tracer]) -> None:
         """Set (or clear) the tracer that receives ``audit`` events and
@@ -159,8 +175,16 @@ class FairnessAuditor:
                 if state.queued == 0:
                     state.backlogged_since = None
         elif kind == COMPLETE:
-            actual = row_field(row, "actual", 0.0)
-            charged = row_field(row, "charged", actual)
+            if row[4] is not self._complete_keys:
+                self._complete_keys = row[4]
+                self._read_complete = payload_reader(
+                    row[4], _COMPLETE_FIELDS, _ABSENT
+                )
+            actual, charged = self._read_complete(row[5])
+            if actual is _ABSENT:
+                actual = 0.0
+            if charged is _ABSENT:
+                charged = actual
             if actual > 0.0:
                 rel_error = abs(charged - actual) / actual
                 alpha = self.config.drift_alpha

@@ -79,14 +79,16 @@ disagree.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "EVENT_KINDS",
     "Occupancy",
     "Row",
     "occupancies",
+    "payload_reader",
     "row_as_dict",
     "row_field",
     "ENQUEUE",
@@ -157,6 +159,27 @@ def row_field(row: Row, name: str, default: Any = None) -> Any:
         return default
 
 
+def payload_reader(
+    keys: Tuple[str, ...], names: Sequence[str], default: Any = None
+) -> Callable[[Tuple[Any, ...]], Tuple[Any, ...]]:
+    """Reader of the payload fields ``names`` of rows whose payload keys
+    are ``keys``: maps a row's values to the tuple of what
+    :func:`row_field` returns for each name (``default`` when absent).
+
+    Positions are resolved here, once; emitters share one ``keys`` tuple
+    per row shape, so a fold over many rows builds one reader per
+    shape instead of searching the keys on every row."""
+    positions = [keys.index(name) if name in keys else None for name in names]
+    if None in positions:
+        return lambda values: tuple(
+            default if p is None else values[p] for p in positions
+        )
+    if len(positions) == 1:
+        (position,) = positions
+        return lambda values: (values[position],)
+    return operator.itemgetter(*positions)
+
+
 @dataclass
 class TraceEvent:
     """One scheduler-decision event.
@@ -207,6 +230,16 @@ class Occupancy:
     end: float
 
 
+#: Payload fields the occupancy fold reads, per kind it reads.
+_OCCUPANCY_FIELDS: Dict[str, Tuple[str, ...]] = {
+    DISPATCH: ("seqno", "thread", "api"),
+    ENQUEUE: ("seqno", "cost"),
+    ROUTE: ("accepted", "seqno", "server"),
+    COMPLETE: ("seqno",),
+    CANCEL: ("seqno",),
+}
+
+
 def occupancies(rows: Sequence[Row]) -> List[Occupancy]:
     """Thread occupancy of a run, in dispatch order, in one pass.
 
@@ -220,11 +253,19 @@ def occupancies(rows: Sequence[Row]) -> List[Occupancy]:
     servers: Dict[Any, Any] = {}
     costs: Dict[Any, Any] = {}
     running: Dict[Any, Occupancy] = {}
+    # kind -> (payload keys, reader) of the kind's latest row
+    readers: Dict[str, Tuple[Tuple[str, ...], Callable[..., Tuple[Any, ...]]]] = {}
     for index, row in enumerate(rows):
         kind = row[0]
+        names = _OCCUPANCY_FIELDS.get(kind)
+        if names is None:
+            continue
+        cached = readers.get(kind)
+        if cached is None or cached[0] is not row[4]:
+            cached = readers[kind] = (row[4], payload_reader(row[4], names))
+        read = cached[1]
         if kind == DISPATCH:
-            seqno = row_field(row, "seqno")
-            thread = row_field(row, "thread")
+            seqno, thread, api = read(row[5])
             if seqno is None or thread is None:
                 continue
             occupancy = Occupancy(
@@ -233,21 +274,25 @@ def occupancies(rows: Sequence[Row]) -> List[Occupancy]:
                 thread,
                 seqno,
                 row[3],
-                row_field(row, "api"),
+                api,
                 costs.get(seqno),
                 row[1],
                 row[1],
             )
             out.append(occupancy)
             running[seqno] = occupancy
-        elif kind == COMPLETE or kind == CANCEL:
-            closed = running.pop(row_field(row, "seqno"), None)
+        elif kind == ENQUEUE:
+            seqno, cost = read(row[5])
+            costs[seqno] = cost
+        elif kind == ROUTE:
+            accepted, seqno, server = read(row[5])
+            if accepted:
+                servers[seqno] = server
+        else:
+            (seqno,) = read(row[5])
+            closed = running.pop(seqno, None)
             if closed is not None:
                 closed.end = row[1]
-        elif kind == ENQUEUE:
-            costs[row_field(row, "seqno")] = row_field(row, "cost")
-        elif kind == ROUTE and row_field(row, "accepted"):
-            servers[row_field(row, "seqno")] = row_field(row, "server")
     if running:
         last = rows[-1][1]
         for occupancy in running.values():

@@ -1,8 +1,12 @@
 """Exporter and trace-session tests: JSONL, Chrome trace, manifest."""
 
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reference.export_writers import chrome_trace_events, write_events_jsonl
 from repro.obs import (
@@ -270,6 +274,153 @@ class TestRowEncoders:
     def test_chrome_trace_without_events_or_log(self, tmp_path):
         path = write_chrome_trace([], tmp_path / "empty.json")
         assert path.read_text() == _reference_chrome([], name="repro")
+
+
+#: Floats whose text a float table could get wrong: both zeros (equal as
+#: floats, different as text), the smallest subnormal, repr's switch to
+#: exponent notation on both sides, and a sum with a 17-digit repr.
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, 1e16, 1e-7, 0.1 + 0.2)
+
+
+class TestFloatTable:
+    """Every finite float column of a chunk is written from one table
+    of the chunk's distinct bit patterns."""
+
+    def test_texts_keep_both_zeros_and_share_one_table(self):
+        texts = list(
+            exporters._float_texts(
+                [[0.0, -0.0, 0.0], [-0.0, 0.0], [5e-324, 1e16, 1e-7, 0.1 + 0.2]]
+            )
+        )
+        assert texts == [
+            ["0.0", "-0.0", "0.0"],
+            ["-0.0", "0.0"],
+            ["5e-324", "1e+16", "1e-07", "0.30000000000000004"],
+        ]
+        # One text object per distinct bit pattern, across columns.
+        assert texts[0][0] is texts[0][2] is texts[1][1]
+        assert texts[0][1] is texts[1][0]
+        assert texts[0][0] is not texts[0][1]
+
+    def test_edge_floats_in_one_chunk(self, monkeypatch):
+        """``0.0`` and ``-0.0`` in one column (``a``) and across columns
+        (``t`` against ``vt``, ``a`` against ``b``) of one chunk."""
+        events = [
+            TraceEvent("vt_update", x, -x, "A", {"a": x, "b": y})
+            for x, y in zip(_EDGE_FLOATS, reversed(_EDGE_FLOATS))
+        ]
+        tabled = []
+        real = exporters._float_texts
+
+        def spy(columns):
+            tabled.append([list(column) for column in columns])
+            return real(columns)
+
+        monkeypatch.setattr(exporters, "_float_texts", spy)
+        text = "".join(encode_rows_jsonl([event.as_row() for event in events]))
+        assert text == _reference_jsonl(events)
+        assert text.startswith(
+            '{"kind": "vt_update", "t": 0.0, "vt": -0.0, "tenant": "A", '
+            '"a": 0.0, "b": 0.30000000000000004}\n'
+        )
+        x = list(_EDGE_FLOATS)
+        assert tabled == [[x, [-v for v in x], x, x[::-1]]]
+
+    def test_nonfinite_and_mixed_columns_take_the_fallback(self, monkeypatch):
+        nan, inf = float("nan"), float("inf")
+        events = [
+            TraceEvent("vt_update", 1.0, 2.0, "A", {"x": x, "y": y})
+            for x, y in [(nan, 1), (inf, 2.5), (-inf, 3)]
+        ]
+        tabled, fallback = [], []
+        real_texts = exporters._float_texts
+        real_value = exporters._ColumnEncoder.value
+
+        def spy_texts(columns):
+            tabled.append([list(column) for column in columns])
+            return real_texts(columns)
+
+        def spy_value(self, value):
+            fallback.append(value)
+            return real_value(self, value)
+
+        monkeypatch.setattr(exporters, "_float_texts", spy_texts)
+        monkeypatch.setattr(exporters._ColumnEncoder, "value", spy_value)
+        rows = [event.as_row() for event in events]
+        assert "".join(encode_rows_jsonl(rows)) == _reference_jsonl(events)
+        assert tabled == [[[1.0] * 3, [2.0] * 3]]  # t and vt only
+        assert list(map(repr, fallback)) == ["nan", "inf", "-inf", "1", "2.5", "3"]
+
+    def test_chrome_floats_go_through_the_table(self, monkeypatch, tmp_path):
+        tabled = []
+        real = exporters._float_texts
+
+        def spy(columns):
+            tabled.append([list(column) for column in columns])
+            return real(columns)
+
+        monkeypatch.setattr(exporters, "_float_texts", spy)
+        rows = _rows()
+        path = write_chrome_trace(rows, tmp_path / "trace.json", process_name="p")
+        assert path.read_text() == _reference_chrome(rows)
+        slices, counters = tabled
+        # slice ts, dur and cost; counter ts and vt
+        assert slices == [[0.0, 0.0, 1e6], [1e6, 4e6, 1e6], [1.0, 4.0, 1.0]]
+        assert counters == [[0.0, 0.0, 1e6], [0.0, 0.0, 1.0]]
+
+
+_floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(), st.floats(-4.0, 4.0))
+#: Mostly floats; an int now and then makes its column mixed.
+_values = st.one_of(_floats, _floats, _floats, st.integers(-2, 2))
+
+
+@st.composite
+def _float_tracer(draw):
+    """A tracer holding random enqueue/select/dispatch/complete rows:
+    random, repeated, signed-zero, subnormal and non-finite floats in the
+    header and payload, so one chunk mixes tabled and fallback columns
+    and opens and closes thread occupancies."""
+    tracer = Tracer("floats")
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from(["enqueue", "select", "dispatch", "complete"]))
+        t, vt = draw(_floats), draw(_values)
+        seqno = draw(st.integers(0, 3))
+        if kind == "enqueue":
+            tracer.enqueue(
+                t, vt, "A", seqno=seqno, api="op", cost=draw(_values),
+                start_tag=draw(_values), queue_depth=1, backlog=seqno,
+            )
+        elif kind == "select":
+            tracer.select(
+                t, vt, "B", thread=0, policy="2dfq", start_tag=draw(_values),
+                finish_tag=draw(_values), eligible=2, backlogged=3,
+                fallback=False, stagger=draw(_values), indexed=True,
+            )
+        elif kind == "dispatch":
+            tracer.dispatch(
+                t, vt, "A", seqno=seqno, api="op", thread=draw(st.integers(0, 1)),
+                estimate=draw(_values), start_tag_after=draw(_values), backlog=1,
+            )
+        else:
+            tracer.complete(
+                t, vt, "A", seqno=seqno, api="op", actual=draw(_values),
+                charged=draw(_values), start_tag_after=draw(_values), running=0,
+            )
+    return tracer
+
+
+@settings(max_examples=80, deadline=None)
+@given(tracer=_float_tracer(), chunk=st.integers(1, 7))
+def test_float_payloads_match_reference_writers(tracer, chunk):
+    rows = tracer.rows
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(scratch)
+        with mock.patch.object(exporters, "CHUNK_ROWS", chunk):
+            jsonl = write_rows_jsonl(rows, out / "events.jsonl")
+            chrome = write_chrome_trace(rows, out / "trace.json", process_name="p")
+        reference = write_events_jsonl(tracer.events, out / "ref.jsonl")
+        assert jsonl.read_text() == reference.read_text()
+        assert chrome.read_text() == _reference_chrome(rows)
 
 
 class TestManifest:
