@@ -38,6 +38,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import statistics
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -45,6 +46,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 
 from repro.core import make_scheduler
 from repro.core.request import Request
+from repro.core.scheduler import Scheduler
 from repro.metrics import MetricsCollector
 from repro.obs.audit import AuditConfig, FairnessAuditor
 from repro.obs.exporters import write_chrome_trace, write_rows_jsonl
@@ -67,6 +69,7 @@ __all__ = [
     "METRICS_SAMPLES",
     "METRICS_SAMPLE_SHAPES",
     "measure_observability_overhead",
+    "pin_selection",
     "quiesced_gc",
 ]
 
@@ -121,6 +124,19 @@ def _build_backlog(
     return initial
 
 
+def pin_selection(scheduler: Scheduler, path: str) -> None:
+    """Pin a virtual-time scheduler's selection path through its
+    adaptive thresholds: ``"index"`` builds the index at the first
+    enqueue and keeps it, ``"linear"`` never builds it, ``"auto"`` keeps
+    the shipped thresholds."""
+    if path == "index":
+        scheduler.AUTO_INDEX_HIGH, scheduler.AUTO_INDEX_LOW = 1, 0
+    elif path == "linear":
+        scheduler.AUTO_INDEX_HIGH = sys.maxsize
+    elif path != "auto":
+        raise ValueError(f"path must be 'index', 'linear' or 'auto', got {path!r}")
+
+
 def measure_dequeue_throughput(
     scheduler_name: str,
     num_tenants: int,
@@ -128,19 +144,17 @@ def measure_dequeue_throughput(
     thread_rate: float = 1.0,
     ops: Optional[int] = None,
     seed: int = 0,
-    indexed: Union[bool, str] = True,
+    path: str = "index",
     repeats: int = 2,
     tracer_factory: Optional[Callable[[], Tracer]] = None,
 ) -> Dict[str, Union[str, int, float, bool]]:
     """Time ``ops`` full dispatch cycles with ``num_tenants`` backlogged.
 
     Returns a record with ``rps`` (dispatches per wallclock second, best
-    of ``repeats`` runs on freshly built schedulers).  ``indexed``
-    accepts the scheduler's three selection modes (``True`` forces the
-    index, ``False`` the linear scans, ``"auto"`` the shipped adaptive
-    default).  ``tracer_factory`` (one fresh tracer per repetition)
-    turns on event emission for the timed region; the default ``None``
-    measures the shipped disabled path.
+    of ``repeats`` runs on freshly built schedulers).  ``path`` pins the
+    selection path (:func:`pin_selection`).  ``tracer_factory`` (one
+    fresh tracer per repetition) turns on event emission for the timed
+    region; the default ``None`` measures the shipped disabled path.
     """
     if ops is None:
         ops = _default_ops(num_tenants)
@@ -150,11 +164,9 @@ def measure_dequeue_throughput(
     timer = Timer(f"hotpath.{scheduler_name}.{num_tenants}")
     for _ in range(max(1, repeats)):
         scheduler = make_scheduler(
-            scheduler_name,
-            num_threads=num_threads,
-            thread_rate=thread_rate,
-            indexed=indexed,
+            scheduler_name, num_threads=num_threads, thread_rate=thread_rate
         )
+        pin_selection(scheduler, path)
         if tracer_factory is not None:
             scheduler.attach_tracer(tracer_factory())
         initial = _build_backlog(scheduler_name, num_tenants, seed)
@@ -184,7 +196,7 @@ def measure_dequeue_throughput(
         "scheduler": scheduler_name,
         "tenants": num_tenants,
         "threads": num_threads,
-        "indexed": indexed,
+        "path": path,
         "ops": ops,
         "seconds": best,
         "rps": ops / best if best > 0 else float("inf"),
@@ -218,10 +230,10 @@ def measure_adaptive_crossover(
                 num_threads=num_threads,
                 ops=ops,
                 seed=seed,
-                indexed=mode,
+                path=path,
                 repeats=repeats,
             )
-            for mode in (True, False)
+            for path in ("index", "linear")
         )
         ratio = indexed["rps"] / linear["rps"] if linear["rps"] else float("inf")
         rows.append(
@@ -237,6 +249,7 @@ def measure_adaptive_crossover(
     scheduler = make_scheduler(scheduler_name, num_threads=num_threads)
     return {
         "scheduler": scheduler_name,
+        "threads": num_threads,
         "rows": rows,
         "crossover_tenants": crossover,
         "auto_high": getattr(type(scheduler), "AUTO_INDEX_HIGH", None),

@@ -16,9 +16,9 @@ Expectation: any stagger beats none by a large factor; the precise
 shape is a second-order effect.
 """
 
-from typing import Optional
+from typing import Sequence
 
-from repro.core import TenantState, VirtualTimeScheduler
+from repro.core import VirtualTimeScheduler
 from repro.core import registry as registry_module
 from repro.experiments.expensive_requests import (
     SMALL_PROBE,
@@ -32,8 +32,8 @@ from conftest import emit, once
 
 def _stagger_class(name: str, g):
     class Stagger2DFQ(VirtualTimeScheduler):
-        def _select(self, thread_id: int, vnow: float) -> Optional[TenantState]:
-            return self._min_eligible_finish(g(thread_id / self._num_threads), vnow)
+        def _staggers(self, num_threads: int) -> Sequence[float]:
+            return [g(i / num_threads) for i in range(num_threads)]
 
     Stagger2DFQ.name = name
     return Stagger2DFQ

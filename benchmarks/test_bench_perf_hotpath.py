@@ -7,7 +7,9 @@ the provenance record (seed, versions, git SHA):
 
 * ``adaptive_selection`` -- the linear-vs-index crossover sweep behind
   the ``AUTO_INDEX_HIGH``/``AUTO_INDEX_LOW`` thresholds, for the paper's
-  scheduler and WF2Q (one eligibility slot);
+  scheduler and WF2Q (one eligibility slot), keyed by name on 4 threads
+  and ``name@threads`` on 16 and 64 (the thresholds ignore the thread
+  count; those rows are recorded, not gated);
 * ``observability`` -- traced and audited dequeue throughput relative to
   the disabled default, and under ``export`` the seconds per 10k rows of
   ``write_rows_jsonl`` and ``write_chrome_trace`` over an unbounded
@@ -27,8 +29,8 @@ the provenance record (seed, versions, git SHA):
   not gated).
 
 Acceptance bars: the thresholds form a hysteresis band, and at full
-scale the index wins somewhere inside the sweep, within the 2x band the
-activation threshold was chosen from.
+scale the 4-thread index wins somewhere inside the sweep, within the 2x
+band the activation threshold was chosen from.
 
 Scale down for smoke runs with ``REPRO_BENCH_OPS`` (dispatches per
 timing cell, default 500-3000 depending on N, and events per event-loop
@@ -57,10 +59,26 @@ from hotpath import (
     measure_observability_overhead,
 )
 
+#: Pool sizes of the crossover sweep; only the first is gated.
+CROSSOVER_THREADS = (4, 16, 64)
+
 #: Manifest sections owned by *other* bench modules, carried over when
 #: this module rewrites the manifest (write_manifest replaces the file
 #: wholesale).
 PRESERVED_SECTIONS = ("analysis", "fleet", "parallel_engine")
+
+
+def _crossover_sweeps(ops, repeats):
+    """Crossover sweeps of 2DFQ and WF2Q on every pool size, keyed by
+    name on the gated 4-thread pool and ``name@threads`` elsewhere."""
+    sweeps = {}
+    for threads in CROSSOVER_THREADS:
+        for name in ("2dfq", "wf2q"):
+            key = name if threads == CROSSOVER_THREADS[0] else f"{name}@{threads}"
+            sweeps[key] = measure_adaptive_crossover(
+                name, num_threads=threads, ops=ops, repeats=repeats
+            )
+    return sweeps
 
 
 def _format_crossover(sweep):
@@ -113,13 +131,7 @@ def test_bench_perf_hotpath(benchmark, capsys):
     ops = int(os.environ.get("REPRO_BENCH_OPS", "0")) or None
     repeats = int(os.environ.get("REPRO_BENCH_REPEATS", "0")) or 2
     reduced = ops is not None
-    crossover = once(
-        benchmark,
-        lambda: {
-            name: measure_adaptive_crossover(name, ops=ops, repeats=repeats)
-            for name in ("2dfq", "wf2q")
-        },
-    )
+    crossover = once(benchmark, lambda: _crossover_sweeps(ops, repeats))
     observability = measure_observability_overhead(
         "2dfq", num_tenants=100, ops=ops, repeats=repeats
     )
@@ -162,9 +174,10 @@ def test_bench_perf_hotpath(benchmark, capsys):
         capsys,
         "BENCH: scheduler hot-path dequeue throughput",
         "\n\n".join(
-            f"adaptive crossover ({name}, auto_low={sweep['auto_low']}, "
-            f"auto_high={sweep['auto_high']}):\n" + _format_crossover(sweep)
-            for name, sweep in crossover.items()
+            f"adaptive crossover ({sweep['scheduler']}, {sweep['threads']} threads, "
+            f"auto_low={sweep['auto_low']}, auto_high={sweep['auto_high']}):\n"
+            + _format_crossover(sweep)
+            for sweep in crossover.values()
         )
         + "\n\nobservability layers (2dfq, 100 tenants):\n"
         + _format_observability(observability)
@@ -173,10 +186,10 @@ def test_bench_perf_hotpath(benchmark, capsys):
         + f"\n\nevent loop, {EVENT_LOOP_TIMERS} self-rescheduling timers:\n"
         + _format_event_loop(event_loop),
     )
-    for name, sweep in crossover.items():
+    for sweep in crossover.values():
         assert sweep["auto_high"] > sweep["auto_low"] > 0
         assert all(row["indexed_rps"] > 0 and row["linear_rps"] > 0 for row in sweep["rows"])
-        if not reduced:
+        if not reduced and sweep["threads"] == CROSSOVER_THREADS[0]:
             assert sweep["crossover_tenants"] is not None, sweep
             assert sweep["crossover_tenants"] <= 2 * sweep["auto_high"], sweep
     # Turning observability ON cannot plausibly be faster than 2x off.

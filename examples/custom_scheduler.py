@@ -2,19 +2,20 @@
 """Extending the framework: write and evaluate your own scheduler.
 
 The virtual-time machinery (tags, retroactive charging, refresh
-charging, estimators) lives in :class:`VirtualTimeScheduler`; a new
-policy only chooses *which backlogged tenant runs next on a given
-thread*.  This example implements "2DFQ-quadratic", a variant whose
-eligibility stagger grows quadratically with the thread index instead of
-linearly -- concentrating small requests on fewer, higher threads -- and
-races it against standard 2DFQ on the Figure 8 synthetic workload.
+charging, estimators, the linear scans and the O(log N) selection index)
+lives in :class:`VirtualTimeScheduler`; a new policy only declares its
+per-thread eligibility staggers and a tag order.  This example
+implements "2DFQ-quadratic", a variant whose eligibility stagger grows
+quadratically with the thread index instead of linearly -- concentrating
+small requests on fewer, higher threads -- and races it against standard
+2DFQ on the Figure 8 synthetic workload.
 
 Run:  python examples/custom_scheduler.py
 """
 
-from typing import Optional
+from typing import Sequence
 
-from repro.core import TenantState, VirtualTimeScheduler
+from repro.core import VirtualTimeScheduler
 from repro.experiments import ExperimentConfig, run_comparison
 from repro.experiments.expensive_requests import SMALL_PROBE
 from repro.workloads import expensive_requests_population
@@ -28,10 +29,11 @@ class QuadraticStagger2DFQ(VirtualTimeScheduler):
 
     name = "2dfq-quadratic"
 
-    def _select(self, thread_id: int, vnow: float) -> Optional[TenantState]:
-        # Smallest finish tag among tenants with S - stagger * l <= v(now).
-        stagger = (thread_id / self._num_threads) ** 2
-        return self._min_eligible_finish(stagger, vnow)
+    def _staggers(self, num_threads: int) -> Sequence[float]:
+        # Thread i runs the smallest finish tag among tenants with
+        # S - stagger_i * l <= v(now); the default finish order picks
+        # the work-conserving fallback when none is eligible.
+        return [(i / num_threads) ** 2 for i in range(num_threads)]
 
 
 def main() -> None:
@@ -55,12 +57,16 @@ def main() -> None:
     fair_rate = result.fair_rate()
 
     print("sigma(service lag) of a small tenant, Figure 8 workload:\n")
-    for name, run in result.runs.items():
-        sigma = run.lag_sigma(SMALL_PROBE, reference_rate=fair_rate)
+    sigmas = {
+        name: run.lag_sigma(SMALL_PROBE, reference_rate=fair_rate)
+        for name, run in result.runs.items()
+    }
+    for name, sigma in sigmas.items():
         print(f"  {name:>15}: {sigma:8.4f} s")
+    smoothest = min(sigmas, key=sigmas.__getitem__)
     print(
-        "\nBoth stagger shapes beat WF2Q; the linear stagger of the paper"
-        "\nspreads eligibility evenly and is typically the smoothest."
+        f"\nSmoothest on this run: {smoothest}; WF2Q's sigma is "
+        f"{sigmas['wf2q'] / sigmas[smoothest]:.1f}x larger."
     )
 
 

@@ -17,11 +17,6 @@ verify it is schedule-identical to WF2Q on the paper's workloads.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
-
-from ..errors import SchedulerError
-from ..units import VirtualTime
-from .scheduler import TenantState
 from .wf2q import WF2QScheduler
 
 __all__ = ["MSF2QScheduler"]
@@ -31,16 +26,4 @@ class MSF2QScheduler(WF2QScheduler):
     """WF2Q eligibility; falls back to the smallest start tag."""
 
     name = "msf2q"
-
-    def _fallback(self, thread_id: int, vnow: VirtualTime) -> Optional[TenantState]:
-        return self._min_start(self._backlogged.values())
-
-    def _index_spec(self) -> Optional[Dict[str, Any]]:
-        # WF2Q eligibility slot, but the fallback orders by start tag.
-        return {"start": True, "staggers": (0.0,)}
-
-    def _fallback_indexed(self, thread_id: int, vnow: VirtualTime) -> Optional[TenantState]:
-        index = self._index
-        if index is None:  # dequeue routes here only in indexed mode
-            raise SchedulerError("indexed selection invoked without an index")
-        return index.min_start()
+    order = "start"

@@ -1,20 +1,22 @@
 """Indexed tenant selection: O(log N) amortized scheduling decisions.
 
-The selection primitives in :mod:`repro.core.vt_base` -- smallest finish
-tag, smallest start tag, and the eligibility-gated variants -- are
-written as linear scans over the backlogged set.  They are simple and
-serve as the reference semantics, but every ``dequeue`` pays O(N) in the
-number of backlogged tenants, which caps simulator throughput exactly
-where the paper's production regime needs it (hundreds to thousands of
-concurrently backlogged tenants; §4 notes tag-based schedulers admit
-O(log N) implementations with ordered structures).
+The selection primitives in :mod:`repro.core.vt_base` -- the smallest
+tenant in the policy's tag order, and the smallest finish tag among the
+tenants eligible under a stagger -- are written as linear scans over the
+backlogged set.  They are simple and serve as the reference semantics,
+but every ``dequeue`` pays O(N) in the number of backlogged tenants,
+which caps simulator throughput exactly where the paper's production
+regime needs it (hundreds to thousands of concurrently backlogged
+tenants; §4 notes tag-based schedulers admit O(log N) implementations
+with ordered structures).
 
 :class:`SelectionIndex` maintains the same orderings in binary heaps
 with *lazy invalidation* and *deferred maintenance*:
 
 * every heap entry snapshots a tenant's selection key -- ``(finish tag,
-  head estimate, head seqno)`` or ``(start tag, head estimate, head
-  seqno)`` -- together with the tenant's ``sel_version`` at push time;
+  head estimate, head seqno)``, or ``(start tag, head estimate, head
+  seqno)`` in the order heap of a start-ordered policy -- together with
+  the tenant's ``sel_version`` at push time;
 * whenever a tenant's key may have changed (new head request, start-tag
   movement, estimator update) the scheduler calls :meth:`touch`.  A
   touch is O(1): it bumps ``sel_version`` and appends the tenant to a
@@ -29,8 +31,10 @@ with *lazy invalidation* and *deferred maintenance*:
 * when a tenant leaves the backlog the scheduler calls :meth:`drop`,
   which only bumps the version -- O(1), no heap surgery.
 
-Eligibility-gated policies (WF2Q, MSF2Q, 2DFQ) use **one gate heap plus
-one ready heap per stagger slot**.  The stagger offsets are sorted
+Every index keeps **one order heap** in the policy's tag order: the
+ungated pick (WFQ, SFQ) and the work-conserving fallback of the gated
+ones.  Eligibility-gated policies (WF2Q, MSF2Q, 2DFQ) add **one gate heap
+plus one ready heap per stagger slot**.  The stagger offsets are sorted
 ascending, so the staggered start tag ``e_j(f) = S_f - staggers[j] *
 l_head`` is non-increasing in the slot index and eligibility is
 *nested*: a tenant eligible on slot ``i`` is eligible on every slot
@@ -65,10 +69,11 @@ change *solely* through ``observe()`` calls for the same tenant
 :mod:`repro.core.vt_base` goes through its one invalidation point,
 ``_touch``, which clears the key and calls :meth:`touch`.  Every
 estimator in this library satisfies that, provided one estimator
-instance serves one scheduler; ``indexed=False`` is no escape hatch for
-an estimator whose estimates drift spontaneously.  Such an estimator
-needs ``reindex_backlogged()`` whenever its estimates move, as the
-fault injector does at each window edge.
+instance serves one scheduler; the linear scans are no escape hatch for
+an estimator whose estimates drift spontaneously, because adaptive
+selection builds the index whenever the backlog grows.  Such an
+estimator needs ``reindex_backlogged()`` whenever its estimates move, as
+the fault injector does at each window edge.
 """
 
 from __future__ import annotations
@@ -83,10 +88,10 @@ from .scheduler import HeadKey, TenantState
 __all__ = ["SelectionIndex"]
 
 #: One lazy-invalidation heap entry.  The *prefix* is the policy's sort
-#: key -- ``(finish, estimate, seqno)`` for the finish heap, ``(start,
-#: estimate, seqno)`` for the start heap and a ready heap, ``(staggered
-#: start, next gate, start, finish, estimate, seqno)`` for the gate heap
-#: -- and every entry ends
+#: key -- ``(finish, estimate, seqno)`` for a finish-ordered order heap
+#: and a ready heap, ``(start, estimate, seqno)`` for a start-ordered
+#: order heap, ``(staggered start, next gate, start, finish, estimate,
+#: seqno)`` for the gate heap -- and every entry ends
 #: with the fixed ``(..., sel_version, state)`` suffix the invalidation
 #: machinery reads via ``entry[-2]`` / ``entry[-1]``.  Entries are plain
 #: tuples (not objects) because heapq compares them lexicographically on
@@ -119,34 +124,31 @@ class SelectionIndex:
         The scheduler's cached head-key function
         (``VirtualTimeScheduler._head_key``); read when a fresh record
         is synced.
-    finish:
-        Maintain a global min-finish-tag heap (WFQ selection and the
-        default work-conserving fallback).
-    start:
-        Maintain a global min-start-tag heap (SFQ selection and the
-        MSF2Q fallback).
+    order:
+        Key of the order heap: ``"finish"`` ranks tenants by ``(finish
+        tag, head estimate, head seqno)`` (WFQ, and the WF2Q and 2DFQ
+        fallback), ``"start"`` by ``(start tag, head estimate, head
+        seqno)`` (SFQ, and the MSF2Q fallback).
     staggers:
         One eligibility slot (and ready heap) per entry, all fed by one
         gate heap; slot ``j`` gates on ``S_f - staggers[j] * l_head <=
         threshold``.  WF2Q-style policies pass ``(0.0,)``; 2DFQ passes
-        ``(i / n for i in range(n))``.  Must be sorted ascending -- the
-        gate heap relies on the nested-eligibility property that
-        implies.
+        ``(i / n for i in range(n))``; ungated policies pass ``()``.
+        Must be sorted ascending -- the gate heap relies on the
+        nested-eligibility property that implies.
     """
 
     __slots__ = (
         "_head_key",
         "_heaps",
         "_limits",
-        "_finish_heap",
-        "_start_heap",
+        "_by_start",
         "_gate",
         "_ready",
         "_staggers",
         "_log",
         "_log_limit",
-        "_cursor_finish",
-        "_cursor_start",
+        "_cursor_order",
         "_cursor_gate",
         "_gates",
         "_hist",
@@ -159,15 +161,15 @@ class SelectionIndex:
     def __init__(
         self,
         head_key: Callable[[TenantState], HeadKey],
-        finish: bool = False,
-        start: bool = False,
+        order: str = "finish",
         staggers: Sequence[Scalar] = (),
     ) -> None:
         self._head_key = head_key
+        self._by_start = order == "start"
+        # Heap 0 is the order heap; the gate and ready heaps follow.
         self._heaps: List[List[_HeapEntry]] = []
         self._limits: List[int] = []
-        self._finish_heap = self._new_heap() if finish else -1
-        self._start_heap = self._new_heap() if start else -1
+        self._new_heap()
         self._staggers: Tuple[Scalar, ...] = tuple(staggers)
         if any(
             a > b for a, b in zip(self._staggers, self._staggers[1:])
@@ -183,8 +185,7 @@ class SelectionIndex:
         #: as one structure: the gate heap is its single entry point).
         self._log: List[_LogRecord] = []
         self._log_limit = _LOG_COMPACT_MIN
-        self._cursor_finish = 0
-        self._cursor_start = 0
+        self._cursor_order = 0
         self._cursor_gate = 0
         # Eligibility-count bookkeeping, built on the first
         # eligible_count() call (traced runs only): the lowest gate each
@@ -239,14 +240,14 @@ class SelectionIndex:
         if gate is not None:
             self._hist[gate] -= 1
 
-    def _sync_finish(self) -> None:
+    def _sync_order(self) -> None:
         log = self._log
         end = len(log)
-        i = self._cursor_finish
+        i = self._cursor_order
         if i == end:
             return
-        self._cursor_finish = end
-        heap_id = self._finish_heap
+        self._cursor_order = end
+        by_start = self._by_start
         head_key = self._head_key
         while i < end:
             state, version = log[i]
@@ -255,24 +256,10 @@ class SelectionIndex:
                 continue  # superseded by a later touch (or dropped)
             # A fresh record means no touch since: the cached key and
             # the start tag are still current.
-            self._push(heap_id, (state.head_key or head_key(state)) + (version, state))
-
-    def _sync_start(self) -> None:
-        log = self._log
-        end = len(log)
-        i = self._cursor_start
-        if i == end:
-            return
-        self._cursor_start = end
-        heap_id = self._start_heap
-        head_key = self._head_key
-        while i < end:
-            state, version = log[i]
-            i += 1
-            if version != state.sel_version:
-                continue
-            _, estimate, seqno = state.head_key or head_key(state)
-            self._push(heap_id, (state.start_tag, estimate, seqno, version, state))
+            key = state.head_key or head_key(state)
+            if by_start:
+                key = (state.start_tag, key[1], key[2])
+            self._push(0, key + (version, state))
 
     def _sync_gate(self) -> None:
         """Feed fresh dirty records into the gate heap, keyed by their
@@ -310,14 +297,11 @@ class SelectionIndex:
     def _flush_log(self) -> None:
         """Sync every structure to the end of the log, then clear it.
 
-        Bounds log memory; rarely-queried structures (e.g. the finish
-        heap of a policy whose fallback never fires) would otherwise pin
-        the log forever.  The next limit adapts to the number of records
-        a flush interval accumulates."""
-        if self._finish_heap >= 0:
-            self._sync_finish()
-        if self._start_heap >= 0:
-            self._sync_start()
+        Bounds log memory; rarely-queried structures (e.g. the order
+        heap of a gated policy whose fallback never fires) would
+        otherwise pin the log forever.  The next limit adapts to the
+        number of records a flush interval accumulates."""
+        self._sync_order()
         if self._staggers:
             self._sync_gate()
         live = sum(
@@ -327,8 +311,7 @@ class SelectionIndex:
         )
         self._log_limit = max(_LOG_COMPACT_MIN, 4 * live)
         self._log.clear()
-        self._cursor_finish = 0
-        self._cursor_start = 0
+        self._cursor_order = 0
         self._cursor_gate = 0
 
     def _push(self, heap_id: int, entry: _HeapEntry) -> None:
@@ -368,22 +351,11 @@ class SelectionIndex:
             self.stale_pops += stale
         return top
 
-    def min_finish(self) -> Optional[TenantState]:
-        """Backlogged tenant with the smallest ``(finish tag, head
-        estimate, head seqno)`` key -- the WFQ decision."""
-        if self._finish_heap < 0:
-            raise SchedulerError("selection index was built without a finish heap")
-        self._sync_finish()
-        entry = self._peek(self._finish_heap)
-        return entry[-1] if entry is not None else None  # type: ignore[return-value]
-
-    def min_start(self) -> Optional[TenantState]:
-        """Backlogged tenant with the smallest ``(start tag, head
-        estimate, head seqno)`` key -- the SFQ decision."""
-        if self._start_heap < 0:
-            raise SchedulerError("selection index was built without a start heap")
-        self._sync_start()
-        entry = self._peek(self._start_heap)
+    def min_order(self) -> Optional[TenantState]:
+        """Backlogged tenant first in the policy's tag order -- the WFQ
+        or SFQ decision, and the work-conserving fallback."""
+        self._sync_order()
+        entry = self._peek(0)
         return entry[-1] if entry is not None else None  # type: ignore[return-value]
 
     def min_eligible_finish(
@@ -510,11 +482,7 @@ class SelectionIndex:
     def heap_sizes(self) -> Dict[str, int]:
         """Current heap occupancy (monitoring and tests); includes the
         dirty log, which is bounded by the flush limit."""
-        sizes: Dict[str, int] = {}
-        if self._finish_heap >= 0:
-            sizes["finish"] = len(self._heaps[self._finish_heap])
-        if self._start_heap >= 0:
-            sizes["start"] = len(self._heaps[self._start_heap])
+        sizes = {"order": len(self._heaps[0])}
         if self._gate >= 0:
             sizes["gate"] = len(self._heaps[self._gate])
         for slot, ready_id in enumerate(self._ready):
@@ -524,6 +492,6 @@ class SelectionIndex:
 
     def __repr__(self) -> str:
         return (
-            f"SelectionIndex(finish={self._finish_heap >= 0}, "
-            f"start={self._start_heap >= 0}, staggers={len(self._staggers)})"
+            f"SelectionIndex(order={'start' if self._by_start else 'finish'!r}, "
+            f"staggers={len(self._staggers)})"
         )

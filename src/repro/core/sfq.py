@@ -14,31 +14,14 @@ WFQ in this setting because the simulated server is not variable-rate
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
-
-from ..errors import SchedulerError
-from ..units import VirtualTime
-from .scheduler import TenantState
 from .vt_base import VirtualTimeScheduler
 
 __all__ = ["SFQScheduler"]
 
 
 class SFQScheduler(VirtualTimeScheduler):
-    """Smallest-start-tag-first across all backlogged tenants."""
+    """Smallest-start-tag-first across all backlogged tenants: no
+    eligibility gate, start order."""
 
     name = "sfq"
-
-    def _select(self, thread_id: int, vnow: VirtualTime) -> Optional[TenantState]:
-        return self._min_start(self._backlogged.values())
-
-    def _index_spec(self) -> Optional[Dict[str, Any]]:
-        return {"start": True}
-
-    def _select_indexed(self, thread_id: int, vnow: VirtualTime) -> Optional[TenantState]:
-        # Always finds a tenant while anything is backlogged, so the
-        # fallback path never fires for SFQ.
-        index = self._index
-        if index is None:  # dequeue routes here only in indexed mode
-            raise SchedulerError("indexed selection invoked without an index")
-        return index.min_start()
+    order = "start"

@@ -35,13 +35,11 @@ requests -- pessimism turns estimation error into spatial isolation.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Union
+from typing import Optional, Sequence
 
-from ..errors import SchedulerError
 from ..estimation.base import CostEstimator
 from ..estimation.pessimistic import PessimisticEstimator
-from ..units import Cost, Rate, Scalar, VirtualTime
-from .scheduler import TenantState
+from ..units import Cost, Rate, Scalar
 from .vt_base import VirtualTimeScheduler
 
 __all__ = ["TwoDFQScheduler", "TwoDFQEScheduler"]
@@ -52,56 +50,22 @@ class TwoDFQScheduler(VirtualTimeScheduler):
 
     With the default oracle estimator this is the known-cost 2DFQ of
     paper §4; with any other estimator the eligibility stagger uses the
-    estimated cost, which is exactly Figure 7's formulation.
+    estimated cost, which is exactly Figure 7's formulation.  The
+    fallback is WF2Q's: the smallest finish tag overall.  On thread
+    ``n - 1`` the stagger is largest, so small requests are usually
+    eligible there and the fallback fires rarely; on thread 0 the
+    eligibility set equals WF2Q's.
     """
 
     name = "2dfq"
 
-    def _select(self, thread_id: int, vnow: VirtualTime) -> Optional[TenantState]:
+    def _staggers(self, num_threads: int) -> Optional[Sequence[Scalar]]:
         # Figure 7, line 20: E_now = { f in A : S_f - (i/n) L^f_max < v(now) }.
         # The stagger is expressed in virtual-time units; following the
         # paper's formulation the offset is the raw estimated cost (the
         # evaluation uses equal weights, for which this is exact).  The
-        # scan reads the cached head keys, whose estimate is also what
-        # ``dequeue`` charges.
-        return self._min_eligible_finish(thread_id / self._num_threads, vnow)
-
-    # Work-conserving fallback inherited: smallest finish tag overall.
-    # On thread n-1 the stagger is largest, so small requests are usually
-    # eligible there and the fallback fires rarely; on thread 0 the
-    # eligibility set equals WF2Q's.
-
-    def _index_spec(self) -> Optional[Dict[str, Any]]:
-        # One eligibility slot per worker thread: thread ``i`` gates on
-        # the staggered start tag ``S_f - (i/n) * l_head``.  Touch cost
-        # is O(n log N); dequeue drops to O(log N) amortized per thread,
-        # a win whenever backlogged tenants far outnumber threads.
-        n = self._num_threads
-        return {
-            "finish": True,
-            "staggers": tuple(i / n for i in range(n)),
-        }
-
-    def _select_indexed(self, thread_id: int, vnow: VirtualTime) -> Optional[TenantState]:
-        index = self._index
-        if index is None:  # dequeue routes here only in indexed mode
-            raise SchedulerError("indexed selection invoked without an index")
-        return index.min_eligible_finish(
-            thread_id, self._eligibility_threshold(vnow)
-        )
-
-    # -- tracing hooks ---------------------------------------------------------
-
-    def _trace_stagger(self, thread_id: int) -> float:
-        return thread_id / self._num_threads
-
-    def _trace_eligible_count(self, thread_id: int, vnow: VirtualTime) -> int:
-        # Tracing only: the staggered eligibility set of Figure 7 line 20
-        # for this specific thread, |{ f : S_f - (i/n) L^f_max <= v }|.
-        # The index answers from its gate histogram (slot i = thread i).
-        if self._index is not None:
-            return self._index.eligible_count(thread_id)
-        return self._eligible_count(thread_id / self._num_threads, vnow)
+        # offsets are distinct, so the index keeps one slot per thread.
+        return tuple(i / num_threads for i in range(num_threads))
 
 
 class TwoDFQEScheduler(TwoDFQScheduler):
@@ -122,10 +86,9 @@ class TwoDFQEScheduler(TwoDFQScheduler):
         estimator: Optional[CostEstimator] = None,
         alpha: Scalar = 0.99,
         initial_estimate: Cost = 1.0,
-        indexed: Union[bool, str] = "auto",
     ) -> None:
         if estimator is None:
             estimator = PessimisticEstimator(
                 alpha=alpha, initial_estimate=initial_estimate
             )
-        super().__init__(num_threads, thread_rate, estimator, indexed=indexed)
+        super().__init__(num_threads, thread_rate, estimator)

@@ -20,10 +20,34 @@ the same bookkeeping machinery, which this module implements once:
   refunded (``S_f`` moves backwards), undercharged tenants pay up -- so
   every tenant is eventually charged exactly what it consumed.
 
-Subclasses implement a single hook, :meth:`VirtualTimeScheduler._select`,
-choosing a backlogged tenant given the thread index and current virtual
-time, plus optionally :meth:`_fallback` for the work-conserving choice
-when no tenant is *eligible* under the policy.
+A policy declares two things and writes no selection code:
+
+* its per-thread eligibility **staggers**, from
+  :meth:`VirtualTimeScheduler._staggers`: ``None`` for an ungated
+  policy, otherwise one offset per thread, and a tenant is eligible on
+  thread ``i`` when ``S_f - staggers[i] * l_head <= v(now)`` (Figure 7,
+  line 20);
+* one tag **order**, :attr:`VirtualTimeScheduler.order`: ``"finish"``
+  or ``"start"``.  An ungated policy picks the first tenant in that
+  order; a gated one picks the smallest finish tag among the eligible
+  tenants and falls back to the first tenant in that order when none is
+  eligible (work conservation).
+
+=========  =====================  ========
+policy     staggers               order
+=========  =====================  ========
+WFQ        ``None``               finish
+SFQ        ``None``               start
+WF2Q       ``0`` on every thread  finish
+MSF2Q      ``0`` on every thread  start
+2DFQ       ``i / n``              finish
+=========  =====================  ========
+
+From that declaration this module derives the linear scans, the
+:class:`~repro.core.selection.SelectionIndex` layout (the distinct
+staggers sorted ascending as its slots, a thread-to-slot map, and one
+order heap) and the ``eligible`` and ``stagger`` fields of every traced
+``select`` row, so the three can never disagree.
 
 Every policy ranks a backlogged tenant by its head key ``(finish tag,
 clamped head estimate, head seqno)``.  The key is cached on
@@ -38,27 +62,19 @@ tells the index.  Estimators change a queued request's estimate only in
 ``observe`` for the same tenant, inside ``complete``, so no other
 invalidation is needed.
 
-Selection runs in one of three interchangeable modes:
-
-* **linear scan** (``indexed=False``): `_select` / `_fallback` walk the
-  backlogged set, exactly as the policy definitions read;
-* **indexed** (``indexed=True``): policies that declare an
-  :meth:`_index_spec` get a :class:`~repro.core.selection.SelectionIndex`
-  -- heaps with lazy invalidation -- and `dequeue` routes through
-  :meth:`_select_indexed` / :meth:`_fallback_indexed` instead, dropping
-  the per-dequeue cost from O(N) to O(log N) amortized;
-* **adaptive** (``indexed="auto"``, the default): the scheduler tracks
-  the live backlogged-tenant count and switches between the two modes
-  with hysteresis around the benchmarked linear/heap crossover
-  (:data:`AUTO_INDEX_HIGH` / :data:`AUTO_INDEX_LOW`; DESIGN.md §15
-  records the methodology) -- small backlogs keep the cache-friendly
-  linear scan, large backlogs get the index.
-
-All modes are dispatch-for-dispatch identical (the differential tests
+Selection is adaptive: the scheduler tracks the live backlogged-tenant
+count and switches between the linear scans and the O(log N) index with
+hysteresis around the benchmarked linear/heap crossover
+(:data:`~VirtualTimeScheduler.AUTO_INDEX_HIGH` /
+:data:`~VirtualTimeScheduler.AUTO_INDEX_LOW`; DESIGN.md §15 records the
+methodology) -- small backlogs keep the cache-friendly linear scan, large
+backlogs get the index.  The two thresholds are also the one hook that
+pins a path: ``HIGH = 1, LOW = 0`` on an instance builds the index at its
+first enqueue and keeps it; ``HIGH = sys.maxsize`` never builds it.
+Both paths are dispatch-for-dispatch identical (the differential tests
 assert it, and ``tests/reference/fair_queue_oracle.py`` checks the
 known-cost policies against an implementation that shares none of this
-code); external subclasses that only override `_select` simply keep the
-linear path, whatever mode was requested.
+code).
 """
 
 from __future__ import annotations
@@ -67,10 +83,9 @@ from typing import (
     TYPE_CHECKING,
     Any,
     ClassVar,
-    Dict,
     Iterable,
     Optional,
-    Union,
+    Sequence,
 )
 
 if TYPE_CHECKING:
@@ -98,6 +113,9 @@ _NO_KEY: HeadKey = (float("inf"), float("inf"), 0)
 class VirtualTimeScheduler(Scheduler):
     """Base class for tag-based fair schedulers over a thread pool.
 
+    A policy subclass sets :attr:`order` and overrides :meth:`_staggers`
+    (module docstring); everything else is shared.
+
     Parameters
     ----------
     num_threads, thread_rate:
@@ -109,31 +127,46 @@ class VirtualTimeScheduler(Scheduler):
         :class:`~repro.estimation.ema.EMAEstimator` or
         :class:`~repro.estimation.pessimistic.PessimisticEstimator` for
         the ^E variants.
-    indexed:
-        Selection mode: ``"auto"`` (the default) switches between the
-        linear scan and the heap index from the live backlog size with
-        hysteresis; ``True`` forces the index whenever the policy
-        provides one; ``False`` forces the reference linear scans.  The
-        differential tests run all three modes side by side.
     """
 
-    #: Adaptive-mode hysteresis band, in backlogged tenants: the index
-    #: is built when the backlog reaches ``AUTO_INDEX_HIGH`` and torn
-    #: down when it falls to ``AUTO_INDEX_LOW``.  The defaults sit above
-    #: the measured linear/heap crossover of the slowest policies
+    #: Tag order of the ungated pick and of the work-conserving
+    #: fallback: ``"finish"`` ranks by ``(finish tag, head estimate,
+    #: head seqno)``, ``"start"`` by ``(start tag, head estimate, head
+    #: seqno)``.
+    order: ClassVar[str] = "finish"
+
+    #: Adaptive-selection hysteresis band, in backlogged tenants: the
+    #: index is built when the backlog reaches ``AUTO_INDEX_HIGH`` and
+    #: torn down when it falls to ``AUTO_INDEX_LOW``.  The defaults sit
+    #: above the measured linear/heap crossover of the slowest policies
     #: (``measure_adaptive_crossover`` in ``benchmarks/hotpath.py``;
     #: DESIGN.md §15), with a 2x band so a backlog oscillating around the
-    #: crossover does not thrash index builds.  Class attributes:
-    #: subclasses or callers may retune per deployment.
-    AUTO_INDEX_HIGH: ClassVar[int] = 32
-    AUTO_INDEX_LOW: ClassVar[int] = 16
+    #: crossover does not thrash index builds.  Set on an instance to pin
+    #: a path: ``1``/``0`` keeps the index from the first enqueue on,
+    #: ``sys.maxsize`` keeps the linear scans.
+    AUTO_INDEX_HIGH: int = 32
+    AUTO_INDEX_LOW: int = 16
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if cls.order not in ("finish", "start"):
+            raise ConfigurationError(
+                f"{cls.__name__}.order must be 'finish' or 'start', got {cls.order!r}"
+            )
+        # Selection is derived from the declaration; a method under one
+        # of these names would be silently ignored.
+        ignored = sorted({"_select", "_fallback"} & vars(cls).keys())
+        if ignored:
+            raise ConfigurationError(
+                f"{cls.__name__} defines {ignored}: declare _staggers() and "
+                "order instead"
+            )
 
     def __init__(
         self,
         num_threads: int,
         thread_rate: Rate = 1.0,
         estimator: Optional[CostEstimator] = None,
-        indexed: Union[bool, str] = "auto",
     ) -> None:
         super().__init__(num_threads, thread_rate)
         self._estimator = estimator if estimator is not None else OracleEstimator()
@@ -143,21 +176,25 @@ class VirtualTimeScheduler(Scheduler):
         # iteration for deterministic tie-breaking.
         self._backlogged: dict[str, TenantState] = {}
         self._index: Optional[SelectionIndex] = None
-        if indexed is True:
-            self._auto = False
-            spec = self._index_spec()
-            if spec is not None:
-                self._index = SelectionIndex(self._head_key, **spec)
-        elif indexed is False:
-            self._auto = False
-        elif indexed == "auto":
-            # Auto on a policy without an index spec degenerates to the
-            # linear scans: _activate_index() finds no spec and disarms.
-            self._auto = self._index_spec() is not None
-        else:
+        staggers = self._staggers(self._num_threads)
+        self._thread_staggers = None if staggers is None else tuple(staggers)
+        if staggers is not None and len(staggers) != self._num_threads:
             raise ConfigurationError(
-                f"indexed must be True, False, or 'auto', got {indexed!r}"
+                f"{type(self).__name__} declared {len(staggers)} staggers "
+                f"for {self._num_threads} threads"
             )
+        # The index layout: one slot per distinct stagger, ascending, and
+        # each thread queries the slot of its own stagger.
+        slots = sorted(set(staggers or ()))
+        self._slot_staggers = tuple(slots)
+        self._thread_slots = tuple(slots.index(s) for s in staggers or ())
+
+    def _staggers(self, num_threads: int) -> Optional[Sequence[Scalar]]:
+        """The policy's eligibility staggers: ``None`` when it has no
+        eligibility gate (the default), else one offset per thread;
+        thread ``i`` admits a tenant once ``S_f - staggers[i] * l_head
+        <= v(now)``.  Called once, at construction."""
+        return None
 
     # -- introspection ---------------------------------------------------------
 
@@ -168,17 +205,8 @@ class VirtualTimeScheduler(Scheduler):
     @property
     def indexed(self) -> bool:
         """True when dequeues currently run through the O(log N)
-        selection index (in adaptive mode this flips with the backlog)."""
+        selection index (this flips with the backlog)."""
         return self._index is not None
-
-    @property
-    def selection_mode(self) -> str:
-        """The configured selection mode: ``"auto"``, ``"indexed"``, or
-        ``"linear"`` (``indexed`` / ``linear`` also cover auto-less
-        policies without an index spec)."""
-        if self._auto:
-            return "auto"
-        return "indexed" if self._index is not None else "linear"
 
     @property
     def selection_index(self) -> Optional[SelectionIndex]:
@@ -228,14 +256,12 @@ class VirtualTimeScheduler(Scheduler):
 
     def _activate_index(self) -> None:
         """Build a fresh selection index and seed it with the entire
-        backlog.  O(N) per call: adaptive mode's rising edge amortizes
-        it against the >= AUTO_INDEX_HIGH dequeues the backlog implies
+        backlog.  O(N) per call: the adaptive rising edge amortizes it
+        against the >= AUTO_INDEX_HIGH dequeues the backlog implies
         before the tear-down threshold can be reached."""
-        spec = self._index_spec()
-        if spec is None:  # pragma: no cover - auto is disarmed in __init__
-            self._auto = False
-            return
-        index = SelectionIndex(self._head_key, **spec)
+        index = SelectionIndex(
+            self._head_key, order=self.order, staggers=self._slot_staggers
+        )
         for state in self._backlogged.values():
             index.touch(state)
         self._index = index
@@ -270,11 +296,7 @@ class VirtualTimeScheduler(Scheduler):
             # A new head request (and possibly a fast-forwarded start
             # tag); deeper enqueues change neither the head nor the tag.
             self._touch(state)
-            if (
-                self._index is None
-                and self._auto
-                and len(self._backlogged) >= self.AUTO_INDEX_HIGH
-            ):
+            if self._index is None and len(self._backlogged) >= self.AUTO_INDEX_HIGH:
                 # Adaptive rising edge.  Checked only here: the backlog
                 # can only grow when a tenant becomes backlogged, so
                 # deeper enqueues never need to re-test the threshold.
@@ -297,14 +319,10 @@ class VirtualTimeScheduler(Scheduler):
         if not self._backlogged:
             return None
         index = self._index
-        if (
-            index is not None
-            and self._auto
-            and len(self._backlogged) <= self.AUTO_INDEX_LOW
-        ):
-            # Adaptive mode, falling edge: below the crossover the
-            # linear scan wins; discard the index (a later activation
-            # rebuilds from scratch, so no coherence to maintain).
+        if index is not None and len(self._backlogged) <= self.AUTO_INDEX_LOW:
+            # Adaptive falling edge: below the crossover the linear scan
+            # wins; discard the index (a later activation rebuilds from
+            # scratch, so no coherence to maintain).
             self._index = index = None
         # Per-phase profiling timers (ISSUE spans tentpole): only fetched
         # while a tracer is attached, so the disabled hot path stays one
@@ -319,21 +337,21 @@ class VirtualTimeScheduler(Scheduler):
         if phase_timer is not None and trace is not None:
             phase_timer.stop()
             phase_timer = trace.registry.timer("scheduler.phase.select").start()
-        if index is not None:
-            state = self._select_indexed(thread_id, vnow)
-            if state is None:
-                # Work conservation: requests are queued, so pick something.
-                fallback = True
-                state = self._fallback_indexed(thread_id, vnow)
+        staggers = self._thread_staggers
+        state: Optional[TenantState] = None
+        if staggers is not None:
+            if index is not None:
+                state = index.min_eligible_finish(
+                    self._thread_slots[thread_id], self._eligibility_threshold(vnow)
+                )
             else:
-                fallback = False
-        else:
-            state = self._select(thread_id, vnow)
-            if state is None:
-                fallback = True
-                state = self._fallback(thread_id, vnow)
-            else:
-                fallback = False
+                state = self._min_eligible_finish(staggers[thread_id], vnow)
+        # An ungated policy picks in its tag order; a gated one does so
+        # only when nothing is eligible (work conservation: requests are
+        # queued, so pick something).
+        fallback = state is None and staggers is not None
+        if state is None:
+            state = index.min_order() if index is not None else self._min_order()
         if phase_timer is not None:
             phase_timer.stop()
         if state is None:
@@ -342,6 +360,18 @@ class VirtualTimeScheduler(Scheduler):
                 f"{self._size} queued requests"
             )
         if trace is not None:
+            # E_now of Figure 7: the set the gated pick chose from.  The
+            # index answers from its gate histogram, drained to this
+            # same threshold by the query above.
+            if staggers is None:
+                stagger = 0.0
+                eligible = len(self._backlogged)
+            else:
+                stagger = staggers[thread_id]
+                if index is not None:
+                    eligible = index.eligible_count(self._thread_slots[thread_id])
+                else:
+                    eligible = self._eligible_count(stagger, vnow)
             trace.select(
                 now,
                 vnow,
@@ -350,10 +380,10 @@ class VirtualTimeScheduler(Scheduler):
                 policy=self.name,
                 start_tag=state.start_tag,
                 finish_tag=self._finish_tag(state),
-                eligible=self._trace_eligible_count(thread_id, vnow),
+                eligible=eligible,
                 backlogged=len(self._backlogged),
                 fallback=fallback,
-                stagger=self._trace_stagger(thread_id),
+                stagger=stagger,
                 indexed=index is not None,
             )
         # Charge the estimate up front (Figure 7, lines 22-24): the same
@@ -547,69 +577,6 @@ class VirtualTimeScheduler(Scheduler):
     def _trace_virtual_time(self) -> Optional[VirtualTime]:
         return self._clock.value
 
-    # -- policy hooks ---------------------------------------------------------------
-
-    def _select(self, thread_id: int, vnow: VirtualTime) -> Optional[TenantState]:
-        """Choose a backlogged tenant for ``thread_id`` at virtual time
-        ``vnow``; return ``None`` if no tenant is eligible under the
-        policy (the framework then calls :meth:`_fallback`).
-
-        This is the linear-scan hook; it stays O(N) and readable, and
-        reads the cached head keys.  Policies that also provide
-        :meth:`_index_spec` and :meth:`_select_indexed` get the
-        O(log N) path in ``dequeue``.
-        """
-        raise NotImplementedError
-
-    def _fallback(self, thread_id: int, vnow: VirtualTime) -> Optional[TenantState]:
-        """Work-conserving choice when nothing is eligible.  Default:
-        smallest finish tag, i.e. the WFQ decision."""
-        return self._min_finish(self._backlogged.values())
-
-    def _index_spec(self) -> Optional[Dict[str, Any]]:
-        """Describe the ordered structures this policy's indexed
-        selection needs, as keyword arguments for
-        :class:`~repro.core.selection.SelectionIndex` (``finish``,
-        ``start``, ``staggers``).  Return ``None`` (the default) to run
-        on the linear scans only -- which is what external subclasses
-        that merely override :meth:`_select` get, unchanged.
-        """
-        return None
-
-    def _select_indexed(self, thread_id: int, vnow: VirtualTime) -> Optional[TenantState]:
-        """Indexed counterpart of :meth:`_select`; must make the exact
-        same decision.  Only called when :meth:`_index_spec` returned a
-        spec and ``indexed=True``."""
-        raise NotImplementedError
-
-    def _fallback_indexed(self, thread_id: int, vnow: VirtualTime) -> Optional[TenantState]:
-        """Indexed counterpart of :meth:`_fallback` (default: smallest
-        finish tag from the index)."""
-        index = self._index
-        if index is None:  # only reachable if dequeue's routing is broken
-            raise SchedulerError("indexed fallback invoked without an index")
-        return index.min_finish()
-
-    # -- tracing hooks (only called while a tracer is attached) -----------------
-
-    def _trace_eligible_count(self, thread_id: int, vnow: VirtualTime) -> int:
-        """Size of this policy's eligibility set at ``vnow`` -- the
-        ``E_now`` of Figure 7, recorded in ``select`` trace events.
-
-        The default (no eligibility gate: WFQ, SFQ) is the whole
-        backlogged set; gated policies override, scanning the backlog on
-        the linear path and asking the index
-        (:meth:`~repro.core.selection.SelectionIndex.eligible_count`)
-        when it is active.  Called right after the selection query, so
-        the index's gates are drained to the same threshold.
-        """
-        return len(self._backlogged)
-
-    def _trace_stagger(self, thread_id: int) -> float:
-        """Per-thread eligibility stagger offset recorded in ``select``
-        trace events (2DFQ: ``thread_id / n``; everything else: 0)."""
-        return 0.0
-
     # -- selection primitives shared by the policies -----------------------------------
 
     def _head_key(self, state: TenantState) -> HeadKey:
@@ -628,46 +595,38 @@ class VirtualTimeScheduler(Scheduler):
             state.head_key = key
         return key
 
-    def _head_estimate(self, state: TenantState) -> Cost:
-        """Estimated cost of the tenant's head request."""
-        return self._head_key(state)[1]
-
     def _finish_tag(self, state: TenantState) -> VirtualTime:
         """Virtual finish time of the head request."""
         return self._head_key(state)[0]
 
-    def _min_finish(
-        self, candidates: Iterable[TenantState]
-    ) -> Optional[TenantState]:
-        """Tenant with the smallest head finish tag.
+    def _min_order(self) -> Optional[TenantState]:
+        """Backlogged tenant first in the policy's :attr:`order`: the
+        smallest ``(finish tag, head estimate, head seqno)``, or with
+        ``order = "start"`` the smallest ``(start tag, head estimate,
+        head seqno)``.
 
-        Ties are broken toward the *smaller* estimated cost, then by the
-        head request's global sequence number.  The size tie-break
-        matches the paper's worked example (Figure 5c: at t=3 the F=4
-        tie between a4/b4 and c1/d1 resolves to the small requests, so
-        WFQ runs four A/B rounds before the C/D block) and is the choice
-        that minimizes potential blocking when tags are equal.
+        Ties on the tag are broken toward the *smaller* estimated cost,
+        then by the head request's global sequence number.  The size
+        tie-break matches the paper's worked example (Figure 5c: at t=3
+        the F=4 tie between a4/b4 and c1/d1 resolves to the small
+        requests, so WFQ runs four A/B rounds before the C/D block) and
+        is the choice that minimizes potential blocking when tags are
+        equal.
         """
         head_key = self._head_key
         best: Optional[TenantState] = None
         best_key = _NO_KEY
-        for state in candidates:
-            key = state.head_key or head_key(state)
-            if key < best_key:
-                best, best_key = state, key
-        return best
-
-    def _min_start(self, candidates: Iterable[TenantState]) -> Optional[TenantState]:
-        """Tenant with the smallest start tag (SFQ decision); same
-        size-then-seqno tie-breaking as :meth:`_min_finish`."""
-        head_key = self._head_key
-        best: Optional[TenantState] = None
-        best_key = _NO_KEY
-        for state in candidates:
-            _, estimate, seqno = state.head_key or head_key(state)
-            key = (state.start_tag, estimate, seqno)
-            if key < best_key:
-                best, best_key = state, key
+        if self.order == "start":
+            for state in self._backlogged.values():
+                _, estimate, seqno = state.head_key or head_key(state)
+                key = (state.start_tag, estimate, seqno)
+                if key < best_key:
+                    best, best_key = state, key
+        else:
+            for state in self._backlogged.values():
+                key = state.head_key or head_key(state)
+                if key < best_key:
+                    best, best_key = state, key
         return best
 
     def _min_eligible_finish(
@@ -675,8 +634,8 @@ class VirtualTimeScheduler(Scheduler):
     ) -> Optional[TenantState]:
         """Smallest-head-key tenant among those eligible under a stagger:
         ``S_f - stagger * l_head <= v(now)`` (with the float slack of
-        :meth:`_eligibility_threshold`).  WF2Q passes ``0.0``, 2DFQ
-        ``i / n`` (Figure 7, line 20); ``None`` when nothing is
+        :meth:`_eligibility_threshold`).  WF2Q's stagger is ``0.0``,
+        2DFQ's ``i / n`` (Figure 7, line 20); ``None`` when nothing is
         eligible."""
         threshold = self._eligibility_threshold(vnow)
         head_key = self._head_key
@@ -707,8 +666,3 @@ class VirtualTimeScheduler(Scheduler):
         virtual-time arithmetic.  Shared by the linear scans and the
         selection index so both paths gate on identical values."""
         return vnow + _ELIGIBILITY_EPS * max(1.0, abs(vnow))
-
-    @classmethod
-    def _eligible(cls, start_tag: VirtualTime, vnow: VirtualTime) -> bool:
-        """Eligibility test with float slack: ``S_f <= v(now)``."""
-        return start_tag <= cls._eligibility_threshold(vnow)

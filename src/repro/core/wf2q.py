@@ -17,42 +17,21 @@ proportional to the maximum request size.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Optional, Sequence
 
-from ..errors import SchedulerError
-from ..units import VirtualTime
-from .scheduler import TenantState
+from ..units import Scalar
 from .vt_base import VirtualTimeScheduler
 
 __all__ = ["WF2QScheduler"]
 
 
 class WF2QScheduler(VirtualTimeScheduler):
-    """Smallest finish tag among tenants whose start tag has arrived."""
+    """Smallest finish tag among tenants whose start tag has arrived;
+    the fallback is the smallest finish tag overall (work conserving)."""
 
     name = "wf2q"
 
-    def _select(self, thread_id: int, vnow: VirtualTime) -> Optional[TenantState]:
-        # Stagger 0: plain ``S_f <= v(now)`` (``S - 0.0 * l`` is exactly S).
-        return self._min_eligible_finish(0.0, vnow)
-
-    # _fallback inherited: min finish tag over everything (work conserving).
-
-    def _index_spec(self) -> Optional[Dict[str, Any]]:
-        # One eligibility slot (stagger 0: plain ``S_f <= v(now)``) plus
-        # the finish heap backing the work-conserving fallback.
-        return {"finish": True, "staggers": (0.0,)}
-
-    def _select_indexed(self, thread_id: int, vnow: VirtualTime) -> Optional[TenantState]:
-        index = self._index
-        if index is None:  # dequeue routes here only in indexed mode
-            raise SchedulerError("indexed selection invoked without an index")
-        return index.min_eligible_finish(0, self._eligibility_threshold(vnow))
-
-    def _trace_eligible_count(self, thread_id: int, vnow: VirtualTime) -> int:
-        # Tracing only: |{ f in A : S_f <= v(now) }|, the all-or-nothing
-        # eligibility set whose emptiness marks fallback dispatches.  The
-        # index answers from its gate histogram (slot 0 is the only slot).
-        if self._index is not None:
-            return self._index.eligible_count(0)
-        return self._eligible_count(0.0, vnow)
+    def _staggers(self, num_threads: int) -> Optional[Sequence[Scalar]]:
+        # Stagger 0 on every thread: plain ``S_f <= v(now)`` (``S - 0.0 *
+        # l`` is exactly S), so the index keeps a single eligibility slot.
+        return (0.0,) * num_threads

@@ -13,30 +13,13 @@ pool with expensive requests -- a bursty schedule.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
-
-from ..errors import SchedulerError
-from ..units import VirtualTime
-from .scheduler import TenantState
 from .vt_base import VirtualTimeScheduler
 
 __all__ = ["WFQScheduler"]
 
 
 class WFQScheduler(VirtualTimeScheduler):
-    """Smallest-finish-tag-first across all backlogged tenants."""
+    """Smallest-finish-tag-first across all backlogged tenants: no
+    eligibility gate, finish order (the defaults)."""
 
     name = "wfq"
-
-    def _select(self, thread_id: int, vnow: VirtualTime) -> Optional[TenantState]:
-        # No eligibility criterion: every backlogged tenant is a candidate.
-        return self._min_finish(self._backlogged.values())
-
-    def _index_spec(self) -> Optional[Dict[str, Any]]:
-        return {"finish": True}
-
-    def _select_indexed(self, thread_id: int, vnow: VirtualTime) -> Optional[TenantState]:
-        index = self._index
-        if index is None:  # dequeue routes here only in indexed mode
-            raise SchedulerError("indexed selection invoked without an index")
-        return index.min_finish()

@@ -54,9 +54,6 @@ def _scheduler_manifest(scheduler: Scheduler) -> Dict[str, Any]:
         info["estimator"] = repr(estimator)
     index = getattr(scheduler, "selection_index", None)
     info["indexed"] = index is not None
-    mode = getattr(scheduler, "selection_mode", None)
-    if mode is not None:
-        info["selection_mode"] = mode
     if index is not None:
         info["selection_index"] = index.stats()
     return info

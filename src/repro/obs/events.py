@@ -16,7 +16,7 @@ Event taxonomy (the ``kind`` field; see DESIGN.md §9):
 ``select``
     A dequeue decision was made for one worker thread.  Carries the
     chosen tenant's start/finish tags, the eligibility-set size at the
-    moment of choice, the thread's stagger offset (2DFQ), whether the
+    moment of choice, the thread's declared stagger offset, whether the
     work-conserving fallback fired, and whether the indexed or the
     linear selection path ran.
 ``dispatch``

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+import sys
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import pytest
 
-from repro.core import MSF2QScheduler, SFQScheduler, make_scheduler, scheduler_names
+from repro.core import (
+    MSF2QScheduler,
+    SFQScheduler,
+    VirtualTimeScheduler,
+    make_scheduler,
+    scheduler_names,
+)
 from repro.core.request import Request
 from repro.core.scheduler import Scheduler
 from repro.estimation import EMAEstimator
@@ -21,14 +28,61 @@ EMA_POLICIES = {"sfq-e": SFQScheduler, "msf2q-e": MSF2QScheduler}
 TEST_SCHEDULERS = sorted(scheduler_names() + list(EMA_POLICIES))
 
 
+class QuadraticStagger2DFQ(VirtualTimeScheduler):
+    """2DFQ with the eligibility offset ``(i/n)^2 * l``: small requests
+    squeezed onto fewer, higher threads."""
+
+    name = "2dfq-quadratic"
+
+    def _staggers(self, num_threads: int) -> Sequence[float]:
+        return [(i / num_threads) ** 2 for i in range(num_threads)]
+
+
+class SqrtStagger2DFQ(VirtualTimeScheduler):
+    """2DFQ with the eligibility offset ``sqrt(i/n) * l``: small requests
+    spread over more threads."""
+
+    name = "2dfq-sqrt"
+
+    def _staggers(self, num_threads: int) -> Sequence[float]:
+        return [(i / num_threads) ** 0.5 for i in range(num_threads)]
+
+
+#: Policies declared outside the registry, as a user would write them.
+STAGGER_POLICIES = {
+    cls.name: cls for cls in (QuadraticStagger2DFQ, SqrtStagger2DFQ)
+}
+
+
 def build_scheduler(
     name: str, num_threads: int, thread_rate: float = 1.0, **kwargs
 ) -> Scheduler:
-    """``make_scheduler``, extended to the names in :data:`EMA_POLICIES`."""
-    policy = EMA_POLICIES.get(name)
-    if policy is None:
-        return make_scheduler(name, num_threads, thread_rate, **kwargs)
-    return policy(num_threads, thread_rate, estimator=EMAEstimator(), **kwargs)
+    """``make_scheduler``, extended to the names in :data:`EMA_POLICIES`
+    and :data:`STAGGER_POLICIES`."""
+    if name in EMA_POLICIES:
+        return EMA_POLICIES[name](
+            num_threads, thread_rate, estimator=EMAEstimator(), **kwargs
+        )
+    if name in STAGGER_POLICIES:
+        return STAGGER_POLICIES[name](num_threads, thread_rate, **kwargs)
+    return make_scheduler(name, num_threads, thread_rate, **kwargs)
+
+
+def force_selection(
+    scheduler: VirtualTimeScheduler, indexed: Union[bool, str]
+) -> VirtualTimeScheduler:
+    """Pin a scheduler's selection path through its adaptive thresholds,
+    the one hook for reaching either path: ``True`` builds the index at
+    the first enqueue and never tears it down, ``False`` never builds
+    it, ``"auto"`` keeps the shipped thresholds.  So ``indexed`` reads
+    ``False`` until the first enqueue even when forced on."""
+    if indexed is True:
+        scheduler.AUTO_INDEX_HIGH, scheduler.AUTO_INDEX_LOW = 1, 0
+    elif indexed is False:
+        scheduler.AUTO_INDEX_HIGH = sys.maxsize
+    elif indexed != "auto":
+        raise ValueError(f"indexed must be True, False or 'auto', got {indexed!r}")
+    return scheduler
 
 
 def make_request(

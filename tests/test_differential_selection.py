@@ -2,8 +2,9 @@
 
 The O(log N) selection index (repro.core.selection) must be
 *dispatch-for-dispatch identical* to the reference linear scans -- same
-tenants, same order, on every scheduler, under both estimator families.
-These tests run the two modes side by side:
+tenants, same order, on every scheduler, under both estimator families,
+and for policies declared outside the registry.  These tests pin each
+path with ``conftest.force_selection`` and run them side by side:
 
 * on seeded Azure-like workloads through the real simulator (server,
   refresh charging, open-loop arrival traces);
@@ -38,12 +39,30 @@ from repro.simulator.server import ThreadPoolServer
 from repro.workloads.azure import random_tenants
 from repro.workloads.build import attach_specs
 
-from conftest import build_scheduler
+from conftest import build_scheduler, force_selection
 
-#: Every virtual-time scheduler with an indexed path, covering all three
-#: estimator families: oracle (plain names), pessimistic (2dfq-e), and
-#: EMA (wf2q-e).
-INDEXED_SCHEDULERS = ["wfq", "sfq", "wf2q", "msf2q", "2dfq", "2dfq-e", "wf2q-e"]
+#: Virtual-time schedulers covering every stagger x order declaration
+#: and all three estimator families: oracle (plain names), pessimistic
+#: (2dfq-e), and EMA (wf2q-e); plus the two stagger shapes declared
+#: in conftest the way a user would.
+INDEXED_SCHEDULERS = [
+    "wfq",
+    "sfq",
+    "wf2q",
+    "msf2q",
+    "2dfq",
+    "2dfq-e",
+    "wf2q-e",
+    "2dfq-quadratic",
+    "2dfq-sqrt",
+]
+
+
+def pinned(name, num_threads, indexed, thread_rate=10.0):
+    """A scheduler by name with its selection path pinned."""
+    return force_selection(
+        build_scheduler(name, num_threads, thread_rate=thread_rate), indexed
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +157,11 @@ class TestDifferentialDirect:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_indexed_matches_linear_scan(self, name, seed):
         trace = random_timed_requests(seed)
-        linear = make_scheduler(name, num_threads=3, thread_rate=10.0, indexed=False)
-        indexed = make_scheduler(name, num_threads=3, thread_rate=10.0, indexed=True)
-        assert not linear.indexed and indexed.indexed
+        linear = pinned(name, 3, indexed=False)
+        indexed = pinned(name, 3, indexed=True)
         order_linear = drive_trace(linear, rebuild(trace), num_threads=3)
         order_indexed = drive_trace(indexed, rebuild(trace), num_threads=3)
+        assert not linear.indexed and indexed.indexed
         assert order_linear == order_indexed
         assert len(order_linear) == len(trace)
 
@@ -154,9 +173,7 @@ class TestDifferentialDirect:
             trace = random_timed_requests(11, num_tenants=4, count=80)
             runs = []
             for indexed in (False, True):
-                s = build_scheduler(
-                    name, num_threads=num_threads, thread_rate=10.0, indexed=indexed
-                )
+                s = pinned(name, num_threads, indexed)
                 runs.append(drive_trace(s, rebuild(trace), num_threads=num_threads))
             assert runs[0] == runs[1]
 
@@ -168,12 +185,7 @@ class TestDifferentialAzureSimulator:
     def _dispatch_sequence(self, scheduler_name, indexed, seed):
         sim = Simulation()
         num_threads, rate = 4, 2.0e5
-        scheduler = make_scheduler(
-            scheduler_name,
-            num_threads=num_threads,
-            thread_rate=rate,
-            indexed=indexed,
-        )
+        scheduler = pinned(scheduler_name, num_threads, indexed, thread_rate=rate)
         server = ThreadPoolServer(
             sim, scheduler, num_threads=num_threads, rate=rate, refresh_interval=0.01
         )
@@ -188,7 +200,10 @@ class TestDifferentialAzureSimulator:
         sim.run(until=4.0)
         return dispatches
 
-    @pytest.mark.parametrize("name", ["2dfq", "2dfq-e", "wf2q", "wfq", "wf2q-e"])
+    @pytest.mark.parametrize(
+        "name",
+        ["2dfq", "2dfq-e", "wf2q", "wfq", "wf2q-e", "2dfq-quadratic", "2dfq-sqrt"],
+    )
     def test_identical_dispatch_sequences(self, name):
         linear = self._dispatch_sequence(name, indexed=False, seed=42)
         indexed = self._dispatch_sequence(name, indexed=True, seed=42)
@@ -225,7 +240,7 @@ class TestIndexMechanics:
         closed-loop tenants (half of them 1000x more expensive) on 16
         threads, the Figure 8a shape."""
         sim = Simulation()
-        scheduler = make_scheduler("2dfq", 16, thread_rate=1000.0, indexed=True)
+        scheduler = pinned("2dfq", 16, indexed=True, thread_rate=1000.0)
         server = ThreadPoolServer(sim, scheduler, num_threads=16, rate=1000.0)
         for i in range(50):
             BackloggedSource(server, f"E{i}", lambda: ("big", 1000.0)).start()
@@ -241,10 +256,9 @@ class TestIndexMechanics:
         threshold must still see exactly the linear scan's choice."""
         num_threads = 8
         trace = random_timed_requests(7, num_tenants=40, count=400)
-        linear = make_scheduler("2dfq", num_threads, thread_rate=10.0, indexed=False)
-        indexed = make_scheduler("2dfq", num_threads, thread_rate=10.0, indexed=True)
+        linear = pinned("2dfq", num_threads, indexed=False)
+        indexed = pinned("2dfq", num_threads, indexed=True)
         runs = [(linear, rebuild(trace)), (indexed, rebuild(trace))]
-        index = indexed.selection_index
         checked = 0
         for step in range(len(trace)):
             now = trace[step][0]
@@ -255,8 +269,9 @@ class TestIndexMechanics:
             vnow = linear.virtual_time(now)
             assert indexed.virtual_time(now) == vnow
             threshold = indexed._eligibility_threshold(vnow)
+            index = indexed.selection_index
             for slot in range(num_threads - 1, -1, -1):
-                want = linear._select(slot, vnow)
+                want = linear._min_eligible_finish(slot / num_threads, vnow)
                 got = index.min_eligible_finish(slot, threshold)
                 assert (got and got.tenant_id) == (want and want.tenant_id), (step, slot)
                 checked += want is not None
@@ -264,37 +279,6 @@ class TestIndexMechanics:
                 out = scheduler.dequeue(step % num_threads, now)
                 scheduler.complete(out, out.cost, now)
         assert checked > 100
-
-    def test_linear_only_subclass_still_works(self):
-        """External subclasses that only override _select get the linear
-        path -- no index is built, and behaviour is unchanged."""
-        from repro.core import TenantState, VirtualTimeScheduler
-
-        class MySched(VirtualTimeScheduler):
-            name = "my-sched"
-
-            def _select(self, thread_id, vnow):
-                return self._min_finish(self._backlogged.values())
-
-        s = MySched(num_threads=1)
-        assert not s.indexed
-        s.enqueue(Request(tenant_id="A", cost=1.0), 0.0)
-        s.enqueue(Request(tenant_id="B", cost=2.0), 0.0)
-        assert s.dequeue(0, 0.0).tenant_id == "A"
-        assert s.dequeue(0, 0.0).tenant_id == "B"
-
-    def test_indexed_flag_default_and_off(self):
-        # Default is adaptive: the index only materializes once the
-        # backlog crosses AUTO_INDEX_HIGH.
-        auto = make_scheduler("wf2q", num_threads=2)
-        assert auto.selection_mode == "auto"
-        assert not auto.indexed
-        forced = make_scheduler("wf2q", num_threads=2, indexed=True)
-        assert forced.selection_mode == "indexed"
-        assert forced.indexed
-        linear = make_scheduler("wf2q", num_threads=2, indexed=False)
-        assert linear.selection_mode == "linear"
-        assert not linear.indexed
 
 
 def ramped_trace(seed, num_tenants=40, bursts=2, per_burst=80, max_exponent=1.0):
@@ -321,8 +305,8 @@ def ramped_trace(seed, num_tenants=40, bursts=2, per_burst=80, max_exponent=1.0)
 
 
 class TestAdaptiveSelection:
-    """The ``indexed="auto"`` default: linear below the crossover, the
-    O(log N) index above, with hysteresis between the two thresholds."""
+    """The shipped thresholds: linear below the crossover, the O(log N)
+    index above, with hysteresis between the two."""
 
     def test_activation_and_deactivation_edges(self):
         s = make_scheduler("2dfq", num_threads=4, thread_rate=10.0)
@@ -348,7 +332,6 @@ class TestAdaptiveSelection:
         request = s.dequeue(i % 4, now)
         s.complete(request, request.cost, now)
         assert not s.indexed
-        assert s.selection_mode == "auto"
         # Re-activation from scratch on the next rising edge.
         for j in range(2 * high):
             s.enqueue(Request(tenant_id=f"r{j}", cost=1.0), now)
@@ -357,15 +340,14 @@ class TestAdaptiveSelection:
     @pytest.mark.parametrize("name", ["2dfq", "wf2q", "2dfq-e"])
     def test_auto_identical_across_transitions(self, name):
         """A trace that ramps the backlog over HIGH and back under LOW
-        (twice) dispatches identically in all three selection modes --
-        and the auto run really does transition both ways."""
+        (twice) dispatches identically on both pinned paths and under
+        the shipped thresholds -- and the auto run really does
+        transition both ways."""
         trace = ramped_trace(5)
         orders = {}
         transitions = []
         for mode in (False, True, "auto"):
-            s = make_scheduler(
-                name, num_threads=4, thread_rate=10.0, indexed=mode
-            )
+            s = pinned(name, 4, mode)
             if mode == "auto":
                 real_activate = s._activate_index
 
@@ -384,7 +366,7 @@ class TestAdaptiveSelection:
 
 def traced_stream(name, mode, trace, num_threads):
     """Decision events of one traced run, flattened, each ``select``
-    without its ``indexed`` field (the one field the modes may differ
+    without its ``indexed`` field (the one field the paths may differ
     in); plus the ``indexed`` values seen."""
     saved = request_module._SEQUENCE
     request_module._SEQUENCE = itertools.count()  # same seqnos every run
@@ -392,9 +374,7 @@ def traced_stream(name, mode, trace, num_threads):
         requests = rebuild(trace)
     finally:
         request_module._SEQUENCE = saved
-    scheduler = make_scheduler(
-        name, num_threads=num_threads, thread_rate=10.0, indexed=mode
-    )
+    scheduler = pinned(name, num_threads, mode)
     tracer = Tracer(f"{name}-{mode}")
     scheduler.attach_tracer(tracer)
     scheduler.estimator.attach_tracer(tracer)
@@ -420,7 +400,7 @@ def assert_streams_identical(name, trace, num_threads):
 
 
 class TestTracedDifferential:
-    """Indexed and adaptive runs emit the linear run's event stream.
+    """Index-pinned and adaptive runs emit the linear run's event stream.
 
     ``eligible`` comes from :meth:`SelectionIndex.eligible_count` on the
     index and from a backlog scan on the linear path, so this is the
@@ -510,9 +490,7 @@ class TestCancelDifferential:
     def test_running_cancels_identical_across_modes(self, name):
         for seed in range(12):
             orders = [
-                drive_with_cancels(
-                    make_scheduler(name, 3, thread_rate=10.0, indexed=mode), seed
-                )
+                drive_with_cancels(pinned(name, 3, mode), seed)
                 for mode in (False, True, "auto")
             ]
             assert len(orders[0]) > 100

@@ -23,6 +23,7 @@ Regenerate after an *intentional* semantics change with::
 """
 
 import heapq
+import importlib.util
 import itertools
 import json
 from pathlib import Path
@@ -289,6 +290,47 @@ class TestInstrumentedRun:
         # the default "auto" mode runs the linear scan here.
         assert select.data["indexed"] is False
         assert isinstance(select.data["fallback"], bool)
+
+    def test_custom_policy_select_rows_follow_its_declaration(self):
+        """A policy declared outside the library -- the example's
+        quadratic stagger -- records its own stagger and eligibility set
+        in ``select`` rows, not the ungated defaults (stagger 0, every
+        backlogged tenant eligible)."""
+        path = Path(__file__).parent.parent / "examples" / "custom_scheduler.py"
+        spec = importlib.util.spec_from_file_location("custom_scheduler", path)
+        example = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(example)
+        num_threads = 4
+        scheduler = example.QuadraticStagger2DFQ(num_threads)
+        tracer = Tracer("custom")
+        scheduler.attach_tracer(tracer)
+        for i, cost in enumerate((1.0, 2.0, 4.0, 8.0, 16.0, 32.0)):
+            for _ in range(3):
+                scheduler.enqueue(Request(tenant_id=f"T{i}", cost=cost), 0.0)
+        expected = []
+        now = 0.0
+        for step in range(12):
+            thread = num_threads - 1 - step % num_threads
+            stagger = (thread / num_threads) ** 2
+            vnow = scheduler.virtual_time(now)
+            threshold = vnow + 1e-9 * max(1.0, abs(vnow))
+            eligible = sum(
+                1
+                for state in scheduler.backlogged_tenants()
+                if state.start_tag - stagger * state.queue[0].cost <= threshold
+            )
+            expected.append((thread, stagger, eligible))
+            request = scheduler.dequeue(thread, now)
+            now += 0.5
+            scheduler.complete(request, request.cost, now)
+        rows = [
+            (s.data["thread"], s.data["stagger"], s.data["eligible"])
+            for s in tracer.of_kind("select")
+        ]
+        assert rows == expected
+        assert any(stagger > 0.0 for _, stagger, _ in rows)
+        backlogs = [s.data["backlogged"] for s in tracer.of_kind("select")]
+        assert any(e < b for (_, _, e), b in zip(rows, backlogs))
 
     def test_refresh_charging_traced(self):
         scheduler = make_scheduler("wfq", num_threads=1)

@@ -8,7 +8,9 @@ reference oracle.  These compare the substrate (``Simulation``,
 exponential costs is an M/M/c queue, whose mean wait is Erlang C.  On
 one worker with any cost distribution it is an M/G/1 queue, whose mean
 wait is Pollaczek-Khinchine; the tests run it with fixed costs (M/D/1)
-and log-normal ones.  Each test draws the arrivals and costs itself
+and log-normal ones.  On one worker every scheduler, whatever order it
+serves tenants in, obeys Kleinrock's conservation law for the
+load-weighted mean wait.  Each test draws the arrivals and costs itself
 through ``make_rng``, replays them as a ``Trace``, drops a 10% warmup,
 and compares the mean of 30 batch means with the formula at a 4-sigma
 bound, so a seed change cannot flip the verdict.
@@ -26,6 +28,8 @@ from repro.simulator.server import ThreadPoolServer
 from repro.workloads.build import attach_trace
 from repro.workloads.distributions import CostDistribution, FixedCost, LogNormalCost
 from repro.workloads.trace import Trace
+
+from conftest import TEST_SCHEDULERS, build_scheduler
 
 REQUESTS = 60_000
 WARMUP = 0.1
@@ -144,4 +148,71 @@ def test_fifo_mean_wait_matches_pollaczek_khinchine(costs, second_moment):
     assert abs(z) <= SIGMAS, (
         f"{costs!r}: mean wait {waits.mean():.4f} vs Pollaczek-Khinchine "
         f"{expected:.4f} (z={z:.2f})"
+    )
+
+
+#: Kleinrock's conservation law: three Poisson tenants, one fixed cost
+#: each, sharing the load equally.
+CONSERVATION_COSTS = (FixedCost(0.5), FixedCost(1.0), FixedCost(2.0))
+CONSERVATION_RHO = 0.7
+
+
+def conservation_trace(seed: int) -> Trace:
+    """One Poisson stream split into three tenants, each carrying
+    ``CONSERVATION_RHO / 3`` of the load at its own fixed cost."""
+    means = np.array([costs.mean() for costs in CONSERVATION_COSTS])
+    rates = CONSERVATION_RHO / len(means) / means
+    key = ("kleinrock", str(CONSERVATION_RHO))
+    gaps = make_rng(seed, *key, "arrivals").exponential(1.0 / rates.sum(), REQUESTS)
+    tenants = make_rng(seed, *key, "tenants").choice(
+        len(rates), size=REQUESTS, p=rates / rates.sum()
+    )
+    costs = np.empty(REQUESTS)
+    for k, dist in enumerate(CONSERVATION_COSTS):
+        picked = tenants == k
+        costs[picked] = dist.sample_many(make_rng(seed, *key, str(k)), int(picked.sum()))
+    names = tuple(f"T{k}" for k in range(len(rates)))
+    apis = np.zeros(REQUESTS, dtype=np.intp)
+    return Trace(np.cumsum(gaps), tenants.astype(np.intp), apis, costs, names, ("A",))
+
+
+@pytest.mark.parametrize("name", TEST_SCHEDULERS)
+def test_weighted_wait_obeys_kleinrock_conservation_law(name):
+    """Every scheduler here is work conserving and non-preemptive, so on
+    one worker ``sum_k rho_k W_k = rho W0 / (1 - rho)`` with ``W0 =
+    sum_k lambda_k E[S_k^2] / 2``, whatever order it serves tenants in.
+
+    That form of the law needs each tenant's waits to be independent of
+    its requests' own costs.  Several policies here rank a tenant by its
+    head request's cost (finish tags, estimates); when costs vary within
+    a tenant, that acts like shortest-job-first inside the tenant and
+    moves ``sum_k rho_k W_k`` off the law's value, as SJF does against
+    FIFO.  So each tenant has one fixed cost, which holds for every
+    scheduler.  Then ``rho_k W_k = lambda_k E[S_k W_k]`` and the sum is
+    ``lambda E[S W]`` over all requests: the batch means are of
+    ``lambda * cost * wait`` per request.  That total is the same on
+    every sample path for any work-conserving non-preemptive order, so
+    the test catches a scheduler that idles with work queued, or a wait
+    accounted wrongly, rather than a wrong service order."""
+    means = np.array([costs.mean() for costs in CONSERVATION_COSTS])
+    rates = CONSERVATION_RHO / len(means) / means
+    w0 = float((rates * means**2).sum()) / 2.0
+    expected = CONSERVATION_RHO * w0 / (1.0 - CONSERVATION_RHO)
+
+    sim = Simulation()
+    server = ThreadPoolServer(
+        sim, build_scheduler(name, 1), num_threads=1, refresh_interval=None
+    )
+    weighted = []
+    server.on_dispatch(
+        lambda request: weighted.append(
+            request.cost * (sim.now - request.arrival_time)
+        )
+    )
+    attach_trace(server, conservation_trace(seed=1))
+    sim.run()
+    z = batch_means_z(rates.sum() * np.asarray(weighted), expected)
+    assert abs(z) <= SIGMAS, (
+        f"{name}: sum rho_k W_k {rates.sum() * np.mean(weighted):.4f} vs "
+        f"rho W0 / (1 - rho) {expected:.4f} (z={z:.2f})"
     )

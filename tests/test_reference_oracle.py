@@ -21,6 +21,7 @@ from repro.core import make_scheduler
 from repro.core.request import Request
 from repro.simulator.rng import make_rng
 
+from conftest import force_selection
 from reference.fair_queue_oracle import POLICIES, FairQueueOracle
 
 COSTS = (1.0, 2.0, 4.0, 16.0)
@@ -141,7 +142,7 @@ def test_dispatch_sequence_matches_oracle(policy, indexed, seed):
     expected, expected_vt = run(
         FairQueueOracle(policy, threads), threads, tenants
     )
-    scheduler = make_scheduler(policy, threads, indexed=indexed)
+    scheduler = force_selection(make_scheduler(policy, threads), indexed)
     got, got_vt = run(CoreAdapter(scheduler), threads, tenants)
     assert len(expected) == DISPATCHES
     for i, (want, have) in enumerate(zip(expected, got)):

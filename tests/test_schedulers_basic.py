@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.core import make_scheduler, scheduler_names
+from repro.core import (
+    VirtualTimeScheduler,
+    WF2QScheduler,
+    make_scheduler,
+    scheduler_names,
+)
 from repro.errors import ConfigurationError, SchedulerError
 
 from conftest import TEST_SCHEDULERS, SchedulerHarness, build_scheduler, make_request
@@ -113,3 +118,25 @@ class TestRegistry:
     def test_alpha_passthrough(self):
         s = make_scheduler("2dfq-e", num_threads=1, alpha=0.9)
         assert s.estimator.alpha == 0.9
+
+
+class TestPolicyDeclaration:
+    """A policy is its staggers and its order; declarations the
+    framework would not honour fail where they are written."""
+
+    def test_selection_methods_are_rejected(self):
+        for hook in ("_select", "_fallback"):
+            with pytest.raises(ConfigurationError, match=hook):
+                type("Custom", (VirtualTimeScheduler,), {hook: lambda self: None})
+
+    def test_unknown_order_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="order"):
+            type("Custom", (WF2QScheduler,), {"order": "deadline"})
+
+    def test_one_stagger_per_thread(self):
+        short = type(
+            "Short", (VirtualTimeScheduler,), {"_staggers": lambda self, n: (0.0,)}
+        )
+        short(num_threads=1)
+        with pytest.raises(ConfigurationError, match="1 staggers for 2 threads"):
+            short(num_threads=2)

@@ -53,8 +53,10 @@ class TestStaggeredEligibility:
         s.dequeue(0, 0.0)  # S_C advances to 100
         # v(now) ~ 0; offset on thread 3 = (3/4)*100 = 75 < 100: still
         # ineligible -> policy returns via fallback anyway (work
-        # conservation); verify through the internal selection hook.
-        assert s._select(3, s.virtual_time(0.0)) is None
+        # conservation); verify through the thread's eligibility scan.
+        top = s._thread_staggers[3]
+        assert top == 0.75
+        assert s._min_eligible_finish(top, s.virtual_time(0.0)) is None
         assert s.dequeue(3, 0.0) is not None  # fallback keeps it work conserving
 
 
@@ -141,5 +143,6 @@ class TestTwoDFQE:
         # A virtual instant where P is eligible on the top thread
         # (needs v >= S_P - 0.75) but U is far from it (needs v >= 500).
         probe_virtual_time = state_p.start_tag + 2.0
-        assert s._select(3, probe_virtual_time) is state_p
-        assert s._select(0, state_u.start_tag - 1.0) is state_p
+        bottom, top = s._thread_staggers[0], s._thread_staggers[3]
+        assert s._min_eligible_finish(top, probe_virtual_time) is state_p
+        assert s._min_eligible_finish(bottom, state_u.start_tag - 1.0) is state_p

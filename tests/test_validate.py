@@ -24,6 +24,8 @@ from repro.workloads.distributions import FixedCost
 from repro.workloads.arrivals import Backlogged
 from repro.workloads.spec import TenantSpec
 
+from conftest import force_selection
+
 
 # -- deliberately broken schedulers (the mutants) ----------------------------
 
@@ -205,7 +207,9 @@ class TestHeadKeyCoherence:
     @pytest.mark.parametrize("method", sorted(INVALIDATIONS))
     def test_missed_invalidation_caught(self, method):
         op, step = INVALIDATIONS[method]
-        mutant = without_touch(TwoDFQEScheduler, method)(num_threads=1, indexed=False)
+        mutant = force_selection(
+            without_touch(TwoDFQEScheduler, method)(num_threads=1), False
+        )
         watched = ValidatingScheduler(mutant)
         with pytest.raises(InvariantViolation) as excinfo:
             a1, a2 = prime_head_keys(watched)
@@ -218,14 +222,14 @@ class TestHeadKeyCoherence:
     def test_clean_scheduler_passes_the_same_steps(self, method):
         _, step = INVALIDATIONS[method]
         watched = ValidatingScheduler(
-            TwoDFQEScheduler(num_threads=1, indexed=False), audit_interval=1
+            force_selection(TwoDFQEScheduler(num_threads=1), False), audit_interval=1
         )
         a1, a2 = prime_head_keys(watched)
         step(watched, a1, a2)
         assert watched.violations == []
 
     def test_audit_checks_every_backlogged_tenant(self):
-        inner = TwoDFQEScheduler(num_threads=1, indexed=False)
+        inner = force_selection(TwoDFQEScheduler(num_threads=1), False)
         watched = ValidatingScheduler(inner, audit_interval=1)
         prime_head_keys(watched)
         state = inner.tenant_state("A")
