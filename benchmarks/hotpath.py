@@ -285,8 +285,8 @@ def measure_observability_overhead(
 
     * ``disabled`` -- no tracer attached (the shipped default; every
       instrumentation site is one ``is not None`` check);
-    * ``traced`` -- a bounded tracer attached (event emission plus the
-      per-phase scheduler timers the span builder consumes);
+    * ``traced`` -- a bounded tracer attached (event emission and the
+      registry counters);
     * ``audited`` -- the tracer additionally feeding the fairness
       auditor and the flight recorder as sinks (the CLI ``--audit``
       configuration).

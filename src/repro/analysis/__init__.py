@@ -3,9 +3,8 @@
 Every result this repository produces rests on properties the runtime
 watchdog (:mod:`repro.validate`) can only check *per run*: determinism
 (all randomness flows from :func:`repro.simulator.rng.make_rng`, never
-from wall clocks, global RNG state or set iteration order) and trace
-completeness (scheduler hook overrides keep their obs events).  This
-package checks those properties *statically*, over the AST, for the
+from wall clocks, global RNG state or set iteration order).  This
+package checks that property *statically*, over the AST, for the
 hazards the tier-1 tests do not catch deterministically (DESIGN.md
 §17).
 
@@ -15,12 +14,12 @@ The framework is a small visitor-based plugin system:
   wants and reports :class:`~repro.analysis.findings.Finding` objects
   with a stable per-rule code (``RPR0xx``);
 * the :class:`~repro.analysis.engine.Analyzer` parses each file once,
-  dispatches nodes to the interested rules, builds a cross-file
-  :class:`~repro.analysis.project.ProjectModel` for the conformance
-  rule, and applies inline ``# repro: ignore[RPR0xx]`` suppressions
-  (an unused suppression is itself a finding, ``RPR000``);
+  dispatches nodes to the interested rules, and applies the file's
+  inline ``# repro: ignore[RPR0xx]`` suppressions (an unused
+  suppression is itself a finding, ``RPR000``);
 * ``python -m repro.analysis`` runs the whole catalogue from the command
-  line (text or JSON output, nonzero exit on findings) and gates CI.
+  line (text or GitHub-annotation output, nonzero exit on findings) and
+  gates CI.
 
 See DESIGN.md §12 for the rule catalogue and how to add a rule.
 """
@@ -30,7 +29,7 @@ from __future__ import annotations
 from .base import Rule, RuleContext
 from .engine import AnalysisResult, Analyzer
 from .findings import Finding
-from .rules import ALL_RULES, rule_catalogue
+from .rules import ALL_RULES
 
 __all__ = [
     "Analyzer",
@@ -39,5 +38,4 @@ __all__ = [
     "Rule",
     "RuleContext",
     "ALL_RULES",
-    "rule_catalogue",
 ]

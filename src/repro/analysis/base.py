@@ -3,16 +3,11 @@
 from __future__ import annotations
 
 import ast
-from typing import Callable, ClassVar, List, Optional, Tuple
+from typing import ClassVar, List, Optional, Tuple
 
 from .findings import Finding
-from .project import ProjectModel
 
-__all__ = ["Rule", "RuleContext", "Reporter"]
-
-#: Callback project-level rules use to report a finding at an arbitrary
-#: location: ``report(path, line, col, code, message, rule_name)``.
-Reporter = Callable[[str, int, int, str, str, str], None]
+__all__ = ["Rule", "RuleContext"]
 
 
 class RuleContext:
@@ -80,17 +75,13 @@ class Rule:
     in :attr:`node_types`, and the engine -- which walks each module's
     tree exactly once -- calls :meth:`visit` for every matching node.
     Module-scoped state lives between :meth:`start_module` and
-    :meth:`finish_module`; rules needing the whole tree (class graphs,
-    registry membership) override :meth:`finish_project`, called once
-    after every file has been walked.
+    :meth:`finish_module`; every rule sees one file at a time.
     """
 
     #: Stable finding code, ``RPR0xx``.  Suppressions match on this.
     code: ClassVar[str] = "RPR999"
-    #: Short kebab-case rule name for listings and finding records.
+    #: Short kebab-case rule name for finding records.
     name: ClassVar[str] = "unnamed-rule"
-    #: One-line description shown by ``--list-rules``.
-    description: ClassVar[str] = ""
     #: AST node classes this rule's :meth:`visit` receives.
     node_types: ClassVar[Tuple[type, ...]] = ()
 
@@ -103,9 +94,6 @@ class Rule:
 
     def finish_module(self, ctx: RuleContext) -> None:
         """Called after the walk of each module."""
-
-    def finish_project(self, project: ProjectModel, report: Reporter) -> None:
-        """Called once after all modules; cross-file rules report here."""
 
     def __repr__(self) -> str:
         return f"<Rule {self.code} {self.name}>"

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Tuple
 
 __all__ = ["Finding"]
 
@@ -15,8 +15,7 @@ class Finding:
     Attributes
     ----------
     code:
-        Stable rule code (``RPR0xx``); what suppressions and
-        ``--select``/``--ignore`` match against.
+        Stable rule code (``RPR0xx``); what suppressions match against.
     message:
         Human-readable description of the violation.
     path:
@@ -39,17 +38,6 @@ class Finding:
     @property
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.code)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-friendly representation (``--format json``)."""
-        return {
-            "code": self.code,
-            "message": self.message,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule,
-        }
 
     def format_text(self) -> str:
         """The one-line text form: ``path:line:col: CODE message``."""

@@ -8,36 +8,32 @@ RPR001 wall-clock            determinism: no wall-clock reads in sim logic
 RPR002 unseeded-rng          determinism: RNG flows from ``make_rng`` only
 RPR012 unordered-iteration   virtual-time hygiene: no set-order-dependent
                              scheduling decisions
-RPR021 tracer-pairing        conformance: overridden state-mutating hooks
-                             keep emitting their paired obs event
 RPR090 parse-error           file could not be parsed (engine built-in)
 ====== ===================== ==============================================
 
 Each rule was audited by planting its violation at live sites and
-running tier-1 (DESIGN.md §17).  RPR002, RPR012 and RPR021 stay because
-some plant was missed or caught only under some hash seeds.  RPR001
+running tier-1 (DESIGN.md §17).  RPR002 and RPR012 stay because some
+plant was missed or caught only under some hash seeds.  RPR001
 stays although tier-1 caught its ``src/repro`` plants: it is also the
 only guard on the host-clock reads in ``benchmarks/``, whose
 ``# repro: ignore[RPR001]`` waivers it accounts for.  Rules whose every
-plant tier-1 caught were retired.
+plant tier-1 caught were retired, and so was RPR021 once a tier-1 test
+caught its plants.  Every rule reads one file at a time.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Type
+from typing import List, Type
 
 from ..base import Rule
-from .conformance import TracerPairingRule
 from .determinism import UnseededRngRule, WallClockRule
 from .hygiene import UnorderedIterationRule
 
 __all__ = [
     "ALL_RULES",
-    "rule_catalogue",
     "WallClockRule",
     "UnseededRngRule",
     "UnorderedIterationRule",
-    "TracerPairingRule",
 ]
 
 #: Every rule class, in catalogue (code) order.
@@ -45,10 +41,4 @@ ALL_RULES: List[Type[Rule]] = [
     WallClockRule,
     UnseededRngRule,
     UnorderedIterationRule,
-    TracerPairingRule,
 ]
-
-
-def rule_catalogue() -> Dict[str, str]:
-    """Mapping of rule code to one-line description (``--list-rules``)."""
-    return {cls.code: f"{cls.name}: {cls.description}" for cls in ALL_RULES}

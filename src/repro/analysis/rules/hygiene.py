@@ -30,9 +30,6 @@ class UnorderedIterationRule(Rule):
 
     code: ClassVar[str] = "RPR012"
     name: ClassVar[str] = "unordered-iteration"
-    description: ClassVar[str] = (
-        "iteration over a set (hash-salted order); wrap in sorted(...)"
-    )
     node_types: ClassVar[Tuple[type, ...]] = (
         ast.For,
         ast.ListComp,

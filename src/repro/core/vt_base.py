@@ -79,17 +79,7 @@ code).
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    ClassVar,
-    Iterable,
-    Optional,
-    Sequence,
-)
-
-if TYPE_CHECKING:
-    from ..obs.registry import Timer
+from typing import Any, ClassVar, Iterable, Optional, Sequence
 
 from ..errors import ConfigurationError, SchedulerError
 from ..estimation.base import CostEstimator
@@ -324,19 +314,7 @@ class VirtualTimeScheduler(Scheduler):
             # wins; discard the index (a later activation rebuilds from
             # scratch, so no coherence to maintain).
             self._index = index = None
-        # Per-phase profiling timers (ISSUE spans tentpole): only fetched
-        # while a tracer is attached, so the disabled hot path stays one
-        # ``is not None`` check per phase.  The clock behind the timers
-        # is injectable -- the runner attaches the sim clock for traced
-        # runs, the hot-path microbenchmarks keep the host clock.
-        trace = self._trace
-        phase_timer: Optional["Timer"] = None
-        if trace is not None:
-            phase_timer = trace.registry.timer("scheduler.phase.vt_update").start()
         vnow = self._clock.advance(now)
-        if phase_timer is not None and trace is not None:
-            phase_timer.stop()
-            phase_timer = trace.registry.timer("scheduler.phase.select").start()
         staggers = self._thread_staggers
         state: Optional[TenantState] = None
         if staggers is not None:
@@ -352,13 +330,12 @@ class VirtualTimeScheduler(Scheduler):
         fallback = state is None and staggers is not None
         if state is None:
             state = index.min_order() if index is not None else self._min_order()
-        if phase_timer is not None:
-            phase_timer.stop()
         if state is None:
             raise SchedulerError(
                 f"{type(self).__name__} violated work conservation with "
                 f"{self._size} queued requests"
             )
+        trace = self._trace
         if trace is not None:
             # E_now of Figure 7: the set the gated pick chose from.  The
             # index answers from its gate histogram, drained to this
@@ -396,12 +373,7 @@ class VirtualTimeScheduler(Scheduler):
         request.credit = estimate
         state.start_tag += estimate / state.weight
         state.running += 1
-        if index is not None and trace is not None:
-            phase_timer = trace.registry.timer("scheduler.phase.index").start()
-            self._touch(state)
-            phase_timer.stop()
-        else:
-            self._touch(state)
+        self._touch(state)
         self._note_dispatched(request, thread_id, now)
         if trace is not None:
             trace.dispatch(

@@ -216,7 +216,7 @@ def run_fleet(
         failure_threshold=failure_threshold,
         seed=seed,
     )
-    telemetry = RunTelemetry(sim, name, tracer)
+    telemetry = RunTelemetry(name, tracer)
     tracer = telemetry.tracer
     if tracer is not None:
         fleet.attach_tracer(tracer)

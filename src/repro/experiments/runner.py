@@ -118,7 +118,7 @@ def run_single(
         record_dispatches=config.record_dispatches,
         warmup=config.warmup,
     )
-    telemetry = RunTelemetry(sim, f"{config.name}--{scheduler_name}", tracer)
+    telemetry = RunTelemetry(f"{config.name}--{scheduler_name}", tracer)
     session = telemetry.session
     tracer = telemetry.tracer
     if tracer is not None:

@@ -121,28 +121,28 @@ class LeastBacklogRouter(Router):
         return best
 
 
+#: Points each server owns on the :class:`TenantHashRouter` ring.
+RING_REPLICAS = 32
+
+
 class TenantHashRouter(Router):
     """Consistent hashing of tenant ids onto a replicated server ring.
 
-    Each server owns ``replicas`` pseudo-random points on a 32-bit
-    ring; a tenant maps to the first point clockwise of its own hash.
-    Unhealthy servers are skipped by walking further clockwise, so a
-    crash moves only the dead server's arcs (the classic consistent-
-    hashing property) and every surviving tenant keeps its server.
+    Each server owns :data:`RING_REPLICAS` pseudo-random points on a
+    32-bit ring; a tenant maps to the first point clockwise of its own
+    hash.  Unhealthy servers are skipped by walking further clockwise,
+    so a crash moves only the dead server's arcs (the classic
+    consistent-hashing property) and every surviving tenant keeps its
+    server.
     """
 
     name: ClassVar[str] = "tenant-hash"
-
-    def __init__(self, replicas: int = 32) -> None:
-        if replicas < 1:
-            raise ConfigurationError(f"replicas must be >= 1, got {replicas}")
-        self._replicas = int(replicas)
 
     def bind(self, fleet: "Fleet", seed: int) -> None:
         super().bind(fleet, seed)
         points: List[tuple[int, int]] = []
         for index in range(len(fleet.servers)):
-            for replica in range(self._replicas):
+            for replica in range(RING_REPLICAS):
                 points.append(
                     (stable_hash("fleet-ring", str(index), str(replica)), index)
                 )

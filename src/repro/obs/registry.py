@@ -15,11 +15,9 @@ only calls its clock at scope boundaries.
 
 Timer clocks are *injectable*: a timer reads time through a zero-arg
 callable, defaulting to the host's monotonic high-resolution counter
-(:data:`HOST_CLOCK`).  The experiment runner swaps in the simulation
-clock (:meth:`MetricsRegistry.set_clock`) for traced runs, so phase
-timers report in deterministic sim-time and run manifests stay
-byte-reproducible; standalone profiling (the hot-path microbenchmarks)
-keeps the host clock.
+(:data:`HOST_CLOCK`).  No simulation run times anything; timers serve
+standalone profiling (the hot-path microbenchmarks), and tests inject a
+scripted clock.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ ClockFn = Callable[[], float]
 #: The default timer clock -- the host's monotonic high-resolution
 #: counter, held as a function *reference*.  This is the single point
 #: where host wall-clock may enter the metrics layer, and it is never
-#: read by simulation logic: attach a sim clock for deterministic runs.
+#: read by simulation logic.
 HOST_CLOCK: ClockFn = time.perf_counter
 
 
@@ -77,8 +75,7 @@ class Timer:
     ``total`` sums every timed interval, ``count`` the number of
     intervals, ``last`` the most recent one -- enough to report both
     aggregate and per-iteration hot-path cost.  Time is read through
-    ``clock`` (default :data:`HOST_CLOCK`); attach the simulation clock
-    to report in sim-time instead.
+    ``clock`` (default :data:`HOST_CLOCK`).
     """
 
     __slots__ = ("name", "total", "count", "last", "clock", "_started")
@@ -121,14 +118,6 @@ class MetricsRegistry:
         self._gauges: Dict[str, Gauge] = {}
         self._timers: Dict[str, Timer] = {}
         self._clock = clock
-
-    def set_clock(self, clock: Optional[ClockFn]) -> None:
-        """Set the clock for this registry's timers -- existing and
-        future.  ``None`` restores :data:`HOST_CLOCK`."""
-        self._clock = clock
-        effective = clock if clock is not None else HOST_CLOCK
-        for timer in self._timers.values():
-            timer.clock = effective
 
     def counter(self, name: str) -> Counter:
         instrument = self._counters.get(name)

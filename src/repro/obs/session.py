@@ -224,8 +224,7 @@ class RunTelemetry:
     Inside an active session the run gets a session tracer labelled
     ``label`` and a flight recorder riding the tracer's sink; an
     explicit ``tracer`` is used as given, and its caller owns the
-    export.  An enabled tracer's registry timers report in the run's
-    simulated time.
+    export.
 
     Wrap the run in :meth:`exporting_aborts` and call :meth:`export`
     after it.  Both take ``manifest``, a callable returning the
@@ -233,18 +232,16 @@ class RunTelemetry:
     ``extra``, ...), called only inside a session.
     """
 
-    def __init__(self, sim: Any, label: str, tracer: Optional[Tracer] = None) -> None:
+    def __init__(self, label: str, tracer: Optional[Tracer] = None) -> None:
         self.session = current_session() if tracer is None else None
         if self.session is not None:
             tracer = self.session.tracer(label)
         #: The run's tracer when enabled, else ``None``.
         self.tracer = tracer if tracer is not None and tracer.enabled else None
         self.flight: Optional[FlightRecorder] = None
-        if self.tracer is not None:
-            self.tracer.registry.set_clock(lambda: sim.now)
-            if self.session is not None:
-                self.flight = FlightRecorder(capacity=self.session.flight_events)
-                self.tracer.add_sink(self.flight.on_event)
+        if self.tracer is not None and self.session is not None:
+            self.flight = FlightRecorder(capacity=self.session.flight_events)
+            self.tracer.add_sink(self.flight.on_event)
 
     @contextlib.contextmanager
     def exporting_aborts(

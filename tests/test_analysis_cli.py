@@ -1,12 +1,11 @@
-"""CLI feature tests: baseline delta mode, github output, and the
-default multi-root scan with per-root rule subsets."""
+"""CLI feature tests: github output and the default multi-root scan
+with per-root rule subsets."""
 
 from __future__ import annotations
 
-import json
 import os
 
-from repro.analysis.cli import AUX_RULE_SUBSET, AUX_SCAN_ROOTS, main
+from repro.analysis.cli import AUX_RULES, AUX_SCAN_ROOTS, main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "analysis_fixtures")
 
@@ -33,68 +32,6 @@ def _mini_tree(root) -> str:
         "    return time.time()\n",
     )
     return pkg
-
-
-# -- baselines -----------------------------------------------------------------
-
-
-def test_baseline_round_trip_suppresses_known_findings(tmp_path, capsys):
-    pkg = _mini_tree(tmp_path)
-    baseline = str(tmp_path / "baseline.json")
-    assert main(["--write-baseline", baseline, pkg]) == 0
-    payload = json.loads(open(baseline).read())
-    assert payload["version"] == 1
-    # two identical findings collapse into one entry of multiplicity 2.
-    assert list(payload["entries"].values()) == [2]
-    capsys.readouterr()
-
-    assert main(["--baseline", baseline, pkg]) == 0
-    out = capsys.readouterr().out
-    assert "0 findings" in out and "2 baselined" in out
-
-
-def test_baseline_budget_is_multiplicity_aware(tmp_path, capsys):
-    """A baseline entry of multiplicity N absorbs N occurrences; the
-    N+1st identical finding in the same file is new and fails the run."""
-    pkg = _mini_tree(tmp_path)
-    baseline = str(tmp_path / "baseline.json")
-    assert main(["--write-baseline", baseline, pkg]) == 0
-    with open(os.path.join(pkg, "timer.py"), "a", encoding="utf-8") as fh:
-        fh.write("\n\ndef third() -> float:\n    return time.time()\n")
-    capsys.readouterr()
-
-    assert main(["--baseline", baseline, pkg]) == 1
-    out = capsys.readouterr().out
-    assert "1 finding(s)" in out and "2 baselined" in out
-    # the surviving finding is the newly appended line.
-    assert ":13:" in out
-
-
-def test_baseline_is_robust_to_pure_line_drift(tmp_path, capsys):
-    """Entries are keyed (path, code, message), not line numbers: adding
-    a comment above the findings must not resurrect them."""
-    pkg = _mini_tree(tmp_path)
-    baseline = str(tmp_path / "baseline.json")
-    assert main(["--write-baseline", baseline, pkg]) == 0
-    source_path = os.path.join(pkg, "timer.py")
-    with open(source_path, encoding="utf-8") as fh:
-        source = fh.read()
-    _write(source_path, "# a comment shifting every line\n" + source)
-    capsys.readouterr()
-
-    assert main(["--baseline", baseline, pkg]) == 0
-
-
-def test_unreadable_baseline_is_a_usage_error(tmp_path):
-    pkg = _mini_tree(tmp_path)
-    bad = tmp_path / "bad.json"
-    bad.write_text("{}")
-    try:
-        main(["--baseline", str(bad), pkg])
-    except SystemExit as exc:
-        assert exc.code == 2
-    else:  # pragma: no cover - argparse always raises
-        raise AssertionError("expected SystemExit")
 
 
 # -- github annotations --------------------------------------------------------
@@ -165,4 +102,4 @@ def test_explicit_paths_use_the_full_catalogue(tmp_path, monkeypatch, capsys):
 
 def test_aux_constants_shape() -> None:
     assert AUX_SCAN_ROOTS == ("benchmarks", "examples", "tests")
-    assert {"RPR001", "RPR002"} <= AUX_RULE_SUBSET
+    assert [cls.code for cls in AUX_RULES] == ["RPR001", "RPR002"]

@@ -58,15 +58,6 @@ def test_unordered_iteration_rule() -> None:
     ]
 
 
-def test_tracer_pairing_rule() -> None:
-    # Only SilentScheduler.complete drops its event; the root class, the
-    # super()-deferring and _trace-referencing overrides, and the class
-    # outside the framework are all compliant.
-    assert findings_in("tracer") == [
-        ("RPR021", "vt.py", 25),
-    ]
-
-
 def test_fixture_findings_are_disjoint_per_rule() -> None:
     # Each fixture tree violates exactly one rule: analyzing them all at
     # once must produce the union, with no cross-fixture bleed.
@@ -74,12 +65,10 @@ def test_fixture_findings_are_disjoint_per_rule() -> None:
         "wallclock",
         "rng",
         "setiter",
-        "tracer",
     )
     assert sorted({code for code, _, _ in all_at_once}) == [
         "RPR001",
         "RPR002",
         "RPR012",
-        "RPR021",
     ]
-    assert len(all_at_once) == 4 + 5 + 3 + 1
+    assert len(all_at_once) == 4 + 5 + 3

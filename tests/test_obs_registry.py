@@ -62,22 +62,6 @@ class TestInjectableClock:
         registry = MetricsRegistry(clock=clock)
         assert registry.timer("a").clock is clock
 
-    def test_set_clock_rewires_existing_timers(self):
-        registry = MetricsRegistry()
-        timer = registry.timer("a")
-        now = {"t": 0.0}
-        registry.set_clock(lambda: now["t"])
-        timer.start()
-        now["t"] = 3.0
-        assert timer.stop() == pytest.approx(3.0)
-
-    def test_set_clock_none_restores_host_clock(self):
-        registry = MetricsRegistry(clock=lambda: 0.0)
-        timer = registry.timer("a")
-        registry.set_clock(None)
-        assert timer.clock is HOST_CLOCK
-        assert registry.timer("b").clock is HOST_CLOCK
-
 
 class TestInstrumentsView:
     def test_yields_typed_triples_in_registration_order(self):

@@ -32,9 +32,12 @@ import pytest
 
 import repro.core.request as request_module
 from repro.core import make_scheduler
+from repro.core.registry import scheduler_names
 from repro.core.request import Request
+from repro.core.vt_base import VirtualTimeScheduler
 from repro.estimation.pessimistic import PessimisticEstimator
 from repro.obs import EVENT_KINDS, TraceEvent, Tracer
+from repro.simulator.rng import make_rng
 
 GOLDEN = Path(__file__).parent / "data" / "golden_2dfq_trace.jsonl"
 GOLDEN_E = Path(__file__).parent / "data" / "golden_2dfqe_trace.jsonl"
@@ -347,6 +350,136 @@ class TestInstrumentedRun:
         assert len(refreshes) == 1
         assert refreshes[0].data["usage"] == pytest.approx(5.0)
         scheduler.complete(request, request.cost, 2.0)
+
+
+#: Every registry name built on the shared virtual-time bookkeeping.
+VT_POLICIES = [
+    name
+    for name in scheduler_names()
+    if isinstance(make_scheduler(name, 1), VirtualTimeScheduler)
+]
+
+#: Operations of the parity script, and their draw weights while the
+#: backlog fills and while it drains.
+PARITY_OPS = (
+    "enqueue", "dispatch", "refresh", "complete",
+    "cancel_queued", "cancel_running", "stale_cancel",
+)
+FILL_WEIGHTS = (0.5, 0.2, 0.08, 0.1, 0.05, 0.04, 0.03)
+DRAIN_WEIGHTS = (0.08, 0.32, 0.1, 0.3, 0.1, 0.07, 0.03)
+
+
+def run_parity_script(name, seed=0, steps=1800, tenants=40, threads=4):
+    """Drive ``name`` directly through a seeded mix of enqueue,
+    dispatch, refresh, complete, queued cancel, running cancel and stale
+    cancel, counting each call the scheduler acknowledged.  Returns the
+    tracer and the script's own counts, keyed like :func:`trace_counts`.
+
+    The mix alternates every 300 steps between filling and draining the
+    backlog, so tenants go active and idle many times and the backlog
+    crosses the adaptive index thresholds both ways: both selection
+    paths run."""
+    rng = make_rng(seed, "trace-parity", name)
+    scheduler = make_scheduler(name, threads)
+    tracer = Tracer("parity")
+    scheduler.attach_tracer(tracer)
+    queued, running, done = [], {}, []
+    counts = dict.fromkeys(
+        ("enqueue", "select", "dispatch", "complete", "cancel", "cancel_refund"),
+        0,
+    )
+    now = 0.0
+    for step in range(steps):
+        now += float(rng.exponential(0.01))
+        weights = DRAIN_WEIGHTS if step // 300 % 2 else FILL_WEIGHTS
+        op = PARITY_OPS[int(rng.choice(len(PARITY_OPS), p=weights))]
+        busy = sorted(running)
+        if op == "enqueue":
+            request = Request(
+                tenant_id=f"T{int(rng.integers(tenants))}",
+                cost=float(rng.lognormal(0.0, 1.0)),
+                api=f"op{int(rng.integers(3))}",
+            )
+            scheduler.enqueue(request, now)
+            queued.append(request)
+            counts["enqueue"] += 1
+        elif op == "dispatch":
+            free = [t for t in range(threads) if t not in running]
+            if free and queued:
+                thread = free[int(rng.integers(len(free)))]
+                request = scheduler.dequeue(thread, now)
+                queued.remove(request)
+                running[thread] = request
+                counts["select"] += 1
+                counts["dispatch"] += 1
+        elif op == "refresh":
+            if busy:
+                request = running[busy[int(rng.integers(len(busy)))]]
+                left = request.cost - request.reported_usage
+                scheduler.refresh(request, left * float(rng.random()) / 2, now)
+        elif op == "complete":
+            if busy:
+                request = running.pop(busy[int(rng.integers(len(busy)))])
+                scheduler.complete(request, request.cost - request.reported_usage, now)
+                done.append(request)
+                counts["complete"] += 1
+        elif op == "cancel_queued":
+            if queued:
+                request = queued.pop(int(rng.integers(len(queued))))
+                assert scheduler.cancel(request, now)
+                counts["cancel"] += 1
+        elif op == "cancel_running":
+            if busy:
+                request = running.pop(busy[int(rng.integers(len(busy)))])
+                assert scheduler.cancel(request, now)
+                counts["cancel"] += 1
+                counts["cancel_refund"] += 1
+        elif done:
+            # A stale cancel racing a completion is refused, not traced.
+            assert not scheduler.cancel(done[int(rng.integers(len(done)))], now)
+    outstanding = {r.tenant_id for r in queued} | {
+        r.tenant_id for r in running.values()
+    }
+    counts["active_tenants"] = len(outstanding)
+    return tracer, counts
+
+
+def trace_counts(tracer):
+    """The script's counts as read back from the tracer rows."""
+    reasons = [e.data["reason"] for e in tracer.of_kind("vt_update")]
+    counts = {
+        kind: len(tracer.of_kind(kind))
+        for kind in ("enqueue", "select", "dispatch", "complete", "cancel")
+    }
+    counts["cancel_refund"] = reasons.count("cancel_refund")
+    counts["active_tenants"] = reasons.count("tenant_active") - reasons.count(
+        "tenant_idle"
+    )
+    return counts
+
+
+class TestTraceParity:
+    """Every acknowledged scheduler call leaves its trace row.
+
+    Golden traces and the exporters pin the rows a run emits, not the
+    rows it should have emitted: a policy override that keeps the
+    bookkeeping but drops its rows (a ``complete`` or ``_cancel_running``
+    without the tracer call) passes them.  This script counts the calls
+    itself, so any row a policy drops, on either selection path, shows.
+    """
+
+    def test_covers_every_virtual_time_policy(self):
+        assert len(VT_POLICIES) == 8
+        assert {"wfq", "wf2q", "msf2q", "sfq", "2dfq"} <= set(VT_POLICIES)
+
+    @pytest.mark.parametrize("name", VT_POLICIES)
+    def test_rows_match_the_scripts_counts(self, name):
+        tracer, expected = run_parity_script(name)
+        assert trace_counts(tracer) == expected
+        # The script reaches every operation it counts.
+        assert all(expected[key] > 0 for key in expected)
+        assert any(e.data["indexed"] for e in tracer.of_kind("select"))
+        assert not all(e.data["indexed"] for e in tracer.of_kind("select"))
 
 
 class TestGoldenTrace:

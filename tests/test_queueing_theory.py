@@ -10,19 +10,24 @@ one worker with any cost distribution it is an M/G/1 queue, whose mean
 wait is Pollaczek-Khinchine; the tests run it with fixed costs (M/D/1)
 and log-normal ones.  On one worker every scheduler, whatever order it
 serves tenants in, obeys Kleinrock's conservation law for the
-load-weighted mean wait.  Each test draws the arrivals and costs itself
-through ``make_rng``, replays them as a ``Trace``, drops a 10% warmup,
-and compares the mean of 30 batch means with the formula at a 4-sigma
+load-weighted mean wait.  ``GPSReference`` fed one flow per request is
+M/G/1 processor sharing, whose mean number in system is ``rho / (1 -
+rho)`` whatever the cost distribution, per class too.  Each test draws
+the arrivals and costs itself through ``make_rng``, replays them as a
+``Trace`` (or feeds them to the reference), drops a 10% warmup, and
+compares the mean of 30 batch means with the formula at a 4-sigma
 bound, so a seed change cannot flip the verdict.
 """
 
 import math
+from typing import Sequence, Tuple
 
 import numpy as np
 import pytest
 
 from repro.core import make_scheduler
 from repro.simulator.clock import Simulation
+from repro.simulator.gps import GPSReference
 from repro.simulator.rng import make_rng
 from repro.simulator.server import ThreadPoolServer
 from repro.workloads.build import attach_trace
@@ -157,23 +162,36 @@ CONSERVATION_COSTS = (FixedCost(0.5), FixedCost(1.0), FixedCost(2.0))
 CONSERVATION_RHO = 0.7
 
 
-def conservation_trace(seed: int) -> Trace:
-    """One Poisson stream split into three tenants, each carrying
-    ``CONSERVATION_RHO / 3`` of the load at its own fixed cost."""
-    means = np.array([costs.mean() for costs in CONSERVATION_COSTS])
-    rates = CONSERVATION_RHO / len(means) / means
-    key = ("kleinrock", str(CONSERVATION_RHO))
+def split_trace(
+    costs: Sequence[CostDistribution],
+    loads: Sequence[float],
+    key: Tuple[str, ...],
+    seed: int,
+) -> Trace:
+    """One Poisson stream split into tenants ``T0``, ``T1``, ...; tenant
+    ``k`` carries load ``loads[k]`` with costs drawn from ``costs[k]``."""
+    means = np.array([dist.mean() for dist in costs])
+    rates = np.asarray(loads) / means
     gaps = make_rng(seed, *key, "arrivals").exponential(1.0 / rates.sum(), REQUESTS)
     tenants = make_rng(seed, *key, "tenants").choice(
         len(rates), size=REQUESTS, p=rates / rates.sum()
     )
-    costs = np.empty(REQUESTS)
-    for k, dist in enumerate(CONSERVATION_COSTS):
+    draws = np.empty(REQUESTS)
+    for k, dist in enumerate(costs):
         picked = tenants == k
-        costs[picked] = dist.sample_many(make_rng(seed, *key, str(k)), int(picked.sum()))
+        draws[picked] = dist.sample_many(make_rng(seed, *key, str(k)), int(picked.sum()))
     names = tuple(f"T{k}" for k in range(len(rates)))
     apis = np.zeros(REQUESTS, dtype=np.intp)
-    return Trace(np.cumsum(gaps), tenants.astype(np.intp), apis, costs, names, ("A",))
+    return Trace(np.cumsum(gaps), tenants.astype(np.intp), apis, draws, names, ("A",))
+
+
+def conservation_trace(seed: int) -> Trace:
+    """One Poisson stream split into three tenants, each carrying
+    ``CONSERVATION_RHO / 3`` of the load at its own fixed cost."""
+    loads = (CONSERVATION_RHO / len(CONSERVATION_COSTS),) * len(CONSERVATION_COSTS)
+    return split_trace(
+        CONSERVATION_COSTS, loads, ("kleinrock", str(CONSERVATION_RHO)), seed
+    )
 
 
 @pytest.mark.parametrize("name", TEST_SCHEDULERS)
@@ -216,3 +234,66 @@ def test_weighted_wait_obeys_kleinrock_conservation_law(name):
         f"{name}: sum rho_k W_k {rates.sum() * np.mean(weighted):.4f} vs "
         f"rho W0 / (1 - rho) {expected:.4f} (z={z:.2f})"
     )
+
+
+def ps_occupancy(trace: Trace) -> np.ndarray:
+    """Feed ``trace`` to a unit-rate ``GPSReference``, one weight-1 flow
+    per request: egalitarian processor sharing.  Row ``i`` holds, just
+    before arrival ``i`` joins, the reference's ``active_weight`` (the
+    number in system) and then the number in system of each tenant of
+    the trace.  By PASTA these samples have the time-stationary
+    distribution."""
+    gps = GPSReference(1.0)
+    live = [[] for _ in trace.tenants]
+    seen = np.empty((len(trace), 1 + len(live)))
+    rows = zip(trace.times.tolist(), trace.tenant_codes.tolist(), trace.costs.tolist())
+    for i, (now, tenant, cost) in enumerate(rows):
+        gps.advance(now)
+        seen[i, 0] = gps.active_weight
+        for k, flows in enumerate(live):
+            flows[:] = [flow for flow in flows if gps.backlog(flow) > 0.0]
+            seen[i, 1 + k] = len(flows)
+        gps.arrive(str(i), cost, now)
+        live[tenant].append(str(i))
+    return seen
+
+
+@pytest.mark.parametrize(
+    "costs",
+    [FixedCost(1.0), LogNormalCost(median=1.0, sigma_decades=LOGNORMAL_DECADES)],
+    ids=["fixed", "lognormal"],
+)
+def test_gps_number_in_system_matches_processor_sharing(costs):
+    """M/G/1-PS is insensitive (Bonald & Comte): ``E[N] = rho / (1 -
+    rho)`` for any cost distribution with the same mean load."""
+    rho = 0.7
+    counts = ps_occupancy(mg_1_trace(costs, rho, seed=1))
+    expected = rho / (1.0 - rho)
+    z = batch_means_z(counts[:, 0], expected)
+    assert abs(z) <= SIGMAS, (
+        f"{costs!r}: mean number in system {counts[:, 0].mean():.4f} vs "
+        f"rho / (1 - rho) {expected:.4f} (z={z:.2f})"
+    )
+
+
+#: Two Poisson classes with unequal mean costs and unequal loads.
+PS_CLASS_COSTS = (
+    FixedCost(0.25),
+    LogNormalCost(median=1.0, sigma_decades=LOGNORMAL_DECADES),
+)
+PS_CLASS_LOADS = (0.2, 0.5)
+
+
+def test_gps_number_in_system_per_class_matches_processor_sharing():
+    """Per class, M/G/1-PS gives ``E[N_k] = rho_k / (1 - rho)``."""
+    rho = sum(PS_CLASS_LOADS)
+    trace = split_trace(PS_CLASS_COSTS, PS_CLASS_LOADS, ("ps-classes", str(rho)), 1)
+    counts = ps_occupancy(trace)
+    assert np.array_equal(counts[:, 0], counts[:, 1:].sum(axis=1))
+    for k, load in enumerate(PS_CLASS_LOADS):
+        expected = load / (1.0 - rho)
+        z = batch_means_z(counts[:, 1 + k], expected)
+        assert abs(z) <= SIGMAS, (
+            f"class {k}: mean number in system {counts[:, 1 + k].mean():.4f} "
+            f"vs rho_k / (1 - rho) {expected:.4f} (z={z:.2f})"
+        )
