@@ -31,7 +31,7 @@ RATE = 1000.0
 
 def _run_one(num_servers: int, router: str, duration: float) -> dict:
     specs = fleet_population(capacity=num_servers * NUM_THREADS * RATE)
-    started = time.perf_counter()  # repro: ignore[RPR001] -- host timing of the bench itself
+    started = time.perf_counter()
     result = run_fleet(
         num_servers=num_servers,
         num_threads=NUM_THREADS,
@@ -41,7 +41,7 @@ def _run_one(num_servers: int, router: str, duration: float) -> dict:
         specs=specs,
         seed=0,
     )
-    elapsed = time.perf_counter() - started  # repro: ignore[RPR001] -- host timing of the bench itself
+    elapsed = time.perf_counter() - started
     routed = result.counts["routed"]
     return {
         "servers": num_servers,

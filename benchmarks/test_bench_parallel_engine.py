@@ -52,9 +52,9 @@ MIN_WARM_SPEEDUP = 10.0
 
 
 def _timed(fn):
-    start = time.perf_counter()  # repro: ignore[RPR001] -- host timing of the bench itself
+    start = time.perf_counter()
     result = fn()
-    return result, time.perf_counter() - start  # repro: ignore[RPR001] -- host timing of the bench itself
+    return result, time.perf_counter() - start
 
 
 def _p99_equal(a, b):

@@ -65,7 +65,7 @@ CROSSOVER_THREADS = (4, 16, 64)
 #: Manifest sections owned by *other* bench modules, carried over when
 #: this module rewrites the manifest (write_manifest replaces the file
 #: wholesale).
-PRESERVED_SECTIONS = ("analysis", "fleet", "parallel_engine")
+PRESERVED_SECTIONS = ("fleet", "parallel_engine")
 
 
 def _crossover_sweeps(ops, repeats):

@@ -2,12 +2,75 @@
 
 from __future__ import annotations
 
+import functools
 import heapq
+import random
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
 import pytest
 
+#: Legacy global-state calls that save, seed or restore but never draw.
+#: Hypothesis uses them to seed and restore the global generators
+#: around each example.
+_GLOBAL_STATE_KEEPERS = {"seed", "get_state", "set_state", "getstate", "setstate"}
+
+
+def _install_rng_guard() -> None:
+    """Make ``repro.simulator.rng.make_rng`` the only way to get random
+    numbers while the suite runs.
+
+    A run must be a pure function of its seed (the paper's §6
+    comparisons replay one workload against every scheduler).  So
+    ``np.random.default_rng`` and ``np.random.SeedSequence`` raise
+    unless ``make_rng`` calls them, and every draw from numpy's legacy
+    global ``RandomState`` or stdlib ``random``'s hidden instance
+    raises wherever it comes from.  Installed before the first
+    ``repro`` import, so a ``from numpy.random import default_rng``
+    bound at import time is guarded too.
+    """
+
+    def chokepoint(name: str, fn: Callable) -> Callable:
+        @functools.wraps(fn)
+        def guarded(*args, **kwargs):
+            caller = sys._getframe(1)
+            if (
+                caller.f_code.co_name == "make_rng"
+                and caller.f_globals.get("__name__") == "repro.simulator.rng"
+            ):
+                return fn(*args, **kwargs)
+            raise RuntimeError(
+                f"numpy.random.{name} called outside "
+                "repro.simulator.rng.make_rng: derive the stream with "
+                "make_rng(seed, *key)"
+            )
+
+        return guarded
+
+    def global_draw(module: str, name: str) -> Callable:
+        def guarded(*args, **kwargs):
+            raise RuntimeError(
+                f"{module}.{name} draws from a hidden global generator: "
+                "use a Generator from repro.simulator.rng.make_rng"
+            )
+
+        return guarded
+
+    for name in ("default_rng", "SeedSequence"):
+        setattr(np.random, name, chokepoint(name, getattr(np.random, name)))
+    for name in np.random.mtrand.__all__:
+        if name[:1].islower() and name not in _GLOBAL_STATE_KEEPERS:
+            setattr(np.random, name, global_draw("numpy.random", name))
+    for name in dir(random):
+        bound_to = getattr(getattr(random, name), "__self__", None)
+        if bound_to is random._inst and name not in _GLOBAL_STATE_KEEPERS:
+            setattr(random, name, global_draw("random", name))
+
+
+_install_rng_guard()
+
+# Every repro import comes after the guard.
 from repro.core import (
     MSF2QScheduler,
     SFQScheduler,

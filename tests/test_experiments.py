@@ -20,6 +20,7 @@ from repro.experiments.suite import (
     run_suite,
     sample_experiment,
 )
+from repro.parallel import RunCache, execution_context
 from repro.workloads.synthetic import expensive_requests_population
 
 
@@ -175,6 +176,27 @@ class TestFigure8Experiment:
         assert len(rows) == 2
         assert rows[0][0] == 0 and rows[1][0] == 8
         assert all(len(row) == 4 for row in rows)
+
+    def test_sigma_sweep_under_jobs_and_cache_matches_serial(self, tmp_path):
+        """The sweep as ``repro.figures fig08 --jobs 2 --cache DIR`` runs
+        it: fanned out and cached, the numbers are the serial ones."""
+        config = expensive_requests_config(duration=1.0, num_threads=4,
+                                           thread_rate=200.0)
+
+        def sweep():
+            return sigma_vs_expensive(
+                expensive_counts=(0, 8, 8), total_tenants=16, config=config
+            ).sigmas
+
+        serial = sweep()
+        cache = RunCache(tmp_path)
+        with execution_context(jobs=2, cache=cache):
+            assert sweep() == serial
+        # The repeated count re-hits the runs the first one stored.
+        assert (cache.hits, cache.stores) == (3, 6)
+        with execution_context(cache=cache):
+            assert sweep() == serial
+        assert (cache.hits, cache.misses) == (12, 6)
 
 
 class TestSuite:

@@ -1,9 +1,16 @@
 """Unit tests for the fluid GPS reference server."""
 
-import pytest
+import math
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reference.fluid_gps import fluid_service
 from repro.errors import ConfigurationError, SimulationError
 from repro.simulator.gps import GPSReference
+from repro.simulator.rng import make_rng
 
 
 class TestSingleFlow:
@@ -239,3 +246,46 @@ class TestLazyInvalidation:
     def test_threshold_validation(self):
         with pytest.raises(ConfigurationError):
             GPSReference(1.0, purge_threshold=0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    weights=st.lists(st.floats(0.5, 3.0), min_size=2, max_size=6),
+    utilization=st.floats(0.5, 1.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_service_matches_the_stepped_fluid_oracle(weights, utilization, seed):
+    """Open-loop log-normal arrivals over unequal weights: at every sample,
+    each flow's service equals the event-stepped fluid GPS of
+    ``tests/reference/fluid_gps.py``, through overload and idle drains."""
+    capacity, n = 4.0, 200
+    rng = make_rng(seed, "fluid-gps-oracle")
+    costs = rng.lognormal(0.0, 1.0, n)
+    gaps = rng.lognormal(0.0, 1.0, n)
+    gaps *= costs.sum() / (gaps.sum() * utilization * capacity)
+    times = np.cumsum(gaps)
+    flows = rng.integers(len(weights), size=n)
+    arrivals = [
+        (float(t), f"f{k}", float(c), weights[k])
+        for t, k, c in zip(times, flows, costs)
+    ]
+    sample_times = [float(t) for t in np.linspace(0.0, 1.5 * times[-1], 26)[1:]]
+
+    expected = fluid_service(capacity, arrivals, sample_times)
+    gps = GPSReference(capacity)
+    names = [f"f{k}" for k in range(len(weights))]
+    pending = iter(arrivals)
+    arrival = next(pending, None)
+    tolerance = 1e-9 * float(costs.sum())
+    for sample_time, oracle in zip(sample_times, expected):
+        while arrival is not None and arrival[0] <= sample_time:
+            t, flow, cost, weight = arrival
+            gps.arrive(flow, cost, now=t, weight=weight)
+            arrival = next(pending, None)
+        gps.advance(sample_time)
+        served = gps.services(names)
+        for name in names:
+            assert math.isclose(
+                served[name], oracle.get(name, 0.0), rel_tol=1e-9,
+                abs_tol=tolerance,
+            ), (sample_time, name)
