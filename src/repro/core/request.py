@@ -17,7 +17,6 @@ The object carries three groups of state:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..units import Cost, Duration, SimTime, Weight
@@ -53,9 +52,11 @@ class RequestPhase:
     CANCELLED = "cancelled"
 
 
-@dataclass(eq=False)
 class Request:
     """One tenant request flowing through the scheduler.
+
+    A plain slotted class with a hand-written ``__init__``: one is built
+    per simulated request, so construction is a single Python call.
 
     Parameters
     ----------
@@ -75,39 +76,80 @@ class Request:
     weight:
         Weight of the issuing tenant, cached on the request for
         convenience.
+    seqno:
+        Sequence number; ``None`` (the default) draws the next one.
+
+    The remaining keyword arguments preset the scheduler's and the
+    simulator's bookkeeping fields below (tests build requests in a
+    given phase that way).
     """
 
-    tenant_id: str
-    cost: Cost
-    api: str = "default"
-    arrival_time: SimTime = -1.0
-    weight: Weight = 1.0
+    __slots__ = (
+        "tenant_id",
+        "cost",
+        "api",
+        "arrival_time",
+        "weight",
+        "seqno",
+        "charged_cost",
+        "credit",
+        "reported_usage",
+        "phase",
+        "dispatch_time",
+        "completion_time",
+        "thread_id",
+        "source",
+    )
 
-    #: Monotonically increasing sequence number, unique within a run
-    #: (:func:`restart_seqnos`); the final deterministic tie-breaker in
-    #: every scheduler.
-    seqno: int = field(default_factory=lambda: next(_SEQUENCE))
+    def __init__(
+        self,
+        tenant_id: str,
+        cost: Cost,
+        api: str = "default",
+        arrival_time: SimTime = -1.0,
+        weight: Weight = 1.0,
+        seqno: Optional[int] = None,
+        charged_cost: Cost = 0.0,
+        credit: Cost = 0.0,
+        reported_usage: Cost = 0.0,
+        phase: str = RequestPhase.QUEUED,
+        dispatch_time: SimTime = -1.0,
+        completion_time: SimTime = -1.0,
+        thread_id: int = -1,
+        source: Optional[Any] = None,
+    ) -> None:
+        self.tenant_id = tenant_id
+        self.cost: Cost = cost
+        self.api = api
+        self.arrival_time: SimTime = arrival_time
+        self.weight: Weight = weight
+        #: Monotonically increasing sequence number, unique within a run
+        #: (:func:`restart_seqnos`); the final deterministic tie-breaker
+        #: in every scheduler.  Read from the module's counter at call
+        #: time, so a restart takes effect for the next request.
+        self.seqno: int = next(_SEQUENCE) if seqno is None else seqno
 
-    # -- scheduling bookkeeping (owned by the scheduler) ------------------
-    #: Cost the scheduler charged the tenant's virtual clock at dispatch
-    #: time (``l_r`` in the paper; equals ``cost`` under oracle costs).
-    charged_cost: Cost = 0.0
-    #: Remaining pre-paid credit ``c_f^j`` from Figure 7 -- how much of the
-    #: charged cost has not yet been matched by measured usage.
-    credit: Cost = 0.0
-    #: Measured resource usage reported to the scheduler so far (through
-    #: refresh charging and completion).
-    reported_usage: Cost = 0.0
+        # -- scheduling bookkeeping (owned by the scheduler) --------------
+        #: Cost the scheduler charged the tenant's virtual clock at
+        #: dispatch time (``l_r`` in the paper; equals ``cost`` under
+        #: oracle costs).
+        self.charged_cost: Cost = charged_cost
+        #: Remaining pre-paid credit ``c_f^j`` from Figure 7 -- how much of
+        #: the charged cost has not yet been matched by measured usage.
+        self.credit: Cost = credit
+        #: Measured resource usage reported to the scheduler so far
+        #: (through refresh charging and completion).
+        self.reported_usage: Cost = reported_usage
 
-    # -- lifecycle (owned by the simulator) --------------------------------
-    phase: str = RequestPhase.QUEUED
-    dispatch_time: SimTime = -1.0
-    completion_time: SimTime = -1.0
-    thread_id: int = -1
+        # -- lifecycle (owned by the simulator) ----------------------------
+        self.phase = phase
+        self.dispatch_time: SimTime = dispatch_time
+        self.completion_time: SimTime = completion_time
+        self.thread_id = thread_id
 
-    #: Optional back-reference to the workload source that issued the
-    #: request; closed-loop sources use it to submit follow-up work.
-    source: Optional[Any] = field(default=None, repr=False)
+        #: Optional back-reference to the workload source that issued the
+        #: request; closed-loop sources use it to submit follow-up work.
+        self.source: Optional[Any] = source
 
     @property
     def key(self) -> tuple[str, str]:

@@ -135,7 +135,10 @@ class Scheduler(ABC):
         self._num_threads = int(num_threads)
         self._thread_rate = float(thread_rate)
         self._tenants: Dict[str, TenantState] = {}
-        self._size = 0
+        #: Number of queued (not yet dispatched) requests.  A plain
+        #: attribute, not a property: the server reads it on every
+        #: dispatch pass.  Only the scheduler writes it.
+        self.backlog = 0
         self._completed = 0
         self._cancelled = 0
         #: Attached :class:`repro.obs.Tracer`, or ``None`` (the default).
@@ -158,11 +161,6 @@ class Scheduler(ABC):
     def capacity(self) -> Rate:
         """Aggregate capacity of the pool in cost units per second."""
         return self._num_threads * self._thread_rate
-
-    @property
-    def backlog(self) -> int:
-        """Number of queued (not yet dispatched) requests."""
-        return self._size
 
     @property
     def completed_count(self) -> int:
@@ -243,7 +241,7 @@ class Scheduler(ABC):
         if phase == RequestPhase.QUEUED:
             if not self._cancel_queued(state, request, now):
                 return False
-            self._size -= 1
+            self.backlog -= 1
         else:
             if not self._cancel_running(state, request, now):
                 return False
@@ -261,7 +259,7 @@ class Scheduler(ABC):
                 seqno=request.seqno,
                 api=request.api,
                 was_running=phase == RequestPhase.RUNNING,
-                backlog=self._size,
+                backlog=self.backlog,
             )
         return True
 
@@ -310,16 +308,16 @@ class Scheduler(ABC):
 
     def _note_enqueued(self, request: Request) -> None:
         request.phase = RequestPhase.QUEUED
-        self._size += 1
+        self.backlog += 1
 
     def _note_dispatched(self, request: Request, thread_id: int, now: SimTime) -> None:
         request.phase = RequestPhase.RUNNING
         request.thread_id = thread_id
         request.dispatch_time = now
-        self._size -= 1
+        self.backlog -= 1
 
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(threads={self._num_threads}, "
-            f"rate={self._thread_rate:g}, backlog={self._size})"
+            f"rate={self._thread_rate:g}, backlog={self.backlog})"
         )

@@ -33,6 +33,11 @@ class VirtualClock:
     capacity:
         Aggregate service capacity of the thread pool in cost units per
         second (``num_threads * thread_rate``).
+
+    :class:`~repro.core.vt_base.VirtualTimeScheduler` reads ``_value``
+    and ``_last_wallclock`` directly to skip :meth:`advance` when the
+    clock already stands at ``now``; only :meth:`advance` checks for
+    time moving backwards.
     """
 
     __slots__ = (

@@ -258,9 +258,19 @@ class VirtualTimeScheduler(Scheduler):
 
     # -- scheduler contract ------------------------------------------------------
 
+    # enqueue, dequeue and complete run once per request, so they inline
+    # the base class's bookkeeping helpers (_state_for's hit path,
+    # _note_enqueued, _note_dispatched, Scheduler.complete) and skip the
+    # virtual clock's advance() when the clock already stands at ``now``
+    # (advance() is the identity there).  An earlier ``now`` still calls
+    # advance(), which raises.
+
     def enqueue(self, request: Request, now: SimTime) -> None:
-        state = self._state_for(request)
+        state = self._tenants.get(request.tenant_id)
+        if state is None:
+            state = self._state_for(request)
         trace = self._trace
+        clock = self._clock
         if not state.active:
             # Newly active tenant: join the virtual clock and fast-forward
             # the start tag (Figure 7, lines 2-5).  ``add_weight`` advances
@@ -277,11 +287,12 @@ class VirtualTimeScheduler(Scheduler):
                     active_weight=self._clock.active_weight,
                     start_tag=state.start_tag,
                 )
-        else:
-            self._clock.advance(now)
+        elif now != clock._last_wallclock:
+            clock.advance(now)
         state.queue.append(request)
         self._backlogged[state.tenant_id] = state
-        self._note_enqueued(request)
+        request.phase = RequestPhase.QUEUED
+        self.backlog += 1
         if len(state.queue) == 1:
             # A new head request (and possibly a fast-forwarded start
             # tag); deeper enqueues change neither the head nor the tag.
@@ -301,11 +312,12 @@ class VirtualTimeScheduler(Scheduler):
                 cost=request.cost,
                 start_tag=state.start_tag,
                 queue_depth=len(state.queue),
-                backlog=self._size,
+                backlog=self.backlog,
             )
 
     def dequeue(self, thread_id: int, now: SimTime) -> Optional[Request]:
-        self._check_thread(thread_id)
+        if not 0 <= thread_id < self._num_threads:
+            self._check_thread(thread_id)
         if not self._backlogged:
             return None
         index = self._index
@@ -314,7 +326,8 @@ class VirtualTimeScheduler(Scheduler):
             # wins; discard the index (a later activation rebuilds from
             # scratch, so no coherence to maintain).
             self._index = index = None
-        vnow = self._clock.advance(now)
+        clock = self._clock
+        vnow = clock._value if now == clock._last_wallclock else clock.advance(now)
         staggers = self._thread_staggers
         state: Optional[TenantState] = None
         if staggers is not None:
@@ -333,7 +346,7 @@ class VirtualTimeScheduler(Scheduler):
         if state is None:
             raise SchedulerError(
                 f"{type(self).__name__} violated work conservation with "
-                f"{self._size} queued requests"
+                f"{self.backlog} queued requests"
             )
         trace = self._trace
         if trace is not None:
@@ -374,7 +387,10 @@ class VirtualTimeScheduler(Scheduler):
         state.start_tag += estimate / state.weight
         state.running += 1
         self._touch(state)
-        self._note_dispatched(request, thread_id, now)
+        request.phase = RequestPhase.RUNNING
+        request.thread_id = thread_id
+        request.dispatch_time = now
+        self.backlog -= 1
         if trace is not None:
             trace.dispatch(
                 now,
@@ -385,7 +401,7 @@ class VirtualTimeScheduler(Scheduler):
                 thread=thread_id,
                 estimate=estimate,
                 start_tag_after=state.start_tag,
-                backlog=self._size,
+                backlog=self.backlog,
             )
         return request
 
@@ -432,7 +448,9 @@ class VirtualTimeScheduler(Scheduler):
             raise SchedulerError(
                 f"complete() for request of unknown/idle tenant {request.tenant_id}"
             )
-        self._clock.advance(now)
+        clock = self._clock
+        if now != clock._last_wallclock:
+            clock.advance(now)
         final = request.cost - request.reported_usage
         request.reported_usage = request.cost
         state.start_tag += (final - request.credit) / state.weight
@@ -469,7 +487,8 @@ class VirtualTimeScheduler(Scheduler):
                     reason="tenant_idle",
                     active_weight=self._clock.active_weight,
                 )
-        super().complete(request, 0.0, now)
+        request.phase = RequestPhase.DONE
+        self._completed += 1
 
     # -- cancellation ---------------------------------------------------------------
 
@@ -609,7 +628,10 @@ class VirtualTimeScheduler(Scheduler):
         :meth:`_eligibility_threshold`).  WF2Q's stagger is ``0.0``,
         2DFQ's ``i / n`` (Figure 7, line 20); ``None`` when nothing is
         eligible."""
-        threshold = self._eligibility_threshold(vnow)
+        # _eligibility_threshold(vnow), inline: this scan runs on every
+        # gated dequeue of the linear path.
+        scale = vnow if vnow > 1.0 else (-vnow if vnow < -1.0 else 1.0)
+        threshold = vnow + _ELIGIBILITY_EPS * scale
         head_key = self._head_key
         best: Optional[TenantState] = None
         best_key = _NO_KEY
@@ -636,5 +658,9 @@ class VirtualTimeScheduler(Scheduler):
         """Upper bound on (staggered) start tags counted as eligible at
         virtual time ``vnow``: the slack absorbs float round-off in
         virtual-time arithmetic.  Shared by the linear scans and the
-        selection index so both paths gate on identical values."""
-        return vnow + _ELIGIBILITY_EPS * max(1.0, abs(vnow))
+        selection index so both paths gate on identical values
+        (:meth:`_min_eligible_finish` inlines it).  The slack scale is
+        ``max(1.0, abs(vnow))``, spelled without the two builtin calls;
+        a NaN ``vnow`` scales by 1.0 either way."""
+        scale = vnow if vnow > 1.0 else (-vnow if vnow < -1.0 else 1.0)
+        return vnow + _ELIGIBILITY_EPS * scale

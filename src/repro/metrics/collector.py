@@ -205,9 +205,14 @@ class MetricsCollector:
         )
 
     def _on_complete(self, request: Request) -> None:
-        if request.completion_time >= self._warmup:
+        # ``Request.latency`` without the property call: its checks
+        # cannot fail here, since the warmup test implies
+        # ``completion_time >= 0`` and every submit stamps a
+        # non-negative ``arrival_time``.
+        done = request.completion_time
+        if done >= self._warmup:
             self._latencies.setdefault(request.tenant_id, []).append(
-                request.latency
+                done - request.arrival_time
             )
 
     # -- sampling ----------------------------------------------------------------

@@ -130,15 +130,26 @@ class Simulation:
             limit = max_events
         self._running = True
         self._stopped = False
-        # One queue call per fired event: ``pop_due`` drops cancelled
-        # tops, stops at the horizon and marks the handle consumed.
-        pop_due = self._queue.pop_due
+        # A live top that is due pops inline, with pop_due's bookkeeping
+        # (live count, handle marked consumed).  Everything else --
+        # a cancelled top, the horizon, an empty heap and its live-count
+        # check -- goes through ``pop_due``.  Compaction rebuilds the heap
+        # list in place, so ``heap`` stays current.
+        queue = self._queue
+        heap = queue._heap
+        pop_due = queue.pop_due
+        heappop = heapq.heappop
         processed = self._events_processed
         try:
             while processed < limit and not self._stopped:
-                handle = pop_due(horizon)
-                if handle is None:
-                    break
+                if heap and not heap[0][2].cancelled and heap[0][0] <= horizon:
+                    handle = heappop(heap)[2]
+                    queue._live -= 1
+                    handle.cancelled = True
+                else:
+                    handle = pop_due(horizon)
+                    if handle is None:
+                        break
                 self.now = handle.time
                 fn, args = handle.fn, handle.args
                 handle.fn = None  # free references early

@@ -19,9 +19,10 @@ floor).
 
 The queue and :class:`~repro.simulator.clock.Simulation` form one event
 kernel: the simulation pushes handles straight onto :attr:`EventQueue._heap`
-and drains it through :meth:`EventQueue.pop_due`, one call per fired
-event (DESIGN.md §8).  Compaction rebuilds the heap list in place, so
-no holder of the list ever sees a stale copy.
+and pops a live, due top itself, leaving cancelled tops, the horizon and
+the empty-heap check to :meth:`EventQueue.pop_due` (DESIGN.md §8).
+Compaction rebuilds the heap list in place, so no holder of the list
+ever sees a stale copy.
 """
 
 from __future__ import annotations

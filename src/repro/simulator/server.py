@@ -131,6 +131,10 @@ class ThreadPoolServer:
         self._dispatch_cycle: List[Worker] = self.workers[::-1]
         self._refresh_interval: Optional[Duration] = refresh_interval
         self._refresh_scheduled = False
+        #: True while :meth:`_finish` runs its listeners and the request's
+        #: source: a submit made then leaves dispatch to ``_finish``'s
+        #: own pass (one dispatch pass per completion).
+        self._finishing = False
         #: Attached :class:`repro.obs.Tracer` or ``None``; same
         #: single-attribute-check overhead contract as the schedulers.
         self._trace: Optional["Tracer"] = None
@@ -181,8 +185,10 @@ class ThreadPoolServer:
         self.scheduler.enqueue(request, now)
         for fn in self._submit_listeners:
             fn(request)
-        self._dispatch_idle()
-        self._ensure_refresh_timer()
+        if not self._finishing:
+            self._dispatch_idle()
+        if not self._refresh_scheduled and self._refresh_interval is not None:
+            self._ensure_refresh_timer()
 
     # -- observation ---------------------------------------------------------------
 
@@ -440,10 +446,23 @@ class ThreadPoolServer:
         )
         self._completed_requests += 1
         source = request.source
-        for fn in self._complete_listeners:
-            fn(request)
-        if source is not None:
-            source.on_request_complete(request)
+        # A submit made from here (a closed-loop follow-up) skips its own
+        # dispatch pass and the pass below serves it: one pass per
+        # completion.  Same-instant events keep their order.  With
+        # refresh on, a refresh tick is always pending while a request
+        # runs, so the submit's timer check schedules nothing, and the
+        # completion event this pass schedules is the next event
+        # scheduled, as it was from the skipped pass.  ``finally``: a
+        # listener or source that raises must not leave later submits
+        # skipping dispatch.
+        self._finishing = True
+        try:
+            for fn in self._complete_listeners:
+                fn(request)
+            if source is not None:
+                source.on_request_complete(request)
+        finally:
+            self._finishing = False
         self._dispatch_idle()
 
     def _ensure_refresh_timer(self) -> None:

@@ -63,16 +63,6 @@ class Source:
     def on_request_complete(self, request: Request) -> None:
         """Completion callback; default: nothing (open-loop sources)."""
 
-    def _submit(
-        self, tenant_id: str, api: str, cost: Cost, weight: Weight = 1.0
-    ) -> Request:
-        request = Request(
-            tenant_id=tenant_id, api=api, cost=cost, weight=weight, source=self
-        )
-        self.server.submit(request)
-        self.submitted += 1
-        return request
-
 
 class TraceSource(Source):
     """Open-loop replay of ``(time, tenant, api, cost)`` records.
@@ -123,7 +113,10 @@ class TraceSource(Source):
         )
 
     def _fire(self, tenant_id: str, api: str, cost: Cost) -> None:
-        self._submit(tenant_id, api, cost, self._weight)
+        self.server.submit(
+            Request(tenant_id, cost, api, weight=self._weight, source=self)
+        )
+        self.submitted += 1
         self._schedule_next()
 
 
@@ -172,15 +165,23 @@ class BackloggedSource(Source):
 
     def _prime(self) -> None:
         for _ in range(self._window):
-            if not self._submit_next():
-                break
+            self._submit_next(None)
 
-    def on_request_complete(self, request: Request) -> None:
-        self._submit_next()
+    def on_request_complete(self, request: Optional[Request]) -> None:
+        """Submit the tenant's next request, unless ``limit`` is reached.
 
-    def _submit_next(self) -> bool:
-        if self._limit is not None and self.submitted >= self._limit:
-            return False
+        The closed loop's per-request path, so it builds and submits the
+        request in this one frame."""
+        limit = self._limit
+        if limit is not None and self.submitted >= limit:
+            return
         api, cost = self._sampler()
-        self._submit(self.tenant_id, api, cost, self._weight)
-        return True
+        self.server.submit(
+            Request(self.tenant_id, cost, api, weight=self._weight, source=self)
+        )
+        self.submitted += 1
+
+    #: The priming submissions run the same body under a name of their
+    #: own, so whatever wraps or replaces ``on_request_complete`` (on the
+    #: class or on an instance) sees completions only.
+    _submit_next = on_request_complete

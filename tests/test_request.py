@@ -1,8 +1,11 @@
 """Unit tests for the Request model."""
 
+import pickle
+
 import pytest
 
-from repro.core.request import Request, RequestPhase
+from repro.core import request as request_module
+from repro.core.request import Request, RequestPhase, restart_seqnos
 
 from conftest import make_request
 
@@ -57,3 +60,33 @@ class TestRequestTimings:
         r.completion_time = 5.0
         with pytest.raises(ValueError):
             _ = r.latency
+
+
+class TestSlottedRequest:
+    def test_restart_seqnos_numbers_from_zero_again(self, monkeypatch):
+        # Restored after the test: other tests' requests keep counting.
+        monkeypatch.setattr(request_module, "_SEQUENCE", request_module._SEQUENCE)
+        restart_seqnos()
+        assert [make_request().seqno for _ in range(3)] == [0, 1, 2]
+        restart_seqnos()
+        assert make_request().seqno == 0
+
+    def test_explicit_seqno_is_honoured(self):
+        assert Request(tenant_id="A", cost=1.0, seqno=41).seqno == 41
+
+    def test_unknown_attribute_raises(self):
+        r = make_request()
+        with pytest.raises(AttributeError):
+            r.priority = 3
+
+    def test_repr_and_pickle_round_trip(self):
+        r = Request("T1", 2.5, "G", arrival_time=1.0, weight=2.0, seqno=7)
+        r.phase = RequestPhase.RUNNING
+        r.charged_cost = 2.0
+        r.thread_id = 3
+        assert repr(r) == "Request(T1/G#7 cost=2.5 phase=running)"
+        copy = pickle.loads(pickle.dumps(r))
+        assert repr(copy) == repr(r)
+        assert [getattr(copy, name) for name in Request.__slots__] == [
+            getattr(r, name) for name in Request.__slots__
+        ]

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core import FIFOScheduler, make_scheduler
-from repro.core.request import Request
+from repro.core.request import Request, RequestPhase
 from repro.errors import ConfigurationError
-from repro.simulator import Simulation, ThreadPoolServer
+from repro.fleet import Fleet
+from repro.simulator import BackloggedSource, Simulation, ThreadPoolServer
 
 
 def build(num_threads=2, rate=1.0, scheduler_name="fifo", refresh=None, **kw):
@@ -111,6 +112,89 @@ class TestExecution:
         sim.at(0.0, server.submit, req("A", 10.0))
         sim.run(until=4.0)
         assert server.service_received("A") == pytest.approx(4.0)
+
+
+class RaisingSource:
+    """A closed-loop source whose completion callback fails."""
+
+    def on_request_complete(self, request):
+        raise RuntimeError("source failure")
+
+
+class TestOneDispatchPassPerCompletion:
+    """A submit made while ``_finish`` runs (a closed-loop follow-up)
+    leaves dispatch to ``_finish``'s own pass after it."""
+
+    @pytest.mark.parametrize("failing", ["listener", "source"])
+    def test_a_failing_completion_callback_leaves_dispatch_working(self, failing):
+        sim, server = build(num_threads=1)
+        first = req("A", 1.0)
+        if failing == "listener":
+            failures = []
+
+            def flaky(request):
+                if not failures:
+                    failures.append(request)
+                    raise RuntimeError("listener failure")
+
+            server.on_complete(flaky)
+        else:
+            first.source = RaisingSource()
+        sim.at(0.0, server.submit, first)
+        with pytest.raises(RuntimeError, match=f"{failing} failure"):
+            sim.run()
+        # The worker is idle; a later submit must start on it at once.
+        later = req("B", 1.0)
+        server.submit(later)
+        assert server.workers[0].request is later
+        assert later.phase == RequestPhase.RUNNING
+        sim.run()
+        assert later.completion_time == 2.0
+
+    def test_a_fleet_resubmission_routed_elsewhere_dispatches_at_once(self):
+        # Round robin sends the closed loop's second request to server 1
+        # from inside server 0's completion; server 1 is not finishing,
+        # so it must start the request in that same event.
+        sim = Simulation()
+        servers = [
+            ThreadPoolServer(sim, make_scheduler("2dfq", 1), 1) for _ in range(2)
+        ]
+        fleet = Fleet(sim, servers, router="round-robin", failover=None)
+        completions = []
+        dispatches = []
+        servers[0].on_complete(lambda r: completions.append(sim.events_processed))
+        for index, server in enumerate(servers):
+            server.on_dispatch(
+                lambda r, i=index: dispatches.append((i, sim.now, sim.events_processed))
+            )
+        BackloggedSource(fleet, "a", lambda: ("A", 1.0), window=1, limit=2).start()
+        sim.run(until=5.0)
+        assert [entry[:2] for entry in dispatches] == [(0, 0.0), (1, 1.0)]
+        assert dispatches[1][2] == completions[0]
+
+    def test_a_refresh_tick_is_pending_whenever_a_completion_fires(self):
+        # Why skipping the re-entrant pass keeps same-instant event order:
+        # the follow-up submit's refresh-timer check must schedule
+        # nothing, or the tick would take its sequence number ahead of
+        # the completion event that _finish's pass schedules.
+        entries = []
+
+        class RecordingServer(ThreadPoolServer):
+            def _finish(self, worker, request):
+                entries.append(self._refresh_scheduled)
+                super()._finish(worker, request)
+
+        sim = Simulation()
+        server = RecordingServer(
+            sim, make_scheduler("2dfq", 4, thread_rate=100.0), 4, rate=100.0,
+            refresh_interval=0.01,
+        )
+        for index in range(4):
+            BackloggedSource(server, f"web-{index}", lambda: ("get", 1.0)).start()
+            BackloggedSource(server, f"scan-{index}", lambda: ("scan", 100.0)).start()
+        sim.run(until=3.0)
+        assert len(entries) > 500
+        assert all(entries)
 
 
 class TestRefreshCharging:

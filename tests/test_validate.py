@@ -35,7 +35,7 @@ class OvercountingScheduler(TwoDFQScheduler):
 
     def enqueue(self, request, now):
         super().enqueue(request, now)
-        self._size += 1  # the seeded bug
+        self.backlog += 1  # the seeded bug
 
 
 class LazyScheduler(TwoDFQScheduler):
