@@ -17,8 +17,8 @@ with *lazy invalidation* and *deferred maintenance*:
   head estimate, head seqno)``, or ``(start tag, head estimate, head
   seqno)`` in the order heap of a start-ordered policy -- together with
   the tenant's ``sel_version`` at push time;
-* whenever a tenant's key may have changed (new head request, start-tag
-  movement, estimator update) the scheduler calls :meth:`touch`.  A
+* whenever a tenant's key moves (new head request, start-tag movement,
+  estimator update) the scheduler calls :meth:`touch`.  A
   touch is O(1): it bumps ``sel_version`` and appends the tenant to a
   shared *dirty log* -- no heap is pushed yet.  Each maintained
   structure keeps a cursor into that log and syncs lazily, at its next
@@ -57,18 +57,27 @@ backwards, so an entry passes each gate at most once per version.
 
 Contract with cost estimators
 -----------------------------
-The index reads each tenant's key through the scheduler's cached head
-key (:attr:`TenantState.head_key
+Invalidate when the key moves.  The index reads each tenant's key
+through the scheduler's cached head key (:attr:`TenantState.head_key
 <repro.core.scheduler.TenantState.head_key>`), the same cache the
 linear scans and the dequeue charge read, so there is one head-estimate
-cache and it is computed at most once per head change.  Both selection
-paths are therefore coherent only if a queued request's estimate can
-change *solely* through ``observe()`` calls for the same tenant
-(estimators key their state on ``(tenant_id, api)``; see
-:mod:`repro.estimation.base`): every such change site in
-:mod:`repro.core.vt_base` goes through its one invalidation point,
-``_touch``, which clears the key and calls :meth:`touch`.  Every
-estimator in this library satisfies that, provided one estimator
+cache and it is computed at most once per head change.  Every site in
+:mod:`repro.core.vt_base` where a key can move goes through its one
+invalidation point, ``_touch``, which clears the key and calls
+:meth:`touch`; a site where it provably cannot move skips the call.
+For the estimate that means two things:
+
+* a queued request's estimate may change *solely* through ``observe()``
+  calls for the same tenant (estimators key their state on
+  ``(tenant_id, api)``; see :mod:`repro.estimation.base`), which run
+  inside ``complete``;
+* an estimator whose ``observe`` never moves an estimate declares
+  :attr:`CostEstimator.learns <repro.estimation.base.CostEstimator.learns>`
+  ``= False`` (the oracle), and ``complete`` then re-files the tenant
+  only when its reconciliation charge is nonzero.  Everything else
+  keeps the default ``True`` and is re-filed at every completion.
+
+Every estimator in this library satisfies that, provided one estimator
 instance serves one scheduler; the linear scans are no escape hatch for
 an estimator whose estimates drift spontaneously, because adaptive
 selection builds the index whenever the backlog grows.  Such an

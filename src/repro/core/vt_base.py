@@ -54,13 +54,17 @@ clamped head estimate, head seqno)``.  The key is cached on
 :attr:`TenantState.head_key <repro.core.scheduler.TenantState.head_key>`
 and computed at most once per head change by :meth:`_head_key`; the
 linear scans, the dequeue charge and the selection index all read that
-one cache.  :meth:`_touch` is the single invalidation point: every site
-that changes a tenant's head request, start tag or head estimate
-(enqueue of a new head, dequeue, a refresh overage, complete, both
-cancel paths, an estimator swap) calls it, which clears the key and
-tells the index.  Estimators change a queued request's estimate only in
-``observe`` for the same tenant, inside ``complete``, so no other
-invalidation is needed.
+one cache.  :meth:`_touch` is the single invalidation point, called
+exactly when the key moves: every site that changes a tenant's head
+request, start tag or head estimate (enqueue of a new head, dequeue, a
+nonzero refresh overage, a complete that charges a nonzero amount or
+whose estimator :attr:`~repro.estimation.base.CostEstimator.learns`,
+both cancel paths, an estimator swap) calls it, which clears the key
+and re-files the tenant in the index.  Estimators change a queued
+request's estimate only in ``observe`` for the same tenant, inside
+``complete``, so no other invalidation is needed.  A completion under
+known costs charges exactly ``0.0`` and the oracle learns nothing, so
+there the tenant stays filed under its unchanged key.
 
 Selection is adaptive: the scheduler tracks the live backlogged-tenant
 count and switches between the linear scans and the O(log N) index with
@@ -232,10 +236,13 @@ class VirtualTimeScheduler(Scheduler):
             self._touch(state)
 
     def _touch(self, state: TenantState) -> None:
-        """The single invalidation point: the tenant's head request,
-        start tag or head estimate may have changed.  Clears the cached
-        head key and re-files the tenant in the index (or drops it there
-        once its queue is empty)."""
+        """The single invalidation point, for when the tenant's key
+        ``(finish tag, head estimate, head seqno)`` may have moved: its
+        head request, start tag or head estimate changed.  Clears the
+        cached head key and re-files the tenant in the index (or drops
+        it there once its queue is empty).  Call it whenever the key can
+        move and only then: a missed call leaves a stale key on both
+        selection paths, a spare one costs the index a heap push."""
         state.head_key = None
         index = self._index
         if index is not None:
@@ -413,9 +420,11 @@ class VirtualTimeScheduler(Scheduler):
             request.credit -= usage
         else:
             state = self._tenants[request.tenant_id]
-            state.start_tag += (usage - request.credit) / state.weight
+            charge = usage - request.credit
+            state.start_tag += charge / state.weight
             request.credit = 0.0
-            self._touch(state)
+            if charge != 0.0:
+                self._touch(state)
             if self._trace is not None:
                 self._trace.vt_update(
                     now,
@@ -453,12 +462,16 @@ class VirtualTimeScheduler(Scheduler):
             clock.advance(now)
         final = request.cost - request.reported_usage
         request.reported_usage = request.cost
-        state.start_tag += (final - request.credit) / state.weight
+        charge = final - request.credit
+        state.start_tag += charge / state.weight
         request.credit = 0.0
         state.running -= 1
-        self._estimator.observe(request, request.reported_usage)
-        # Both the start tag and (via observe) the head estimate moved.
-        self._touch(state)
+        estimator = self._estimator
+        estimator.observe(request, request.reported_usage)
+        # The start tag moves unless the charge is exactly zero (known
+        # costs), and the head estimate only through a learning observe.
+        if charge != 0.0 or estimator.learns:
+            self._touch(state)
         trace = self._trace
         if trace is not None:
             trace.complete(

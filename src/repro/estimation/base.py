@@ -29,6 +29,17 @@ class CostEstimator(ABC):
     #: Human-readable name used in experiment reports.
     name: str = "estimator"
 
+    #: Whether :meth:`observe` can move an estimate.  A scheduler keeps
+    #: each backlogged tenant's selection key cached and re-files the
+    #: tenant after a completion only when its start tag moved or this
+    #: is true.  Leave it true unless ``estimate`` is a pure function of
+    #: the request that ``observe`` never changes (the oracle's true
+    #: cost); a custom estimator that declares ``False`` and still
+    #: learns leaves stale keys behind, and one whose estimates move
+    #: outside ``observe`` must call the scheduler's
+    #: ``reindex_backlogged()`` whatever it declares.
+    learns: bool = True
+
     #: Attached :class:`repro.obs.Tracer`, or ``None``.  A class-level
     #: default keeps subclass ``__init__`` signatures untouched; the
     #: instrumentation guard is the same single attribute check the

@@ -18,6 +18,7 @@ class OracleEstimator(CostEstimator):
     """Returns each request's true cost; learns nothing."""
 
     name = "oracle"
+    learns = False
 
     def estimate(self, request: Request) -> Cost:
         return request.cost

@@ -23,6 +23,7 @@ irrelevant.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
 from ..core.request import Request, RequestPhase
@@ -37,6 +38,10 @@ if TYPE_CHECKING:  # import cycle: repro.obs instruments the simulator
 __all__ = ["ThreadPoolServer", "Worker"]
 
 RequestListener = Callable[[Request], None]
+
+#: ``worker.request`` as a C-level getter: :attr:`ThreadPoolServer.
+#: busy_workers` counts without a Python frame per worker.
+_worker_request = attrgetter("request")
 
 
 class Worker:
@@ -199,7 +204,10 @@ class ThreadPoolServer:
 
     @property
     def busy_workers(self) -> int:
-        return sum(1 for w in self.workers if w.busy)
+        """Workers holding a request (:attr:`Worker.busy`), stalled or
+        frozen ones included.  The least-backlog router reads this for
+        every healthy server on every placement."""
+        return self.num_threads - list(map(_worker_request, self.workers)).count(None)
 
     @property
     def completed_requests(self) -> int:

@@ -9,9 +9,10 @@ restores long-run fairness.
 import pytest
 
 from repro.core import TwoDFQScheduler, WFQScheduler
+from repro.core.scheduler import MIN_COST
 from repro.estimation import LastValueEstimator, PessimisticEstimator
 
-from conftest import make_request
+from conftest import force_selection, make_request
 
 
 class TestRetroactiveCharging:
@@ -159,6 +160,56 @@ class TestChargeReconciliation:
         assert s.tenant_state("A").start_tag == pytest.approx(expected, rel=1e-9)
         per_request = s.tenant_state("A").start_tag - expected
         assert abs(per_request) / len(costs) < 1e-9 * (sum(costs) / len(costs))
+
+
+class TestZeroChargeCompletion:
+    """A completion whose reconciliation charges exactly 0.0 leaves the
+    start tag where it was, but a learning estimator's ``observe`` can
+    still move the head estimate: the tenant's cached head key must be
+    invalidated then too."""
+
+    @staticmethod
+    def assert_head_keys_fresh(scheduler):
+        for state in scheduler.tenants().values():
+            if state.head_key is None or not state.queue:
+                continue
+            head = state.queue[0]
+            estimate = max(scheduler.estimator.estimate(head), MIN_COST)
+            fresh = (state.start_tag + estimate / state.weight, estimate, head.seqno)
+            assert state.head_key == fresh, state.tenant_id
+
+    @pytest.mark.parametrize("indexed", [False, True], ids=["linear", "indexed"])
+    def test_decayed_estimate_reaches_the_cached_head_key(self, indexed):
+        est = PessimisticEstimator(alpha=0.99, initial_estimate=1.0)
+        s = force_selection(TwoDFQScheduler(num_threads=2, estimator=est), indexed)
+        large, exact, queued = (make_request("T", cost) for cost in (5.0, 1.0, 1.0))
+        other = make_request("U", 1.0)
+        steps = [
+            lambda: s.enqueue(large, 0.0),
+            lambda: s.enqueue(exact, 0.0),
+            lambda: s.enqueue(queued, 0.0),
+            # Both in flight, both charged the cold estimate 1.0.
+            lambda: s.dequeue(0, 0.0),
+            lambda: s.dequeue(1, 0.0),
+            # Charges 4.0 and raises L_max to 5.0.
+            lambda: s.complete(large, 5.0, 0.0),
+            # U is picked; the scan (or the index sync) caches T's key
+            # at estimate 5.0.
+            lambda: s.enqueue(other, 0.0),
+            lambda: s.dequeue(0, 0.0),
+            # Charges exactly 0.0; observe decays L_max to 4.95.
+            lambda: s.complete(exact, 1.0, 0.0),
+            lambda: s.dequeue(1, 0.0),
+        ]
+        results = []
+        for step in steps:
+            results.append(step())
+            self.assert_head_keys_fresh(s)
+        assert results[3:5] == [large, exact]
+        assert [large.charged_cost, exact.charged_cost] == [1.0, 1.0]
+        assert results[7] is other
+        assert results[9] is queued
+        assert queued.charged_cost == 0.99 * 5.0
 
 
 class TestGamingAttack:

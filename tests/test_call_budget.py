@@ -1,12 +1,14 @@
 """Per-request call budget of the simulator's hot path.
 
-A reduced ``quickstart``-shaped cell (the e2e benchmark's closed-loop
-workload) runs under :mod:`cProfile`, whose call counts are exact and
-deterministic, so the budget can be pinned tightly: a change that adds
-a Python frame to the per-request chain (``submit`` -> ``enqueue`` ->
-dispatch pass -> ``dequeue`` -> ``_start`` -> ``Simulation.at``, then
-``_finish`` -> ``complete`` -> listeners -> resubmit) fails here before
-it shows as lost requests per second.
+Two reduced cells of the e2e benchmark's closed-loop workloads run
+under :mod:`cProfile`, whose call counts are exact and deterministic, so
+the budget can be pinned tightly: a change that adds a Python frame to
+the per-request chain (``submit`` -> ``enqueue`` -> dispatch pass ->
+``dequeue`` -> ``_start`` -> ``Simulation.at``, then ``_finish`` ->
+``complete`` -> listeners -> resubmit) fails here before it shows as
+lost requests per second.  The ``quickstart``-shaped cell stays on the
+linear selection path; the ``expensive``-shaped one runs on the
+selection index and also pins its churn.
 """
 
 from __future__ import annotations
@@ -31,19 +33,49 @@ HORIZON = 10.0
 #: 77.7 before and 58.0 after one dispatch pass per completion, the
 #: one-frame closed-loop resubmit, the inlined bookkeeping helpers and
 #: eligibility threshold, and the collector's inline latency (the
-#: full-horizon e2e ``quickstart`` cell went from 76.7 to 57.6).
-CALLS_PER_REQUEST_BUDGET = 58.0 + 2
+#: full-horizon e2e ``quickstart`` cell went from 76.7 to 57.6), then
+#: 55.13 once a zero-charge completion under known costs stopped
+#: re-filing its tenant for selection (e2e ``quickstart`` 54.8).
+CALLS_PER_REQUEST_BUDGET = 55.2 + 2
 
 #: Every priming submission runs its own dispatch pass: one per request
 #: each source has in flight from the start.
 PRIMING_PASSES = TENANTS * WINDOW
 
+INDEXED_THREADS = 16
+INDEXED_RATE = 1000.0
+INDEXED_TENANTS = 100
+INDEXED_HORIZON = 0.5
+
+#: The same budget for :func:`indexed_cell`: 109.2 while every
+#: completion re-filed its tenant in the selection index, 91.8 since a
+#: zero-charge completion under known costs skips it.
+INDEXED_CALLS_PER_REQUEST_BUDGET = 91.8 + 2
+
+#: Index touches that no completion pays for: each tenant's first head
+#: request, and the dispatches still running at the horizon.
+PRIMING_TOUCHES = INDEXED_TENANTS + INDEXED_THREADS
+
+
+def profile_run(sim, server, collector, horizon):
+    """Run ``sim`` to ``horizon`` and reduce its metrics under cProfile.
+    Returns the profile stats and the number of completed requests."""
+    profile = cProfile.Profile()
+    profile.enable()
+    sim.run(until=horizon)
+    collector.result()
+    profile.disable()
+    return pstats.Stats(profile), server.completed_requests
+
+
+def total_calls(stats: pstats.Stats) -> int:
+    return sum(entry[1] for entry in stats.stats.values())
+
 
 @pytest.fixture(scope="module")
 def profiled_cell():
     """2DFQ on 4 threads x 100 units/s, four cost-1 and four cost-100
-    closed-loop tenants, 10 ms refresh, 100 ms sampling, 10 s simulated.
-    Returns the profile stats and the number of completed requests."""
+    closed-loop tenants, 10 ms refresh, 100 ms sampling, 10 s simulated."""
     sim = Simulation()
     scheduler = make_scheduler("2dfq", THREADS, thread_rate=RATE)
     server = ThreadPoolServer(
@@ -55,12 +87,34 @@ def profiled_cell():
         BackloggedSource(
             server, f"scan-{index}", lambda: ("scan", 100.0), WINDOW
         ).start()
-    profile = cProfile.Profile()
-    profile.enable()
-    sim.run(until=HORIZON)
-    collector.result()
-    profile.disable()
-    return pstats.Stats(profile), server.completed_requests
+    return profile_run(sim, server, collector, HORIZON)
+
+
+@pytest.fixture(scope="module")
+def indexed_cell():
+    """Figure 8a's shape, reduced: 2DFQ with known costs on 16 threads x
+    1000 units/s, 50 cost-1 and 50 cost-1000 closed-loop tenants, no
+    refresh, 100 ms sampling, 0.5 s simulated.  The backlog keeps
+    selection on the index.  Returns the profile stats, the number of
+    completed requests and the index's churn counters."""
+    sim = Simulation()
+    scheduler = make_scheduler("2dfq", INDEXED_THREADS, thread_rate=INDEXED_RATE)
+    server = ThreadPoolServer(
+        sim,
+        scheduler,
+        num_threads=INDEXED_THREADS,
+        rate=INDEXED_RATE,
+        refresh_interval=None,
+    )
+    collector = MetricsCollector(server, sample_interval=0.1)
+    for index in range(INDEXED_TENANTS // 2):
+        BackloggedSource(server, f"small-{index}", lambda: ("s", 1.0), WINDOW).start()
+        BackloggedSource(
+            server, f"large-{index}", lambda: ("l", 1000.0), WINDOW
+        ).start()
+    stats, completed = profile_run(sim, server, collector, INDEXED_HORIZON)
+    assert scheduler.indexed
+    return stats, completed, scheduler.selection_index.stats()
 
 
 def calls_of(stats: pstats.Stats, function) -> int:
@@ -73,11 +127,28 @@ def calls_of(stats: pstats.Stats, function) -> int:
 def test_calls_per_completed_request_stay_within_budget(profiled_cell):
     stats, completed = profiled_cell
     assert completed > 1000
-    total = sum(entry[1] for entry in stats.stats.values())
-    assert total / completed <= CALLS_PER_REQUEST_BUDGET, (
-        f"{total / completed:.2f} calls per completed request, budget "
+    calls = total_calls(stats) / completed
+    assert calls <= CALLS_PER_REQUEST_BUDGET, (
+        f"{calls:.2f} calls per completed request, budget "
         f"{CALLS_PER_REQUEST_BUDGET:.2f}"
     )
+
+
+def test_indexed_calls_per_completed_request_stay_within_budget(indexed_cell):
+    stats, completed, _ = indexed_cell
+    assert completed > 1000
+    calls = total_calls(stats) / completed
+    assert calls <= INDEXED_CALLS_PER_REQUEST_BUDGET, (
+        f"{calls:.2f} calls per completed request, budget "
+        f"{INDEXED_CALLS_PER_REQUEST_BUDGET:.2f}"
+    )
+
+
+def test_one_index_touch_per_completed_request(indexed_cell):
+    # Known costs: a completion charges exactly 0.0 and the oracle
+    # learns nothing, so only the dispatch re-files the tenant.
+    _, completed, churn = indexed_cell
+    assert churn["touches"] <= completed + PRIMING_TOUCHES, churn
 
 
 def test_one_dispatch_pass_per_completion(profiled_cell):

@@ -114,6 +114,40 @@ class TestExecution:
         assert server.service_received("A") == pytest.approx(4.0)
 
 
+class TestBusyWorkers:
+    def test_counts_workers_holding_a_request_through_faults(self):
+        sim, server = build(num_threads=4)
+        requests = [req(tenant, 10.0) for tenant in "ABCDE"]
+        counts = []
+
+        def count():
+            assert server.busy_workers == sum(w.busy for w in server.workers)
+            counts.append(server.busy_workers)
+
+        count()
+        for request in requests[:3]:
+            server.submit(request)
+        count()
+        server.set_worker_speed(3, 0.0)  # stalled: still holds its request
+        count()
+        server.crash_worker(2, redispatch=True)  # the retry starts on worker 0
+        count()
+        server.crash_worker(0, redispatch=False)
+        count()
+        assert server.abort(requests[0])  # running on the stalled worker 3
+        count()
+        server.submit(requests[3])  # worker 3 is idle again
+        server.submit(requests[4])  # workers 0 and 2 are crashed: it queues
+        count()
+        server.crash()  # frozen in-flight requests stay on their workers
+        count()
+        server.restore()
+        count()
+        sim.run()
+        count()
+        assert counts == [0, 3, 3, 3, 2, 1, 2, 2, 3, 0]
+
+
 class RaisingSource:
     """A closed-loop source whose completion callback fails."""
 
