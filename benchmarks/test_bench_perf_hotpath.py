@@ -2,7 +2,7 @@
 
 Not a paper figure: these locate costs inside the scheduler core, while
 ``benchmarks/e2e`` measures the speed of figure runs.  The bench records
-four sections of ``benchmarks/results/BENCH_manifest.json`` alongside
+five sections of ``benchmarks/results/BENCH_manifest.json`` alongside
 the provenance record (seed, versions, git SHA):
 
 * ``adaptive_selection`` -- the linear-vs-index crossover sweep behind
@@ -26,7 +26,11 @@ the provenance record (seed, versions, git SHA):
   deterministically, with ``tracemalloc``;
 * ``event_loop`` -- events per second through ``Simulation.run`` for 64
   self-rescheduling timers, without and with 10% cancel churn (recorded,
-  not gated).
+  not gated);
+* ``server_backlog`` -- microseconds per completed request of a
+  server-driven 2DFQ^E run on 64 threads with 200, 1000 and 3000
+  closed-loop tenants, the regime the crossover sweep does not reach
+  (recorded, not gated).
 
 Acceptance bars: the thresholds form a hysteresis band, and at full
 scale the 4-thread index wins somewhere inside the sweep, within the 2x
@@ -52,11 +56,13 @@ from hotpath import (
     EVENT_LOOP_TIMERS,
     METRICS_SAMPLE_SHAPES,
     METRICS_SAMPLES,
+    SERVER_BACKLOG_TENANTS,
     measure_adaptive_crossover,
     measure_event_loop,
     measure_export,
     measure_metrics_sample,
     measure_observability_overhead,
+    measure_server_backlog,
 )
 
 #: Pool sizes of the crossover sweep; only the first is gated.
@@ -127,6 +133,16 @@ def _format_event_loop(rows):
     return "\n".join(lines)
 
 
+def _format_server_backlog(rows):
+    lines = [f"{'tenants':>7} {'threads':>7} {'completed':>9} {'us/request':>10}"]
+    for row in rows:
+        lines.append(
+            f"{row['tenants']:>7} {row['threads']:>7} {row['completed']:>9} "
+            f"{row['us_per_request']:>10.2f}"
+        )
+    return "\n".join(lines)
+
+
 def test_bench_perf_hotpath(benchmark, capsys):
     ops = int(os.environ.get("REPRO_BENCH_OPS", "0")) or None
     repeats = int(os.environ.get("REPRO_BENCH_REPEATS", "0")) or 2
@@ -145,6 +161,12 @@ def test_bench_perf_hotpath(benchmark, capsys):
     event_loop = [
         measure_event_loop(churn, events=ops, repeats=repeats)
         for churn in EVENT_LOOP_CHURN
+    ]
+    server_backlog = [
+        measure_server_backlog(
+            tenants, horizon=0.05 if reduced else 0.5, repeats=repeats
+        )
+        for tenants in SERVER_BACKLOG_TENANTS
     ]
     preserved = {
         key: value
@@ -167,6 +189,7 @@ def test_bench_perf_hotpath(benchmark, capsys):
             "adaptive_selection": crossover,
             "metrics_sample": metrics_sample,
             "event_loop": event_loop,
+            "server_backlog": server_backlog,
             **preserved,
         },
     )
@@ -184,7 +207,9 @@ def test_bench_perf_hotpath(benchmark, capsys):
         + f"\n\nmetrics sample cost, first vs last 10% of {METRICS_SAMPLES} samples:\n"
         + _format_metrics_sample(metrics_sample)
         + f"\n\nevent loop, {EVENT_LOOP_TIMERS} self-rescheduling timers:\n"
-        + _format_event_loop(event_loop),
+        + _format_event_loop(event_loop)
+        + "\n\nserver-driven 2DFQ^E, closed-loop tenants:\n"
+        + _format_server_backlog(server_backlog),
     )
     for sweep in crossover.values():
         assert sweep["auto_high"] > sweep["auto_low"] > 0
@@ -202,3 +227,5 @@ def test_bench_perf_hotpath(benchmark, capsys):
         assert row["first_us"] > 0 and row["last_us"] > 0, row
     for row in event_loop:
         assert row["events_per_s"] > 0, row
+    for row in server_backlog:
+        assert row["completed"] > 0, row

@@ -39,8 +39,9 @@ from ..errors import ConfigurationError, SchedulerError
 from ..units import Cost, Rate, SimTime, VirtualTime, Weight
 from .request import Request, RequestPhase
 
-if TYPE_CHECKING:  # import cycle: repro.obs is instrumented *by* core
+if TYPE_CHECKING:  # import cycles: repro.obs is instrumented *by* core
     from ..obs.tracer import Tracer
+    from .selection import Entry
 
 __all__ = ["Scheduler", "TenantState", "MIN_COST", "HeadKey"]
 
@@ -70,11 +71,12 @@ class TenantState:
     active:
         Whether the tenant currently contributes weight to the virtual
         clock (has queued or running work).
-    sel_version:
-        Monotone invalidation counter owned by
-        :class:`~repro.core.selection.SelectionIndex`: heap entries
-        snapshot it at push time and are discarded once it moves on.
-        Schedulers running without an index never touch it.
+    sel_entry:
+        The tenant's entry in the sorted list of a
+        :class:`~repro.core.selection.SelectionIndex`, ``None`` while it
+        is not filed.  Owned by the index; an entry left over from a
+        torn-down index names nothing in the next one.  Schedulers
+        running without an index never touch it.
     head_key:
         Cached :data:`HeadKey` of the head request, ``None`` while
         unknown.  Owned by :class:`~repro.core.vt_base.VirtualTimeScheduler`,
@@ -89,7 +91,7 @@ class TenantState:
         "start_tag",
         "running",
         "active",
-        "sel_version",
+        "sel_entry",
         "head_key",
     )
 
@@ -104,7 +106,7 @@ class TenantState:
         self.start_tag: VirtualTime = 0.0
         self.running = 0
         self.active = False
-        self.sel_version = 0
+        self.sel_entry: Optional[Entry] = None
         self.head_key: Optional[HeadKey] = None
 
     @property

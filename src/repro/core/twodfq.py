@@ -63,8 +63,7 @@ class TwoDFQScheduler(VirtualTimeScheduler):
         # Figure 7, line 20: E_now = { f in A : S_f - (i/n) L^f_max < v(now) }.
         # The stagger is expressed in virtual-time units; following the
         # paper's formulation the offset is the raw estimated cost (the
-        # evaluation uses equal weights, for which this is exact).  The
-        # offsets are distinct, so the index keeps one slot per thread.
+        # evaluation uses equal weights, for which this is exact).
         return tuple(i / num_threads for i in range(num_threads))
 
 

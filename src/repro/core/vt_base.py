@@ -44,10 +44,10 @@ MSF2Q      ``0`` on every thread  start
 =========  =====================  ========
 
 From that declaration this module derives the linear scans, the
-:class:`~repro.core.selection.SelectionIndex` layout (the distinct
-staggers sorted ascending as its slots, a thread-to-slot map, and one
-order heap) and the ``eligible`` and ``stagger`` fields of every traced
-``select`` row, so the three can never disagree.
+:class:`~repro.core.selection.SelectionIndex` queries (the thread's own
+stagger, over one list in the policy's order) and the ``eligible`` and
+``stagger`` fields of every traced ``select`` row, so the three can
+never disagree.
 
 Every policy ranks a backlogged tenant by its head key ``(finish tag,
 clamped head estimate, head seqno)``.  The key is cached on
@@ -67,8 +67,8 @@ known costs charges exactly ``0.0`` and the oracle learns nothing, so
 there the tenant stays filed under its unchanged key.
 
 Selection is adaptive: the scheduler tracks the live backlogged-tenant
-count and switches between the linear scans and the O(log N) index with
-hysteresis around the benchmarked linear/heap crossover
+count and switches between the linear scans and the sorted index with
+hysteresis around the benchmarked linear/index crossover
 (:data:`~VirtualTimeScheduler.AUTO_INDEX_HIGH` /
 :data:`~VirtualTimeScheduler.AUTO_INDEX_LOW`; DESIGN.md §15 records the
 methodology) -- small backlogs keep the cache-friendly linear scan, large
@@ -132,7 +132,7 @@ class VirtualTimeScheduler(Scheduler):
     #: Adaptive-selection hysteresis band, in backlogged tenants: the
     #: index is built when the backlog reaches ``AUTO_INDEX_HIGH`` and
     #: torn down when it falls to ``AUTO_INDEX_LOW``.  The defaults sit
-    #: above the measured linear/heap crossover of the slowest policies
+    #: above the measured linear/index crossover of the slowest policies
     #: (``measure_adaptive_crossover`` in ``benchmarks/hotpath.py``;
     #: DESIGN.md §15), with a 2x band so a backlog oscillating around the
     #: crossover does not thrash index builds.  Set on an instance to pin
@@ -177,11 +177,6 @@ class VirtualTimeScheduler(Scheduler):
                 f"{type(self).__name__} declared {len(staggers)} staggers "
                 f"for {self._num_threads} threads"
             )
-        # The index layout: one slot per distinct stagger, ascending, and
-        # each thread queries the slot of its own stagger.
-        slots = sorted(set(staggers or ()))
-        self._slot_staggers = tuple(slots)
-        self._thread_slots = tuple(slots.index(s) for s in staggers or ())
 
     def _staggers(self, num_threads: int) -> Optional[Sequence[Scalar]]:
         """The policy's eligibility staggers: ``None`` when it has no
@@ -198,8 +193,8 @@ class VirtualTimeScheduler(Scheduler):
 
     @property
     def indexed(self) -> bool:
-        """True when dequeues currently run through the O(log N)
-        selection index (this flips with the backlog)."""
+        """True when dequeues currently run through the selection index
+        (this flips with the backlog)."""
         return self._index is not None
 
     @property
@@ -242,7 +237,7 @@ class VirtualTimeScheduler(Scheduler):
         cached head key and re-files the tenant in the index (or drops
         it there once its queue is empty).  Call it whenever the key can
         move and only then: a missed call leaves a stale key on both
-        selection paths, a spare one costs the index a heap push."""
+        selection paths, a spare one costs the index a re-filing."""
         state.head_key = None
         index = self._index
         if index is not None:
@@ -257,7 +252,9 @@ class VirtualTimeScheduler(Scheduler):
         against the >= AUTO_INDEX_HIGH dequeues the backlog implies
         before the tear-down threshold can be reached."""
         index = SelectionIndex(
-            self._head_key, order=self.order, staggers=self._slot_staggers
+            self._head_key,
+            order=self.order,
+            gated=self._thread_staggers is not None,
         )
         for state in self._backlogged.values():
             index.touch(state)
@@ -340,7 +337,7 @@ class VirtualTimeScheduler(Scheduler):
         if staggers is not None:
             if index is not None:
                 state = index.min_eligible_finish(
-                    self._thread_slots[thread_id], self._eligibility_threshold(vnow)
+                    staggers[thread_id], self._eligibility_threshold(vnow)
                 )
             else:
                 state = self._min_eligible_finish(staggers[thread_id], vnow)
@@ -357,18 +354,14 @@ class VirtualTimeScheduler(Scheduler):
             )
         trace = self._trace
         if trace is not None:
-            # E_now of Figure 7: the set the gated pick chose from.  The
-            # index answers from its gate histogram, drained to this
-            # same threshold by the query above.
+            # E_now of Figure 7: the set the gated pick chose from,
+            # counted by one backlog scan on either path.
             if staggers is None:
                 stagger = 0.0
                 eligible = len(self._backlogged)
             else:
                 stagger = staggers[thread_id]
-                if index is not None:
-                    eligible = index.eligible_count(self._thread_slots[thread_id])
-                else:
-                    eligible = self._eligible_count(stagger, vnow)
+                eligible = self._eligible_count(stagger, vnow)
             trace.select(
                 now,
                 vnow,
@@ -656,7 +649,8 @@ class VirtualTimeScheduler(Scheduler):
 
     def _eligible_count(self, stagger: Scalar, vnow: VirtualTime) -> int:
         """Size of the eligibility set :meth:`_min_eligible_finish`
-        chooses from (tracing only)."""
+        chooses from: the ``eligible`` field of traced ``select`` rows
+        on both selection paths."""
         threshold = self._eligibility_threshold(vnow)
         head_key = self._head_key
         return sum(

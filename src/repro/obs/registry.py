@@ -3,8 +3,8 @@
 A :class:`MetricsRegistry` is the numeric side of the observability
 subsystem: where the :class:`~repro.obs.tracer.Tracer` records *events*
 (one object per decision), the registry records *aggregates* -- how many
-dispatches ran, how many stale heap entries the
-:class:`~repro.core.selection.SelectionIndex` popped, how long the hot
+dispatches ran, how many entries the
+:class:`~repro.core.selection.SelectionIndex` filed, how long the hot
 path spent inside the timed loop.  Instruments are created lazily on
 first use and identified by dotted names (``server.refresh_reports``),
 so instrumentation sites never need registration boilerplate.
