@@ -18,8 +18,8 @@ metrics sampler; the end-to-end speed of figure runs is measured by
   any per-sample cost that grows with the samples already taken.
 
 * :func:`measure_event_loop` -- events per second through
-  ``Simulation.run`` for self-rescheduling timers, with and without
-  cancel churn (the event kernel, DESIGN.md §8).
+  ``Simulation.run`` for self-rescheduling timers (the event kernel,
+  DESIGN.md §8).
 
 * :func:`measure_server_backlog` -- microseconds per completed request
   of a server-driven 2DFQ^E run on 64 threads with hundreds to
@@ -69,13 +69,11 @@ from repro.obs.flight import FlightRecorder
 from repro.obs.registry import Timer
 from repro.obs.tracer import Tracer
 from repro.simulator.clock import Simulation
-from repro.simulator.events import EventHandle
 from repro.simulator.rng import make_rng
 from repro.simulator.server import ThreadPoolServer
 from repro.simulator.sources import BackloggedSource
 
 __all__ = [
-    "EVENT_LOOP_CHURN",
     "EVENT_LOOP_TIMERS",
     "measure_adaptive_crossover",
     "measure_dequeue_throughput",
@@ -471,62 +469,42 @@ def measure_metrics_sample(
     }
 
 
-#: Self-rescheduling timers in the event-loop cells, the share of ticks
-#: that also arm a timeout for the timer's next tick to cancel, and the
-#: events fired per timed run at full scale.
+#: Self-rescheduling timers in the event-loop cell and the events fired
+#: per timed run at full scale.
 EVENT_LOOP_TIMERS = 64
-EVENT_LOOP_CHURN = (0.0, 0.1)
 EVENT_LOOP_EVENTS = 200_000
 
 
-def _no_timeout() -> None:
-    pass
-
-
 def measure_event_loop(
-    churn: float, events: Optional[int] = None, repeats: int = 2
+    events: Optional[int] = None, repeats: int = 2
 ) -> Dict[str, Union[int, float]]:
     """Events per second fired by ``Simulation.run`` for
     :data:`EVENT_LOOP_TIMERS` self-rescheduling timers.
 
     Timer ``i`` ticks every ``1 + i/64`` simulated seconds and re-arms
-    itself with ``after``.  With ``churn`` > 0, that share of ticks (a
-    seeded draw) also arms a timeout 1000 s out, which the timer's next
-    tick cancels: lazy cancellation and heap compaction run inside the
-    loop, as a fleet's deadline timers make them.  ``events`` (default
-    :data:`EVENT_LOOP_EVENTS`) fire per run; the best of ``repeats``
-    runs on fresh simulations is kept.
+    itself with ``after``.  ``events`` (default :data:`EVENT_LOOP_EVENTS`)
+    fire per run; the best of ``repeats`` runs on fresh simulations is
+    kept.
     """
     if events is None:
         events = EVENT_LOOP_EVENTS
     timers = EVENT_LOOP_TIMERS
-    rng = make_rng(0, "hotpath-event-loop", str(churn))
-    arms = (rng.random(events + timers) < churn).tolist()
     best = float("inf")
     clock = time.perf_counter
     for _ in range(max(1, repeats)):
         sim = Simulation()
-        timeouts: List[Optional[EventHandle]] = [None] * timers
-        draws = iter(arms)
 
-        def tick(i: int, period: float) -> None:
-            timeout = timeouts[i]
-            if timeout is not None:
-                sim.cancel(timeout)
-                timeouts[i] = None
-            if next(draws):
-                timeouts[i] = sim.after(1000.0, _no_timeout)
-            sim.after(period, tick, i, period)
+        def tick(period: float) -> None:
+            sim.after(period, tick, period)
 
         for i in range(timers):
-            sim.at(0.0, tick, i, 1.0 + i / timers)
+            sim.at(0.0, tick, 1.0 + i / timers)
         with quiesced_gc():
             start = clock()
             sim.run(max_events=events)
             best = min(best, clock() - start)
     return {
         "timers": timers,
-        "churn": churn,
         "events": events,
         "events_per_s": round(events / best, 1) if best > 0 else 0.0,
     }

@@ -25,8 +25,7 @@ the provenance record (seed, versions, git SHA):
   ``tests/test_metrics_sampling.py`` gates "no per-sample growth"
   deterministically, with ``tracemalloc``;
 * ``event_loop`` -- events per second through ``Simulation.run`` for 64
-  self-rescheduling timers, without and with 10% cancel churn (recorded,
-  not gated);
+  self-rescheduling timers (recorded, not gated);
 * ``server_backlog`` -- microseconds per completed request of a
   server-driven 2DFQ^E run on 64 threads with 200, 1000 and 3000
   closed-loop tenants, the regime the crossover sweep does not reach
@@ -52,7 +51,6 @@ from repro.obs import write_manifest
 
 from conftest import BENCH_MANIFEST, emit, once, read_bench_manifest
 from hotpath import (
-    EVENT_LOOP_CHURN,
     EVENT_LOOP_TIMERS,
     METRICS_SAMPLE_SHAPES,
     METRICS_SAMPLES,
@@ -124,13 +122,11 @@ def _format_metrics_sample(rows):
     return "\n".join(lines)
 
 
-def _format_event_loop(rows):
-    lines = [f"{'churn':>6} {'events':>8} {'events/s':>11}"]
-    for row in rows:
-        lines.append(
-            f"{row['churn']:>6.2f} {row['events']:>8} {row['events_per_s']:>11.1f}"
-        )
-    return "\n".join(lines)
+def _format_event_loop(row):
+    return (
+        f"{'events':>8} {'events/s':>11}\n"
+        f"{row['events']:>8} {row['events_per_s']:>11.1f}"
+    )
 
 
 def _format_server_backlog(rows):
@@ -158,10 +154,7 @@ def test_bench_perf_hotpath(benchmark, capsys):
         measure_metrics_sample(tenants, threads)
         for tenants, threads in METRICS_SAMPLE_SHAPES
     ]
-    event_loop = [
-        measure_event_loop(churn, events=ops, repeats=repeats)
-        for churn in EVENT_LOOP_CHURN
-    ]
+    event_loop = measure_event_loop(events=ops, repeats=repeats)
     server_backlog = [
         measure_server_backlog(
             tenants, horizon=0.05 if reduced else 0.5, repeats=repeats
@@ -225,7 +218,6 @@ def test_bench_perf_hotpath(benchmark, capsys):
     assert export["jsonl_s_per_10k"] > 0 and export["chrome_s_per_10k"] > 0, export
     for row in metrics_sample:
         assert row["first_us"] > 0 and row["last_us"] > 0, row
-    for row in event_loop:
-        assert row["events_per_s"] > 0, row
+    assert event_loop["events_per_s"] > 0, event_loop
     for row in server_backlog:
         assert row["completed"] > 0, row

@@ -3,14 +3,14 @@
 The paper evaluates all schedulers "in a discrete event simulator where
 requests were scheduled across a fixed number of threads" (§6); this
 package is that simulator: a deterministic event loop
-(:class:`Simulation`), a worker-pool server (:class:`ThreadPoolServer`)
-implementing refresh charging, workload sources, an exact fluid GPS
-reference (:class:`GPSReference`) for the service-lag metric, and seeded
-RNG utilities.
+(:class:`Simulation`, which owns the event heap; an :class:`EventHandle`
+is cancelled only through :meth:`Simulation.cancel`), a worker-pool
+server (:class:`ThreadPoolServer`) implementing refresh charging,
+workload sources, an exact fluid GPS reference (:class:`GPSReference`)
+for the service-lag metric, and seeded RNG utilities.
 """
 
-from .clock import Simulation
-from .events import EventHandle, EventQueue
+from .clock import EventHandle, Simulation
 from .gps import GPSReference
 from .rng import make_rng, stable_hash
 from .server import ThreadPoolServer, Worker
@@ -18,7 +18,6 @@ from .sources import BackloggedSource, Source, TraceSource
 
 __all__ = [
     "Simulation",
-    "EventQueue",
     "EventHandle",
     "ThreadPoolServer",
     "Worker",

@@ -1,37 +1,66 @@
 """The simulation event loop.
 
 A :class:`Simulation` owns the wallclock (``now``, in seconds) and the
-event queue, and runs callbacks in timestamp order.  All components --
+event heap, and runs callbacks in timestamp order.  All components --
 servers, workload sources, metric samplers -- schedule their activity
 through it, which makes every experiment single-threaded, deterministic,
 and immune to Python's GIL (see DESIGN.md: the paper itself evaluates in
 a discrete-event simulator).
+
+Events are ``(time, seq)``-ordered entries of one binary heap; the
+sequence number keeps events scheduled for the same instant in FIFO
+order.  Cancellation is lazy: :meth:`Simulation.cancel` marks the
+handle and the entry stays in the heap until :meth:`Simulation.run`
+reaches it and drops it (DESIGN.md §8, "The event kernel").
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..units import Duration, SimTime
-from .events import EventHandle, EventQueue
 
-__all__ = ["Simulation"]
+__all__ = ["EventHandle", "Simulation"]
+
+
+class EventHandle:
+    """Opaque handle to a scheduled event; pass it to
+    :meth:`Simulation.cancel`.  ``cancelled`` is set once the event is
+    cancelled or has fired."""
+
+    __slots__ = ("time", "seq", "fn", "args", "cancelled")
+
+    def __init__(
+        self, time: SimTime, seq: int, fn: Callable[..., Any], args: Tuple[Any, ...]
+    ) -> None:
+        self.time: SimTime = time
+        self.seq = seq
+        self.fn: Optional[Callable[..., Any]] = fn
+        self.args = args
+        self.cancelled = False
+
+    def __repr__(self) -> str:
+        state = "cancelled" if self.cancelled else "pending"
+        return f"EventHandle(t={self.time:g}, seq={self.seq}, {state})"
 
 
 class Simulation:
-    """Discrete-event simulation loop over one :class:`EventQueue`.
+    """Discrete-event simulation loop over one event heap.
 
     ``now`` is the current simulated wallclock time in seconds, a plain
     attribute that only :meth:`run` advances.  :meth:`at`, :meth:`after`,
-    :meth:`cancel` and :meth:`run` are the only ways to schedule and fire
-    events.
+    :meth:`cancel` and :meth:`run` are the only ways to schedule, cancel
+    and fire events.
     """
 
     def __init__(self) -> None:
-        self._queue = EventQueue()
+        self._heap: List[Tuple[SimTime, int, EventHandle]] = []
+        self._seq = itertools.count()
+        self._live = 0  # scheduled events neither cancelled nor fired
         self.now: SimTime = 0.0
         self._running = False
         self._stopped = False
@@ -41,7 +70,7 @@ class Simulation:
 
     @property
     def pending_events(self) -> int:
-        return len(self._queue)
+        return self._live
 
     @property
     def events_processed(self) -> int:
@@ -49,20 +78,11 @@ class Simulation:
 
     @property
     def cancelled_backlog(self) -> int:
-        """Cancelled-but-unpurged entries in the event heap (the memory
-        cost of lazy cancellation; exported as an obs gauge)."""
-        return self._queue.cancelled_backlog
-
-    @property
-    def event_purges(self) -> int:
-        """Compaction passes the event heap has performed."""
-        return self._queue.purges
+        """Cancelled entries still in the event heap (the memory cost of
+        lazy cancellation; exported as an obs gauge)."""
+        return len(self._heap) - self._live
 
     # -- scheduling -------------------------------------------------------------
-    #
-    # ``at`` and ``after`` push onto the queue's heap directly (one handle,
-    # one heappush) instead of through ``EventQueue.push``: they run once
-    # per scheduled event, and the queue is this kernel's own structure.
 
     def at(self, time: SimTime, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` at absolute simulated time ``time``."""
@@ -73,10 +93,9 @@ class Simulation:
             raise SimulationError(f"event time must be >= now {now}, got {time}")
         if time < now:
             time = now
-        queue = self._queue
-        handle = EventHandle(time, next(queue._seq), fn, args)
-        heapq.heappush(queue._heap, (time, handle.seq, handle))
-        queue._live += 1
+        handle = EventHandle(time, next(self._seq), fn, args)
+        heapq.heappush(self._heap, (time, handle.seq, handle))
+        self._live += 1
         return handle
 
     def after(self, delay: Duration, fn: Callable[..., Any], *args: Any) -> EventHandle:
@@ -84,14 +103,19 @@ class Simulation:
         if not delay >= 0:
             raise SimulationError(f"delay must be >= 0, got {delay}")
         time = self.now + delay
-        queue = self._queue
-        handle = EventHandle(time, next(queue._seq), fn, args)
-        heapq.heappush(queue._heap, (time, handle.seq, handle))
-        queue._live += 1
+        handle = EventHandle(time, next(self._seq), fn, args)
+        heapq.heappush(self._heap, (time, handle.seq, handle))
+        self._live += 1
         return handle
 
     def cancel(self, handle: EventHandle) -> None:
-        self._queue.cancel(handle)
+        """Cancel a scheduled event; a no-op if it already fired or was
+        cancelled.  Its heap entry stays until :meth:`run` reaches it."""
+        if not handle.cancelled:
+            handle.cancelled = True
+            handle.fn = None  # free references early
+            handle.args = ()
+            self._live -= 1
 
     def stop(self) -> None:
         """Stop the loop after the current event returns."""
@@ -102,7 +126,7 @@ class Simulation:
     def run(
         self, until: Optional[SimTime] = None, max_events: Optional[int] = None
     ) -> SimTime:
-        """Process events until the queue drains, ``until`` is reached, or
+        """Process events until the heap drains, ``until`` is reached, or
         ``max_events`` have fired.  Returns the final simulated time.
 
         When ``until`` is given, time is advanced exactly to ``until`` even
@@ -130,26 +154,28 @@ class Simulation:
             limit = max_events
         self._running = True
         self._stopped = False
-        # A live top that is due pops inline, with pop_due's bookkeeping
-        # (live count, handle marked consumed).  Everything else --
-        # a cancelled top, the horizon, an empty heap and its live-count
-        # check -- goes through ``pop_due``.  Compaction rebuilds the heap
-        # list in place, so ``heap`` stays current.
-        queue = self._queue
-        heap = queue._heap
-        pop_due = queue.pop_due
+        # One check serves every due top: pop it, and skip it if it was
+        # cancelled.  So a dead entry leaves the heap once the loop passes
+        # its time, and a top past the horizon ends the loop.
+        heap = self._heap
         heappop = heapq.heappop
         processed = self._events_processed
         try:
             while processed < limit and not self._stopped:
-                if heap and not heap[0][2].cancelled and heap[0][0] <= horizon:
-                    handle = heappop(heap)[2]
-                    queue._live -= 1
-                    handle.cancelled = True
-                else:
-                    handle = pop_due(horizon)
-                    if handle is None:
-                        break
+                if not (heap and heap[0][0] <= horizon):
+                    if not heap and self._live:
+                        # Raise (never assert: python -O would strip the
+                        # check) -- this is state corruption.
+                        raise SimulationError(
+                            f"event heap reports {self._live} pending events "
+                            "but holds none (live-count/heap divergence)"
+                        )
+                    break
+                handle = heappop(heap)[2]
+                if handle.cancelled:
+                    continue
+                self._live -= 1
+                handle.cancelled = True  # consumed: a later cancel is a no-op
                 self.now = handle.time
                 fn, args = handle.fn, handle.args
                 handle.fn = None  # free references early
@@ -163,9 +189,12 @@ class Simulation:
                     )
                 fn(*args)
             if until is not None and self.now < until and not self._stopped:
-                due = self._queue.peek_time() if processed >= limit else None
-                if due is None or due > until:
-                    self.now = until
+                if processed >= limit:  # cut short: is a live event still due?
+                    while heap and heap[0][0] <= until and heap[0][2].cancelled:
+                        heappop(heap)
+                    if heap and heap[0][0] <= until:
+                        return self.now
+                self.now = until
         finally:
             self._running = False
         return self.now

@@ -29,9 +29,12 @@ from typing import Dict, Iterable, List, Tuple
 
 from ..errors import ConfigurationError, SimulationError
 from ..units import Cost, Rate, SimTime, VirtualTime, Weight
-from .events import DEFAULT_PURGE_THRESHOLD
 
-__all__ = ["Arrival", "GPSReference"]
+__all__ = ["Arrival", "GPSReference", "DEFAULT_PURGE_THRESHOLD"]
+
+#: Minimum stale backlog before the emptying-time heap is compacted;
+#: keeps small references from compacting constantly.
+DEFAULT_PURGE_THRESHOLD = 64
 
 #: One replayed arrival: ``(flow_id, cost, now, weight)``.
 Arrival = Tuple[str, Cost, SimTime, Weight]

@@ -504,7 +504,6 @@ class ThreadPoolServer:
             registry.gauge("events.cancelled_backlog").set(
                 self.sim.cancelled_backlog
             )
-            registry.gauge("events.purges").set(self.sim.event_purges)
         self._refresh_scheduled = False
         # Keep ticking while there is work; the timer re-arms on the next
         # submit otherwise, so an idle server costs no events.

@@ -1,12 +1,12 @@
 """Unit tests for the discrete-event simulation loop."""
 
+import heapq
 import math
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulator.clock import Simulation
-from repro.simulator.events import DEFAULT_PURGE_THRESHOLD
+from repro.simulator.clock import EventHandle, Simulation
 from repro.simulator.rng import make_rng
 
 
@@ -60,6 +60,123 @@ class TestScheduling:
         sim.cancel(handle)
         sim.run()
         assert seen == []
+
+    def test_exact_ties_fire_in_schedule_order(self):
+        sim = Simulation()
+        seen = []
+        handles = [sim.at(7.0, seen.append, i) for i in range(10)]
+        assert [h.seq for h in handles] == sorted(h.seq for h in handles)
+        sim.run()
+        assert seen == list(range(10))
+
+    def test_out_of_order_schedules_fire_in_time_order(self):
+        sim = Simulation()
+        fired = []
+        sim.at(3.0, fired.append, "c")
+        sim.at(1.0, fired.append, "a")
+        sim.at(2.0, fired.append, "b")
+        assert sim.run() == 3.0
+        assert fired == ["a", "b", "c"]
+
+    def test_simultaneous_events_keep_seq_order(self):
+        sim = Simulation()
+        fired = []
+        first = sim.at(1.0, fired.append, "first")
+        second = sim.at(1.0, fired.append, "second")
+        assert first.seq < second.seq
+        sim.run(max_events=1)
+        assert fired == ["first"]
+        assert sim.pending_events == 1
+
+
+class TestCancellation:
+    def test_cancelled_events_skipped(self):
+        sim = Simulation()
+        seen = []
+        h1 = sim.at(1.0, seen.append, 1.0)
+        sim.at(2.0, seen.append, 2.0)
+        sim.cancel(h1)
+        assert sim.pending_events == 1
+        assert sim.run() == 2.0
+        assert seen == [2.0]
+        assert sim.events_processed == 1
+
+    def test_double_cancel_is_idempotent(self):
+        sim = Simulation()
+        h = sim.at(1.0, lambda: None)
+        sim.cancel(h)
+        sim.cancel(h)
+        assert sim.pending_events == 0
+        assert sim.cancelled_backlog == 1
+        assert sim.run() == 0.0
+        assert sim.events_processed == 0
+        assert sim.cancelled_backlog == 0
+
+    def test_run_over_only_cancelled_events_fires_nothing(self):
+        assert Simulation().run() == 0.0
+        sim = Simulation()
+        fired = []
+        sim.cancel(sim.at(1.0, fired.append, "cancelled"))
+        assert sim.run() == 0.0
+        assert fired == []
+        assert sim.events_processed == 0
+        assert sim.pending_events == 0
+
+    def test_cancel_frees_references(self):
+        sim = Simulation()
+        payload = object()
+        h = sim.at(1.0, lambda x: None, payload)
+        sim.cancel(h)
+        assert h.args == ()
+        assert h.fn is None
+
+    def test_pending_events_counts_live_events(self):
+        sim = Simulation()
+        handles = [sim.at(float(i), lambda: None) for i in range(5)]
+        sim.cancel(handles[2])
+        sim.cancel(handles[4])
+        assert sim.pending_events == 3
+        assert sim.cancelled_backlog == 2
+        sim.run()
+        assert sim.events_processed == 3
+        assert sim.pending_events == 0
+        assert sim.cancelled_backlog == 0
+
+    def test_simulation_is_the_only_cancel_path(self):
+        # A handle that cancelled itself left the kernel's live count one
+        # too high: the next drain raised a live-count/heap divergence.
+        assert not hasattr(EventHandle, "cancel")
+
+    def test_cancel_of_a_fired_handle_is_a_no_op(self):
+        sim = Simulation()
+        seen = []
+        first = sim.at(1.0, seen.append, 1)
+        sim.at(2.0, seen.append, 2)
+        sim.at(3.0, seen.append, 3)
+        sim.run(until=1.5)
+        assert sim.pending_events == 2
+        sim.cancel(first)  # already fired
+        sim.cancel(first)
+        assert sim.pending_events == 2
+        assert sim.cancelled_backlog == 0
+        sim.run()
+        assert seen == [1, 2, 3]
+        assert sim.pending_events == 0
+        assert sim.events_processed == 3
+
+    def test_backlog_after_until_counts_cancels_past_the_horizon(self):
+        sim = Simulation()
+        handles = [sim.at(float(t), lambda: None) for t in range(1, 21)]
+        cancelled = [h for h in handles if h.seq % 3 != 1]
+        for h in cancelled:
+            sim.cancel(h)
+        horizon = 11.5
+        sim.run(until=horizon)
+        assert sim.now == horizon
+        assert sim.cancelled_backlog == sum(h.time > horizon for h in cancelled)
+        assert sim.pending_events == sum(
+            h.time > horizon for h in handles if h not in cancelled
+        )
 
 
 class TestRunSemantics:
@@ -135,6 +252,17 @@ class TestRunSemantics:
         assert sim.run(until=6.0) == 6.0
         assert seen == [1.0, 2.0]
 
+    def test_max_events_cut_ignores_cancelled_due_events(self):
+        sim = Simulation()
+        seen = []
+        sim.at(1.0, seen.append, 1.0)
+        sim.cancel(sim.at(2.0, seen.append, 2.0))
+        sim.at(9.0, seen.append, 9.0)
+        assert sim.run(until=5.0, max_events=1) == 5.0
+        assert sim.cancelled_backlog == 0
+        assert sim.run() == 9.0
+        assert seen == [1.0, 9.0]
+
     def test_stop_from_callback(self):
         sim = Simulation()
         seen = []
@@ -174,19 +302,19 @@ def run_random_program(seed, budget=300):
     Callbacks schedule children at ``now`` (``at`` and ``after(0)``), a
     hair before ``now`` (clamped to it), later, and exactly at the run's
     ``until``; cancel pending handles; cancel handles that already fired
-    (a no-op); cancel a burst of fresh handles, enough for the event heap
-    to compact in the middle of ``run``; and call ``stop()``.  The program
-    runs in segments with and without ``until`` and ``max_events``, and
-    each segment's end state is checked: ``now``, ``events_processed``,
+    (a no-op); cancel a burst of fresh handles, more than are pending, in
+    the middle of ``run``; and call ``stop()``.  The program runs in
+    segments with and without ``until`` and ``max_events``, and each
+    segment's end state is checked: ``now``, ``events_processed``,
     ``pending_events``, and why the loop returned.  Returns the number of
-    events fired and the number of compactions a callback triggered.
+    events fired and the number of cancel bursts.
     """
     rng = make_rng(seed, "simulation-program")
     sim = Simulation()
     pending = {}  # order -> (time, order, handle)
     fired = []  # (time, order) in firing order
     fired_handles = []
-    state = {"orders": 0, "horizon": math.inf, "stopped": False, "purges": 0}
+    state = {"orders": 0, "horizon": math.inf, "stopped": False, "bursts": 0}
 
     def schedule(time=None, delay=None):
         order = state["orders"]
@@ -236,15 +364,13 @@ def run_random_program(seed, budget=300):
         elif action < 0.40:
             sim.cancel(fired_handles[int(rng.integers(len(fired_handles)))])
         elif action < 0.43 and budget_left:
-            before = sim.event_purges
             first = state["orders"]
-            for _ in range(len(pending) + 2 * DEFAULT_PURGE_THRESHOLD):
+            for _ in range(len(pending) + 128):
                 schedule(time=grid_time(40))
             for order in range(first, state["orders"]):
                 sim.cancel(pending.pop(order)[2])
-            assert sim.event_purges > before
-            state["purges"] += sim.event_purges - before
-            schedule(time=sim.now)  # pushed after the in-run compaction
+            state["bursts"] += 1
+            schedule(time=sim.now)  # pushed over the burst's dead entries
         elif action < 0.45:
             sim.stop()
             state["stopped"] = True
@@ -287,14 +413,95 @@ def run_random_program(seed, budget=300):
         if until is not None and expected < until and not due:
             expected = until
         assert sim.now == expected
-    return len(fired), state["purges"]
+    return len(fired), state["bursts"]
+
+
+def run_cancel_trace(seed, ops=4000, cancel_bias=0.2):
+    """Drive one :class:`Simulation` through a seeded trace of scheduling,
+    cancels, cancel bursts and one-event runs, checked at every step
+    against an oracle: the pending ``(time, order)`` keys, whose minimum
+    must fire next, and the cancelled keys, whose heap entries
+    (``cancelled_backlog``) stay until the loop passes them.  Times mix
+    exact ties, near events and far-future outliers.  Returns the firing
+    order as ``(time, order)`` keys.
+    """
+    rng = make_rng(seed, "simulation-cancel-trace", str(cancel_bias))
+    sim = Simulation()
+    live = {}  # order -> ((time, order), handle)
+    dead = []  # heap of cancelled (time, order) keys
+    fired = []  # orders in firing order
+    keys = []  # order -> (time, order)
+    cancels = 0
+
+    def schedule(time):
+        order = len(keys)
+        handle = sim.at(time, fired.append, order)
+        keys.append((handle.time, order))
+        live[order] = (keys[order], handle)
+        return order
+
+    for _ in range(ops):
+        r = rng.random()
+        if r < 0.55 or not live:
+            u = rng.random()
+            if u < 0.10:
+                schedule(sim.now + float(int(rng.integers(0, 3))))  # exact ties
+            elif u < 0.18:
+                schedule(sim.now + float(rng.exponential(2_000.0)))
+            else:
+                schedule(sim.now + float(rng.exponential(5.0)))
+        elif r < 0.55 + cancel_bias:
+            victim = sorted(live)[int(rng.integers(len(live)))]
+            key, handle = live.pop(victim)
+            sim.cancel(handle)
+            heapq.heappush(dead, key)
+            cancels += 1
+        elif r < 0.555 + cancel_bias:
+            for _ in range(len(live) + 128):  # a burst of cancelled timeouts
+                order = schedule(sim.now + float(rng.exponential(5.0)))
+                key, handle = live.pop(order)
+                sim.cancel(handle)
+                heapq.heappush(dead, key)
+                cancels += 1
+        else:
+            expected = min(key for key, _ in live.values())
+            sim.run(max_events=sim.events_processed + 1)
+            assert keys[fired[-1]] == expected
+            assert sim.now == expected[0]
+            del live[expected[1]]
+            while dead and dead[0] < expected:
+                heapq.heappop(dead)
+        assert sim.pending_events == len(live)
+        assert sim.cancelled_backlog == len(dead)
+    sim.run()
+    assert sim.pending_events == 0
+    assert sim.cancelled_backlog == 0
+    order = [keys[o] for o in fired]
+    assert order == sorted(order)
+    assert len(order) + cancels == len(keys)
+    return order
 
 
 class TestRandomPrograms:
     def test_seeded_programs_match_the_oracle(self):
         """Thirty seeded random programs: exact firing order, counts and
-        final clock against the oracle, with compactions mid-run."""
+        final clock against the oracle, with cancel bursts mid-run."""
+        bursts = 0
         for seed in range(30):
-            events, purges = run_random_program(seed)
+            events, seed_bursts = run_random_program(seed)
             assert events > 50
-            assert purges > 0
+            bursts += seed_bursts
+        assert bursts > 0
+
+    def test_seeded_cancel_traces_match_the_oracle(self):
+        """Six seeds of mixed scheduling and cancel traffic: exact
+        ``(time, order)`` firing order, pending count and dead-entry
+        backlog against the oracle at every step."""
+        for seed in range(6):
+            order = run_cancel_trace(seed)
+            assert len(order) > 500
+
+    def test_cancel_heavy_trace_matches_the_oracle(self):
+        """One seed where cancels crowd out firings, so dead entries pile
+        up ahead of live ones: the firing order must still match."""
+        assert len(run_cancel_trace(99, ops=3000, cancel_bias=0.38)) > 300
