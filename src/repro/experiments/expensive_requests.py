@@ -24,7 +24,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..metrics.collector import RunMetrics
+from ..metrics.collector import RunMetrics, dispatch_columns
 from ..workloads.synthetic import expensive_requests_population
 from .config import ExperimentConfig
 from .runner import ComparisonResult, run_comparison
@@ -158,16 +158,11 @@ def occupancy_expensive_fraction(
     (Figure 8b in one number per thread).  Under 2DFQ the vector is a
     step function -- some threads ~1.0, the rest ~0.0; under WFQ/WF2Q it
     is near-uniform."""
-    # Python lists accumulate the same IEEE sums as float64 arrays,
-    # without a numpy scalar round trip per record.
-    busy_time = [0.0] * num_threads
-    expensive_time = [0.0] * num_threads
-    for thread_id, _, _, cost, start, end in run.dispatch_log:
-        duration = end - start
-        busy_time[thread_id] += duration
-        if cost >= cost_threshold:
-            expensive_time[thread_id] += duration
-    busy = np.array(busy_time)
-    expensive = np.array(expensive_time)
+    threads, costs, durations = dispatch_columns(run.dispatch_log, num_threads)
+    busy = np.bincount(threads, weights=durations, minlength=num_threads)
+    expensive = costs >= cost_threshold
+    expensive_time = np.bincount(
+        threads[expensive], weights=durations[expensive], minlength=num_threads
+    )
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(busy > 0, expensive / busy, 0.0)
+        return np.where(busy > 0, expensive_time / busy, 0.0)

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..metrics.latency import percentiles, quantiles
 from ..workloads.azure import backlogged_variant, named_tenants, random_tenants
 from ..workloads.spec import TenantSpec
 from ..workloads.synthetic import FIXED_COST_IDS, fixed_cost_tenants
@@ -189,7 +190,7 @@ class LagCDF:
     def quantile(self, q: float) -> float:
         if self.values.size == 0:
             return float("nan")
-        return float(np.quantile(self.values, q))
+        return quantiles(self.values, (q,))[0]
 
 
 def lag_sigma_cdfs(
@@ -231,7 +232,7 @@ def fixed_cost_lag_ranges(
             lag = run.service_series(tenant).lag_seconds(reference_rate)
             if lag.size == 0:
                 continue
-            p1, p99 = np.percentile(lag, [1, 99])
-            ranges[tenant] = (float(p1), float(p99))
+            p1, p99 = percentiles(lag, (1, 99))
+            ranges[tenant] = (p1, p99)
         out[name] = ranges
     return out

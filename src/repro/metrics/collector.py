@@ -33,7 +33,17 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence
+from operator import itemgetter, sub
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -43,7 +53,7 @@ from ..simulator.gps import Arrival, GPSReference
 from ..simulator.server import ThreadPoolServer
 from .gini import gini_rows
 from .latency import LatencyStats, latency_stats
-from .service import ServiceSeries, lag_std
+from .service import ServiceSeries, _check_reference_rate, lag_std
 from .store import MetricsPartial
 
 if TYPE_CHECKING:  # import cycle: the fleet collector subclasses this one
@@ -53,6 +63,7 @@ __all__ = [
     "DispatchRecord",
     "MetricsCollector",
     "RunMetrics",
+    "dispatch_columns",
     "validate_sampling",
 ]
 
@@ -71,6 +82,38 @@ class DispatchRecord(NamedTuple):
 
 # Builds a DispatchRecord without the NamedTuple's Python-level __new__.
 _new_record = tuple.__new__
+
+
+def dispatch_columns(
+    log: Sequence[DispatchRecord], num_threads: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The thread ids, costs and durations (``end - start``) of a
+    dispatch log as fresh arrays, in log order, for the per-thread
+    ``np.bincount`` sums of the occupancy reductions: bincount adds in
+    input order, so each sum has the bits of a per-record loop.  Each
+    column is read straight into its array, so the log's size in
+    temporaries is three float64 columns.
+
+    Raises ``ValueError`` naming the first record whose thread id lies
+    outside ``range(num_threads)``: indexing would fold a negative id
+    into the last thread, and ``minlength`` would silently lengthen the
+    result for an id past the end."""
+    n = len(log)
+    threads = np.fromiter(map(itemgetter(0), log), dtype=np.intp, count=n)
+    outside = (threads < 0) | (threads >= num_threads)
+    if outside.any():
+        index = int(np.argmax(outside))
+        raise ValueError(
+            f"dispatch record {index} {log[index]!r} has thread_id "
+            f"{log[index][0]}, outside range(num_threads={num_threads})"
+        )
+    costs = np.fromiter(map(itemgetter(3), log), dtype=float, count=n)
+    durations = np.fromiter(
+        map(sub, map(itemgetter(5), log), map(itemgetter(4), log)),
+        dtype=float,
+        count=n,
+    )
+    return threads, costs, durations
 
 
 def validate_sampling(sample_interval: Duration, warmup: Duration) -> None:
@@ -328,9 +371,29 @@ class RunMetrics:
         tenants: Optional[Sequence[str]] = None,
         reference_rate: Optional[Rate] = None,
     ) -> Dict[str, float]:
-        """sigma(lag) per tenant -- the CDF input of Figures 10/12."""
+        """sigma(lag) per tenant -- the CDF input of Figures 10/12.
+
+        The values of :meth:`lag_sigma` per tenant, bit for bit, from
+        one row-wise ``np.std`` per group of equal-length lag rows; a
+        tenant without a lag row reads 0.0."""
+        if reference_rate is not None:
+            _check_reference_rate(reference_rate)
         names = list(tenants) if tenants is not None else self.tenants()
-        return {t: self.lag_sigma(t, reference_rate) for t in names}
+        lags = self.partial.series.lags
+        groups: Dict[int, List[str]] = {}
+        for tenant in names:
+            row = lags.get(tenant)
+            if row:
+                groups.setdefault(len(row), []).append(tenant)
+        sigmas: Dict[str, float] = {}
+        for length, group in groups.items():
+            matrix = np.frombuffer(
+                b"".join([lags[t] for t in group]), dtype=float
+            ).reshape(len(group), length)
+            if reference_rate is not None:
+                matrix = matrix / reference_rate
+            sigmas.update(zip(group, np.std(matrix, axis=1).tolist()))
+        return {t: sigmas.get(t, 0.0) for t in names}
 
     # -- latency --------------------------------------------------------------
 
@@ -361,14 +424,11 @@ class RunMetrics:
         run expensive requests); under WFQ/WF2Q it is flat -- the
         quantitative version of the occupancy figures.
         """
-        # Python lists accumulate the same IEEE sums as float64 arrays,
-        # without a numpy scalar round trip per record.
-        sums = [0.0] * num_threads
-        counts = [0.0] * num_threads
-        for thread_id, _, _, cost, start, end in self.dispatch_log:
-            duration = end - start
-            sums[thread_id] += np.log10(max(cost, 1e-12)) * duration
-            counts[thread_id] += duration
+        threads, costs, durations = dispatch_columns(self.dispatch_log, num_threads)
+        # In place: log10(max(cost, 1e-12)) * duration, per record.
+        weights = np.log10(np.maximum(costs, 1e-12, out=costs), out=costs)
+        weights *= durations
+        sums = np.bincount(threads, weights=weights, minlength=num_threads)
+        counts = np.bincount(threads, weights=durations, minlength=num_threads)
         with np.errstate(invalid="ignore"):
-            means = np.array(sums) / np.array(counts)
-        return means
+            return sums / counts

@@ -13,6 +13,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from ..units import Cost, Scalar
+from .latency import percentiles
 
 __all__ = ["CostSummary", "cost_summary", "coefficient_of_variation", "cdf_points"]
 
@@ -43,12 +44,11 @@ def cost_summary(samples: Sequence[Cost]) -> CostSummary:
     if array.size == 0:
         nan = float("nan")
         return CostSummary(0, nan, nan, nan, nan, nan)
-    p1, p50, p99 = np.percentile(array, [1, 50, 99])
+    p1, p50, p99 = percentiles(array, (1, 50, 99))
     mean = float(array.mean())
     cov = float(array.std() / mean) if mean > 0 else float("nan")
     return CostSummary(
-        count=int(array.size), mean=mean, p1=float(p1), p50=float(p50),
-        p99=float(p99), cov=cov,
+        count=int(array.size), mean=mean, p1=p1, p50=p50, p99=p99, cov=cov
     )
 
 

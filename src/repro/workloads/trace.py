@@ -31,6 +31,7 @@ from typing import (
 import numpy as np
 
 from ..errors import WorkloadError
+from ..metrics.latency import percentiles
 from ..simulator.rng import make_rng
 from .arrivals import OpenLoopProcess
 from .spec import TenantSpec
@@ -438,14 +439,15 @@ def trace_statistics(trace: Sequence[TraceRecord]) -> dict:
     if not trace:
         return {"requests": 0}
     costs = trace.costs
+    cost_p50, cost_p99 = percentiles(costs, (50, 99))
     return {
         "requests": len(trace),
         "tenants": len(np.unique(trace.tenant_codes)),
         "apis": len(np.unique(trace.api_codes)),
         "duration": float(trace.times[-1] - trace.times[0]),
         "cost_min": float(costs.min()),
-        "cost_p50": float(np.percentile(costs, 50)),
-        "cost_p99": float(np.percentile(costs, 99)),
+        "cost_p50": cost_p50,
+        "cost_p99": cost_p99,
         "cost_max": float(costs.max()),
         "total_cost": float(costs.sum()),
     }
