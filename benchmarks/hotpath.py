@@ -4,10 +4,6 @@ Measurements that locate costs inside the scheduler core and the
 metrics sampler; the end-to-end speed of figure runs is measured by
 ``benchmarks/e2e``.
 
-* :func:`measure_adaptive_crossover` -- forced-index vs linear-scan
-  dequeue throughput over small backlogs, the empirical basis of the
-  adaptive selection thresholds ``AUTO_INDEX_HIGH``/``AUTO_INDEX_LOW``
-  (``VirtualTimeScheduler``; DESIGN.md §15);
 * :func:`measure_observability_overhead` -- the same dispatch cycle with
   tracing disabled, traced, and audited (DESIGN.md §9);
 * :func:`measure_export` -- seconds per 10k rows of the two event
@@ -25,7 +21,7 @@ metrics sampler; the end-to-end speed of figure runs is measured by
   of a server-driven 2DFQ^E run on 64 threads with hundreds to
   thousands of closed-loop tenants (DESIGN.md §15).
 
-The first two time :func:`measure_dequeue_throughput`: full dispatch cycles
+The first times :func:`measure_dequeue_throughput`: full dispatch cycles
 
     dequeue -> complete (retroactive charge + estimator observe)
             -> enqueue a replacement for the same tenant
@@ -39,8 +35,8 @@ time on threads of rate 1.0, about 10^4 times faster than the pool
 could serve costs of 1 to 10^4, so start tags run far ahead of the
 virtual time and most gated queries find no tenant eligible and fall
 back (92-99% of 2DFQ's queries at 16-100 tenants on 4 threads).  There
-the index scans its whole list before falling back, so the crossover
-sweep measures the index at its worst.  A server-driven run
+the selection index scans its whole list before falling back, so the
+driver measures selection at its worst.  A server-driven run
 dispatches only when a worker frees, virtual time keeps up with the
 tags, and the pick is almost always one of the first few entries in
 finish order; :func:`measure_server_backlog` measures that regime.
@@ -53,15 +49,13 @@ from __future__ import annotations
 import contextlib
 import gc
 import statistics
-import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core import make_scheduler
 from repro.core.request import Request
-from repro.core.scheduler import Scheduler
 from repro.metrics import MetricsCollector
 from repro.obs.audit import AuditConfig, FairnessAuditor
 from repro.obs.exporters import write_chrome_trace, write_rows_jsonl
@@ -75,7 +69,6 @@ from repro.simulator.sources import BackloggedSource
 
 __all__ = [
     "EVENT_LOOP_TIMERS",
-    "measure_adaptive_crossover",
     "measure_dequeue_throughput",
     "measure_event_loop",
     "measure_export",
@@ -84,7 +77,6 @@ __all__ = [
     "METRICS_SAMPLE_SHAPES",
     "measure_observability_overhead",
     "measure_server_backlog",
-    "pin_selection",
     "SERVER_BACKLOG_TENANTS",
     "quiesced_gc",
 ]
@@ -117,7 +109,7 @@ _APIS = ("A", "C", "G")
 
 def _default_ops(num_tenants: int) -> int:
     """Dispatches per timing repetition: enough samples to be stable,
-    capped so the O(N) linear reference stays affordable at large N."""
+    capped so the O(N) fallback walks stay affordable at large N."""
     return max(500, min(3000, 300_000 // num_tenants))
 
 
@@ -140,19 +132,6 @@ def _build_backlog(
     return initial
 
 
-def pin_selection(scheduler: Scheduler, path: str) -> None:
-    """Pin a virtual-time scheduler's selection path through its
-    adaptive thresholds: ``"index"`` builds the index at the first
-    enqueue and keeps it, ``"linear"`` never builds it, ``"auto"`` keeps
-    the shipped thresholds."""
-    if path == "index":
-        scheduler.AUTO_INDEX_HIGH, scheduler.AUTO_INDEX_LOW = 1, 0
-    elif path == "linear":
-        scheduler.AUTO_INDEX_HIGH = sys.maxsize
-    elif path != "auto":
-        raise ValueError(f"path must be 'index', 'linear' or 'auto', got {path!r}")
-
-
 def measure_dequeue_throughput(
     scheduler_name: str,
     num_tenants: int,
@@ -160,15 +139,13 @@ def measure_dequeue_throughput(
     thread_rate: float = 1.0,
     ops: Optional[int] = None,
     seed: int = 0,
-    path: str = "index",
     repeats: int = 2,
     tracer_factory: Optional[Callable[[], Tracer]] = None,
 ) -> Dict[str, Union[str, int, float, bool]]:
     """Time ``ops`` full dispatch cycles with ``num_tenants`` backlogged.
 
     Returns a record with ``rps`` (dispatches per wallclock second, best
-    of ``repeats`` runs on freshly built schedulers).  ``path`` pins the
-    selection path (:func:`pin_selection`).  ``tracer_factory`` (one
+    of ``repeats`` runs on freshly built schedulers).  ``tracer_factory`` (one
     fresh tracer per repetition) turns on event emission for the timed
     region; the default ``None`` measures the shipped disabled path.
     """
@@ -182,7 +159,6 @@ def measure_dequeue_throughput(
         scheduler = make_scheduler(
             scheduler_name, num_threads=num_threads, thread_rate=thread_rate
         )
-        pin_selection(scheduler, path)
         if tracer_factory is not None:
             scheduler.attach_tracer(tracer_factory())
         initial = _build_backlog(scheduler_name, num_tenants, seed)
@@ -212,64 +188,9 @@ def measure_dequeue_throughput(
         "scheduler": scheduler_name,
         "tenants": num_tenants,
         "threads": num_threads,
-        "path": path,
         "ops": ops,
         "seconds": best,
         "rps": ops / best if best > 0 else float("inf"),
-    }
-
-
-def measure_adaptive_crossover(
-    scheduler_name: str,
-    tenant_counts: Sequence[int] = (2, 4, 8, 16, 24, 32, 48, 64),
-    num_threads: int = 4,
-    ops: Optional[int] = None,
-    seed: int = 0,
-    repeats: int = 2,
-) -> Dict:
-    """Locate the backlog size where the index starts winning.
-
-    Measures forced-indexed vs linear throughput over a sweep of small
-    backlog sizes and reports the smallest N where the index is at
-    least break-even -- the empirical basis for the adaptive policy's
-    ``AUTO_INDEX_HIGH``/``AUTO_INDEX_LOW`` thresholds (which sit above
-    the slowest policy's crossover with a 2x hysteresis band; see
-    ``VirtualTimeScheduler``).
-    """
-    rows: List[Dict] = []
-    crossover: Optional[int] = None
-    for num_tenants in tenant_counts:
-        indexed, linear = (
-            measure_dequeue_throughput(
-                scheduler_name,
-                num_tenants,
-                num_threads=num_threads,
-                ops=ops,
-                seed=seed,
-                path=path,
-                repeats=repeats,
-            )
-            for path in ("index", "linear")
-        )
-        ratio = indexed["rps"] / linear["rps"] if linear["rps"] else float("inf")
-        rows.append(
-            {
-                "tenants": num_tenants,
-                "indexed_rps": round(float(indexed["rps"]), 1),
-                "linear_rps": round(float(linear["rps"]), 1),
-                "ratio": round(float(ratio), 3),
-            }
-        )
-        if crossover is None and ratio >= 1.0:
-            crossover = num_tenants
-    scheduler = make_scheduler(scheduler_name, num_threads=num_threads)
-    return {
-        "scheduler": scheduler_name,
-        "threads": num_threads,
-        "rows": rows,
-        "crossover_tenants": crossover,
-        "auto_high": getattr(type(scheduler), "AUTO_INDEX_HIGH", None),
-        "auto_low": getattr(type(scheduler), "AUTO_INDEX_LOW", None),
     }
 
 

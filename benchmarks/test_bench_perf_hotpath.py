@@ -2,14 +2,9 @@
 
 Not a paper figure: these locate costs inside the scheduler core, while
 ``benchmarks/e2e`` measures the speed of figure runs.  The bench records
-five sections of ``benchmarks/results/BENCH_manifest.json`` alongside
+four sections of ``benchmarks/results/BENCH_manifest.json`` alongside
 the provenance record (seed, versions, git SHA):
 
-* ``adaptive_selection`` -- the linear-vs-index crossover sweep behind
-  the ``AUTO_INDEX_HIGH``/``AUTO_INDEX_LOW`` thresholds, for the paper's
-  scheduler and WF2Q (one eligibility slot), keyed by name on 4 threads
-  and ``name@threads`` on 16 and 64 (the thresholds ignore the thread
-  count; those rows are recorded, not gated);
 * ``observability`` -- traced and audited dequeue throughput relative to
   the disabled default, and under ``export`` the seconds per 10k rows of
   ``write_rows_jsonl`` and ``write_chrome_trace`` over an unbounded
@@ -28,12 +23,11 @@ the provenance record (seed, versions, git SHA):
   self-rescheduling timers (recorded, not gated);
 * ``server_backlog`` -- microseconds per completed request of a
   server-driven 2DFQ^E run on 64 threads with 200, 1000 and 3000
-  closed-loop tenants, the regime the crossover sweep does not reach
-  (recorded, not gated).
+  closed-loop tenants, the regime the dispatch-cycle driver does not
+  reach (recorded, not gated).
 
-Acceptance bars: the thresholds form a hysteresis band, and at full
-scale the 4-thread index wins somewhere inside the sweep, within the 2x
-band the activation threshold was chosen from.
+Acceptance bars: every cell measures some work, and turning
+observability on is not implausibly faster than leaving it off.
 
 Scale down for smoke runs with ``REPRO_BENCH_OPS`` (dispatches per
 timing cell, default 500-3000 depending on N, and events per event-loop
@@ -55,7 +49,6 @@ from hotpath import (
     METRICS_SAMPLE_SHAPES,
     METRICS_SAMPLES,
     SERVER_BACKLOG_TENANTS,
-    measure_adaptive_crossover,
     measure_event_loop,
     measure_export,
     measure_metrics_sample,
@@ -63,36 +56,10 @@ from hotpath import (
     measure_server_backlog,
 )
 
-#: Pool sizes of the crossover sweep; only the first is gated.
-CROSSOVER_THREADS = (4, 16, 64)
-
 #: Manifest sections owned by *other* bench modules, carried over when
 #: this module rewrites the manifest (write_manifest replaces the file
 #: wholesale).
 PRESERVED_SECTIONS = ("fleet", "parallel_engine")
-
-
-def _crossover_sweeps(ops, repeats):
-    """Crossover sweeps of 2DFQ and WF2Q on every pool size, keyed by
-    name on the gated 4-thread pool and ``name@threads`` elsewhere."""
-    sweeps = {}
-    for threads in CROSSOVER_THREADS:
-        for name in ("2dfq", "wf2q"):
-            key = name if threads == CROSSOVER_THREADS[0] else f"{name}@{threads}"
-            sweeps[key] = measure_adaptive_crossover(
-                name, num_threads=threads, ops=ops, repeats=repeats
-            )
-    return sweeps
-
-
-def _format_crossover(sweep):
-    lines = [f"{'tenants':>7} {'linear rps':>12} {'indexed rps':>12} {'ratio':>7}"]
-    for row in sweep["rows"]:
-        lines.append(
-            f"{row['tenants']:>7} {row['linear_rps']:>12.1f} "
-            f"{row['indexed_rps']:>12.1f} {row['ratio']:>6.3f}x"
-        )
-    return "\n".join(lines)
 
 
 def _format_observability(section):
@@ -143,9 +110,11 @@ def test_bench_perf_hotpath(benchmark, capsys):
     ops = int(os.environ.get("REPRO_BENCH_OPS", "0")) or None
     repeats = int(os.environ.get("REPRO_BENCH_REPEATS", "0")) or 2
     reduced = ops is not None
-    crossover = once(benchmark, lambda: _crossover_sweeps(ops, repeats))
-    observability = measure_observability_overhead(
-        "2dfq", num_tenants=100, ops=ops, repeats=repeats
+    observability = once(
+        benchmark,
+        lambda: measure_observability_overhead(
+            "2dfq", num_tenants=100, ops=ops, repeats=repeats
+        ),
     )
     observability["export"] = measure_export(
         "2dfq", num_tenants=100, ops=ops, repeats=repeats
@@ -179,7 +148,6 @@ def test_bench_perf_hotpath(benchmark, capsys):
         },
         extra={
             "observability": observability,
-            "adaptive_selection": crossover,
             "metrics_sample": metrics_sample,
             "event_loop": event_loop,
             "server_backlog": server_backlog,
@@ -189,13 +157,7 @@ def test_bench_perf_hotpath(benchmark, capsys):
     emit(
         capsys,
         "BENCH: scheduler hot-path dequeue throughput",
-        "\n\n".join(
-            f"adaptive crossover ({sweep['scheduler']}, {sweep['threads']} threads, "
-            f"auto_low={sweep['auto_low']}, auto_high={sweep['auto_high']}):\n"
-            + _format_crossover(sweep)
-            for sweep in crossover.values()
-        )
-        + "\n\nobservability layers (2dfq, 100 tenants):\n"
+        "observability layers (2dfq, 100 tenants):\n"
         + _format_observability(observability)
         + f"\n\nmetrics sample cost, first vs last 10% of {METRICS_SAMPLES} samples:\n"
         + _format_metrics_sample(metrics_sample)
@@ -204,12 +166,6 @@ def test_bench_perf_hotpath(benchmark, capsys):
         + "\n\nserver-driven 2DFQ^E, closed-loop tenants:\n"
         + _format_server_backlog(server_backlog),
     )
-    for sweep in crossover.values():
-        assert sweep["auto_high"] > sweep["auto_low"] > 0
-        assert all(row["indexed_rps"] > 0 and row["linear_rps"] > 0 for row in sweep["rows"])
-        if not reduced and sweep["threads"] == CROSSOVER_THREADS[0]:
-            assert sweep["crossover_tenants"] is not None, sweep
-            assert sweep["crossover_tenants"] <= 2 * sweep["auto_high"], sweep
     # Turning observability ON cannot plausibly be faster than 2x off.
     for mode, row in observability["modes"].items():
         assert row["rps"] > 0, f"observability mode {mode} measured no work"

@@ -2,8 +2,8 @@
 """Extending the framework: write and evaluate your own scheduler.
 
 The virtual-time machinery (tags, retroactive charging, refresh
-charging, estimators, the linear scans and the O(log N) selection index)
-lives in :class:`VirtualTimeScheduler`; a new policy only declares its
+charging, estimators and the sorted selection index, its one selection
+path) lives in :class:`VirtualTimeScheduler`; a new policy only declares its
 per-thread eligibility staggers and a tag order.  This example
 implements "2DFQ-quadratic", a variant whose eligibility stagger grows
 quadratically with the thread index instead of linearly -- concentrating

@@ -74,14 +74,14 @@ class TenantState:
     sel_entry:
         The tenant's entry in the sorted list of a
         :class:`~repro.core.selection.SelectionIndex`, ``None`` while it
-        is not filed.  Owned by the index; an entry left over from a
-        torn-down index names nothing in the next one.  Schedulers
-        running without an index never touch it.
+        is not filed.  Owned by the index; schedulers without one never
+        touch it.
     head_key:
-        Cached :data:`HeadKey` of the head request, ``None`` while
-        unknown.  Owned by :class:`~repro.core.vt_base.VirtualTimeScheduler`,
-        which fills it lazily and clears it wherever the head, the start
-        tag or the head estimate may change.
+        Cached :data:`HeadKey` of the head request, ``None`` while the
+        tenant is not backlogged.  Set by
+        :meth:`SelectionIndex.touch <repro.core.selection.SelectionIndex.touch>`
+        with the entry, wherever the head, the start tag or the head
+        estimate may change.
     """
 
     __slots__ = (

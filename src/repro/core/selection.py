@@ -1,63 +1,65 @@
-"""Indexed tenant selection: one sorted list of head entries.
+"""Tenant selection: one sorted list of head entries.
 
-The selection primitives in :mod:`repro.core.vt_base` -- the first
-tenant in the policy's tag order, and the smallest finish tag among the
-tenants eligible under a stagger -- are linear scans over the backlogged
-set: the reference semantics, at O(N) per ``dequeue``.
-
-:class:`SelectionIndex` files every backlogged tenant exactly once in
-**one Python list sorted by key**, each entry ``(finish tag, head
-estimate, head seqno, start tag, state)``:
+:class:`SelectionIndex` is the only selection path of
+:mod:`repro.core.vt_base`.  It files every backlogged tenant exactly
+once in **one Python list sorted by key**, each entry ``(finish tag,
+head estimate, head seqno, start tag, state)``:
 
 * a query for a stagger walks the list in key order and returns the
-  first entry with ``start - stagger * estimate <= threshold`` -- the
-  linear scan's float expression and ``<=``, so both paths pick the same
-  tenant.  Server-driven runs find one within the first few entries; the
-  walk is O(N) only when nothing is eligible, and the work-conserving
-  fallback is then ``list[0]``;
+  first entry with ``start - stagger * estimate <= threshold`` -- Figure
+  7's eligibility test (lines 20-21), so the first hit is the smallest
+  eligible finish tag.  Server-driven runs find one within the first few
+  entries; the walk is O(N) only when nothing is eligible, and the
+  work-conserving fallback is then ``list[0]``;
 * an ungated start-ordered policy (SFQ) files ``(start tag, ...)`` so
   its pick is ``list[0]`` too; a gated one (MSF2Q) files finish tags and
   scans for its rare start-ordered fallback;
-* :meth:`touch` (the tenant's key may have moved) removes the tenant's
-  entry at once -- ``bisect_left`` plus an identity check -- and queues
-  the tenant; the next query files every queued tenant that is still
-  backlogged, so touches between two queries (dequeue charge, completion
-  reconciliation) cost one filing and the list never holds a stale
-  entry.  :meth:`drop` (the tenant left the backlog) removes it.
+* ties on the tag go to the *smaller* estimated cost, then to the head
+  request's global sequence number.  The size tie-break matches the
+  paper's worked example (Figure 5c: at t=3 the F=4 tie between a4/b4
+  and c1/d1 resolves to the small requests, so WFQ runs four A/B rounds
+  before the C/D block) and minimizes potential blocking when tags are
+  equal.  ``seqno`` is unique per head request, so two entries never
+  compare equal up to the state;
+* :meth:`touch` (the tenant's key may have moved) is the scheduler's
+  single invalidation point.  It removes the tenant's entry --
+  ``bisect_left`` plus an identity check -- and, while the tenant is
+  backlogged, recomputes its head key from the estimator and files the
+  new entry at once with ``insort``.  The list never holds a stale
+  entry, so a query never files anything.
 
 :attr:`TenantState.sel_entry <repro.core.scheduler.TenantState.sel_entry>`
-remembers the filed entry.  An adaptive teardown leaves it behind; the
-identity check makes such a leftover harmless to the next index, which
-holds no entry that *is* it.
+remembers the filed entry; an entry the list does not hold raises
+:class:`~repro.errors.SchedulerError`.
 
-Contract with cost estimators: invalidate when the key moves.  Entries
-are filed from the scheduler's cached head key
-(:attr:`TenantState.head_key <repro.core.scheduler.TenantState.head_key>`),
-the cache the linear scans and the dequeue charge read, and every site
-in :mod:`repro.core.vt_base` where a key can move calls ``_touch``,
-which clears that cache and calls :meth:`touch`.  An estimate may change
-only through ``observe()`` for the same tenant, inside ``complete``
+Contract with cost estimators: invalidate when the key moves.  A touch
+sets the tenant's cached head key
+(:attr:`TenantState.head_key <repro.core.scheduler.TenantState.head_key>`)
+and its entry from one estimate, and every site in
+:mod:`repro.core.vt_base` where a key can move calls :meth:`touch`.  An
+estimate may change only through ``observe()`` for the same tenant,
+inside ``complete``
 (:attr:`CostEstimator.learns <repro.estimation.base.CostEstimator.learns>`
 declares whether it can at all).  An estimator whose estimates move
-otherwise needs ``reindex_backlogged()`` -- on either selection path,
-since both read the cache -- as the fault injector does at each window
-edge.
+otherwise needs ``reindex_backlogged()``, as the fault injector does at
+each window edge.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from ..errors import SchedulerError
+from ..estimation.base import CostEstimator
 from ..units import Scalar, VirtualTime
-from .scheduler import HeadKey, TenantState
+from .scheduler import MIN_COST, TenantState
 
 __all__ = ["SelectionIndex"]
 
 #: One filed tenant: ``(order key, head estimate, head seqno, start tag,
 #: state)``.  The order key is the finish tag, or the start tag for an
-#: ungated start-ordered policy.  ``seqno`` is unique per head request,
-#: so two entries never compare equal up to the state.
+#: ungated start-ordered policy.
 Entry = Tuple[float, float, int, float, TenantState]
 
 
@@ -66,10 +68,9 @@ class SelectionIndex:
 
     Parameters
     ----------
-    head_key:
-        The scheduler's cached head-key function
-        (``VirtualTimeScheduler._head_key``); read when a touched
-        tenant is filed.
+    estimator:
+        Cost estimator that prices a touched tenant's head request; the
+        scheduler swaps it through this attribute.
     order:
         The policy's tag order: ``"finish"`` ranks tenants by ``(finish
         tag, head estimate, head seqno)``, ``"start"`` by ``(start tag,
@@ -81,119 +82,104 @@ class SelectionIndex:
     """
 
     __slots__ = (
-        "_head_key",
+        "estimator",
         "_by_start",
         "_scan_start",
         "_entries",
-        "_dirty",
         "pushes",
         "touches",
     )
 
     def __init__(
         self,
-        head_key: Callable[[TenantState], HeadKey],
+        estimator: CostEstimator,
         order: str = "finish",
         gated: bool = False,
     ) -> None:
-        self._head_key = head_key
+        self.estimator = estimator
         self._by_start = order == "start" and not gated
         self._scan_start = order == "start" and gated
         self._entries: List[Entry] = []
-        #: Tenants touched since the last query, waiting to be filed.
-        self._dirty: List[TenantState] = []
-        # Churn counters (always on): entries filed and touches
-        # received; pushes/touches is the coalescing ratio.
+        # Churn counters (always on): re-filings of backlogged tenants.
+        # Filing is eager, so the two are equal.
         self.pushes = 0
         self.touches = 0
 
     # -- maintenance ---------------------------------------------------------
 
     def touch(self, state: TenantState) -> None:
-        """Re-file a backlogged tenant whose head request, start tag or
-        head estimate may have changed: its entry leaves the list now,
-        the new one is filed at the next query."""
-        self.touches += 1
-        entry = state.sel_entry
-        if entry is not None:
-            self._remove(entry)
-            state.sel_entry = None
-        self._dirty.append(state)
-
-    def drop(self, state: TenantState) -> None:
-        """Remove the entry of a tenant that left the backlog."""
-        entry = state.sel_entry
-        if entry is not None:
-            self._remove(entry)
-            state.sel_entry = None
-
-    def _remove(self, entry: Entry) -> None:
+        """Invalidate a tenant whose head request, start tag or head
+        estimate may have changed: take its entry out and, if it is
+        still backlogged, recompute its head key ``(F_f, l_head, seqno)``
+        with ``F_f = S_f + l_head / phi_f`` (Figure 7, line 21) and
+        ``l_head`` the head estimate clamped to MIN_COST, and file the
+        new entry; otherwise clear the key.  Call it whenever the key
+        can move and only then: a missed call leaves a stale key and
+        entry, a spare one costs a re-filing."""
         entries = self._entries
-        i = bisect_left(entries, entry)
-        # Only this very entry: one left over from a torn-down index
-        # names no entry here.
-        if i < len(entries) and entries[i] is entry:
+        entry = state.sel_entry
+        if entry is not None:
+            i = bisect_left(entries, entry)
+            if i == len(entries) or entries[i] is not entry:
+                raise SchedulerError(
+                    f"tenant {state.tenant_id}'s selection entry is not filed"
+                )
             del entries[i]
-
-    def _file(self) -> None:
-        """File every queued tenant that is still backlogged and not
-        filed yet (a tenant touched twice is queued twice)."""
-        entries = self._entries
-        head_key = self._head_key
-        by_start = self._by_start
-        for state in self._dirty:
-            if state.sel_entry is not None or not state.queue:
-                continue
-            finish, estimate, seqno = state.head_key or head_key(state)
+        queue = state.queue
+        if queue:
+            head = queue[0]
+            estimate = self.estimator.estimate(head)
+            if estimate < MIN_COST:
+                estimate = MIN_COST
             start = state.start_tag
-            entry = (start if by_start else finish, estimate, seqno, start, state)
+            finish = start + estimate / state.weight
+            seqno = head.seqno
+            state.head_key = (finish, estimate, seqno)
+            entry = (start if self._by_start else finish, estimate, seqno, start, state)
             insort(entries, entry)
             state.sel_entry = entry
             self.pushes += 1
-        self._dirty.clear()
+            self.touches += 1
+        else:
+            state.head_key = state.sel_entry = None
 
     # -- queries -------------------------------------------------------------
 
-    def min_order(self) -> Optional[TenantState]:
-        """Backlogged tenant first in the policy's tag order -- the WFQ
-        or SFQ decision, and the work-conserving fallback."""
-        if self._dirty:
-            self._file()
+    def min_order(self) -> Optional[Entry]:
+        """Entry of the backlogged tenant first in the policy's tag
+        order -- the WFQ or SFQ decision, and the work-conserving
+        fallback."""
         entries = self._entries
         if not entries:
             return None
         if self._scan_start:
-            return min(entries, key=_start_key)[4]
-        return entries[0][4]
+            return min(entries, key=_start_key)
+        return entries[0]
 
     def min_eligible_finish(
         self, stagger: Scalar, threshold: VirtualTime
-    ) -> Optional[TenantState]:
-        """Smallest-key tenant whose staggered start tag ``start -
+    ) -> Optional[Entry]:
+        """Smallest-key entry whose staggered start tag ``start -
         stagger * estimate`` is within ``threshold``; ``None`` when no
         tenant is eligible."""
-        if self._dirty:
-            self._file()
         for entry in self._entries:
             if entry[3] - stagger * entry[1] <= threshold:
-                return entry[4]
+                return entry
         return None
 
     # -- introspection -------------------------------------------------------
 
     def entries(self) -> List[Entry]:
-        """The filed entries in key order, after filing every pending
-        touch (tests and monitoring)."""
-        if self._dirty:
-            self._file()
+        """A copy of the filed entries in key order (tests, monitoring
+        and the invariant watchdog)."""
         return list(self._entries)
 
     def stats(self) -> Dict[str, int]:
         """Churn counters plus current occupancy, surfaced in run
-        manifests: ``pushes`` counts entries filed, ``touches`` the
-        touch calls received (pushes/touches is the coalescing ratio),
-        ``entries`` the filed entries.  ``stale_pops`` is always 0: the
-        list never holds a stale entry."""
+        manifests: ``pushes`` and ``touches`` both count re-filings of
+        backlogged tenants, ``entries`` the filed entries.
+        ``stale_pops`` is always 0: the list never holds a stale
+        entry."""
         return {
             "stale_pops": 0,
             "pushes": self.pushes,

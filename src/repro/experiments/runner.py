@@ -53,7 +53,6 @@ def _scheduler_manifest(scheduler: Scheduler) -> Dict[str, Any]:
     if estimator is not None:
         info["estimator"] = repr(estimator)
     index = getattr(scheduler, "selection_index", None)
-    info["indexed"] = index is not None
     if index is not None:
         info["selection_index"] = index.stats()
     return info

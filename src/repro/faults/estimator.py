@@ -5,9 +5,10 @@ it only inside the plan's :class:`~repro.faults.plan.EstimatorFault`
 windows; outside every window it is a transparent pass-through, so an
 empty window list costs one comparison per estimate.
 
-Selection-index coherence: the indexed schedulers assume a tenant's
+Selection-index coherence: a virtual-time scheduler files each
+backlogged tenant under its cached head key and assumes the tenant's
 head estimate changes only through ``observe()`` for that tenant (the
-index re-touches the tenant then).  A fault window opening or closing
+scheduler re-files the tenant then).  A fault window opening or closing
 shifts *every* estimate at once, violating that assumption -- so the
 :class:`~repro.faults.injector.FaultInjector` schedules a
 ``reindex_backlogged()`` at each window boundary, and within a window

@@ -16,9 +16,8 @@ Event taxonomy (the ``kind`` field; see DESIGN.md §9):
 ``select``
     A dequeue decision was made for one worker thread.  Carries the
     chosen tenant's start/finish tags, the eligibility-set size at the
-    moment of choice, the thread's declared stagger offset, whether the
-    work-conserving fallback fired, and whether the indexed or the
-    linear selection path ran.
+    moment of choice, the thread's declared stagger offset, and whether
+    the work-conserving fallback fired.
 ``dispatch``
     The chosen request was charged and handed to the thread.  Carries
     the estimate charged (``l_r``) and the tenant's start tag after the

@@ -66,7 +66,6 @@ _SELECT_KEYS = (
     "backlogged",
     "fallback",
     "stagger",
-    "indexed",
 )
 _DISPATCH_KEYS = ("seqno", "api", "thread", "estimate", "start_tag_after", "backlog")
 _COMPLETE_KEYS = (
@@ -245,7 +244,6 @@ class Tracer:
         backlogged: int,
         fallback: bool,
         stagger: float,
-        indexed: bool,
     ) -> None:
         self._record(
             (
@@ -263,7 +261,6 @@ class Tracer:
                     backlogged,
                     fallback,
                     stagger,
-                    indexed,
                 ),
             )
         )

@@ -44,6 +44,16 @@ Invariant catalogue (DESIGN.md §11):
     the periodic audit.  A stale key means an invalidation was missed.
     Skipped while a :class:`~repro.faults.FaultyEstimator` is installed,
     whose outage fallback is frozen by its first estimate.
+``index-coherence``
+    A virtual-time scheduler's :class:`~repro.core.selection.SelectionIndex`,
+    its only selection state, is sorted, holds exactly one entry per
+    backlogged tenant, and each entry equals that tenant's current
+    ``(key, estimate, seqno, start_tag)`` (the key is the finish tag,
+    or the start tag for an ungated start-ordered policy): the call's
+    tenant after every call, the whole list on the periodic audit.  A
+    stale entry means a re-filing was missed.  The entry values are
+    not compared while a :class:`~repro.faults.FaultyEstimator` is
+    installed.
 
 The watchdog costs two dict operations, a handful of comparisons and
 one head-key recomputation per contract call, plus an O(N) structural
@@ -57,7 +67,7 @@ import os
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, cast
 
 from ..core.request import Request, RequestPhase
-from ..core.scheduler import MIN_COST, Scheduler, TenantState
+from ..core.scheduler import MIN_COST, HeadKey, Scheduler, TenantState
 from ..core.vt_base import VirtualTimeScheduler
 from ..errors import InvariantViolation
 from ..faults.estimator import FaultyEstimator
@@ -314,6 +324,7 @@ class ValidatingScheduler:
             state = inner.tenant_state(tenant) if tenant is not None else None
             if state is not None:
                 self._check_head_key(state, op, now)
+                self._check_entry(state, op, now)
         if self._ops % self._audit_interval == 0:
             self._audit(op, now)
 
@@ -346,6 +357,8 @@ class ValidatingScheduler:
                 )
             if self._is_vt:
                 self._check_head_key(state, op, now)
+        if self._is_vt:
+            self._check_index(op, now)
         # FIFO keeps its backlog in one global queue, not the per-tenant
         # queues; its own backlog counter was already checked per call.
         if total and total != inner.backlog:
@@ -357,17 +370,23 @@ class ValidatingScheduler:
                 op=op,
             )
 
-    def _check_head_key(self, state: TenantState, op: str, now: float) -> None:
-        """A set head key must match a fresh, side-effect-free
-        recomputation (FaultyEstimator's first estimate is not)."""
-        key = state.head_key
+    def _fresh_key(self, state: TenantState) -> Optional[HeadKey]:
+        """The head key recomputed from scratch, or ``None`` when that
+        has side effects (FaultyEstimator's first estimate)."""
         estimator = cast(VirtualTimeScheduler, self._inner).estimator
-        if key is None or not state.queue or isinstance(estimator, FaultyEstimator):
-            return
+        if isinstance(estimator, FaultyEstimator):
+            return None
         head = state.queue[0]
         estimate = max(estimator.estimate(head), MIN_COST)
-        fresh = (state.start_tag + estimate / state.weight, estimate, head.seqno)
-        if fresh != key:
+        return (state.start_tag + estimate / state.weight, estimate, head.seqno)
+
+    def _check_head_key(self, state: TenantState, op: str, now: float) -> None:
+        """A set head key must match a fresh recomputation."""
+        key = state.head_key
+        if key is None or not state.queue:
+            return
+        fresh = self._fresh_key(state)
+        if fresh is not None and fresh != key:
             self._violate(
                 "head-key-coherence",
                 f"tenant {state.tenant_id} caches head key {key}, "
@@ -375,8 +394,69 @@ class ValidatingScheduler:
                 now,
                 op=op,
                 tenant=state.tenant_id,
-                seqno=head.seqno,
+                seqno=state.queue[0].seqno,
             )
+
+    def _check_entry(self, state: TenantState, op: str, now: float) -> None:
+        """The tenant is filed exactly while it is backlogged, under its
+        current ``(key, estimate, seqno, start_tag)``."""
+        entry = state.sel_entry
+        problem = None
+        if not state.queue:
+            if entry is not None:
+                problem = f"tenant {state.tenant_id} left the backlog but is filed"
+        elif entry is None or entry[4] is not state:
+            problem = f"backlogged tenant {state.tenant_id} is not filed"
+        else:
+            fresh = self._fresh_key(state)
+            if fresh is not None:
+                inner = cast(VirtualTimeScheduler, self._inner)
+                by_start = inner.order == "start" and inner._thread_staggers is None
+                key = state.start_tag if by_start else fresh[0]
+                current = (key, fresh[1], fresh[2], state.start_tag)
+                if entry[:4] != current:
+                    problem = (
+                        f"tenant {state.tenant_id} is filed as {entry[:4]}, "
+                        f"current {current}"
+                    )
+        if problem is not None:
+            self._violate(
+                "index-coherence",
+                problem,
+                now,
+                op=op,
+                tenant=state.tenant_id,
+                seqno=state.queue[0].seqno if state.queue else None,
+            )
+
+    def _check_index(self, op: str, now: float) -> None:
+        """The whole list: sorted, one entry per backlogged tenant, each
+        entry the one its tenant remembers and current."""
+        inner = cast(VirtualTimeScheduler, self._inner)
+        entries = inner.selection_index.entries()
+        backlogged = sum(1 for state in inner.tenants().values() if state.queue)
+        filed = {id(entry[4]) for entry in entries}
+        problem = None
+        if any(entries[i + 1] < entries[i] for i in range(len(entries) - 1)):
+            problem = "selection entries are out of order"
+        elif len(filed) != len(entries) or len(entries) != backlogged:
+            problem = (
+                f"{len(entries)} selection entries for {len(filed)} tenants, "
+                f"{backlogged} backlogged"
+            )
+        if problem is not None:
+            self._violate("index-coherence", problem, now, op=op)
+        for entry in entries:
+            state = entry[4]
+            if state.sel_entry is not entry:
+                self._violate(
+                    "index-coherence",
+                    f"tenant {state.tenant_id} does not remember its entry",
+                    now,
+                    op=op,
+                    tenant=state.tenant_id,
+                )
+            self._check_entry(state, op, now)
 
     def _violate(self, code: str, message: str, now: float, **context: Any) -> None:
         record = {"code": code, "message": message, "t": now, **context}

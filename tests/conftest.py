@@ -6,7 +6,7 @@ import functools
 import heapq
 import random
 import sys
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
@@ -81,6 +81,10 @@ from repro.core import (
 from repro.core.request import Request
 from repro.core.scheduler import Scheduler
 from repro.estimation import EMAEstimator
+from repro.obs import Tracer
+from repro.obs.events import row_as_dict
+
+from reference import linear_selection
 
 #: SFQ and MSF2Q driven by the EMA estimator.  The registry names no such
 #: pairing (the paper's EMA baselines are WFQ^E and WF2Q^E, §6.2); tests
@@ -131,21 +135,34 @@ def build_scheduler(
     return make_scheduler(name, num_threads, thread_rate, **kwargs)
 
 
-def force_selection(
-    scheduler: VirtualTimeScheduler, indexed: Union[bool, str]
-) -> VirtualTimeScheduler:
-    """Pin a scheduler's selection path through its adaptive thresholds,
-    the one hook for reaching either path: ``True`` builds the index at
-    the first enqueue and never tears it down, ``False`` never builds
-    it, ``"auto"`` keeps the shipped thresholds.  So ``indexed`` reads
-    ``False`` until the first enqueue even when forced on."""
-    if indexed is True:
-        scheduler.AUTO_INDEX_HIGH, scheduler.AUTO_INDEX_LOW = 1, 0
-    elif indexed is False:
-        scheduler.AUTO_INDEX_HIGH = sys.maxsize
-    elif indexed != "auto":
-        raise ValueError(f"indexed must be True, False or 'auto', got {indexed!r}")
-    return scheduler
+def check_every_pick(
+    scheduler: Scheduler, tracer: Optional[Tracer] = None
+) -> List[Optional[linear_selection.Pick]]:
+    """Check each later ``scheduler.dequeue`` against the linear scan.
+
+    Shadows ``dequeue`` on the instance.  Before each call the reference
+    pick is computed from the untouched state; the call must return
+    that tenant's head request.  With ``tracer`` (attached to the
+    scheduler), the call's ``select`` row must carry the reference's
+    eligibility count and fallback flag.  Returns the list the checked
+    picks are appended to."""
+    dequeue = scheduler.dequeue
+    picks: List[Optional[linear_selection.Pick]] = []
+
+    def checked(thread_id: int, now: float) -> Optional[Request]:
+        want = linear_selection.pick(scheduler, thread_id, now)
+        request = dequeue(thread_id, now)
+        got = None if request is None else (request.tenant_id, request.seqno)
+        assert got == (want and want[:2]), f"pick {len(picks)} on thread {thread_id}"
+        if tracer is not None and request is not None:
+            select = row_as_dict(tracer.rows[-2])
+            assert select["kind"] == "select"
+            assert (select["eligible"], select["fallback"]) == want[2:], len(picks)
+        picks.append(want)
+        return request
+
+    scheduler.dequeue = checked
+    return picks
 
 
 def make_request(

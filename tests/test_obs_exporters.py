@@ -171,7 +171,7 @@ def _mixed_tracer(fleet=False):
     tracer.select(
         0.5, -0.0, "A", thread=0, policy="2dfq", start_tag=-inf,
         finish_tag=1e-300, eligible=3, backlogged=4, fallback=True,
-        stagger=0.25, indexed=False,
+        stagger=0.25,
     )
     for i in range(5):
         tracer.dispatch(
@@ -394,7 +394,7 @@ def _float_tracer(draw):
             tracer.select(
                 t, vt, "B", thread=0, policy="2dfq", start_tag=draw(_values),
                 finish_tag=draw(_values), eligible=2, backlogged=3,
-                fallback=False, stagger=draw(_values), indexed=True,
+                fallback=False, stagger=draw(_values),
             )
         elif kind == "dispatch":
             tracer.dispatch(

@@ -289,9 +289,7 @@ class TestInstrumentedRun:
         assert select.data["policy"] == "2dfq"
         assert select.data["stagger"] == pytest.approx(0.5)
         assert select.data["backlogged"] == 2
-        # Two backlogged tenants sit below the adaptive crossover, so
-        # the default "auto" mode runs the linear scan here.
-        assert select.data["indexed"] is False
+        assert "indexed" not in select.data
         assert isinstance(select.data["fallback"], bool)
 
     def test_custom_policy_select_rows_follow_its_declaration(self):
@@ -376,9 +374,7 @@ def run_parity_script(name, seed=0, steps=1800, tenants=40, threads=4):
     tracer and the script's own counts, keyed like :func:`trace_counts`.
 
     The mix alternates every 300 steps between filling and draining the
-    backlog, so tenants go active and idle many times and the backlog
-    crosses the adaptive index thresholds both ways: both selection
-    paths run."""
+    backlog, so tenants go active and idle many times."""
     rng = make_rng(seed, "trace-parity", name)
     scheduler = make_scheduler(name, threads)
     tracer = Tracer("parity")
@@ -465,7 +461,7 @@ class TestTraceParity:
     rows it should have emitted: a policy override that keeps the
     bookkeeping but drops its rows (a ``complete`` or ``_cancel_running``
     without the tracer call) passes them.  This script counts the calls
-    itself, so any row a policy drops, on either selection path, shows.
+    itself, so any row a policy drops shows.
     """
 
     def test_covers_every_virtual_time_policy(self):
@@ -478,8 +474,6 @@ class TestTraceParity:
         assert trace_counts(tracer) == expected
         # The script reaches every operation it counts.
         assert all(expected[key] > 0 for key in expected)
-        assert any(e.data["indexed"] for e in tracer.of_kind("select"))
-        assert not all(e.data["indexed"] for e in tracer.of_kind("select"))
 
 
 class TestGoldenTrace:

@@ -53,10 +53,11 @@ class TestStaggeredEligibility:
         s.dequeue(0, 0.0)  # S_C advances to 100
         # v(now) ~ 0; offset on thread 3 = (3/4)*100 = 75 < 100: still
         # ineligible -> policy returns via fallback anyway (work
-        # conservation); verify through the thread's eligibility scan.
+        # conservation); verify through the thread's eligibility query.
         top = s._thread_staggers[3]
         assert top == 0.75
-        assert s._min_eligible_finish(top, s.virtual_time(0.0)) is None
+        threshold = s._eligibility_threshold(s.virtual_time(0.0))
+        assert s.selection_index.min_eligible_finish(top, threshold) is None
         assert s.dequeue(3, 0.0) is not None  # fallback keeps it work conserving
 
 
@@ -144,5 +145,9 @@ class TestTwoDFQE:
         # (needs v >= S_P - 0.75) but U is far from it (needs v >= 500).
         probe_virtual_time = state_p.start_tag + 2.0
         bottom, top = s._thread_staggers[0], s._thread_staggers[3]
-        assert s._min_eligible_finish(top, probe_virtual_time) is state_p
-        assert s._min_eligible_finish(bottom, state_u.start_tag - 1.0) is state_p
+        index, threshold = s.selection_index, s._eligibility_threshold
+        assert index.min_eligible_finish(top, threshold(probe_virtual_time))[4] is state_p
+        assert (
+            index.min_eligible_finish(bottom, threshold(state_u.start_tag - 1.0))[4]
+            is state_p
+        )

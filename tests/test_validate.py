@@ -10,11 +10,13 @@ violations -- and, results-wise, the watchdog must be invisible.
 from __future__ import annotations
 
 import pickle
+from bisect import insort
 
 import pytest
 
 from repro.core import make_scheduler
 from repro.core.request import Request
+from repro.core.selection import SelectionIndex
 from repro.core.twodfq import TwoDFQEScheduler, TwoDFQScheduler
 from repro.errors import InvariantViolation
 from repro.experiments import ExperimentConfig, run_comparison
@@ -23,8 +25,6 @@ from repro.validate import ValidatingScheduler, env_validate
 from repro.workloads.distributions import FixedCost
 from repro.workloads.arrivals import Backlogged
 from repro.workloads.spec import TenantSpec
-
-from conftest import force_selection
 
 
 # -- deliberately broken schedulers (the mutants) ----------------------------
@@ -78,19 +78,53 @@ class RewindingScheduler(TwoDFQScheduler):
         return cancelled
 
 
+class UntouchedIndex:
+    """Stands in for a scheduler's selection index with ``touch`` a
+    no-op; every query goes to the real index."""
+
+    def __init__(self, index):
+        self._index = index
+
+    def touch(self, state):
+        pass
+
+    def __getattr__(self, name):
+        return getattr(self._index, name)
+
+
 def without_touch(cls, method_name):
-    """A subclass whose ``method_name`` skips the head-key invalidation
-    (``_touch``) it would otherwise make."""
+    """A subclass whose ``method_name`` skips the invalidation
+    (``SelectionIndex.touch``) it would otherwise make."""
     method = getattr(cls, method_name)
 
     def mutated(self, *args):
-        self._touch = lambda state: None  # shadows the bound method
+        index = self._index
+        self._index = UntouchedIndex(index)
         try:
             return method(self, *args)
         finally:
-            del self._touch
+            self._index = index
 
     return type(f"Stale{method_name.strip('_').title()}", (cls,), {method_name: mutated})
+
+
+class RefilingSkippedIndex(SelectionIndex):
+    """Recomputes the cached head key but skips the re-filing: a
+    backlogged tenant keeps the entry it was first filed under."""
+
+    def touch(self, state):
+        old = state.sel_entry
+        super().touch(state)
+        if old is not None and state.sel_entry is not None:
+            self._entries.remove(state.sel_entry)
+            insort(self._entries, old)
+            state.sel_entry = old
+
+
+class StaleEntryScheduler(TwoDFQEScheduler):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._index = RefilingSkippedIndex(self.estimator, gated=True)
 
 
 def drive_two(scheduler, now=0.0):
@@ -207,9 +241,7 @@ class TestHeadKeyCoherence:
     @pytest.mark.parametrize("method", sorted(INVALIDATIONS))
     def test_missed_invalidation_caught(self, method):
         op, step = INVALIDATIONS[method]
-        mutant = force_selection(
-            without_touch(TwoDFQEScheduler, method)(num_threads=1), False
-        )
+        mutant = without_touch(TwoDFQEScheduler, method)(num_threads=1)
         watched = ValidatingScheduler(mutant)
         with pytest.raises(InvariantViolation) as excinfo:
             a1, a2 = prime_head_keys(watched)
@@ -221,15 +253,13 @@ class TestHeadKeyCoherence:
     @pytest.mark.parametrize("method", sorted(INVALIDATIONS))
     def test_clean_scheduler_passes_the_same_steps(self, method):
         _, step = INVALIDATIONS[method]
-        watched = ValidatingScheduler(
-            force_selection(TwoDFQEScheduler(num_threads=1), False), audit_interval=1
-        )
+        watched = ValidatingScheduler(TwoDFQEScheduler(num_threads=1), audit_interval=1)
         a1, a2 = prime_head_keys(watched)
         step(watched, a1, a2)
         assert watched.violations == []
 
     def test_audit_checks_every_backlogged_tenant(self):
-        inner = force_selection(TwoDFQEScheduler(num_threads=1), False)
+        inner = TwoDFQEScheduler(num_threads=1)
         watched = ValidatingScheduler(inner, audit_interval=1)
         prime_head_keys(watched)
         state = inner.tenant_state("A")
@@ -240,6 +270,51 @@ class TestHeadKeyCoherence:
             watched.enqueue(Request(tenant_id="C", cost=1.0), 0.5)
         assert excinfo.value.code == "head-key-coherence"
         assert excinfo.value.context["tenant"] == "A"
+
+
+class TestIndexCoherence:
+    def test_skipped_refiling_caught(self):
+        watched = ValidatingScheduler(StaleEntryScheduler(num_threads=1))
+        with pytest.raises(InvariantViolation) as excinfo:
+            prime_head_keys(watched)
+        assert excinfo.value.code == "index-coherence"
+        assert excinfo.value.context["op"] == "dequeue"
+        assert excinfo.value.context["tenant"] == "A"
+
+    def test_head_key_check_alone_misses_a_skipped_refiling(self):
+        # The mutant does recompute the cached head key, so the cache
+        # stays coherent: only the index check sees the stale entry.
+        watched = ValidatingScheduler(
+            StaleEntryScheduler(num_threads=1), strict=False, audit_interval=1
+        )
+        for tenant, cost in (("A", 4.0), ("A", 4.0), ("B", 1.0)):
+            watched.enqueue(Request(tenant_id=tenant, cost=cost, api="x"), 0.0)
+        watched.dequeue(0, 0.0)
+        assert watched.summary()["codes"] == ["index-coherence"]
+
+    def test_audit_finds_a_tenant_missing_from_the_list(self):
+        inner = TwoDFQEScheduler(num_threads=1)
+        watched = ValidatingScheduler(inner, audit_interval=1)
+        watched.enqueue(Request(tenant_id="A", cost=1.0), 0.0)
+        watched.enqueue(Request(tenant_id="B", cost=1.0), 0.0)
+        # A still remembers its entry; the list lost it.
+        inner.selection_index._entries.remove(inner.tenant_state("A").sel_entry)
+        with pytest.raises(InvariantViolation) as excinfo:
+            watched.enqueue(Request(tenant_id="C", cost=1.0), 0.0)
+        assert excinfo.value.code == "index-coherence"
+        assert "2 selection entries for 2 tenants, 3 backlogged" in str(excinfo.value)
+
+    def test_clean_scheduler_keeps_the_index_coherent(self):
+        watched = ValidatingScheduler(TwoDFQEScheduler(num_threads=2), audit_interval=1)
+        a1, a2 = prime_head_keys(watched)
+        watched.refresh(a1, 2.0, 1.0)
+        watched.cancel(a2, 1.0)
+        watched.complete(a1, 4.0, 4.0)
+        while watched.backlog:
+            request = watched.dequeue(0, 4.0)
+            watched.complete(request, request.cost, 4.0)
+        assert watched.violations == []
+        assert watched.inner.selection_index.entries() == []
 
 
 class TestCleanRuns:
