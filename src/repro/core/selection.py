@@ -11,6 +11,13 @@ head estimate, head seqno, start tag, state)``:
   eligible finish tag.  Server-driven runs find one within the first few
   entries; the walk is O(N) only when nothing is eligible, and the
   work-conserving fallback is then ``list[0]``;
+* the size of the eligible set (the ``eligible`` field of traced
+  ``select`` rows) is counted on the same list with the same test: every
+  entry whose finish tag is within the threshold is eligible (for a
+  stagger ``s >= 0`` and an estimate ``l >= MIN_COST``, ``start - s * l
+  <= start <= start + l / phi = finish`` holds in floats too), so one
+  ``bisect_right`` counts that prefix and only the entries after it are
+  tested;
 * an ungated start-ordered policy (SFQ) files ``(start tag, ...)`` so
   its pick is ``list[0]`` too; a gated one (MSF2Q) files finish tags and
   scans for its rare start-ordered fallback;
@@ -47,7 +54,7 @@ each window edge.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import SchedulerError
@@ -61,6 +68,8 @@ __all__ = ["SelectionIndex"]
 #: state)``.  The order key is the finish tag, or the start tag for an
 #: ungated start-ordered policy.
 Entry = Tuple[float, float, int, float, TenantState]
+
+_INF = float("inf")
 
 
 class SelectionIndex:
@@ -166,6 +175,23 @@ class SelectionIndex:
             if entry[3] - stagger * entry[1] <= threshold:
                 return entry
         return None
+
+    def count_eligible(self, stagger: Scalar, threshold: VirtualTime) -> int:
+        """Number of entries :meth:`min_eligible_finish` would accept
+        under the same ``stagger`` and ``threshold``: the entries whose
+        finish tag is within ``threshold`` (one ``bisect_right``; each
+        is eligible, since a finish tag bounds its own staggered start
+        tag from above for ``stagger >= 0``), plus those after them that
+        pass the test.  Needs a finish-keyed (gated) index."""
+        entries = self._entries
+        prefix = bisect_right(entries, (threshold, _INF))
+        return prefix + len(
+            [
+                None
+                for entry in entries[prefix:]
+                if entry[3] - stagger * entry[1] <= threshold
+            ]
+        )
 
     # -- introspection -------------------------------------------------------
 

@@ -76,14 +76,15 @@ this code.
 
 from __future__ import annotations
 
-from typing import Any, ClassVar, Iterable, Optional, Sequence, cast
+import math
+from typing import Any, ClassVar, Iterable, Optional, Sequence
 
 from ..errors import ConfigurationError, SchedulerError
 from ..estimation.base import CostEstimator
 from ..units import Cost, Rate, Scalar, SimTime, VirtualTime
 from ..estimation.oracle import OracleEstimator
 from .request import Request, RequestPhase
-from .scheduler import HeadKey, Scheduler, TenantState
+from .scheduler import Scheduler, TenantState
 from .selection import SelectionIndex
 from .virtual_time import VirtualClock
 
@@ -150,11 +151,21 @@ class VirtualTimeScheduler(Scheduler):
         self._backlogged: dict[str, TenantState] = {}
         staggers = self._staggers(self._num_threads)
         self._thread_staggers = None if staggers is None else tuple(staggers)
-        if staggers is not None and len(staggers) != self._num_threads:
-            raise ConfigurationError(
-                f"{type(self).__name__} declared {len(staggers)} staggers "
-                f"for {self._num_threads} threads"
-            )
+        if staggers is not None:
+            if len(staggers) != self._num_threads:
+                raise ConfigurationError(
+                    f"{type(self).__name__} declared {len(staggers)} staggers "
+                    f"for {self._num_threads} threads"
+                )
+            # SelectionIndex.count_eligible takes every entry whose
+            # finish tag passes as eligible, which needs each stagger
+            # finite and non-negative.
+            bad = [s for s in staggers if not (math.isfinite(s) and s >= 0.0)]
+            if bad:
+                raise ConfigurationError(
+                    f"{type(self).__name__} declared staggers {bad}: each "
+                    "must be finite and non-negative"
+                )
         self._index = SelectionIndex(
             self._estimator, order=self.order, gated=staggers is not None
         )
@@ -292,13 +303,18 @@ class VirtualTimeScheduler(Scheduler):
         trace = self._trace
         if trace is not None:
             # E_now of Figure 7: the set the gated pick chose from,
-            # counted by one backlog scan.
+            # counted on the index under the pick's own threshold.  A
+            # fallback has just tested every entry and found none.
             if staggers is None:
                 stagger = 0.0
                 eligible = len(self._backlogged)
             else:
                 stagger = staggers[thread_id]
-                eligible = self._eligible_count(stagger, vnow)
+                eligible = 0
+                if not fallback:
+                    eligible = index.count_eligible(
+                        stagger, self._eligibility_threshold(vnow)
+                    )
             trace.select(
                 now,
                 vnow,
@@ -306,7 +322,9 @@ class VirtualTimeScheduler(Scheduler):
                 thread=thread_id,
                 policy=self.name,
                 start_tag=state.start_tag,
-                finish_tag=cast(HeadKey, state.head_key)[0],
+                # The finish tag touch() filed, from the entry's own
+                # start tag and estimate.
+                finish_tag=entry[3] + entry[1] / state.weight,
                 eligible=eligible,
                 backlogged=len(self._backlogged),
                 fallback=fallback,
@@ -512,24 +530,13 @@ class VirtualTimeScheduler(Scheduler):
 
     # -- selection primitives shared by the policies -----------------------------------
 
-    def _eligible_count(self, stagger: Scalar, vnow: VirtualTime) -> int:
-        """Size of the eligibility set the gated pick chooses from: the
-        ``eligible`` field of traced ``select`` rows."""
-        threshold = self._eligibility_threshold(vnow)
-        return sum(
-            1
-            for state in self._backlogged.values()
-            if state.start_tag - stagger * cast(HeadKey, state.head_key)[1]
-            <= threshold
-        )
-
     @staticmethod
     def _eligibility_threshold(vnow: VirtualTime) -> VirtualTime:
         """Upper bound on (staggered) start tags counted as eligible at
         virtual time ``vnow``: the slack absorbs float round-off in
-        virtual-time arithmetic.  Shared by the eligibility count and
-        the selection query so both gate on identical values
-        (:meth:`dequeue` inlines it).  The slack scale is
+        virtual-time arithmetic.  Shared by the selection query (which
+        :meth:`dequeue` inlines) and the eligibility count, so both gate
+        on identical values.  The slack scale is
         ``max(1.0, abs(vnow))``, spelled without the two builtin calls;
         a NaN ``vnow`` scales by 1.0 either way."""
         scale = vnow if vnow > 1.0 else (-vnow if vnow < -1.0 else 1.0)

@@ -140,3 +140,16 @@ class TestPolicyDeclaration:
         short(num_threads=1)
         with pytest.raises(ConfigurationError, match="1 staggers for 2 threads"):
             short(num_threads=2)
+
+    @pytest.mark.parametrize("bad", [-0.25, float("nan"), float("inf")])
+    def test_staggers_must_be_finite_and_non_negative(self, bad):
+        """The eligibility count takes every entry whose finish tag
+        passes as eligible, which needs ``stagger >= 0``."""
+        declared = type(
+            "Declared",
+            (VirtualTimeScheduler,),
+            {"_staggers": lambda self, n: (0.0,) + (bad,) * (n - 1)},
+        )
+        declared(num_threads=1)
+        with pytest.raises(ConfigurationError, match="finite and non-negative"):
+            declared(num_threads=3)
