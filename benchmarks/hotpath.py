@@ -59,7 +59,6 @@ from repro.core.request import Request
 from repro.metrics import MetricsCollector
 from repro.obs.audit import AuditConfig, FairnessAuditor
 from repro.obs.exporters import write_chrome_trace, write_rows_jsonl
-from repro.obs.flight import FlightRecorder
 from repro.obs.registry import Timer
 from repro.obs.tracer import Tracer
 from repro.simulator.clock import Simulation
@@ -197,14 +196,13 @@ def measure_dequeue_throughput(
 def _audited_tracer(
     scheduler_name: str, num_threads: int, max_events: Optional[int] = 2048
 ) -> Tracer:
-    """The ``--audit`` sink stack: auditor + flight recorder fed by every
-    event, event retention capped at ``max_events`` (by default the
-    streaming shape; ``None`` keeps every row, as an exported run does)."""
+    """The ``--audit`` sink stack: the auditor fed by every event, event
+    retention capped at ``max_events`` (by default the streaming shape;
+    ``None`` keeps every row, as an exported run does).  The flight
+    recorder is derived from the rows at export, so it is no sink."""
     tracer = Tracer(f"hotpath-audited-{scheduler_name}", max_events=max_events)
     auditor = FairnessAuditor(AuditConfig(capacity=float(num_threads)), tracer)
     tracer.add_sink(auditor.on_event)
-    recorder = FlightRecorder(capacity=512)
-    tracer.add_sink(recorder.on_event)
     return tracer
 
 
@@ -222,11 +220,9 @@ def measure_observability_overhead(
 
     * ``disabled`` -- no tracer attached (the shipped default; every
       instrumentation site is one ``is not None`` check);
-    * ``traced`` -- a bounded tracer attached (event emission and the
-      registry counters);
+    * ``traced`` -- a bounded tracer attached (row emission);
     * ``audited`` -- the tracer additionally feeding the fairness
-      auditor and the flight recorder as sinks (the CLI ``--audit``
-      configuration).
+      auditor as a sink (the CLI ``--audit`` configuration).
 
     Returns per-mode ``rps`` and throughput relative to ``disabled``
     (1.0 = free, 0.5 = half speed).

@@ -188,14 +188,11 @@ class Scheduler(ABC):
     def attach_tracer(self, tracer: Optional["Tracer"]) -> None:
         """Attach a :class:`repro.obs.Tracer` (or detach with ``None``).
 
-        A disabled tracer is stored as ``None`` so the hot path keeps
-        its single-attribute-check fast path; only the virtual-time
-        schedulers emit events (FIFO and round robin accept the attachment but
-        have no instrumented decision points).
+        Only the virtual-time schedulers emit events (FIFO and round
+        robin accept the attachment but have no instrumented decision
+        points).
         """
-        self._trace = (
-            tracer if tracer is not None and tracer.enabled else None
-        )
+        self._trace = tracer
 
     # -- scheduler contract ---------------------------------------------------
 

@@ -47,12 +47,9 @@ class CostEstimator(ABC):
     _trace = None
 
     def attach_tracer(self, tracer) -> None:
-        """Attach a tracer; ``estimate`` events are emitted on
-        :meth:`observe` (estimator refreshes).  Disabled tracers are
-        stored as ``None`` to keep the no-op fast path."""
-        self._trace = (
-            tracer if tracer is not None and tracer.enabled else None
-        )
+        """Attach a tracer (or detach with ``None``); ``estimate``
+        events are emitted on :meth:`observe` (estimator refreshes)."""
+        self._trace = tracer
 
     @abstractmethod
     def estimate(self, request: Request) -> Cost:

@@ -182,10 +182,10 @@ def run_fleet(
     Observability is the single-server runner's
     :class:`~repro.obs.session.RunTelemetry`: inside an active trace
     session (the figures CLI's ``--trace``) the run gets a session
-    tracer labelled ``name``, a flight recorder riding the tracer sink
-    (fleet crash/failover events are FAULT-kind triggers, so every
-    detection and drain leaves a dump), and its artifacts are exported
-    when the run ends -- also when the watchdog or the ledger's
+    tracer labelled ``name`` and its artifacts are exported when the run
+    ends, flight-recorder dumps included (fleet crash/failover events
+    are FAULT-kind triggers, so every detection and drain leaves a
+    dump) -- also when the watchdog or the ledger's
     ``verify()`` raises, with an ``aborted`` manifest block.  Requests
     are numbered from seqno 0 in every run.
     """

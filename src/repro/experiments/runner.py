@@ -76,13 +76,14 @@ def run_single(
     faults into the run.  Both are strictly additive: left off, the run
     executes exactly the unfaulted, unwatched code paths.
 
-    Observability: an attached tracer gets the simulation clock for its
-    registry timers (phase profiling in deterministic sim-time).  An
-    explicit ``auditor`` is wired as a tracer sink and collector sample
-    hook; an *audited session* (``TraceSession(audit=...)``, the CLI's
-    ``--audit``) builds one per run automatically, plus a flight
-    recorder whose dumps are exported even when a strict-mode watchdog
-    raise aborts the run.
+    Observability: an explicit ``tracer`` is attached to every
+    instrumented component and its caller owns the export; inside an
+    active trace session the run gets a session tracer and is exported,
+    flight-recorder dumps included, even when a strict-mode watchdog
+    raise aborts it.  An explicit ``auditor`` is wired as a tracer sink
+    and collector sample hook; an *audited session*
+    (``TraceSession(audit=...)``, the CLI's ``--audit``) builds one per
+    run automatically.
 
     Requests are numbered from seqno 0 in every run.
     """
@@ -139,7 +140,7 @@ def run_single(
             tracer.add_sink(auditor.on_event)
             collector.attach_auditor(auditor)
     else:
-        auditor = None  # nothing feeds a sink without an enabled tracer
+        auditor = None  # nothing feeds a sink without a tracer
     attach_specs(
         server,
         specs,

@@ -18,12 +18,12 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..core.registry import make_scheduler
 from ..core.request import Request
 from ..errors import SchedulerError
-from ..obs.session import current_session
+from ..obs.session import RunTelemetry
 
 __all__ = ["ScheduledSlot", "worked_example", "render_schedule", "gap_statistics"]
 
@@ -66,10 +66,9 @@ def worked_example(
     )
     # Under an active --trace session, record the decision events of the
     # worked example too: fig06's trace is the paper's own 2DFQ table.
-    session = current_session()
-    tracer = None
-    if session is not None:
-        tracer = session.tracer(f"example--{scheduler_name}")
+    telemetry = RunTelemetry(f"example--{scheduler_name}")
+    tracer = telemetry.tracer
+    if tracer is not None:
         scheduler.attach_tracer(tracer)
         estimator = getattr(scheduler, "estimator", None)
         if estimator is not None:
@@ -86,55 +85,9 @@ def worked_example(
         request.arrival_time = now
         scheduler.enqueue(request, now)
 
-    # All tenants enqueue their first requests before any dispatch, in
-    # A, B, C, D order -- the premise of the paper's tables.
-    for tenant in tenants:
-        enqueue(tenant, 0.0)
-
-    # Event loop over thread availability; ties resolved by thread index
-    # ascending (W0 dequeues first, as in the paper's figures).
-    # Completions are deferred onto a heap and delivered in time order so
-    # the scheduler's virtual clock only ever moves forward.
-    free_heap = [(0.0, i) for i in range(num_threads)]
-    heapq.heapify(free_heap)
-    completions: List[Tuple[float, int, Request]] = []
-    slots: List[ScheduledSlot] = []
-    while free_heap:
-        now, thread_id = heapq.heappop(free_heap)
-        if now >= horizon:
-            continue
-        while completions and completions[0][0] <= now:
-            end_time, _, done = heapq.heappop(completions)
-            scheduler.complete(done, done.cost, end_time)
-        request = scheduler.dequeue(thread_id, now)
-        if request is None:
-            # The sequencer re-enqueues each tenant on dispatch, so every
-            # tenant stays backlogged; a None dequeue means the scheduler
-            # under test broke work conservation.  Raise instead of
-            # asserting -- python -O strips asserts.
-            raise SchedulerError(
-                f"{scheduler.name} returned no request with all tenants "
-                "backlogged (work-conservation violation)"
-            )
-        end = now + request.cost  # thread rate is 1 unit/second
-        slots.append(
-            ScheduledSlot(
-                thread_id=thread_id,
-                tenant_id=request.tenant_id,
-                index=indices[request.seqno],
-                start=now,
-                end=end,
-            )
-        )
-        # Keep the tenant backlogged and finish the request at `end`.
-        enqueue(request.tenant_id, now)
-        heapq.heappush(completions, (end, request.seqno, request))
-        heapq.heappush(free_heap, (end, thread_id))
-    slots.sort(key=lambda s: (s.start, s.thread_id))
-    if session is not None:
-        session.export_run(
-            tracer,
-            config={
+    def manifest() -> Dict[str, Any]:
+        return {
+            "config": {
                 "horizon": horizon,
                 "num_threads": num_threads,
                 "small_cost": small_cost,
@@ -142,12 +95,60 @@ def worked_example(
                 "small_tenants": list(small_tenants),
                 "large_tenants": list(large_tenants),
             },
-            scheduler={
+            "scheduler": {
                 "name": scheduler.name,
                 "class": type(scheduler).__name__,
                 "num_threads": num_threads,
             },
-        )
+        }
+
+    with telemetry.exporting_aborts(manifest):
+        # All tenants enqueue their first requests before any dispatch,
+        # in A, B, C, D order -- the premise of the paper's tables.
+        for tenant in tenants:
+            enqueue(tenant, 0.0)
+
+        # Event loop over thread availability; ties resolved by thread
+        # index ascending (W0 dequeues first, as in the paper's figures).
+        # Completions are deferred onto a heap and delivered in time
+        # order so the scheduler's virtual clock only ever moves forward.
+        free_heap = [(0.0, i) for i in range(num_threads)]
+        heapq.heapify(free_heap)
+        completions: List[Tuple[float, int, Request]] = []
+        slots: List[ScheduledSlot] = []
+        while free_heap:
+            now, thread_id = heapq.heappop(free_heap)
+            if now >= horizon:
+                continue
+            while completions and completions[0][0] <= now:
+                end_time, _, done = heapq.heappop(completions)
+                scheduler.complete(done, done.cost, end_time)
+            request = scheduler.dequeue(thread_id, now)
+            if request is None:
+                # The sequencer re-enqueues each tenant on dispatch, so
+                # every tenant stays backlogged; a None dequeue means the
+                # scheduler under test broke work conservation.  Raise
+                # instead of asserting -- python -O strips asserts.
+                raise SchedulerError(
+                    f"{scheduler.name} returned no request with all tenants "
+                    "backlogged (work-conservation violation)"
+                )
+            end = now + request.cost  # thread rate is 1 unit/second
+            slots.append(
+                ScheduledSlot(
+                    thread_id=thread_id,
+                    tenant_id=request.tenant_id,
+                    index=indices[request.seqno],
+                    start=now,
+                    end=end,
+                )
+            )
+            # Keep the tenant backlogged and finish the request at `end`.
+            enqueue(request.tenant_id, now)
+            heapq.heappush(completions, (end, request.seqno, request))
+            heapq.heappush(free_heap, (end, thread_id))
+    slots.sort(key=lambda s: (s.start, s.thread_id))
+    telemetry.export(manifest)
     return slots
 
 

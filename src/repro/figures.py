@@ -26,10 +26,10 @@ and a ``manifest.json`` with the seed, config, and package provenance::
 
 ``--audit DIR`` is ``--trace`` plus the online observability layer
 (DESIGN.md §14): every run also gets the streaming fairness auditor
-(service lag vs GPS, bursty-allocation detection, estimator drift) and
-a flight recorder, exporting ``audit_report.json`` and a Prometheus
-``metrics.prom`` snapshot per run (plus ``flight_recorder.json`` when a
-fault or invariant violation fired)::
+(service lag vs GPS, bursty-allocation detection, estimator drift),
+exporting ``audit_report.json`` and a Prometheus ``metrics.prom``
+snapshot per run.  Every traced run also gets ``flight_recorder.json``
+when a fault or invariant violation fired::
 
     python -m repro.figures fig08 --duration 1 --audit audit-run/
 
@@ -314,14 +314,14 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--trace", metavar="DIR", default=None,
         help="write per-run telemetry (events.jsonl, chrome_trace.json, "
-        "manifest.json) under DIR; requires --jobs 1",
+        "manifest.json, and flight_recorder.json when a fault or "
+        "invariant fired) under DIR; requires --jobs 1",
     )
     parser.add_argument(
         "--audit", metavar="DIR", default=None,
-        help="like --trace, plus the online fairness auditor, a "
-        "Prometheus metrics snapshot and a flight recorder per run "
-        "(audit_report.json, metrics.prom, flight_recorder.json); "
-        "requires --jobs 1",
+        help="like --trace, plus the online fairness auditor and a "
+        "Prometheus metrics snapshot per run (audit_report.json, "
+        "metrics.prom); requires --jobs 1",
     )
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",

@@ -222,7 +222,7 @@ class Fleet:
     def attach_tracer(self, tracer: Optional[Tracer]) -> None:
         """Attach a tracer for route/fault events and ``fleet.*`` gauges
         (the member servers and schedulers are attached separately)."""
-        self._trace = tracer if tracer is not None and tracer.enabled else None
+        self._trace = tracer
 
     # -- observation -------------------------------------------------------
 

@@ -210,9 +210,7 @@ class MetricsCollector:
     def attach_tracer(self, tracer) -> None:
         """Attach a :class:`repro.obs.Tracer`; the collector contributes
         sampling counters to its registry."""
-        self._trace = (
-            tracer if tracer is not None and tracer.enabled else None
-        )
+        self._trace = tracer
 
     def attach_auditor(self, auditor) -> None:
         """Attach a :class:`repro.obs.audit.FairnessAuditor`; it receives

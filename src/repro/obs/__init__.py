@@ -6,17 +6,18 @@ makes those decisions observable without perturbing them:
 
 * :class:`Tracer` -- typed decision events (:mod:`repro.obs.events`)
   emitted by the instrumented schedulers, estimators and simulator and
-  stored as one list of row tuples; a single ``is not None`` guard when
-  disabled (see the overhead contract in :mod:`repro.obs.tracer`);
+  stored as one list of row tuples, the run's one event record; a
+  single ``is not None`` guard when untraced (see the overhead
+  contract in :mod:`repro.obs.tracer`);
 * :class:`MetricsRegistry` -- named counters/gauges/timers with a
   snapshot API (:mod:`repro.obs.registry`);
 * exporters (:mod:`repro.obs.exporters`) -- JSONL event streams, Chrome
-  trace / Perfetto occupancy timelines (both encoded from the rows at
-  export; the request slices are the rows' occupancy fold,
-  :func:`repro.obs.events.occupancies`), and per-run ``manifest.json``
-  provenance records;
+  trace / Perfetto occupancy timelines, flight-recorder dumps and
+  per-run ``manifest.json`` provenance records with per-kind counts
+  (:func:`repro.obs.events.event_counts`), all derived from the rows at
+  export;
 * :class:`TraceSession` (:mod:`repro.obs.session`) -- the glue that the
-  experiment runner and the ``--trace`` CLI flag use to write all three
+  experiment runner and the ``--trace`` CLI flag use to write these
   artifacts per run.
 
 On top of the raw event stream sit the derivation layers:
@@ -27,10 +28,8 @@ On top of the raw event stream sit the derivation layers:
   lag / bursty-allocation / estimator-drift monitors emitting ``audit``
   events;
 * the exposition layer -- a Prometheus text-format exporter
-  (:mod:`repro.obs.prometheus`) and a bounded flight recorder
-  (:mod:`repro.obs.flight`) that dumps the last K events whenever a
-  fault or invariant violation fires.  The figures CLI's ``--audit DIR``
-  enables all of them per run.
+  (:mod:`repro.obs.prometheus`).  The figures CLI's ``--audit DIR``
+  enables the auditor and the exposition per run.
 
 Quickstart::
 
@@ -41,20 +40,20 @@ Quickstart::
     scheduler.estimator.attach_tracer(tracer)
     ... run ...
     tracer.of_kind("select")          # decision events
-    tracer.registry.snapshot()        # counters
+    event_counts(tracer.rows)         # per-kind counts
 
 or, end to end: ``python -m repro.figures fig06 --trace traces/``.
 """
 
 from .audit import AuditConfig, FairnessAuditor
-from .events import EVENT_KINDS, TraceEvent
+from .events import EVENT_KINDS, TraceEvent, event_counts
 from .exporters import (
     build_manifest,
     write_chrome_trace,
+    write_flight_recorder,
     write_manifest,
     write_rows_jsonl,
 )
-from .flight import FlightRecorder
 from .prometheus import prometheus_text, write_prometheus
 from .registry import HOST_CLOCK, ClockFn, Counter, Gauge, MetricsRegistry, Timer
 from .session import TraceSession, clear_session, current_session, trace_session
@@ -64,6 +63,7 @@ from .tracer import Tracer
 __all__ = [
     "EVENT_KINDS",
     "TraceEvent",
+    "event_counts",
     "Tracer",
     "Counter",
     "Gauge",
@@ -77,6 +77,7 @@ __all__ = [
     "clear_session",
     "build_manifest",
     "write_chrome_trace",
+    "write_flight_recorder",
     "write_rows_jsonl",
     "write_manifest",
     "BlockingInterval",
@@ -86,7 +87,6 @@ __all__ = [
     "spans_from_jsonl",
     "AuditConfig",
     "FairnessAuditor",
-    "FlightRecorder",
     "prometheus_text",
     "write_prometheus",
 ]

@@ -140,9 +140,8 @@ class FairnessAuditor:
 
     def attach_tracer(self, tracer: Optional[Tracer]) -> None:
         """Set (or clear) the tracer that receives ``audit`` events and
-        ``audit.*`` gauges.  Same convention as the other instrumented
-        components: a disabled tracer stores ``None``."""
-        self._tracer = tracer if tracer is not None and tracer.enabled else None
+        ``audit.*`` gauges."""
+        self._tracer = tracer
 
     # -- event sink ------------------------------------------------------------
 

@@ -74,11 +74,14 @@ Which request held which worker thread, and when, is one fold over the
 rows (:func:`occupancies`); the Chrome trace's request slices and the
 spans' blocking attribution both read it, so the two views cannot
 disagree.
+The per-kind counts a run's manifest reports are another fold,
+:func:`event_counts`, computed at export.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -86,6 +89,7 @@ __all__ = [
     "EVENT_KINDS",
     "Occupancy",
     "Row",
+    "event_counts",
     "occupancies",
     "payload_reader",
     "row_as_dict",
@@ -148,6 +152,37 @@ def row_as_dict(row: Row) -> Dict[str, Any]:
         out["tenant"] = tenant
     out.update(zip(keys, values))
     return out
+
+
+#: Counter name of each counted kind.
+_COUNTERS: Dict[str, str] = {
+    DISPATCH: "scheduler.dispatches",
+    COMPLETE: "scheduler.completions",
+    CANCEL: "scheduler.cancellations",
+    ESTIMATE: "estimator.refreshes",
+    INVARIANT: "validate.violations",
+    ROUTE: "fleet.route_decisions",
+}
+
+
+def event_counts(rows: Sequence[Row]) -> Dict[str, int]:
+    """The per-kind event counts of a run under their counter names:
+    rows per kind (:data:`_COUNTERS`), ``fault``/``audit`` rows per
+    named fault/monitor (``faults.<fault>``, ``audit.<monitor>``) and
+    the ``route`` rows not ``accepted`` (``fleet.rejections``).  A
+    counter with no rows is left out."""
+    kinds = Counter(map(operator.itemgetter(0), rows))
+    counts = Counter({name: kinds[k] for k, name in _COUNTERS.items() if kinds[k]})
+    if kinds[FAULT] or kinds[AUDIT] or kinds[ROUTE]:
+        for row in rows:
+            kind = row[0]
+            if kind == FAULT:
+                counts[f"faults.{row_field(row, 'fault')}"] += 1
+            elif kind == AUDIT:
+                counts[f"audit.{row_field(row, 'monitor')}"] += 1
+            elif kind == ROUTE and not row_field(row, "accepted", True):
+                counts["fleet.rejections"] += 1
+    return dict(counts)
 
 
 def row_field(row: Row, name: str, default: Any = None) -> Any:

@@ -16,7 +16,10 @@ a run that cannot be re-derived from its artifacts is not reproduced):
   scheduler parameters, package versions, git SHA, plus the counter
   snapshot of the run.
 
-Both event artifacts derive from the tracer's rows alone.  A request
+A run with a ``fault`` or ``invariant`` row also gets
+``flight_recorder.json`` (:func:`write_flight_recorder`).
+
+The event artifacts derive from the tracer's rows alone.  A request
 slice runs from its ``dispatch`` row to the same seqno's ``complete`` or
 ``cancel`` row (:func:`~repro.obs.events.occupancies`, the fold the
 spans read too), so an aborted request's slice ends where it was
@@ -82,13 +85,15 @@ from typing import (
 
 import numpy as np
 
-from .events import Occupancy, Row, occupancies, row_as_dict
+from .events import FAULT, INVARIANT, Occupancy, Row, occupancies, row_as_dict
 
 __all__ = [
     "CHUNK_ROWS",
     "encode_rows_jsonl",
     "write_rows_jsonl",
     "write_chrome_trace",
+    "flight_payload",
+    "write_flight_recorder",
     "build_manifest",
     "write_manifest",
 ]
@@ -595,6 +600,53 @@ def write_chrome_trace(
 # export time.  (``functools.cache``-style memoization; the regression
 # test in tests/test_obs_exporters.py pins "one subprocess per
 # process".)
+
+
+#: Row kinds that trigger a flight-recorder dump, and the dumps kept.
+FLIGHT_TRIGGERS = (FAULT, INVARIANT)
+FLIGHT_MAX_DUMPS = 4
+
+
+def flight_payload(rows: Sequence[Row], capacity: int) -> Optional[Dict[str, Any]]:
+    """The flight-recorder dumps of a run's rows (``None`` without a
+    trigger row): each of the first :data:`FLIGHT_MAX_DUMPS` trigger
+    rows with the ``capacity`` rows ending at it (its ``ring``) and its
+    1-based position (``events_seen``); later triggers are counted in
+    ``suppressed_dumps``.  The watchdog emits its ``invariant`` row
+    before raising, so an aborted run still has its dump."""
+    triggers = [i for i, row in enumerate(rows) if row[0] in FLIGHT_TRIGGERS]
+    if not triggers:
+        return None
+    dumps = [
+        {
+            "trigger": row_as_dict(rows[i]),
+            "events_seen": i + 1,
+            "ring": list(map(row_as_dict, rows[max(0, i + 1 - capacity) : i + 1])),
+        }
+        for i in triggers[:FLIGHT_MAX_DUMPS]
+    ]
+    return {
+        "capacity": capacity,
+        "trigger_kinds": list(FLIGHT_TRIGGERS),
+        "events_seen": len(rows),
+        "suppressed_dumps": len(triggers) - len(dumps),
+        "dumps": dumps,
+    }
+
+
+def write_flight_recorder(
+    rows: Sequence[Row], path: Union[str, Path], capacity: int
+) -> Optional[Path]:
+    """Write :func:`flight_payload` to ``path`` and return it; write
+    nothing and return ``None`` when no row is a trigger."""
+    payload = flight_payload(rows, capacity)
+    if payload is None:
+        return None
+    target = Path(path)
+    with target.open("w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return target
 
 
 @functools.lru_cache(maxsize=1)

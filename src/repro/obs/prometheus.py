@@ -1,11 +1,12 @@
 """Prometheus text-format exposition for a :class:`MetricsRegistry`.
 
-Renders the registry's instruments in the Prometheus text exposition
-format (v0.0.4): counters as ``<ns>_<name>`` with ``# TYPE ... counter``,
-gauges likewise, and timers as the conventional pair
-``<name>_seconds_total`` (counter) + ``<name>_count`` (counter).  Dotted
-registry names become underscore-separated metric names; output is
-sorted so snapshots diff cleanly and tests can pin them byte-for-byte.
+Renders the registry's instruments, and any counts handed in, in the
+Prometheus text exposition format (v0.0.4): counters as ``<ns>_<name>``
+with ``# TYPE ... counter``, gauges likewise, and timers as the
+conventional pair ``<name>_seconds_total`` (counter) + ``<name>_count``
+(counter).  Dotted registry names become underscore-separated metric
+names; output is sorted so snapshots diff cleanly and tests can pin
+them byte-for-byte.
 
 This is a *snapshot* exporter -- the simulator has no HTTP server to
 scrape -- written alongside the manifest so a run's final counters and
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .registry import MetricsRegistry
 
@@ -60,16 +61,21 @@ def _format_value(value: float) -> str:
 def prometheus_text(
     registry: MetricsRegistry,
     *,
+    counters: Optional[Mapping[str, int]] = None,
     namespace: str = "repro",
     labels: Optional[Dict[str, str]] = None,
 ) -> str:
-    """Render every instrument in the Prometheus text format.
+    """Render every instrument, and each of ``counters`` (name ->
+    count) as a counter, in the Prometheus text format.
 
     ``labels`` (e.g. ``{"run": "fig08--wfq"}``) are attached to every
     sample, letting multiple runs' snapshots be concatenated.
     """
     suffix = _label_suffix(labels)
-    samples: List[Tuple[str, str, float]] = []  # (metric, type, value)
+    samples: List[Tuple[str, str, float]] = [  # (metric, type, value)
+        (_metric_name(name, namespace), "counter", float(value))
+        for name, value in (counters or {}).items()
+    ]
     for kind, name, instrument in registry.instruments():
         metric = _metric_name(name, namespace)
         if kind == "counter":
@@ -92,12 +98,15 @@ def write_prometheus(
     registry: MetricsRegistry,
     path: Union[str, Path],
     *,
+    counters: Optional[Mapping[str, int]] = None,
     namespace: str = "repro",
     labels: Optional[Dict[str, str]] = None,
 ) -> Path:
     """Write :func:`prometheus_text` to ``path`` and return it."""
     target = Path(path)
     target.write_text(
-        prometheus_text(registry, namespace=namespace, labels=labels)
+        prometheus_text(
+            registry, counters=counters, namespace=namespace, labels=labels
+        )
     )
     return target

@@ -11,21 +11,21 @@ active automatically lands on disk as::
     <dir>/<run-label>/events.jsonl        decision event stream
     <dir>/<run-label>/chrome_trace.json   thread occupancy (chrome://tracing)
     <dir>/<run-label>/manifest.json       seed / config / versions / git SHA
+    <dir>/<run-label>/flight_recorder.json  (only when a trigger row exists)
 
 An *audited* session (``audit=AuditConfig()``, the CLI's ``--audit``)
-additionally attaches a :class:`~repro.obs.audit.FairnessAuditor` and a
-:class:`~repro.obs.flight.FlightRecorder` to every run, and exports::
+additionally attaches a :class:`~repro.obs.audit.FairnessAuditor` to
+every run, and exports::
 
     <dir>/<run-label>/audit_report.json   monitor state + trip log
     <dir>/<run-label>/metrics.prom        Prometheus text-format snapshot
-    <dir>/<run-label>/flight_recorder.json  (only when a trigger fired)
 
 The session is process-global and experiments are single-threaded (the
 simulator is a discrete-event loop), so a plain module global suffices.
 
-Both experiment runners (:func:`repro.experiments.runner.run_single`
-and :func:`repro.experiments.fleet.run_fleet`) set up their run's
-tracer, flight recorder and export through one :class:`RunTelemetry`,
+The experiment runners (:func:`repro.experiments.runner.run_single`,
+:func:`repro.experiments.fleet.run_fleet`, and the worked examples) set
+up their run's tracer and export through one :class:`RunTelemetry`,
 which also exports a run that raises.
 """
 
@@ -39,8 +39,13 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Union
 
 from .audit import AuditConfig, FairnessAuditor
-from .exporters import write_chrome_trace, write_manifest, write_rows_jsonl
-from .flight import FlightRecorder
+from .events import event_counts
+from .exporters import (
+    write_chrome_trace,
+    write_flight_recorder,
+    write_manifest,
+    write_rows_jsonl,
+)
 from .prometheus import write_prometheus
 from .tracer import Tracer
 
@@ -87,14 +92,14 @@ class TraceSession:
         #: Non-``None`` makes this an audited session: the runner builds
         #: a :class:`FairnessAuditor` per run from this config.
         self.audit = audit
-        #: Ring capacity for the per-run flight recorder.
+        #: Rows per flight-recorder dump.
         self.flight_events = flight_events
         self.runs: List[str] = []
         #: Quarantined-cell error records (JSON-ready), in failure order.
         self.errors: List[Dict[str, Any]] = []
 
     def tracer(self, label: str) -> Tracer:
-        """A fresh enabled tracer for one run."""
+        """A fresh tracer for one run."""
         return Tracer(self._slug(label), max_events=self.max_events)
 
     def export_run(
@@ -106,19 +111,23 @@ class TraceSession:
         scheduler: Optional[Dict[str, Any]] = None,
         extra: Optional[Dict[str, Any]] = None,
         auditor: Optional[FairnessAuditor] = None,
-        flight: Optional[FlightRecorder] = None,
     ) -> Path:
-        """Write one run's artifacts; returns the run directory."""
+        """Write one run's artifacts; returns the run directory.  The
+        per-kind counts and flight dumps are folds of the retained rows
+        (``trace.dropped_events`` counts the rest)."""
+        rows = tracer.rows
         run_dir = self._unique_dir(tracer.name)
-        write_rows_jsonl(tracer.rows, run_dir / "events.jsonl")
+        write_rows_jsonl(rows, run_dir / "events.jsonl")
         write_chrome_trace(
-            tracer.rows,
+            rows,
             run_dir / "chrome_trace.json",
             process_name=tracer.name,
             metadata={"run": tracer.name},
         )
+        counts = event_counts(rows)
         counters = tracer.registry.snapshot()
-        counters["trace.events"] = len(tracer.rows)
+        counters.update(counts)
+        counters["trace.events"] = len(rows)
         counters["trace.dropped_events"] = tracer.dropped_events
         if auditor is not None:
             with (run_dir / "audit_report.json").open("w") as fh:
@@ -127,10 +136,12 @@ class TraceSession:
             write_prometheus(
                 tracer.registry,
                 run_dir / "metrics.prom",
+                counters=counts,
                 labels={"run": tracer.name},
             )
-        if flight is not None and flight.dumps:
-            flight.write(run_dir / "flight_recorder.json")
+        write_flight_recorder(
+            rows, run_dir / "flight_recorder.json", self.flight_events
+        )
         write_manifest(
             run_dir / "manifest.json",
             name=tracer.name,
@@ -222,9 +233,8 @@ class RunTelemetry:
     """The observability setup of one experiment run.
 
     Inside an active session the run gets a session tracer labelled
-    ``label`` and a flight recorder riding the tracer's sink; an
-    explicit ``tracer`` is used as given, and its caller owns the
-    export.
+    ``label``; an explicit ``tracer`` is used as given, and its caller
+    owns the export.
 
     Wrap the run in :meth:`exporting_aborts` and call :meth:`export`
     after it.  Both take ``manifest``, a callable returning the
@@ -236,12 +246,8 @@ class RunTelemetry:
         self.session = current_session() if tracer is None else None
         if self.session is not None:
             tracer = self.session.tracer(label)
-        #: The run's tracer when enabled, else ``None``.
-        self.tracer = tracer if tracer is not None and tracer.enabled else None
-        self.flight: Optional[FlightRecorder] = None
-        if self.tracer is not None and self.session is not None:
-            self.flight = FlightRecorder(capacity=self.session.flight_events)
-            self.tracer.add_sink(self.flight.on_event)
+        #: The run's tracer, or ``None`` when the run is untraced.
+        self.tracer = tracer
 
     @contextlib.contextmanager
     def exporting_aborts(
@@ -272,7 +278,7 @@ class RunTelemetry:
                 fields.get("extra") or {},
                 aborted={"type": type(aborted).__name__, "message": str(aborted)},
             )
-        self.session.export_run(self.tracer, flight=self.flight, **fields)
+        self.session.export_run(self.tracer, **fields)
 
 
 @contextlib.contextmanager

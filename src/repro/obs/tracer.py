@@ -1,30 +1,29 @@
 """Scheduler-decision tracer.
 
-One :class:`Tracer` collects the typed events of one run (see
-:mod:`repro.obs.events` for the taxonomy) plus a
-:class:`~repro.obs.registry.MetricsRegistry` of named counters shared by
-every instrumented component of that run.
+One :class:`Tracer` stores the typed events of one run as rows (see
+:mod:`repro.obs.events` for the taxonomy), the run's one event record:
+the exporters derive counts and flight dumps from them.  Its
+:class:`~repro.obs.registry.MetricsRegistry` holds the instruments that
+are not events.
 
 Overhead contract
 -----------------
 Tracing must cost (close to) nothing when off.  Instrumented components
-hold a ``_trace`` attribute that is either ``None`` or an *enabled*
-tracer, and every instrumentation site is guarded by a single attribute
-check::
+hold a ``_trace`` attribute that is either ``None`` or a tracer, and
+every instrumentation site is guarded by a single attribute check::
 
     trace = self._trace
     if trace is not None:
         trace.select(...)
 
-``attach_tracer`` enforces the invariant: attaching ``None`` or a
-disabled tracer stores ``None``, so the disabled mode is exactly one
+``None`` is the only off switch, so the untraced mode is exactly one
 ``is not None`` test per instrumented operation.  The hot-path
 microbenchmarks (``benchmarks/hotpath.py``) measure traced and audited
-dequeue throughput against this disabled path.
+dequeue throughput against it.
 
-When enabled, emission is one row tuple and a list append (DESIGN.md
-§9): a typed emitter builds no dict and no :class:`TraceEvent`, and
-encoding waits for export.  ``max_events`` bounds memory for long runs
+Traced, emission is one row tuple and a list append (DESIGN.md §9): a
+typed emitter builds no dict and no :class:`TraceEvent`, and encoding
+waits for export.  ``max_events`` bounds memory for long runs
 (overflow is counted, not silently ignored).
 """
 
@@ -48,7 +47,7 @@ from .events import (
     Row,
     TraceEvent,
 )
-from .registry import Counter, MetricsRegistry
+from .registry import MetricsRegistry
 
 __all__ = ["Tracer"]
 
@@ -111,15 +110,12 @@ class _EventView(Sequence[TraceEvent]):
 
 
 class Tracer:
-    """Collects the decision events and counters of one traced run.
+    """Collects the decision events of one traced run.
 
     Parameters
     ----------
     name:
         Label for the run (used by exporters and manifests).
-    enabled:
-        A disabled tracer refuses attachment (components keep their
-        ``None`` fast path) and drops any direct ``emit`` call.
     max_events:
         Hard cap on retained events; further emissions only increment
         ``dropped_events``.  ``None`` (default) keeps everything.
@@ -127,37 +123,25 @@ class Tracer:
     Events are retained in :attr:`rows` (see :mod:`repro.obs.events`);
     :attr:`events` is a :class:`TraceEvent` view of the same store.
 
-    Streaming consumers -- the online fairness auditor and the flight
-    recorder -- register as *sinks* (:meth:`add_sink`) and see every
-    emitted row, including those dropped from the retained store once
-    ``max_events`` overflows: bounded consumers must keep working
-    precisely on the runs too long to retain in full.
+    A streaming consumer -- the online fairness auditor -- registers as
+    a *sink* (:meth:`add_sink`) and sees every emitted row, including
+    those dropped from the retained store once ``max_events``
+    overflows.  What is derived at export (counts, flight dumps) covers
+    the retained rows only.
     """
 
     __slots__ = (
         "name",
-        "enabled",
         "rows",
         "events",
         "registry",
         "dropped_events",
         "_limit",
         "_sinks",
-        "_dispatches",
-        "_completions",
-        "_cancellations",
-        "_refreshes",
-        "_routes",
     )
 
-    def __init__(
-        self,
-        name: str = "trace",
-        enabled: bool = True,
-        max_events: Optional[int] = None,
-    ) -> None:
+    def __init__(self, name: str = "trace", max_events: Optional[int] = None) -> None:
         self.name = name
-        self.enabled = bool(enabled)
         #: The event store: one row per retained event, in emission order.
         self.rows: List[Row] = []
         #: The retained events as :class:`TraceEvent` objects: a
@@ -167,13 +151,6 @@ class Tracer:
         self.dropped_events = 0
         self._limit = sys.maxsize if max_events is None else max_events
         self._sinks: List[Sink] = []
-        # Counters of the hot emitters, fetched on first use so the
-        # registry's registration order is that of the run's events.
-        self._dispatches: Optional[Counter] = None
-        self._completions: Optional[Counter] = None
-        self._cancellations: Optional[Counter] = None
-        self._refreshes: Optional[Counter] = None
-        self._routes: Optional[Counter] = None
 
     # -- emission --------------------------------------------------------------
 
@@ -189,8 +166,6 @@ class Tracer:
         self._sinks.append(sink)
 
     def _record(self, row: Row) -> None:
-        if not self.enabled:
-            return
         rows = self.rows
         if len(rows) < self._limit:
             rows.append(row)
@@ -200,7 +175,7 @@ class Tracer:
             sink(row)
 
     def emit(self, event: TraceEvent) -> None:
-        """Store one event object (respects ``enabled`` and ``max_events``)."""
+        """Store one event object (respects ``max_events``)."""
         self._record(event.as_row())
 
     # Typed emitters: thin wrappers that fix the ``kind`` and name the
@@ -278,11 +253,6 @@ class Tracer:
         start_tag_after: float,
         backlog: int,
     ) -> None:
-        counter = self._dispatches
-        if counter is None:
-            counter = self.registry.counter("scheduler.dispatches")
-            self._dispatches = counter
-        counter.inc()
         self._record(
             (
                 DISPATCH,
@@ -307,11 +277,6 @@ class Tracer:
         start_tag_after: float,
         running: int,
     ) -> None:
-        counter = self._completions
-        if counter is None:
-            counter = self.registry.counter("scheduler.completions")
-            self._completions = counter
-        counter.inc()
         self._record(
             (
                 COMPLETE,
@@ -353,11 +318,6 @@ class Tracer:
         was_running: bool,
         backlog: int,
     ) -> None:
-        counter = self._cancellations
-        if counter is None:
-            counter = self.registry.counter("scheduler.cancellations")
-            self._cancellations = counter
-        counter.inc()
         self._record(
             (CANCEL, t, vt, tenant, _CANCEL_KEYS, (seqno, api, was_running, backlog))
         )
@@ -370,7 +330,6 @@ class Tracer:
         tenant: Optional[str] = None,
         **fields: Any,
     ) -> None:
-        self.registry.counter(f"faults.{fault}").inc()
         self._record(_open_row(FAULT, t, None, tenant, "fault", fault, fields))
 
     def invariant(
@@ -382,7 +341,6 @@ class Tracer:
         tenant: Optional[str] = None,
         **fields: Any,
     ) -> None:
-        self.registry.counter("validate.violations").inc()
         self._record(_open_row(INVARIANT, t, vt, tenant, "code", code, fields))
 
     def estimate(
@@ -395,11 +353,6 @@ class Tracer:
         new: float,
         actual: float,
     ) -> None:
-        counter = self._refreshes
-        if counter is None:
-            counter = self.registry.counter("estimator.refreshes")
-            self._refreshes = counter
-        counter.inc()
         values = (api, old, new, actual)
         self._record((ESTIMATE, t, None, tenant, _ESTIMATE_KEYS, values))
 
@@ -421,13 +374,6 @@ class Tracer:
         and ``server=None``) by router ``policy`` choosing among
         ``healthy`` routable servers with ``backlog`` requests queued
         fleet-wide at decision time."""
-        counter = self._routes
-        if counter is None:
-            counter = self.registry.counter("fleet.route_decisions")
-            self._routes = counter
-        counter.inc()
-        if not accepted:
-            self.registry.counter("fleet.rejections").inc()
         values: Tuple[Any, ...] = (seqno, server, policy, healthy, backlog, accepted)
         keys = _ROUTE_KEYS
         if reason is not None:
@@ -443,7 +389,6 @@ class Tracer:
         tenant: Optional[str] = None,
         **fields: Any,
     ) -> None:
-        self.registry.counter(f"audit.{monitor}").inc()
         self._record(_open_row(AUDIT, t, vt, tenant, "monitor", monitor, fields))
 
     # -- inspection ------------------------------------------------------------
@@ -459,10 +404,7 @@ class Tracer:
         return [e for e in self.events if e.kind == kind]
 
     def __repr__(self) -> str:
-        return (
-            f"Tracer({self.name!r}, enabled={self.enabled}, "
-            f"events={len(self.rows)})"
-        )
+        return f"Tracer({self.name!r}, events={len(self.rows)})"
 
 
 def _open_row(

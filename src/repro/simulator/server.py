@@ -168,10 +168,8 @@ class ThreadPoolServer:
         """Attach a :class:`repro.obs.Tracer`; the server contributes
         refresh-charging counters and a busy-worker gauge to the
         tracer's registry (the decision *events* come from the
-        scheduler).  Disabled tracers are stored as ``None``."""
-        self._trace = (
-            tracer if tracer is not None and tracer.enabled else None
-        )
+        scheduler)."""
+        self._trace = tracer
 
     # -- ingress ------------------------------------------------------------------
 

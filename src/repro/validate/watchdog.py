@@ -136,7 +136,7 @@ class ValidatingScheduler:
 
     def attach_tracer(self, tracer: Optional["Tracer"]) -> None:
         self._inner.attach_tracer(tracer)
-        self._trace = tracer if tracer is not None and tracer.enabled else None
+        self._trace = tracer
 
     def summary(self) -> Dict[str, Any]:
         """Violation summary for the run manifest."""

@@ -39,7 +39,7 @@ from repro.faults import (
     WorkerCrash,
     WorkerSlowdown,
 )
-from repro.obs import Tracer
+from repro.obs import Tracer, event_counts
 from repro.parallel.spec import canonicalize
 from repro.simulator.clock import Simulation
 from repro.simulator.server import ThreadPoolServer
@@ -287,7 +287,7 @@ class TestWorkerFaults:
             "worker_crash",
             "worker_restart",
         ]
-        snap = tracer.registry.snapshot()
+        snap = event_counts(tracer.rows)
         assert snap["faults.worker_crash"] == 1
         assert snap["faults.slowdown_begin"] == 1
 

@@ -19,8 +19,9 @@ from repro.faults import (
     WorkerSlowdown,
 )
 from repro.fleet import FailoverPolicy, Fleet, FleetInjector
-from repro.obs import FlightRecorder, Tracer
+from repro.obs import Tracer
 from repro.obs.events import FAULT
+from repro.obs.exporters import flight_payload
 from repro.simulator.clock import Simulation
 from repro.simulator.server import ThreadPoolServer
 from repro.simulator.sources import BackloggedSource
@@ -229,34 +230,35 @@ class TestFleetInjectorDispatch:
 
 
 class TestFleetFlightRecorder:
-    def make_traced_fleet(self, recorder, **kwargs):
+    """Fleet crash/failover rows are flight-recorder triggers; the dumps
+    are the export-time fold of the run's rows."""
+
+    def make_traced_fleet(self, **kwargs):
         sim, fleet = build_fleet(health_interval=0.02, **kwargs)
         tracer = Tracer("fleet-chaos")
-        tracer.add_sink(recorder.on_event)
         fleet.attach_tracer(tracer)
         return sim, fleet, tracer
 
     def test_crash_and_failover_trigger_dumps(self):
-        recorder = FlightRecorder(capacity=64)
-        sim, fleet, tracer = self.make_traced_fleet(recorder)
+        sim, fleet, tracer = self.make_traced_fleet()
         source = BackloggedSource(
             fleet, "a", lambda: ("A", 5.0), window=4, limit=40
         )
         source.start()
         sim.at(0.3, fleet.crash_server, 1)
         sim.run(until=10.0)
-        triggers = [d["trigger"]["fault"] for d in recorder.dumps]
+        dumps = flight_payload(tracer.rows, 64)["dumps"]
+        triggers = [d["trigger"]["fault"] for d in dumps]
         # The crash itself, the monitor marking it down, and the drain.
         assert triggers[:3] == ["server_crash", "server_down", "failover"]
-        assert all(d["trigger"]["kind"] == FAULT for d in recorder.dumps)
+        assert all(d["trigger"]["kind"] == FAULT for d in dumps)
         # Each dump carries ring context (the ROUTE/ENQUEUE/... events
         # leading up to the trigger).
-        assert all(len(d["ring"]) >= 1 for d in recorder.dumps)
+        assert all(len(d["ring"]) >= 1 for d in dumps)
 
     def test_dump_storm_is_capped(self):
-        recorder = FlightRecorder(capacity=16, max_dumps=2)
         sim, fleet, tracer = self.make_traced_fleet(
-            recorder, failover=FailoverPolicy(max_retries=0)
+            failover=FailoverPolicy(max_retries=0)
         )
         # Crash every server: crash + detection + drain + abandonment
         # events per server blow well past the cap.
@@ -264,7 +266,7 @@ class TestFleetFlightRecorder:
             fleet.submit(Request(tenant_id="a", cost=50.0))
             fleet.crash_server(i)
         sim.run(until=2.0)
-        assert len(recorder.dumps) == 2
-        assert recorder.suppressed_dumps > 0
-        payload = recorder.payload()
-        assert payload["suppressed_dumps"] == recorder.suppressed_dumps
+        payload = flight_payload(tracer.rows, 16)
+        assert len(payload["dumps"]) == 4
+        triggers = sum(row[0] == FAULT for row in tracer.rows)
+        assert payload["suppressed_dumps"] == triggers - 4 > 0

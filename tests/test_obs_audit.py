@@ -25,14 +25,18 @@ from repro.experiments.unpredictable import unpredictable_config
 from repro.obs import (
     AuditConfig,
     FairnessAuditor,
-    FlightRecorder,
     MetricsRegistry,
     TraceEvent,
     TraceSession,
     Tracer,
+    event_counts,
     prometheus_text,
     trace_session,
+    write_flight_recorder,
 )
+from repro.obs.exporters import flight_payload
+
+from reference.flight_ring import FlightRing
 
 
 # Sinks receive tracer rows (repro.obs.events); these build them.
@@ -203,11 +207,10 @@ class TestEstimatorDriftMonitor:
 class TestTracerIntegration:
     def test_sink_responses_are_stored_after_their_cause(self):
         """A drift trip is emitted by the auditor sink while the tracer
-        handles the ``complete`` that caused it; both the tracer's store
-        and the flight-recorder ring must hold them in causal order."""
+        handles the ``complete`` that caused it; the tracer's store, and
+        so the flight-recorder dump folded from it, must hold them in
+        causal order."""
         tracer = Tracer("drift")
-        flight = FlightRecorder(capacity=16)
-        tracer.add_sink(flight.on_event)  # the runner's sink order
         auditor = FairnessAuditor(
             AuditConfig(drift_min_observations=1, drift_threshold=0.05), tracer
         )
@@ -218,7 +221,7 @@ class TestTracerIntegration:
         )
         assert [e.kind for e in tracer.events] == ["complete", "audit"]
         tracer.fault(2.0, "worker_crash", worker=0)
-        (dump,) = flight.dumps
+        (dump,) = flight_payload(tracer.rows, 16)["dumps"]
         assert [e["kind"] for e in dump["ring"]] == ["complete", "audit", "fault"]
 
     def test_exported_drift_trip_follows_its_complete(self, tmp_path):
@@ -254,20 +257,11 @@ class TestTracerIntegration:
         assert event.tenant == "A"
         assert event.data["monitor"] == "lag"
         assert event.data["tripped"] is True
+        assert event_counts(tracer.rows)["audit.lag"] == 1
         registry = tracer.registry
-        assert registry.counter("audit.lag").value == 1
         assert registry.gauge("audit.samples").value == 1.0
         assert registry.gauge("audit.tenants_lagging").value == 1.0
         assert registry.gauge("audit.tenants_bursty").value == 0.0
-
-    def test_attach_tracer_ignores_disabled(self):
-        auditor = FairnessAuditor()
-        auditor.attach_tracer(Tracer("off", enabled=False))
-        assert auditor._tracer is None
-        # Trips still recorded locally, just not emitted anywhere.
-        auditor.config.capacity = 1.0
-        auditor.on_sample(1.0, {"A": 0.0}, {"A": 1.0})
-        assert auditor.ever_tripped("lag") == ["A"]
 
     def test_report_is_json_ready(self):
         auditor = FairnessAuditor(AuditConfig(capacity=2.0))
@@ -326,62 +320,72 @@ class TestPrometheusText:
         assert '{run="a\\"b\\\\c"}' in text
 
 
+def vt_row(t):
+    return TraceEvent("vt_update", t, 0.0, None, {}).as_row()
+
+
 class TestFlightRecorder:
+    """The flight recorder is a fold of the run's rows at export
+    (``repro.obs.exporters.flight_payload``)."""
+
     def test_ring_is_bounded(self):
-        recorder = FlightRecorder(capacity=3)
-        for i in range(5):
-            recorder.on_event(
-                TraceEvent("vt_update", float(i), 0.0, None, {}).as_row()
-            )
-        assert len(recorder) == 3
-        assert recorder.events_seen == 5
-        assert recorder.dumps == []
+        rows = [vt_row(float(i)) for i in range(5)]
+        rows.append(TraceEvent("fault", 5.0, None, None, {"fault": "x"}).as_row())
+        payload = flight_payload(rows, 3)
+        (dump,) = payload["dumps"]
+        assert [e["t"] for e in dump["ring"]] == [3.0, 4.0, 5.0]
+        assert payload["events_seen"] == 6
+        assert flight_payload(rows[:5], 3) is None
 
     def test_fault_triggers_a_dump_of_the_ring(self):
-        recorder = FlightRecorder(capacity=8)
-        recorder.on_event(TraceEvent("dispatch", 0.0, 0.0, "A", {"seqno": 0}).as_row())
-        recorder.on_event(TraceEvent("dispatch", 1.0, 1.0, "B", {"seqno": 1}).as_row())
         trigger = TraceEvent("fault", 2.0, None, None, {"fault": "worker_crash"})
-        recorder.on_event(trigger.as_row())
-        (dump,) = recorder.dumps
+        rows = [
+            TraceEvent("dispatch", 0.0, 0.0, "A", {"seqno": 0}).as_row(),
+            TraceEvent("dispatch", 1.0, 1.0, "B", {"seqno": 1}).as_row(),
+            trigger.as_row(),
+        ]
+        (dump,) = flight_payload(rows, 8)["dumps"]
         assert dump["trigger"] == trigger.as_dict()
         assert dump["events_seen"] == 3
         assert [e["kind"] for e in dump["ring"]] == ["dispatch", "dispatch", "fault"]
 
     def test_dump_storm_is_capped_and_counted(self):
-        recorder = FlightRecorder(capacity=4, max_dumps=1)
-        for i in range(3):
-            recorder.on_event(
-                TraceEvent("invariant", float(i), None, None, {}).as_row()
-            )
-        assert len(recorder.dumps) == 1
-        assert recorder.suppressed_dumps == 2
-        assert recorder.payload()["suppressed_dumps"] == 2
+        rows = [
+            TraceEvent("invariant", float(i), None, None, {}).as_row()
+            for i in range(6)
+        ]
+        payload = flight_payload(rows, 4)
+        assert len(payload["dumps"]) == 4
+        assert payload["suppressed_dumps"] == 2
+        assert [d["events_seen"] for d in payload["dumps"]] == [1, 2, 3, 4]
 
     def test_write_round_trips(self, tmp_path):
-        recorder = FlightRecorder(capacity=4)
-        recorder.on_event(
-            TraceEvent("fault", 0.0, None, None, {"fault": "x"}).as_row()
-        )
-        path = recorder.write(tmp_path / "flight.json")
+        rows = [TraceEvent("fault", 0.0, None, None, {"fault": "x"}).as_row()]
+        path = write_flight_recorder(rows, tmp_path / "flight.json", 4)
         payload = json.loads(path.read_text())
         assert payload["capacity"] == 4
         assert payload["trigger_kinds"] == ["fault", "invariant"]
         assert len(payload["dumps"]) == 1
+        assert write_flight_recorder(rows[:0], tmp_path / "none.json", 4) is None
+        assert not (tmp_path / "none.json").exists()
 
     def test_sink_sees_events_past_the_tracer_cap(self):
-        """The recorder is a sink: a bounded tracer that has stopped
-        retaining events still feeds it every event."""
+        """A sink (the old ring, kept as the reference) still sees every
+        row past ``max_events``; the fold covers the retained rows only,
+        and ``dropped_events`` counts the rest."""
         tracer = Tracer("t", max_events=1)
-        recorder = FlightRecorder(capacity=8)
-        tracer.add_sink(recorder.on_event)
+        ring = FlightRing(capacity=8)
+        tracer.add_sink(ring.on_event)
         tracer.vt_update(0.0, 0.0, None, reason="a")
         tracer.vt_update(1.0, 1.0, None, reason="b")
         tracer.fault(2.0, "worker_crash", worker=0)
         assert len(tracer) == 1  # tracer itself capped
-        assert recorder.events_seen == 3
-        (dump,) = recorder.dumps
+        assert tracer.dropped_events == 2
+        assert ring.events_seen == 3
+        (dump,) = ring.dumps
         assert len(dump["ring"]) == 3
+        # The trigger was dropped, so the fold has nothing to dump.
+        assert flight_payload(tracer.rows, 8) is None
 
 
 class TestAuditedSessionArtifacts:
@@ -389,16 +393,15 @@ class TestAuditedSessionArtifacts:
         session = TraceSession(tmp_path, audit=AuditConfig(capacity=2.0))
         tracer = session.tracer("fig9 (wfq)")
         auditor = FairnessAuditor(session.audit, tracer)
-        flight = FlightRecorder(capacity=8)
-        tracer.add_sink(flight.on_event)
         auditor.on_sample(1.0, {"A": 0.0, "B": 1.0}, {"A": 0.5, "B": 0.5})
         tracer.fault(2.0, "worker_crash", worker=1)
-        run_dir = session.export_run(tracer, auditor=auditor, flight=flight)
+        run_dir = session.export_run(tracer, auditor=auditor)
         report = json.loads((run_dir / "audit_report.json").read_text())
         assert report["monitors"]["lag"]["ever_tripped"] == ["A"]
         prom = (run_dir / "metrics.prom").read_text()
         assert f'run="{tracer.name}"' in prom
         assert "repro_audit_samples" in prom
+        assert f'repro_faults_worker_crash{{run="{tracer.name}"}} 1' in prom
         flight_payload = json.loads((run_dir / "flight_recorder.json").read_text())
         assert len(flight_payload["dumps"]) == 1
 
@@ -406,8 +409,7 @@ class TestAuditedSessionArtifacts:
         session = TraceSession(tmp_path, audit=AuditConfig(capacity=2.0))
         tracer = session.tracer("quiet")
         auditor = FairnessAuditor(session.audit, tracer)
-        flight = FlightRecorder(capacity=8)
-        run_dir = session.export_run(tracer, auditor=auditor, flight=flight)
+        run_dir = session.export_run(tracer, auditor=auditor)
         assert (run_dir / "audit_report.json").exists()
         assert not (run_dir / "flight_recorder.json").exists()
 

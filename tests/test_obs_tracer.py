@@ -36,7 +36,7 @@ from repro.core.registry import scheduler_names
 from repro.core.request import Request
 from repro.core.vt_base import VirtualTimeScheduler
 from repro.estimation.pessimistic import PessimisticEstimator
-from repro.obs import EVENT_KINDS, TraceEvent, Tracer
+from repro.obs import EVENT_KINDS, TraceEvent, Tracer, event_counts
 from repro.simulator.rng import make_rng
 
 GOLDEN = Path(__file__).parent / "data" / "golden_2dfq_trace.jsonl"
@@ -162,15 +162,6 @@ class TestTracerSemantics:
         assert len(tracer.of_kind("vt_update")) == 2
         assert tracer.of_kind("dispatch") == []
 
-    def test_disabled_tracer_drops_everything(self):
-        tracer = Tracer("t", enabled=False)
-        tracer.emit(TraceEvent("enqueue", 0.0, 0.0, "A", {}))
-        tracer.dispatch(
-            0.0, 0.0, "A", seqno=0, api="x", thread=0, estimate=1.0,
-            start_tag_after=1.0, backlog=1,
-        )
-        assert len(tracer) == 0
-
     def test_max_events_counts_overflow(self):
         tracer = Tracer("t", max_events=2)
         for i in range(5):
@@ -189,10 +180,13 @@ class TestTracerSemantics:
             start_tag_after=1.0, running=0,
         )
         tracer.estimate(1.0, "A", api="x", old=1.0, new=1.25, actual=1.5)
-        snap = tracer.registry.snapshot()
-        assert snap["scheduler.dispatches"] == 1
-        assert snap["scheduler.completions"] == 1
-        assert snap["estimator.refreshes"] == 1
+        assert event_counts(tracer.rows) == {
+            "scheduler.dispatches": 1,
+            "scheduler.completions": 1,
+            "estimator.refreshes": 1,
+        }
+        # Emitters only record rows: the registry holds no event counts.
+        assert tracer.registry.snapshot() == {}
         # The completion event carries the estimate error.
         (complete,) = tracer.of_kind("complete")
         assert complete.data["error"] == pytest.approx(-0.5)
@@ -209,19 +203,14 @@ class TestTracerSemantics:
 
 
 class TestAttachSemantics:
-    def test_attach_none_and_disabled_keep_fast_path(self):
-        scheduler = make_scheduler("2dfq", num_threads=2)
-        assert scheduler.tracer is None
-        scheduler.attach_tracer(None)
-        assert scheduler._trace is None
-        scheduler.attach_tracer(Tracer("t", enabled=False))
-        assert scheduler._trace is None
-
     def test_attach_enabled_tracer(self):
         scheduler = make_scheduler("2dfq", num_threads=2)
         tracer = Tracer("t")
         scheduler.attach_tracer(tracer)
         assert scheduler.tracer is tracer
+        # None is the only off switch.
+        scheduler.attach_tracer(None)
+        assert scheduler._trace is None
 
     def test_untraced_run_emits_nothing(self):
         # The default: no tracer, every site is one attribute check.
@@ -275,7 +264,7 @@ class TestInstrumentedRun:
         selects = tracer.of_kind("select")
         dispatches = tracer.of_kind("dispatch")
         assert len(selects) == len(dispatches) == 4
-        assert tracer.registry.snapshot()["scheduler.dispatches"] == 4
+        assert event_counts(tracer.rows)["scheduler.dispatches"] == 4
 
     def test_select_event_carries_decision_state(self):
         scheduler = make_scheduler("2dfq", num_threads=2)

@@ -20,7 +20,7 @@ from repro.core.selection import SelectionIndex
 from repro.core.twodfq import TwoDFQEScheduler, TwoDFQScheduler
 from repro.errors import InvariantViolation
 from repro.experiments import ExperimentConfig, run_comparison
-from repro.obs import Tracer
+from repro.obs import Tracer, event_counts
 from repro.validate import ValidatingScheduler, env_validate
 from repro.workloads.distributions import FixedCost
 from repro.workloads.arrivals import Backlogged
@@ -207,7 +207,7 @@ class TestMutants:
         assert event.data["code"] == "backlog-consistency"
         assert event.data["op"] == "enqueue"
         assert event.tenant == "A"
-        assert tracer.registry.snapshot()["validate.violations"] == 1
+        assert event_counts(tracer.rows)["validate.violations"] == 1
         summary = watched.summary()
         assert summary["violations"] == 1
         assert summary["codes"] == ["backlog-consistency"]
