@@ -7,11 +7,12 @@ through it, which makes every experiment single-threaded, deterministic,
 and immune to Python's GIL (see DESIGN.md: the paper itself evaluates in
 a discrete-event simulator).
 
-Events are ``(time, seq)``-ordered entries of one binary heap; the
-sequence number keeps events scheduled for the same instant in FIFO
-order.  Cancellation is lazy: :meth:`Simulation.cancel` marks the
-handle and the entry stays in the heap until :meth:`Simulation.run`
-reaches it and drops it (DESIGN.md §8, "The event kernel").
+Each event is one heap entry, the list ``[time, seq, fn, args]``, and
+that entry is also its handle; the sequence number keeps events
+scheduled for the same instant in FIFO order.  Cancellation is lazy:
+:meth:`Simulation.cancel` clears the entry's ``fn`` and the entry stays
+in the heap until :meth:`Simulation.run` reaches it and drops it
+(DESIGN.md §8, "The event kernel").
 """
 
 from __future__ import annotations
@@ -19,33 +20,17 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from ..errors import SimulationError
 from ..units import Duration, SimTime
 
 __all__ = ["EventHandle", "Simulation"]
 
-
-class EventHandle:
-    """Opaque handle to a scheduled event; pass it to
-    :meth:`Simulation.cancel`.  ``cancelled`` is set once the event is
-    cancelled or has fired."""
-
-    __slots__ = ("time", "seq", "fn", "args", "cancelled")
-
-    def __init__(
-        self, time: SimTime, seq: int, fn: Callable[..., Any], args: Tuple[Any, ...]
-    ) -> None:
-        self.time: SimTime = time
-        self.seq = seq
-        self.fn: Optional[Callable[..., Any]] = fn
-        self.args = args
-        self.cancelled = False
-
-    def __repr__(self) -> str:
-        state = "cancelled" if self.cancelled else "pending"
-        return f"EventHandle(t={self.time:g}, seq={self.seq}, {state})"
+#: A scheduled event: its heap entry ``[time, seq, fn, args]``.  Pass it
+#: to :meth:`Simulation.cancel`; ``fn`` is ``None`` once the event is
+#: cancelled or has fired.
+EventHandle = List[Any]
 
 
 class Simulation:
@@ -58,9 +43,9 @@ class Simulation:
     """
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[SimTime, int, EventHandle]] = []
+        self._heap: List[EventHandle] = []
         self._seq = itertools.count()
-        self._live = 0  # scheduled events neither cancelled nor fired
+        self._dead = 0  # cancelled entries still in the heap
         self.now: SimTime = 0.0
         self._running = False
         self._stopped = False
@@ -70,7 +55,7 @@ class Simulation:
 
     @property
     def pending_events(self) -> int:
-        return self._live
+        return len(self._heap) - self._dead
 
     @property
     def events_processed(self) -> int:
@@ -80,7 +65,7 @@ class Simulation:
     def cancelled_backlog(self) -> int:
         """Cancelled entries still in the event heap (the memory cost of
         lazy cancellation; exported as an obs gauge)."""
-        return len(self._heap) - self._live
+        return self._dead
 
     # -- scheduling -------------------------------------------------------------
 
@@ -93,29 +78,25 @@ class Simulation:
             raise SimulationError(f"event time must be >= now {now}, got {time}")
         if time < now:
             time = now
-        handle = EventHandle(time, next(self._seq), fn, args)
-        heapq.heappush(self._heap, (time, handle.seq, handle))
-        self._live += 1
-        return handle
+        entry: EventHandle = [time, next(self._seq), fn, args]
+        heapq.heappush(self._heap, entry)
+        return entry
 
     def after(self, delay: Duration, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` after ``delay`` seconds."""
         if not delay >= 0:
             raise SimulationError(f"delay must be >= 0, got {delay}")
-        time = self.now + delay
-        handle = EventHandle(time, next(self._seq), fn, args)
-        heapq.heappush(self._heap, (time, handle.seq, handle))
-        self._live += 1
-        return handle
+        entry: EventHandle = [self.now + delay, next(self._seq), fn, args]
+        heapq.heappush(self._heap, entry)
+        return entry
 
-    def cancel(self, handle: EventHandle) -> None:
+    def cancel(self, entry: EventHandle) -> None:
         """Cancel a scheduled event; a no-op if it already fired or was
         cancelled.  Its heap entry stays until :meth:`run` reaches it."""
-        if not handle.cancelled:
-            handle.cancelled = True
-            handle.fn = None  # free references early
-            handle.args = ()
-            self._live -= 1
+        if entry[2] is not None:
+            entry[2] = None  # free references early
+            entry[3] = ()
+            self._dead += 1
 
     def stop(self) -> None:
         """Stop the loop after the current event returns."""
@@ -154,7 +135,7 @@ class Simulation:
             limit = max_events
         self._running = True
         self._stopped = False
-        # One check serves every due top: pop it, and skip it if it was
+        # One check serves every due top: pop it, and drop it if it was
         # cancelled.  So a dead entry leaves the heap once the loop passes
         # its time, and a top past the horizon ends the loop.
         heap = self._heap
@@ -163,35 +144,29 @@ class Simulation:
         try:
             while processed < limit and not self._stopped:
                 if not (heap and heap[0][0] <= horizon):
-                    if not heap and self._live:
+                    if not heap and self._dead:
                         # Raise (never assert: python -O would strip the
                         # check) -- this is state corruption.
                         raise SimulationError(
-                            f"event heap reports {self._live} pending events "
-                            "but holds none (live-count/heap divergence)"
+                            f"event heap reports {self._dead} cancelled "
+                            "entries but holds none (dead-count/heap divergence)"
                         )
                     break
-                handle = heappop(heap)[2]
-                if handle.cancelled:
+                entry = heappop(heap)
+                fn = entry[2]
+                if fn is None:
+                    self._dead -= 1
                     continue
-                self._live -= 1
-                handle.cancelled = True  # consumed: a later cancel is a no-op
-                self.now = handle.time
-                fn, args = handle.fn, handle.args
-                handle.fn = None  # free references early
-                handle.args = ()
+                entry[2] = None  # consumed: a later cancel is a no-op
+                self.now = entry[0]
                 processed += 1
                 self._events_processed = processed
-                if fn is None:
-                    raise SimulationError(
-                        f"popped event at t={handle.time} was already "
-                        "consumed (callback reference cleared)"
-                    )
-                fn(*args)
+                fn(*entry[3])
             if until is not None and self.now < until and not self._stopped:
                 if processed >= limit:  # cut short: is a live event still due?
-                    while heap and heap[0][0] <= until and heap[0][2].cancelled:
+                    while heap and heap[0][0] <= until and heap[0][2] is None:
                         heappop(heap)
+                        self._dead -= 1
                     if heap and heap[0][0] <= until:
                         return self.now
                 self.now = until

@@ -37,8 +37,9 @@ HORIZON = 10.0
 #: 55.13 once a zero-charge completion under known costs stopped
 #: re-filing its tenant for selection (e2e ``quickstart`` 54.8), on the
 #: linear scans this cell then ran on.  On the sorted list, with every
-#: touch filing at once, it measures 56.10.
-CALLS_PER_REQUEST_BUDGET = 55.2 + 2
+#: touch filing at once, it measured 56.10, and 54.56 once each event's
+#: heap entry became its own handle (no handle object built per event).
+CALLS_PER_REQUEST_BUDGET = 54.56 + 2
 
 #: Every priming submission runs its own dispatch pass: one per request
 #: each source has in flight from the start.
@@ -64,8 +65,9 @@ INDEXED_HORIZON = 0.5
 #: completion re-filed its tenant in the selection index, 91.8 since a
 #: zero-charge completion under known costs skips it, 55.2 since the
 #: index is one sorted list (a query walks it from the front instead of
-#: draining a gate heap into per-thread ready heaps).
-INDEXED_CALLS_PER_REQUEST_BUDGET = 55.2 + 2
+#: draining a gate heap into per-thread ready heaps); that list measured
+#: 47.12, and 46.12 once each event's heap entry became its own handle.
+INDEXED_CALLS_PER_REQUEST_BUDGET = 46.12 + 2
 
 #: :data:`PRIMING_TOUCHES` of :func:`indexed_cell`.
 INDEXED_PRIMING_TOUCHES = INDEXED_TENANTS + INDEXED_THREADS

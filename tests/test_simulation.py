@@ -9,6 +9,9 @@ from repro.errors import SimulationError
 from repro.simulator.clock import EventHandle, Simulation
 from repro.simulator.rng import make_rng
 
+# A handle is its event's heap entry, the list [time, seq, fn, args].
+TIME, SEQ, FN, ARGS = range(4)
+
 
 class TestScheduling:
     def test_at_runs_in_order(self):
@@ -65,7 +68,7 @@ class TestScheduling:
         sim = Simulation()
         seen = []
         handles = [sim.at(7.0, seen.append, i) for i in range(10)]
-        assert [h.seq for h in handles] == sorted(h.seq for h in handles)
+        assert [h[SEQ] for h in handles] == sorted(h[SEQ] for h in handles)
         sim.run()
         assert seen == list(range(10))
 
@@ -83,7 +86,7 @@ class TestScheduling:
         fired = []
         first = sim.at(1.0, fired.append, "first")
         second = sim.at(1.0, fired.append, "second")
-        assert first.seq < second.seq
+        assert first[SEQ] < second[SEQ]
         sim.run(max_events=1)
         assert fired == ["first"]
         assert sim.pending_events == 1
@@ -127,8 +130,8 @@ class TestCancellation:
         payload = object()
         h = sim.at(1.0, lambda x: None, payload)
         sim.cancel(h)
-        assert h.args == ()
-        assert h.fn is None
+        assert h[ARGS] == ()
+        assert h[FN] is None
 
     def test_pending_events_counts_live_events(self):
         sim = Simulation()
@@ -164,18 +167,43 @@ class TestCancellation:
         assert sim.pending_events == 0
         assert sim.events_processed == 3
 
+    def test_cancel_of_a_fired_entry_leaves_both_counts(self):
+        # A fired entry's fn is cleared, so cancel sees it as done, even
+        # from inside its own callback: counting it dead would leave the
+        # dead count above the heap's cancelled entries.
+        sim = Simulation()
+        entries = []
+        entries.append(sim.at(1.0, lambda: sim.cancel(entries[0])))
+        sim.at(2.0, lambda: None)
+        sim.run(until=1.5)
+        assert entries[0][FN] is None
+        sim.cancel(entries[0])
+        assert sim.pending_events == 1
+        assert sim.cancelled_backlog == 0
+        assert sim.run() == 2.0
+        assert sim.events_processed == 2
+        assert sim.pending_events == 0
+        assert sim.cancelled_backlog == 0
+
+    def test_corrupted_heap_raises_the_dead_count_divergence(self):
+        sim = Simulation()
+        sim.cancel(sim.at(1.0, lambda: None))
+        sim._heap.clear()  # the dead entry vanishes behind the kernel's back
+        with pytest.raises(SimulationError, match="dead-count/heap divergence"):
+            sim.run()
+
     def test_backlog_after_until_counts_cancels_past_the_horizon(self):
         sim = Simulation()
         handles = [sim.at(float(t), lambda: None) for t in range(1, 21)]
-        cancelled = [h for h in handles if h.seq % 3 != 1]
+        cancelled = [h for h in handles if h[SEQ] % 3 != 1]
         for h in cancelled:
             sim.cancel(h)
         horizon = 11.5
         sim.run(until=horizon)
         assert sim.now == horizon
-        assert sim.cancelled_backlog == sum(h.time > horizon for h in cancelled)
+        assert sim.cancelled_backlog == sum(h[TIME] > horizon for h in cancelled)
         assert sim.pending_events == sum(
-            h.time > horizon for h in handles if h not in cancelled
+            h[TIME] > horizon for h in handles if h not in cancelled
         )
 
 
@@ -263,6 +291,22 @@ class TestRunSemantics:
         assert sim.run() == 9.0
         assert seen == [1.0, 9.0]
 
+    def test_max_events_cut_drops_dead_tops_before_a_due_event(self):
+        # Dead entries on top of a live due event: the cut drops them and
+        # still stops the clock at the last fired event.
+        sim = Simulation()
+        seen = []
+        sim.at(1.0, seen.append, 1.0)
+        for t in (2.0, 2.0, 3.0):
+            sim.cancel(sim.at(t, seen.append, t))
+        sim.at(4.0, seen.append, 4.0)
+        sim.at(9.0, seen.append, 9.0)
+        assert sim.run(until=5.0, max_events=1) == 1.0
+        assert sim.cancelled_backlog == 0
+        assert sim.pending_events == 2
+        assert sim.run(until=5.0) == 5.0
+        assert seen == [1.0, 4.0]
+
     def test_stop_from_callback(self):
         sim = Simulation()
         seen = []
@@ -325,7 +369,7 @@ def run_random_program(seed, budget=300):
         else:
             handle = sim.after(delay, fire, order)
             time = sim.now + delay
-        assert handle.time == time
+        assert handle[TIME] == time
         pending[order] = (time, order, handle)
 
     def grid_time(scale):
@@ -436,7 +480,7 @@ def run_cancel_trace(seed, ops=4000, cancel_bias=0.2):
     def schedule(time):
         order = len(keys)
         handle = sim.at(time, fired.append, order)
-        keys.append((handle.time, order))
+        keys.append((handle[TIME], order))
         live[order] = (keys[order], handle)
         return order
 
