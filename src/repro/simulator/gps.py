@@ -9,14 +9,25 @@ the weights of flows with backlog.
 Implementation: the classic virtual-time formulation.  System virtual
 time ``V(t)`` advances at ``C / Phi(t)``; a flow activated at virtual
 time ``V`` with backlog ``b`` drains exactly when virtual time reaches
-its *virtual emptying time* ``E_f = V + b / phi_f``.  Crucially ``E_f``
-is invariant under active-set changes, so flows sit in a lazy min-heap
-keyed by ``E_f`` and the whole fluid system advances event-by-event in
-``O(log F)`` per arrival/drain.  Cumulative service is then a pure
+its *virtual emptying time* ``E_f = V + b / phi_f``.  ``E_f`` is
+invariant under active-set changes, so the fluid system advances from
+drain to drain in ``O(log F)`` each, and cumulative service is a pure
 function of state:
 
     W_f(t) = arrived_f - backlog_f(t),
     backlog_f(t) = phi_f * (E_f - V(t))   while active, else 0.
+
+The heap holds exactly one entry ``(E, seq, flow)`` per active flow,
+pushed when the flow activates.  Every positive-cost arrival draws a
+fresh ``flow.seq`` and raises ``flow.empty_at``; an arrival to an active
+flow pushes nothing, so its entry's key can go stale, but only ever
+low.  :meth:`GPSReference.advance` tests the top entry's own key: the
+wallclock of a drain, ``t + (E - V) * Phi / C``, is monotone in ``E``,
+so if the top cannot drain by the target time, no flow can.  A top that
+could drain but is stale (``seq != flow.seq``) is re-filed under the
+flow's current ``(empty_at, seq)`` and the test repeats; an up-to-date
+top drains.  The drain order and every float operation are those of a
+heap keyed by each flow's current ``(E_f, seq)``, ties included.
 
 This substrate is exact (up to float round-off), not a discretization.
 """
@@ -25,23 +36,20 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Dict, Iterable, List, Tuple
 
 from ..errors import ConfigurationError, SimulationError
 from ..units import Cost, Rate, SimTime, VirtualTime, Weight
 
-__all__ = ["Arrival", "GPSReference", "DEFAULT_PURGE_THRESHOLD"]
-
-#: Minimum stale backlog before the emptying-time heap is compacted;
-#: keeps small references from compacting constantly.
-DEFAULT_PURGE_THRESHOLD = 64
+__all__ = ["Arrival", "GPSReference"]
 
 #: One replayed arrival: ``(flow_id, cost, now, weight)``.
 Arrival = Tuple[str, Cost, SimTime, Weight]
 
 
 class _Flow:
-    __slots__ = ("flow_id", "weight", "arrived", "active", "empty_at", "version")
+    __slots__ = ("flow_id", "weight", "arrived", "active", "empty_at", "seq")
 
     def __init__(self, flow_id: str, weight: Weight) -> None:
         self.flow_id = flow_id
@@ -50,8 +58,14 @@ class _Flow:
         self.active = False
         #: Virtual emptying time E_f (valid while active).
         self.empty_at: VirtualTime = 0.0
-        #: Heap entry version for lazy invalidation.
-        self.version = 0
+        #: Sequence number of the flow's latest positive-cost arrival;
+        #: its heap entry is up to date when the entry carries it.
+        self.seq = -1
+
+
+def _check_capacity(capacity: Rate) -> None:
+    if not 0.0 < capacity < math.inf:
+        raise ConfigurationError(f"capacity must be positive, got {capacity}")
 
 
 class GPSReference:
@@ -59,36 +73,23 @@ class GPSReference:
 
     Feed it every request arrival (true cost) with :meth:`arrive`, then
     query per-flow cumulative service with :meth:`service` after
-    :meth:`advance`-ing to the sample time.
+    :meth:`advance`-ing to the sample time.  A cost must be finite and
+    ``>= 0``, a weight finite and ``> 0``, a capacity finite and
+    ``> 0``, and time must not move backwards (NaN included); anything
+    else raises where it enters.
     """
 
-    def __init__(
-        self,
-        capacity: Rate,
-        purge_threshold: int = DEFAULT_PURGE_THRESHOLD,
-    ) -> None:
-        if capacity <= 0:
-            raise ConfigurationError(f"capacity must be positive, got {capacity}")
-        if purge_threshold < 1:
-            raise ConfigurationError(
-                f"purge_threshold must be >= 1, got {purge_threshold}"
-            )
+    def __init__(self, capacity: Rate) -> None:
+        _check_capacity(capacity)
         self._capacity: Rate = float(capacity)
         self._virtual: VirtualTime = 0.0
         self._wallclock: SimTime = 0.0
         self._active_weight: Weight = 0.0
         self._flows: Dict[str, _Flow] = {}
-        # Heap entries carry a globally unique sequence number so ties on
-        # (empty_at) never fall through to comparing _Flow objects.
-        self._heap: List[Tuple[float, int, int, _Flow]] = []
+        # One entry per active flow; the sequence number breaks ties on
+        # empty_at, so entries never fall through to comparing _Flows.
+        self._heap: List[Tuple[float, int, _Flow]] = []
         self._entry_seq = itertools.count()
-        # Lazy-invalidation bookkeeping: every re-arrival of an active
-        # flow supersedes its previous heap entry; the stale count is
-        # exact, and the same outnumber-the-live + threshold heuristic
-        # as the event queue bounds the heap at ~2x the active flows.
-        self._stale_entries = 0
-        self._purge_threshold = purge_threshold
-        self._purges = 0
 
     # -- observation -----------------------------------------------------------
 
@@ -109,22 +110,16 @@ class GPSReference:
         return self._active_weight
 
     @property
-    def stale_entries(self) -> int:
-        """Superseded heap entries not yet dropped (lazy invalidation)."""
-        return self._stale_entries
-
-    @property
     def heap_size(self) -> int:
+        """Heap entries: exactly the number of active flows."""
         return len(self._heap)
 
     @property
     def purges(self) -> int:
-        """Number of heap compaction passes performed so far."""
-        return self._purges
-
-    @property
-    def purge_threshold(self) -> int:
-        return self._purge_threshold
+        """Always 0: the heap is never compacted.  It stays because the
+        e2e benchmark's traced pass (``benchmarks/e2e/tracing.py``)
+        reads it."""
+        return 0
 
     def backlog(self, flow_id: str) -> Cost:
         """Remaining fluid backlog of a flow at the current time."""
@@ -183,15 +178,21 @@ class GPSReference:
         record, with the records before it applied.
         """
         flows = self._flows
+        heap = self._heap
         advance = self.advance
-        heappush = heapq.heappush
         entry_seq = self._entry_seq
+        inf = math.inf
         for flow_id, cost, now, weight in arrivals:
-            if cost < 0:
+            if not 0.0 <= cost < inf:
                 raise ConfigurationError(f"cost must be >= 0, got {cost}")
             advance(now)
             flow = flows.get(flow_id)
             if flow is None:
+                if not 0.0 < weight < inf:
+                    raise ConfigurationError(
+                        f"flow {flow_id!r} weight must be positive and finite, "
+                        f"got {weight}"
+                    )
                 flow = _Flow(flow_id, weight)
                 flows[flow_id] = flow
             elif weight != flow.weight:
@@ -203,21 +204,15 @@ class GPSReference:
             flow.arrived += cost
             if cost == 0:
                 continue
+            flow.seq = next(entry_seq)
             if flow.active:
+                # The flow's entry stays; advance re-files it if needed.
                 flow.empty_at += cost / flow.weight
-                # The flow's previous heap entry is now superseded.
-                self._stale_entries += 1
             else:
                 flow.active = True
                 self._active_weight += flow.weight
                 flow.empty_at = self._virtual + cost / flow.weight
-            flow.version += 1
-            # _compact rebinds the heap, so read it afresh per record.
-            heap = self._heap
-            heappush(heap, (flow.empty_at, next(entry_seq), flow.version, flow))
-            stale = self._stale_entries
-            if stale > self._purge_threshold and stale > len(heap) - stale:
-                self._compact()
+                heapq.heappush(heap, (flow.empty_at, flow.seq, flow))
 
     def set_capacity(self, capacity: Rate, now: SimTime) -> None:
         """Change the fluid server's rate from wallclock ``now`` on.
@@ -231,68 +226,40 @@ class GPSReference:
         virtual time, ``dt = dv * Phi / C``), so pending drains keep
         their virtual schedule and simply play out faster or slower.
         """
-        if capacity <= 0:
-            raise ConfigurationError(f"capacity must be positive, got {capacity}")
+        _check_capacity(capacity)
         self.advance(now)
         self._capacity = float(capacity)
 
     def advance(self, to_time: SimTime) -> None:
         """Evolve the fluid system to wallclock ``to_time``."""
-        if to_time < self._wallclock - 1e-12:
+        if not to_time >= self._wallclock - 1e-12:
             raise SimulationError(
                 f"GPS time moved backwards: {to_time} < {self._wallclock}"
             )
         heap = self._heap
-        while True:
-            # The earliest-draining active flow, skipping stale entries.
-            while heap:
-                _, _, version, flow = heap[0]
-                if flow.active and version == flow.version:
-                    break
-                heapq.heappop(heap)
-                if self._stale_entries > 0:
-                    self._stale_entries -= 1
-            else:
-                # Nothing backlogged: virtual time freezes.
-                self._wallclock = max(self._wallclock, to_time)
-                return
-            dv = flow.empty_at - self._virtual
+        while heap:
+            empty_at, seq, flow = heap[0]
+            dv = empty_at - self._virtual
             dt = dv * self._active_weight / self._capacity
             empty_wallclock = self._wallclock + dt
-            if empty_wallclock <= to_time + 1e-15:
-                # The flow drains before (or at) the target time.
-                self._virtual = flow.empty_at
-                self._wallclock = empty_wallclock
-                heapq.heappop(heap)
-                flow.active = False
-                self._active_weight -= flow.weight
-                if self._active_weight < 1e-12:
-                    self._active_weight = 0.0
+            if empty_wallclock > to_time + 1e-15:
+                # Not even the top drains: partial advance to the target.
+                elapsed = to_time - self._wallclock
+                if elapsed > 0:
+                    self._virtual += elapsed * self._capacity / self._active_weight
+                    self._wallclock = to_time
+                return
+            if seq != flow.seq:
+                # A stale key: re-file the flow under its current one.
+                heapq.heapreplace(heap, (flow.empty_at, flow.seq, flow))
                 continue
-            # Partial advance up to the target time.
-            elapsed = to_time - self._wallclock
-            if elapsed > 0:
-                self._virtual += elapsed * self._capacity / self._active_weight
-                self._wallclock = to_time
-            return
-
-    # -- internals ------------------------------------------------------------------
-
-    def _compact(self) -> None:
-        """Rebuild the heap from the active flows' current entries.
-
-        Unlike the event queue, entry keys are not preserved -- each
-        active flow gets a fresh sequence number -- but that cannot
-        change results: at most one entry per flow is live, ties on
-        ``empty_at`` drain at the same instant, and service is a pure
-        function of ``(arrived, empty_at, virtual)``, none of which
-        compaction touches.
-        """
-        self._heap = [
-            (flow.empty_at, next(self._entry_seq), flow.version, flow)
-            for flow in self._flows.values()
-            if flow.active
-        ]
-        heapq.heapify(self._heap)
-        self._stale_entries = 0
-        self._purges += 1
+            # The flow drains before (or at) the target time.
+            self._virtual = empty_at
+            self._wallclock = empty_wallclock
+            heapq.heappop(heap)
+            flow.active = False
+            self._active_weight -= flow.weight
+            if self._active_weight < 1e-12:
+                self._active_weight = 0.0
+        # Nothing backlogged: virtual time freezes.
+        self._wallclock = max(self._wallclock, to_time)

@@ -1,13 +1,15 @@
 """Unit tests for the fluid GPS reference server."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference.fluid_gps import fluid_service
+from reference.lazy_gps import GPSReference as LazyGPS
 from repro.errors import ConfigurationError, SimulationError
 from repro.simulator.gps import GPSReference
 from repro.simulator.rng import make_rng
@@ -181,53 +183,71 @@ class TestCapacityChange:
 
 
 class TestLazyInvalidation:
-    """Pin the stale-entry bookkeeping and heap compaction heuristic."""
+    """One heap entry per active flow; a stale key is re-filed only when
+    the top could drain."""
 
-    def test_rearrival_creates_stale_entry(self):
-        gps = GPSReference(capacity=10.0, purge_threshold=1000)
+    @staticmethod
+    def entries(gps):
+        return sorted((key, flow.flow_id, seq == flow.seq) for key, seq, flow in gps._heap)
+
+    def test_rearrival_pushes_no_entry(self):
+        gps = GPSReference(capacity=10.0)
         gps.arrive("A", 10.0, now=0.0)
-        assert gps.stale_entries == 0
+        assert gps.heap_size == 1
         gps.arrive("A", 10.0, now=0.0)
-        assert gps.stale_entries == 1
-        assert gps.heap_size == 2
+        # A's entry keeps its old key and is now stale.
+        assert self.entries(gps) == [(10.0, "A", False)]
+        assert gps.backlog("A") == 20.0
 
-    def test_peek_drops_stale_entries(self):
-        gps = GPSReference(capacity=10.0, purge_threshold=1000)
-        # The front flow's entry stays at the heap top, so A's superseded
-        # entries pile up behind it instead of being popped on peek.
-        gps.arrive("front", 1.0, now=0.0)
-        for _ in range(4):
-            gps.arrive("A", 10.0, now=0.0)
-        assert gps.stale_entries == 3
-        gps.advance(10.0)  # drains past the stale entries
-        assert gps.stale_entries == 0
+    def test_stale_top_that_could_drain_is_refiled(self):
+        gps = GPSReference(capacity=10.0)
+        gps.arrive("A", 10.0, now=0.0)   # E_A = 10
+        gps.arrive("A", 100.0, now=0.0)  # E_A = 110; the entry still says 10
+        gps.arrive("B", 50.0, now=0.0)   # E_B = 50
+        gps.advance(3.0)  # V = 15: the stale key 10 could drain, E_A cannot
+        assert self.entries(gps) == [(50.0, "B", True), (110.0, "A", True)]
+        assert gps.virtual_time == 15.0
+        assert gps.backlog("A") == pytest.approx(95.0)
 
-    def test_compaction_fires_when_stale_outnumber_live(self):
-        gps = GPSReference(capacity=10.0, purge_threshold=2)
-        gps.arrive("A", 1.0, now=0.0)
-        gps.arrive("B", 1.0, now=0.0)
-        for _ in range(4):
-            gps.arrive("A", 1.0, now=0.0)
-        # 4 stale entries > threshold (2) and > live (2): compacted.
-        assert gps.purges >= 1
-        assert gps.stale_entries == 0
-        assert gps.heap_size == 2
+    def test_stale_top_that_cannot_drain_stays(self):
+        gps = GPSReference(capacity=10.0)
+        gps.arrive("A", 10.0, now=0.0)
+        gps.arrive("A", 100.0, now=0.0)
+        gps.advance(0.5)  # V = 5 < the stale key 10: nothing to re-file
+        assert self.entries(gps) == [(10.0, "A", False)]
+        assert gps.service("A") == pytest.approx(5.0)
 
     def test_heap_bounded_under_rearrival_churn(self):
-        gps = GPSReference(capacity=1000.0, purge_threshold=8)
-        gps.arrive("front", 0.001, now=0.0)  # keeps the heap top live
+        gps = GPSReference(capacity=1000.0)
+        gps.arrive("front", 0.001, now=0.0)
         for _ in range(1000):
             gps.arrive("A", 1.0, now=0.0)
             gps.arrive("B", 1.0, now=0.0)
-        live = 3
-        assert gps.heap_size <= 2 * live + gps.purge_threshold + 2
-        assert gps.purges > 0
+            assert gps.heap_size == 3
+        gps.advance(1.0)  # front drains; A and B stay backlogged
+        assert gps.heap_size == 2
+        gps.advance(10.0)
+        assert gps.heap_size == 0 and gps.active_weight == 0.0
+        assert gps.purges == 0
+
+    def test_tied_drains_keep_arrival_order(self):
+        # A's stale top is re-filed with the sequence number of its last
+        # arrival, so A drains before B, which ties with it on E = 2 but
+        # arrived later; the order shows in the last bit of Phi.
+        gps = GPSReference(capacity=1.0)
+        gps.arrive("C", 100.0, now=0.0, weight=0.3)
+        gps.arrive("A", 0.1, now=0.0, weight=0.1)
+        gps.arrive("A", 0.1, now=0.0, weight=0.1)
+        gps.arrive("B", 0.4, now=0.0, weight=0.2)
+        gps.advance(50.0)
+        assert gps.active_weight == (0.3 + 0.1 + 0.2) - 0.1 - 0.2
+        assert gps.active_weight != (0.3 + 0.1 + 0.2) - 0.2 - 0.1
 
     def test_service_identical_with_and_without_compaction(self):
-        """Compaction must not perturb the fluid numerics."""
+        """The old heap's compaction did not perturb the fluid numerics
+        on these weights, and the one-entry heap matches both."""
 
-        def drive(threshold):
-            gps = GPSReference(capacity=10.0, purge_threshold=threshold)
+        def drive(gps):
             now = 0.0
             for i in range(200):
                 now += 0.01
@@ -239,13 +259,97 @@ class TestLazyInvalidation:
             gps.advance(now + 1.0)
             return {f: gps.service(f) for f in "ABC"}
 
-        eager = drive(threshold=1)
-        lazy = drive(threshold=10_000)
-        assert eager == lazy
+        eager = drive(LazyGPS(capacity=10.0, purge_threshold=1))
+        lazy = drive(LazyGPS(capacity=10.0, purge_threshold=10_000))
+        assert eager == lazy == drive(GPSReference(capacity=10.0))
 
-    def test_threshold_validation(self):
-        with pytest.raises(ConfigurationError):
-            GPSReference(1.0, purge_threshold=0)
+
+# -- differential check against the lazy-invalidation heap ---------------------
+
+#: Weights whose every subset sums exactly in binary floating point: the
+#: order in which tied flows leave Phi cannot show.
+DYADIC = {"a": 1.0, "b": 2.0, "c": 0.5, "d": 3.0}
+#: Weights whose sums round, so tied drains must keep their order.
+ROUNDING = {"a": 0.1, "b": 0.2, "c": 0.3, "d": 0.7}
+#: A purge threshold the oracle never reaches: compaction off.
+NEVER = 10**18
+
+
+def bits(value):
+    return struct.pack("d", value)
+
+
+def fluid_bits(gps, flows):
+    services = gps.services(flows)
+    return (
+        bits(gps.virtual_time),
+        bits(gps.now),
+        bits(gps.active_weight),
+        [bits(services[f]) for f in flows],
+    )
+
+
+@st.composite
+def oracle_runs(draw):
+    """A purge threshold for the oracle, a weight set and up to 40 steps:
+    ``("arrive", flow, cost, now)``, ``("advance", now)`` or
+    ``("capacity", c, now)``.  The oracle's compaction renumbers the
+    active flows in creation order, which reorders tied drains, so the
+    threshold-1 runs draw only :data:`DYADIC` weights."""
+    threshold, weights = draw(st.sampled_from(
+        ((1, DYADIC), (NEVER, DYADIC), (NEVER, ROUNDING))
+    ))
+    steps = []
+    now = 0.0
+    for _ in range(draw(st.integers(min_value=1, max_value=40))):
+        now += draw(st.sampled_from((0.0, 0.0, 0.0, 0.05, 0.25, 1.0 / 3.0, 2.0)))
+        kind = draw(st.sampled_from(("arrive",) * 6 + ("advance", "capacity")))
+        if kind == "arrive":
+            flow = draw(st.sampled_from(sorted(weights)))
+            # Costs that are small multiples of the weight tie emptying
+            # times across flows; 1e-12 on a large E leaves it unchanged.
+            cost = draw(st.one_of(
+                st.just(0.0),
+                st.just(1e-12),
+                st.sampled_from((1.0, 2.0)).map(lambda k: k * weights[flow]),
+                st.floats(min_value=1e-12, max_value=50.0),
+            ))
+            steps.append(("arrive", flow, cost, now))
+        elif kind == "advance":
+            steps.append(("advance", now))
+        else:
+            steps.append(("capacity", draw(st.sampled_from((0.5, 1.0, 3.0))), now))
+    return threshold, weights, steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=oracle_runs())
+@example(run=(NEVER, ROUNDING, [
+    ("arrive", "c", 100.0, 0.0), ("arrive", "a", 0.1, 0.0),
+    ("arrive", "a", 0.1, 0.0), ("arrive", "b", 0.4, 0.0), ("advance", 50.0),
+]))
+def test_bit_identical_to_the_lazy_heap_oracle(run):
+    """After every step, ``V``, ``now``, ``Phi`` and every flow's service
+    equal, bit for bit, those of ``tests/reference/lazy_gps.py``: one
+    heap entry per active flow drains in the order, and with the
+    arithmetic, of a heap holding every superseded entry."""
+    threshold, weights, steps = run
+    gps = GPSReference(1.0)
+    oracle = LazyGPS(1.0, purge_threshold=threshold)
+    flows = sorted(weights)
+    for step in steps:
+        for target in (gps, oracle):
+            if step[0] == "arrive":
+                _, flow, cost, now = step
+                target.arrive(flow, cost, now, weights[flow])
+            elif step[0] == "advance":
+                target.advance(step[1])
+            else:
+                target.set_capacity(step[1], step[2])
+        assert fluid_bits(gps, flows) == fluid_bits(oracle, flows), step
+        active = sorted(f for f, flow in gps._flows.items() if flow.active)
+        assert active == sorted(f for f, flow in oracle._flows.items() if flow.active)
+        assert gps.heap_size == len(active)
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,7 +5,9 @@ the tenant is silently never chosen, and the scheduler later fails with a
 misleading work-conservation error.  Each entry point below refuses such
 a value up front instead: the constructors at construction time, a
 request's cost at admission (``ThreadPoolServer.submit``), and a
-request's weight when its tenant's state is first created.
+request's weight when its tenant's state is first created.  The fluid
+GPS reference checks each arrival's cost, a flow's weight when the flow
+is created, each target time and each capacity.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from repro.core import make_scheduler
 from repro.core.request import Request
 from repro.core.scheduler import TenantState
 from repro.core.virtual_time import VirtualClock
-from repro.errors import ConfigurationError, WorkloadError
+from repro.errors import ConfigurationError, SimulationError, WorkloadError
 from repro.estimation import EMAEstimator, LastValueEstimator, PessimisticEstimator
-from repro.simulator import Simulation, ThreadPoolServer
+from repro.simulator import GPSReference, Simulation, ThreadPoolServer
 from repro.workloads import FixedCost, TenantSpec
 
 NAN = math.nan
@@ -111,3 +113,42 @@ def test_zero_cost_request_still_admitted():
     sim.at(0.0, server.submit, Request(tenant_id="T", cost=0.0))
     sim.run()
     assert len(done) == 1
+
+
+@pytest.mark.parametrize("value", NON_FINITE + [0.0, -1.0])
+def test_gps_capacity(value):
+    with pytest.raises(ConfigurationError, match="capacity must be positive"):
+        GPSReference(value)
+    gps = GPSReference(1.0)
+    with pytest.raises(ConfigurationError, match="capacity must be positive"):
+        gps.set_capacity(value, now=0.0)
+    assert gps.capacity == 1.0
+
+
+@pytest.mark.parametrize("cost", NON_FINITE)
+def test_gps_cost(cost):
+    gps = GPSReference(1.0)
+    with pytest.raises(ConfigurationError, match="cost must be >= 0"):
+        gps.arrive("T", cost, now=0.0)
+    assert gps.service("T") == 0.0
+
+
+@pytest.mark.parametrize("weight", NON_FINITE + [0.0, -1.0])
+def test_gps_weight_checked_when_the_flow_is_created(weight):
+    gps = GPSReference(1.0)
+    with pytest.raises(ConfigurationError, match="weight must be positive"):
+        gps.arrive("T", 1.0, now=0.0, weight=weight)
+    assert gps.active_weight == 0.0
+    # The rejected arrival created no flow: a good weight still starts it.
+    gps.arrive("T", 1.0, now=0.0, weight=2.0)
+    assert gps.active_weight == 2.0
+
+
+def test_gps_nan_time():
+    gps = GPSReference(1.0)
+    gps.arrive("T", 10.0, now=0.0)
+    with pytest.raises(SimulationError, match="moved backwards"):
+        gps.advance(NAN)
+    with pytest.raises(SimulationError, match="moved backwards"):
+        gps.replay([("T", 1.0, NAN, 1.0)])
+    assert gps.now == 0.0 and gps.service("T") == 0.0
