@@ -9,7 +9,11 @@ For each run directory:
   ``estimator.refreshes``, ``validate.violations``,
   ``fleet.route_decisions``, ``fleet.rejections``, ``faults.*``,
   ``audit.<monitor>``) equals a count of the ``events.jsonl`` lines, and
-  every such count is in the manifest.
+  every such count is in the manifest;
+* when the run has an ``audit_report.json``, its ``trips`` equal the
+  run's ``audit`` lines of ``events.jsonl``, in order and field by field
+  apart from ``kind`` (a line leaves out a ``None`` tenant), and the
+  manifest's ``audit.trips`` equals their count.
 
 The counts are taken from the JSON lines here, without importing the
 package.  Directories without ``events.jsonl`` (cached or failed cells)
@@ -62,19 +66,51 @@ def is_event_count(name):
     )
 
 
+def check_audit(run_dir, events, manifest):
+    """Returns the number of audit trips checked."""
+    report_path = os.path.join(run_dir, "audit_report.json")
+    if not os.path.exists(report_path):
+        return 0
+    with open(report_path) as f:
+        trips = json.load(f)["trips"]
+    lines = [
+        {k: v for k, v in event.items() if k != "kind"}
+        for event in events
+        if event["kind"] == "audit"
+    ]
+    want = [
+        {k: v for k, v in trip.items() if not (k == "tenant" and v is None)}
+        for trip in trips
+    ]
+    assert len(lines) == len(want), (
+        f"{report_path}: {len(want)} trips, {len(lines)} audit lines in events.jsonl"
+    )
+    for i, (line, trip) in enumerate(zip(lines, want)):
+        assert canonical(line) == canonical(trip), (
+            f"{report_path}: trip {i} {trip} != audit line {line}"
+        )
+    count = manifest.get("audit", {}).get("trips")
+    assert count == len(trips), (
+        f"{run_dir}: manifest audit.trips {count} != {len(trips)} report trips"
+    )
+    return len(trips)
+
+
 def check_run(run_dir):
-    """Returns the number of flight dumps checked."""
+    """Returns the numbers of flight dumps and audit trips checked."""
     with open(os.path.join(run_dir, "events.jsonl")) as f:
         lines = f.read().splitlines()
     events = [json.loads(line) for line in lines]
     with open(os.path.join(run_dir, "manifest.json")) as f:
-        counters = json.load(f).get("counters", {})
+        manifest = json.load(f)
+    counters = manifest.get("counters", {})
     got = {k: v for k, v in counters.items() if is_event_count(k)}
     want = dict(expected_counts(events))
     assert got == want, f"{run_dir}: manifest counts {got} != events.jsonl {want}"
+    trips = check_audit(run_dir, events, manifest)
     flight = os.path.join(run_dir, "flight_recorder.json")
     if not os.path.exists(flight):
-        return 0
+        return 0, trips
     with open(flight) as f:
         payload = json.load(f)
     assert payload["dumps"], f"{flight} written without dumps"
@@ -88,12 +124,15 @@ def check_run(run_dir):
         assert [canonical(e) for e in dump["ring"]] == [canonical(e) for e in ring], (
             f"{flight}: ring is not the lines before line {seen}"
         )
-    return len(payload["dumps"])
+    return len(payload["dumps"]), trips
 
 
 if __name__ == "__main__":
     dirs = [d for d in sys.argv[1:] if os.path.exists(os.path.join(d, "events.jsonl"))]
     assert dirs, "no traced run directories given"
-    dumps = sum(check_run(d) for d in dirs)
+    checked = [check_run(d) for d in dirs]
+    dumps = sum(dump for dump, _ in checked)
+    trips = sum(trip for _, trip in checked)
     print(f"{len(dirs)} runs: per-kind counters match events.jsonl, "
-          f"{dumps} flight dumps are slices of it")
+          f"{dumps} flight dumps are slices of it, "
+          f"{trips} audit trips are its audit lines")

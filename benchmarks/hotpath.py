@@ -7,7 +7,7 @@ metrics sampler; the end-to-end speed of figure runs is measured by
 * :func:`measure_observability_overhead` -- the same dispatch cycle with
   tracing disabled, traced, and audited (DESIGN.md §9);
 * :func:`measure_export` -- seconds per 10k rows of the two event
-  exporters over an unbounded audited tracer's rows (DESIGN.md §9).
+  exporters over an unbounded tracer's audited rows (DESIGN.md §9).
 
 * :func:`measure_metrics_sample` -- the cost of one periodic metrics
   sample early and late in a run (DESIGN.md §13), whose ratio exposes
@@ -58,6 +58,7 @@ from repro.core import make_scheduler
 from repro.core.request import Request
 from repro.metrics import MetricsCollector
 from repro.obs.audit import AuditConfig, FairnessAuditor
+from repro.obs.events import Row
 from repro.obs.exporters import write_chrome_trace, write_rows_jsonl
 from repro.obs.registry import Timer
 from repro.obs.tracer import Tracer
@@ -140,6 +141,7 @@ def measure_dequeue_throughput(
     seed: int = 0,
     repeats: int = 2,
     tracer_factory: Optional[Callable[[], Tracer]] = None,
+    finish: Optional[Callable[[Tracer], object]] = None,
 ) -> Dict[str, Union[str, int, float, bool]]:
     """Time ``ops`` full dispatch cycles with ``num_tenants`` backlogged.
 
@@ -147,6 +149,9 @@ def measure_dequeue_throughput(
     of ``repeats`` runs on freshly built schedulers).  ``tracer_factory`` (one
     fresh tracer per repetition) turns on event emission for the timed
     region; the default ``None`` measures the shipped disabled path.
+    ``finish``, given the repetition's tracer, runs inside the timed
+    region after the cycles (the export-time audit of the ``audited``
+    mode).
     """
     if ops is None:
         ops = _default_ops(num_tenants)
@@ -158,8 +163,9 @@ def measure_dequeue_throughput(
         scheduler = make_scheduler(
             scheduler_name, num_threads=num_threads, thread_rate=thread_rate
         )
-        if tracer_factory is not None:
-            scheduler.attach_tracer(tracer_factory())
+        tracer = tracer_factory() if tracer_factory is not None else None
+        if tracer is not None:
+            scheduler.attach_tracer(tracer)
         initial = _build_backlog(scheduler_name, num_tenants, seed)
         for request in initial:
             scheduler.enqueue(request, 0.0)
@@ -182,6 +188,8 @@ def measure_dequeue_throughput(
                 replacement.tenant_id = out.tenant_id
                 replacement.api = out.api
                 enqueue(replacement, now)
+            if finish is not None and tracer is not None:
+                finish(tracer)
         best = min(best, timer.last)
     return {
         "scheduler": scheduler_name,
@@ -193,17 +201,14 @@ def measure_dequeue_throughput(
     }
 
 
-def _audited_tracer(
-    scheduler_name: str, num_threads: int, max_events: Optional[int] = 2048
-) -> Tracer:
-    """The ``--audit`` sink stack: the auditor fed by every event, event
-    retention capped at ``max_events`` (by default the streaming shape;
-    ``None`` keeps every row, as an exported run does).  The flight
-    recorder is derived from the rows at export, so it is no sink."""
-    tracer = Tracer(f"hotpath-audited-{scheduler_name}", max_events=max_events)
-    auditor = FairnessAuditor(AuditConfig(capacity=float(num_threads)), tracer)
-    tracer.add_sink(auditor.on_event)
-    return tracer
+def _audited_rows(tracer: Tracer, num_threads: int) -> List[Row]:
+    """The ``--audit`` work on a traced run: the fairness fold over its
+    rows and samples, and the rows it merges the audit rows into, which
+    an audited session exports."""
+    audit = FairnessAuditor(AuditConfig(capacity=float(num_threads))).fold(
+        tracer.rows, tracer.samples
+    )
+    return audit.merged(tracer.rows)
 
 
 def measure_observability_overhead(
@@ -221,22 +226,30 @@ def measure_observability_overhead(
     * ``disabled`` -- no tracer attached (the shipped default; every
       instrumentation site is one ``is not None`` check);
     * ``traced`` -- a bounded tracer attached (row emission);
-    * ``audited`` -- the tracer additionally feeding the fairness
-      auditor as a sink (the CLI ``--audit`` configuration).
+    * ``audited`` -- an unbounded tracer (every row kept, as an exported
+      run does) plus the fairness fold over its rows, timed with the
+      cycles (the CLI ``--audit`` configuration, exporters aside).
 
     Returns per-mode ``rps`` and throughput relative to ``disabled``
     (1.0 = free, 0.5 = half speed).
     """
-    modes: List[Tuple[str, Optional[Callable[[], Tracer]]]] = [
-        ("disabled", None),
+    modes: List[
+        Tuple[str, Optional[Callable[[], Tracer]], Optional[Callable[[Tracer], object]]]
+    ] = [
+        ("disabled", None, None),
         (
             "traced",
             lambda: Tracer(f"hotpath-traced-{scheduler_name}", max_events=2048),
+            None,
         ),
-        ("audited", lambda: _audited_tracer(scheduler_name, num_threads)),
+        (
+            "audited",
+            lambda: Tracer(f"hotpath-audited-{scheduler_name}"),
+            lambda tracer: _audited_rows(tracer, num_threads),
+        ),
     ]
     measured: Dict[str, Dict] = {}
-    for mode, factory in modes:
+    for mode, factory, finish in modes:
         record = measure_dequeue_throughput(
             scheduler_name,
             num_tenants,
@@ -245,6 +258,7 @@ def measure_observability_overhead(
             seed=seed,
             repeats=repeats,
             tracer_factory=factory,
+            finish=finish,
         )
         measured[mode] = {"rps": round(float(record["rps"]), 1)}
     disabled_rps = measured["disabled"]["rps"]
@@ -272,12 +286,12 @@ def measure_export(
     """Seconds per 10k rows of ``write_rows_jsonl`` and
     ``write_chrome_trace``, best of ``repeats``.
 
-    The rows are those of an unbounded audited tracer (the ``--audit``
-    sink stack, every row kept) after ``ops`` dispatch cycles of
+    The rows are those an audited session exports (every row kept, the
+    audit rows merged in) after ``ops`` dispatch cycles of
     :func:`measure_dequeue_throughput` (default 10,000: about four rows
     per cycle).  Each exporter writes to a temporary directory.
     """
-    tracer = _audited_tracer(scheduler_name, num_threads, max_events=None)
+    tracer = Tracer(f"hotpath-audited-{scheduler_name}")
     measure_dequeue_throughput(
         scheduler_name,
         num_tenants,
@@ -287,7 +301,7 @@ def measure_export(
         repeats=1,
         tracer_factory=lambda: tracer,
     )
-    rows = tracer.rows
+    rows = _audited_rows(tracer, num_threads)
     best = {"jsonl": float("inf"), "chrome": float("inf")}
     clock = time.perf_counter
     with tempfile.TemporaryDirectory() as scratch, quiesced_gc():

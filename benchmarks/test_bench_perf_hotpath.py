@@ -6,9 +6,11 @@ four sections of ``benchmarks/results/BENCH_manifest.json`` alongside
 the provenance record (seed, versions, git SHA):
 
 * ``observability`` -- traced and audited dequeue throughput relative to
-  the disabled default, and under ``export`` the seconds per 10k rows of
-  ``write_rows_jsonl`` and ``write_chrome_trace`` over an unbounded
-  audited tracer's rows (both recorded, not gated: wallclock variance);
+  the disabled default (``audited`` times an unbounded tracer plus the
+  audit fold over its rows), and under ``export`` the seconds per 10k
+  rows of ``write_rows_jsonl`` and ``write_chrome_trace`` over the rows
+  an audited session exports (both recorded, not gated: wallclock
+  variance);
 * ``metrics_sample`` -- microseconds per periodic metrics sample over the
   first and last 10% of a 1,500-sample run, at 8 tenants x 4 threads
   (``quickstart``'s shape) and 262 tenants x 32 threads

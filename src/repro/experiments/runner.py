@@ -26,7 +26,6 @@ from ..core.request import restart_seqnos
 from ..core.scheduler import Scheduler
 from ..faults.injector import FaultInjector
 from ..metrics.collector import MetricsCollector, RunMetrics
-from ..obs.audit import FairnessAuditor
 from ..obs.session import RunTelemetry
 from ..obs.tracer import Tracer
 from ..validate import ValidatingScheduler, env_validate
@@ -65,7 +64,6 @@ def run_single(
     trace: Optional[Sequence[TraceRecord]] = None,
     speed: float = 1.0,
     tracer: Optional[Tracer] = None,
-    auditor: Optional[FairnessAuditor] = None,
 ) -> RunMetrics:
     """Run one scheduler over the workload and return its metrics.
 
@@ -80,10 +78,10 @@ def run_single(
     instrumented component and its caller owns the export; inside an
     active trace session the run gets a session tracer and is exported,
     flight-recorder dumps included, even when a strict-mode watchdog
-    raise aborts it.  An explicit ``auditor`` is wired as a tracer sink
-    and collector sample hook; an *audited session*
-    (``TraceSession(audit=...)``, the CLI's ``--audit``) builds one per
-    run automatically.
+    raise aborts it.  The collector's samples go to the tracer too: an
+    *audited session* (the CLI's ``--audit``) audits the run at export,
+    and an explicit tracer's caller can fold a
+    :class:`~repro.obs.audit.FairnessAuditor` over them after the run.
 
     Requests are numbered from seqno 0 in every run.
     """
@@ -119,7 +117,6 @@ def run_single(
         warmup=config.warmup,
     )
     telemetry = RunTelemetry(f"{config.name}--{scheduler_name}", tracer)
-    session = telemetry.session
     tracer = telemetry.tracer
     if tracer is not None:
         scheduler.attach_tracer(tracer)
@@ -128,19 +125,6 @@ def run_single(
             estimator.attach_tracer(tracer)
         server.attach_tracer(tracer)
         collector.attach_tracer(tracer)
-        if auditor is None and session is not None and session.audit is not None:
-            audit_config = session.audit
-            if audit_config.capacity is None:
-                audit_config = dataclasses.replace(
-                    audit_config, capacity=config.capacity
-                )
-            auditor = FairnessAuditor(audit_config, tracer)
-        if auditor is not None:
-            auditor.attach_tracer(tracer)
-            tracer.add_sink(auditor.on_event)
-            collector.attach_auditor(auditor)
-    else:
-        auditor = None  # nothing feeds a sink without a tracer
     attach_specs(
         server,
         specs,
@@ -156,18 +140,11 @@ def run_single(
             extra["faults"] = injector.counts
         if watchdog is not None:
             extra["validation"] = watchdog.summary()
-        if auditor is not None:
-            extra["audit"] = {
-                "trips": len(auditor.trips),
-                "lag": auditor.ever_tripped("lag"),
-                "bursty": auditor.ever_tripped("bursty"),
-            }
         return {
             "seed": config.seed,
             "config": dataclasses.asdict(config),
             "scheduler": _scheduler_manifest(inner_scheduler),
             "extra": extra,
-            "auditor": auditor,
         }
 
     with telemetry.exporting_aborts(manifest):

@@ -24,11 +24,11 @@ and a ``manifest.json`` with the seed, config, and package provenance::
 
     python -m repro.figures fig06 --trace traces/
 
-``--audit DIR`` is ``--trace`` plus the online observability layer
-(DESIGN.md §14): every run also gets the streaming fairness auditor
-(service lag vs GPS, bursty-allocation detection, estimator drift),
-exporting ``audit_report.json`` and a Prometheus ``metrics.prom``
-snapshot per run.  Every traced run also gets ``flight_recorder.json``
+``--audit DIR`` is ``--trace`` plus the fairness audit (DESIGN.md
+§14): every experiment run is also audited at export -- service lag vs
+GPS, bursty-allocation detection, estimator drift, folded from the
+run's trace rows and samples -- exporting ``audit_report.json`` and a
+Prometheus ``metrics.prom`` snapshot per run.  Every traced run also gets ``flight_recorder.json``
 when a fault or invariant violation fired::
 
     python -m repro.figures fig08 --duration 1 --audit audit-run/
@@ -319,7 +319,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--audit", metavar="DIR", default=None,
-        help="like --trace, plus the online fairness auditor and a "
+        help="like --trace, plus the fairness audit and a "
         "Prometheus metrics snapshot per run (audit_report.json, "
         "metrics.prom); requires --jobs 1",
     )

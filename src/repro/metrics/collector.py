@@ -188,7 +188,6 @@ class MetricsCollector:
         self._sample_index = 0
         self._observed_samples = 0
         self._trace = None
-        self._auditor = None
         # Samples sit on the absolute grid epoch + k * interval
         # (multiplication, not accumulation) so no float drift pushes
         # the final sample past the experiment's `until` horizon.  The
@@ -209,14 +208,9 @@ class MetricsCollector:
 
     def attach_tracer(self, tracer) -> None:
         """Attach a :class:`repro.obs.Tracer`; the collector contributes
-        sampling counters to its registry."""
+        sampling counters to its registry and every periodic per-tenant
+        (actual, GPS) service sample, warmup included, to its record."""
         self._trace = tracer
-
-    def attach_auditor(self, auditor) -> None:
-        """Attach a :class:`repro.obs.audit.FairnessAuditor`; it receives
-        every periodic per-tenant (actual, GPS) service sample --
-        warmup-unfiltered -- through ``on_sample``."""
-        self._auditor = auditor
 
     # -- listeners ------------------------------------------------------------
 
@@ -275,8 +269,8 @@ class MetricsCollector:
         # One scan of the workers for every tenant (DESIGN.md §13).
         actual = self._server.service_snapshot(self._seen_tenants)
         gps = self._gps.services(actual)
-        if self._auditor is not None:
-            self._auditor.on_sample(now, actual, gps)
+        if self._trace is not None:
+            self._trace.sample(now, actual, gps)
         partial = self._partial
         if now >= self._warmup:
             if self._observed_samples == 0 and self._previous_service:

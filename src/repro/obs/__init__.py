@@ -6,9 +6,9 @@ makes those decisions observable without perturbing them:
 
 * :class:`Tracer` -- typed decision events (:mod:`repro.obs.events`)
   emitted by the instrumented schedulers, estimators and simulator and
-  stored as one list of row tuples, the run's one event record; a
-  single ``is not None`` guard when untraced (see the overhead
-  contract in :mod:`repro.obs.tracer`);
+  stored as one list of row tuples, plus the collector's samples: the
+  run's one record; a single ``is not None`` guard when untraced (see
+  the overhead contract in :mod:`repro.obs.tracer`);
 * :class:`MetricsRegistry` -- named counters/gauges/timers with a
   snapshot API (:mod:`repro.obs.registry`);
 * exporters (:mod:`repro.obs.exporters`) -- JSONL event streams, Chrome
@@ -24,12 +24,12 @@ On top of the raw event stream sit the derivation layers:
 
 * spans (:mod:`repro.obs.spans`) -- per-request lifecycle spans with an
   exact wait-time decomposition (head-of-line blocking attribution);
-* the online fairness auditor (:mod:`repro.obs.audit`) -- streaming
-  lag / bursty-allocation / estimator-drift monitors emitting ``audit``
-  events;
+* the fairness audit (:mod:`repro.obs.audit`) -- lag /
+  bursty-allocation / estimator-drift monitors folded from a run's rows
+  and samples at export into ``audit`` events;
 * the exposition layer -- a Prometheus text-format exporter
   (:mod:`repro.obs.prometheus`).  The figures CLI's ``--audit DIR``
-  enables the auditor and the exposition per run.
+  enables the audit and the exposition per run.
 
 Quickstart::
 

@@ -1,11 +1,11 @@
-"""Online fairness auditor: streaming monitors over the event stream.
+"""Fairness audit: a fold of one run's record.
 
-Where :mod:`repro.obs.spans` explains a run *after the fact*, the
-auditor watches it *as it happens*.  A :class:`FairnessAuditor` attaches
-to a run twice -- as a tracer sink (every decision event) and as a
-:class:`~repro.metrics.collector.MetricsCollector` sample hook (the
-periodic per-tenant actual-vs-GPS service totals) -- and keeps three
-incremental monitors:
+Where :mod:`repro.obs.spans` explains where a request's latency went,
+the audit asks whether the schedule was fair.  A
+:class:`FairnessAuditor` walks a run's record once, in order: the
+tracer's rows and the collector's per-tenant actual-vs-GPS service
+samples (``Tracer.samples``, each stamped with the rows stored before
+it).  It keeps three monitors:
 
 ``lag``
     Per-tenant service lag behind the GPS fluid reference, normalised to
@@ -26,37 +26,33 @@ incremental monitors:
 
 ``estimator_drift``
     For 2DFQ^E: an exponentially-weighted mean of the relative charge
-    error ``|charged - actual| / actual`` from ``complete`` events.
+    error ``|charged - actual| / actual`` from ``complete`` rows.
     Persistent drift above ``drift_threshold`` means the pessimistic
     estimator is systematically mis-charging and the schedule no longer
     reflects real costs.
 
-Each trip/clear emits a structured ``audit`` trace event and updates
-``audit.*`` gauges in the run's registry, so the Prometheus exporter and
-the flight recorder see monitor state with no extra wiring.  All state
-is O(tenants · window): the auditor never needs the retained event list,
-so it works unchanged on a tracer that caps ``max_events``.
+Each trip/clear becomes an ``audit`` row, placed among the run's rows:
+a drift trip directly after the ``complete`` row that caused it, a
+sample's trips at the sample's row index (after every row stored before
+the sample) in tenant order.  ``TraceSession.export_run`` writes the
+merged rows, so every exported artifact comes from one list.  A tracer
+that overflowed ``max_events`` is audited over its retained rows only.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from itertools import islice
+from typing import Any, Deque, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .events import (
-    CANCEL,
-    COMPLETE,
-    DISPATCH,
-    ENQUEUE,
-    Row,
-    payload_reader,
-    row_field,
-)
-from .tracer import Tracer
+from .events import AUDIT, CANCEL, COMPLETE, DISPATCH, ENQUEUE, Row
+from .events import payload_reader, row_field
+from .tracer import Sample, _open_row
 
-__all__ = ["AuditConfig", "FairnessAuditor"]
+__all__ = ["Audit", "AuditConfig", "FairnessAuditor"]
 
 #: Stands in for a payload field a row does not carry.
 _ABSENT = object()
@@ -65,11 +61,12 @@ _COMPLETE_FIELDS = ("actual", "charged")
 
 @dataclass
 class AuditConfig:
-    """Thresholds for the online monitors.
+    """Thresholds for the monitors; a value that would break or silence
+    one raises ``ValueError`` naming the field.
 
     ``capacity`` (total service rate, threads x rate) is needed to turn
-    shortfalls against GPS service into seconds of lag; leave it ``None`` to have
-    the runner fill it from the experiment config at attach time.
+    shortfalls against GPS service into seconds of lag; leave it ``None``
+    to have an audited session fill it from the experiment config.
     """
 
     capacity: Optional[float] = None
@@ -84,126 +81,172 @@ class AuditConfig:
     drift_min_observations: int = 50
     drift_alpha: float = 0.05
 
+    def __post_init__(self) -> None:
+        positive = ["lag_threshold_seconds", "burst_cov_threshold", "drift_threshold"]
+        if self.capacity is not None:
+            positive.append("capacity")
+        for name in positive:
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        # A one-sample window has no variance: it could never trip.
+        for name, least in (
+            ("burst_window", 2),
+            ("burst_consecutive", 1),
+            ("drift_min_observations", 0),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        # At 0 the EWMA never moves; above 1 it overshoots and diverges.
+        alpha = self.drift_alpha
+        if not (isinstance(alpha, numbers.Real) and 0.0 < alpha <= 1.0):
+            raise ValueError(f"drift_alpha must be in (0, 1], got {alpha!r}")
 
+
+@dataclass(slots=True)
 class _TenantState:
-    """Per-tenant incremental monitor state."""
+    """Per-tenant monitor state."""
 
-    __slots__ = (
-        "queued",
-        "backlogged_since",
-        "last_actual",
-        "window",
-        "burst_streak",
-        "lag_tripped",
-        "bursty_tripped",
-    )
+    queued: int = 0
+    backlogged_since: Optional[float] = None
+    last_actual: float = 0.0
+    window: Deque[float] = field(default_factory=deque)
+    burst_streak: int = 0
+    lag_tripped: bool = False
+    bursty_tripped: bool = False
 
-    def __init__(self) -> None:
-        self.queued = 0
-        self.backlogged_since: Optional[float] = None
-        self.last_actual = 0.0
-        self.window: Deque[float] = deque()
-        self.burst_streak = 0
-        self.lag_tripped = False
-        self.bursty_tripped = False
+
+class Audit(NamedTuple):
+    """What :meth:`FairnessAuditor.fold` returns.  ``placed`` holds
+    ``(position, audit row)`` per trip/clear: the row goes before the
+    run's row ``position``."""
+
+    report: Dict[str, Any]
+    gauges: Dict[str, float]
+    placed: List[Tuple[int, Row]]
+
+    def merged(self, rows: List[Row]) -> List[Row]:
+        """``rows`` with the audit rows at their positions (``rows``
+        itself when there are none)."""
+        if not self.placed:
+            return rows
+        out: List[Row] = []
+        start = 0
+        for position, row in self.placed:
+            out += rows[start:position]
+            out.append(row)
+            start = position
+        out += rows[start:]
+        return out
 
 
 class FairnessAuditor:
-    """Streaming fairness monitors over one run.
+    """The fairness monitors of one run; one auditor folds one run:
+    ``FairnessAuditor(config).fold(tracer.rows, tracer.samples)``."""
 
-    Attach with ``tracer.add_sink(auditor.on_event)`` and
-    ``collector.attach_auditor(auditor)``; read :meth:`report` at the
-    end of the run.  The auditor never raises into the hot path and
-    emits its findings as ``audit`` events through the tracer it was
-    built with (it ignores those events when they come back through the
-    sink).
-    """
-
-    def __init__(
-        self, config: Optional[AuditConfig] = None, tracer: Optional[Tracer] = None
-    ) -> None:
+    def __init__(self, config: Optional[AuditConfig] = None) -> None:
         self.config = config if config is not None else AuditConfig()
-        self._tracer = tracer
         self._tenants: Dict[str, _TenantState] = {}
         self._samples = 0
         self._last_sample_t: Optional[float] = None
-        # estimator-drift EWMA over relative charge error
+        # estimator-drift EWMA over relative charge error, and its value
+        # at the last sample (the gauge's, set at samples only)
         self._drift_ewma = 0.0
+        self._sampled_ewma = 0.0
         self._drift_observations = 0
         self._drift_tripped = False
-        #: Structured record of every trip/clear, in order.
-        self.trips: List[Dict[str, Any]] = []
+        # (position, audit row) per trip/clear, in order, and the
+        # position the next one takes.
+        self._placed: List[Tuple[int, Row]] = []
+        self._position = 0
         # Reader of (actual, charged) for the latest complete row's
         # payload keys (the tracer shares one keys tuple per kind).
         self._complete_keys: Tuple[str, ...] = ()
         self._read_complete = payload_reader((), _COMPLETE_FIELDS, _ABSENT)
 
-    def attach_tracer(self, tracer: Optional[Tracer]) -> None:
-        """Set (or clear) the tracer that receives ``audit`` events and
-        ``audit.*`` gauges."""
-        self._tracer = tracer
+    def fold(
+        self, rows: List[Row], samples: Iterable[Sample], rows_dropped: int = 0
+    ) -> Audit:
+        """Walk ``rows`` once, applying each ``(row_index, t, actual,
+        gps)`` sample before the row at its index.  ``rows_dropped``
+        (the tracer's ``dropped_events``) is reported when nonzero."""
+        rest = iter(rows)
+        position = 0
+        for index, now, actual, gps in samples:
+            self._rows(islice(rest, index - position), position)
+            position = self._position = index
+            self._sample(now, actual, gps)
+        self._rows(rest, position)
+        report = self.report()
+        if rows_dropped:
+            report["rows_dropped"] = rows_dropped
+        gauges: Dict[str, float] = {}
+        if self._samples:
+            tenants = self._tenants.values()
+            gauges = {
+                "audit.samples": float(self._samples),
+                "audit.tenants_lagging": float(sum(s.lag_tripped for s in tenants)),
+                "audit.tenants_bursty": float(sum(s.bursty_tripped for s in tenants)),
+                "audit.estimator_drift_ewma": self._sampled_ewma,
+            }
+        return Audit(report, gauges, self._placed)
 
-    # -- event sink ------------------------------------------------------------
-
-    def on_event(self, row: Row) -> None:
-        """Tracer sink: track backlog membership and charge error.
-
-        Reads the row by position: ``(kind, t, vt, tenant, keys,
-        values)`` (see :mod:`repro.obs.events`)."""
-        kind = row[0]
-        if kind == ENQUEUE:
-            state = self._state(row[3])
-            state.queued += 1
-            if state.queued == 1:
-                state.backlogged_since = row[1]
-        elif kind == DISPATCH:
-            state = self._state(row[3])
-            # Dispatch removes the request from the queue but the tenant
-            # stays backlogged for burst purposes while work is in
-            # flight; only an empty queue with nothing new arriving ends
-            # the backlogged period, which the sample hook re-checks.
-            if state.queued > 0:
-                state.queued -= 1
-            if state.queued == 0:
-                state.backlogged_since = None
-        elif kind == CANCEL:
-            if not row_field(row, "was_running", False):
+    def _rows(self, rows: Iterable[Row], start: int) -> None:
+        """Track backlog membership and charge error over ``rows``, the
+        run's rows from index ``start`` on, read by position:
+        ``(kind, t, vt, tenant, keys, values)``."""
+        for index, row in enumerate(rows, start):
+            kind = row[0]
+            if kind == ENQUEUE:
+                state = self._state(row[3])
+                state.queued += 1
+                if state.queued == 1:
+                    state.backlogged_since = row[1]
+            elif kind == DISPATCH or (
+                kind == CANCEL and not row_field(row, "was_running", False)
+            ):
+                # Dispatch removes the request from the queue but the
+                # tenant stays backlogged for burst purposes while work
+                # is in flight; only an empty queue with nothing new
+                # arriving ends the backlogged period, which the sample
+                # re-checks.
                 state = self._state(row[3])
                 if state.queued > 0:
                     state.queued -= 1
                 if state.queued == 0:
                     state.backlogged_since = None
-        elif kind == COMPLETE:
-            if row[4] is not self._complete_keys:
-                self._complete_keys = row[4]
-                self._read_complete = payload_reader(
-                    row[4], _COMPLETE_FIELDS, _ABSENT
-                )
-            actual, charged = self._read_complete(row[5])
-            if actual is _ABSENT:
-                actual = 0.0
-            if charged is _ABSENT:
-                charged = actual
-            if actual > 0.0:
-                rel_error = abs(charged - actual) / actual
-                alpha = self.config.drift_alpha
-                self._drift_ewma += alpha * (rel_error - self._drift_ewma)
-                self._drift_observations += 1
-                self._check_drift(row[1])
-        # audit/fault/invariant/select/vt_update/estimate: not consumed.
+            elif kind == COMPLETE:
+                if row[4] is not self._complete_keys:
+                    self._complete_keys = row[4]
+                    self._read_complete = payload_reader(
+                        row[4], _COMPLETE_FIELDS, _ABSENT
+                    )
+                actual, charged = self._read_complete(row[5])
+                if actual is _ABSENT:
+                    actual = 0.0
+                if charged is _ABSENT:
+                    charged = actual
+                if actual > 0.0:
+                    rel_error = abs(charged - actual) / actual
+                    alpha = self.config.drift_alpha
+                    self._drift_ewma += alpha * (rel_error - self._drift_ewma)
+                    self._drift_observations += 1
+                    self._position = index + 1
+                    self._check_drift(row[1])
+            # audit/fault/invariant/select/vt_update/estimate: not consumed.
 
-    # -- sample hook -----------------------------------------------------------
-
-    def on_sample(
+    def _sample(
         self, now: float, actual: Dict[str, float], gps: Dict[str, float]
     ) -> None:
-        """Collector hook: one per-tenant service sample (both modes)."""
+        """One per-tenant service sample (warmup samples included)."""
         self._samples += 1
         interval = (
             now - self._last_sample_t if self._last_sample_t is not None else None
         )
         self._last_sample_t = now
-        fair_rate = self._fair_rate(len(actual))
+        capacity = self.config.capacity
+        fair_rate = capacity / len(actual) if capacity is not None and actual else 0.0
         for tenant in sorted(actual):
             state = self._state(tenant)
             served = actual[tenant]
@@ -211,7 +254,7 @@ class FairnessAuditor:
             state.last_actual = served
             self._check_lag(now, tenant, state, served, gps.get(tenant, 0.0), fair_rate)
             self._update_burst_window(now, tenant, state, delta, interval)
-        self._export_gauges()
+        self._sampled_ewma = self._drift_ewma
 
     # -- monitors --------------------------------------------------------------
 
@@ -327,12 +370,6 @@ class FairnessAuditor:
             state = self._tenants[key] = _TenantState()
         return state
 
-    def _fair_rate(self, active_tenants: int) -> float:
-        capacity = self.config.capacity
-        if capacity is None or active_tenants <= 0:
-            return 0.0
-        return capacity / active_tenants
-
     def _record(
         self,
         now: float,
@@ -342,43 +379,22 @@ class FairnessAuditor:
         tripped: bool,
         **fields: Any,
     ) -> None:
-        entry: Dict[str, Any] = {
-            "t": now,
-            "monitor": monitor,
-            "tenant": tenant,
-            "tripped": tripped,
-        }
-        entry.update(fields)
-        self.trips.append(entry)
-        if self._tracer is not None:
-            self._tracer.audit(now, monitor, tenant=tenant, tripped=tripped, **fields)
-
-    def _export_gauges(self) -> None:
-        if self._tracer is None:
-            return
-        registry = self._tracer.registry
-        registry.gauge("audit.samples").set(float(self._samples))
-        registry.gauge("audit.tenants_lagging").set(
-            float(sum(1 for s in self._tenants.values() if s.lag_tripped))
-        )
-        registry.gauge("audit.tenants_bursty").set(
-            float(sum(1 for s in self._tenants.values() if s.bursty_tripped))
-        )
-        registry.gauge("audit.estimator_drift_ewma").set(self._drift_ewma)
+        """Place the ``audit`` row of one trip/clear at the current
+        position."""
+        fields = {"tripped": tripped, **fields}
+        row = _open_row(AUDIT, now, None, tenant, "monitor", monitor, fields)
+        self._placed.append((self._position, row))
 
     # -- reporting -------------------------------------------------------------
 
-    def tripped_tenants(self, monitor: str) -> List[str]:
-        """Tenants whose ``monitor`` is currently tripped (sorted)."""
-        if monitor == "lag":
-            return sorted(
-                t for t, s in self._tenants.items() if s.lag_tripped
-            )
-        if monitor == "bursty":
-            return sorted(
-                t for t, s in self._tenants.items() if s.bursty_tripped
-            )
-        raise ValueError(f"unknown per-tenant monitor {monitor!r}")
+    @property
+    def trips(self) -> List[Dict[str, Any]]:
+        """Every trip/clear so far, in order: its row's time, tenant and
+        payload."""
+        return [
+            {"t": row[1], "tenant": row[3], **dict(zip(row[4], row[5]))}
+            for _, row in self._placed
+        ]
 
     def ever_tripped(self, monitor: str) -> List[str]:
         """Tenants that tripped ``monitor`` at any point (sorted)."""
@@ -393,18 +409,21 @@ class FairnessAuditor:
 
     def report(self) -> Dict[str, Any]:
         """JSON-ready summary of the whole run's audit state."""
+        tenants = self._tenants.items()
+        lagging = sorted(t for t, s in tenants if s.lag_tripped)
+        bursty = sorted(t for t, s in tenants if s.bursty_tripped)
         return {
             "samples": self._samples,
             "monitors": {
                 "lag": {
                     "threshold_seconds": self.config.lag_threshold_seconds,
-                    "currently_tripped": self.tripped_tenants("lag"),
+                    "currently_tripped": lagging,
                     "ever_tripped": self.ever_tripped("lag"),
                 },
                 "bursty": {
                     "window": self.config.burst_window,
                     "cov_threshold": self.config.burst_cov_threshold,
-                    "currently_tripped": self.tripped_tenants("bursty"),
+                    "currently_tripped": bursty,
                     "ever_tripped": self.ever_tripped("bursty"),
                 },
                 "estimator_drift": {
@@ -414,5 +433,5 @@ class FairnessAuditor:
                     "tripped": self._drift_tripped,
                 },
             },
-            "trips": list(self.trips),
+            "trips": self.trips,
         }

@@ -45,8 +45,8 @@ Event taxonomy (the ``kind`` field; see DESIGN.md §9):
     invariant violation.  Carries the invariant code and the event
     context at the moment of the check.
 ``audit``
-    An online fairness monitor (:mod:`repro.obs.audit`) tripped or
-    cleared a threshold: per-tenant service lag vs the GPS reference,
+    A fairness monitor (:mod:`repro.obs.audit`, folded at export)
+    tripped or cleared a threshold: per-tenant service lag vs the GPS reference,
     the Fig-5/9 bursty-allocation pattern, or estimator-error drift
     under 2DFQ^E.  ``data["monitor"]`` names the monitor.
 ``route``
@@ -234,7 +234,7 @@ class TraceEvent:
         return cls(kind, t, vt, tenant, dict(zip(keys, values)))
 
     def as_row(self) -> Row:
-        """The stored form of this event (what tracer sinks receive)."""
+        """The stored form of this event (a tracer row)."""
         data = self.data
         values = tuple(data.values())
         return (self.kind, self.t, self.vt, self.tenant, tuple(data), values)

@@ -10,7 +10,7 @@ them byte-for-byte.
 
 This is a *snapshot* exporter -- the simulator has no HTTP server to
 scrape -- written alongside the manifest so a run's final counters and
-auditor gauges land in a format every metrics toolchain already parses.
+audit gauges land in a format every metrics toolchain already parses.
 """
 
 from __future__ import annotations

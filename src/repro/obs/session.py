@@ -14,8 +14,9 @@ active automatically lands on disk as::
     <dir>/<run-label>/flight_recorder.json  (only when a trigger row exists)
 
 An *audited* session (``audit=AuditConfig()``, the CLI's ``--audit``)
-additionally attaches a :class:`~repro.obs.audit.FairnessAuditor` to
-every run, and exports::
+folds a :class:`~repro.obs.audit.FairnessAuditor` over the rows and
+samples of every run that recorded samples (``run_single``'s) and
+exports::
 
     <dir>/<run-label>/audit_report.json   monitor state + trip log
     <dir>/<run-label>/metrics.prom        Prometheus text-format snapshot
@@ -39,7 +40,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Union
 
 from .audit import AuditConfig, FairnessAuditor
-from .events import event_counts
+from .events import Row, event_counts
 from .exporters import (
     write_chrome_trace,
     write_flight_recorder,
@@ -89,8 +90,8 @@ class TraceSession:
     ) -> None:
         self.directory = Path(directory)
         self.max_events = max_events
-        #: Non-``None`` makes this an audited session: the runner builds
-        #: a :class:`FairnessAuditor` per run from this config.
+        #: Non-``None`` makes this an audited session: :meth:`export_run`
+        #: audits each run with samples under this config.
         self.audit = audit
         #: Rows per flight-recorder dump.
         self.flight_events = flight_events
@@ -110,12 +111,29 @@ class TraceSession:
         config: Optional[Dict[str, Any]] = None,
         scheduler: Optional[Dict[str, Any]] = None,
         extra: Optional[Dict[str, Any]] = None,
-        auditor: Optional[FairnessAuditor] = None,
     ) -> Path:
-        """Write one run's artifacts; returns the run directory.  The
-        per-kind counts and flight dumps are folds of the retained rows
-        (``trace.dropped_events`` counts the rest)."""
-        rows = tracer.rows
+        """Write one run's artifacts; returns the run directory.  An
+        audited run's ``audit`` rows are merged into the rows written;
+        the per-kind counts and flight dumps are folds of those rows
+        (``trace.dropped_events`` counts the rows not retained)."""
+        rows: List[Row] = tracer.rows
+        report: Optional[Dict[str, Any]] = None
+        if self.audit is not None and tracer.samples:
+            audit_config = self.audit
+            if audit_config.capacity is None and config and "thread_rate" in config:
+                # ExperimentConfig.capacity
+                capacity = config["num_threads"] * config["thread_rate"]
+                audit_config = dataclasses.replace(audit_config, capacity=capacity)
+            audit = FairnessAuditor(audit_config).fold(
+                rows, tracer.samples, tracer.dropped_events
+            )
+            rows, report = audit.merged(rows), audit.report
+            for name, value in audit.gauges.items():
+                tracer.registry.gauge(name).set(value)
+            summary: Dict[str, Any] = {"trips": len(report["trips"])}
+            for monitor in ("lag", "bursty"):
+                summary[monitor] = report["monitors"][monitor]["ever_tripped"]
+            extra = dict(extra or {}, audit=summary)
         run_dir = self._unique_dir(tracer.name)
         write_rows_jsonl(rows, run_dir / "events.jsonl")
         write_chrome_trace(
@@ -129,9 +147,9 @@ class TraceSession:
         counters.update(counts)
         counters["trace.events"] = len(rows)
         counters["trace.dropped_events"] = tracer.dropped_events
-        if auditor is not None:
+        if report is not None:
             with (run_dir / "audit_report.json").open("w") as fh:
-                json.dump(auditor.report(), fh, indent=2, sort_keys=True)
+                json.dump(report, fh, indent=2, sort_keys=True)
                 fh.write("\n")
             write_prometheus(
                 tracer.registry,

@@ -1,8 +1,9 @@
 """Scheduler-decision tracer.
 
-One :class:`Tracer` stores the typed events of one run as rows (see
-:mod:`repro.obs.events` for the taxonomy), the run's one event record:
-the exporters derive counts and flight dumps from them.  Its
+One :class:`Tracer` keeps the record of one run: the typed events as
+rows (see :mod:`repro.obs.events` for the taxonomy) and the metrics
+collector's per-tenant service samples.  The exporters derive counts,
+flight dumps and the fairness audit from that record.  Its
 :class:`~repro.obs.registry.MetricsRegistry` holds the instruments that
 are not events.
 
@@ -30,10 +31,9 @@ waits for export.  ``max_events`` bounds memory for long runs
 from __future__ import annotations
 
 import sys
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .events import (
-    AUDIT,
     CANCEL,
     COMPLETE,
     DISPATCH,
@@ -49,10 +49,12 @@ from .events import (
 )
 from .registry import MetricsRegistry
 
-__all__ = ["Tracer"]
+__all__ = ["Sample", "Tracer"]
 
-#: A streaming consumer of emitted rows.
-Sink = Callable[[Row], None]
+#: One collector sample: ``(rows stored before it, t, actual, gps)``,
+#: the last two mapping each tenant to its cumulative actual and GPS
+#: service at ``t``.
+Sample = Tuple[int, float, Dict[str, float], Dict[str, float]]
 
 # Payload field names of the typed emitters, one shared tuple each.
 _ENQUEUE_KEYS = ("seqno", "api", "cost", "start_tag", "queue_depth", "backlog")
@@ -122,12 +124,9 @@ class Tracer:
 
     Events are retained in :attr:`rows` (see :mod:`repro.obs.events`);
     :attr:`events` is a :class:`TraceEvent` view of the same store.
-
-    A streaming consumer -- the online fairness auditor -- registers as
-    a *sink* (:meth:`add_sink`) and sees every emitted row, including
-    those dropped from the retained store once ``max_events``
-    overflows.  What is derived at export (counts, flight dumps) covers
-    the retained rows only.
+    :attr:`samples` holds the collector's samples.  What is derived at
+    export (counts, flight dumps, the audit) covers the retained rows
+    only.
     """
 
     __slots__ = (
@@ -135,9 +134,9 @@ class Tracer:
         "rows",
         "events",
         "registry",
+        "samples",
         "dropped_events",
         "_limit",
-        "_sinks",
     )
 
     def __init__(self, name: str = "trace", max_events: Optional[int] = None) -> None:
@@ -147,23 +146,13 @@ class Tracer:
         #: The retained events as :class:`TraceEvent` objects: a
         #: read-only view of :attr:`rows`.
         self.events: Sequence[TraceEvent] = _EventView(self.rows)
+        #: The collector's samples, in time order (:data:`Sample`).
+        self.samples: List[Sample] = []
         self.registry = MetricsRegistry()
         self.dropped_events = 0
         self._limit = sys.maxsize if max_events is None else max_events
-        self._sinks: List[Sink] = []
 
     # -- emission --------------------------------------------------------------
-
-    def add_sink(self, sink: Sink) -> None:
-        """Register a streaming consumer called with every emitted row.
-
-        Sinks run synchronously at emission, *after* the row is stored
-        (so an event a sink emits in response is stored after its
-        cause), and are not subject to ``max_events``.  A sink that
-        emits events of its own (the auditor does) re-enters emission;
-        sinks must therefore ignore the kinds they produce.
-        """
-        self._sinks.append(sink)
 
     def _record(self, row: Row) -> None:
         rows = self.rows
@@ -171,8 +160,14 @@ class Tracer:
             rows.append(row)
         else:
             self.dropped_events += 1
-        for sink in self._sinks:
-            sink(row)
+
+    def sample(
+        self, t: float, actual: Dict[str, float], gps: Dict[str, float]
+    ) -> None:
+        """Keep one collector sample (not subject to ``max_events``).
+        The dicts are kept, not copied: the collector builds fresh ones
+        for each sample and never changes them."""
+        self.samples.append((len(self.rows), t, actual, gps))
 
     def emit(self, event: TraceEvent) -> None:
         """Store one event object (respects ``max_events``)."""
@@ -380,17 +375,6 @@ class Tracer:
             keys, values = _ROUTE_REASON_KEYS, values + (reason,)
         self._record((ROUTE, t, None, tenant, keys, values))
 
-    def audit(
-        self,
-        t: float,
-        monitor: str,
-        *,
-        vt: Optional[float] = None,
-        tenant: Optional[str] = None,
-        **fields: Any,
-    ) -> None:
-        self._record(_open_row(AUDIT, t, vt, tenant, "monitor", monitor, fields))
-
     # -- inspection ------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -416,6 +400,6 @@ def _open_row(
     value: Any,
     fields: Dict[str, Any],
 ) -> Row:
-    """Row of an emitter whose payload is one named field plus free
-    ``**fields`` (vt_update, fault, invariant, audit)."""
+    """Row whose payload is one named field plus free ``**fields``: the
+    vt_update, fault and invariant emitters' and the audit fold's."""
     return (kind, t, vt, tenant, (head, *fields), (value, *fields.values()))

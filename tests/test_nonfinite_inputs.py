@@ -7,7 +7,8 @@ a value up front instead: the constructors at construction time, a
 request's cost at admission (``ThreadPoolServer.submit``), and a
 request's weight when its tenant's state is first created.  The fluid
 GPS reference checks each arrival's cost, a flow's weight when the flow
-is created, each target time and each capacity.
+is created, each target time and each capacity.  ``AuditConfig``
+refuses any threshold that would break or silence a monitor.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.core.scheduler import TenantState
 from repro.core.virtual_time import VirtualClock
 from repro.errors import ConfigurationError, SimulationError, WorkloadError
 from repro.estimation import EMAEstimator, LastValueEstimator, PessimisticEstimator
+from repro.obs import AuditConfig
 from repro.simulator import GPSReference, Simulation, ThreadPoolServer
 from repro.workloads import FixedCost, TenantSpec
 
@@ -152,3 +154,37 @@ def test_gps_nan_time():
     with pytest.raises(SimulationError, match="moved backwards"):
         gps.replay([("T", 1.0, NAN, 1.0)])
     assert gps.now == 0.0 and gps.service("T") == 0.0
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("burst_window", 0),  # a ZeroDivisionError at the first sample
+        ("burst_window", 1),  # one value has no variance: never trips
+        ("burst_window", 2.5),
+        ("burst_consecutive", 0),
+        ("drift_min_observations", -1),
+        ("capacity", NAN),  # the last three silence the lag monitor
+        ("capacity", -2.0),
+        ("capacity", 0.0),
+        ("capacity", INF),
+        ("lag_threshold_seconds", NAN),
+        ("lag_threshold_seconds", INF),
+        ("lag_threshold_seconds", 0.0),
+        ("burst_cov_threshold", NAN),
+        ("burst_cov_threshold", -1.0),
+        ("drift_threshold", NAN),
+        ("drift_threshold", 0.0),
+        ("drift_alpha", 5.0),  # the EWMA diverges
+        ("drift_alpha", 0.0),  # the EWMA never moves
+        ("drift_alpha", NAN),
+    ],
+)
+def test_audit_config_rejects_what_breaks_or_silences_a_monitor(field, value):
+    with pytest.raises(ValueError, match=field):
+        AuditConfig(**{field: value})
+
+
+def test_audit_config_accepts_the_defaults_and_no_capacity():
+    assert AuditConfig().capacity is None
+    AuditConfig(capacity=2, burst_window=2, drift_alpha=1.0, drift_min_observations=0)

@@ -36,10 +36,8 @@ from repro.obs import (
 )
 from repro.obs.exporters import flight_payload
 
-from reference.flight_ring import FlightRing
 
-
-# Sinks receive tracer rows (repro.obs.events); these build them.
+# The audit folds tracer rows (repro.obs.events); these build them.
 
 
 def enqueue_event(t, tenant, seqno, cost=1.0):
@@ -60,39 +58,51 @@ def complete_event(t, tenant, actual, charged):
     ).as_row()
 
 
+def fold(config, rows=(), samples=()):
+    """The audit of a record: ``rows`` and ``(row_index, t, actual,
+    gps)`` samples."""
+    return FairnessAuditor(config).fold(list(rows), list(samples))
+
+
 class TestLagMonitor:
-    def make(self):
-        # Two tenants at capacity 2.0 -> fair rate 1.0, so lag in
-        # service units reads directly as seconds.
-        return FairnessAuditor(AuditConfig(capacity=2.0, lag_threshold_seconds=0.25))
+    # Two tenants at capacity 2.0 -> fair rate 1.0, so lag in service
+    # units reads directly as seconds.
+    CFG = AuditConfig(capacity=2.0, lag_threshold_seconds=0.25)
+    FIRST = (0, 1.0, {"A": 0.0, "B": 1.0}, {"A": 0.5, "B": 0.5})
 
     def test_trips_above_threshold_and_clears_with_hysteresis(self):
-        auditor = self.make()
-        auditor.on_sample(1.0, {"A": 0.0, "B": 1.0}, {"A": 0.5, "B": 0.5})
-        assert auditor.tripped_tenants("lag") == ["A"]
-        # 0.2 s of lag is below the 0.25 s trip threshold but above the
-        # 0.125 s clear threshold: the trip must hold (no flapping).
-        auditor.on_sample(2.0, {"A": 1.0, "B": 2.0}, {"A": 1.2, "B": 1.0})
-        assert auditor.tripped_tenants("lag") == ["A"]
-        auditor.on_sample(3.0, {"A": 3.0, "B": 3.0}, {"A": 3.0, "B": 3.0})
-        assert auditor.tripped_tenants("lag") == []
-        assert auditor.ever_tripped("lag") == ["A"]
-        tripped_flags = [e["tripped"] for e in auditor.trips if e["tenant"] == "A"]
+        samples = [
+            self.FIRST,
+            # 0.2 s of lag is below the 0.25 s trip threshold but above
+            # the 0.125 s clear threshold: the trip must hold (no
+            # flapping).
+            (0, 2.0, {"A": 1.0, "B": 2.0}, {"A": 1.2, "B": 1.0}),
+            (0, 3.0, {"A": 3.0, "B": 3.0}, {"A": 3.0, "B": 3.0}),
+        ]
+
+        def lagging(count):
+            report = fold(self.CFG, samples=samples[:count]).report
+            return report["monitors"]["lag"]["currently_tripped"]
+
+        assert lagging(1) == ["A"]
+        assert lagging(2) == ["A"]
+        assert lagging(3) == []
+        report = fold(self.CFG, samples=samples).report
+        assert report["monitors"]["lag"]["ever_tripped"] == ["A"]
+        tripped_flags = [e["tripped"] for e in report["trips"] if e["tenant"] == "A"]
         assert tripped_flags == [True, False]
 
     def test_trip_record_carries_lag_and_threshold(self):
-        auditor = self.make()
-        auditor.on_sample(1.0, {"A": 0.0, "B": 1.0}, {"A": 0.5, "B": 0.5})
-        (entry,) = auditor.trips
+        (entry,) = fold(self.CFG, samples=[self.FIRST]).report["trips"]
         assert entry["monitor"] == "lag"
         assert entry["lag_seconds"] == pytest.approx(0.5)
         assert entry["threshold"] == 0.25
         assert entry["t"] == 1.0
 
     def test_without_capacity_the_lag_monitor_is_inert(self):
-        auditor = FairnessAuditor(AuditConfig(capacity=None))
-        auditor.on_sample(1.0, {"A": 0.0}, {"A": 100.0})
-        assert auditor.trips == []
+        sample = (0, 1.0, {"A": 0.0}, {"A": 100.0})
+        audit = fold(AuditConfig(capacity=None), samples=[sample])
+        assert audit.report["trips"] == []
 
 
 class TestBurstyMonitor:
@@ -104,124 +114,116 @@ class TestBurstyMonitor:
         burst_consecutive=2,
     )
 
-    def backlog(self, auditor, tenant, n=20):
-        for i in range(n):
-            auditor.on_event(enqueue_event(0.0, tenant, i))
+    #: Tenant A backlogged with 20 queued requests from t=0.
+    BACKLOG = [enqueue_event(0.0, "A", i) for i in range(20)]
 
-    def feed(self, auditor, deltas, start_t=0.0):
-        total, t = 0.0, start_t
-        auditor.on_sample(t, {"A": total}, {"A": total})
+    def feed(self, rows, deltas):
+        """Samples of tenant A, one per second from t=0, served
+        ``deltas`` in turn, all taken after ``rows``."""
+        total, t = 0.0, 0.0
+        samples = [(len(rows), t, {"A": total}, {"A": total})]
         for delta in deltas:
             t += 1.0
             total += delta
-            auditor.on_sample(t, {"A": total}, {"A": total})
-        return t
+            samples.append((len(rows), t, {"A": total}, {"A": total}))
+        return samples
+
+    def bursty(self, rows, samples):
+        return fold(self.CFG, rows, samples).report["monitors"]["bursty"]
 
     def test_on_off_service_to_a_backlogged_tenant_trips(self):
-        auditor = FairnessAuditor(self.CFG)
-        self.backlog(auditor, "A")
         # Served in bursts: the whole fair share in one interval out of
         # four.  Window [4,0,0,0]: CoV = sqrt(3) ~ 1.73 > 1.0.
-        self.feed(auditor, [4, 0, 0, 0, 4, 0, 0, 0, 4])
-        assert auditor.ever_tripped("bursty") == ["A"]
-        trip = next(e for e in auditor.trips if e["monitor"] == "bursty")
+        samples = self.feed(self.BACKLOG, [4, 0, 0, 0, 4, 0, 0, 0, 4])
+        report = fold(self.CFG, self.BACKLOG, samples).report
+        assert report["monitors"]["bursty"]["ever_tripped"] == ["A"]
+        trip = next(e for e in report["trips"] if e["monitor"] == "bursty")
         assert trip["tripped"] is True
         assert trip["cov"] == pytest.approx(3.0**0.5)
         assert trip["window"] == 4
 
     def test_smooth_service_never_trips(self):
-        auditor = FairnessAuditor(self.CFG)
-        self.backlog(auditor, "A")
-        self.feed(auditor, [1.0] * 12)
-        assert auditor.ever_tripped("bursty") == []
+        samples = self.feed(self.BACKLOG, [1.0] * 12)
+        assert self.bursty(self.BACKLOG, samples)["ever_tripped"] == []
 
     def test_trip_clears_once_service_smooths_out(self):
-        auditor = FairnessAuditor(self.CFG)
-        self.backlog(auditor, "A")
-        t = self.feed(auditor, [4, 0, 0, 0, 4, 0, 0, 0, 4])
-        assert auditor.tripped_tenants("bursty") == ["A"]
-        total = auditor._tenants["A"].last_actual
-        for _ in range(6):
-            t += 1.0
-            total += 1.0
-            auditor.on_sample(t, {"A": total}, {"A": total})
-        assert auditor.tripped_tenants("bursty") == []
-        clear = [e for e in auditor.trips if e["monitor"] == "bursty"][-1]
+        bursts = [4, 0, 0, 0, 4, 0, 0, 0, 4]
+        samples = self.feed(self.BACKLOG, bursts)
+        assert self.bursty(self.BACKLOG, samples)["currently_tripped"] == ["A"]
+        samples = self.feed(self.BACKLOG, bursts + [1.0] * 6)
+        report = fold(self.CFG, self.BACKLOG, samples).report
+        assert report["monitors"]["bursty"]["currently_tripped"] == []
+        clear = [e for e in report["trips"] if e["monitor"] == "bursty"][-1]
         assert clear["tripped"] is False
 
     def test_idle_tenant_is_gated_out(self):
         """Bursty *arrivals* are not bursty *allocations*: with no
         enqueue events the tenant is never backlogged and the same
         on/off service pattern must not trip."""
-        auditor = FairnessAuditor(self.CFG)
-        self.feed(auditor, [4, 0, 0, 0, 4, 0, 0, 0, 4])
-        assert auditor.ever_tripped("bursty") == []
+        samples = self.feed([], [4, 0, 0, 0, 4, 0, 0, 0, 4])
+        assert self.bursty([], samples)["ever_tripped"] == []
 
     def test_draining_the_queue_resets_the_window(self):
-        auditor = FairnessAuditor(self.CFG)
-        auditor.on_event(enqueue_event(0.0, "A", 0))
-        auditor.on_event(dispatch_event(0.0, "A", 0))  # queue empty again
-        self.feed(auditor, [4, 0, 0, 0, 4, 0, 0, 0, 4])
-        assert auditor.ever_tripped("bursty") == []
+        rows = [
+            enqueue_event(0.0, "A", 0),
+            dispatch_event(0.0, "A", 0),  # queue empty again
+        ]
+        samples = self.feed(rows, [4, 0, 0, 0, 4, 0, 0, 0, 4])
+        assert self.bursty(rows, samples)["ever_tripped"] == []
 
 
 class TestEstimatorDriftMonitor:
     CFG = AuditConfig(drift_min_observations=3, drift_alpha=0.5, drift_threshold=0.5)
 
     def test_persistent_miscarge_trips_then_accuracy_clears(self):
-        auditor = FairnessAuditor(self.CFG)
         # |2 - 1|/1 = 1.0 relative error; EWMA -> 0.5, 0.75, 0.875.
-        for i in range(3):
-            auditor.on_event(complete_event(float(i), "B", actual=1.0, charged=2.0))
-        report = auditor.report()["monitors"]["estimator_drift"]
+        rows = [
+            complete_event(float(i), "B", actual=1.0, charged=2.0) for i in range(3)
+        ]
+        report = fold(self.CFG, rows).report["monitors"]["estimator_drift"]
         assert report["tripped"] is True
         assert report["observations"] == 3
         assert report["ewma"] == pytest.approx(0.875)
         # Accurate charging decays the EWMA below threshold/2 -> clears.
-        for i in range(3, 6):
-            auditor.on_event(complete_event(float(i), "B", actual=1.0, charged=1.0))
-        assert auditor.report()["monitors"]["estimator_drift"]["tripped"] is False
-        flags = [
-            e["tripped"] for e in auditor.trips if e["monitor"] == "estimator_drift"
+        rows += [
+            complete_event(float(i), "B", actual=1.0, charged=1.0) for i in range(3, 6)
         ]
-        assert flags == [True, False]
+        report = fold(self.CFG, rows).report
+        assert report["monitors"]["estimator_drift"]["tripped"] is False
+        drift = [e for e in report["trips"] if e["monitor"] == "estimator_drift"]
+        assert [e["tripped"] for e in drift] == [True, False]
         # Drift is a run-wide monitor, not per-tenant.
-        assert all(
-            e["tenant"] is None
-            for e in auditor.trips
-            if e["monitor"] == "estimator_drift"
-        )
+        assert all(e["tenant"] is None for e in drift)
 
     def test_needs_minimum_observations(self):
-        auditor = FairnessAuditor(self.CFG)
-        auditor.on_event(complete_event(0.0, "B", actual=1.0, charged=5.0))
-        assert auditor.trips == []
+        rows = [complete_event(0.0, "B", actual=1.0, charged=5.0)]
+        assert fold(self.CFG, rows).report["trips"] == []
 
     def test_zero_actual_completions_are_skipped(self):
-        auditor = FairnessAuditor(self.CFG)
-        for i in range(10):
-            auditor.on_event(complete_event(float(i), "B", actual=0.0, charged=1.0))
-        assert auditor.report()["monitors"]["estimator_drift"]["observations"] == 0
+        rows = [
+            complete_event(float(i), "B", actual=0.0, charged=1.0) for i in range(10)
+        ]
+        report = fold(self.CFG, rows).report
+        assert report["monitors"]["estimator_drift"]["observations"] == 0
 
 
 class TestTracerIntegration:
     def test_sink_responses_are_stored_after_their_cause(self):
-        """A drift trip is emitted by the auditor sink while the tracer
-        handles the ``complete`` that caused it; the tracer's store, and
-        so the flight-recorder dump folded from it, must hold them in
-        causal order."""
+        """A drift trip is placed directly after the ``complete`` that
+        caused it; the merged rows, and so the flight-recorder dump
+        folded from them, hold them in causal order."""
         tracer = Tracer("drift")
-        auditor = FairnessAuditor(
-            AuditConfig(drift_min_observations=1, drift_threshold=0.05), tracer
-        )
-        tracer.add_sink(auditor.on_event)
         tracer.complete(
             1.0, 1.0, "B", seqno=0, api="x", actual=1.0, charged=5.0,
             start_tag_after=0.0, running=0,
         )
-        assert [e.kind for e in tracer.events] == ["complete", "audit"]
         tracer.fault(2.0, "worker_crash", worker=0)
-        (dump,) = flight_payload(tracer.rows, 16)["dumps"]
+        audit = fold(
+            AuditConfig(drift_min_observations=1, drift_threshold=0.05), tracer.rows
+        )
+        rows = audit.merged(tracer.rows)
+        assert [row[0] for row in rows] == ["complete", "audit", "fault"]
+        (dump,) = flight_payload(rows, 16)["dumps"]
         assert [e["kind"] for e in dump["ring"]] == ["complete", "audit", "fault"]
 
     def test_exported_drift_trip_follows_its_complete(self, tmp_path):
@@ -248,25 +250,26 @@ class TestTracerIntegration:
 
     def test_trips_emit_audit_events_and_gauges(self):
         tracer = Tracer("audited")
-        auditor = FairnessAuditor(
-            AuditConfig(capacity=2.0, lag_threshold_seconds=0.25), tracer
+        tracer.sample(1.0, {"A": 0.0, "B": 1.0}, {"A": 0.5, "B": 0.5})
+        audit = fold(
+            AuditConfig(capacity=2.0, lag_threshold_seconds=0.25),
+            tracer.rows,
+            tracer.samples,
         )
-        tracer.add_sink(auditor.on_event)  # audit events come back through
-        auditor.on_sample(1.0, {"A": 0.0, "B": 1.0}, {"A": 0.5, "B": 0.5})
-        (event,) = tracer.of_kind("audit")
+        rows = audit.merged(tracer.rows)
+        (event,) = [TraceEvent.from_row(row) for row in rows]
+        assert event.kind == "audit"
         assert event.tenant == "A"
         assert event.data["monitor"] == "lag"
         assert event.data["tripped"] is True
-        assert event_counts(tracer.rows)["audit.lag"] == 1
-        registry = tracer.registry
-        assert registry.gauge("audit.samples").value == 1.0
-        assert registry.gauge("audit.tenants_lagging").value == 1.0
-        assert registry.gauge("audit.tenants_bursty").value == 0.0
+        assert event_counts(rows)["audit.lag"] == 1
+        assert audit.gauges["audit.samples"] == 1.0
+        assert audit.gauges["audit.tenants_lagging"] == 1.0
+        assert audit.gauges["audit.tenants_bursty"] == 0.0
 
     def test_report_is_json_ready(self):
-        auditor = FairnessAuditor(AuditConfig(capacity=2.0))
-        auditor.on_sample(1.0, {"A": 0.0, "B": 1.0}, {"A": 0.5, "B": 0.5})
-        payload = json.dumps(auditor.report())
+        audit = fold(AuditConfig(capacity=2.0), samples=[TestLagMonitor.FIRST])
+        payload = json.dumps(audit.report)
         assert "monitors" in payload
 
 
@@ -370,20 +373,14 @@ class TestFlightRecorder:
         assert not (tmp_path / "none.json").exists()
 
     def test_sink_sees_events_past_the_tracer_cap(self):
-        """A sink (the old ring, kept as the reference) still sees every
-        row past ``max_events``; the fold covers the retained rows only,
-        and ``dropped_events`` counts the rest."""
+        """Past ``max_events`` the tracer keeps no row; the fold covers
+        the retained rows only, and ``dropped_events`` counts the rest."""
         tracer = Tracer("t", max_events=1)
-        ring = FlightRing(capacity=8)
-        tracer.add_sink(ring.on_event)
         tracer.vt_update(0.0, 0.0, None, reason="a")
         tracer.vt_update(1.0, 1.0, None, reason="b")
         tracer.fault(2.0, "worker_crash", worker=0)
         assert len(tracer) == 1  # tracer itself capped
         assert tracer.dropped_events == 2
-        assert ring.events_seen == 3
-        (dump,) = ring.dumps
-        assert len(dump["ring"]) == 3
         # The trigger was dropped, so the fold has nothing to dump.
         assert flight_payload(tracer.rows, 8) is None
 
@@ -392,10 +389,9 @@ class TestAuditedSessionArtifacts:
     def test_export_run_writes_audit_artifacts(self, tmp_path):
         session = TraceSession(tmp_path, audit=AuditConfig(capacity=2.0))
         tracer = session.tracer("fig9 (wfq)")
-        auditor = FairnessAuditor(session.audit, tracer)
-        auditor.on_sample(1.0, {"A": 0.0, "B": 1.0}, {"A": 0.5, "B": 0.5})
+        tracer.sample(1.0, {"A": 0.0, "B": 1.0}, {"A": 0.5, "B": 0.5})
         tracer.fault(2.0, "worker_crash", worker=1)
-        run_dir = session.export_run(tracer, auditor=auditor)
+        run_dir = session.export_run(tracer)
         report = json.loads((run_dir / "audit_report.json").read_text())
         assert report["monitors"]["lag"]["ever_tripped"] == ["A"]
         prom = (run_dir / "metrics.prom").read_text()
@@ -408,8 +404,9 @@ class TestAuditedSessionArtifacts:
     def test_flight_artifact_omitted_without_dumps(self, tmp_path):
         session = TraceSession(tmp_path, audit=AuditConfig(capacity=2.0))
         tracer = session.tracer("quiet")
-        auditor = FairnessAuditor(session.audit, tracer)
-        run_dir = session.export_run(tracer, auditor=auditor)
+        # An audited session audits the runs whose record holds samples.
+        tracer.sample(1.0, {"A": 1.0}, {"A": 1.0})
+        run_dir = session.export_run(tracer)
         assert (run_dir / "audit_report.json").exists()
         assert not (run_dir / "flight_recorder.json").exists()
 
@@ -429,9 +426,11 @@ class TestFig9Acceptance:
         trace = production_trace(specs, config, open_loop_utilization=0.5)
         flagged = {}
         for name in ("wfq", "wf2q", "2dfq"):
-            tracer = Tracer(f"fig9-audit-{name}", max_events=100)
-            auditor = FairnessAuditor(AuditConfig(capacity=config.capacity), tracer)
-            run_single(name, specs, config, trace=trace, tracer=tracer, auditor=auditor)
+            # The audit folds the retained rows: keep them all.
+            tracer = Tracer(f"fig9-audit-{name}")
+            run_single(name, specs, config, trace=trace, tracer=tracer)
+            auditor = FairnessAuditor(AuditConfig(capacity=config.capacity))
+            auditor.fold(tracer.rows, tracer.samples)
             flagged[name] = auditor.ever_tripped("bursty")
         assert flagged["wfq"], "WFQ must flag bursty allocations"
         assert flagged["wf2q"], "WF²Q must flag bursty allocations"

@@ -4,9 +4,9 @@ flight-recorder dumps.
 The tracer keeps one event record, its rows.  ``event_counts`` and the
 flight-recorder fold (``flight_payload``) are computed from them at
 export; these tests hold both to the live records they replaced -- a
-counting sink with the old per-emitter counter rules, and the old ring
-buffer (``tests/reference/flight_ring.py``) -- and pin what a run that
-overflows ``max_events`` reports.
+counter of rows with the old per-emitter counter rules, and the old ring
+buffer (``tests/reference/flight_ring.py``), each fed the rows after
+the run -- and pin what a run that overflows ``max_events`` reports.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ CHAOS_PLAN = Path(__file__).parent / "data" / "chaos_plan.json"
 
 
 class CountingSink:
-    """The registry counters the typed emitters used to increment, as a
-    tracer sink: one count per emitted row, by the emitter's rule."""
+    """The registry counters the typed emitters used to increment: one
+    count per row, by the emitter's rule."""
 
     WHOLE = {
         DISPATCH: "scheduler.dispatches",
@@ -74,11 +74,12 @@ class CountingSink:
             self.counts[f"audit.{data['monitor']}"] += 1
 
 
-def traced(name: str):
-    tracer = Tracer(name)
+def counted(rows) -> CountingSink:
+    """A :class:`CountingSink` fed ``rows`` in order."""
     sink = CountingSink()
-    tracer.add_sink(sink.on_event)
-    return tracer, sink
+    for row in rows:
+        sink.on_event(row)
+    return sink
 
 
 class TestEventCounts:
@@ -91,11 +92,12 @@ class TestEventCounts:
             fault_plan=FaultPlan.load(CHAOS_PLAN),
         )
         specs = expensive_requests_population(num_small=10, total=20)
-        tracer, sink = traced("figfault-chaos")
-        auditor = FairnessAuditor(AuditConfig())
-        run_single("2dfq-e", specs, config, tracer=tracer, auditor=auditor)
-        counts = event_counts(tracer.rows)
-        assert counts == dict(sink.counts)
+        tracer = Tracer("figfault-chaos")
+        run_single("2dfq-e", specs, config, tracer=tracer)
+        audit = FairnessAuditor(AuditConfig()).fold(tracer.rows, tracer.samples)
+        rows = audit.merged(tracer.rows)
+        counts = event_counts(rows)
+        assert counts == dict(counted(rows).counts)
         for name in (
             "scheduler.dispatches",
             "scheduler.cancellations",
@@ -112,12 +114,12 @@ class TestEventCounts:
         plan = FaultPlan(
             server_crashes=(ServerCrash(server=0, at=0.2), ServerCrash(server=1, at=0.3))
         )
-        tracer, sink = traced("fleet-rejects")
+        tracer = Tracer("fleet-rejects")
         run_fleet(
             num_servers=2, num_threads=2, duration=0.6, plan=plan, tracer=tracer
         )
         counts = event_counts(tracer.rows)
-        assert counts == dict(sink.counts)
+        assert counts == dict(counted(tracer.rows).counts)
         assert counts["fleet.rejections"] > 0
         assert counts["fleet.route_decisions"] > counts["fleet.rejections"]
         assert counts["faults.server_crash"] == 2
@@ -191,16 +193,9 @@ def test_fold_payload_equals_the_ring(stream):
 
 
 def test_fold_payload_equals_the_ring_as_a_tracer_sink():
-    """The ring fed live by a tracer (auditor responses re-entering
-    emission included) dumps exactly what the fold reads back from the
-    tracer's rows."""
+    """The ring fed a traced run's rows with the audit's drift trips
+    merged in dumps exactly what the fold reads back from those rows."""
     tracer = Tracer("live")
-    ring = FlightRing(8)
-    tracer.add_sink(ring.on_event)
-    auditor = FairnessAuditor(
-        AuditConfig(drift_min_observations=1, drift_threshold=0.05), tracer
-    )
-    tracer.add_sink(auditor.on_event)
     for i in range(12):
         tracer.complete(
             float(i), float(i), "B", seqno=i, api="x", actual=1.0,
@@ -208,7 +203,15 @@ def test_fold_payload_equals_the_ring_as_a_tracer_sink():
         )
         if i % 2:
             tracer.fault(float(i), "worker_stall", worker=i)
-    assert flight_payload(tracer.rows, 8) == ring.payload()
+    audit = FairnessAuditor(
+        AuditConfig(drift_min_observations=1, drift_threshold=0.05)
+    ).fold(tracer.rows, tracer.samples)
+    rows = audit.merged(tracer.rows)
+    assert AUDIT in {row[0] for row in rows}
+    ring = FlightRing(8)
+    for row in rows:
+        ring.on_event(row)
+    assert flight_payload(rows, 8) == ring.payload()
 
 
 # -- overflow ---------------------------------------------------------------------

@@ -213,8 +213,15 @@ def _mixed_tracer(fleet=False):
         3.28, 7.0, "t\u00e9", seqno=14, api="op", actual=1, charged=1.0,
         start_tag_after=8.0, running=0,
     )
-    tracer.audit(3.3, "bursty", tripped=True, cov=-inf, window=10)
-    tracer.audit(3.4, "lag", tenant="A", tripped=False, lag_seconds=0.0)
+    # Audit rows as the audit fold builds them (repro.obs.audit).
+    tracer.emit(TraceEvent(
+        "audit", 3.3, None, None,
+        {"monitor": "bursty", "tripped": True, "cov": -inf, "window": 10},
+    ))
+    tracer.emit(TraceEvent(
+        "audit", 3.4, None, "A",
+        {"monitor": "lag", "tripped": False, "lag_seconds": 0.0},
+    ))
     tracer.emit(TraceEvent("enqueue", 4.0, None, "A", {"t": 9.0, "x%s": 1}))
     tracer.emit(TraceEvent("dispatch", 4.5, 1.0, "A", {"vt": 2.0, "backlog": 1}))
     tracer.emit(TraceEvent("dispatch", 5.0, None, None, {}))

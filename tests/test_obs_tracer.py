@@ -250,7 +250,10 @@ class TestInstrumentedRun:
         assert scheduler.cancel(doomed, now)
         tracer.fault(now, "worker_crash", worker=0)
         tracer.invariant(now, "vt-monotonic", tenant="T0", message="test")
-        tracer.audit(now, "bursty", tenant="T0", tripped=True, cov=1.5)
+        # audit rows come from the audit fold, not an emitter
+        tracer.emit(TraceEvent(
+            "audit", now, None, "T0", {"monitor": "bursty", "tripped": True, "cov": 1.5}
+        ))
         tracer.route(
             now, "T0", seqno=doomed.seqno, server=1, policy="round-robin",
             healthy=4, backlog=0, accepted=True,
