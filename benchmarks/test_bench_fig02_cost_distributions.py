@@ -36,8 +36,7 @@ def test_fig02_cost_distributions(benchmark, capsys):
             api_rows.append((api, s.p1, s.p50, s.p99, s.decades_of_spread()))
         tenant_rows = []
         for tenant_id in NAMED_TENANT_IDS:
-            sampler = named_tenant(tenant_id).request_sampler(rng)
-            samples = np.array([sampler()[1] for _ in range(2000)])
+            samples = named_tenant(tenant_id).sample_costs(rng, 2000)[2]
             s = cost_summary(samples)
             tenant_rows.append((tenant_id, s.p1, s.p50, s.p99, s.cov))
         return api_rows, tenant_rows, np.concatenate(all_samples)

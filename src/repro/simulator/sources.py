@@ -12,11 +12,15 @@ Two arrival disciplines cover everything in the paper's evaluation:
   so it is always competing for its fair share.
 
 Sources attach themselves to requests (``request.source``) so the server
-can notify them of completions in O(1) without a global fan-out.
+can notify them of completions in O(1) without a global fan-out.  Each
+reads one item of its workload per request (the next record, a sampler
+call); the feeds :mod:`repro.workloads.build` gives them (a block-drawn
+request stream, a ``map`` over trace rows) make that read C-level.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Iterator, Optional, Protocol, Tuple
 
 from ..core.request import Request
@@ -74,10 +78,14 @@ class TraceSource(Source):
     ----------
     records:
         Iterable of ``(time, tenant_id, api, cost)`` tuples sorted by
-        time.  Times are in trace seconds.
+        time.  Times are in trace seconds.  Give an iterator that builds
+        no Python frame per record (``map`` of an ``attrgetter``, as
+        :func:`~repro.workloads.build.attach_trace` does): ``next`` on it
+        runs once per arrival.
     speed:
-        Replay speed multiplier: 2.0 compresses the trace to half its
-        duration (the paper sweeps 0.5x - 4x in §6.2.2).
+        Replay speed multiplier, positive and finite: 2.0 compresses the
+        trace to half its duration (the paper sweeps 0.5x - 4x in
+        §6.2.2).
     weight:
         Scheduler weight stamped on every replayed request.
     """
@@ -90,8 +98,10 @@ class TraceSource(Source):
         weight: Weight = 1.0,
     ) -> None:
         super().__init__(server)
-        if speed <= 0:
-            raise ConfigurationError(f"speed must be positive, got {speed}")
+        if not 0.0 < speed < math.inf:
+            raise ConfigurationError(
+                f"speed must be positive and finite, got {speed!r}"
+            )
         self._records: Iterator[Tuple[SimTime, str, str, Cost]] = iter(records)
         self._speed: Scalar = float(speed)
         self._weight: Weight = float(weight)
@@ -132,12 +142,19 @@ class BackloggedSource(Source):
     tenant_id:
         Flow identifier.
     sampler:
-        Callable returning ``(api, cost)`` for each new request.
+        Callable returning ``(api, cost)`` for each new request; it runs
+        once per request.  Spec-built tenants pass the ``__next__`` of
+        :meth:`~repro.workloads.spec.TenantSpec.request_stream`, which
+        runs no Python frame per request.
     window:
-        Number of outstanding requests to maintain (>= 1).  Values above
-        1 keep the tenant backlogged even while requests execute.
+        Number of outstanding requests to maintain, an integer >= 1.
+        Values above 1 keep the tenant backlogged even while requests
+        execute.
+    start_time:
+        Simulated time of the first submissions, finite and >= 0.
     limit:
-        Optional cap on total submissions (for bounded tests).
+        Optional cap on total submissions, an integer >= 0 (for bounded
+        tests).
     """
 
     def __init__(
@@ -151,8 +168,17 @@ class BackloggedSource(Source):
         limit: Optional[int] = None,
     ) -> None:
         super().__init__(server)
-        if window < 1:
-            raise ConfigurationError(f"window must be >= 1, got {window}")
+        # NaN fails every comparison, so it is rejected too.
+        if not (window >= 1 and window % 1 == 0):
+            raise ConfigurationError(f"window must be an integer >= 1, got {window!r}")
+        if limit is not None and not (limit >= 0 and limit % 1 == 0):
+            raise ConfigurationError(
+                f"limit must be None or an integer >= 0, got {limit!r}"
+            )
+        if not 0.0 <= start_time < math.inf:
+            raise ConfigurationError(
+                f"start_time must be finite and >= 0, got {start_time!r}"
+            )
         self.tenant_id = tenant_id
         self._sampler = sampler
         self._window = int(window)

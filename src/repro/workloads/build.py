@@ -3,13 +3,16 @@
 This is the glue between the declarative workload layer
 (:class:`~repro.workloads.spec.TenantSpec`, traces) and the execution
 layer (:mod:`repro.simulator.sources`).  Closed-loop specs become
-:class:`BackloggedSource`; open-loop specs become a pre-generated
-:class:`TraceSource`, so each scheduler sees the byte-identical arrival
-sequence.
+:class:`BackloggedSource` fed by the spec's block-drawn
+:meth:`~repro.workloads.spec.TenantSpec.request_stream`; open-loop specs
+become a pre-generated :class:`TraceSource`, so each scheduler sees the
+byte-identical arrival sequence.  Neither source runs a Python frame of
+this layer per request.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import List, Optional, Sequence
 
 from ..errors import WorkloadError
@@ -21,6 +24,9 @@ from .trace import TraceRecord, generate_trace
 
 __all__ = ["attach_specs", "attach_trace"]
 
+#: A trace row as the ``(time, tenant, api, cost)`` tuple replay reads.
+_ROW = attrgetter("time", "tenant", "api", "cost")
+
 
 def attach_trace(
     server: SubmitTarget,
@@ -29,12 +35,7 @@ def attach_trace(
     weight: float = 1.0,
 ) -> TraceSource:
     """Attach a pre-generated trace to a submit target and start it."""
-    source = TraceSource(
-        server,
-        (record.as_tuple() for record in trace),
-        speed=speed,
-        weight=weight,
-    )
+    source = TraceSource(server, map(_ROW, trace), speed=speed, weight=weight)
     source.start()
     return source
 
@@ -67,11 +68,11 @@ def attach_specs(
     open_loop = [spec for spec in specs if isinstance(spec.arrivals, OpenLoopProcess)]
     for spec in specs:
         if isinstance(spec.arrivals, Backlogged):
-            sampler = spec.request_sampler(make_rng(seed, "costs", spec.tenant_id))
+            stream = spec.request_stream(make_rng(seed, "costs", spec.tenant_id))
             source = BackloggedSource(
                 server,
                 spec.tenant_id,
-                sampler,
+                stream.__next__,
                 window=spec.arrivals.window,
                 weight=spec.weight,
                 start_time=spec.arrivals.start_time,

@@ -11,7 +11,8 @@ A :class:`TenantSpec` describes one tenant's behaviour fully:
 
 Specs are pure data plus samplers; they are turned into simulator
 sources by :mod:`repro.workloads.build` and into offline traces by
-:mod:`repro.workloads.trace`.
+:mod:`repro.workloads.trace`, both reading requests from
+:meth:`TenantSpec.sample_costs`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from itertools import chain, repeat
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -29,9 +31,15 @@ from .distributions import CostDistribution, FixedCost, LogNormalCost, NormalCos
 
 __all__ = ["TenantSpec"]
 
+#: Requests :meth:`TenantSpec.request_stream` draws at a time.
+BLOCK = 64
+
 #: Distributions whose ``sample_many(rng, n)`` equals ``n`` calls of
 #: ``sample(rng)`` (exact types: a subclass may override ``sample``).
 _BULK_EXACT = (FixedCost, NormalCost, LogNormalCost)
+
+#: A block of requests, ``(picks, costs)``.
+_Block = Tuple[np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -88,72 +96,83 @@ class TenantSpec:
             sum(p * self.api_costs[name].mean() for name, p in zip(names, probs))
         )
 
-    def request_sampler(
-        self, rng: np.random.Generator
-    ) -> Callable[[], Tuple[str, float]]:
-        """Build a ``() -> (api, cost)`` sampler bound to ``rng`` (closed-loop
-        sources draw per request; traces use :meth:`sample_costs`)."""
-        names, probs = self._api_mix()
-        costs = self.api_costs
-
-        if len(names) == 1:
-            only = names[0]
-            dist = costs[only]
-
-            def sample_single() -> Tuple[str, float]:
-                return only, dist.sample(rng)
-
-            return sample_single
-
-        cumulative = np.cumsum(probs)
-
-        def sample() -> Tuple[str, float]:
-            index = int(np.searchsorted(cumulative, rng.random(), side="right"))
-            index = min(index, len(names) - 1)
-            api = names[index]
-            return api, costs[api].sample(rng)
-
-        return sample
-
     def sample_costs(
         self, rng: np.random.Generator, n: int
     ) -> Tuple[List[str], np.ndarray, np.ndarray]:
         """Draw ``n`` requests at once as ``(apis, picks, costs)``: request
         ``k`` calls ``apis[picks[k]]`` and costs ``costs[k]``.
 
-        The draws are exactly those of ``n`` calls to
-        ``request_sampler(rng)()``.  A single-API tenant whose cost
+        The one definition of a tenant's requests: ``a`` then ``b`` draws
+        give exactly ``a + b``, so traces draw all at once and
+        :meth:`request_stream` in blocks.  A single-API tenant whose cost
         distribution samples in bulk stream-identically (see
         :meth:`~repro.workloads.distributions.CostDistribution.sample_many`)
         draws in one call.  Every other tenant loops per request: a
         multi-API tenant interleaves its API pick and cost draws.
         """
+        names, draw = self._cost_sampler()
+        picks, costs = draw(rng, n)
+        return names, picks, costs
+
+    def request_stream(
+        self, rng: np.random.Generator
+    ) -> Iterator[Tuple[str, float]]:
+        """The endless ``(api, cost)`` stream of a closed-loop tenant.
+
+        It reads :meth:`sample_costs` in blocks of :data:`BLOCK`, so its
+        ``next`` runs a Python frame only once per block.  A block may
+        draw past a run's last request: harmless, because ``rng`` serves
+        this stream alone (DESIGN.md §18).  The API mix is checked here.
+        """
+        names, draw = self._cost_sampler()
+        api_of = names.__getitem__
+
+        def block(rng: np.random.Generator) -> Iterator[Tuple[str, float]]:
+            picks, costs = draw(rng, BLOCK)
+            return zip(map(api_of, picks.tolist()), costs.tolist())
+
+        return chain.from_iterable(map(block, repeat(rng)))
+
+    def _cost_sampler(
+        self,
+    ) -> Tuple[List[str], Callable[[np.random.Generator, int], _Block]]:
+        """``(apis, draw)``, the API mix computed once: ``draw(rng, n)``
+        gives the next ``n`` requests as ``(picks, costs)``."""
         names, probs = self._api_mix()
         dists = [self.api_costs[name] for name in names]
         if len(names) == 1:
             dist = dists[0]
-            if type(dist) in _BULK_EXACT:
-                values = dist.sample_many(rng, n)
-            else:
-                values = np.array([dist.sample(rng) for _ in range(n)], dtype=float)
-            return names, np.zeros(n, dtype=np.intp), values
-        # The request_sampler loop, with bisect_right over a float list
-        # in place of np.searchsorted(side="right"): the same index.
+            bulk = type(dist) in _BULK_EXACT
+
+            def draw_single(rng: np.random.Generator, n: int) -> _Block:
+                if bulk:
+                    costs = dist.sample_many(rng, n)
+                else:
+                    costs = np.array([dist.sample(rng) for _ in range(n)], float)
+                return np.zeros(n, dtype=np.intp), costs
+
+            return names, draw_single
+        # One uniform draw picks the API, with bisect_right over a float
+        # list: the index np.searchsorted(side="right") gives.
         bounds = np.cumsum(probs).tolist()
         last = len(names) - 1
         samplers = [dist.sample for dist in dists]
-        random = rng.random
-        picks: List[int] = []
-        costs: List[float] = []
-        for _ in range(n):
-            index = bisect_right(bounds, random())
-            if index > last:
-                index = last
-            picks.append(index)
-            costs.append(samplers[index](rng))
-        return names, np.array(picks, dtype=np.intp), np.array(costs, dtype=float)
 
-    def _api_mix(self) -> Tuple[list, np.ndarray]:
+        def draw_mixed(rng: np.random.Generator, n: int) -> _Block:
+            random = rng.random
+            picks: List[int] = []
+            costs: List[float] = []
+            for _ in range(n):
+                index = bisect_right(bounds, random())
+                if index > last:
+                    index = last
+                picks.append(index)
+                costs.append(samplers[index](rng))
+            return np.array(picks, dtype=np.intp), np.array(costs, dtype=float)
+
+        return names, draw_mixed
+
+    def _api_mix(self) -> Tuple[List[str], np.ndarray]:
         names = sorted(self.api_costs)
         if self.api_weights is None:
             probs = np.full(len(names), 1.0 / len(names))

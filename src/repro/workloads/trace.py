@@ -62,9 +62,6 @@ class TraceRecord:
     api: str
     cost: float
 
-    def as_tuple(self) -> tuple[float, str, str, float]:
-        return (self.time, self.tenant, self.api, self.cost)
-
 
 def _encode(names: Sequence[str]) -> Tuple[np.ndarray, Tuple[str, ...]]:
     """``(codes, table)``: ``names`` as indexes into their sorted table."""
@@ -290,8 +287,8 @@ def rescale_trace(
     trace: Sequence[TraceRecord], speed: float
 ) -> Trace:
     """Compress (speed > 1) or stretch (speed < 1) a trace in time."""
-    if speed <= 0:
-        raise WorkloadError(f"speed must be positive, got {speed}")
+    if not 0.0 < speed < math.inf:
+        raise WorkloadError(f"speed must be positive and finite, got {speed!r}")
     trace = _as_trace(trace)
     return Trace(
         trace.times / speed, trace.tenant_codes, trace.api_codes,

@@ -67,8 +67,7 @@ class TestNamedTenants:
     def test_t1_small_and_predictable(self, rng):
         """§6.1.2: T1's requests are 'between 250 and 1000 in size'."""
         spec = named_tenant("T1")
-        sampler = spec.request_sampler(rng)
-        costs = np.array([sampler()[1] for _ in range(2000)])
+        costs = spec.sample_costs(rng, 2000)[2]
         assert costs.min() >= 250.0
         assert costs.max() <= 1000.0
         assert coefficient_of_variation(costs) < 0.5
@@ -76,16 +75,14 @@ class TestNamedTenants:
     def test_t11_large_and_predictable(self, rng):
         """§3.1: T11 makes large requests with little variation."""
         spec = named_tenant("T11")
-        sampler = spec.request_sampler(rng)
-        costs = np.array([sampler()[1] for _ in range(2000)])
+        costs = spec.sample_costs(rng, 2000)[2]
         assert np.median(costs) > 1e5
         assert coefficient_of_variation(costs) < 0.5
 
     def test_t9_mixed_small_and_large(self, rng):
         """§3.1: T9 mixes small and large with a lot of variation."""
         spec = named_tenant("T9")
-        sampler = spec.request_sampler(rng)
-        costs = np.array([sampler()[1] for _ in range(3000)])
+        costs = spec.sample_costs(rng, 3000)[2]
         assert (costs < 1e3).any()
         assert (costs > 1e5).any()
         assert coefficient_of_variation(costs) > 1.0
@@ -94,8 +91,7 @@ class TestNamedTenants:
         """§3.2 / Figure 4c: unstable tenant; costs span > 3 decades."""
         spec = named_tenant("T10")
         assert isinstance(spec.arrivals, OnOffArrivals)
-        sampler = spec.request_sampler(rng)
-        costs = np.array([sampler()[1] for _ in range(5000)])
+        costs = spec.sample_costs(rng, 5000)[2]
         spread = np.log10(np.percentile(costs, 99.5) / np.percentile(costs, 0.5))
         assert spread > 3.0
 
@@ -117,9 +113,11 @@ class TestRandomTenants:
         a = random_tenant(3, seed=9)
         b = random_tenant(3, seed=9)
         assert set(a.api_costs) == set(b.api_costs)
-        sampler_a = a.request_sampler(make_rng(1, "x"))
-        sampler_b = b.request_sampler(make_rng(1, "x"))
-        assert [sampler_a() for _ in range(20)] == [sampler_b() for _ in range(20)]
+        apis_a, picks_a, costs_a = a.sample_costs(make_rng(1, "x"), 20)
+        apis_b, picks_b, costs_b = b.sample_costs(make_rng(1, "x"), 20)
+        assert apis_a == apis_b
+        assert picks_a.tolist() == picks_b.tolist()
+        assert costs_a.tolist() == costs_b.tolist()
 
     def test_seed_changes_population(self):
         a = random_tenant(3, seed=1)
@@ -141,8 +139,7 @@ class TestRandomTenants:
         rng = make_rng(5, "fig3")
         covs = []
         for spec in random_tenants(60, seed=4):
-            sampler = spec.request_sampler(rng)
-            costs = np.array([sampler()[1] for _ in range(300)])
+            costs = spec.sample_costs(rng, 300)[2]
             covs.append(coefficient_of_variation(costs))
         covs = np.array(covs)
         assert (covs < 0.5).sum() >= 10, "no predictable tenants"

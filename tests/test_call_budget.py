@@ -8,19 +8,24 @@ the per-request chain (``submit`` -> ``enqueue`` -> dispatch pass ->
 ``complete`` -> listeners -> resubmit) fails here before it shows as
 lost requests per second.  Both cells select through the one sorted
 list (``repro.core.selection``), and both pin its churn: one re-filing
-per completed request.
+per completed request.  A third cell builds Figure 8a's population from
+tenant specs and pins the workload layer's share of the calls: its
+request streams draw in blocks, so no frame of it runs per request.
 """
 
 from __future__ import annotations
 
 import cProfile
 import pstats
+from pathlib import Path
 
 import pytest
 
+import repro.workloads
 from repro import Simulation, ThreadPoolServer, make_scheduler
 from repro.metrics import MetricsCollector
 from repro.simulator import BackloggedSource
+from repro.workloads import attach_specs, expensive_requests_population
 
 THREADS = 4
 RATE = 100.0
@@ -74,6 +79,16 @@ INDEXED_CALLS_PER_REQUEST_BUDGET = 43.23 + 2
 
 #: :data:`PRIMING_TOUCHES` of :func:`indexed_cell`.
 INDEXED_PRIMING_TOUCHES = INDEXED_TENANTS + INDEXED_THREADS
+
+#: cProfile calls per completed request of functions under
+#: ``repro/workloads/`` in :func:`spec_cell`.  Drawn one request at a
+#: time, the closed-loop samplers made 2.22 (``sample_single`` and
+#: ``NormalCost.sample`` for every submitted request); drawn in blocks
+#: of 64 they make 0.13, three calls per block, most of them the first
+#: block of each of the 100 tenants.  One frame per request exceeds it.
+WORKLOAD_CALLS_PER_REQUEST_BUDGET = 0.2
+
+WORKLOADS_DIR = str(Path(repro.workloads.__file__).parent)
 
 
 def profile_run(sim, server, collector, horizon):
@@ -137,6 +152,25 @@ def indexed_cell():
     return profile_run(sim, server, collector, INDEXED_HORIZON)
 
 
+@pytest.fixture(scope="module")
+def spec_cell():
+    """:func:`indexed_cell`'s server with Figure 8a's tenants built from
+    their specs (50 small, 50 expensive, normal costs) by
+    :func:`attach_specs`; returns what :func:`profiled_cell` returns."""
+    sim = Simulation()
+    scheduler = make_scheduler("2dfq", INDEXED_THREADS, thread_rate=INDEXED_RATE)
+    server = ThreadPoolServer(
+        sim,
+        scheduler,
+        num_threads=INDEXED_THREADS,
+        rate=INDEXED_RATE,
+        refresh_interval=None,
+    )
+    collector = MetricsCollector(server, sample_interval=0.1)
+    attach_specs(server, expensive_requests_population(INDEXED_TENANTS // 2), seed=1)
+    return profile_run(sim, server, collector, INDEXED_HORIZON)
+
+
 def calls_of(stats: pstats.Stats, function) -> int:
     """cProfile's call count of one Python function."""
     code = function.__code__
@@ -184,3 +218,15 @@ def test_one_dispatch_pass_per_completion(profiled_cell):
     passes = calls_of(stats, ThreadPoolServer._dispatch_idle)
     assert passes > 0
     assert passes <= completed + PRIMING_PASSES
+
+
+def test_workload_layer_runs_no_frame_per_request(spec_cell):
+    stats, completed, _ = spec_cell
+    assert completed > 1000
+    calls = sum(
+        entry[1] for key, entry in stats.stats.items()
+        if key[0].startswith(WORKLOADS_DIR)
+    )
+    assert calls / completed < WORKLOAD_CALLS_PER_REQUEST_BUDGET, (
+        f"{calls / completed:.3f} workload-layer calls per completed request"
+    )

@@ -8,7 +8,9 @@ request's cost at admission (``ThreadPoolServer.submit``), and a
 request's weight when its tenant's state is first created.  The fluid
 GPS reference checks each arrival's cost, a flow's weight when the flow
 is created, each target time and each capacity.  ``AuditConfig``
-refuses any threshold that would break or silence a monitor.
+refuses any threshold that would break or silence a monitor.  The
+sources and ``rescale_trace`` refuse replay parameters that would
+submit at the wrong time, or nothing, without an error.
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ from repro.core.virtual_time import VirtualClock
 from repro.errors import ConfigurationError, SimulationError, WorkloadError
 from repro.estimation import EMAEstimator, LastValueEstimator, PessimisticEstimator
 from repro.obs import AuditConfig
-from repro.simulator import GPSReference, Simulation, ThreadPoolServer
-from repro.workloads import FixedCost, TenantSpec
+from repro.simulator import (
+    BackloggedSource, GPSReference, Simulation, ThreadPoolServer, TraceSource,
+)
+from repro.workloads import FixedCost, TenantSpec, TraceRecord, rescale_trace
 
 NAN = math.nan
 INF = math.inf
@@ -188,3 +192,56 @@ def test_audit_config_rejects_what_breaks_or_silences_a_monitor(field, value):
 def test_audit_config_accepts_the_defaults_and_no_capacity():
     assert AuditConfig().capacity is None
     AuditConfig(capacity=2, burst_window=2, drift_alpha=1.0, drift_min_observations=0)
+
+
+def _server():
+    return ThreadPoolServer(Simulation(), make_scheduler("2dfq", 1), 1)
+
+
+@pytest.mark.parametrize("speed", [INF, NAN, -INF, 0.0, -1.0])
+def test_trace_source_speed(speed):
+    # inf submitted every record at t=0; NaN failed later, in the clock.
+    with pytest.raises(ConfigurationError, match=f"speed .*got {speed}"):
+        TraceSource(_server(), [(0.5, "T", "a", 1.0)], speed=speed)
+
+
+@pytest.mark.parametrize("speed", [INF, NAN, -INF, 0.0, -1.0])
+def test_rescale_trace_speed(speed):
+    # inf gave all-zero times and NaN gave NaN times.
+    trace = [TraceRecord(0.5, "T", "a", 1.0)]
+    with pytest.raises(WorkloadError, match=f"speed .*got {speed}"):
+        rescale_trace(trace, speed)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("window", 2.5),  # silently kept 2
+        ("window", NAN),  # a bare ValueError from int()
+        ("window", 0),
+        ("window", INF),
+        ("limit", -1),  # silently submitted nothing
+        ("limit", 2.5),
+        ("limit", NAN),
+        ("start_time", NAN),
+        ("start_time", INF),
+        ("start_time", -1.0),
+    ],
+)
+def test_backlogged_source_rejects(field, value):
+    with pytest.raises(ConfigurationError, match=f"{field} .*got {value!r}"):
+        BackloggedSource(_server(), "T", lambda: ("a", 1.0), **{field: value})
+
+
+@pytest.mark.parametrize("limit", [None, 0, 3])
+def test_backlogged_source_accepts_no_limit_and_zero(limit):
+    server = _server()
+    source = BackloggedSource(
+        server, "T", lambda: ("a", 1.0), window=2, start_time=0.5, limit=limit
+    )
+    source.start()
+    server.sim.run(until=10.0)
+    if limit is None:
+        assert source.submitted > 2
+    else:
+        assert source.submitted == limit

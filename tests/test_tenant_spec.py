@@ -34,14 +34,19 @@ class TestValidation:
             api_weights={"a": 0.0},
         )
         with pytest.raises(WorkloadError):
-            spec.request_sampler(make_rng(0, "x"))
+            spec.sample_costs(make_rng(0, "x"), 1)
+        # A closed-loop stream checks the mix when it is built, not at
+        # its first request.
+        with pytest.raises(WorkloadError):
+            spec.request_stream(make_rng(0, "x"))
 
 
 class TestSampling:
     def test_single_api_fast_path(self):
         spec = TenantSpec(tenant_id="T", api_costs={"a": FixedCost(3.0)})
-        sampler = spec.request_sampler(make_rng(1, "t"))
-        assert sampler() == ("a", 3.0)
+        apis, picks, costs = spec.sample_costs(make_rng(1, "t"), 1)
+        assert (apis[picks[0]], costs[0]) == ("a", 3.0)
+        assert next(spec.request_stream(make_rng(1, "t"))) == ("a", 3.0)
 
     def test_api_mix_respects_weights(self):
         spec = TenantSpec(
@@ -49,18 +54,18 @@ class TestSampling:
             api_costs={"a": FixedCost(1.0), "b": FixedCost(2.0)},
             api_weights={"a": 0.8, "b": 0.2},
         )
-        sampler = spec.request_sampler(make_rng(2, "t"))
-        picks = [sampler()[0] for _ in range(3000)]
-        assert picks.count("a") / len(picks) == pytest.approx(0.8, abs=0.03)
+        apis, picks, _ = spec.sample_costs(make_rng(2, "t"), 3000)
+        share = float(np.mean(picks == apis.index("a")))
+        assert share == pytest.approx(0.8, abs=0.03)
 
     def test_uniform_default_mix(self):
         spec = TenantSpec(
             tenant_id="T",
             api_costs={"a": FixedCost(1.0), "b": FixedCost(2.0)},
         )
-        sampler = spec.request_sampler(make_rng(3, "t"))
-        picks = [sampler()[0] for _ in range(2000)]
-        assert picks.count("a") / len(picks) == pytest.approx(0.5, abs=0.05)
+        apis, picks, _ = spec.sample_costs(make_rng(3, "t"), 2000)
+        share = float(np.mean(picks == apis.index("a")))
+        assert share == pytest.approx(0.5, abs=0.05)
 
     def test_mean_cost(self):
         spec = TenantSpec(

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import gzip
 import re
+from itertools import islice
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -47,12 +49,16 @@ from repro.workloads.trace import (
     scramble_trace,
     thin_trace,
 )
+from repro.workloads.spec import BLOCK
+
+#: A record as the oracle's ``(time, tenant, api, cost)`` row.
+row_of = attrgetter("time", "tenant", "api", "cost")
 
 
 def assert_rows_equal(trace, rows):
     """``trace`` equals the oracle's rows exactly, float types included."""
     assert isinstance(trace, Trace)
-    got = [record.as_tuple() for record in trace]
+    got = [row_of(record) for record in trace]
     assert got == rows
     assert trace == [TraceRecord(*row) for row in rows]
     for time, _, _, cost in got:
@@ -169,15 +175,78 @@ def test_mixed_population_matches_oracle():
 
 @pytest.mark.parametrize("family", sorted(COST_FAMILIES))
 def test_sample_costs_is_the_request_sampler_stream(family):
-    """``sample_costs(rng, n)`` == ``n`` calls of ``request_sampler`` on a
-    fresh generator of the same seed, single- and multi-API."""
+    """``sample_costs(rng, n)`` and the first ``n`` pairs of
+    ``request_stream`` == ``n`` calls of the oracle's ``request_sampler``
+    on a fresh generator of the same seed, single- and multi-API."""
     for spec in (_single(family, COST_FAMILIES[family]), _multi({f"api-{family}": 2.0, "api-fixed": 1.0})):
-        apis, picks, costs = spec.sample_costs(make_rng(3, "costs"), 500)
-        sampler = spec.request_sampler(make_rng(3, "costs"))
-        drawn = [sampler() for _ in range(500)]
-        assert [(apis[p], c) for p, c in zip(picks.tolist(), costs.tolist())] == drawn
         reference = oracle.request_sampler(spec, make_rng(3, "costs"))
-        assert drawn == [reference() for _ in range(500)]
+        drawn = [reference() for _ in range(500)]
+        apis, picks, costs = spec.sample_costs(make_rng(3, "costs"), 500)
+        assert [(apis[p], c) for p, c in zip(picks.tolist(), costs.tolist())] == drawn
+        assert list(islice(spec.request_stream(make_rng(3, "costs")), 500)) == drawn
+
+
+def _bounds():
+    return st.floats(1.0, 1e6, allow_nan=False, allow_infinity=False)
+
+
+_BASE_COSTS = st.one_of(
+    st.builds(FixedCost, _bounds()),
+    st.builds(NormalCost, st.floats(0.1, 1e4), st.floats(0.0, 1e3)),
+    st.builds(LogNormalCost, _bounds(), st.floats(0.0, 2.0)),
+    st.builds(
+        lambda median, sigma, edges: LogNormalCost(median, sigma, *sorted(edges)),
+        _bounds(), st.floats(0.0, 2.0), st.tuples(_bounds(), _bounds()),
+    ),
+    st.builds(
+        lambda median, sigma, low: LogNormalCost(median, sigma, low=low),
+        _bounds(), st.floats(0.0, 2.0), _bounds(),
+    ),
+    st.builds(
+        lambda median, sigma, high: LogNormalCost(median, sigma, high=high),
+        _bounds(), st.floats(0.0, 2.0), _bounds(),
+    ),
+    st.builds(
+        lambda low, ratio: LogUniformCost(low, low * ratio),
+        _bounds(), st.floats(1.5, 1e4),
+    ),
+)
+
+_COSTS = st.one_of(
+    _BASE_COSTS,
+    st.lists(
+        st.tuples(_BASE_COSTS, st.floats(0.01, 10.0)), min_size=1, max_size=3
+    ).map(lambda parts: MixtureCost([c for c, _ in parts], [w for _, w in parts])),
+)
+
+
+@st.composite
+def _request_specs(draw):
+    dists = draw(st.lists(_COSTS, min_size=1, max_size=4))
+    names = [f"api-{index}" for index in range(len(dists))]
+    weights = draw(
+        st.none()
+        | st.lists(st.floats(0.0, 5.0), min_size=len(names), max_size=len(names))
+        .filter(lambda ws: sum(ws) > 0)
+        .map(lambda ws: dict(zip(names, ws)))
+    )
+    return TenantSpec("P", api_costs=dict(zip(names, dists)), api_weights=weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=_request_specs(),
+    count=st.integers(3 * BLOCK + 1, 5 * BLOCK),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_request_stream_is_the_oracle_stream(spec, count, seed):
+    """A closed-loop stream, read across at least three block boundaries,
+    yields exactly the oracle's per-request draws, ``float`` costs."""
+    reference = oracle.request_sampler(spec, make_rng(seed, "costs"))
+    want = [reference() for _ in range(count)]
+    got = list(islice(spec.request_stream(make_rng(seed, "costs")), count))
+    assert got == want
+    assert all(type(cost) is float for _, cost in got)
 
 
 class _BoundaryRng:
@@ -196,6 +265,7 @@ def test_draw_on_a_bound_picks_the_next_choice():
     apis, picks, _ = spec.sample_costs(_BoundaryRng(), 3)
     reference = oracle.request_sampler(spec, _BoundaryRng())
     assert [apis[p] for p in picks.tolist()] == [reference()[0] for _ in range(3)] == ["b"] * 3
+    assert list(islice(spec.request_stream(_BoundaryRng()), 3)) == [("b", 2.0)] * 3
 
 
 # -- the experiment traces ------------------------------------------------------------
@@ -364,9 +434,9 @@ class TestTraceSequence:
     def test_sequence_protocol(self):
         trace, rows = _population_trace()
         assert len(trace) == len(rows)
-        assert trace[0].as_tuple() == rows[0]
-        assert trace[-1].as_tuple() == rows[-1]
-        assert trace[np.int64(3)].as_tuple() == rows[3]
+        assert row_of(trace[0]) == rows[0]
+        assert row_of(trace[-1]) == rows[-1]
+        assert row_of(trace[np.int64(3)]) == rows[3]
         assert TraceRecord(*rows[5]) in trace
         assert_rows_equal(trace[10:20], rows[10:20])
         mask = trace.costs > np.median(trace.costs)
