@@ -41,6 +41,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     FrozenSet,
@@ -57,9 +58,13 @@ from ..errors import ConfigurationError
 from ..faults.plan import retry_delay
 from ..obs.tracer import Tracer
 from ..simulator.clock import Simulation
+from ..simulator.gps import Arrival
 from ..simulator.rng import make_rng
 from ..simulator.server import ThreadPoolServer
 from .router import Router, make_router
+
+if TYPE_CHECKING:  # import cycle: repro.metrics reads the simulator
+    from ..metrics.store import RunRecord
 
 __all__ = ["FailoverPolicy", "Fleet", "REJECT_RETRY_DELAY"]
 
@@ -183,6 +188,10 @@ class Fleet:
         self._complete_listeners: List[RequestListener] = []
         self._abandon_listeners: List[RequestListener] = []
         self._capacity_listeners: List[CapacityListener] = []
+        # The attached run record's parts (attach_record).
+        self._arrivals: Optional[List[Arrival]] = None
+        self._latencies: Dict[str, List[float]] = {}
+        self._latency_from = math.inf
         for index, server in enumerate(self.servers):
             server.on_complete(partial(self._on_server_complete, index))
         self.monitor = None
@@ -218,6 +227,16 @@ class Fleet:
         """Fired with ``(now, healthy_capacity)`` at every detection and
         recovery -- the fleet-wide GPS reference re-rates on this."""
         self._capacity_listeners.append(fn)
+
+    def attach_record(self, record: "RunRecord") -> None:
+        """Attach the :class:`~repro.metrics.store.RunRecord` a fleet
+        collector reads: every admission appends its
+        ``(tenant, cost, now, weight)`` arrival (a failover retry is no
+        admission) and every fleet-level completion at or after the
+        record's warmup its latency.  The fleet keeps no dispatch log."""
+        self._arrivals = record.arrivals
+        self._latencies = record.latencies
+        self._latency_from = record.warmup
 
     def attach_tracer(self, tracer: Optional[Tracer]) -> None:
         """Attach a tracer for route/fault events and ``fleet.*`` gauges
@@ -257,12 +276,12 @@ class Fleet:
         ``tenant_ids``, keyed in their order: one
         :meth:`ThreadPoolServer.service_snapshot` per server, summed in
         server order."""
-        tenant_ids = tuple(tenant_ids)
-        snapshots = [server.service_snapshot(tenant_ids) for server in self.servers]
-        return {
-            tenant: sum(snapshot[tenant] for snapshot in snapshots)
-            for tenant in tenant_ids
-        }
+        tenant_ids = tuple(dict.fromkeys(tenant_ids))
+        columns = [
+            server.service_snapshot(tenant_ids).values() for server in self.servers
+        ]
+        # Per tenant, sum() over its values in server order.
+        return dict(zip(tenant_ids, map(sum, zip(*columns))))
 
     def pending_seqnos(self) -> Set[int]:
         """Seqnos of requests still in flight: live on a server
@@ -290,6 +309,11 @@ class Fleet:
             self._reject(request)
             return
         self.counts["admitted"] += 1
+        arrivals = self._arrivals
+        if arrivals is not None:
+            arrivals.append(
+                (request.tenant_id, request.cost, self.sim.now, request.weight)
+            )
         for fn in self._admit_listeners:
             fn(request)
         self._place(request, healthy)
@@ -354,6 +378,11 @@ class Fleet:
         self._owner.pop(request.seqno, None)
         self._attempts.pop(request.seqno, None)
         self.counts["completed"] += 1
+        done = request.completion_time
+        if done >= self._latency_from:
+            self._latencies.setdefault(request.tenant_id, []).append(
+                done - request.arrival_time
+            )
         for fn in self._complete_listeners:
             fn(request)
 

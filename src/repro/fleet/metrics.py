@@ -16,15 +16,16 @@ The collector *is* the single-server
 :class:`~repro.metrics.collector.MetricsCollector` -- same sampler,
 warmup exclusion and store, read back as a
 :class:`~repro.metrics.collector.RunMetrics` -- with three fleet
-differences: it listens on the *fleet* (admissions and completions, so
-failover re-routes never double-count) plus its capacity changes, it
-re-rates the GPS reference into :attr:`FleetCollector.capacity_timeline`,
-and it records no Gini samples.
+differences: it attaches its run record to the *fleet*, which writes
+admissions and fleet-level completions (so failover re-routes never
+double-count), it listens to the fleet's capacity changes and re-rates
+the GPS reference into :attr:`FleetCollector.capacity_timeline`, and it
+records no Gini samples.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, List, Tuple
 
 from ..metrics.collector import MetricsCollector
 from .fleet import Fleet
@@ -53,14 +54,13 @@ class FleetCollector(MetricsCollector):
             warmup=warmup,
         )
 
-    def _listen(self, fleet: Any, record_dispatches: bool) -> None:
+    def _attach(self, fleet: Any) -> None:
         #: (time, healthy_capacity) step points, starting at the attach
         #: time and the fleet's full capacity.
         self.capacity_timeline: List[Tuple[float, float]] = [
             (self._epoch, fleet.capacity)
         ]
-        fleet.on_admit(self._on_submit)
-        fleet.on_complete(self._on_complete)
+        fleet.attach_record(self._record)
         fleet.on_capacity_change(self._on_capacity_change)
 
     def _on_capacity_change(self, now: float, capacity: float) -> None:
@@ -72,6 +72,3 @@ class FleetCollector(MetricsCollector):
             # fluid reference must keep a positive rate, and the lag it
             # accrues against a wedged fleet is exactly the signal.
             self._gps.set_capacity(capacity, now)
-
-    def _interval_gini(self, now: float, actual: Dict[str, float]) -> None:
-        pass

@@ -1,4 +1,5 @@
-"""Metrics collector: hooks a server and samples everything the paper plots.
+"""Metrics collector: attaches a run record to a server and samples
+everything the paper plots.
 
 One collector per simulation run.  It
 
@@ -18,28 +19,30 @@ Everything lands in one store, a
 (DESIGN.md §13), and ``result()`` reads it back as a
 :class:`RunMetrics`.
 
-The hot path is appends only: a submit appends its
-``(tenant, cost, now, weight)`` arrival to a pending list, a completion
-appends its latency to the tenant's list, a dispatch appends its record
-to the log.  The arithmetic runs in batches that perform the same float
-operations in the same order, so every value keeps its bits: each
-sample first replays the pending arrivals into the GPS reference
-(:meth:`~repro.simulator.gps.GPSReference.replay`), and each sample's
-interval-service vector is buffered and folded into its Gini index
-once, by ``result()`` (:func:`~repro.metrics.gini.gini_rows`).
+The collector registers no per-request listener.  It attaches a
+:class:`~repro.metrics.store.RunRecord` to the server
+(``attach_record``), which appends each arrival, dispatch record and
+post-warmup latency straight into the store.  Each sample replays the
+arrivals since the last one into the GPS reference
+(:meth:`~repro.simulator.gps.GPSReference.replay`, bit for bit the
+per-arrival state) and stores one row: the seen tenants' actual
+service, the GPS reference's fluid state and the schedulers' active
+flags, each built by a C-level map.  Per-tenant columns, lags and Gini
+indices are folded from the rows with numpy when the store is first
+read.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from operator import itemgetter, sub
+from itertools import islice
+from operator import attrgetter, itemgetter, sub
 from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
     List,
-    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -47,14 +50,12 @@ from typing import (
 
 import numpy as np
 
-from ..core.request import Request
-from ..units import Cost, Duration, Rate, SimTime
-from ..simulator.gps import Arrival, GPSReference
-from ..simulator.server import ThreadPoolServer
-from .gini import gini_rows
+from ..units import Duration, Rate, SimTime
+from ..simulator.gps import GPSReference
+from ..simulator.server import DispatchRecord, ThreadPoolServer
 from .latency import LatencyStats, latency_stats
 from .service import ServiceSeries, _check_reference_rate, lag_std
-from .store import MetricsPartial
+from .store import MetricsPartial, RunRecord
 
 if TYPE_CHECKING:  # import cycle: the fleet collector subclasses this one
     from ..fleet.fleet import Fleet
@@ -67,21 +68,8 @@ __all__ = [
     "validate_sampling",
 ]
 
-
-class DispatchRecord(NamedTuple):
-    """One executed request in the occupancy log (an immutable tuple:
-    cheaper to build per dispatch than a frozen dataclass)."""
-
-    thread_id: int
-    tenant_id: str
-    api: str
-    cost: Cost
-    start: SimTime
-    end: SimTime
-
-
-# Builds a DispatchRecord without the NamedTuple's Python-level __new__.
-_new_record = tuple.__new__
+_active = attrgetter("active")
+_weight = attrgetter("weight")
 
 
 def dispatch_columns(
@@ -153,7 +141,7 @@ class MetricsCollector:
     occupancy plots become unavailable but long runs save the memory).
 
     The sampler reads only the target's ``sim``, ``capacity`` and
-    ``service_snapshot``; :meth:`_listen` registers the listeners, so
+    ``service_snapshot``; :meth:`_attach` attaches the run record, so
     :class:`~repro.fleet.metrics.FleetCollector` samples a fleet by
     overriding it (DESIGN.md §16).
     """
@@ -171,22 +159,21 @@ class MetricsCollector:
         self._interval: Duration = float(sample_interval)
         self._warmup: Duration = float(warmup)
         self._gps = GPSReference(server.capacity)
+        #: The seen tenants (a live view), in first-arrival order.
+        self._tenants = self._gps.flow_ids()
         self._partial = MetricsPartial(self._interval)
-        # The hot-path listeners append straight into the store.
-        self._latencies = self._partial.latencies
-        self._dispatch_log = self._partial.dispatch_log
-        self._seen_tenants: set[str] = set()
-        # Arrivals since the last replay into the GPS reference.
-        self._arrivals: List[Arrival] = []
-        # Interval-service vectors awaiting their Gini fold: row k is
-        # _gini_values[_gini_offsets[k]:_gini_offsets[k + 1]], sampled
-        # at _gini_times[k].
-        self._gini_times = array("d")
-        self._gini_values = array("d")
-        self._gini_offsets = array("q", [0])
-        self._previous_service: Dict[str, Cost] = {}
-        self._sample_index = 0
+        self._record = RunRecord(self._partial, self._warmup, record_dispatches)
+        # The scheduler's tenant states, whose active flags each
+        # post-warmup sample stores for its Gini row (None: no Gini).
+        self._states: Optional[Dict[str, Any]] = None
+        # The last sample's actual service, until the first post-warmup
+        # sample files it as the baselines.
+        self._previous: "array[float]" = array("d")
+        # Tenants and scheduler states registered with the store so far.
+        self._filed_tenants = 0
+        self._filed_states = 0
         self._observed_samples = 0
+        self._sample_index = 0
         self._trace = None
         # Samples sit on the absolute grid epoch + k * interval
         # (multiplication, not accumulation) so no float drift pushes
@@ -196,15 +183,14 @@ class MetricsCollector:
         # collector to a simulation already past t=interval scheduled
         # its first sample in the past and raised SimulationError.
         self._epoch: SimTime = self._sim.now
-        self._listen(server, record_dispatches)
+        self._attach(server)
         self._sim.at(self._epoch + self._interval, self._sample)
 
-    def _listen(self, server: Any, record_dispatches: bool) -> None:
-        """Register the hot-path listeners on the target."""
-        server.on_submit(self._on_submit)
-        if record_dispatches:
-            server.on_dispatch(self._on_dispatch)
-        server.on_complete(self._on_complete)
+    def _attach(self, server: Any) -> None:
+        """Attach the run record to the target and read its scheduler's
+        tenants for the Gini rows."""
+        server.attach_record(self._record)
+        self._states = server.scheduler.tenants()
 
     def attach_tracer(self, tracer) -> None:
         """Attach a :class:`repro.obs.Tracer`; the collector contributes
@@ -212,109 +198,64 @@ class MetricsCollector:
         (actual, GPS) service sample, warmup included, to its record."""
         self._trace = tracer
 
-    # -- listeners ------------------------------------------------------------
-
-    def _on_submit(self, request: Request) -> None:
-        self._arrivals.append(
-            (request.tenant_id, request.cost, self._sim.now, request.weight)
-        )
-
-    def _on_dispatch(self, request: Request) -> None:
-        # Record at dispatch (with the deterministic simulated end time)
-        # rather than completion, so requests still running when the
-        # simulation stops -- e.g. multi-second expensive requests --
-        # appear in the occupancy log.
-        start = request.dispatch_time
-        self._dispatch_log.append(
-            _new_record(
-                DispatchRecord,
-                (
-                    request.thread_id,
-                    request.tenant_id,
-                    request.api,
-                    request.cost,
-                    start,
-                    start + request.cost / self._server.rate,
-                ),
-            )
-        )
-
-    def _on_complete(self, request: Request) -> None:
-        # ``Request.latency`` without the property call: its checks
-        # cannot fail here, since the warmup test implies
-        # ``completion_time >= 0`` and every submit stamps a
-        # non-negative ``arrival_time``.
-        done = request.completion_time
-        if done >= self._warmup:
-            self._latencies.setdefault(request.tenant_id, []).append(
-                done - request.arrival_time
-            )
-
     # -- sampling ----------------------------------------------------------------
 
     def _replay_arrivals(self) -> None:
-        """Feed the pending arrivals to the GPS reference, in order."""
-        arrivals = self._arrivals
+        """Feed the arrivals the target recorded to the GPS reference, in
+        order, and empty the list (the target keeps appending to it)."""
+        arrivals = self._record.arrivals
         if arrivals:
-            self._arrivals = []
-            # Added in arrival order, so the set (and the order of every
-            # sample's tenants) is the one per-submit adds would build.
-            self._seen_tenants.update([arrival[0] for arrival in arrivals])
-            self._gps.replay(arrivals)
+            try:
+                self._gps.replay(arrivals)
+            finally:
+                arrivals.clear()
 
     def _sample(self) -> None:
         now = self._sim.now
         self._replay_arrivals()
-        self._gps.advance(now)
+        gps = self._gps
+        gps.advance(now)
+        tenants = self._tenants
         # One scan of the workers for every tenant (DESIGN.md §13).
-        actual = self._server.service_snapshot(self._seen_tenants)
-        gps = self._gps.services(actual)
-        if self._trace is not None:
-            self._trace.sample(now, actual, gps)
-        partial = self._partial
+        actual = self._server.service_snapshot(tenants)
+        trace = self._trace
+        if trace is not None:
+            trace.sample(now, actual, gps.services(actual))
+        row = array("d", list(actual.values()))
         if now >= self._warmup:
-            if self._observed_samples == 0 and self._previous_service:
+            series = self._partial.series
+            if self._observed_samples == 0 and self._previous:
                 # First post-warmup sample: the previous (pre-warmup)
                 # sample anchors service_rate differencing.
-                partial.series.baselines = dict(self._previous_service)
-            self._interval_gini(now, actual)
-            partial.series.observe(now, actual, gps)
+                series.baselines = dict(zip(tenants, self._previous))
+            known = self._filed_tenants
+            if len(tenants) > known:
+                series.add_tenants(list(islice(tenants, known, None)), gps.weights(known))
+                self._filed_tenants = len(tenants)
+            states = self._states
+            active = None
+            if states is not None:
+                known = self._filed_states
+                if len(states) > known:
+                    new = list(islice(states.values(), known, None))
+                    series.add_gini_tenants(
+                        [state.tenant_id for state in new], array("d", map(_weight, new))
+                    )
+                    self._filed_states = len(states)
+                active = bytes(map(_active, states.values()))
+            series.observe_row(now, row, gps.sample_row(), active)
             self._observed_samples += 1
-        elif self._trace is not None:
-            self._trace.registry.counter("collector.warmup_samples_skipped").inc()
-        if self._trace is not None:
-            self._trace.registry.counter("collector.samples").inc()
-        self._previous_service = actual
+        else:
+            self._previous = row
+            if trace is not None:
+                trace.registry.counter("collector.warmup_samples_skipped").inc()
+        if trace is not None:
+            trace.registry.counter("collector.samples").inc()
         self._sample_index += 1
         self._sim.at(
             self._epoch + (self._sample_index + 1) * self._interval,
             self._sample,
         )
-
-    def _interval_gini(self, now: SimTime, actual: Dict[str, Cost]) -> None:
-        """Buffer the weight-normalized interval service of the currently
-        active tenants, whose Gini index ``result()`` folds into the
-        store; no row when no tenant is active."""
-        previous = self._previous_service
-        values = self._gini_values
-        for tenant_id, state in self._server.scheduler.tenants().items():
-            if state.active:
-                delta = actual.get(tenant_id, 0.0) - previous.get(tenant_id, 0.0)
-                # Same value as max(0.0, delta), without the call.
-                values.append((delta if delta > 0.0 else 0.0) / state.weight)
-        if len(values) > self._gini_offsets[-1]:
-            self._gini_times.append(now)
-            self._gini_offsets.append(len(values))
-
-    def _fold_gini(self) -> None:
-        """Append the buffered rows' Gini indices to the store."""
-        times = self._gini_times
-        if times:
-            indices = gini_rows(self._gini_values, self._gini_offsets)
-            self._partial.gini.extend(zip(times, indices))
-            self._gini_times = array("d")
-            self._gini_values = array("d")
-            self._gini_offsets = array("q", [0])
 
     # -- results ------------------------------------------------------------------
 
@@ -325,7 +266,6 @@ class MetricsCollector:
         (a tenant re-arriving with another weight) raises here even when
         the run ends before the next sample."""
         self._replay_arrivals()
-        self._fold_gini()
         return RunMetrics(self._partial)
 
 
@@ -338,8 +278,9 @@ class RunMetrics:
         #: The underlying store.
         self.partial = partial
         self.sample_interval = partial.sample_interval
-        self.gini_times = np.asarray([t for t, _ in partial.gini])
-        self.gini_values = np.asarray([v for _, v in partial.gini])
+        gini = partial.gini
+        self.gini_times = np.asarray([t for t, _ in gini])
+        self.gini_values = np.asarray([v for _, v in gini])
         self.dispatch_log: List[DispatchRecord] = partial.dispatch_log
 
     # -- service -------------------------------------------------------------
@@ -375,7 +316,7 @@ class RunMetrics:
         groups: Dict[int, List[str]] = {}
         for tenant in names:
             row = lags.get(tenant)
-            if row:
+            if row is not None and row.size:
                 groups.setdefault(len(row), []).append(tenant)
         sigmas: Dict[str, float] = {}
         for length, group in groups.items():

@@ -17,6 +17,12 @@ function of state:
     W_f(t) = arrived_f - backlog_f(t),
     backlog_f(t) = phi_f * (E_f - V(t))   while active, else 0.
 
+A drained flow's ``E_f`` is set to ``-inf``, so the clipped backlog
+``max(0, phi_f * (E_f - V))`` reads 0 for every inactive flow and one
+formula serves every flow: :meth:`GPSReference.sample_row` captures
+the state a periodic sample needs with two C-level maps, and
+:func:`fluid_services` evaluates it for many samples at once.
+
 The heap holds exactly one entry ``(E, seq, flow)`` per active flow,
 pushed when the flow activates.  Every positive-cost arrival draws a
 fresh ``flow.seq`` and raises ``flow.empty_at``; an arrival to an active
@@ -37,15 +43,23 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Dict, Iterable, List, Tuple
+from array import array
+from operator import attrgetter
+from typing import Dict, Iterable, KeysView, List, Tuple
+
+import numpy as np
 
 from ..errors import ConfigurationError, SimulationError
 from ..units import Cost, Rate, SimTime, VirtualTime, Weight
 
-__all__ = ["Arrival", "GPSReference"]
+__all__ = ["Arrival", "GPSReference", "fluid_services"]
 
 #: One replayed arrival: ``(flow_id, cost, now, weight)``.
 Arrival = Tuple[str, Cost, SimTime, Weight]
+
+_arrived = attrgetter("arrived")
+_empty_at = attrgetter("empty_at")
+_weight = attrgetter("weight")
 
 
 class _Flow:
@@ -56,11 +70,29 @@ class _Flow:
         self.weight: Weight = weight
         self.arrived: Cost = 0.0
         self.active = False
-        #: Virtual emptying time E_f (valid while active).
-        self.empty_at: VirtualTime = 0.0
+        #: Virtual emptying time E_f while active, -inf otherwise.
+        self.empty_at: VirtualTime = -math.inf
         #: Sequence number of the flow's latest positive-cost arrival;
         #: its heap entry is up to date when the entry carries it.
         self.seq = -1
+
+
+def fluid_services(
+    virtual: np.ndarray,
+    arrived: np.ndarray,
+    empty_at: np.ndarray,
+    weights: np.ndarray,
+) -> np.ndarray:
+    """:meth:`GPSReference.services` of many :meth:`~GPSReference.sample_row`
+    captures at once: row ``k`` of the ``arrived``/``empty_at`` matrices
+    with its virtual time ``virtual[k]``, over flows of ``weights``.
+    The float operations are those of ``services``,
+    ``arrived - max(0, weight * (empty_at - V))``, so every value keeps
+    its bits; a flow absent from a row reads 0.0 when its ``arrived``
+    is 0.0 and its ``empty_at`` is ``-inf``."""
+    backlog = weights * (empty_at - virtual[:, None])
+    # backlog if backlog > 0.0 else 0.0, as services() clips it.
+    return arrived - np.where(backlog > 0.0, backlog, 0.0)
 
 
 def _check_capacity(capacity: Rate) -> None:
@@ -120,6 +152,30 @@ class GPSReference:
         e2e benchmark's traced pass (``benchmarks/e2e/tracing.py``)
         reads it."""
         return 0
+
+    def flow_ids(self) -> KeysView[str]:
+        """A live view of the flow ids, in the order of their first
+        arrival."""
+        return self._flows.keys()
+
+    def weights(self, start: int = 0) -> "array[float]":
+        """The weights of the flows from the ``start``-th on, in
+        :meth:`flow_ids` order."""
+        flows = itertools.islice(self._flows.values(), start, None)
+        return array("d", map(_weight, flows))
+
+    def sample_row(self) -> Tuple[VirtualTime, "array[float]", "array[float]"]:
+        """``(V, arrived, empty_at)`` of every flow in :meth:`flow_ids`
+        order: what :func:`fluid_services` needs, with the weights, to
+        give the :meth:`services` of this instant.  Two C-level maps,
+        no Python frame per flow."""
+        flows = self._flows.values()
+        # From a list: array() appends an iterator's items one by one.
+        return (
+            self._virtual,
+            array("d", list(map(_arrived, flows))),
+            array("d", list(map(_empty_at, flows))),
+        )
 
     def backlog(self, flow_id: str) -> Cost:
         """Remaining fluid backlog of a flow at the current time."""
@@ -258,6 +314,7 @@ class GPSReference:
             self._wallclock = empty_wallclock
             heapq.heappop(heap)
             flow.active = False
+            flow.empty_at = -math.inf
             self._active_weight -= flow.weight
             if self._active_weight < 1e-12:
                 self._active_weight = 0.0

@@ -23,21 +23,53 @@ irrelevant.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+)
 
 from ..core.request import Request, RequestPhase
 from ..core.scheduler import Scheduler
 from ..errors import ConfigurationError, SimulationError
 from ..units import Cost, Duration, Rate, Scalar, SimTime
 from .clock import Simulation
+from .gps import Arrival
 
-if TYPE_CHECKING:  # import cycle: repro.obs instruments the simulator
+if TYPE_CHECKING:  # import cycles: repro.obs and repro.metrics read the simulator
+    from ..metrics.store import RunRecord
     from ..obs.tracer import Tracer
 
-__all__ = ["ThreadPoolServer", "Worker"]
+__all__ = ["DispatchRecord", "ThreadPoolServer", "Worker"]
 
 RequestListener = Callable[[Request], None]
+
+
+class DispatchRecord(NamedTuple):
+    """One executed request in the occupancy log (an immutable tuple:
+    cheaper to build per dispatch than a frozen dataclass).  ``end`` is
+    the request's departure: its completion time as predicted at
+    dispatch (``start + cost / (rate * speed)``; a stalled worker's
+    request is predicted at full speed), re-filed by the rare paths
+    that move it (a speed change, an abort, a worker crash).  A request
+    still running at the end of a run keeps its latest prediction."""
+
+    thread_id: int
+    tenant_id: str
+    api: str
+    cost: Cost
+    start: SimTime
+    end: SimTime
+
+
+# Builds a DispatchRecord without the NamedTuple's Python-level __new__.
+_new_record = tuple.__new__
 
 #: ``worker.request`` as a C-level getter: :attr:`ThreadPoolServer.
 #: busy_workers` counts without a Python frame per worker.
@@ -146,6 +178,13 @@ class ThreadPoolServer:
         self._submit_listeners: List[RequestListener] = []
         self._dispatch_listeners: List[RequestListener] = []
         self._complete_listeners: List[RequestListener] = []
+        # The attached run record's parts (attach_record), each written
+        # behind one check: arrivals, dispatches, and the latencies of
+        # completions at or after _latency_from (inf while unattached).
+        self._arrivals: Optional[List[Arrival]] = None
+        self._dispatch_log: Optional[List[DispatchRecord]] = None
+        self._latencies: Dict[str, List[Duration]] = {}
+        self._latency_from: SimTime = math.inf
         self._completed_cost: dict[str, Cost] = {}
         self._completed_requests = 0
         self._crashed = False
@@ -163,6 +202,18 @@ class ThreadPoolServer:
     def on_complete(self, fn: RequestListener) -> None:
         """Register a callback fired when a request finishes."""
         self._complete_listeners.append(fn)
+
+    def attach_record(self, record: "RunRecord") -> None:
+        """Attach the :class:`~repro.metrics.store.RunRecord` a metrics
+        collector reads: from now on every submit appends its
+        ``(tenant, cost, now, weight)`` arrival, every dispatch its
+        :class:`DispatchRecord` (unless the record keeps no dispatch
+        log) and every completion at or after the record's warmup its
+        latency, straight into the record's lists."""
+        self._arrivals = record.arrivals
+        self._dispatch_log = record.dispatch_log
+        self._latencies = record.latencies
+        self._latency_from = record.warmup
 
     def attach_tracer(self, tracer: Optional["Tracer"]) -> None:
         """Attach a :class:`repro.obs.Tracer`; the server contributes
@@ -186,6 +237,9 @@ class ThreadPoolServer:
         now = self.sim.now
         request.arrival_time = now
         self.scheduler.enqueue(request, now)
+        arrivals = self._arrivals
+        if arrivals is not None:
+            arrivals.append((request.tenant_id, request.cost, now, request.weight))
         for fn in self._submit_listeners:
             fn(request)
         if not self._finishing:
@@ -234,8 +288,10 @@ class ThreadPoolServer:
         healthy worker (``speed == 1.0``, ``done_work == 0.0``) this
         reduces bit-exactly to ``(now - started) * rate``.
         """
-        completed = self._completed_cost
-        totals = {tenant: completed.get(tenant, 0.0) for tenant in tenant_ids}
+        tenant_ids = tuple(tenant_ids)
+        totals = dict(
+            zip(tenant_ids, map(self._completed_cost.get, tenant_ids, repeat(0.0)))
+        )
         now = self.sim.now
         for worker in self.workers:
             request = worker.request
@@ -279,12 +335,9 @@ class ThreadPoolServer:
         worker.speed = float(speed)
         if request is not None and speed > 0.0:
             remaining = max(0.0, request.cost - worker.done_work)
-            worker.completion_event = self.sim.at(
-                now + remaining / (self.rate * speed),
-                self._finish,
-                worker,
-                request,
-            )
+            end = now + remaining / (self.rate * speed)
+            worker.completion_event = self.sim.at(end, self._finish, worker, request)
+            self._refile_end(worker.index, request, end)
 
     def crash_worker(self, index: int, redispatch: bool = True) -> Optional[Request]:
         """Crash a worker: its in-flight request (if any) loses all
@@ -302,6 +355,7 @@ class ThreadPoolServer:
                 self.sim.cancel(worker.completion_event)
                 worker.completion_event = None
             worker.request = None
+            self._refile_end(index, request, now)
             self.scheduler.cancel(request, now)
             if redispatch:
                 self.scheduler.enqueue(request, now)
@@ -372,6 +426,7 @@ class ThreadPoolServer:
                     self.sim.cancel(worker.completion_event)
                     worker.completion_event = None
                 worker.request = None
+                self._refile_end(worker.index, request, now)
                 cancelled = self.scheduler.cancel(request, now)
                 self._dispatch_idle()
                 return cancelled
@@ -392,6 +447,22 @@ class ThreadPoolServer:
         source = request.source
         if source is not None:
             source.on_request_complete(request)
+
+    def _refile_end(self, thread_id: int, request: Request, end: SimTime) -> None:
+        """Move the dispatch record of the request running on thread
+        ``thread_id`` to its new departure ``end``: the fault paths
+        above call this, so a fault-free run never does.  The record is
+        the thread's latest one; a request dispatched before the record
+        was attached has none."""
+        log = self._dispatch_log
+        if log is None:
+            return
+        for position in range(len(log) - 1, -1, -1):
+            record = log[position]
+            if record[0] == thread_id:
+                if record[1] == request.tenant_id and record[4] == request.dispatch_time:
+                    log[position] = record._replace(end=end)
+                return
 
     # -- internals --------------------------------------------------------------------
 
@@ -423,13 +494,32 @@ class ThreadPoolServer:
         worker.done_work = 0.0
         worker.work_mark = now
         if worker.speed > 0.0:
-            duration = request.cost / (self.rate * worker.speed)
-            worker.completion_event = self.sim.at(
-                now + duration, self._finish, worker, request
-            )
+            end = now + request.cost / (self.rate * worker.speed)
+            worker.completion_event = self.sim.at(end, self._finish, worker, request)
         else:
-            # Stalled: no completion until set_worker_speed revives it.
+            # Stalled: no completion until set_worker_speed revives it
+            # (and re-files the record's end); until then the record
+            # holds the healthy worker's end.
+            end = now + request.cost / self.rate
             worker.completion_event = None
+        log = self._dispatch_log
+        if log is not None:
+            # Filed at dispatch, so requests still running when the
+            # simulation stops -- e.g. multi-second expensive requests --
+            # appear in the occupancy log.
+            log.append(
+                _new_record(
+                    DispatchRecord,
+                    (
+                        request.thread_id,
+                        request.tenant_id,
+                        request.api,
+                        request.cost,
+                        now,
+                        end,
+                    ),
+                )
+            )
         for fn in self._dispatch_listeners:
             fn(request)
 
@@ -451,6 +541,10 @@ class ThreadPoolServer:
             self._completed_cost.get(request.tenant_id, 0.0) + request.cost
         )
         self._completed_requests += 1
+        if now >= self._latency_from:
+            self._latencies.setdefault(request.tenant_id, []).append(
+                now - request.arrival_time
+            )
         source = request.source
         # A submit made from here (a closed-loop follow-up) skips its own
         # dispatch pass and the pass below serves it: one pass per

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.metrics
 import repro.workloads
 from repro import Simulation, ThreadPoolServer, make_scheduler
 from repro.metrics import MetricsCollector
@@ -44,9 +45,12 @@ HORIZON = 10.0
 #: linear scans this cell then ran on.  On the sorted list, with every
 #: touch filing at once, it measured 56.10, 54.56 once each event's
 #: heap entry became its own handle (no handle object built per event),
-#: and 52.68 once the GPS reference's heap held one entry per active
-#: flow (a re-arrival pushes nothing and no compaction runs).
-CALLS_PER_REQUEST_BUDGET = 52.68 + 2
+#: 52.68 once the GPS reference's heap held one entry per active
+#: flow (a re-arrival pushes nothing and no compaction runs), and 44.71
+#: once the server wrote arrivals, dispatches and latencies into the
+#: collector's run record (no listener frames) and samples became rows
+#: (no per-tenant loops).
+CALLS_PER_REQUEST_BUDGET = 44.71 + 2
 
 #: Every priming submission runs its own dispatch pass: one per request
 #: each source has in flight from the start.
@@ -73,9 +77,10 @@ INDEXED_HORIZON = 0.5
 #: zero-charge completion under known costs skips it, 55.2 since the
 #: index is one sorted list (a query walks it from the front instead of
 #: draining a gate heap into per-thread ready heaps); that list measured
-#: 47.12, 46.12 once each event's heap entry became its own handle, and
-#: 43.23 once the GPS reference's heap held one entry per active flow.
-INDEXED_CALLS_PER_REQUEST_BUDGET = 43.23 + 2
+#: 47.12, 46.12 once each event's heap entry became its own handle,
+#: 43.23 once the GPS reference's heap held one entry per active flow,
+#: and 38.43 once the server wrote into the collector's run record.
+INDEXED_CALLS_PER_REQUEST_BUDGET = 38.43 + 2
 
 #: :data:`PRIMING_TOUCHES` of :func:`indexed_cell`.
 INDEXED_PRIMING_TOUCHES = INDEXED_TENANTS + INDEXED_THREADS
@@ -88,7 +93,15 @@ INDEXED_PRIMING_TOUCHES = INDEXED_TENANTS + INDEXED_THREADS
 #: block of each of the 100 tenants.  One frame per request exceeds it.
 WORKLOAD_CALLS_PER_REQUEST_BUDGET = 0.2
 
+#: cProfile calls per completed request of functions under
+#: ``repro/metrics/`` in :func:`profiled_cell`: 0.52, a handful of
+#: calls per 100 ms sample plus the fold at ``result()``.  The
+#: collector's submit, dispatch and completion listeners made 3.33,
+#: one frame each per request.
+METRICS_CALLS_PER_REQUEST_BUDGET = 1.0
+
 WORKLOADS_DIR = str(Path(repro.workloads.__file__).parent)
+METRICS_DIR = str(Path(repro.metrics.__file__).parent)
 
 
 def profile_run(sim, server, collector, horizon):
@@ -229,4 +242,15 @@ def test_workload_layer_runs_no_frame_per_request(spec_cell):
     )
     assert calls / completed < WORKLOAD_CALLS_PER_REQUEST_BUDGET, (
         f"{calls / completed:.3f} workload-layer calls per completed request"
+    )
+
+
+def test_metrics_layer_runs_no_frame_per_request(profiled_cell):
+    stats, completed, _ = profiled_cell
+    calls = sum(
+        entry[1] for key, entry in stats.stats.items()
+        if key[0].startswith(METRICS_DIR)
+    )
+    assert calls / completed < METRICS_CALLS_PER_REQUEST_BUDGET, (
+        f"{calls / completed:.3f} metrics-layer calls per completed request"
     )

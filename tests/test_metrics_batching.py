@@ -1,6 +1,7 @@
 """The metrics collector's batched folds keep every bit (DESIGN.md §13).
 
-The collector's listeners only append; the arithmetic runs in batches.
+The server only appends to the collector's run record; the arithmetic
+runs in batches.
 
 * Gini: :func:`gini_rows` folds many interval-service rows at once.
   Each row's index must equal, bit for bit, the scalar sorted-rank
@@ -12,9 +13,11 @@ The collector's listeners only append; the arithmetic runs in batches.
   arrivals, a drain landing exactly on an arrival, re-arrivals inside
   a batch (where the old heap, ``tests/reference/lazy_gps.py``,
   compacted) and a capacity change between batches.
-* Collectors: the deferred replay and the deferred Gini fold give the
-  series, lags and Gini samples a per-arrival, per-sample collector
-  gives, on a single server and on a fleet whose capacity changes
+* Collectors: the deferred replay and the row samples folded at the end
+  give the series, lags, baselines, Gini samples, latencies and
+  dispatch log that a per-arrival, per-sample listener collector gives
+  (``tests/reference/sample_store.py``), on a single server with a
+  tenant joining after the warmup and on a fleet whose capacity changes
   between samples; a bad arrival still raises when the run ends before
   the next sample.
 """
@@ -28,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference.lazy_gps import GPSReference as LazyGPS
+from reference.sample_store import ListenerCollector
 from repro.core import make_scheduler
 from repro.core.request import Request
 from repro.errors import ConfigurationError
@@ -290,85 +294,99 @@ class TestGPSReplay:
 # -- collectors -------------------------------------------------------------------
 
 
-class PerArrival(MetricsCollector):
-    """The collector with the arithmetic on the hot path: every arrival
-    replayed as it comes, every sample's Gini index folded at once."""
-
-    def _on_submit(self, request):
-        super()._on_submit(request)
-        self._replay_arrivals()
-
-    def _interval_gini(self, now, actual):
-        super()._interval_gini(now, actual)
-        self._fold_gini()
-
-
-class FleetPerArrival(FleetCollector):
-    def _on_submit(self, request):
-        super()._on_submit(request)
-        self._replay_arrivals()
-
-
-def _start(target, tenant, cost, window):
+def _start(target, tenant, cost, window, start_time=0.0):
     rng = make_rng(3, "costs", tenant)
     BackloggedSource(
         target,
         tenant,
         lambda: ("A", cost * float(rng.uniform(0.5, 1.5))),
         window=window,
+        start_time=start_time,
     ).start()
 
 
-def _store(metrics):
-    partial = metrics.partial
-    series = partial.series
+def _store(gini, series, latencies, dispatch_log):
+    """Every value a run's store holds, as bits."""
+    tenants = sorted(set(series.tenants()) | set(latencies))
+    columns = {t: series.columns(t) for t in tenants}
     return (
-        [(bits(t), bits(v)) for t, v in partial.gini],
-        {t: [bits(x) for x in series.columns(t)[2]] for t in series.tenants()},
-        {t: [bits(x) for x in series.lags.get(t, ())] for t in series.tenants()},
+        [(bits(t), bits(v)) for t, v in gini],
+        {t: [[bits(x) for x in c] for c in columns[t]] for t in tenants},
+        {t: [bits(x) for x in series.lags.get(t, ())] for t in tenants},
+        {t: bits(v) for t, v in series.baselines.items()},
+        {t: [bits(x) for x in latencies.get(t, ())] for t in tenants},
+        [tuple(record) for record in dispatch_log],
     )
 
 
-def _single_server(collector_cls):
+def _stores(metrics, reference):
+    """The row store of a run and the listener oracle's store of the
+    same run."""
+    partial = metrics.partial
+    return (
+        _store(partial.gini, partial.series, partial.latencies, partial.dispatch_log),
+        _store(
+            reference.gini,
+            reference.series,
+            reference.latencies,
+            reference.dispatch_log,
+        ),
+    )
+
+
+def _single_server():
     sim = Simulation()
     server = ThreadPoolServer(sim, make_scheduler("2dfq", num_threads=4), 4, rate=10.0)
-    collector = collector_cls(server, sample_interval=0.1, warmup=0.3)
+    collector = MetricsCollector(server, sample_interval=0.1, warmup=0.3)
+    reference = ListenerCollector(server, sample_interval=0.1, warmup=0.3)
     for tenant, cost in (("small", 0.5), ("big", 8.0), ("mid", 2.0)):
         _start(server, tenant, cost, window=3)
+    # A tenant that joins after the warmup.
+    _start(server, "late", 1.0, window=2, start_time=2.05)
     sim.run(until=6.05)
-    return collector.result()
+    return collector.result(), reference
 
 
-def _fleet(collector_cls):
+def _fleet():
     sim = Simulation()
     servers = [
         ThreadPoolServer(sim, make_scheduler("wfq", num_threads=2), 2, rate=100.0)
         for _ in range(3)
     ]
     fleet = Fleet(sim, servers, router="round-robin", health_interval=0.03)
-    collector = collector_cls(fleet, sample_interval=0.1)
+    collector = FleetCollector(fleet, sample_interval=0.1)
+    reference = ListenerCollector(fleet, sample_interval=0.1, fleet=True)
     for tenant, cost in (("a", 2.0), ("b", 6.0)):
         _start(fleet, tenant, cost, window=4)
     sim.at(0.42, fleet.crash_server, 1)
     sim.at(1.07, fleet.restore_server, 1)
     sim.run(until=2.0)
-    return collector, collector.result()
+    return collector, collector.result(), reference
 
 
 class TestCollectors:
+    """The run record and row samples against the listener collector
+    (``tests/reference/sample_store.py``), attached to the same run:
+    per-arrival GPS arithmetic, one Gini index per sample, per-tenant
+    columns and lags built sample by sample."""
+
     def test_single_server_store_matches_per_arrival_collector(self):
-        deferred = _store(_single_server(MetricsCollector))
+        metrics, reference = _single_server()
+        deferred, expected = _stores(metrics, reference)
         assert deferred[0], "no Gini samples recorded"
-        assert deferred == _store(_single_server(PerArrival))
+        assert deferred[3], "no warmup baselines recorded"
+        assert "late" in deferred[2]
+        assert deferred == expected
 
     def test_fleet_capacity_change_between_samples(self):
-        collector, deferred = _fleet(FleetCollector)
+        collector, metrics, reference = _fleet()
         times = [t for t, _ in collector.capacity_timeline[1:]]
         assert len(times) >= 2
         # Capacity changes land strictly between samples.
         assert all(abs(t / 0.1 - round(t / 0.1)) > 1e-6 for t in times)
-        _, reference = _fleet(FleetPerArrival)
-        assert _store(deferred) == _store(reference)
+        deferred, expected = _stores(metrics, reference)
+        assert deferred[4]
+        assert deferred == expected
 
     def test_result_folds_the_gini_buffer_once(self):
         sim = Simulation()

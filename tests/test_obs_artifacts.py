@@ -26,10 +26,12 @@ from repro.core.request import Request
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.fleet import run_fleet
 from repro.experiments.runner import run_single
+from repro.faults import FaultPlan
 from repro.obs import AuditConfig, spans_from_jsonl, trace_session
 from repro.workloads.synthetic import expensive_requests_population
 
 DIGESTS = Path(__file__).parent / "data" / "golden_audit_artifacts.json"
+CHAOS_PLAN = Path(__file__).parent / "data" / "chaos_plan.json"
 
 #: Artifacts pinned byte for byte (``manifest.json`` carries the git
 #: SHA and argv, so it is checked field by field instead).
@@ -220,6 +222,55 @@ class TestRequestSlices:
                 assert slice_["dur"] == max(0.0, record.end - record.start) * 1e6
                 matched += 1
         assert matched > 20
+
+    @pytest.mark.parametrize("scheduler", ["2dfq", "wfq", "2dfq-e"])
+    def test_faulted_slices_end_where_their_dispatch_records_end(
+        self, tmp_path, scheduler
+    ):
+        """Under the canned chaos plan -- a slowed worker, a stalled one,
+        a crashed one and deadline aborts -- a request leaves its worker
+        when it completes or is cancelled, not at ``start + cost / rate``:
+        every completed or cancelled slice ends where its dispatch
+        record ends.  Requests still running at the horizon are skipped
+        (their record keeps the predicted end)."""
+        config = ExperimentConfig(
+            name="faulted-slices",
+            schedulers=(scheduler,),
+            num_threads=4,
+            thread_rate=1000.0,
+            duration=1.6,
+            sample_interval=0.02,
+            seed=0,
+            fault_plan=FaultPlan.load(CHAOS_PLAN),
+        )
+        specs = expensive_requests_population(num_small=30, total=40)
+        with trace_session(tmp_path) as session:
+            metrics = run_single(scheduler, specs, config)
+        (run,) = session.runs
+        run_dir = tmp_path / run
+        pairs = dispatched_slices(run_dir)
+        assert len(pairs) == len(metrics.dispatch_log)
+        # Which dispatch (by its position) each complete or running
+        # cancel ends.
+        running = {}
+        ended = {}
+        for event in event_lines(run_dir):
+            if event["kind"] == "dispatch":
+                running[event["seqno"]] = len(running) + len(ended)
+            elif event["kind"] == "complete" or (
+                event["kind"] == "cancel" and event["was_running"]
+            ):
+                ended[running.pop(event["seqno"])] = event["kind"]
+        moved = {"complete": 0, "cancel": 0}
+        for i, ((event, slice_), record) in enumerate(zip(pairs, metrics.dispatch_log)):
+            assert slice_["tid"] == record.thread_id
+            assert slice_["ts"] == record.start * 1e6
+            if i in ended:
+                assert slice_["dur"] == max(0.0, record.end - record.start) * 1e6
+                predicted = record.start + record.cost / config.thread_rate
+                moved[ended[i]] += record.end != predicted
+        assert moved["complete"] > 0, "no completion left its predicted end"
+        assert moved["cancel"] > 0, "no running request was cancelled"
 
 
 @pytest.fixture(scope="module")
