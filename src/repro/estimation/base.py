@@ -97,12 +97,14 @@ class KeyedEstimator(CostEstimator):
         return self._initial
 
     def estimate(self, request: Request) -> Cost:
-        return self._state.get(request.key, self._initial)
+        # The key is built inline: the ``Request.key`` property costs a
+        # frame on every estimate and observation.
+        return self._state.get((request.tenant_id, request.api), self._initial)
 
     def observe(self, request: Request, actual_cost: Cost) -> None:
         if actual_cost < 0:
             raise ConfigurationError(f"actual_cost must be >= 0, got {actual_cost}")
-        key = request.key
+        key = (request.tenant_id, request.api)
         old = self._state.get(key)
         if old is None:
             new = self._initial_state(actual_cost)

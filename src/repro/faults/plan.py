@@ -143,6 +143,8 @@ class WorkerCrash:
     its identity intact -- the charge already applied for it is refunded
     through the :meth:`~repro.core.scheduler.Scheduler.cancel` path, so
     the tenant is eventually charged only for the work it receives.
+    A :class:`FaultPlan` rejects two crashes of one worker whose windows
+    overlap or touch.
     """
 
     worker: int
@@ -354,6 +356,29 @@ def _entry(cls: Type[Any], where: str, item: Any) -> Any:
         raise ConfigurationError(f"{where}: {exc}") from None
 
 
+def _check_crash_windows(crashes: Tuple[WorkerCrash, ...]) -> None:
+    """Reject two crashes of one worker whose windows ``[at,
+    restart_at]`` meet (a crash without ``restart_at`` runs to +inf):
+    the second crash would hit a dead worker and the first restart would
+    end both.  Touching windows are rejected too, since a restart and a
+    crash at the same instant fire in plan order."""
+    for j, later in enumerate(crashes):
+        for i in range(j):
+            earlier = crashes[i]
+            if earlier.worker != later.worker:
+                continue
+            ends = [
+                math.inf if crash.restart_at is None else crash.restart_at
+                for crash in (earlier, later)
+            ]
+            if earlier.at <= ends[1] and later.at <= ends[0]:
+                raise ConfigurationError(
+                    f"crashes[{i}] and crashes[{j}] overlap on worker "
+                    f"{later.worker}: [{earlier.at}, {ends[0]}] and "
+                    f"[{later.at}, {ends[1]}]"
+                )
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """Every fault injected into one run, plus the jitter seed.
@@ -384,6 +409,7 @@ class FaultPlan:
                 for i, item in enumerate(entries)
             )
             object.__setattr__(self, name, items)
+        _check_crash_windows(self.crashes)
 
     @property
     def is_empty(self) -> bool:

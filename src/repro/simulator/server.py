@@ -17,12 +17,16 @@ Idle workers are offered work in *descending* thread-index order.
 Under 2DFQ high-index threads are where small requests become eligible
 first, so offering them first gives small requests the first shot at
 their preferred threads; for thread-oblivious schedulers the order is
-irrelevant.
+irrelevant.  The server keeps the idle, non-crashed workers' indices in
+an ascending free list, so a dispatch pass takes them from its high end
+and visits no busy worker: a submit while every worker is busy returns
+at once.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
 from itertools import repeat
 from operator import attrgetter
 from typing import (
@@ -163,9 +167,10 @@ class ThreadPoolServer:
         self.rate: Rate = float(rate)
         self.num_threads = int(num_threads)
         self.workers: List[Worker] = [Worker(i) for i in range(num_threads)]
-        # Workers in the order idle ones are offered work (descending
-        # index), fixed at construction so dispatch never re-sorts.
-        self._dispatch_cycle: List[Worker] = self.workers[::-1]
+        # Indices of the idle, non-crashed workers, ascending: dispatch
+        # offers work from the end (descending index).  Every path that
+        # frees, occupies, crashes or restores a worker keeps it in step.
+        self._free: List[int] = list(range(num_threads))
         self._refresh_interval: Optional[Duration] = refresh_interval
         self._refresh_scheduled = False
         #: True while :meth:`_finish` runs its listeners and the request's
@@ -348,6 +353,8 @@ class ThreadPoolServer:
         :meth:`restore_worker`.  Returns the interrupted request."""
         worker = self.workers[index]
         now = self.sim.now
+        if not worker.crashed and worker.request is None:
+            self._free.remove(index)
         worker.crashed = True
         request = worker.request
         if request is not None:
@@ -366,6 +373,8 @@ class ThreadPoolServer:
     def restore_worker(self, index: int) -> None:
         """Bring a crashed worker back at full speed and offer it work."""
         worker = self.workers[index]
+        if worker.crashed and worker.request is None:
+            insort(self._free, index)
         worker.crashed = False
         worker.speed = 1.0
         self._dispatch_idle()
@@ -392,6 +401,7 @@ class ThreadPoolServer:
         for worker in self.workers:
             self.set_worker_speed(worker.index, 0.0)
             worker.crashed = True
+        self._free.clear()
         self._crashed = True
 
     def restore(self) -> None:
@@ -405,6 +415,7 @@ class ThreadPoolServer:
         for worker in self.workers:
             worker.crashed = False
             self.set_worker_speed(worker.index, 1.0)
+        self._free[:] = [w.index for w in self.workers if w.request is None]
         self._dispatch_idle()
         self._ensure_refresh_timer()
 
@@ -426,6 +437,8 @@ class ThreadPoolServer:
                     self.sim.cancel(worker.completion_event)
                     worker.completion_event = None
                 worker.request = None
+                if not worker.crashed:
+                    insort(self._free, worker.index)
                 self._refile_end(worker.index, request, now)
                 cancelled = self.scheduler.cancel(request, now)
                 self._dispatch_idle()
@@ -467,24 +480,32 @@ class ThreadPoolServer:
     # -- internals --------------------------------------------------------------------
 
     def _dispatch_idle(self) -> None:
-        """Offer work to every idle, non-crashed worker while the
-        scheduler has any.
+        """Offer work to the free workers, highest index first, while
+        the scheduler has any.
 
         All schedulers in this library are work conserving, so a ``None``
-        from ``dequeue`` means the backlog is empty and the scan can stop.
-        Stalled workers (``speed == 0``) still accept work -- a degraded
-        thread holds its request frozen until its speed recovers.
+        from ``dequeue`` means the backlog is empty and the pass can stop.
+        Stalled workers (``speed == 0``) stay free and still accept
+        work -- a degraded thread holds its request frozen until its
+        speed recovers.  The index leaves the free list before
+        :meth:`_start` runs the dispatch listeners, so a pass they start
+        sees the worker busy.
         """
-        now = self.sim.now
+        free = self._free
+        if not free:
+            return
         scheduler = self.scheduler
         if scheduler.backlog == 0:
             return
-        for worker in self._dispatch_cycle:
-            if worker.request is None and not worker.crashed:
-                request = scheduler.dequeue(worker.index, now)
-                if request is None:
-                    break
-                self._start(worker, request)
+        now = self.sim.now
+        workers = self.workers
+        while free:
+            index = free[-1]
+            request = scheduler.dequeue(index, now)
+            if request is None:
+                break
+            del free[-1]
+            self._start(workers[index], request)
 
     def _start(self, worker: Worker, request: Request) -> None:
         now = self.sim.now
@@ -534,6 +555,8 @@ class ThreadPoolServer:
         now = self.sim.now
         final_usage = (now - worker.last_report) * self.rate * worker.speed
         worker.request = None
+        if not worker.crashed:
+            insort(self._free, worker.index)
         worker.completion_event = None
         request.completion_time = now
         self.scheduler.complete(request, final_usage, now)

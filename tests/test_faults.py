@@ -174,6 +174,40 @@ class TestPlanDSL:
         assert not plan.is_empty
         assert plan.crashes and plan.slowdowns
 
+    @pytest.mark.parametrize(
+        "crashes",
+        [
+            [{"worker": 1, "at": 0.5, "restart_at": 3.0},
+             {"worker": 1, "at": 1.0, "restart_at": 2.0}],
+            [{"worker": 1, "at": 1.0, "restart_at": 2.0},
+             {"worker": 1, "at": 0.5}],
+            [{"worker": 1, "at": 0.5, "restart_at": 1.0},
+             {"worker": 1, "at": 1.0, "restart_at": 2.0}],
+        ],
+        ids=["nested", "open-ended", "touching"],
+    )
+    def test_overlapping_crashes_of_one_worker_are_rejected(self, crashes):
+        # The second crash would hit a dead worker and the first restart
+        # would end both; a crash without restart_at runs to +inf.
+        plan = [{"worker": 0, "at": 0.0, "restart_at": 0.1}] + crashes
+        with pytest.raises(ConfigurationError, match=r"crashes\[1\] and crashes\[2\]"):
+            FaultPlan.from_dict({"crashes": plan})
+
+    def test_disjoint_crashes_and_other_workers_are_accepted(self):
+        plan = FaultPlan(
+            crashes=(
+                WorkerCrash(worker=0, at=0.5, restart_at=1.0),
+                WorkerCrash(worker=1, at=0.5),
+                WorkerCrash(worker=0, at=1.5),
+            )
+        )
+        sim, _, server, injector = make_server(plan, workers=2)
+        sim.at(0.0, server.submit, Request(tenant_id="A", cost=1.0))
+        sim.run(until=5.0)
+        assert injector.counts["crashes"] == 3
+        assert injector.counts["restarts"] == 1
+        assert [w.crashed for w in server.workers] == [True, True]
+
 
 class TestWorkerFaults:
     def test_slowdown_stretches_completion_piecewise(self):

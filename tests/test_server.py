@@ -1,6 +1,7 @@
 """Unit tests for the thread-pool server."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import FIFOScheduler, make_scheduler
 from repro.core.request import Request, RequestPhase
@@ -146,6 +147,95 @@ class TestBusyWorkers:
         sim.run()
         count()
         assert counts == [0, 3, 3, 3, 2, 1, 2, 2, 3, 0]
+
+
+def naive_free(server):
+    """The free list recomputed from a scan of the pool: the idle,
+    non-crashed workers' indices, ascending."""
+    return [
+        w.index for w in server.workers if w.request is None and not w.crashed
+    ]
+
+
+#: One fault-path or traffic step of :class:`TestFreeList`; worker
+#: indices are taken modulo the pool size.
+STEPS = st.one_of(
+    st.tuples(st.just("submit"), st.sampled_from("ABC"), st.integers(1, 4)),
+    st.tuples(st.just("advance"), st.sampled_from([0.0, 0.5, 1.0, 2.5])),
+    st.tuples(st.just("crash_worker"), st.integers(0, 7), st.booleans()),
+    st.tuples(st.just("restore_worker"), st.integers(0, 7)),
+    st.tuples(st.just("crash")),
+    st.tuples(st.just("restore")),
+    st.tuples(st.just("abort_queued"), st.integers(0, 63)),
+    st.tuples(st.just("abort_running"), st.integers(0, 63)),
+    st.tuples(st.just("speed"), st.integers(0, 7), st.sampled_from([0.0, 0.5, 1.0])),
+)
+
+
+class TestFreeList:
+    """``ThreadPoolServer._free`` against a naive scan of the pool,
+    through every path that frees, occupies, crashes or restores a
+    worker."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        threads=st.integers(1, 8),
+        scheduler_name=st.sampled_from(["2dfq", "wfq"]),
+        steps=st.lists(STEPS, max_size=40),
+    )
+    def test_free_list_tracks_the_pool_and_dispatch_takes_its_top(
+        self, threads, scheduler_name, steps
+    ):
+        sim, server = build(num_threads=threads, scheduler_name=scheduler_name)
+        scheduler = server.scheduler
+        dequeue = scheduler.dequeue
+
+        def checked_dequeue(thread_id, now):
+            # Each offer goes to the highest-index free worker.
+            free = naive_free(server)
+            assert free and thread_id == free[-1], (thread_id, free)
+            return dequeue(thread_id, now)
+
+        scheduler.dequeue = checked_dequeue
+        submitted = []
+
+        def in_phase(phase):
+            return [r for r in submitted if r.phase == phase]
+
+        for step in steps:
+            kind = step[0]
+            if kind == "submit":
+                submitted.append(req(step[1], float(step[2])))
+                server.submit(submitted[-1])
+            elif kind == "advance":
+                sim.run(until=sim.now + step[1])
+            elif kind == "crash_worker":
+                server.crash_worker(step[1] % threads, redispatch=step[2])
+            elif kind == "restore_worker":
+                server.restore_worker(step[1] % threads)
+            elif kind == "crash":
+                server.crash()
+            elif kind == "restore":
+                server.restore()
+            elif kind == "speed":
+                server.set_worker_speed(step[1] % threads, step[2])
+            else:
+                queued = kind == "abort_queued"
+                victims = in_phase(
+                    RequestPhase.QUEUED if queued else RequestPhase.RUNNING
+                )
+                if victims:
+                    assert server.abort(victims[step[1] % len(victims)])
+            assert server._free == naive_free(server), step
+            # Work conserving: no free worker while work is queued.
+            assert not (server._free and scheduler.backlog), step
+
+        # Everything restored, every queued or running request finishes.
+        server.restore()
+        sim.run()
+        assert server._free == list(range(threads))
+        assert not in_phase(RequestPhase.QUEUED)
+        assert not in_phase(RequestPhase.RUNNING)
 
 
 class RaisingSource:
