@@ -27,9 +27,9 @@ and a ``manifest.json`` with the seed, config, and package provenance::
 ``--audit DIR`` is ``--trace`` plus the fairness audit (DESIGN.md
 §14): every experiment run is also audited at export -- service lag vs
 GPS, bursty-allocation detection, estimator drift, folded from the
-run's trace rows and samples -- exporting ``audit_report.json`` and a
-Prometheus ``metrics.prom`` snapshot per run.  Every traced run also gets ``flight_recorder.json``
-when a fault or invariant violation fired::
+run's trace rows and samples -- exporting ``audit_report.json`` per
+run.  Every traced run also gets ``flight_recorder.json`` when a fault
+or invariant violation fired::
 
     python -m repro.figures fig08 --duration 1 --audit audit-run/
 
@@ -319,9 +319,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--audit", metavar="DIR", default=None,
-        help="like --trace, plus the fairness audit and a "
-        "Prometheus metrics snapshot per run (audit_report.json, "
-        "metrics.prom); requires --jobs 1",
+        help="like --trace, plus the fairness audit per run "
+        "(audit_report.json); requires --jobs 1",
     )
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",

@@ -9,8 +9,9 @@ makes those decisions observable without perturbing them:
   stored as one list of row tuples, plus the collector's samples: the
   run's one record; a single ``is not None`` guard when untraced (see
   the overhead contract in :mod:`repro.obs.tracer`);
-* :class:`MetricsRegistry` -- named counters/gauges/timers with a
-  snapshot API (:mod:`repro.obs.registry`);
+* :class:`MetricsRegistry` -- named counters and gauges with a
+  snapshot API (:mod:`repro.obs.registry`) that feeds the manifest's
+  ``counters``;
 * exporters (:mod:`repro.obs.exporters`) -- JSONL event streams, Chrome
   trace / Perfetto occupancy timelines, flight-recorder dumps and
   per-run ``manifest.json`` provenance records with per-kind counts
@@ -20,16 +21,11 @@ makes those decisions observable without perturbing them:
   experiment runner and the ``--trace`` CLI flag use to write these
   artifacts per run.
 
-On top of the raw event stream sit the derivation layers:
-
-* spans (:mod:`repro.obs.spans`) -- per-request lifecycle spans with an
-  exact wait-time decomposition (head-of-line blocking attribution);
-* the fairness audit (:mod:`repro.obs.audit`) -- lag /
-  bursty-allocation / estimator-drift monitors folded from a run's rows
-  and samples at export into ``audit`` events;
-* the exposition layer -- a Prometheus text-format exporter
-  (:mod:`repro.obs.prometheus`).  The figures CLI's ``--audit DIR``
-  enables the audit and the exposition per run.
+On top of the raw event stream sits one derivation layer, the fairness
+audit (:mod:`repro.obs.audit`): lag / bursty-allocation /
+estimator-drift monitors folded from a run's rows and samples at export
+into ``audit`` events and ``audit_report.json``.  The figures CLI's
+``--audit DIR`` enables it per run.
 
 Quickstart::
 
@@ -54,10 +50,8 @@ from .exporters import (
     write_manifest,
     write_rows_jsonl,
 )
-from .prometheus import prometheus_text, write_prometheus
 from .registry import HOST_CLOCK, ClockFn, Counter, Gauge, MetricsRegistry, Timer
 from .session import TraceSession, clear_session, current_session, trace_session
-from .spans import BlockingInterval, RequestSpan, SpanSet, build_spans, spans_from_jsonl
 from .tracer import Tracer
 
 __all__ = [
@@ -80,13 +74,6 @@ __all__ = [
     "write_flight_recorder",
     "write_rows_jsonl",
     "write_manifest",
-    "BlockingInterval",
-    "RequestSpan",
-    "SpanSet",
-    "build_spans",
-    "spans_from_jsonl",
     "AuditConfig",
     "FairnessAuditor",
-    "prometheus_text",
-    "write_prometheus",
 ]

@@ -1,7 +1,7 @@
 """Fairness audit: a fold of one run's record.
 
-Where :mod:`repro.obs.spans` explains where a request's latency went,
-the audit asks whether the schedule was fair.  A
+Where the event stream and the Chrome trace show where a request's
+latency went, the audit asks whether the schedule was fair.  A
 :class:`FairnessAuditor` walks a run's record once, in order: the
 tracer's rows and the collector's per-tenant actual-vs-GPS service
 samples (``Tracer.samples``, each stamped with the rows stored before

@@ -71,9 +71,9 @@ built only where a caller asks for one (:meth:`TraceEvent.from_row`,
 Occupancy
 ---------
 Which request held which worker thread, and when, is one fold over the
-rows (:func:`occupancies`); the Chrome trace's request slices and the
-spans' blocking attribution both read it, so the two views cannot
-disagree.
+rows (:func:`occupancies`); the Chrome trace's request slices read it,
+and any other per-request view (head-of-line blocking, say) should be
+built on it too, so the views cannot disagree.
 The per-kind counts a run's manifest reports are another fold,
 :func:`event_counts`, computed at export.
 """

@@ -21,9 +21,8 @@ A run with a ``fault`` or ``invariant`` row also gets
 
 The event artifacts derive from the tracer's rows alone.  A request
 slice runs from its ``dispatch`` row to the same seqno's ``complete`` or
-``cancel`` row (:func:`~repro.obs.events.occupancies`, the fold the
-spans read too), so an aborted request's slice ends where it was
-aborted.
+``cancel`` row (:func:`~repro.obs.events.occupancies`), so an aborted
+request's slice ends where it was aborted.
 
 Encode at export
 ----------------

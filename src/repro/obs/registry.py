@@ -1,29 +1,29 @@
-"""Named counters, gauges and timers with a snapshot API.
+"""Named counters and gauges with a snapshot API, and a standalone timer.
 
 A :class:`MetricsRegistry` is the numeric side of the observability
 subsystem: where the :class:`~repro.obs.tracer.Tracer` records *events*
 (one object per decision), the registry records *aggregates* -- how many
-dispatches ran, how many entries the
-:class:`~repro.core.selection.SelectionIndex` filed, how long the hot
-path spent inside the timed loop.  Instruments are created lazily on
-first use and identified by dotted names (``server.refresh_reports``),
-so instrumentation sites never need registration boilerplate.
+refresh reports the server sent, how many threads were busy, the audit's
+final gauges.  Instruments are created lazily on first use and
+identified by dotted names (``server.refresh_reports``), so
+instrumentation sites never need registration boilerplate; a run's
+:meth:`~MetricsRegistry.snapshot` lands in its manifest's ``counters``.
 
 All instruments are plain-Python and allocation-free on the hot path:
 ``Counter.inc`` is one float add, ``Gauge.set`` one store, and ``Timer``
 only calls its clock at scope boundaries.
 
-Timer clocks are *injectable*: a timer reads time through a zero-arg
-callable, defaulting to the host's monotonic high-resolution counter
-(:data:`HOST_CLOCK`).  No simulation run times anything; timers serve
-standalone profiling (the hot-path microbenchmarks), and tests inject a
-scripted clock.
+:class:`Timer` is not a registry instrument: no simulation run times
+anything.  It serves standalone profiling (the hot-path
+microbenchmarks) and reads time through an injectable zero-arg callable,
+defaulting to the host's monotonic high-resolution counter
+(:data:`HOST_CLOCK`); tests inject a scripted clock.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
+from typing import Callable, Dict, Optional
 
 __all__ = ["ClockFn", "HOST_CLOCK", "Counter", "Gauge", "Timer", "MetricsRegistry"]
 
@@ -109,74 +109,49 @@ class Timer:
 
 
 class MetricsRegistry:
-    """Lazily created named instruments with one-call snapshotting."""
+    """Lazily created named counters and gauges with one-call
+    snapshotting."""
 
-    __slots__ = ("_counters", "_gauges", "_timers", "_clock")
+    __slots__ = ("_counters", "_gauges")
 
-    def __init__(self, clock: Optional[ClockFn] = None) -> None:
+    def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
-        self._timers: Dict[str, Timer] = {}
-        self._clock = clock
 
     def counter(self, name: str) -> Counter:
         instrument = self._counters.get(name)
         if instrument is None:
-            self._check_free(name, self._gauges, self._timers)
+            self._check_free(name, self._gauges)
             instrument = self._counters[name] = Counter(name)
         return instrument
 
     def gauge(self, name: str) -> Gauge:
         instrument = self._gauges.get(name)
         if instrument is None:
-            self._check_free(name, self._counters, self._timers)
+            self._check_free(name, self._counters)
             instrument = self._gauges[name] = Gauge(name)
         return instrument
 
-    def timer(self, name: str) -> Timer:
-        instrument = self._timers.get(name)
-        if instrument is None:
-            self._check_free(name, self._counters, self._gauges)
-            instrument = self._timers[name] = Timer(name, self._clock)
-        return instrument
-
-    def instruments(self) -> Iterator[Tuple[str, str, Any]]:
-        """``(type, name, instrument)`` triples in registration order --
-        the typed view exposition layers (Prometheus) need, which the
-        flat :meth:`snapshot` erases."""
-        for name, counter in self._counters.items():
-            yield ("counter", name, counter)
-        for name, gauge in self._gauges.items():
-            yield ("gauge", name, gauge)
-        for name, timer in self._timers.items():
-            yield ("timer", name, timer)
-
     @staticmethod
-    def _check_free(name: str, *others: Dict) -> None:
+    def _check_free(name: str, other: Dict) -> None:
         # Snapshot keys are flat, so one name must map to one instrument.
-        if any(name in other for other in others):
+        if name in other:
             raise ValueError(
                 f"metric name {name!r} already registered as another type"
             )
 
-    def snapshot(self) -> Dict[str, Union[int, float, Dict[str, float]]]:
-        """JSON-ready view of every instrument: counters and gauges map
-        to their value, timers to ``{total, count, mean}``."""
-        out: Dict[str, Union[int, float, Dict[str, float]]] = {}
+    def snapshot(self) -> Dict[str, float]:
+        """JSON-ready view of every instrument: each name maps to its
+        value, counters first."""
+        out: Dict[str, float] = {}
         for name, counter in self._counters.items():
             out[name] = counter.value
         for name, gauge in self._gauges.items():
             out[name] = gauge.value
-        for name, timer in self._timers.items():
-            out[name] = {
-                "total": timer.total,
-                "count": timer.count,
-                "mean": timer.total / timer.count if timer.count else 0.0,
-            }
         return out
 
     def __repr__(self) -> str:
         return (
             f"MetricsRegistry(counters={len(self._counters)}, "
-            f"gauges={len(self._gauges)}, timers={len(self._timers)})"
+            f"gauges={len(self._gauges)})"
         )

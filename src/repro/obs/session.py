@@ -15,11 +15,11 @@ active automatically lands on disk as::
 
 An *audited* session (``audit=AuditConfig()``, the CLI's ``--audit``)
 folds a :class:`~repro.obs.audit.FairnessAuditor` over the rows and
-samples of every run that recorded samples (``run_single``'s) and
-exports::
+samples of every run that recorded samples (``run_single``'s): its
+``audit`` rows join the event stream and the Chrome trace, its gauges
+join the manifest's ``counters``, and it exports one more file::
 
     <dir>/<run-label>/audit_report.json   monitor state + trip log
-    <dir>/<run-label>/metrics.prom        Prometheus text-format snapshot
 
 The session is process-global and experiments are single-threaded (the
 simulator is a discrete-event loop), so a plain module global suffices.
@@ -39,6 +39,7 @@ import re
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Union
 
+from ..errors import ConfigurationError
 from .audit import AuditConfig, FairnessAuditor
 from .events import Row, event_counts
 from .exporters import (
@@ -47,8 +48,7 @@ from .exporters import (
     write_manifest,
     write_rows_jsonl,
 )
-from .prometheus import write_prometheus
-from .tracer import Tracer
+from .tracer import Tracer, check_max_events
 
 __all__ = [
     "RunTelemetry",
@@ -88,12 +88,18 @@ class TraceSession:
         audit: Optional[AuditConfig] = None,
         flight_events: int = 2048,
     ) -> None:
+        check_max_events(max_events)
+        if flight_events < 1:
+            raise ConfigurationError(
+                f"flight_events must be >= 1, got {flight_events}"
+            )
         self.directory = Path(directory)
         self.max_events = max_events
         #: Non-``None`` makes this an audited session: :meth:`export_run`
         #: audits each run with samples under this config.
         self.audit = audit
-        #: Rows per flight-recorder dump.
+        #: Rows per flight-recorder dump; at least 1, so each dump's
+        #: ring holds its trigger row.
         self.flight_events = flight_events
         self.runs: List[str] = []
         #: Quarantined-cell error records (JSON-ready), in failure order.
@@ -142,21 +148,14 @@ class TraceSession:
             process_name=tracer.name,
             metadata={"run": tracer.name},
         )
-        counts = event_counts(rows)
         counters = tracer.registry.snapshot()
-        counters.update(counts)
+        counters.update(event_counts(rows))
         counters["trace.events"] = len(rows)
         counters["trace.dropped_events"] = tracer.dropped_events
         if report is not None:
             with (run_dir / "audit_report.json").open("w") as fh:
                 json.dump(report, fh, indent=2, sort_keys=True)
                 fh.write("\n")
-            write_prometheus(
-                tracer.registry,
-                run_dir / "metrics.prom",
-                counters=counts,
-                labels={"run": tracer.name},
-            )
         write_flight_recorder(
             rows, run_dir / "flight_recorder.json", self.flight_events
         )

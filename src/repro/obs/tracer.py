@@ -33,6 +33,7 @@ from __future__ import annotations
 import sys
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..errors import ConfigurationError
 from .events import (
     CANCEL,
     COMPLETE,
@@ -111,6 +112,12 @@ class _EventView(Sequence[TraceEvent]):
         return f"<{len(self)} trace events>"
 
 
+def check_max_events(max_events: Optional[int]) -> None:
+    """Reject a negative event cap (``None`` keeps everything)."""
+    if max_events is not None and max_events < 0:
+        raise ConfigurationError(f"max_events must be >= 0, got {max_events}")
+
+
 class Tracer:
     """Collects the decision events of one traced run.
 
@@ -120,7 +127,8 @@ class Tracer:
         Label for the run (used by exporters and manifests).
     max_events:
         Hard cap on retained events; further emissions only increment
-        ``dropped_events``.  ``None`` (default) keeps everything.
+        ``dropped_events``.  ``None`` (default) keeps everything; a
+        negative cap raises :class:`~repro.errors.ConfigurationError`.
 
     Events are retained in :attr:`rows` (see :mod:`repro.obs.events`);
     :attr:`events` is a :class:`TraceEvent` view of the same store.
@@ -140,6 +148,7 @@ class Tracer:
     )
 
     def __init__(self, name: str = "trace", max_events: Optional[int] = None) -> None:
+        check_max_events(max_events)
         self.name = name
         #: The event store: one row per retained event, in emission order.
         self.rows: List[Row] = []

@@ -27,7 +27,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.fleet import run_fleet
 from repro.experiments.runner import run_single
 from repro.faults import FaultPlan
-from repro.obs import AuditConfig, spans_from_jsonl, trace_session
+from repro.obs import AuditConfig, trace_session
 from repro.workloads.synthetic import expensive_requests_population
 
 DIGESTS = Path(__file__).parent / "data" / "golden_audit_artifacts.json"
@@ -39,7 +39,6 @@ ARTIFACTS = (
     "events.jsonl",
     "chrome_trace.json",
     "audit_report.json",
-    "metrics.prom",
     "flight_recorder.json",
 )
 
@@ -98,6 +97,17 @@ def test_artifact_bytes_match_golden_digest(run_dir, name):
     expected = json.loads(DIGESTS.read_text())
     got = hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
     assert got == expected[name], f"{name} drifted from its golden digest"
+
+
+def test_run_directory_holds_exactly_the_artifacts(run_dir):
+    """The audited run writes these five files and nothing else."""
+    assert {path.name for path in run_dir.iterdir()} == {
+        "events.jsonl",
+        "chrome_trace.json",
+        "manifest.json",
+        "audit_report.json",
+        "flight_recorder.json",
+    }
 
 
 def test_artifacts_do_not_depend_on_earlier_runs(run_dir, tmp_path):
@@ -311,15 +321,3 @@ class TestFleetSlices:
         }
         slice_pids = {slice_["pid"] for _, slice_ in dispatched_slices(fleet_run_dir)}
         assert pids == slice_pids and len(pids) == 4
-
-    def test_blocking_stays_on_the_blocked_requests_server(self, fleet_run_dir):
-        servers = routed_servers(fleet_run_dir)
-        spans = spans_from_jsonl(fleet_run_dir / "events.jsonl")
-        running = 0
-        for span in spans:
-            for interval in span.blocking:
-                if interval.kind != "running":
-                    continue
-                running += 1
-                assert servers[interval.blocker_seqno] == servers[span.seqno]
-        assert running > 100

@@ -1,4 +1,4 @@
-"""Fairness-auditor, Prometheus-exporter and flight-recorder tests.
+"""Fairness-auditor, audited-session and flight-recorder tests.
 
 The acceptance criterion for the bursty monitor (ISSUE 7) is the last
 class: on the Fig-9 production workload the auditor flags WFQ and WF²Q
@@ -25,12 +25,10 @@ from repro.experiments.unpredictable import unpredictable_config
 from repro.obs import (
     AuditConfig,
     FairnessAuditor,
-    MetricsRegistry,
     TraceEvent,
     TraceSession,
     Tracer,
     event_counts,
-    prometheus_text,
     trace_session,
     write_flight_recorder,
 )
@@ -273,56 +271,6 @@ class TestTracerIntegration:
         assert "monitors" in payload
 
 
-class TestPrometheusText:
-    def fake_registry(self):
-        times = iter([1.0, 1.5])
-        registry = MetricsRegistry(clock=lambda: next(times))
-        registry.counter("scheduler.dispatches").inc(3)
-        registry.gauge("audit.samples").set(12.0)
-        timer = registry.timer("scheduler.phase.select")
-        timer.start()
-        timer.stop()
-        return registry
-
-    def test_pinned_output(self):
-        text = prometheus_text(self.fake_registry(), labels={"run": "fig9--wfq"})
-        assert text == (
-            "# TYPE repro_audit_samples gauge\n"
-            'repro_audit_samples{run="fig9--wfq"} 12\n'
-            "# TYPE repro_scheduler_dispatches counter\n"
-            'repro_scheduler_dispatches{run="fig9--wfq"} 3\n'
-            "# TYPE repro_scheduler_phase_select_count counter\n"
-            'repro_scheduler_phase_select_count{run="fig9--wfq"} 1\n'
-            "# TYPE repro_scheduler_phase_select_seconds_total counter\n"
-            'repro_scheduler_phase_select_seconds_total{run="fig9--wfq"} 0.5\n'
-        )
-
-    def test_every_line_parses_as_exposition_format(self):
-        for line in prometheus_text(self.fake_registry()).splitlines():
-            if line.startswith("# TYPE"):
-                _, _, metric, prom_type = line.split()
-                assert prom_type in {"counter", "gauge"}
-            else:
-                metric, value = line.split()
-                float(value)
-            assert metric.replace("_", "a").isidentifier()
-
-    def test_empty_registry_renders_empty(self):
-        assert prometheus_text(MetricsRegistry()) == ""
-
-    def test_invalid_leading_character_is_escaped(self):
-        registry = MetricsRegistry()
-        registry.counter("2dfq.hit-rate").inc()
-        text = prometheus_text(registry, namespace="")
-        assert "_2dfq_hit_rate 1" in text
-
-    def test_label_values_are_escaped(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
-        text = prometheus_text(registry, labels={"run": 'a"b\\c'})
-        assert '{run="a\\"b\\\\c"}' in text
-
-
 def vt_row(t):
     return TraceEvent("vt_update", t, 0.0, None, {}).as_row()
 
@@ -394,10 +342,10 @@ class TestAuditedSessionArtifacts:
         run_dir = session.export_run(tracer)
         report = json.loads((run_dir / "audit_report.json").read_text())
         assert report["monitors"]["lag"]["ever_tripped"] == ["A"]
-        prom = (run_dir / "metrics.prom").read_text()
-        assert f'run="{tracer.name}"' in prom
-        assert "repro_audit_samples" in prom
-        assert f'repro_faults_worker_crash{{run="{tracer.name}"}} 1' in prom
+        # The audit's gauges and the per-kind counts land in the manifest.
+        counters = json.loads((run_dir / "manifest.json").read_text())["counters"]
+        assert counters["audit.samples"] == 1.0
+        assert counters["faults.worker_crash"] == 1
         flight_payload = json.loads((run_dir / "flight_recorder.json").read_text())
         assert len(flight_payload["dumps"]) == 1
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference.export_writers import chrome_trace_events, write_events_jsonl
+from repro.errors import ConfigurationError
 from repro.obs import (
     TraceEvent,
     TraceSession,
@@ -522,6 +523,19 @@ class TestTraceSession:
         tracer.vt_update(1.0, 1.0, None, reason="b")
         assert len(tracer) == 1
         assert tracer.dropped_events == 1
+
+    def test_bad_limits_rejected(self, tmp_path):
+        # A dump's ring must hold at least its own trigger row.
+        for flight_events in (0, -1):
+            with pytest.raises(ConfigurationError, match=f"got {flight_events}"):
+                TraceSession(tmp_path, flight_events=flight_events)
+            with pytest.raises(ConfigurationError, match="flight_events"):
+                with trace_session(tmp_path, flight_events=flight_events):
+                    pass
+        with pytest.raises(ConfigurationError, match="max_events must be >= 0, got -1"):
+            TraceSession(tmp_path, max_events=-1)
+        assert current_session() is None
+        assert TraceSession(tmp_path, max_events=None, flight_events=1).flight_events == 1
 
     def test_context_manager_sets_and_restores(self, tmp_path):
         assert current_session() is None

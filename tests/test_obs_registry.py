@@ -57,20 +57,6 @@ class TestInjectableClock:
     def test_timer_defaults_to_host_clock(self):
         assert Timer("t").clock is HOST_CLOCK
 
-    def test_registry_clock_applies_to_new_timers(self):
-        clock = lambda: 0.0  # noqa: E731
-        registry = MetricsRegistry(clock=clock)
-        assert registry.timer("a").clock is clock
-
-
-class TestInstrumentsView:
-    def test_yields_typed_triples_in_registration_order(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
-        registry.gauge("g").set(2.0)
-        registry.timer("t")
-        triples = [(kind, name) for kind, name, _ in registry.instruments()]
-        assert triples == [("counter", "c"), ("gauge", "g"), ("timer", "t")]
 
 
 class TestMetricsRegistry:
@@ -91,15 +77,9 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.counter("hits").inc(3)
         registry.gauge("depth").set(7.0)
-        timer = registry.timer("span")
-        with timer:
-            pass
-        snap = registry.snapshot()
-        assert snap["hits"] == 3
-        assert snap["depth"] == 7.0
-        assert snap["span"]["count"] == 1
-        assert snap["span"]["total"] >= 0.0
-        assert snap["span"]["mean"] == pytest.approx(snap["span"]["total"])
+        registry.counter("misses")
+        assert registry.snapshot() == {"hits": 3, "misses": 0, "depth": 7.0}
+        assert list(registry.snapshot()) == ["hits", "misses", "depth"]
 
     def test_snapshot_is_a_copy(self):
         registry = MetricsRegistry()

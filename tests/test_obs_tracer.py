@@ -35,6 +35,7 @@ from repro.core import make_scheduler
 from repro.core.registry import scheduler_names
 from repro.core.request import Request
 from repro.core.vt_base import VirtualTimeScheduler
+from repro.errors import ConfigurationError
 from repro.estimation.pessimistic import PessimisticEstimator
 from repro.obs import EVENT_KINDS, TraceEvent, Tracer, event_counts
 from repro.simulator.rng import make_rng
@@ -168,6 +169,14 @@ class TestTracerSemantics:
             tracer.vt_update(float(i), 0.0, None, reason="r")
         assert len(tracer) == 2
         assert tracer.dropped_events == 3
+
+    def test_negative_max_events_rejected(self):
+        # A negative cap would keep no row and count every one dropped.
+        with pytest.raises(ConfigurationError, match="max_events must be >= 0, got -3"):
+            Tracer("t", max_events=-3)
+        tracer = Tracer("t", max_events=0)  # zero is a valid cap
+        tracer.vt_update(0.0, 0.0, None, reason="r")
+        assert len(tracer) == 0 and tracer.dropped_events == 1
 
     def test_typed_emitters_update_counters(self):
         tracer = Tracer("t")
