@@ -16,8 +16,8 @@ For each run directory:
   manifest's ``audit.trips`` equals their count.
 
 The counts are taken from the JSON lines here, without importing the
-package.  Directories without ``events.jsonl`` (cached or failed cells)
-are skipped.
+package.  Directories without ``events.jsonl`` (quarantined cells,
+which leave only ``manifest.json``) are skipped.
 
 Usage: ``python .github/scripts/check_derived_artifacts.py RUN_DIR...``
 """

@@ -6,22 +6,13 @@ within a few minutes while each figure module still prints its own
 series.  The scale used here (duration, tenant counts) is a reduction
 of the paper's setup; EXPERIMENTS.md records the exact factors.
 
-The runs execute through the parallel engine when asked to via the
-environment (so CI and local runs can opt in without touching the
-benchmark code):
-
-* ``REPRO_BENCH_JOBS=N``  -- fan each comparison's scheduler runs out
-  over ``N`` worker processes;
-* ``REPRO_BENCH_CACHE=DIR`` -- reuse results from a content-addressed
-  run cache (DESIGN.md §10).
-
-Both default to off (serial, uncached), and either way the results are
-bit-identical.
+The runs execute serially and uncached, the defaults of the experiment
+entry points; ``benchmarks/test_bench_parallel_engine.py`` times the
+process pool and the run cache on their own.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 
 from repro.experiments.production import production_config, run_production
@@ -29,19 +20,6 @@ from repro.experiments.unpredictable import (
     run_unpredictable_sweep,
     unpredictable_config,
 )
-from repro.parallel import RunCache
-
-
-def _engine_kwargs() -> dict:
-    """jobs/cache overrides from the environment (see module docstring)."""
-    kwargs: dict = {}
-    jobs = os.environ.get("REPRO_BENCH_JOBS")
-    if jobs:
-        kwargs["jobs"] = int(jobs)
-    cache_dir = os.environ.get("REPRO_BENCH_CACHE")
-    if cache_dir:
-        kwargs["cache"] = RunCache(cache_dir)
-    return kwargs
 
 # -- CI-scale knobs (paper scale in parentheses) ---------------------------
 PRODUCTION_THREADS = 32          # (32)
@@ -69,7 +47,6 @@ def production_run():
         # with genuinely competing tenants -- the contended known-cost
         # regime of §6.1.2.
         open_loop_utilization=0.5,
-        **_engine_kwargs(),
     )
 
 
@@ -84,7 +61,6 @@ def unpredictable_sweep():
         include_fixed=True,
         config=config,
         open_loop_utilization=UNPRED_UTILIZATION,
-        **_engine_kwargs(),
     )
 
 
@@ -101,5 +77,4 @@ def unpredictable_sweep_service():
         include_fixed=False,
         config=config,
         open_loop_utilization=UNPRED_UTILIZATION,
-        **_engine_kwargs(),
     )

@@ -1,8 +1,11 @@
 """Perf harness for the parallel experiment engine (repro.parallel).
 
-Not a paper figure -- this benchmark tracks the engine the other
-benches and the figures CLI run on.  It times one randomized-suite
-workload (18 independent cells) four ways:
+Not a paper figure -- this benchmark tracks the process pool and the
+run cache behind ``run_suite(jobs=..., cache=...)``.  The suite is the
+one workload big enough for the pool to pay off: the figures CLI and
+the other benches run their cells serially, and the CLI uses only the
+cache (``--cache``).  It times one randomized-suite workload (18
+independent cells) four ways:
 
 * serial (``jobs=1``), the baseline every other number is relative to;
 * fanned out over ``jobs=4`` worker processes;

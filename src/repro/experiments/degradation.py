@@ -123,7 +123,6 @@ def run_degradation(
     total_tenants: int = 100,
     config: Optional[ExperimentConfig] = None,
     plan: Optional[FaultPlan] = None,
-    jobs: Optional[int] = None,
     cache=None,
 ) -> DegradationResult:
     """Run the fairness-under-faults comparison.
@@ -131,8 +130,9 @@ def run_degradation(
     Every scheduler sees the identical workload twice: once healthy
     (``fault_plan=None``) and once under ``plan`` (default: the canned
     :func:`degradation_plan`).  Each of the ``2 x len(schedulers)`` runs
-    is an independent cell, so jobs/cache parallelize and memoize them
-    like any other figure.
+    is an independent cell, so ``cache`` (a
+    :class:`~repro.parallel.RunCache`, default none) memoizes them like
+    any other figure's.
     """
     if config is None:
         config = degradation_config()
@@ -151,6 +151,6 @@ def run_degradation(
     faulted_config = dataclasses.replace(
         config, name=f"{config.name}-faulted", fault_plan=plan
     )
-    healthy = run_comparison(specs, healthy_config, jobs=jobs, cache=cache)
-    faulted = run_comparison(specs, faulted_config, jobs=jobs, cache=cache)
+    healthy = run_comparison(specs, healthy_config, cache=cache)
+    faulted = run_comparison(specs, faulted_config, cache=cache)
     return DegradationResult(healthy=healthy, faulted=faulted, plan=plan)

@@ -69,10 +69,14 @@ def run_expensive_requests(
     num_expensive: int = 50,
     total_tenants: int = 100,
     config: ExperimentConfig | None = None,
-    jobs: int | None = None,
+    jobs: int = 1,
     cache=None,
 ) -> ComparisonResult:
-    """Run the Figure 8a/8b workload (default: 50% expensive tenants)."""
+    """Run the Figure 8a/8b workload (default: 50% expensive tenants).
+
+    ``jobs`` and ``cache`` forward to :func:`run_comparison` (default:
+    serial, uncached).
+    """
     if config is None:
         config = expensive_requests_config()
     specs = expensive_requests_population(
@@ -103,14 +107,14 @@ def sigma_vs_expensive(
     expensive_counts: Sequence[int] = (0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 99),
     total_tenants: int = 100,
     config: ExperimentConfig | None = None,
-    jobs: int | None = None,
     cache=None,
 ) -> SigmaSweepResult:
     """Sweep the expensive-tenant count and measure sigma(lag) of the
     small probe tenant (Figure 8c).
 
     Counts equal to ``total_tenants`` are clamped to ``total - 1`` so a
-    small probe tenant always exists to measure.
+    small probe tenant always exists to measure.  Every count shares
+    ``cache`` (a :class:`~repro.parallel.RunCache`, default none).
     """
     if config is None:
         config = expensive_requests_config()
@@ -122,7 +126,6 @@ def sigma_vs_expensive(
             num_expensive=n_expensive,
             total_tenants=total_tenants,
             config=config,
-            jobs=jobs,
             cache=cache,
         )
         for name in config.schedulers:

@@ -151,13 +151,12 @@ def run_production(
     open_loop_utilization: float = 1.2,
     speed: float = 1.0,
     named_mode: str = "open-loop",
-    jobs: Optional[int] = None,
     cache=None,
 ) -> ComparisonResult:
     """Run the Figure 9/10 experiment.
 
-    ``jobs``/``cache`` forward to the parallel engine behind
-    :func:`run_comparison` (default: the active execution context).
+    ``cache`` (a :class:`~repro.parallel.RunCache`, default none)
+    forwards to :func:`run_comparison`; the runs execute serially.
     """
     if config is None:
         config = production_config()
@@ -170,9 +169,7 @@ def run_production(
     trace = production_trace(
         specs, config, open_loop_utilization=open_loop_utilization, speed=speed
     )
-    return run_comparison(
-        specs, config, trace=trace, speed=speed, jobs=jobs, cache=cache
-    )
+    return run_comparison(specs, config, trace=trace, speed=speed, cache=cache)
 
 
 # ---------------------------------------------------------------------------

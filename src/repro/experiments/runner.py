@@ -187,7 +187,7 @@ def run_comparison(
     config: ExperimentConfig,
     trace: Optional[Sequence[TraceRecord]] = None,
     speed: float = 1.0,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     cache: Optional["RunCache"] = None,
 ) -> ComparisonResult:
     """Run every configured scheduler over the identical workload.
@@ -201,8 +201,7 @@ def run_comparison(
     the runs fan out over pool workers (results merge in scheduler
     order, bit-identical to serial), and with a
     :class:`~repro.parallel.RunCache` repeated invocations deserialize
-    instead of re-simulating.  Both default to the active
-    :func:`~repro.parallel.execution_context` (serial, uncached).
+    instead of re-simulating.  The defaults are serial and uncached.
     """
     from ..parallel.engine import run_cells
     from ..parallel.spec import RunSpec

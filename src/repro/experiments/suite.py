@@ -282,7 +282,7 @@ def run_suite(
     schedulers: Sequence[str] = SUITE_SCHEDULERS,
     tenants: Sequence[str] = NAMED_TENANT_IDS,
     initial_estimate: float = 1000.0,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     cache: Optional["RunCache"] = None,
 ) -> SuiteResult:
     """Run the randomized suite and collect per-tenant p99 latencies.
@@ -294,8 +294,10 @@ def run_suite(
     pair is an independent :class:`SuiteCell` fanned out through
     :func:`repro.parallel.run_cells`.  Results merge by cell index, so
     ``jobs=N`` produces numerically identical :attr:`SuiteResult.p99`
-    to ``jobs=1`` for any ``N``; with a cache, re-running the suite (or
-    widening it) only executes cells whose keys are new.
+    to ``jobs=1`` (the default) for any ``N``; with a
+    :class:`~repro.parallel.RunCache`, re-running the suite (or widening
+    it) only executes cells whose keys are new.  The suite is the one
+    workload big enough for the pool to pay off (DESIGN.md §10).
 
     A crashing cell does not sink the suite: failures are quarantined
     (``on_error="quarantine"``), recorded in :attr:`SuiteResult.errors`,

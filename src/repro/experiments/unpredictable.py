@@ -105,7 +105,6 @@ def run_unpredictable(
     open_loop_utilization: float = 1.2,
     speed: float = 1.0,
     named_mode: str = "backlogged",
-    jobs: Optional[int] = None,
     cache=None,
 ) -> ComparisonResult:
     """Run one unpredictability level of the §6.2.1 experiment.
@@ -113,7 +112,9 @@ def run_unpredictable(
     T1..T12 (and the probes, when included) default to continuously
     backlogged yardsticks: their service then reflects scheduling
     quality under sustained competition, which is the regime where the
-    paper's Figure 11/12 effects appear.
+    paper's Figure 11/12 effects appear.  ``cache`` (a
+    :class:`~repro.parallel.RunCache`, default none) forwards to
+    :func:`run_comparison`.
     """
     if config is None:
         config = unpredictable_config()
@@ -126,9 +127,7 @@ def run_unpredictable(
     trace = _scrambled_trace(
         specs, config, unpredictable_fraction, open_loop_utilization, speed
     )
-    return run_comparison(
-        specs, config, trace=trace, speed=speed, jobs=jobs, cache=cache
-    )
+    return run_comparison(specs, config, trace=trace, speed=speed, cache=cache)
 
 
 @dataclass
@@ -147,10 +146,10 @@ def run_unpredictable_sweep(
     open_loop_utilization: float = 1.2,
     speed: float = 1.0,
     named_mode: str = "backlogged",
-    jobs: Optional[int] = None,
     cache=None,
 ) -> UnpredictableSweep:
-    """The full Figure 11/12 sweep over unpredictability levels."""
+    """The full Figure 11/12 sweep over unpredictability levels; every
+    level shares ``cache``."""
     sweep = UnpredictableSweep(fractions=list(fractions))
     for fraction in fractions:
         sweep.results.append(
@@ -162,7 +161,6 @@ def run_unpredictable_sweep(
                 open_loop_utilization=open_loop_utilization,
                 speed=speed,
                 named_mode=named_mode,
-                jobs=jobs,
                 cache=cache,
             )
         )

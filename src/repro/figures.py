@@ -8,19 +8,20 @@ quick interactive exploration::
     python -m repro.figures fig01 fig06
     python -m repro.figures fig08 --duration 10
 
-``--jobs N`` fans the independent scheduler runs behind each figure out
-over ``N`` worker processes, and ``--cache DIR`` reuses previously
-computed runs from a content-addressed on-disk cache (DESIGN.md §10) --
-regenerating an already-computed figure then costs deserialization, not
-simulation.  Output is bit-identical to a serial, uncached run::
+``--cache DIR`` reuses previously computed runs from a
+content-addressed on-disk cache (DESIGN.md §10) -- regenerating an
+already-computed figure then costs deserialization, not simulation.
+Output is bit-identical to an uncached run.  The runs execute serially::
 
-    python -m repro.figures fig08 fig09 --jobs 4 --cache runcache/
+    python -m repro.figures fig08 fig09 --cache runcache/
 
 ``--trace DIR`` additionally records run telemetry (DESIGN.md §9): for
 every scheduler run behind the requested figures, ``DIR/<run>/`` gets a
 JSONL decision-event stream, a Chrome-trace JSON of the thread
 occupancy (open in ``chrome://tracing`` or https://ui.perfetto.dev),
-and a ``manifest.json`` with the seed, config, and package provenance::
+and a ``manifest.json`` with the seed, config, and package provenance.
+A traced run recomputes every run it records, so ``--trace`` and
+``--audit`` reject ``--cache``::
 
     python -m repro.figures fig06 --trace traces/
 
@@ -60,7 +61,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import math
 import sys
+from pathlib import Path
 from typing import Callable, Dict
 
 from .errors import ConfigurationError
@@ -68,7 +71,7 @@ from .experiments.config import ExperimentConfig
 from .faults.plan import FaultPlan
 from .obs.audit import AuditConfig
 from .obs.session import trace_session
-from .parallel import RunCache, execution_context
+from .parallel import RunCache
 
 
 from .experiments.degradation import (
@@ -141,7 +144,9 @@ def fig06(args: argparse.Namespace) -> str:
 
 def fig08(args: argparse.Namespace) -> str:
     config = _flagged(expensive_requests_config(duration=args.duration), args)
-    result = run_expensive_requests(num_expensive=50, config=config)
+    result = run_expensive_requests(
+        num_expensive=50, config=config, cache=args.run_cache
+    )
     fair = result.fair_rate()
     text = "small tenant service rate:\n"
     for name, run in result.runs.items():
@@ -161,6 +166,7 @@ def fig08(args: argparse.Namespace) -> str:
         config=_flagged(
             expensive_requests_config(duration=min(args.duration, 3.0)), args
         ),
+        cache=args.run_cache,
     )
     text += "\nsigma(lag) vs expensive tenants:\n"
     text += format_table(["n"] + list(sweep.sigmas), sweep.rows())
@@ -172,6 +178,7 @@ def fig09(args: argparse.Namespace) -> str:
     result = run_production(
         num_random=80, include_fixed=True, config=config,
         named_mode="backlogged", open_loop_utilization=0.5,
+        cache=args.run_cache,
     )
     fair = result.fair_rate()
     rows = []
@@ -207,7 +214,7 @@ def fig11(args: argparse.Namespace) -> str:
     config = _flagged(unpredictable_config(duration=args.duration), args)
     sweep = run_unpredictable_sweep(
         fractions=(0.0, 0.33, 0.66), num_random=150, config=config,
-        open_loop_utilization=1.3,
+        open_loop_utilization=1.3, cache=args.run_cache,
     )
     names = sweep.results[0].scheduler_names
     rows = []
@@ -227,7 +234,7 @@ def fig11(args: argparse.Namespace) -> str:
 
 def figfault(args: argparse.Namespace) -> str:
     config = _flagged(degradation_config(duration=args.duration), args)
-    result = run_degradation(config=config)
+    result = run_degradation(config=config, cache=args.run_cache)
     text = "fairness while workers degrade mid-run "
     text += "(slowdown + stall + crash/restart):\n"
     text += format_table(
@@ -315,17 +322,13 @@ def main(argv=None) -> int:
         "--trace", metavar="DIR", default=None,
         help="write per-run telemetry (events.jsonl, chrome_trace.json, "
         "manifest.json, and flight_recorder.json when a fault or "
-        "invariant fired) under DIR; requires --jobs 1",
+        "invariant fired) under DIR; every run is recomputed, so not "
+        "with --cache",
     )
     parser.add_argument(
         "--audit", metavar="DIR", default=None,
         help="like --trace, plus the fairness audit per run "
-        "(audit_report.json); requires --jobs 1",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the independent runs behind each "
-        "figure (default 1 = serial; output is identical for any N)",
+        "(audit_report.json); not with --cache",
     )
     parser.add_argument(
         "--cache", metavar="DIR", default=None,
@@ -345,7 +348,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--servers", type=int, default=4, metavar="N",
-        help="fleet size for figfleet (default 4)",
+        help="fleet size for figfleet (default 4, at least 2)",
     )
     parser.add_argument(
         "--router", default="round-robin", choices=router_names(),
@@ -365,29 +368,40 @@ def main(argv=None) -> int:
     for fig in args.figures:
         if fig not in FIGURES:
             parser.error(f"unknown figure {fig!r}; try 'list'")
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    if not (math.isfinite(args.duration) and args.duration > 0):
+        parser.error(f"--duration must be finite and > 0, got {args.duration}")
+    if args.servers < 2:
+        parser.error(
+            f"--servers must be >= 2 (figfleet crashes one), got {args.servers}"
+        )
     if args.trace and args.audit:
         parser.error(
             "--audit already implies --trace; pass exactly one of the two"
         )
     trace_dir = args.audit or args.trace
-    if trace_dir and args.jobs > 1:
+    if trace_dir and args.cache:
         parser.error(
-            "--trace/--audit require --jobs 1: tracing is process-global "
-            "and pool workers run with tracing disabled (DESIGN.md §10)"
+            "--trace/--audit cannot be combined with --cache: a cached run "
+            "is not re-simulated, so it has no events to trace (DESIGN.md §10)"
         )
-    cache = RunCache(args.cache) if args.cache else None
+    for flag in ("cache", "trace", "audit"):
+        directory = getattr(args, flag)
+        if not directory:
+            continue
+        try:
+            Path(directory).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            parser.error(f"--{flag} {directory}: {exc.strerror}")
+    cache = args.run_cache = RunCache(args.cache) if args.cache else None
     context = (
         trace_session(trace_dir, audit=AuditConfig() if args.audit else None)
         if trace_dir
         else contextlib.nullcontext()
     )
     with context as session:
-        with execution_context(jobs=args.jobs, cache=cache):
-            for fig in args.figures:
-                print(f"\n===== {fig} =====")
-                print(FIGURES[fig](args))
+        for fig in args.figures:
+            print(f"\n===== {fig} =====")
+            print(FIGURES[fig](args))
     if trace_dir:
         print(f"\ntrace artifacts: {len(session.runs)} run(s) under {trace_dir}")
     if cache is not None:

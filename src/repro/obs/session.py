@@ -171,41 +171,6 @@ class TraceSession:
         self.runs.append(run_dir.name)
         return run_dir
 
-    def export_cached_run(
-        self,
-        label: str,
-        *,
-        key: str,
-        cell: Any = None,
-        extra: Optional[Dict[str, Any]] = None,
-    ) -> Path:
-        """Record a run served from the content-addressed cache.
-
-        No simulation executed, so there are no events or occupancy to
-        export; honesty demands the provenance record say exactly that.
-        The run directory gets a ``manifest.json`` whose ``cache`` block
-        carries the hit status and the content key, and (when the cell
-        exposes them) the config/seed the cached result corresponds to.
-        """
-        run_dir = self._unique_dir(self._slug(f"{label}--cached"))
-        config = getattr(cell, "config", None)
-        manifest_extra: Dict[str, Any] = {
-            "cache": {"status": "hit", "key": key}
-        }
-        if extra:
-            manifest_extra.update(extra)
-        write_manifest(
-            run_dir / "manifest.json",
-            name=run_dir.name,
-            seed=getattr(config, "seed", None),
-            config=dataclasses.asdict(config)
-            if dataclasses.is_dataclass(config) and not isinstance(config, type)
-            else None,
-            extra=manifest_extra,
-        )
-        self.runs.append(run_dir.name)
-        return run_dir
-
     def export_failed_cell(self, failure: Any, *, cell: Any = None) -> Path:
         """Record a quarantined cell (see :mod:`repro.parallel.engine`).
 

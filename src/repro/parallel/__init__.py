@@ -10,27 +10,19 @@ Three pieces (DESIGN.md §10):
   ``sha256(canonical spec + repro version + source digest)``;
 * :mod:`repro.parallel.engine` -- :func:`run_cells`, the
   ``ProcessPoolExecutor`` fan-out whose index-ordered merge makes
-  ``jobs=N`` output bit-identical to serial, and
-  :func:`execution_context`, the block-scoped jobs/cache defaults the
-  figures CLI and benchmarks use.
+  ``jobs=N`` output bit-identical to serial.
 
-Quickstart::
+``jobs`` and ``cache`` are explicit keywords, serial and uncached by
+default.  Quickstart::
 
-    from repro.parallel import RunCache, execution_context
+    from repro.parallel import RunCache
     from repro.experiments import run_suite
 
-    with execution_context(jobs=4, cache=RunCache("runcache/")):
-        result = run_suite(params)   # cells fan out; repeats are free
+    result = run_suite(params, jobs=4, cache=RunCache("runcache/"))
 """
 
 from .cache import RunCache, source_digest
-from .engine import (
-    CellFailure,
-    ExecutionContext,
-    current_execution,
-    execution_context,
-    run_cells,
-)
+from .engine import CellFailure, run_cells
 from .spec import RunSpec, canonicalize
 
 __all__ = [
@@ -39,8 +31,5 @@ __all__ = [
     "canonicalize",
     "source_digest",
     "CellFailure",
-    "ExecutionContext",
-    "execution_context",
-    "current_execution",
     "run_cells",
 ]

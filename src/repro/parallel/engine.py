@@ -29,45 +29,35 @@ cell runs once.  ``on_error`` picks what a failure does:
 
 Trace-session semantics (DESIGN.md §10)
 ---------------------------------------
-Tracing and multi-process execution do not mix: a
+Tracing runs in-process and recomputes: a
 :class:`~repro.obs.session.TraceSession` is process-global state whose
 artifacts are written by the run it observes.  The contract is:
 
-* ``jobs > 1`` while a trace session is active raises
-  :class:`~repro.errors.ConfigurationError` (the figures CLI surfaces
-  this as a ``--trace`` / ``--jobs`` usage error up front);
+* ``jobs > 1`` or a ``cache`` while a trace session is active raises
+  :class:`~repro.errors.ConfigurationError` -- a pool worker could not
+  write the artifacts and a cache hit has none, and a silently partial
+  trace would be worse than an error (the figures CLI rejects
+  ``--cache`` with ``--trace``/``--audit`` up front);
 * pool workers always start with tracing *disabled* -- the worker
   initializer clears any session inherited through ``fork``, so a
-  worker can never write trace artifacts or attach tracers;
-* serial execution (``jobs=1``) under a session traces exactly as
-  before, and a cache hit under a session is recorded as a
-  manifest-only run directory so provenance stays honest (the result
-  was *not* recomputed; the manifest says so and names the cache key).
+  worker can never write trace artifacts or attach tracers.
 
-Use :func:`execution_context` to set jobs and cache once for a whole
-block (the figures CLI wraps every figure in it), or pass the
-parameters explicitly to :func:`run_cells` and the experiment entry
-points that forward to it.
+``jobs`` and ``cache`` are explicit arguments of :func:`run_cells` and
+of the entry points that forward to it (``run_comparison``,
+``run_suite``); their defaults are serial and uncached.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..errors import CellExecutionError, ConfigurationError
 from ..obs.session import clear_session, current_session
 from .cache import RunCache
 
-__all__ = [
-    "ExecutionContext",
-    "execution_context",
-    "current_execution",
-    "run_cells",
-    "CellFailure",
-]
+__all__ = ["run_cells", "CellFailure"]
 
 _ON_ERROR = ("raise", "quarantine")
 
@@ -90,47 +80,6 @@ class CellFailure:
         return dataclasses.asdict(self)
 
 
-@dataclasses.dataclass(frozen=True)
-class ExecutionContext:
-    """Engine defaults consulted by :func:`run_cells` when the caller
-    does not pass the corresponding parameter explicitly."""
-
-    jobs: int = 1
-    cache: Optional[RunCache] = None
-
-
-_ACTIVE = ExecutionContext()
-
-
-def current_execution() -> ExecutionContext:
-    """The active execution context (defaults: serial, no cache)."""
-    return _ACTIVE
-
-
-@contextlib.contextmanager
-def execution_context(
-    jobs: int = 1,
-    cache: Optional[RunCache] = None,
-) -> Iterator[ExecutionContext]:
-    """Set engine defaults for the duration of the block.
-
-    The experiment entry points (``run_comparison``, ``run_suite``, and
-    everything built on them) consult the active context, so wrapping a
-    whole figure -- as ``python -m repro.figures --jobs N --cache DIR``
-    does -- parallelizes and caches every run inside it without
-    threading parameters through each experiment signature.
-    """
-    global _ACTIVE
-    if jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    previous = _ACTIVE
-    _ACTIVE = ExecutionContext(jobs=int(jobs), cache=cache)
-    try:
-        yield _ACTIVE
-    finally:
-        _ACTIVE = previous
-
-
 def _worker_init() -> None:
     """Pool-worker initializer: force tracing off in the worker.
 
@@ -150,7 +99,7 @@ def _run_cell(cell: Any) -> Any:
 
 def run_cells(
     cells: Sequence[Any],
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     cache: Optional[RunCache] = None,
     on_error: str = "raise",
 ) -> List[Any]:
@@ -162,10 +111,9 @@ def run_cells(
         Picklable objects with an ``execute()`` method (and dataclass
         fields, for cache keying) -- see :mod:`repro.parallel.spec`.
     jobs:
-        Worker-process count; ``None`` consults the active
-        :func:`execution_context` (default 1 = serial, in-process).
+        Worker-process count (default 1 = serial, in-process).
     cache:
-        A :class:`RunCache`; ``None`` consults the context.
+        A :class:`RunCache`, or ``None`` (the default) for no cache.
     on_error:
         ``"raise"`` (default): the first failure cancels the cells still
         queued and raises :class:`~repro.errors.CellExecutionError`.
@@ -175,37 +123,30 @@ def run_cells(
     Returns the cells' results **in cell order** -- the deterministic
     merge that makes parallel output identical to serial output.
     """
-    context = current_execution()
-    effective_jobs = context.jobs if jobs is None else int(jobs)
-    effective_cache = context.cache if cache is None else cache
-    if effective_jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {effective_jobs}")
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     if on_error not in _ON_ERROR:
         raise ConfigurationError(
             f"on_error must be one of {_ON_ERROR}, got {on_error!r}"
         )
     session = current_session()
-    if session is not None and effective_jobs > 1:
+    if session is not None and (jobs > 1 or cache is not None):
         raise ConfigurationError(
-            "tracing is incompatible with jobs > 1: a trace session is "
-            "process-global and pool workers run with tracing disabled; "
-            "re-run with jobs=1 (CLI: drop --jobs or drop --trace)"
+            "a trace session needs jobs=1 and cache=None: pool workers run "
+            "with tracing disabled and a cache hit is not re-simulated, so "
+            "either would leave the trace silently partial"
         )
 
     results: List[Any] = [None] * len(cells)
     keys: List[Optional[str]] = [None] * len(cells)
     pending: List[int] = []
     for index, cell in enumerate(cells):
-        if effective_cache is not None:
-            key = effective_cache.key_for(cell)
+        if cache is not None:
+            key = cache.key_for(cell)
             keys[index] = key
-            found, value = effective_cache.lookup(key)
+            found, value = cache.lookup(key)
             if found:
                 results[index] = value
-                if session is not None:
-                    session.export_cached_run(
-                        _cell_label(cell), key=key, cell=cell
-                    )
                 continue
         pending.append(index)
 
@@ -226,20 +167,20 @@ def run_cells(
         if session is not None:
             session.export_failed_cell(failure, cell=cell)
 
-    if effective_jobs == 1:
+    if jobs == 1:
         for index in pending:
             try:
                 results[index] = cells[index].execute()
             except Exception as exc:  # noqa: BLE001 -- policy boundary
                 fail(index, exc)
     else:
-        _run_pool(cells, pending, results, jobs=effective_jobs, fail=fail)
+        _run_pool(cells, pending, results, jobs=jobs, fail=fail)
 
-    if effective_cache is not None:
+    if cache is not None:
         for index in pending:
             key = keys[index]
             if key is not None and not isinstance(results[index], CellFailure):
-                effective_cache.put(key, results[index])
+                cache.put(key, results[index])
     return results
 
 

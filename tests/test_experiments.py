@@ -20,7 +20,7 @@ from repro.experiments.suite import (
     run_suite,
     sample_experiment,
 )
-from repro.parallel import RunCache, execution_context
+from repro.parallel import RunCache
 from repro.workloads.synthetic import expensive_requests_population
 
 
@@ -126,6 +126,25 @@ class TestRunner:
         for tenant, seq in prefix["wfq"].items():
             assert prefix["2dfq"][tenant][: len(seq)][: 10] == seq[:10]
 
+    def test_explicit_serial_uncached_keywords(self):
+        """``benchmarks/e2e/cells.py`` calls both entry points with
+        ``jobs=1, cache=None`` spelled out.  A change that drops or
+        renames either keyword must fail here, in tier-1, and not first
+        in the end-to-end benchmark run."""
+        specs = expensive_requests_population(num_small=2, total=4)
+        config = expensive_requests_config(
+            schedulers=("wfq", "2dfq"), num_threads=2, thread_rate=100.0,
+            duration=0.5,
+        )
+        compared = run_comparison(specs, config, jobs=1, cache=None)
+        expensive = run_expensive_requests(
+            num_expensive=2, total_tenants=4, config=config, jobs=1, cache=None
+        )
+        assert compared.scheduler_names == expensive.scheduler_names
+        assert compared["wfq"].latency_stats(SMALL_PROBE).count > 0
+        for name in config.schedulers:
+            assert compared[name].latencies == expensive[name].latencies
+
 
 class TestFigure8Experiment:
     def test_shape_sigma_ordering(self):
@@ -178,24 +197,24 @@ class TestFigure8Experiment:
         assert all(len(row) == 4 for row in rows)
 
     def test_sigma_sweep_under_jobs_and_cache_matches_serial(self, tmp_path):
-        """The sweep as ``repro.figures fig08 --jobs 2 --cache DIR`` runs
-        it: fanned out and cached, the numbers are the serial ones."""
+        """The sweep as ``repro.figures fig08 --cache DIR`` runs it: with
+        an explicit ``cache=``, cold and warm, the numbers are the
+        uncached ones."""
         config = expensive_requests_config(duration=1.0, num_threads=4,
                                            thread_rate=200.0)
 
-        def sweep():
+        def sweep(cache=None):
             return sigma_vs_expensive(
-                expensive_counts=(0, 8, 8), total_tenants=16, config=config
+                expensive_counts=(0, 8, 8), total_tenants=16, config=config,
+                cache=cache,
             ).sigmas
 
         serial = sweep()
         cache = RunCache(tmp_path)
-        with execution_context(jobs=2, cache=cache):
-            assert sweep() == serial
+        assert sweep(cache) == serial
         # The repeated count re-hits the runs the first one stored.
         assert (cache.hits, cache.stores) == (3, 6)
-        with execution_context(cache=cache):
-            assert sweep() == serial
+        assert sweep(cache) == serial
         assert (cache.hits, cache.misses) == (12, 6)
 
 

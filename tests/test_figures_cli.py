@@ -82,18 +82,45 @@ class TestCLI:
             assert "audit" in manifest
 
 
+def assert_usage_error(capsys, argv):
+    """``argv`` fails as a one-line usage error: exit 2, no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("python -m repro.figures: error: ")
+    return err
+
+
 class TestParallelFlags:
-    def test_jobs_must_be_positive(self):
-        with pytest.raises(SystemExit):
-            main(["fig01", "--jobs", "0"])
+    @pytest.mark.parametrize("flag", ["--trace", "--audit"])
+    def test_trace_with_cache_rejected(self, capsys, tmp_path, flag):
+        # A cached run has no events, so a traced run served from the
+        # cache would export a trace without them.
+        err = assert_usage_error(
+            capsys,
+            ["fig09", "--duration", "0.5", flag, str(tmp_path / "t"),
+             "--cache", str(tmp_path / "c")],
+        )
+        assert "--cache" in err
+        assert not (tmp_path / "t").exists()
 
-    def test_trace_with_jobs_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["fig06", "--trace", str(tmp_path), "--jobs", "2"])
-
-    def test_audit_with_jobs_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["fig06", "--audit", str(tmp_path), "--jobs", "2"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig08", "--duration", "0"],
+            ["fig08", "--duration", "nan"],
+            ["fig08", "--duration", "-1"],
+            ["figfleet", "--servers", "1"],
+            ["fig08", "--cache", "/dev/null/x"],
+            ["fig06", "--trace", "/dev/null/x"],
+            ["fig06", "--audit", "/dev/null/x"],
+        ],
+    )
+    def test_bad_values_are_usage_errors(self, capsys, argv):
+        err = assert_usage_error(capsys, argv)
+        assert argv[-2] in err
 
     def test_audit_with_trace_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -112,10 +139,6 @@ class TestParallelFlags:
         assert "deadlines[0]" in err
         assert "Traceback" not in err
 
-    def test_trace_with_serial_jobs_allowed(self, capsys, tmp_path):
-        assert main(["fig06", "--trace", str(tmp_path), "--jobs", "1"]) == 0
-        assert "trace artifacts" in capsys.readouterr().out
-
     def test_cache_cold_then_warm_identical_output(self, capsys, tmp_path):
         def strip_cache_stats(text):
             return [
@@ -133,10 +156,3 @@ class TestParallelFlags:
         warm = capsys.readouterr().out
         assert "0 miss(es)" in warm
         assert strip_cache_stats(warm) == strip_cache_stats(cold)
-
-    def test_jobs_output_matches_serial(self, capsys):
-        assert main(["fig09", "--duration", "0.5"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["fig09", "--duration", "0.5", "--jobs", "2"]) == 0
-        fanned = capsys.readouterr().out
-        assert fanned == serial

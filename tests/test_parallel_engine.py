@@ -21,15 +21,7 @@ from repro.experiments.expensive_requests import expensive_requests_config
 from repro.experiments.runner import run_comparison
 from repro.experiments.suite import SuiteParameters, run_suite
 from repro.obs import clear_session, current_session, trace_session
-from repro.parallel import (
-    CellFailure,
-    ExecutionContext,
-    RunCache,
-    RunSpec,
-    current_execution,
-    execution_context,
-    run_cells,
-)
+from repro.parallel import CellFailure, RunCache, RunSpec, run_cells
 from repro.workloads.synthetic import expensive_requests_population
 
 SMALL_PARAMS = SuiteParameters(
@@ -113,33 +105,6 @@ class TestDeterminism:
         assert cache.hits == before + len(config.schedulers)
 
 
-class TestExecutionContext:
-    def test_default_is_serial_uncached(self):
-        ctx = current_execution()
-        assert ctx.jobs == 1 and ctx.cache is None
-
-    def test_context_sets_and_restores(self, tmp_path):
-        cache = RunCache(tmp_path)
-        with execution_context(jobs=3, cache=cache):
-            assert current_execution() == ExecutionContext(3, cache)
-            with execution_context(jobs=1):
-                assert current_execution().jobs == 1
-            assert current_execution().jobs == 3
-        assert current_execution().jobs == 1
-
-    def test_invalid_jobs_rejected(self):
-        with pytest.raises(ConfigurationError):
-            with execution_context(jobs=0):
-                pass
-
-    def test_context_drives_run_comparison(self, tmp_path):
-        cache = RunCache(tmp_path)
-        config = small_config(schedulers=("wfq",))
-        with execution_context(jobs=2, cache=cache):
-            run_comparison(small_population(), config)
-        assert cache.stores == 1
-
-
 class TestTraceSemantics:
     def test_trace_session_with_jobs_gt_1_raises(self, tmp_path):
         config = small_config(schedulers=("wfq",))
@@ -153,21 +118,20 @@ class TestTraceSemantics:
             run_comparison(small_population(), config, jobs=1)
         assert len(session.runs) == 1
 
-    def test_cache_hit_recorded_in_session_manifest(self, tmp_path):
-        import json
-
+    def test_trace_session_with_cache_raises(self, tmp_path):
+        """A cache hit is not re-simulated, so it has no events: a traced
+        run that could be served from the cache is refused, warm or cold,
+        rather than leaving a run directory without its trace."""
         cache = RunCache(tmp_path / "cache")
         config = small_config(schedulers=("wfq",))
         run_comparison(small_population(), config, cache=cache)
         with trace_session(tmp_path / "traces") as session:
-            run_comparison(small_population(), config, cache=cache)
-        assert cache.hits == 1
-        assert len(session.runs) == 1
-        manifest = json.loads(
-            (tmp_path / "traces" / session.runs[0] / "manifest.json").read_text()
-        )
-        assert manifest["cache"]["status"] == "hit"
-        assert len(manifest["cache"]["key"]) == 64
+            with pytest.raises(ConfigurationError, match="cache"):
+                run_comparison(small_population(), config, cache=cache)
+            with pytest.raises(ConfigurationError, match="cache"):
+                run_cells([_ValueCell(1)], cache=RunCache(tmp_path / "cold"))
+        assert session.runs == []
+        assert (cache.hits, cache.stores) == (0, 1)
 
     def test_clear_session(self, tmp_path):
         with trace_session(tmp_path):
