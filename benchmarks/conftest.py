@@ -1,10 +1,11 @@
-"""Shared helpers for the figure-regeneration benchmarks.
+"""Shared helpers for the benchmarks.
 
-Each benchmark module regenerates one figure of the paper's evaluation
-at CI scale (shorter duration / fewer tenants than the paper; the
-scaling used is recorded in EXPERIMENTS.md).  The printed rows/series
+Each figure benchmark runs one entry of :data:`repro.figures.FIGURES`
+at its committed scale (shorter duration / fewer tenants than the
+paper; EXPERIMENTS.md records the reductions), asserts the figure's
+shape on its data, and emits the entry's text.  The printed rows/series
 are the deliverable: they are echoed to the terminal (bypassing pytest's
-capture) *and* written to ``benchmarks/results/<figure>.txt`` so the
+capture) *and* written to ``benchmarks/results/<id>.txt`` so the
 committed bench output is inspectable.
 """
 
@@ -12,6 +13,8 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+
+from repro.figures import FIGURES, framed
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -39,25 +42,31 @@ def merge_bench_manifest(**sections) -> None:
     )
 
 
-def emit(capsys, figure_id: str, text: str) -> None:
-    """Print a figure's regenerated series and persist it to disk."""
-    banner = f"\n{'=' * 72}\n{figure_id}\n{'=' * 72}\n"
-    payload = banner + text + "\n"
+def _write(capsys, name: str, payload: str) -> None:
     with capsys.disabled():
         print(payload)
     RESULTS_DIR.mkdir(exist_ok=True)
+    (RESULTS_DIR / f"{name}.txt").write_text(payload)
+
+
+def emit_figure(capsys, figure_id: str, data) -> None:
+    """Print a paper figure as its :data:`repro.figures.FIGURES` entry
+    renders ``data`` and persist it to ``results/<figure_id>.txt``."""
+    _write(capsys, figure_id, FIGURES[figure_id].text(data))
+
+
+def emit(capsys, title: str, text: str) -> None:
+    """Print an ablation's or bench's series under ``title`` and persist
+    it to a file named after the title."""
     slug = (
-        figure_id.replace(":", "")
+        title.replace(":", "")
         .replace("(", "")
         .replace(")", "")
         .strip()
         .replace(" ", "_")
         .lower()
     )
-    # Figure benches keep their short names; ablations get unique files.
-    if slug.startswith("fig"):
-        slug = slug.split("_")[0]
-    (RESULTS_DIR / f"{slug}.txt").write_text(payload)
+    _write(capsys, slug, framed(title, text))
 
 
 def once(benchmark, fn):

@@ -5,36 +5,15 @@ produces the bursty schedule (A and B starve for ~10s periods); 2DFQ
 produces the smooth schedule (~1s gaps).  Both are long-run fair.
 """
 
-from repro.experiments.schedule_examples import (
-    gap_statistics,
-    render_schedule,
-    worked_example,
-)
+from repro.experiments.schedule_examples import gap_statistics
+from repro.figures import FIGURES
 
-from conftest import emit, once
+from conftest import emit_figure, once
 
 
 def test_fig01_bursty_vs_smooth(benchmark, capsys):
-    def run():
-        out = {}
-        for name in ("wfq", "2dfq"):
-            slots = worked_example(name, horizon=60.0, large_cost=10.0)
-            out[name] = slots
-        return out
-
-    schedules = once(benchmark, run)
-
-    lines = []
-    for name, slots in schedules.items():
-        mean_gap, max_gap = gap_statistics(slots, "A")
-        kind = "bursty" if max_gap >= 10.0 else "smooth"
-        lines.append(f"--- {name} ({kind}) ---")
-        lines.extend(render_schedule(slots, horizon=40.0))
-        lines.append(
-            f"tenant A inter-start gaps: mean={mean_gap:.2f}s max={max_gap:.2f}s"
-        )
-        lines.append("")
+    schedules = once(benchmark, FIGURES["fig01"].run)
     # Reproduction checks (Figure 1 caption).
     assert gap_statistics(schedules["wfq"], "A")[1] >= 10.0
     assert gap_statistics(schedules["2dfq"], "A")[1] <= 2.0
-    emit(capsys, "fig01: bursty vs smooth schedule", "\n".join(lines))
+    emit_figure(capsys, "fig01", schedules)

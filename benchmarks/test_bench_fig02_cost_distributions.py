@@ -7,50 +7,14 @@ is consistently cheap; G is usually cheap but occasionally very
 expensive; T1 small/predictable, T11 large/predictable, T9 mixed.
 """
 
-import numpy as np
+from repro.figures import FIGURES
 
-from repro.experiments.report import format_table
-from repro.metrics.summary import cost_summary
-from repro.simulator.rng import make_rng
-from repro.workloads.azure import (
-    API_NAMES,
-    NAMED_TENANT_IDS,
-    api_population_distribution,
-    named_tenant,
-)
-
-from conftest import emit, once
-
-SAMPLES = 6000
+from conftest import emit_figure, once
 
 
 def test_fig02_cost_distributions(benchmark, capsys):
-    def run():
-        rng = make_rng(2, "fig2")
-        api_rows = []
-        all_samples = []
-        for api in API_NAMES:
-            samples = api_population_distribution(api).sample_many(rng, SAMPLES)
-            all_samples.append(samples)
-            s = cost_summary(samples)
-            api_rows.append((api, s.p1, s.p50, s.p99, s.decades_of_spread()))
-        tenant_rows = []
-        for tenant_id in NAMED_TENANT_IDS:
-            samples = named_tenant(tenant_id).sample_costs(rng, 2000)[2]
-            s = cost_summary(samples)
-            tenant_rows.append((tenant_id, s.p1, s.p50, s.p99, s.cov))
-        return api_rows, tenant_rows, np.concatenate(all_samples)
-
-    api_rows, tenant_rows, aggregate = once(benchmark, run)
-
-    text = "Figure 2a -- per-API cost distributions:\n"
-    text += format_table(
-        ["API", "p1", "p50", "p99", "decades(p99/p1)"], api_rows
-    )
-    text += "\n\nFigure 2b -- per-tenant cost distributions:\n"
-    text += format_table(["tenant", "p1", "p50", "p99", "CoV"], tenant_rows)
-    spread = np.log10(np.percentile(aggregate, 99.9) / np.percentile(aggregate, 0.1))
-    text += f"\n\naggregate spread p0.1..p99.9: {spread:.2f} decades (paper: ~4)"
+    data = once(benchmark, FIGURES["fig02"].run)
+    api_rows, tenant_rows, spread = data
 
     api = {row[0]: row for row in api_rows}
     assert spread >= 3.5
@@ -60,4 +24,4 @@ def test_fig02_cost_distributions(benchmark, capsys):
     assert tenant["T1"][3] <= 1000.0              # T1 small
     assert tenant["T11"][2] > 1e5                 # T11 large
     assert tenant["T9"][4] > 1.0                  # T9 high variation
-    emit(capsys, "fig02: cost distributions", text)
+    emit_figure(capsys, "fig02", data)

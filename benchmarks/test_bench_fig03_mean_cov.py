@@ -10,54 +10,15 @@ many tenants fall in each class.
 
 import numpy as np
 
-from repro.experiments.report import format_table
-from repro.simulator.rng import make_rng
-from repro.workloads.azure import random_tenants
+from repro.figures import FIGURES
 
-from conftest import emit, once
-
-NUM_TENANTS = 80
-SAMPLES_PER_PAIR = 400
+from conftest import emit_figure, once
 
 
 def test_fig03_mean_vs_cov(benchmark, capsys):
-    def run():
-        rng = make_rng(3, "fig3")
-        points = []  # (api, mean, cov)
-        for spec in random_tenants(NUM_TENANTS, seed=3):
-            for api, dist in spec.api_costs.items():
-                samples = dist.sample_many(rng, SAMPLES_PER_PAIR)
-                mean = float(samples.mean())
-                cov = float(samples.std() / mean)
-                points.append((api, mean, cov))
-        return points
-
-    points = once(benchmark, run)
-
-    rows = []
-    for api in sorted({p[0] for p in points}):
-        covs = np.array([cov for a, _, cov in points if a == api])
-        means = np.array([m for a, m, _ in points if a == api])
-        rows.append(
-            (
-                api,
-                len(covs),
-                f"{means.min():.3g}..{means.max():.3g}",
-                float((covs < 0.5).mean()),
-                float((covs > 1.0).mean()),
-            )
-        )
-    text = "Per-API scatter summary (Figure 3 right):\n"
-    text += format_table(
-        ["API", "tenants", "mean-cost range", "frac CoV<0.5", "frac CoV>1"],
-        rows,
-    )
+    points = once(benchmark, FIGURES["fig03"].run)
     all_covs = np.array([cov for _, _, cov in points])
-    text += (
-        f"\n\npopulation: {(all_covs < 0.5).mean():.0%} predictable pairs,"
-        f" {(all_covs > 1.0).mean():.0%} unpredictable pairs"
-    )
     # The paper's qualitative claim: both classes exist.
     assert (all_covs < 0.5).mean() > 0.4
     assert (all_covs > 1.0).mean() > 0.05
-    emit(capsys, "fig03: mean vs CoV per (tenant, API)", text)
+    emit_figure(capsys, "fig03", points)

@@ -5,50 +5,18 @@ T3 -- a large burst tapering off over four APIs (Figure 4b);
 T10 -- bursts and lulls with costs spanning >3 decades (Figure 4c).
 """
 
-import numpy as np
+from repro.figures import FIGURES
 
-from repro.experiments.report import sparkline
-from repro.workloads.azure import named_tenant
-from repro.workloads.trace import generate_trace
-
-from conftest import emit, once
-
-DURATION = 30.0
+from conftest import emit_figure, once
 
 
 def test_fig04_tenant_timeseries(benchmark, capsys):
-    def run():
-        specs = [named_tenant(t) for t in ("T2", "T3", "T10")]
-        return generate_trace(specs, duration=DURATION, seed=4)
-
-    trace = once(benchmark, run)
-
-    lines = []
-    edges = np.arange(0.0, DURATION + 1.0, 1.0)
-    rate_series = {}
-    for tenant in ("T2", "T3", "T10"):
-        times = np.array([r.time for r in trace if r.tenant == tenant])
-        costs = np.array([r.cost for r in trace if r.tenant == tenant])
-        rates = np.histogram(times, bins=edges)[0]
-        rate_series[tenant] = rates
-        apis = sorted({r.api for r in trace if r.tenant == tenant})
-        spread = np.log10(
-            np.percentile(costs, 99.5) / np.percentile(costs, 0.5)
-        )
-        lines.append(
-            f"{tenant}: {len(times)} requests, APIs {','.join(apis)}, "
-            f"cost spread {spread:.1f} decades"
-        )
-        lines.append(f"  rate/s  {sparkline(rates.tolist())}")
-        lines.append(
-            f"  rate min/mean/max = {rates.min()}/{rates.mean():.0f}/{rates.max()}"
-        )
-
-    t2, t3, t10 = (rate_series[t] for t in ("T2", "T3", "T10"))
+    _, rates = data = once(benchmark, FIGURES["fig04"].run)
+    t2, t3, t10 = (rates[t] for t in ("T2", "T3", "T10"))
     # T2 stable: modest variation around its mean.
     assert t2.std() / t2.mean() < 0.3
     # T3 tapering burst: first five seconds >> last five.
     assert t3[:5].sum() > 2 * t3[-5:].sum()
     # T10 bursts AND lulls: some silent seconds, some busy ones.
     assert (t10 == 0).any() and (t10 > 20).any()
-    emit(capsys, "fig04: tenant time series (T2, T3, T10)", "\n".join(lines))
+    emit_figure(capsys, "fig04", data)

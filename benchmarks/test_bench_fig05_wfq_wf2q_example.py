@@ -6,24 +6,15 @@ blocks both threads with C and D at t=4; WF2Q interleaves one large
 block per small burst starting at t=1.
 """
 
-from repro.experiments.schedule_examples import render_schedule, worked_example
+from repro.figures import FIGURES
 
-from conftest import emit, once
+from conftest import emit_figure, once
 
 
 def test_fig05_wfq_wf2q_schedules(benchmark, capsys):
-    schedules = once(
-        benchmark,
-        lambda: {name: worked_example(name) for name in ("wfq", "wf2q")},
-    )
-    lines = []
-    for name, slots in schedules.items():
-        lines.append(f"--- {name} ---")
-        lines.extend(render_schedule(slots))
-        lines.append("")
-
+    schedules = once(benchmark, FIGURES["fig05"].run)
     wfq_w0 = [s.label for s in schedules["wfq"] if s.thread_id == 0]
     assert wfq_w0[:5] == ["a1", "a2", "a3", "a4", "c1"]
     wf2q_w0 = [s.label for s in schedules["wf2q"] if s.thread_id == 0]
     assert wf2q_w0[:2] == ["a1", "c1"]
-    emit(capsys, "fig05: WFQ and WF2Q worked example", "\n".join(lines))
+    emit_figure(capsys, "fig05", schedules)

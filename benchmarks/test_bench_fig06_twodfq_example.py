@@ -5,23 +5,18 @@ the low-index thread), W1 = b1 a2 b2 a3 b3 ... (smalls alternate
 smoothly on the high-index thread).
 """
 
-from repro.experiments.schedule_examples import (
-    gap_statistics,
-    render_schedule,
-    worked_example,
-)
+from repro.experiments.schedule_examples import gap_statistics
+from repro.figures import FIGURES
 
-from conftest import emit, once
+from conftest import emit_figure, once
 
 
 def test_fig06_twodfq_schedule(benchmark, capsys):
-    slots = once(benchmark, lambda: worked_example("2dfq"))
-    lines = render_schedule(slots)
+    slots = once(benchmark, FIGURES["fig06"].run)
     w0 = [s.label for s in slots if s.thread_id == 0]
     w1 = [s.label for s in slots if s.thread_id == 1]
     assert w0[:4] == ["a1", "c1", "d1", "c2"]
     assert w1[:5] == ["b1", "a2", "b2", "a3", "b3"]
     _, max_gap = gap_statistics(slots, "A")
-    lines.append(f"tenant A max inter-start gap: {max_gap:.2f}s (smooth)")
     assert max_gap <= 2.0
-    emit(capsys, "fig06: 2DFQ worked example", "\n".join(lines))
+    emit_figure(capsys, "fig06", slots)

@@ -6,72 +6,25 @@
     sweeps -- WFQ grows, WF2Q plateaus near its worst case, 2DFQ stays
     about an order of magnitude lower.
 
-Scale: 16 threads as in the paper; 100 backlogged tenants; 6 s / 3 s
-horizons instead of 15 s (shapes are stationary well before that).
+Scale: the fig08 entry of ``repro.figures`` (16 threads as in the
+paper; shorter horizons than its 15 s, as the shapes are stationary
+well before that).
 """
 
-import numpy as np
+from repro.experiments.expensive_requests import occupancy_expensive_fraction
+from repro.figures import FIGURES
 
-from repro.experiments.expensive_requests import (
-    SMALL_PROBE,
-    expensive_requests_config,
-    occupancy_expensive_fraction,
-    run_expensive_requests,
-    sigma_vs_expensive,
-    small_tenant_series,
-)
-from repro.experiments.report import format_table, sparkline
-
-from conftest import emit, once
+from conftest import emit_figure, once
 
 
 def test_fig08_expensive_tenants(benchmark, capsys):
-    def run():
-        config_a = expensive_requests_config(duration=6.0)
-        half = run_expensive_requests(
-            num_expensive=50, total_tenants=100, config=config_a
-        )
-        config_c = expensive_requests_config(duration=3.0)
-        sweep = sigma_vs_expensive(
-            expensive_counts=(0, 25, 50, 75, 95),
-            total_tenants=100,
-            config=config_c,
-        )
-        return half, sweep
+    half, sweep = data = once(benchmark, FIGURES["fig08"].run)
 
-    half, sweep = once(benchmark, run)
-
-    # (a) service rate + lag of the small probe tenant.
-    series = small_tenant_series(half)
-    text = "Figure 8a -- small tenant service rate (100ms bins) at n=50:\n"
-    for name in half.scheduler_names:
-        text += f"  {name:>5} {sparkline(series[name]['service_rate'].tolist())}\n"
-    text += "\nFigure 8a -- service lag (s):\n"
-    rows_a = []
-    for name in half.scheduler_names:
-        lag = series[name]["lag_seconds"]
-        rows_a.append((name, float(lag.min()), float(lag.max()),
-                       float(np.std(lag))))
-    text += format_table(["scheduler", "lag min", "lag max", "sigma(lag)"], rows_a)
-
-    # (b) occupancy partitioning.
-    text += "\n\nFigure 8b -- fraction of busy time on expensive requests per thread:\n"
-    for name in half.scheduler_names:
-        frac = occupancy_expensive_fraction(half[name], 16)
-        text += f"  {name:>5} " + " ".join(f"{f:.2f}" for f in frac) + "\n"
-
-    # (c) sigma(lag) vs number of expensive tenants.
-    text += "\nFigure 8c -- sigma(service lag) [s] vs expensive tenants:\n"
-    text += format_table(
-        ["n expensive"] + list(sweep.sigmas), sweep.rows()
-    )
-
-    # Shape assertions.
     sigma_at_50 = {name: sweep.sigmas[name][2] for name in sweep.sigmas}
     assert sigma_at_50["2dfq"] < sigma_at_50["wfq"] / 4
     assert sigma_at_50["2dfq"] < sigma_at_50["wf2q"] / 2
-    frac_2dfq = occupancy_expensive_fraction(half["2dfq"], 16)
+    frac_2dfq = occupancy_expensive_fraction(half["2dfq"], half.config.num_threads)
     assert frac_2dfq.max() > 0.8 and frac_2dfq.min() < 0.1
     # WFQ roughly grows with n; 2DFQ stays low throughout.
     assert max(sweep.sigmas["2dfq"]) < max(sweep.sigmas["wfq"]) / 3
-    emit(capsys, "fig08: expensive tenants (known costs)", text)
+    emit_figure(capsys, "fig08", data)

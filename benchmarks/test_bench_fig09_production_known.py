@@ -7,50 +7,18 @@
 Expected shapes: WFQ runs seconds ahead with oscillations; WF2Q tracks
 GPS but dips when expensive requests occupy the pool; 2DFQ hugs GPS.
 WFQ's Gini index is clearly worse; 2DFQ partitions request sizes across
-threads.
+threads.  The production run is shared with Figure 10.
 """
 
 import numpy as np
 
-from repro.experiments.report import format_table, sparkline
+from repro.figures import FIGURES
 
-from conftest import emit, once
-from shared_runs import production_run
+from conftest import emit_figure, once
 
 
 def test_fig09_production_known_costs(benchmark, capsys):
-    result = once(benchmark, production_run)
-
-    fair_rate = result.fair_rate()
-    text = "Figure 9a -- T1 service rate (100ms bins):\n"
-    for name, run in result.runs.items():
-        series = run.service_series("T1")
-        text += f"  {name:>5} {sparkline(series.service_rate().tolist())}\n"
-
-    rows = []
-    for name, run in result.runs.items():
-        series = run.service_series("T1")
-        lag = series.lag_seconds(fair_rate)
-        rows.append(
-            (
-                name,
-                float(np.std(lag)),
-                float(lag.min()),
-                float(lag.max()),
-                float(run.gini_values.mean()),
-            )
-        )
-    text += "\nFigure 9a -- T1 service lag (s) and Gini index:\n"
-    text += format_table(
-        ["scheduler", "sigma(lag)", "lag min", "lag max", "mean Gini"], rows
-    )
-
-    text += "\n\nFigure 9b -- mean log10(request cost) per thread:\n"
-    for name, run in result.runs.items():
-        means = run.thread_cost_partition(32)
-        text += f"  {name:>5} " + " ".join(
-            "." if np.isnan(m) else f"{m:.1f}" for m in means
-        ) + "\n"
+    result, rows = data = once(benchmark, FIGURES["fig09"].run)
 
     sigma = {row[0]: row[1] for row in rows}
     gini = {row[0]: row[4] for row in rows}
@@ -65,7 +33,7 @@ def test_fig09_production_known_costs(benchmark, capsys):
     assert gini["wfq"] > gini["wf2q"]
     # 2DFQ's per-thread cost profile is ordered (size partitioning):
     # the low-index threads run costlier requests than the top ones.
-    partition = result["2dfq"].thread_cost_partition(32)
+    partition = result["2dfq"].thread_cost_partition(result.config.num_threads)
     valid = partition[~np.isnan(partition)]
     assert valid[0] > valid[-1] + 0.5
-    emit(capsys, "fig09: production workload, known costs", text)
+    emit_figure(capsys, "fig09", data)

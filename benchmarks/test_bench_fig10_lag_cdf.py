@@ -6,50 +6,21 @@
 (right) service-lag (p1, p99) ranges of the fixed-cost probe tenants
         t1..t7 (costs 2^8..2^20): ranges shrink with request size, and
         shrink dramatically more under 2DFQ.
+
+The production run is shared with Figure 9.
 """
 
-import numpy as np
+from repro.figures import FIGURES
 
-from repro.experiments.production import fixed_cost_lag_ranges, lag_sigma_cdfs
-from repro.experiments.report import format_table
-from repro.workloads.synthetic import FIXED_COST_IDS
-
-from conftest import emit, once
-from shared_runs import production_run
+from conftest import emit_figure, once
 
 
 def test_fig10_lag_distributions(benchmark, capsys):
-    result = once(benchmark, production_run)
+    _, cdfs, ranges = data = once(benchmark, FIGURES["fig10"].run)
 
-    cdfs = lag_sigma_cdfs(result)
-    rows = []
-    for name, cdf in cdfs.items():
-        rows.append(
-            (
-                name,
-                cdf.quantile(0.10),
-                cdf.quantile(0.25),
-                cdf.quantile(0.50),
-                cdf.quantile(0.75),
-            )
-        )
-    text = "Figure 10 (left) -- CDF of per-tenant sigma(service lag) [s]:\n"
-    text += format_table(["scheduler", "q10", "q25", "q50", "q75"], rows)
-
-    ranges = fixed_cost_lag_ranges(result)
-    text += "\n\nFigure 10 (right) -- lag (p1, p99) of fixed-cost tenants t1..t7 [s]:\n"
-    probe_rows = []
-    for tenant in FIXED_COST_IDS:
-        row = [tenant]
-        for name in result.scheduler_names:
-            p1, p99 = ranges[name].get(tenant, (float("nan"), float("nan")))
-            row.append(f"[{p1:+.3f}, {p99:+.3f}]")
-        probe_rows.append(tuple(row))
-    text += format_table(["tenant"] + result.scheduler_names, probe_rows)
-
-    # Shape assertions.  The upper quartile (the tenants that receive
-    # substantial service) improves by ~10x under 2DFQ vs WFQ; the
-    # paper reports 50-100x for the first quartile at full scale.
+    # The upper quartile (the tenants that receive substantial service)
+    # improves by ~10x under 2DFQ vs WFQ; the paper reports 50-100x for
+    # the first quartile at full scale.
     q75 = {name: cdf.quantile(0.75) for name, cdf in cdfs.items()}
     assert q75["2dfq"] < q75["wfq"] / 5
     assert q75["wf2q"] < q75["wfq"] / 5
@@ -64,4 +35,4 @@ def test_fig10_lag_distributions(benchmark, capsys):
     assert span("wf2q", "t1") < span("wfq", "t1") / 4
     assert span("2dfq", "t7") > span("2dfq", "t1")
     assert span("wfq", "t7") > 10 * span("2dfq", "t1")
-    emit(capsys, "fig10: service-lag variation CDFs", text)
+    emit_figure(capsys, "fig10", data)

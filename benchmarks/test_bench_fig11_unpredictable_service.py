@@ -17,65 +17,37 @@ paper's core claim -- reproduces clearly.
 
 import numpy as np
 
-from repro.experiments.report import format_table, sparkline
+from repro.figures import FIGURES
 
-from conftest import emit, once
-from shared_runs import UNPRED_FRACTIONS, unpredictable_sweep_service
+from conftest import emit_figure, once
 
 
 def test_fig11_unpredictable_service(benchmark, capsys):
-    sweep = once(benchmark, unpredictable_sweep_service)
-
-    text = ""
-    sigma_table = {}
-    for fraction, result in zip(sweep.fractions, sweep.results):
-        fair = result.fair_rate()
-        text += f"--- {fraction:.0%} unpredictable ---\n"
-        text += "T1 service rate (100ms bins):\n"
-        for name, run in result.runs.items():
-            series = run.service_series("T1")
-            text += f"  {name:>7} {sparkline(series.service_rate().tolist())}\n"
-            sigma_table[(fraction, name)] = series.lag_sigma(fair)
-        text += "\n"
-
-    rows = []
-    names = sweep.results[0].scheduler_names
-    for fraction in sweep.fractions:
-        rows.append(
-            tuple([f"{fraction:.0%}"] + [sigma_table[(fraction, n)] for n in names])
-        )
-    text += "sigma(T1 service lag) [s]:\n"
-    text += format_table(["unpredictable"] + names, rows)
-
-    text += "\n\nFigure 11b -- 2DFQ^E mean log10(cost) per thread:\n"
-    for fraction, result in zip(sweep.fractions, sweep.results):
-        means = result["2dfq-e"].thread_cost_partition(32)
-        text += f"  {fraction:.0%}: " + " ".join(
-            "." if np.isnan(m) else f"{m:.1f}" for m in means
-        ) + "\n"
+    sweep, sigma_table = data = once(benchmark, FIGURES["fig11"].run)
 
     # Shape assertions: 2DFQ^E beats WFQ^E clearly at every level and
     # never loses to WF2Q^E; at the predictable end the gap is large
     # (paper: 10-15x at full scale).
-    for fraction in UNPRED_FRACTIONS:
+    for fraction in sweep.fractions:
         assert sigma_table[(fraction, "2dfq-e")] < sigma_table[(fraction, "wfq-e")] / 2
         assert (
             sigma_table[(fraction, "2dfq-e")]
             <= sigma_table[(fraction, "wf2q-e")] * 1.05
         )
-    first = UNPRED_FRACTIONS[0]
+    first = sweep.fractions[0]
     assert sigma_table[(first, "2dfq-e")] < sigma_table[(first, "wfq-e")] / 3
     assert sigma_table[(first, "2dfq-e")] < sigma_table[(first, "wf2q-e")] / 3
     # 2DFQ^E partitions by size crisply while the workload is mostly
     # predictable; the partitioning coarsens as tenants are scrambled
     # (paper: "the partitioning becomes more coarse grained").
-    partition0 = sweep.results[0]["2dfq-e"].thread_cost_partition(32)
+    threads = sweep.results[0].config.num_threads
+    partition0 = sweep.results[0]["2dfq-e"].thread_cost_partition(threads)
     valid0 = partition0[~np.isnan(partition0)]
     assert valid0[:4].mean() > valid0[-4:].mean() + 0.3
     contrast = []
     for result in sweep.results:
-        p = result["2dfq-e"].thread_cost_partition(32)
+        p = result["2dfq-e"].thread_cost_partition(threads)
         v = p[~np.isnan(p)]
         contrast.append(float(v[: len(v) // 2].mean() - v[len(v) // 2:].mean()))
     assert contrast[-1] < contrast[0]  # coarser under unpredictability
-    emit(capsys, "fig11: unpredictable workloads (unknown costs)", text)
+    emit_figure(capsys, "fig11", data)

@@ -12,48 +12,13 @@ gap is smaller but the ordering and growth direction hold); T10 -- the
 genuinely unpredictable tenant -- sees no improvement.
 """
 
-import numpy as np
+from repro.figures import FIGURES
 
-from repro.experiments.report import format_table
-from repro.workloads.azure import NAMED_TENANT_IDS
-from repro.workloads.synthetic import FIXED_COST_IDS
-
-from conftest import emit, once
-from shared_runs import unpredictable_sweep
+from conftest import emit_figure, once
 
 
 def test_fig12_latency_distributions(benchmark, capsys):
-    sweep = once(benchmark, unpredictable_sweep)
-    names = sweep.results[0].scheduler_names
-
-    text = ""
-    p99 = {}
-    for fraction, result in zip(sweep.fractions, sweep.results):
-        text += f"--- {fraction:.0%} unpredictable: p99 latency [s] ---\n"
-        rows = []
-        for tenant in list(NAMED_TENANT_IDS) + list(FIXED_COST_IDS):
-            row = [tenant]
-            for name in names:
-                value = result[name].latency_p99(tenant)
-                p99[(fraction, name, tenant)] = value
-                row.append(value)
-            rows.append(tuple(row))
-        text += format_table(["tenant"] + names, rows) + "\n\n"
-
-    text += "sigma(service lag) CDF medians [s]:\n"
-    rows = []
-    for fraction, result in zip(sweep.fractions, sweep.results):
-        fair = result.fair_rate()
-        row = [f"{fraction:.0%}"]
-        for name in names:
-            sigmas = [
-                v
-                for v in result[name].lag_sigmas(reference_rate=fair).values()
-                if not np.isnan(v)
-            ]
-            row.append(float(np.median(sigmas)))
-        rows.append(tuple(row))
-    text += format_table(["unpredictable"] + names, rows)
+    sweep, p99 = data = once(benchmark, FIGURES["fig12"].run)
 
     low, mid, high = sweep.fractions
     # Small predictable tenants (T1, T2): at 66% unpredictable, 2DFQ^E's
@@ -71,4 +36,4 @@ def test_fig12_latency_distributions(benchmark, capsys):
     t10_gain = p99[(high, "wfq-e", "T10")] / p99[(high, "2dfq-e", "T10")]
     t1_gain = p99[(high, "wfq-e", "T1")] / p99[(high, "2dfq-e", "T1")]
     assert t1_gain > t10_gain
-    emit(capsys, "fig12: latency distributions (unknown costs)", text)
+    emit_figure(capsys, "fig12", data)

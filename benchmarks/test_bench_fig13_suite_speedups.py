@@ -7,68 +7,19 @@ over WFQ^E and WF2Q^E for each reference tenant.  Expected shape: strong
 median speedups for the small predictable tenants (T1..T4), near-parity
 or losses for the large/unpredictable ones (T10, T12).
 
-CI scale: 10 experiments over reduced ranges (see SuiteParameters
-below); EXPERIMENTS.md records the scaling.
+CI scale: fewer experiments over reduced ranges (the fig13 entry of
+``repro.figures``); EXPERIMENTS.md records the scaling.
 """
 
 import numpy as np
 
-from repro.experiments.report import format_table
-from repro.experiments.suite import SuiteParameters, run_suite
-from repro.workloads.azure import NAMED_TENANT_IDS
+from repro.figures import FIGURES
 
-from conftest import emit, once
-
-PARAMS = SuiteParameters(
-    num_experiments=10,
-    threads=(4, 16),
-    replay_tenants=(10, 80),
-    replay_speed=(0.5, 2.0),
-    backlogged_tenants=(0, 8),
-    expensive_tenants=(0, 8),
-    unpredictable_tenants=(0, 60),
-    duration=4.0,
-    thread_rate=1.0e6,
-    open_loop_utilization=1.2,
-    seed=13,
-)
+from conftest import emit_figure, once
 
 
 def test_fig13_suite_speedups(benchmark, capsys):
-    result = once(benchmark, lambda: run_suite(PARAMS))
-
-    text = "Experiments:\n"
-    for e in result.experiments:
-        text += (
-            f"  #{e.index}: threads={e.num_threads} replay={e.num_replay} "
-            f"speed={e.replay_speed:.2f} backlogged={e.num_backlogged} "
-            f"expensive={e.num_expensive} unpredictable={e.num_unpredictable}\n"
-        )
-
-    def signed(ratio: float) -> float:
-        return ratio if ratio >= 1.0 else -1.0 / ratio
-
-    rows = []
-    for baseline in ("wfq-e", "wf2q-e"):
-        ratios = result.ratios(baseline)
-        for tenant in NAMED_TENANT_IDS:
-            values = ratios[tenant]
-            if not values:
-                continue
-            rows.append(
-                (
-                    baseline,
-                    tenant,
-                    len(values),
-                    signed(float(np.min(values))),
-                    signed(float(np.median(values))),
-                    signed(float(np.max(values))),
-                )
-            )
-    text += "\n2DFQ^E p99 speedup distribution per tenant:\n"
-    text += format_table(
-        ["baseline", "tenant", "n", "min", "median", "max"], rows
-    )
+    result = once(benchmark, FIGURES["fig13"].run)
 
     # Shape assertions: across the suite, the small predictable tenants'
     # median speedup is at least parity against both baselines, and the
@@ -82,4 +33,4 @@ def test_fig13_suite_speedups(benchmark, capsys):
         assert np.median(small_medians) >= 1.0
         best_t1 = max(result.ratios(baseline, tenants=("T1",))["T1"])
         assert best_t1 > 1.2
-    emit(capsys, "fig13: randomized suite p99 speedups", text)
+    emit_figure(capsys, "fig13", result)

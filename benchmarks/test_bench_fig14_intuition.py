@@ -5,39 +5,17 @@ unpredictable (right) workloads, every scheduler's quality of service
 falls, but 2DFQ^E degrades much more slowly than WFQ^E / WF2Q^E --
 opening the gap in the middle where typical workloads live.
 
-QoS score = normalized 1 / median(p99 latency of the predictable small
-tenants T1..T4).
+QoS score = normalized 1 / median(sigma(service lag) of the
+predictable small tenants T1..T4).
 """
 
-from repro.experiments.intuition import run_intuition_sweep
-from repro.experiments.report import format_table, sparkline
-from repro.experiments.unpredictable import unpredictable_config
+from repro.figures import FIGURES
 
-from conftest import emit, once
-
-FRACTIONS = (0.0, 0.5, 1.0)
+from conftest import emit_figure, once
 
 
 def test_fig14_intuition_curve(benchmark, capsys):
-    def run():
-        config = unpredictable_config(duration=5.0)
-        return run_intuition_sweep(
-            fractions=FRACTIONS, num_random=80, config=config,
-            open_loop_utilization=1.3,
-        )
-
-    curve = once(benchmark, run)
-
-    rows = []
-    for i, fraction in enumerate(curve.fractions):
-        rows.append(
-            tuple([f"{fraction:.0%}"] + [curve.qos[n][i] for n in curve.qos])
-        )
-    text = "QoS (normalized 1/median sigma(lag) of T1..T4) vs unpredictability:\n"
-    text += format_table(["unpredictable"] + list(curve.qos), rows)
-    text += "\n"
-    for name, series in curve.qos.items():
-        text += f"\n  {name:>7} {sparkline(series)}"
+    curve = once(benchmark, FIGURES["fig14"].run)
 
     # Shape (paper Figure 14): 2DFQ^E's quality-of-service curve sits
     # above both baselines at every unpredictability level, with a
@@ -48,4 +26,4 @@ def test_fig14_intuition_curve(benchmark, capsys):
     middle = len(curve.fractions) // 2
     assert curve.qos["2dfq-e"][middle] > 2.0 * curve.qos["wfq-e"][middle]
     assert curve.qos["2dfq-e"][middle] > 2.0 * curve.qos["wf2q-e"][middle]
-    emit(capsys, "fig14: QoS vs unpredictability intuition curve", text)
+    emit_figure(capsys, "fig14", curve)

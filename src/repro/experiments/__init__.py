@@ -32,7 +32,7 @@ from .production import (
     production_specs,
     run_production,
 )
-from .report import format_named_series, format_table, sparkline
+from .report import format_table, sparkline
 from .runner import ComparisonResult, run_comparison, run_single
 from .schedule_examples import (
     ScheduledSlot,
@@ -77,6 +77,5 @@ __all__ = [
     "run_intuition_sweep",
     "IntuitionCurve",
     "format_table",
-    "format_named_series",
     "sparkline",
 ]

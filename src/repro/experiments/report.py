@@ -1,15 +1,16 @@
 """ASCII rendering of experiment results.
 
-The benchmark harness prints the same rows and series the paper's
-figures show; these helpers keep that output consistent and readable in
-terminals and in the committed ``bench_output.txt``.
+The figure registry (:mod:`repro.figures`) and the ablation benchmarks
+print the rows and series the paper's figures show; these helpers keep
+that output consistent and readable in terminals and in the committed
+``benchmarks/results/*.txt``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, Sequence
 
-__all__ = ["format_table", "format_named_series", "sparkline"]
+__all__ = ["format_table", "sparkline"]
 
 _SPARK_CHARS = " .:-=+*#%@"
 
@@ -48,23 +49,3 @@ def sparkline(values: Sequence[float]) -> str:
         return _SPARK_CHARS[0] * len(values)
     scale = (len(_SPARK_CHARS) - 1) / (high - low)
     return "".join(_SPARK_CHARS[int((v - low) * scale)] for v in values)
-
-
-def format_named_series(
-    title: str, series: Dict[str, Sequence[float]], width: int = 60
-) -> str:
-    """Render several series as labelled sparklines with min/max."""
-    lines: List[str] = [title]
-    for name, values in series.items():
-        values = list(values)
-        if len(values) > width:
-            stride = len(values) / width
-            values = [values[int(i * stride)] for i in range(width)]
-        if values:
-            lines.append(
-                f"  {name:>8} [{min(values):10.4g}, {max(values):10.4g}] "
-                f"{sparkline(values)}"
-            )
-        else:
-            lines.append(f"  {name:>8} (no data)")
-    return "\n".join(lines)

@@ -13,7 +13,7 @@ from repro.experiments.expensive_requests import (
     sigma_vs_expensive,
     small_tenant_series,
 )
-from repro.experiments.report import format_named_series, format_table, sparkline
+from repro.experiments.report import format_table, sparkline
 from repro.experiments.runner import run_comparison, run_single
 from repro.experiments.suite import (
     SuiteParameters,
@@ -272,9 +272,3 @@ class TestReport:
         assert line[0] == " " and line[-1] == "@"
         assert sparkline([]) == ""
         assert sparkline([5.0, 5.0]) == "  "
-
-    def test_named_series(self):
-        text = format_named_series("title", {"wfq": [1.0, 2.0], "none": []})
-        assert "title" in text
-        assert "wfq" in text
-        assert "(no data)" in text

@@ -1,16 +1,31 @@
 """Tests for the python -m repro.figures CLI (fast figures only)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.figures import FIGURES, main
+
+TESTS = Path(__file__).resolve().parent
+RESULTS = TESTS.parent / "benchmarks" / "results"
+CHAOS_PLAN = TESTS / "data" / "chaos_plan.json"
+
+PAPER_IDS = [f"fig{n:02d}" for n in (1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14)]
 
 
 class TestCLI:
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for fig in FIGURES:
-            assert fig in out
+        assert out.split() == PAPER_IDS + ["figfault", "figfleet"]
+        assert list(FIGURES) == out.split()
+
+    @pytest.mark.parametrize("fig", PAPER_IDS[:6])
+    def test_prints_the_committed_file(self, capsys, fig):
+        # The CLI and the figure benchmark render one registry entry, so
+        # the CLI's text is the committed result file, byte for byte.
+        assert main([fig]) == 0
+        assert capsys.readouterr().out == (RESULTS / f"{fig}.txt").read_text()
 
     def test_unknown_figure(self, capsys):
         with pytest.raises(SystemExit):
@@ -128,6 +143,20 @@ class TestParallelFlags:
                 ["fig06", "--trace", str(tmp_path / "t"),
                  "--audit", str(tmp_path / "a")]
             )
+
+    @pytest.mark.parametrize(
+        "argv, fig",
+        [
+            (["fig06", "--validate"], "fig06"),
+            (["fig13", "--faults", str(CHAOS_PLAN)], "fig13"),
+            (["fig08", "fig01", "--validate"], "fig01"),
+        ],
+    )
+    def test_fault_flags_rejected_where_no_config_is_built(self, capsys, argv, fig):
+        # fig01-fig06 and fig13 build no ExperimentConfig, so the flags
+        # cannot reach their runs; the CLI refuses rather than drop them.
+        err = assert_usage_error(capsys, argv)
+        assert f"{fig} runs no experiment config" in err
 
     def test_bad_fault_plan_is_a_usage_error(self, capsys, tmp_path):
         plan = tmp_path / "plan.json"
