@@ -161,7 +161,7 @@ def occupancy_expensive_fraction(
     (Figure 8b in one number per thread).  Under 2DFQ the vector is a
     step function -- some threads ~1.0, the rest ~0.0; under WFQ/WF2Q it
     is near-uniform."""
-    threads, costs, durations = dispatch_columns(run.dispatch_log, num_threads)
+    threads, costs, durations = dispatch_columns(run.partial.dispatch_log, num_threads)
     busy = np.bincount(threads, weights=durations, minlength=num_threads)
     expensive = costs >= cost_threshold
     expensive_time = np.bincount(

@@ -90,6 +90,16 @@ def _check_number(value: Any, what: str) -> None:
         raise ConfigurationError(f"{what} must be a number, got {value!r}")
 
 
+def _check_factor(factor: Any) -> None:
+    # An infinite factor reaches ThreadPoolServer.set_worker_speed, which
+    # refuses it mid-run.
+    _check_number(factor, "slowdown factor")
+    if not 0 <= factor < math.inf:
+        raise ConfigurationError(
+            f"slowdown factor must be finite and >= 0, got {factor}"
+        )
+
+
 def _check_integer(value: Any, what: str) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigurationError(f"{what} must be an integer, got {value!r}")
@@ -127,11 +137,7 @@ class WorkerSlowdown:
         if self.worker < 0:
             raise ConfigurationError(f"worker index must be >= 0, got {self.worker}")
         _check_window(self.start, self.end, "slowdown")
-        _check_number(self.factor, "slowdown factor")
-        if self.factor < 0:
-            raise ConfigurationError(
-                f"slowdown factor must be >= 0, got {self.factor}"
-            )
+        _check_factor(self.factor)
 
 
 @dataclass(frozen=True)
@@ -313,11 +319,7 @@ class ServerSlowdown:
                 f"server index must be >= 0, got {self.server}"
             )
         _check_window(self.start, self.end, "server slowdown")
-        _check_number(self.factor, "slowdown factor")
-        if self.factor < 0:
-            raise ConfigurationError(
-                f"slowdown factor must be >= 0, got {self.factor}"
-            )
+        _check_factor(self.factor)
 
 
 _KIND_CLASSES = {

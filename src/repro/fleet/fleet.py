@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     FrozenSet,
@@ -58,7 +59,6 @@ from ..errors import ConfigurationError
 from ..faults.plan import retry_delay
 from ..obs.tracer import Tracer
 from ..simulator.clock import Simulation
-from ..simulator.gps import Arrival
 from ..simulator.rng import make_rng
 from ..simulator.server import ThreadPoolServer
 from .router import Router, make_router
@@ -188,8 +188,9 @@ class Fleet:
         self._complete_listeners: List[RequestListener] = []
         self._abandon_listeners: List[RequestListener] = []
         self._capacity_listeners: List[CapacityListener] = []
-        # The attached run record's parts (attach_record).
-        self._arrivals: Optional[List[Arrival]] = None
+        # The attached run record's parts (attach_record); arrivals
+        # are a flat list of plain values.
+        self._arrivals: Optional[List[Any]] = None
         self._latencies: Dict[str, List[float]] = {}
         self._latency_from = math.inf
         for index, server in enumerate(self.servers):
@@ -228,15 +229,32 @@ class Fleet:
         recovery -- the fleet-wide GPS reference re-rates on this."""
         self._capacity_listeners.append(fn)
 
+    def remove_capacity_listener(self, fn: CapacityListener) -> None:
+        """Unregister every listener equal to ``fn`` from
+        :meth:`on_capacity_change`; a listener never registered is no
+        error."""
+        self._capacity_listeners[:] = [
+            listener for listener in self._capacity_listeners if listener != fn
+        ]
+
     def attach_record(self, record: "RunRecord") -> None:
         """Attach the :class:`~repro.metrics.store.RunRecord` a fleet
-        collector reads: every admission appends its
-        ``(tenant, cost, now, weight)`` arrival (a failover retry is no
+        collector reads: every admission extends its arrivals by
+        ``tenant, cost, now, weight`` (a failover retry is no
         admission) and every fleet-level completion at or after the
-        record's warmup its latency.  The fleet keeps no dispatch log."""
+        record's warmup appends its latency.  The fleet keeps no
+        dispatch log."""
         self._arrivals = record.arrivals
         self._latencies = record.latencies
         self._latency_from = record.warmup
+
+    def detach_record(self, record: "RunRecord") -> None:
+        """Stop writing into ``record`` (a no-op once another record is
+        attached), so the fleet holds no reference to it."""
+        if self._arrivals is record.arrivals:
+            self._arrivals = None
+            self._latencies = {}
+            self._latency_from = math.inf
 
     def attach_tracer(self, tracer: Optional[Tracer]) -> None:
         """Attach a tracer for route/fault events and ``fleet.*`` gauges
@@ -311,7 +329,7 @@ class Fleet:
         self.counts["admitted"] += 1
         arrivals = self._arrivals
         if arrivals is not None:
-            arrivals.append(
+            arrivals.extend(
                 (request.tenant_id, request.cost, self.sim.now, request.weight)
             )
         for fn in self._admit_listeners:
@@ -380,9 +398,10 @@ class Fleet:
         self.counts["completed"] += 1
         done = request.completion_time
         if done >= self._latency_from:
-            self._latencies.setdefault(request.tenant_id, []).append(
-                done - request.arrival_time
-            )
+            latencies = self._latencies.get(request.tenant_id)
+            if latencies is None:
+                latencies = self._latencies[request.tenant_id] = []
+            latencies.append(done - request.arrival_time)
         for fn in self._complete_listeners:
             fn(request)
 

@@ -63,6 +63,10 @@ class FleetCollector(MetricsCollector):
         fleet.attach_record(self._record)
         fleet.on_capacity_change(self._on_capacity_change)
 
+    def _detach(self, fleet: Any) -> None:
+        fleet.detach_record(self._record)
+        fleet.remove_capacity_listener(self._on_capacity_change)
+
     def _on_capacity_change(self, now: float, capacity: float) -> None:
         self.capacity_timeline.append((now, capacity))
         if capacity > 0:

@@ -21,15 +21,18 @@ Everything lands in one store, a
 
 The collector registers no per-request listener.  It attaches a
 :class:`~repro.metrics.store.RunRecord` to the server
-(``attach_record``), which appends each arrival, dispatch record and
-post-warmup latency straight into the store.  Each sample replays the
-arrivals since the last one into the GPS reference
+(``attach_record``), which writes each arrival, dispatch record and
+post-warmup latency straight into the store, as plain values.  Each
+sample replays the arrivals since the last one into the GPS reference
 (:meth:`~repro.simulator.gps.GPSReference.replay`, bit for bit the
 per-arrival state) and stores one row: the seen tenants' actual
 service, the GPS reference's fluid state and the schedulers' active
 flags, each built by a C-level map.  Per-tenant columns, lags and Gini
 indices are folded from the rows with numpy when the store is first
-read.
+read.  ``result()`` ends the collection: it cancels the next sample
+and detaches the record, so nothing the simulation keeps alive refers
+to the store, and a finished run is freed by reference counting
+(DESIGN.md §13, *GC discipline*).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from __future__ import annotations
 import math
 from array import array
 from itertools import islice
-from operator import attrgetter, itemgetter, sub
+from operator import attrgetter, sub
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -52,10 +55,11 @@ import numpy as np
 
 from ..units import Duration, Rate, SimTime
 from ..simulator.gps import GPSReference
-from ..simulator.server import DispatchRecord, ThreadPoolServer
+from ..simulator.clock import EventHandle
+from ..simulator.server import DISPATCH_FIELDS, DispatchRecord, ThreadPoolServer
 from .latency import LatencyStats, latency_stats
 from .service import ServiceSeries, _check_reference_rate, lag_std
-from .store import MetricsPartial, RunRecord
+from .store import DispatchLog, MetricsPartial, RunRecord
 
 if TYPE_CHECKING:  # import cycle: the fleet collector subclasses this one
     from ..fleet.fleet import Fleet
@@ -73,31 +77,34 @@ _weight = attrgetter("weight")
 
 
 def dispatch_columns(
-    log: Sequence[DispatchRecord], num_threads: int
+    flat: Sequence[Any], num_threads: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The thread ids, costs and durations (``end - start``) of a
-    dispatch log as fresh arrays, in log order, for the per-thread
-    ``np.bincount`` sums of the occupancy reductions: bincount adds in
-    input order, so each sum has the bits of a per-record loop.  Each
-    column is read straight into its array, so the log's size in
-    temporaries is three float64 columns.
+    """The thread ids, costs and durations (``end - start``) of a flat
+    dispatch log (:attr:`MetricsPartial.dispatch_log
+    <repro.metrics.store.MetricsPartial>`) as fresh arrays, in log
+    order, for the per-thread ``np.bincount`` sums of the occupancy
+    reductions: bincount adds in input order, so each sum has the bits
+    of a per-record loop.  Each column is read from one strided slice,
+    so the log's size in temporaries is three float64 columns and a
+    slice of references.
 
     Raises ``ValueError`` naming the first record whose thread id lies
     outside ``range(num_threads)``: indexing would fold a negative id
     into the last thread, and ``minlength`` would silently lengthen the
     result for an id past the end."""
-    n = len(log)
-    threads = np.fromiter(map(itemgetter(0), log), dtype=np.intp, count=n)
+    n = len(flat) // DISPATCH_FIELDS
+    threads = np.fromiter(flat[0::DISPATCH_FIELDS], dtype=np.intp, count=n)
     outside = (threads < 0) | (threads >= num_threads)
     if outside.any():
         index = int(np.argmax(outside))
+        record = DispatchLog(flat)[index]
         raise ValueError(
-            f"dispatch record {index} {log[index]!r} has thread_id "
-            f"{log[index][0]}, outside range(num_threads={num_threads})"
+            f"dispatch record {index} {record!r} has thread_id "
+            f"{record.thread_id}, outside range(num_threads={num_threads})"
         )
-    costs = np.fromiter(map(itemgetter(3), log), dtype=float, count=n)
+    costs = np.fromiter(flat[3::DISPATCH_FIELDS], dtype=float, count=n)
     durations = np.fromiter(
-        map(sub, map(itemgetter(5), log), map(itemgetter(4), log)),
+        map(sub, flat[5::DISPATCH_FIELDS], flat[4::DISPATCH_FIELDS]),
         dtype=float,
         count=n,
     )
@@ -141,9 +148,14 @@ class MetricsCollector:
     occupancy plots become unavailable but long runs save the memory).
 
     The sampler reads only the target's ``sim``, ``capacity`` and
-    ``service_snapshot``; :meth:`_attach` attaches the run record, so
+    ``service_snapshot``; :meth:`_attach` attaches the run record and
+    :meth:`_detach` detaches it, so
     :class:`~repro.fleet.metrics.FleetCollector` samples a fleet by
-    overriding it (DESIGN.md §16).
+    overriding them (DESIGN.md §16).
+
+    :meth:`result` ends the collection: it cancels the pending sample
+    and detaches the record, so a submit after it is not recorded and
+    the simulation keeps no reference to the store.
     """
 
     def __init__(
@@ -184,13 +196,21 @@ class MetricsCollector:
         # its first sample in the past and raised SimulationError.
         self._epoch: SimTime = self._sim.now
         self._attach(server)
-        self._sim.at(self._epoch + self._interval, self._sample)
+        #: The pending sample event; ``None`` once :meth:`result` ends
+        #: the collection.
+        self._next_sample: Optional[EventHandle] = self._sim.at(
+            self._epoch + self._interval, self._sample
+        )
 
     def _attach(self, server: Any) -> None:
         """Attach the run record to the target and read its scheduler's
         tenants for the Gini rows."""
         server.attach_record(self._record)
         self._states = server.scheduler.tenants()
+
+    def _detach(self, server: Any) -> None:
+        """Undo :meth:`_attach`: the target stops writing the record."""
+        server.detach_record(self._record)
 
     def attach_tracer(self, tracer) -> None:
         """Attach a :class:`repro.obs.Tracer`; the collector contributes
@@ -202,11 +222,12 @@ class MetricsCollector:
 
     def _replay_arrivals(self) -> None:
         """Feed the arrivals the target recorded to the GPS reference, in
-        order, and empty the list (the target keeps appending to it)."""
+        order, and empty the flat list (the target keeps extending it)."""
         arrivals = self._record.arrivals
         if arrivals:
+            it = iter(arrivals)
             try:
-                self._gps.replay(arrivals)
+                self._gps.replay(zip(it, it, it, it))
             finally:
                 arrivals.clear()
 
@@ -252,7 +273,7 @@ class MetricsCollector:
         if trace is not None:
             trace.registry.counter("collector.samples").inc()
         self._sample_index += 1
-        self._sim.at(
+        self._next_sample = self._sim.at(
             self._epoch + (self._sample_index + 1) * self._interval,
             self._sample,
         )
@@ -262,9 +283,18 @@ class MetricsCollector:
     def result(self) -> "RunMetrics":
         """Freeze collected data (call after the simulation finishes).
 
+        The first call ends the collection: it cancels the pending
+        sample and detaches the run record from the target, so the
+        simulation, server or fleet holds no reference to the store and
+        nothing later is recorded.  A later call returns the same data.
+
         Replays the arrivals since the last sample, so a bad arrival
         (a tenant re-arriving with another weight) raises here even when
         the run ends before the next sample."""
+        if self._next_sample is not None:
+            self._sim.cancel(self._next_sample)
+            self._next_sample = None
+            self._detach(self._server)
         self._replay_arrivals()
         return RunMetrics(self._partial)
 
@@ -281,7 +311,11 @@ class RunMetrics:
         gini = partial.gini
         self.gini_times = np.asarray([t for t, _ in gini])
         self.gini_values = np.asarray([v for _, v in gini])
-        self.dispatch_log: List[DispatchRecord] = partial.dispatch_log
+        #: Every dispatch, as a read-only :class:`DispatchRecord` view of
+        #: the store's flat log.
+        self.dispatch_log: Sequence[DispatchRecord] = DispatchLog(
+            partial.dispatch_log
+        )
 
     # -- service -------------------------------------------------------------
 
@@ -357,7 +391,9 @@ class RunMetrics:
         run expensive requests); under WFQ/WF2Q it is flat -- the
         quantitative version of the occupancy figures.
         """
-        threads, costs, durations = dispatch_columns(self.dispatch_log, num_threads)
+        threads, costs, durations = dispatch_columns(
+            self.partial.dispatch_log, num_threads
+        )
         # In place: log10(max(cost, 1e-12)) * duration, per record.
         weights = np.log10(np.maximum(costs, 1e-12, out=costs), out=costs)
         weights *= durations

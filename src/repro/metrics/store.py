@@ -7,35 +7,43 @@ part of it keeps every value:
 * service curves, service lag and Gini samples -- one
   :class:`ServiceRecorder` of row samples, folded into per-tenant
   columns with numpy when first read;
-* dispatch log -- a list of records, in dispatch order.
+* dispatch log -- one flat list of plain values, six per record, in
+  dispatch order, read back through a :class:`DispatchLog` view.
 
 While a run is live, the server (or fleet) writes its lifecycle facts
 straight into a :class:`RunRecord` whose lists are the store's own.
+Per-request data is stored as plain strs and numbers in flat lists, so
+no per-request container stays tracked by the garbage collector
+(DESIGN.md §13, *GC discipline*).
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..simulator.gps import Arrival, fluid_services
+from ..simulator.gps import fluid_services
+from ..simulator.server import DISPATCH_FIELDS, DispatchRecord
 from ..units import Cost, Duration, Scalar, SimTime
 from .gini import gini_rows
 from .service import ServiceSeries
 
-__all__ = ["MetricsPartial", "RunRecord", "ServiceRecorder"]
+__all__ = ["DispatchLog", "MetricsPartial", "RunRecord", "ServiceRecorder"]
 
 
 class RunRecord:
     """What a :class:`~repro.simulator.server.ThreadPoolServer` or a
     :class:`~repro.fleet.fleet.Fleet` writes while a collector is
     attached (``attach_record``): each arrival's
-    ``(tenant, cost, now, weight)`` until the collector replays it into
-    its GPS reference, each dispatch record (when ``dispatch_log`` is
-    not ``None``) and each latency of a completion at or after
-    ``warmup``.  The lists are plain: a write is one ``list.append``."""
+    ``tenant, cost, now, weight`` until the collector replays it into
+    its GPS reference, each dispatch record's values (when
+    ``dispatch_log`` is not ``None``) and each latency of a completion
+    at or after ``warmup``.  ``arrivals`` and ``dispatch_log`` are flat
+    lists of plain values, four and :data:`~repro.simulator.server.
+    DISPATCH_FIELDS` per item: a write is one ``list.extend`` and
+    leaves no container for the garbage collector to track."""
 
     __slots__ = ("arrivals", "dispatch_log", "latencies", "warmup")
 
@@ -45,12 +53,45 @@ class RunRecord:
         warmup: Duration,
         record_dispatches: bool = True,
     ) -> None:
-        self.arrivals: List[Arrival] = []
+        self.arrivals: List[Any] = []
         self.dispatch_log: Optional[List[Any]] = (
             partial.dispatch_log if record_dispatches else None
         )
         self.latencies: Dict[str, List[Duration]] = partial.latencies
         self.warmup: Duration = float(warmup)
+
+
+class DispatchLog(Sequence[DispatchRecord]):
+    """Read-only :class:`~repro.simulator.server.DispatchRecord` view of
+    a flat dispatch log.
+
+    ``len`` is O(1); each read builds fresh records from the flat
+    values, so the flat list stays the only store."""
+
+    __slots__ = ("_flat",)
+
+    def __init__(self, flat: List[Any]) -> None:
+        self._flat = flat
+
+    def __len__(self) -> int:
+        return len(self._flat) // DISPATCH_FIELDS
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("dispatch log index out of range")
+        start = index * DISPATCH_FIELDS
+        return DispatchRecord._make(self._flat[start : start + DISPATCH_FIELDS])
+
+    def __iter__(self) -> Iterator[DispatchRecord]:
+        it = iter(self._flat)
+        return map(DispatchRecord, it, it, it, it, it, it)
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} dispatch records>"
 
 
 class _Folded(NamedTuple):
@@ -407,9 +448,12 @@ class MetricsPartial:
     """Every statistic of one run: the picklable store behind
     :class:`~repro.metrics.collector.RunMetrics`.
 
-    Writers append straight into ``latencies[tenant]`` and
+    Writers append straight into ``latencies[tenant]`` and extend
     ``dispatch_log`` (through a :class:`RunRecord`), and the periodic
     samples into ``series``; ``gini`` is folded from ``series``.
+    ``dispatch_log`` is flat: each record's
+    :data:`~repro.simulator.server.DISPATCH_FIELDS` values in field
+    order (:class:`DispatchLog` reads it back as records).
     """
 
     def __init__(self, sample_interval: Duration) -> None:

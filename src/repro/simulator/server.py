@@ -31,6 +31,7 @@ from itertools import repeat
 from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     Iterable,
@@ -44,25 +45,26 @@ from ..core.scheduler import Scheduler
 from ..errors import ConfigurationError, SimulationError
 from ..units import Cost, Duration, Rate, Scalar, SimTime
 from .clock import Simulation
-from .gps import Arrival
 
 if TYPE_CHECKING:  # import cycles: repro.obs and repro.metrics read the simulator
     from ..metrics.store import RunRecord
     from ..obs.tracer import Tracer
 
-__all__ = ["DispatchRecord", "ThreadPoolServer", "Worker"]
+__all__ = ["DISPATCH_FIELDS", "DispatchRecord", "ThreadPoolServer", "Worker"]
 
 RequestListener = Callable[[Request], None]
 
 
 class DispatchRecord(NamedTuple):
-    """One executed request in the occupancy log (an immutable tuple:
-    cheaper to build per dispatch than a frozen dataclass).  ``end`` is
-    the request's departure: its completion time as predicted at
-    dispatch (``start + cost / (rate * speed)``; a stalled worker's
-    request is predicted at full speed), re-filed by the rare paths
-    that move it (a speed change, an abort, a worker crash).  A request
-    still running at the end of a run keeps its latest prediction."""
+    """One executed request in the occupancy log.  The server files
+    each one as :data:`DISPATCH_FIELDS` plain values in a flat list
+    (:meth:`ThreadPoolServer.attach_record`), and a read of the log
+    builds the record.  ``end`` is the request's departure: its
+    completion time as predicted at dispatch
+    (``start + cost / (rate * speed)``; a stalled worker's request is
+    predicted at full speed), re-filed by the rare paths that move it
+    (a speed change, an abort, a worker crash).  A request still
+    running at the end of a run keeps its latest prediction."""
 
     thread_id: int
     tenant_id: str
@@ -72,8 +74,8 @@ class DispatchRecord(NamedTuple):
     end: SimTime
 
 
-# Builds a DispatchRecord without the NamedTuple's Python-level __new__.
-_new_record = tuple.__new__
+#: Values per record in a flat dispatch log, in field order.
+DISPATCH_FIELDS = len(DispatchRecord._fields)
 
 #: ``worker.request`` as a C-level getter: :attr:`ThreadPoolServer.
 #: busy_workers` counts without a Python frame per worker.
@@ -184,10 +186,11 @@ class ThreadPoolServer:
         self._dispatch_listeners: List[RequestListener] = []
         self._complete_listeners: List[RequestListener] = []
         # The attached run record's parts (attach_record), each written
-        # behind one check: arrivals, dispatches, and the latencies of
-        # completions at or after _latency_from (inf while unattached).
-        self._arrivals: Optional[List[Arrival]] = None
-        self._dispatch_log: Optional[List[DispatchRecord]] = None
+        # behind one check: arrivals and dispatches as flat lists of
+        # plain values, and the latencies of completions at or after
+        # _latency_from (inf while unattached).
+        self._arrivals: Optional[List[Any]] = None
+        self._dispatch_log: Optional[List[Any]] = None
         self._latencies: Dict[str, List[Duration]] = {}
         self._latency_from: SimTime = math.inf
         self._completed_cost: dict[str, Cost] = {}
@@ -210,15 +213,26 @@ class ThreadPoolServer:
 
     def attach_record(self, record: "RunRecord") -> None:
         """Attach the :class:`~repro.metrics.store.RunRecord` a metrics
-        collector reads: from now on every submit appends its
-        ``(tenant, cost, now, weight)`` arrival, every dispatch its
-        :class:`DispatchRecord` (unless the record keeps no dispatch
-        log) and every completion at or after the record's warmup its
-        latency, straight into the record's lists."""
+        collector reads: from now on every submit extends the record's
+        arrivals by its ``tenant, cost, now, weight``, every dispatch
+        the dispatch log by its :class:`DispatchRecord`'s values (unless
+        the record keeps no dispatch log), and every completion at or
+        after the record's warmup appends its latency.  Every value is
+        a plain str or number, so no per-request container is left for
+        the garbage collector to track."""
         self._arrivals = record.arrivals
         self._dispatch_log = record.dispatch_log
         self._latencies = record.latencies
         self._latency_from = record.warmup
+
+    def detach_record(self, record: "RunRecord") -> None:
+        """Stop writing into ``record`` (a no-op once another record is
+        attached), so the server holds no reference to it."""
+        if self._arrivals is record.arrivals:
+            self._arrivals = None
+            self._dispatch_log = None
+            self._latencies = {}
+            self._latency_from = math.inf
 
     def attach_tracer(self, tracer: Optional["Tracer"]) -> None:
         """Attach a :class:`repro.obs.Tracer`; the server contributes
@@ -244,7 +258,7 @@ class ThreadPoolServer:
         self.scheduler.enqueue(request, now)
         arrivals = self._arrivals
         if arrivals is not None:
-            arrivals.append((request.tenant_id, request.cost, now, request.weight))
+            arrivals.extend((request.tenant_id, request.cost, now, request.weight))
         for fn in self._submit_listeners:
             fn(request)
         if not self._finishing:
@@ -322,8 +336,12 @@ class ThreadPoolServer:
         the completion event is rescheduled from the remaining cost at
         the new speed -- or removed entirely while stalled.
         """
-        if speed < 0:
-            raise ConfigurationError(f"worker speed must be >= 0, got {speed}")
+        if not 0.0 <= speed < math.inf:
+            # NaN would leave a busy worker with no completion event,
+            # and inf a NaN progress (0 * inf) at this very instant.
+            raise ConfigurationError(
+                f"worker speed must be finite and >= 0, got {speed}"
+            )
         worker = self.workers[index]
         now = self.sim.now
         request = worker.request
@@ -470,11 +488,13 @@ class ThreadPoolServer:
         log = self._dispatch_log
         if log is None:
             return
-        for position in range(len(log) - 1, -1, -1):
-            record = log[position]
-            if record[0] == thread_id:
-                if record[1] == request.tenant_id and record[4] == request.dispatch_time:
-                    log[position] = record._replace(end=end)
+        for position in range(len(log) - DISPATCH_FIELDS, -1, -DISPATCH_FIELDS):
+            if log[position] == thread_id:
+                if (
+                    log[position + 1] == request.tenant_id
+                    and log[position + 4] == request.dispatch_time
+                ):
+                    log[position + 5] = end
                 return
 
     # -- internals --------------------------------------------------------------------
@@ -527,18 +547,16 @@ class ThreadPoolServer:
         if log is not None:
             # Filed at dispatch, so requests still running when the
             # simulation stops -- e.g. multi-second expensive requests --
-            # appear in the occupancy log.
-            log.append(
-                _new_record(
-                    DispatchRecord,
-                    (
-                        request.thread_id,
-                        request.tenant_id,
-                        request.api,
-                        request.cost,
-                        now,
-                        end,
-                    ),
+            # appear in the occupancy log.  The DispatchRecord fields, in
+            # order.
+            log.extend(
+                (
+                    request.thread_id,
+                    request.tenant_id,
+                    request.api,
+                    request.cost,
+                    now,
+                    end,
                 )
             )
         for fn in self._dispatch_listeners:
@@ -565,9 +583,10 @@ class ThreadPoolServer:
         )
         self._completed_requests += 1
         if now >= self._latency_from:
-            self._latencies.setdefault(request.tenant_id, []).append(
-                now - request.arrival_time
-            )
+            latencies = self._latencies.get(request.tenant_id)
+            if latencies is None:
+                latencies = self._latencies[request.tenant_id] = []
+            latencies.append(now - request.arrival_time)
         source = request.source
         # A submit made from here (a closed-loop follow-up) skips its own
         # dispatch pass and the pass below serves it: one pass per

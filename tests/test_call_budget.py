@@ -52,7 +52,9 @@ HORIZON = 10.0
 #: (no per-tenant loops).  Run alone it measured 44.58 before and 45.58
 #: after the server kept a free list of workers: a completion inserts
 #: its worker with one ``insort`` call, and a pass takes the top index
-#: with ``del`` (no call) instead of scanning the pool.
+#: with ``del`` (no call) instead of scanning the pool.  It measured
+#: 44.63 once a dispatch extended the run record's flat log instead of
+#: building a ``DispatchRecord`` (one ``tuple.__new__`` call fewer).
 CALLS_PER_REQUEST_BUDGET = 44.71 + 2
 
 #: Every priming submission runs its own dispatch pass: one per request
@@ -84,7 +86,8 @@ INDEXED_HORIZON = 0.5
 #: 43.23 once the GPS reference's heap held one entry per active flow,
 #: and 38.43 once the server wrote into the collector's run record.
 #: Run alone it measured 38.41 before and 39.41 after the server's free
-#: list (one ``insort`` per completion).
+#: list (one ``insort`` per completion), and 38.41 again once a dispatch
+#: extended the flat dispatch log.
 INDEXED_CALLS_PER_REQUEST_BUDGET = 38.43 + 2
 
 #: :data:`PRIMING_TOUCHES` of :func:`indexed_cell`.

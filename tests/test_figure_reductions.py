@@ -16,6 +16,7 @@ call or per-record loop it replaced:
 """
 
 import struct
+from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -225,7 +226,8 @@ def loop_occupancy_expensive_fraction(log, num_threads, cost_threshold=100.0):
 
 def _run(log):
     partial = MetricsPartial(0.1)
-    partial.dispatch_log.extend(log)
+    # The store's log is flat: each record's values in field order.
+    partial.dispatch_log.extend(chain.from_iterable(log))
     return RunMetrics(partial)
 
 

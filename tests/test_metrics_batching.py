@@ -324,7 +324,7 @@ def _stores(metrics, reference):
     same run."""
     partial = metrics.partial
     return (
-        _store(partial.gini, partial.series, partial.latencies, partial.dispatch_log),
+        _store(partial.gini, partial.series, partial.latencies, metrics.dispatch_log),
         _store(
             reference.gini,
             reference.series,

@@ -10,7 +10,9 @@ GPS reference checks each arrival's cost, a flow's weight when the flow
 is created, each target time and each capacity.  ``AuditConfig``
 refuses any threshold that would break or silence a monitor.  The
 sources and ``rescale_trace`` refuse replay parameters that would
-submit at the wrong time, or nothing, without an error.
+submit at the wrong time, or nothing, without an error.  A worker's
+speed, and the slowdown factor a fault plan sets it to, must be finite
+and non-negative.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.core.scheduler import TenantState
 from repro.core.virtual_time import VirtualClock
 from repro.errors import ConfigurationError, SimulationError, WorkloadError
 from repro.estimation import EMAEstimator, LastValueEstimator, PessimisticEstimator
+from repro.faults import ServerSlowdown, WorkerSlowdown
 from repro.obs import AuditConfig
 from repro.simulator import (
     BackloggedSource, GPSReference, Simulation, ThreadPoolServer, TraceSource,
@@ -245,3 +248,34 @@ def test_backlogged_source_accepts_no_limit_and_zero(limit):
         assert source.submitted > 2
     else:
         assert source.submitted == limit
+
+
+@pytest.mark.parametrize("speed", [NAN, INF, -INF, -1.0])
+def test_worker_speed_rejected_before_any_state_changes(speed):
+    # NaN left the busy worker with no completion event, so its request
+    # never finished; inf made its progress 0 * inf = NaN at once.
+    sim = Simulation()
+    server = ThreadPoolServer(
+        sim, make_scheduler("wfq", 1), 1, rate=1.0, refresh_interval=None
+    )
+    server.submit(Request("T", 4.0))
+    sim.run(until=1.0)
+    worker = server.workers[0]
+    event = worker.completion_event
+    with pytest.raises(ConfigurationError, match=f"speed .*got {speed}"):
+        server.set_worker_speed(0, speed)
+    assert worker.speed == 1.0
+    assert worker.completion_event is event
+    assert (worker.done_work, worker.work_mark, worker.last_report) == (0.0, 0.0, 0.0)
+    assert server.service_received("T") == 1.0
+    sim.run()
+    assert server.completed_requests == 1
+    assert sim.now == 4.0
+
+
+@pytest.mark.parametrize("cls, target", [(WorkerSlowdown, "worker"), (ServerSlowdown, "server")])
+@pytest.mark.parametrize("factor", [INF, NAN, -1.0])
+def test_slowdown_factor(cls, target, factor):
+    # inf was accepted here and refused by set_worker_speed mid-run.
+    with pytest.raises(ConfigurationError, match="slowdown factor"):
+        cls(**{target: 0}, start=0.0, end=1.0, factor=factor)
